@@ -6,8 +6,9 @@ failure, 2 configuration/usage error, 3 integration blow-up (partial
 artifacts are still written). CSV artifacts are byte-identical for a fixed
 manifest and seed; wall-clock timings go only into run_meta.json.
 
-The KSPP_THREADS environment variable sets the replica-level thread count
-of the simulator.
+The KSPP_THREADS environment variable sets the thread count of the
+simulator; threads take whole replica blocks. JSON artifacts are strict
+JSON: non-finite numbers are written as null.
 """
 
 from __future__ import annotations
@@ -37,10 +38,23 @@ class ExperimentManifest:
     options: dict = field(default_factory=dict)
 
 
+def _null_nonfinite(value):
+    """`value` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    payload = dict(payload)
+    """Write strict JSON: NaN and infinities become null."""
+    payload = _null_nonfinite(dict(payload))
     payload["version"] = __version__
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _load_config(manifest: ExperimentManifest) -> simulator.SimConfig:

@@ -27,7 +27,7 @@ from scipy.stats import norm as _norm
 
 from .constants import _golden_max, c0_const, kappa
 from .kernels import EXP_CLAMP, background_field
-from .simulator import SimConfig, TrajectoryEnsemble, pair_drift_at, pair_drift_series
+from .simulator import SimConfig, TrajectoryEnsemble, pair_drifts, replica_blocks
 
 TEST_FUNCTION_VERSIONS = {
     "gaussian-bump": "gaussian-bump-v1",
@@ -98,6 +98,26 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+def _pair_index(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([i for i, _ in pairs], dtype=int),
+            np.array([j for _, j in pairs], dtype=int))
+
+
+def _drift_series(positions: np.ndarray, cfg: SimConfig, i_idx: np.ndarray,
+                  j_idx: np.ndarray, m_last: int) -> np.ndarray:
+    """Pair drifts D^{i,j}_m for m = 0..m_last, shape (R, m_last+1, K, 2)."""
+    out = np.zeros((positions.shape[0], m_last + 1, len(i_idx), 2))
+    for m in range(1, m_last + 1):
+        out[:, m] = pair_drifts(positions, cfg, m, i_idx, j_idx)
+    return out
+
+
+def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
+    """Indices of the replicas whose positions are finite on rows 0..m_t."""
+    rows = ensemble.positions[:, : m_t + 1]
+    return np.flatnonzero(np.isfinite(rows).all(axis=(1, 2, 3)))
+
+
 def _horizon_index(ensemble: TrajectoryEnsemble, horizon: float | None) -> int:
     dt = ensemble.config.dt
     if horizon is None:
@@ -146,8 +166,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     dt = cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     pairs = ordered_pairs(ensemble.n_particles)
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
+    i_idx, j_idx = _pair_index(pairs)
     w_tr = _trap_weights(m_t, dt)
     q = 2.0 * (ep.gamma - 1.0)
     e3_pow = 2.0 * ep.gamma / 3.0
@@ -182,7 +201,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         per_rep["E3"][r] = _fsum_mean(e3_pairs)
 
         # E4: drift-power integral from the simulator's discrete pair drift
-        d_series = pair_drift_series(pos, cfg, pairs, m_last=m_t)
+        d_series = _drift_series(pos[None], cfg, i_idx, j_idx, m_t)[0]
         d_mag = np.sqrt(np.einsum("mkc,mkc->mk", d_series, d_series))
         per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag ** q)
 
@@ -216,6 +235,7 @@ class DominationStats:
     violations: int
     worst_margin: float  # max over checks of |D| / bound (<= 1 means clean)
     slack: float
+    excluded: int = 0    # replicas left out for non-finite positions
 
 
 def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -224,35 +244,39 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
 
     Checks |D^{i,j}_m| <= slack * C * (S^{i,j}_m)^(1/(2(gamma-1))) with
     C = sqrt(theta) C0(4 alpha/theta) kappa(1/2, gamma-1) / (4 pi), where D
-    and S are the simulator-grid discrete sums.
+    and S are the simulator-grid discrete sums. Replicas with non-finite
+    positions up to the horizon are excluded and counted in `excluded`;
+    `checked` counts the checks of the others.
     """
     cfg = ensemble.config
     p = cfg.params
     dt = cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     pairs = ordered_pairs(ensemble.n_particles)
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
+    i_idx, j_idx = _pair_index(pairs)
     const = (math.sqrt(p.theta) * c0_const(4.0 * ep.alpha / p.theta)
              * kappa(0.5, ep.gamma - 1.0) / (4.0 * math.pi))
     expo = 1.0 / (2.0 * (ep.gamma - 1.0))
-    checked = violations = 0
+    kept = _finite_replicas(ensemble, m_t)
+    violations = 0
     worst = 0.0
-    for r in range(ensemble.n_replicas):
-        pos = ensemble.positions[r, : m_t + 1]
+    for block in replica_blocks(len(kept), len(pairs), m_t):
+        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         for m in range(1, m_t + 1):
-            d = pair_drift_at(pos, cfg, pairs, m)
-            d_mag = np.sqrt(np.einsum("kc,kc->k", d, d))
+            d = pair_drifts(pos, cfg, m, i_idx, j_idx)
+            d_mag = np.sqrt(np.einsum("rkc,rkc->rk", d, d))
             lag = (m - np.arange(m)) * dt
-            diff = pos[m, i_idx][None, :, :] - pos[:m][:, j_idx, :]
-            sq = np.einsum("lkc,lkc->lk", diff, diff)
-            s_vals = dt * np.sum((lag[:, None] + ep.alpha * sq) ** (-ep.gamma), axis=0)
+            diff = pos[:, m, i_idx][:, None] - pos[:, :m][:, :, j_idx]
+            sq = np.einsum("rlkc,rlkc->rlk", diff, diff)
+            s_vals = dt * np.sum((lag[:, None] + ep.alpha * sq) ** (-ep.gamma),
+                                 axis=1)
             bound = const * s_vals ** expo
             ratio = d_mag / (slack * bound)
-            checked += len(pairs)
             violations += int(np.sum(ratio > 1.0))
             worst = max(worst, float(np.max(d_mag / bound)))
-    return DominationStats(checked, violations, worst, slack)
+    checked = len(kept) * len(pairs) * m_t
+    return DominationStats(checked, violations, worst, slack,
+                           excluded=ensemble.n_replicas - len(kept))
 
 
 def holder_ratio_max(path: np.ndarray, times: np.ndarray, beta: float) -> float:
@@ -267,13 +291,17 @@ def holder_ratio_max(path: np.ndarray, times: np.ndarray, beta: float) -> float:
 @dataclass
 class HolderStats:
     beta: float
-    z_hat: np.ndarray        # per replica
-    bound: np.ndarray        # per replica
+    z_hat: np.ndarray        # per checked replica
+    bound: np.ndarray        # per checked replica
     slack: float
+    excluded: int = 0        # replicas left out for non-finite positions
 
     @property
     def ok(self) -> bool:
-        return bool(np.all(self.z_hat <= self.slack * self.bound))
+        """The slackened inequality holds on every checked replica, and at
+        least one replica was checked."""
+        return bool(self.z_hat.size
+                    and np.all(self.z_hat <= self.slack * self.bound))
 
 
 def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -283,29 +311,34 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     Gamma_t = chi * int_0^t (1/(N-1)) sum_j D^{1,j}_s ds (left-endpoint in
     time), beta = (2 gamma - 3) / (2(gamma - 1)). The empirical modulus is
     compared against chi/(N-1) * sum_j [1 + sum |D|^(2(gamma-1)) dt], which
-    dominates it by the exact discrete Hoelder inequality.
+    dominates it by the exact discrete Hoelder inequality. Replicas with
+    non-finite positions up to the horizon are excluded and counted in
+    `excluded`; z_hat and bound hold the others, in replica order.
     """
     cfg = ensemble.config
     chi, dt = cfg.params.chi, cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     n = ensemble.n_particles
-    pairs = [(0, j) for j in range(1, n)]
+    i_idx, j_idx = _pair_index([(0, j) for j in range(1, n)])
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
     q = 2.0 * (ep.gamma - 1.0)
     times = ensemble.times[: m_t + 1]
-    z_hat = np.zeros(ensemble.n_replicas)
-    bound = np.zeros(ensemble.n_replicas)
-    for r in range(ensemble.n_replicas):
-        d_series = pair_drift_series(ensemble.positions[r, : m_t + 1], cfg,
-                                     pairs, m_last=m_t)
-        mean_d = d_series.mean(axis=1)
-        gamma_path = np.zeros((m_t + 1, 2))
-        gamma_path[1:] = chi * dt * np.cumsum(mean_d[:-1], axis=0)
-        z_hat[r] = holder_ratio_max(gamma_path, times, beta)
-        d_mag = np.sqrt(np.einsum("mkc,mkc->mk", d_series, d_series))
-        tail = dt * np.sum(d_mag[:-1] ** q, axis=0)
-        bound[r] = chi / (n - 1) * math.fsum(1.0 + tail[k] for k in range(len(pairs)))
-    return HolderStats(beta, z_hat, bound, slack)
+    kept = _finite_replicas(ensemble, m_t)
+    z_hat = np.zeros(len(kept))
+    bound = np.zeros(len(kept))
+    for block in replica_blocks(len(kept), n - 1, m_t):
+        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
+        d_series = _drift_series(pos, cfg, i_idx, j_idx, m_t)
+        mean_d = d_series.mean(axis=2)
+        gamma_paths = np.zeros((len(block), m_t + 1, 2))
+        gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
+        d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
+        tails = dt * np.sum(d_mag[:, :-1] ** q, axis=1)
+        for b, tail in zip(block, tails):
+            z_hat[b] = holder_ratio_max(gamma_paths[b - block.start], times, beta)
+            bound[b] = chi / (n - 1) * math.fsum(1.0 + t for t in tail)
+    return HolderStats(beta, z_hat, bound, slack,
+                       excluded=ensemble.n_replicas - len(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +507,14 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
     return float(lo), float(hi)
 
 
-def _mean_drift_window(pos: np.ndarray, cfg: SimConfig, m_lo: int,
-                       m_hi: int) -> np.ndarray:
+def _particle_drifts(pos: np.ndarray, cfg: SimConfig, m_lo: int,
+                     m_hi: int) -> np.ndarray:
     """(1/(N-1)) sum_{j != i} D^{i,j}_m for all i and m in [m_lo, m_hi]."""
     n = pos.shape[1]
-    pairs = ordered_pairs(n)
-    out = np.zeros((m_hi - m_lo + 1, n, 2))
-    for m in range(m_lo, m_hi + 1):
-        d = pair_drift_at(pos, cfg, pairs, m)
-        for k, (i, _) in enumerate(pairs):
-            out[m - m_lo, i] += d[k]
-    return out / (n - 1)
+    i_idx, j_idx = _pair_index(ordered_pairs(n))
+    d = np.stack([pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
+                  for m in range(m_lo, m_hi + 1)])
+    return d.reshape(-1, n, n - 1, 2).sum(axis=2) / (n - 1)
 
 
 def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -522,7 +552,7 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         pos = ensemble.positions[r, : m_t + 1]
         per_pair = []
         if f_spec == "gaussian-bump":
-            drift = (_mean_drift_window(pos, cfg, 0, m_t) if chi != 0.0
+            drift = (_particle_drifts(pos, cfg, 0, m_t) if chi != 0.0
                      else np.zeros((m_t + 1, n, 2)))
             grad_b = np.zeros((m_t + 1, n, 2))
             if chi != 0.0 and not cfg.source.is_zero:
@@ -546,7 +576,7 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                 per_pair.append(lhs - t1 - t2 - t3 - t4)
         else:
             pot = PairPotential(ep.gamma)
-            drift = (_mean_drift_window(pos, cfg, 0, m_t) if chi != 0.0
+            drift = (_particle_drifts(pos, cfg, 0, m_t) if chi != 0.0
                      else np.zeros((m_t + 1, n, 2)))
             for i, j in pairs:
                 xi, xj = pos[:, i, :], pos[:, j, :]
@@ -627,7 +657,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
         gen = lap.copy()
         if chi != 0.0:
             grads = phi.grad(window)                # (w, N, 2)
-            drift = _mean_drift_window(pos, cfg, m_s, m_e)
+            drift = _particle_drifts(pos, cfg, m_s, m_e)
             if not cfg.source.is_zero:
                 for k, m in enumerate(range(m_s, m_e + 1)):
                     _, gb = background_field(m * dt + cfg.params.epsilon,

@@ -112,9 +112,18 @@ def smoothed_grad(t, x, params: KernelParams):
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = params.theta * sq / (4.0 * t)
     gauss = np.where(t > 0, _clamped_exp(np.where(t > 0, arg, 0.0)), 0.0)
-    coef = (-params.theta / (8.0 * math.pi * (t + params.epsilon) ** 2)
-            * np.exp(-params.lam * t / params.theta) * gauss)
+    coef = -smoothed_weight(t, params) * gauss
     return coef[..., None] * x
+
+
+def smoothed_weight(t, params: KernelParams):
+    """Time factor theta/(8 pi (t+eps)^2) e^(-lam t/theta) of smoothed_grad.
+
+    |smoothed_grad(t, x)| is this weight times e^(-theta|x|^2/4t) |x|; the
+    simulator's history convolution uses it as its lag weight.
+    """
+    return (params.theta / (8.0 * math.pi * (t + params.epsilon) ** 2)
+            * np.exp(-params.lam * t / params.theta))
 
 
 def grad_envelope(t, x, alpha: float, params: KernelParams):

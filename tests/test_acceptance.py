@@ -97,7 +97,7 @@ def test_criterion_5_drift_oracle_equivalence():
                     init=InitSpec("point"))
     init = np.array([[[0.0, 0.0], [1.0, 0.0]]])
     ens = simulator.run(cfg, initial=init)
-    d_hat = simulator.pair_drift_at(ens.positions[0], cfg, [(0, 1)], 10000)[0]
+    d_hat = simulator.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
     closed = simulator.frozen_drift_oracle(
         np.array([-1.0, 0.0]), 1.0, KernelParams(theta=1.0, chi=1.0))
     rel = float(np.linalg.norm(d_hat - closed) / np.linalg.norm(closed))

@@ -116,6 +116,24 @@ class TestEstimate:
         assert (est_inline / "per_replica.csv").read_text() \
             == (est_file / "per_replica.csv").read_text()
 
+    def test_blown_run_report_is_strict_json(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("theta = 1.0\nchi = 1e308\nepsilon = 1e-12\n"
+                       "n_particles = 2\ndt = 10.0\nn_steps = 3\n"
+                       "n_replicas = 2\nseed = 1\ninit = gaussian\n"
+                       "init_sigma = 0.001\n")
+        out = tmp_path / "est"
+        rc = cli.main(["estimate", "--config", str(cfg), "--gamma", "1.62",
+                       "--alpha", "0.045", "--out", str(out)])
+        assert rc == 3
+
+        def reject(constant):
+            raise ValueError(f"invalid JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["estimates"]["E1"]["value"] is None
+
     def test_csv_trajectory_roundtrip_estimate(self, tmp_path, config_file):
         run_out = tmp_path / "run"
         cli.main(["simulate", "--config", str(config_file), "--out",

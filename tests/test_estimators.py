@@ -167,7 +167,7 @@ class TestDriftDomination:
         eps = 0.05
         ens = frozen_pair_ensemble(dt=1e-4, n_steps=10000, epsilon=eps)
         cfg = ens.config
-        d_hat = S.pair_drift_at(ens.positions[0], cfg, [(0, 1)], 10000)[0]
+        d_hat = S.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
         d_oracle = S.frozen_drift_oracle(
             np.array([-1.0, 0.0]), 1.0,
             KernelParams(theta=1.0, chi=1.0, epsilon=eps))
@@ -190,6 +190,44 @@ class TestDriftDomination:
                                          E.EstimatorParams(gamma=1.62, alpha=0.045))
         assert stats.violations == 0
         assert stats.checked == 100 * 100 * 2
+
+    def test_blown_replica_excluded_and_counted(self):
+        # a replica that goes non-finite must not pass the checks silently
+        params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
+        cfg = S.SimConfig(params=params, n_particles=2, dt=0.01, n_steps=20,
+                          n_replicas=4, seed=3,
+                          init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        finite = S.TrajectoryEnsemble(
+            positions=ens.positions[[0, 2, 3]].copy(),
+            config=dataclasses.replace(cfg, n_replicas=3),
+            rng_provenance=ens.rng_provenance)
+        ens.positions[1, 7:] = np.nan
+        ep = E.EstimatorParams(gamma=1.62, alpha=0.045)
+
+        stats = E.drift_domination_check(ens, ep)
+        clean = E.drift_domination_check(finite, ep)
+        assert stats.excluded == 1 and clean.excluded == 0
+        assert stats.checked == 3 * 20 * 2
+        assert ((stats.checked, stats.violations, stats.worst_margin)
+                == (clean.checked, clean.violations, clean.worst_margin))
+
+        hold = E.holder_modulus(ens, ep)
+        hold_clean = E.holder_modulus(finite, ep)
+        assert hold.excluded == 1
+        np.testing.assert_array_equal(hold.z_hat, hold_clean.z_hat)
+        np.testing.assert_array_equal(hold.bound, hold_clean.bound)
+
+        # finite up to the horizon: nothing to exclude
+        early = E.EstimatorParams(gamma=1.62, alpha=0.045, horizon=0.06)
+        assert E.drift_domination_check(ens, early).excluded == 0
+        assert E.holder_modulus(ens, early).excluded == 0
+
+        # every replica blown: nothing checked, and the Hoelder check fails
+        ens.positions[:, 7:] = np.nan
+        assert E.drift_domination_check(ens, ep).checked == 0
+        hold = E.holder_modulus(ens, ep)
+        assert hold.excluded == 4 and not hold.ok
 
     def test_bound_power_scaling(self):
         # doubling every S term scales the bound by 2^(1/(2(gamma-1)))

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from kspp import simulator as S
@@ -77,7 +79,7 @@ class TestHistoryDrift:
                           noise_mode="zero")
         init = np.array([[[0.0, 0.0], [1.0, 0.0]]])
         ens = S.run(cfg, initial=init)
-        d_hat = S.pair_drift_at(ens.positions[0], cfg, [(0, 1)], 10000)[0]
+        d_hat = S.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
         oracle = S.frozen_drift_oracle(
             np.array([-1.0, 0.0]), 1.0, KernelParams(theta=1.0, chi=1.0))
         rel = np.linalg.norm(d_hat - oracle) / np.linalg.norm(oracle)
@@ -90,8 +92,8 @@ class TestHistoryDrift:
                           n_steps=10)
         ens = S.run(cfg)
         for m in range(11):
-            d12 = S.pair_drift_at(ens.positions[0], cfg, [(0, 1)], m)[0]
-            d21 = S.pair_drift_at(ens.positions[0], cfg, [(1, 0)], m)[0]
+            d12 = S.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0]
+            d21 = S.pair_drifts(ens.positions, cfg, m, [1], [0])[0, 0]
             np.testing.assert_array_equal(d12, -d21)
 
     def test_history_cutoff_truncates(self):
@@ -101,7 +103,7 @@ class TestHistoryDrift:
         pos = ens.positions[0]
         m = 30
         cut = dataclasses.replace(cfg, history_cutoff=5 * cfg.dt)
-        d_cut = S.pair_drift_at(pos, cut, [(0, 1)], m)[0]
+        d_cut = S.pair_drifts(ens.positions, cut, m, [0], [1])[0, 0]
         # manual sum over the last five history rows
         p = cfg.params
         manual = np.zeros(2)
@@ -114,8 +116,8 @@ class TestHistoryDrift:
         np.testing.assert_allclose(d_cut, manual, rtol=1e-12)
         full = dataclasses.replace(cfg, history_cutoff=10.0)
         np.testing.assert_array_equal(
-            S.pair_drift_at(pos, full, [(0, 1)], m)[0],
-            S.pair_drift_at(pos, cfg, [(0, 1)], m)[0])
+            S.pair_drifts(ens.positions, full, m, [0], [1])[0, 0],
+            S.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0])
 
     def test_envelope_dominates_discrete_drift(self):
         from kspp.kernels import grad_envelope
@@ -125,7 +127,7 @@ class TestHistoryDrift:
         pos = ens.positions[0]
         alpha = 0.08
         for m in (1, 10, 40):
-            d = S.pair_drift_at(pos, cfg, [(0, 1)], m)[0]
+            d = S.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0]
             lags = (m - np.arange(m)) * cfg.dt
             diffs = pos[m, 0][None, :] - pos[:m, 1, :]
             env_sum = cfg.dt * float(np.sum(
@@ -211,6 +213,28 @@ class TestStepAndRun:
         for m in range(3):
             S.step(ens, m, noise[:, m])
         np.testing.assert_array_equal(ens.positions, full.positions)
+        # without noise, step draws the same increments from the streams
+        ens = S.init_ensemble(cfg)
+        for m in range(3):
+            S.step(ens, m)
+        np.testing.assert_array_equal(ens.positions, full.positions)
+
+    def test_step_draws_only_rows_up_to_m(self, monkeypatch):
+        cfg = make_config(n_steps=40, n_replicas=2, seed=4)
+        drawn = []
+        real = S.draw_noise
+
+        def spy(config):
+            drawn.append(config.n_steps)
+            return real(config)
+
+        monkeypatch.setattr(S, "draw_noise", spy)
+        ens = S.init_ensemble(cfg)
+        for m in range(3):
+            S.step(ens, m)
+        assert drawn == [1, 2, 3]
+        np.testing.assert_array_equal(ens.positions[:, :4],
+                                      S.run(cfg).positions[:, :4])
 
     def test_step_index_validation(self):
         cfg = make_config(n_steps=2)
@@ -257,11 +281,89 @@ class TestStepAndRun:
         monkeypatch.setenv("KSPP_THREADS", "not-a-number")
         np.testing.assert_array_equal(serial.positions, S.run(cfg).positions)
 
+    def test_replica_blocks_follow_the_budget(self):
+        # one replica's drift temporary holds 16 * pairs * rows bytes
+        assert S.replica_blocks(300, 2 * 2, 100) == [range(0, 300)]
+        assert S.replica_blocks(2, 32 * 32, 200) == [range(0, 1), range(1, 2)]
+        per = 16 * 9 * 10
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * per + per // 2):
+            assert S.replica_blocks(5, 9, 10) == [range(0, 2), range(2, 4),
+                                                  range(4, 5)]
+        # no drift temporary (chi = 0): every replica in one block
+        assert S.replica_blocks(500, 64 * 64, 0) == [range(0, 500)]
+
     def test_drift_seconds_reported(self):
         params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_steps=20)
         assert S.run(cfg).drift_seconds > 0.0
         assert S.run(make_config(n_steps=20)).drift_seconds == 0.0
+
+
+_MIXTURE = SourceSpec(components=((0.5, (-1.0, 0.0), 0.5),
+                                  (0.5, (1.0, 0.0), 0.5)))
+
+
+@st.composite
+def batch_cases(draw):
+    """A small config plus an optional (replica, step) whose noise is inf."""
+    n = draw(st.integers(2, 5))
+    steps = draw(st.integers(1, 8))
+    replicas = draw(st.integers(3, 6))
+    modes = ["standard", "zero"] + (["mirrored"] if n == 2 else [])
+    cfg = make_config(
+        params=KernelParams(theta=1.0, lam=0.2,
+                            chi=draw(st.sampled_from([0.9, 0.0])),
+                            epsilon=0.05),
+        n_particles=n, n_steps=steps, n_replicas=replicas,
+        seed=draw(st.integers(0, 2 ** 16)),
+        history_cutoff=draw(st.sampled_from([None, 0.02, 0.05])),
+        source=draw(st.sampled_from([SourceSpec(), _MIXTURE])),
+        noise_mode=draw(st.sampled_from(modes)))
+    blow = draw(st.none() | st.tuples(st.integers(0, replicas - 1),
+                                      st.integers(0, steps - 1)))
+    return cfg, blow
+
+
+class TestBatchedStepping:
+    """run() on R replicas equals R single-replica runs, bit for bit."""
+
+    @staticmethod
+    def check(cfg, blow, n_threads=None):
+        initial = S.draw_initial(cfg)
+        noise = S.draw_noise(cfg)
+        if blow is not None:
+            noise[blow[0], blow[1], 0, 0] = np.inf
+        ens = S.run(cfg, initial=initial, noise=noise, n_threads=n_threads)
+        single = dataclasses.replace(cfg, n_replicas=1)
+        blowups = []
+        for r in range(cfg.n_replicas):
+            one = S.run(single, initial=initial[r: r + 1],
+                        noise=noise[r: r + 1])
+            np.testing.assert_array_equal(ens.positions[r], one.positions[0])
+            blowups += [(r, step) for _, step in one.blowups]
+        assert ens.blowups == blowups
+        if blow is not None:
+            assert (blow[0], blow[1] + 1) in ens.blowups
+        for r, step in ens.blowups:
+            assert np.isfinite(ens.positions[r, :step]).all()
+            assert np.isnan(ens.positions[r, step:]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch_cases())
+    def test_one_block(self, case):
+        self.check(*case)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch_cases())
+    def test_blocks_of_two(self, case):
+        cfg, blow = case
+        n = cfg.n_particles
+        rows = cfg.n_steps - S._history_start(cfg.n_steps, cfg)
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * 16 * n * n * rows):
+            if cfg.params.chi != 0.0:
+                assert len(S.replica_blocks(cfg.n_replicas, n * n, rows)) > 1
+            self.check(cfg, blow)
+            self.check(cfg, blow, n_threads=2)
 
 
 class TestFrozenDriftOracle:
