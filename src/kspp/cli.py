@@ -3,7 +3,8 @@
 Modes: simulate, estimate, threshold, verify-inequality, verify-kernels,
 martingale-test, epsilon-study. Exit codes: 0 success, 1 verification
 failure, 2 configuration/usage error, 3 integration blow-up (partial
-artifacts are still written). CSV artifacts are byte-identical for a fixed
+artifacts are still written; `estimate` also returns 3 when it leaves out
+replicas with non-finite positions read from a trajectory file). CSV artifacts are byte-identical for a fixed
 manifest and seed; wall-clock timings go only into run_meta.json.
 
 The KSPP_THREADS environment variable sets the thread count of the
@@ -128,15 +129,17 @@ def _mode_estimate(manifest: ExperimentManifest) -> int:
     names = list(report.estimates)
     with open(out / "per_replica.csv", "w") as fh:
         fh.write("replica," + ",".join(names) + "\n")
-        for r in range(ens.n_replicas):
-            row = ",".join(f"{report.estimates[n].per_replica[r]:.17g}" for n in names)
+        for k, r in enumerate(report.replicas):
+            row = ",".join(f"{report.estimates[n].per_replica[k]:.17g}" for n in names)
             fh.write(f"{r},{row}\n")
     for name in names:
         est = report.estimates[name]
         print(f"{name}: {est.value:.6g} +- {est.stderr:.3g}")
     if report.divergent_terms:
         print(f"divergent terms excluded: {report.divergent_terms}")
-    return 3 if blowups else 0
+    if report.excluded:
+        print(f"non-finite replicas excluded: {report.excluded}")
+    return 3 if blowups or report.excluded else 0
 
 
 _REMARK_ROWS = (

@@ -18,7 +18,7 @@ under particle relabeling bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +26,10 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .constants import _golden_max, c0_const, kappa
-from .kernels import EXP_CLAMP, background_field
-from .simulator import SimConfig, TrajectoryEnsemble, pair_drifts, replica_blocks
+from .kernels import EXP_CLAMP, background_field, smoothed_weight
+from .simulator import (SimConfig, TrajectoryEnsemble, _conv_weights,
+                        _history_sums, _pair_geometry, pair_drifts,
+                        replica_blocks)
 
 TEST_FUNCTION_VERSIONS = {
     "gaussian-bump": "gaussian-bump-v1",
@@ -75,6 +77,8 @@ class EstimateReport:
     estimates: dict[str, FunctionalEstimate]
     divergent_terms: int
     config_echo: dict
+    replicas: np.ndarray     # indices of the replicas behind per_replica
+    excluded: int            # replicas left out for non-finite positions
     notes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -89,6 +93,8 @@ class EstimateReport:
                 for name, est in self.estimates.items()
             },
             "divergent_terms": self.divergent_terms,
+            "replicas": [int(r) for r in self.replicas],
+            "excluded": self.excluded,
             "config": self.config_echo,
             "notes": self.notes,
         }
@@ -141,8 +147,8 @@ def _grad_k_mag(lag: np.ndarray, sq: np.ndarray, config: SimConfig) -> np.ndarra
     """|grad K_lag| at squared distance sq (unsmoothed kernel)."""
     p = config.params
     arg = np.minimum(p.theta * sq / (4.0 * lag), EXP_CLAMP)
-    return (p.theta / (8.0 * math.pi * lag ** 2)
-            * np.exp(-p.lam * lag / p.theta) * np.exp(-arg) * np.sqrt(sq))
+    return (smoothed_weight(lag, replace(p, epsilon=0.0)) * np.exp(-arg)
+            * np.sqrt(sq))
 
 
 def _fsum_mean(values: Sequence[float]) -> float:
@@ -156,7 +162,14 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     E3 are the double time sums with the u-exclusive inner rule; E4
     integrates |D|^(2(gamma-1)) using the simulator's discrete pair drift;
     S/S-bar are reported at the horizon. Exact on-grid coincidences are
-    excluded from E1 and counted as divergent terms.
+    excluded from E1 and counted as divergent terms. Replicas with
+    non-finite positions up to the horizon are excluded and counted in
+    `excluded`; the estimates and `replicas` cover the others.
+
+    One pass over the steps m: each step builds the pair geometry
+    X^i_m - X^j_l on the full (i, l, j) grid once and feeds E2, E3, E4 and,
+    at the horizon, S and S-bar from it; the self pairs i = j are dropped
+    before the pair reductions.
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -164,66 +177,83 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         raise ValueError("empty ensemble")
     cfg = ensemble.config
     dt = cfg.dt
+    n = ensemble.n_particles
     m_t = _horizon_index(ensemble, ep.horizon)
-    pairs = ordered_pairs(ensemble.n_particles)
+    pairs = ordered_pairs(n)
     i_idx, j_idx = _pair_index(pairs)
+    off = ~np.eye(n, dtype=bool)   # selects the pairs in ordered_pairs order
     w_tr = _trap_weights(m_t, dt)
     q = 2.0 * (ep.gamma - 1.0)
     e3_pow = 2.0 * ep.gamma / 3.0
     names = ("E1", "E2", "E3", "E4", "S", "S_bar")
-    per_rep = {name: np.zeros(ensemble.n_replicas) for name in names}
+    kept = _finite_replicas(ensemble, m_t)
+    per_rep = {name: np.zeros(len(kept)) for name in names}
     divergent = 0
 
-    for r in range(ensemble.n_replicas):
-        pos = ensemble.positions[r, : m_t + 1]
+    for block in replica_blocks(len(kept), n * n, m_t):
+        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
 
         # E1: same-time inverse distances, trapezoid in time
-        d_same = pos[:, i_idx, :] - pos[:, j_idx, :]
-        dist = np.sqrt(np.einsum("mkc,mkc->mk", d_same, d_same))
-        zero_mask = dist == 0.0
-        divergent += int(zero_mask.sum())
-        with np.errstate(divide="ignore"):
-            integrand = np.where(zero_mask, 0.0, dist ** (-q))
-        e1_pairs = w_tr @ integrand
-        per_rep["E1"][r] = _fsum_mean(e1_pairs)
+        for r, path in zip(block, pos):
+            d_same = path[:, i_idx, :] - path[:, j_idx, :]
+            dist = np.sqrt(np.einsum("mkc,mkc->mk", d_same, d_same))
+            zero_mask = dist == 0.0
+            divergent += int(zero_mask.sum())
+            with np.errstate(divide="ignore"):
+                integrand = np.where(zero_mask, 0.0, dist ** (-q))
+            per_rep["E1"][r] = _fsum_mean(w_tr @ integrand)
 
-        # E2 / E3: double sums, left-endpoint (u-exclusive) inner rule
-        e2_pairs = np.zeros(len(pairs))
-        e3_pairs = np.zeros(len(pairs))
-        for m in range(1, m_t + 1):
-            lag = (m - np.arange(m)) * dt
-            diff = pos[m, i_idx][None, :, :] - pos[:m][:, j_idx, :]
-            sq = np.einsum("lkc,lkc->lk", diff, diff)
-            e2_pairs += w_tr[m] * dt * np.sum((lag[:, None] + sq) ** (-ep.gamma), axis=0)
-            e3_pairs += w_tr[m] * dt * np.sum(
-                _grad_k_mag(lag[:, None], sq, cfg) ** e3_pow, axis=0)
-        per_rep["E2"][r] = _fsum_mean(e2_pairs)
-        per_rep["E3"][r] = _fsum_mean(e3_pairs)
+        e2 = np.zeros((len(block), n, n))
+        e3 = np.zeros((len(block), n, n))
+        d_mag = np.zeros((len(block), m_t + 1, len(pairs)))
+        # a finite replica close to blowing up may overflow its kernel
+        # terms; they then come out inf or 0
+        with np.errstate(over="ignore"):
+            for m in range(1, m_t + 1):
+                # geometry over (B, i, l, j): X^i_m - X^j_l for l < m
+                lag = ((m - np.arange(m)) * dt)[:, None]
+                dx, dy, sq = _pair_geometry(pos[:, m, :, None, None],
+                                            pos[:, None, :m])
 
-        # E4: drift-power integral from the simulator's discrete pair drift
-        d_series = _drift_series(pos[None], cfg, i_idx, j_idx, m_t)[0]
-        d_mag = np.sqrt(np.einsum("mkc,mkc->mk", d_series, d_series))
-        per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag ** q)
+                # E2 / E3: double sums, left-endpoint (u-exclusive) inner rule
+                e2 += w_tr[m] * dt * np.sum((lag + sq) ** (-ep.gamma), axis=2)
+                e3 += w_tr[m] * dt * np.sum(
+                    _grad_k_mag(lag, sq, cfg) ** e3_pow, axis=2)
 
-        # S and S-bar at the horizon (right-endpoint sum, diagonal excluded)
-        lag = (m_t - np.arange(m_t)) * dt
-        diff = pos[m_t, i_idx][None, :, :] - pos[:m_t][:, j_idx, :]
-        sq = np.einsum("lkc,lkc->lk", diff, diff)
-        s_pairs = dt * np.sum((lag[:, None] + ep.alpha * sq) ** (-ep.gamma), axis=0)
-        sbar_pairs = dt * np.sum(
-            (lag[:, None] + ep.delta + ep.alpha * sq) ** (-ep.gamma), axis=0)
-        per_rep["S"][r] = _fsum_mean(s_pairs)
-        per_rep["S_bar"][r] = _fsum_mean(sbar_pairs)
+                # E4: the simulator's discrete pair drift on rows [l0, m)
+                l0, lags, w = _conv_weights(m, cfg)
+                sx, sy = _history_sums(dx[:, :, l0:], dy[:, :, l0:],
+                                       sq[:, :, l0:], lags, w, cfg)
+                d_x, d_y = -dt * sx[:, off], -dt * sy[:, off]
+                d_mag[:, m] = np.sqrt(d_x * d_x + d_y * d_y)
+
+            # S and S-bar at the horizon (right-endpoint sum, diagonal
+            # excluded): the last step's geometry, m = m_t
+            s_full = dt * np.sum((lag + ep.alpha * sq) ** (-ep.gamma), axis=2)
+            sbar_full = dt * np.sum(
+                (lag + ep.delta + ep.alpha * sq) ** (-ep.gamma), axis=2)
+
+        for b, r in enumerate(block):
+            per_rep["E2"][r] = _fsum_mean(e2[b][off])
+            per_rep["E3"][r] = _fsum_mean(e3[b][off])
+            per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag[b] ** q)
+            per_rep["S"][r] = _fsum_mean(s_full[b][off])
+            per_rep["S_bar"][r] = _fsum_mean(sbar_full[b][off])
 
     estimates = {}
     for name in names:
         vals = per_rep[name]
-        err = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        estimates[name] = FunctionalEstimate(float(vals.mean()), err, len(vals), vals)
+        value = err = math.nan     # no finite replica: nothing to estimate
+        if len(vals):
+            value = float(vals.mean())
+            err = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+        estimates[name] = FunctionalEstimate(value, err, len(vals), vals)
     return EstimateReport(
         estimates=estimates,
         divergent_terms=divergent,
         config_echo=asdict(cfg),
+        replicas=kept,
+        excluded=ensemble.n_replicas - len(kept),
         notes={"gamma": ep.gamma, "alpha": ep.alpha, "delta": ep.delta,
                "horizon": m_t * dt, "pairs": len(pairs)},
     )

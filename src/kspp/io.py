@@ -15,6 +15,7 @@ SimConfig; times are in model (nondimensional) units throughout.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -39,13 +40,27 @@ def write_trajectory_csv(path: str | Path, ensemble: TrajectoryEnsemble) -> None
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
-    """Positions (R, M+1, N, 2) and dt from a trajectory CSV."""
+    """Positions (R, M+1, N, 2) and dt from a trajectory CSV.
+
+    Every (replica, particle, step) of the grid spanned by the largest
+    indices must appear exactly once; a missing or duplicated row is a
+    ValueError. NaN coordinates (a blown replica's rows) are valid.
+    """
     data = np.genfromtxt(path, delimiter=",", names=True)
     data = np.atleast_1d(data)
     reps = data["replica"].astype(int)
     parts = data["particle"].astype(int)
     steps = data["step"].astype(int)
-    pos = np.full((reps.max() + 1, steps.max() + 1, parts.max() + 1, 2), np.nan)
+    shape = (reps.max() + 1, steps.max() + 1, parts.max() + 1)
+    counts = np.bincount(np.ravel_multi_index((reps, steps, parts), shape),
+                         minlength=math.prod(shape))
+    missing = int(np.count_nonzero(counts == 0))
+    duplicated = len(reps) - (counts.size - missing)
+    if missing or duplicated:
+        raise ValueError(f"{path}: incomplete trajectory grid: {missing} missing "
+                         f"and {duplicated} duplicated rows of the {counts.size} "
+                         "(replica, particle, step) rows")
+    pos = np.full(shape + (2,), np.nan)
     pos[reps, steps, parts, 0] = data["x"]
     pos[reps, steps, parts, 1] = data["y"]
     nonzero = steps > 0

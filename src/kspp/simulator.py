@@ -236,18 +236,44 @@ def replica_blocks(n_replicas: int, n_pairs: int, n_rows: int) -> list[range]:
             for lo in range(0, n_replicas, size)]
 
 
-def _history_sums(diff: np.ndarray, lags: np.ndarray, w: np.ndarray,
-                  config: SimConfig) -> np.ndarray:
-    """sum_l w_l e^(-theta|d_l|^2 / 4u_l) d_l for displacements (..., L, K, 2).
+def _pair_geometry(now: np.ndarray, past: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Displacements now - past by coordinate, dx and dy, and |.|^2.
 
-    The one drift contraction: the sum runs over the L history rows in
-    order, so every caller gets the same bits for the same displacements.
+    `now` and `past` broadcast against each other with the coordinate axis
+    last; the three results have the broadcast shape without that axis.
     """
-    sq = np.einsum("...lkc,...lkc->...lk", diff, diff)
-    arg = np.minimum(config.params.theta * sq / (4.0 * lags[:, None]),
-                     EXP_CLAMP)
-    coef = np.exp(-arg) * w[:, None]
-    return np.einsum("...lk,...lkc->...kc", coef, diff)
+    # overflow on a replica that is blowing up is detected after its
+    # Euler update, not here
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = now[..., 0] - past[..., 0]
+        dy = now[..., 1] - past[..., 1]
+        sq = dx * dx
+        sq += dy * dy
+    return dx, dy, sq
+
+
+def _history_sums(dx: np.ndarray, dy: np.ndarray, sq: np.ndarray,
+                  lags: np.ndarray, w: np.ndarray,
+                  config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """sum_l w_l e^(-theta|d_l|^2 / 4u_l) d_l for displacements d = (dx, dy).
+
+    `dx`, `dy` and their squared lengths `sq` are (..., L, K), as
+    `_pair_geometry` gives them; returns the two coordinates of the sums,
+    each (..., K). The one drift contraction: the coefficients are formed
+    in a single buffer and the sum runs over the L history rows, so every
+    caller that lays its displacements out row-major gets the same bits
+    for the same displacements.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = sq * config.params.theta
+        c /= 4.0 * lags[:, None]
+        np.minimum(c, EXP_CLAMP, out=c)
+        np.negative(c, out=c)
+        np.exp(c, out=c)
+        c *= w[:, None]
+        return (np.einsum("...lk,...lk->...k", c, dx),
+                np.einsum("...lk,...lk->...k", c, dy))
 
 
 def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
@@ -264,8 +290,12 @@ def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
     if m == 0:
         return np.zeros((positions.shape[0], len(i_idx), 2))
     l0, lags, w = _conv_weights(m, config)
-    diff = positions[:, m, i_idx][:, None] - positions[:, l0:m][:, :, j_idx]
-    return -config.dt * _history_sums(diff, lags, w, config)
+    # take() keeps the gathered history row-major; the fancy index
+    # [:, :, j_idx] would lay the pair axis out first in memory
+    geometry = _pair_geometry(positions[:, m, i_idx][:, None],
+                              positions[:, l0:m].take(j_idx, axis=2))
+    return -config.dt * np.stack(_history_sums(*geometry, lags, w, config),
+                                 axis=-1)
 
 
 def history_drift(ensemble: TrajectoryEnsemble, replica: int, i: int,
@@ -285,16 +315,16 @@ def _mean_drifts(pos: np.ndarray, m: int, config: SimConfig) -> np.ndarray:
 
     Contracts all N*N ordered pairs, the self pairs included, and subtracts
     the self pairs afterwards: the pair grid then needs no gather. The
-    displacements are laid out (B, i, l, j, 2); an (l, i, j) layout gives
-    the same bits but ran about a third slower at N = 32 (2-core Xeon,
-    numpy 2.4).
+    displacements are laid out (B, i, l, j) per coordinate; an (l, i, j)
+    layout gives the same bits but ran about a third slower at N = 32
+    (2-core Xeon, numpy 2.4).
     """
     b, _, n, _ = pos.shape
     if m == 0:
         return np.zeros((b, n, 2))
     l0, lags, w = _conv_weights(m, config)
-    diff = pos[:, m, :, None, None, :] - pos[:, None, l0:m, :, :]
-    sums = _history_sums(diff, lags, w, config)          # (B, i, j, 2)
+    geometry = _pair_geometry(pos[:, m, :, None, None], pos[:, None, l0:m])
+    sums = np.stack(_history_sums(*geometry, lags, w, config), axis=-1)  # (B, i, j, 2)
     total = sums.sum(axis=2) - sums[:, np.arange(n), np.arange(n)]
     return -config.dt * total / (n - 1)
 

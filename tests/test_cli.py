@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from kspp import cli
@@ -133,6 +134,28 @@ class TestEstimate:
         report = json.loads((out / "report.json").read_text(),
                             parse_constant=reject)
         assert report["estimates"]["E1"]["value"] is None
+
+    def test_nonfinite_replica_left_out_exits_3(self, tmp_path, config_file):
+        run_out = tmp_path / "run"
+        cli.main(["simulate", "--config", str(config_file), "--out",
+                  str(run_out), "--format", "bin"])
+        path = run_out / "trajectory.ksw1"
+        raw = path.read_bytes()
+        body = np.frombuffer(raw[24:], dtype="<f8").reshape(3, 21, 2, 2).copy()
+        body[1, 9:] = np.nan
+        poisoned = tmp_path / "poisoned.ksw1"
+        poisoned.write_bytes(raw[:24] + body.tobytes())
+        args = ["--config", str(config_file), "--gamma", "1.62",
+                "--alpha", "0.045"]
+        assert cli.main(["estimate", *args, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["estimate", *args, "--trajectory", str(poisoned),
+                         "--out", str(tmp_path / "b")]) == 3
+        full = (tmp_path / "a" / "per_replica.csv").read_text().splitlines()
+        kept = (tmp_path / "b" / "per_replica.csv").read_text().splitlines()
+        assert kept == [full[0], full[1], full[3]]   # header, replicas 0 and 2
+        report = json.loads((tmp_path / "b" / "report.json").read_text())
+        assert report["excluded"] == 1 and report["replicas"] == [0, 2]
+        assert report["estimates"]["E1"]["n_replicas"] == 2
 
     def test_csv_trajectory_roundtrip_estimate(self, tmp_path, config_file):
         run_out = tmp_path / "run"

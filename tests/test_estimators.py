@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from kspp import estimators as E, simulator as S
@@ -103,15 +104,41 @@ class TestPaperMoments:
         assert vals[-1] >= vals[0]
 
     def test_relabeling_invariance(self):
-        ens = brownian_ensemble(n_particles=4, n_steps=16, n_replicas=2)
-        rep_a = E.paper_moments(ens, EP)
-        perm = [3, 1, 0, 2]
-        ens_b = dataclasses.replace(
-            ens, positions=np.ascontiguousarray(ens.positions[:, :, perm, :]))
-        rep_b = E.paper_moments(ens_b, EP)
-        for name in rep_a.estimates:
-            np.testing.assert_array_equal(rep_a.estimates[name].per_replica,
-                                          rep_b.estimates[name].per_replica)
+        for perm in ([3, 1, 0, 2], [3, 6, 1, 0, 5, 2, 4]):
+            ens = brownian_ensemble(n_particles=len(perm), n_steps=16,
+                                    n_replicas=2)
+            rep_a = E.paper_moments(ens, EP)
+            ens_b = dataclasses.replace(ens, positions=np.ascontiguousarray(
+                ens.positions[:, :, perm, :]))
+            rep_b = E.paper_moments(ens_b, EP)
+            for name in rep_a.estimates:
+                np.testing.assert_array_equal(
+                    rep_a.estimates[name].per_replica,
+                    rep_b.estimates[name].per_replica)
+
+    def test_nonfinite_replica_excluded_and_counted(self):
+        ens = brownian_ensemble(n_particles=3, n_steps=12, n_replicas=3,
+                                chi=0.9)
+        finite = dataclasses.replace(
+            ens, positions=ens.positions[[0, 2]].copy(),
+            config=dataclasses.replace(ens.config, n_replicas=2))
+        ens.positions[1, 5:] = np.nan
+        rep = E.paper_moments(ens, EP)
+        clean = E.paper_moments(finite, EP)
+        assert rep.excluded == 1 and clean.excluded == 0
+        assert list(rep.replicas) == [0, 2]
+        assert rep.divergent_terms == clean.divergent_terms
+        for name, est in rep.estimates.items():
+            ref = clean.estimates[name]
+            assert est.n_replicas == 2
+            assert (est.value, est.stderr) == (ref.value, ref.stderr)
+            np.testing.assert_array_equal(est.per_replica, ref.per_replica)
+        assert rep.to_json_dict()["excluded"] == 1
+
+        # finite up to the horizon: nothing to exclude
+        early = E.EstimatorParams(gamma=EP.gamma, alpha=EP.alpha,
+                                  horizon=4 * ens.config.dt)
+        assert E.paper_moments(ens, early).excluded == 0
 
     def test_divergent_coincidences_counted(self):
         params = KernelParams(theta=1.0, chi=0.0)
@@ -158,6 +185,84 @@ class TestPaperMoments:
                 for m in (250, 500, 1000)]
         ratio = (vals[0] - vals[1]) / (vals[1] - vals[2])
         assert 1.0 <= ratio <= 4.0
+
+
+def reference_moments(ens, ep):
+    """Per-replica E1-E4, S and S_bar, one pair gather per functional and
+    step, and E4 from a pair_drifts series."""
+    cfg, dt = ens.config, ens.config.dt
+    m_t = int(round(ep.horizon / dt)) if ep.horizon else ens.n_steps
+    pairs = E.ordered_pairs(ens.n_particles)
+    i_idx = np.array([i for i, _ in pairs])
+    j_idx = np.array([j for _, j in pairs])
+    w_tr = np.full(m_t + 1, dt)
+    w_tr[0] = w_tr[-1] = 0.5 * dt
+    q, e3_pow = 2.0 * (ep.gamma - 1.0), 2.0 * ep.gamma / 3.0
+    out = {name: [] for name in ("E1", "E2", "E3", "E4", "S", "S_bar")}
+
+    def mean(values):
+        return math.fsum(values) / len(values)
+
+    def gather(pos, m):
+        diff = pos[m, i_idx][None, :, :] - pos[:m][:, j_idx, :]
+        return (m - np.arange(m)) * dt, np.einsum("lkc,lkc->lk", diff, diff)
+
+    for r in range(ens.n_replicas):
+        pos = ens.positions[r, : m_t + 1]
+        d_same = pos[:, i_idx] - pos[:, j_idx]
+        dist = np.sqrt(np.einsum("mkc,mkc->mk", d_same, d_same))
+        out["E1"].append(mean(w_tr @ dist ** (-q)))
+        e2 = np.zeros(len(pairs))
+        e3 = np.zeros(len(pairs))
+        for m in range(1, m_t + 1):
+            lag, sq = gather(pos, m)
+            e2 += w_tr[m] * dt * np.sum((lag[:, None] + sq) ** (-ep.gamma),
+                                        axis=0)
+            e3 += w_tr[m] * dt * np.sum(
+                E._grad_k_mag(lag[:, None], sq, cfg) ** e3_pow, axis=0)
+        out["E2"].append(mean(e2))
+        out["E3"].append(mean(e3))
+        d = np.zeros((m_t + 1, len(pairs), 2))
+        for m in range(1, m_t + 1):
+            d[m] = S.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
+        d_mag = np.sqrt(np.einsum("mkc,mkc->mk", d, d))
+        out["E4"].append(mean(w_tr @ d_mag ** q))
+        lag, sq = gather(pos, m_t)
+        out["S"].append(mean(dt * np.sum(
+            (lag[:, None] + ep.alpha * sq) ** (-ep.gamma), axis=0)))
+        out["S_bar"].append(mean(dt * np.sum(
+            (lag[:, None] + ep.delta + ep.alpha * sq) ** (-ep.gamma), axis=0)))
+    return {name: np.array(vals) for name, vals in out.items()}
+
+
+class TestSinglePass:
+    """paper_moments' one pass over a shared geometry equals the per-pair,
+    per-functional computation: E1 and E4 bit for bit; E2, E3, S and S_bar
+    to rounding, since numpy picks the order of a sum over the history rows
+    by the memory layout of its operand."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 6), steps=st.integers(2, 20),
+           replicas=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           cutoff=st.booleans(), data=st.data())
+    def test_matches_reference(self, n, steps, replicas, seed, cutoff, data):
+        dt = 0.02
+        params = KernelParams(theta=1.0, lam=0.2, chi=0.9, epsilon=0.05)
+        cfg = S.SimConfig(params=params, n_particles=n, dt=dt, n_steps=steps,
+                          n_replicas=replicas, seed=seed,
+                          init=S.InitSpec("gaussian", sigma=1.0),
+                          history_cutoff=2 * dt if cutoff else None)
+        ens = S.run(cfg)
+        m_t = data.draw(st.integers(1, steps - 1))
+        ep = E.EstimatorParams(gamma=1.62, alpha=0.045, delta=0.1,
+                               horizon=m_t * dt)
+        rep = E.paper_moments(ens, ep)
+        ref = reference_moments(ens, ep)
+        for name in ("E1", "E4"):
+            assert np.array_equal(rep.estimates[name].per_replica, ref[name])
+        for name in ("E2", "E3", "S", "S_bar"):
+            np.testing.assert_allclose(rep.estimates[name].per_replica,
+                                       ref[name], rtol=1e-13, atol=0)
 
 
 class TestDriftDomination:

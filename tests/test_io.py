@@ -21,6 +21,21 @@ class TestTrajectoryFiles:
         np.testing.assert_array_equal(pos, ens.positions)
         assert dt == ens.config.dt
 
+    def test_csv_incomplete_grid_rejected(self, tmp_path):
+        ens = small_ensemble()
+        ens.positions[1, 2:] = np.nan    # a blown replica's rows stay valid
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, ens)
+        pos, _ = io.read_trajectory_csv(path)
+        np.testing.assert_array_equal(pos, ens.positions)
+        lines = path.read_text().splitlines(keepends=True)
+        (tmp_path / "missing.csv").write_text("".join(lines[:5] + lines[6:]))
+        with pytest.raises(ValueError, match="1 missing"):
+            io.read_trajectory_csv(tmp_path / "missing.csv")
+        (tmp_path / "dup.csv").write_text("".join(lines + lines[7:9]))
+        with pytest.raises(ValueError, match="2 duplicated"):
+            io.read_trajectory_csv(tmp_path / "dup.csv")
+
     def test_binary_roundtrip(self, tmp_path):
         ens = small_ensemble()
         path = tmp_path / "traj.ksw1"
