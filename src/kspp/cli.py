@@ -313,69 +313,65 @@ def _mode_verify_kernels(manifest: ExperimentManifest) -> int:
     return 0 if ok else 1
 
 
-def _mode_martingale_test(manifest: ExperimentManifest) -> int:
-    opts = manifest.options
-    seed = manifest.seed if manifest.seed is not None else 0
-    replicas = opts.get("replicas", 10000)
-    steps = opts.get("steps", 64)
-    n_small = opts.get("n_small", 16)
-    n_large = opts.get("n_large", 64)
-    lo_band = opts.get("var_lo", 2.5)
-    hi_band = opts.get("var_hi", 6.0)
-    batch = opts.get("batch", 500)
+def martingale_suite(replicas: int, ito_steps: int, mart_steps: int,
+                     batch: int, seed: int = 0, n_small: int = 16,
+                     n_large: int = 64) -> dict:
+    """Martingale checks on Brownian (chi = 0) batches of `batch` replicas:
+    Ito-balance residuals (Gaussian family, N = 2, `ito_steps` steps, batch
+    seeds seed + 1000 + done) with the 99% bootstrap CI of their mean, and
+    the martingale-residual variance on [1/2, 1] for N = n_small and
+    n_large (`mart_steps` steps, seeds seed + done). The caller applies
+    its own bands."""
     params = kernels.KernelParams(theta=1.0, chi=0.0, epsilon=0.0)
 
-    # (a) Ito-balance residual for the Gaussian family on Brownian pairs
-    per_rep = []
+    def ensembles(n_particles: int, steps: int, first_seed: int):
+        for done in range(0, replicas, batch):
+            yield simulator.run(simulator.SimConfig(
+                params=params, n_particles=n_particles, dt=1.0 / steps,
+                n_steps=steps, n_replicas=min(batch, replicas - done),
+                seed=first_seed + done,
+                init=simulator.InitSpec("gaussian", sigma=1.0)))
+
     ep = estimators.EstimatorParams(gamma=1.62, alpha=0.045)
-    done = 0
-    while done < replicas:
-        n_batch = min(batch, replicas - done)
-        cfg = simulator.SimConfig(params=params, n_particles=2, dt=1.0 / steps,
-                                  n_steps=steps, n_replicas=n_batch,
-                                  seed=seed + 1000 + done,
-                                  init=simulator.InitSpec("gaussian", sigma=1.0))
-        ens = simulator.run(cfg)
-        rep = estimators.ito_balance_check(ens, ep, f_spec="gaussian-bump",
-                                           n_boot=1, boot_seed=0)
-        per_rep.append(rep.per_replica)
-        done += n_batch
-    values = np.concatenate(per_rep)
-    lo, hi = estimators.bootstrap_mean_ci(values, level=0.99, seed=seed)
-    resid_ok = lo <= 0.0 <= hi
+    residuals = np.concatenate([
+        estimators.ito_balance_check(ens, ep, n_boot=1).per_replica
+        for ens in ensembles(2, ito_steps, seed + 1000)])
+    variances = {n: float(np.concatenate([
+        estimators.martingale_residual(ens, None, ("const",), s=0.5,
+                                       t=1.0).per_replica
+        for ens in ensembles(n, mart_steps, seed)]).var(ddof=1))
+        for n in (n_small, n_large)}
+    return {"residuals": residuals,
+            "residual_ci": estimators.bootstrap_mean_ci(residuals, level=0.99,
+                                                        seed=seed),
+            "variances": variances,
+            "variance_ratio": variances[n_small] / variances[n_large]}
 
-    # (b) variance scaling of the empirical martingale residual in N
-    variances = {}
-    for n_particles in (n_small, n_large):
-        vals = []
-        done = 0
-        while done < replicas:
-            n_batch = min(batch, replicas - done)
-            cfg = simulator.SimConfig(params=params, n_particles=n_particles,
-                                      dt=1.0 / steps, n_steps=steps,
-                                      n_replicas=n_batch, seed=seed + done,
-                                      init=simulator.InitSpec("gaussian", sigma=1.0))
-            ens = simulator.run(cfg)
-            res = estimators.martingale_residual(ens, None, ("const",),
-                                                 s=0.5, t=1.0)
-            vals.append(res.per_replica)
-            done += n_batch
-        variances[n_particles] = float(np.concatenate(vals).var(ddof=1))
-    ratio = variances[n_small] / variances[n_large]
-    ratio_ok = lo_band <= ratio <= hi_band
 
-    ok = resid_ok and ratio_ok
-    print(f"Ito-balance residual: mean {values.mean():.3e}, 99% CI "
+def _mode_martingale_test(manifest: ExperimentManifest) -> int:
+    opts = manifest.options
+    steps = opts.get("steps", 64)
+    n_small, n_large = opts.get("n_small", 16), opts.get("n_large", 64)
+    lo_band, hi_band = opts.get("var_lo", 2.5), opts.get("var_hi", 6.0)
+    suite = martingale_suite(
+        opts.get("replicas", 10000), steps, steps, opts.get("batch", 500),
+        seed=manifest.seed if manifest.seed is not None else 0,
+        n_small=n_small, n_large=n_large)
+    mean, (lo, hi) = float(suite["residuals"].mean()), suite["residual_ci"]
+    ratio = suite["variance_ratio"]
+    resid_ok, ratio_ok = lo <= 0.0 <= hi, lo_band <= ratio <= hi_band
+    print(f"Ito-balance residual: mean {mean:.3e}, 99% CI "
           f"[{lo:.3e}, {hi:.3e}] -> {'pass' if resid_ok else 'FAIL'}")
     print(f"variance ratio N={n_small} vs N={n_large}: {ratio:.3f} "
           f"(band [{lo_band}, {hi_band}]) -> {'pass' if ratio_ok else 'FAIL'}")
     _write_json(manifest.out_dir / "martingale_test.json", {
-        "mode": "martingale-test", "replicas": replicas,
-        "residual_mean": float(values.mean()), "residual_ci": [lo, hi],
-        "variances": {str(k): v for k, v in variances.items()},
-        "variance_ratio": ratio, "band": [lo_band, hi_band], "pass": ok,
+        "mode": "martingale-test", "replicas": opts.get("replicas", 10000),
+        "residual_mean": mean, "residual_ci": [lo, hi],
+        "variances": {str(k): v for k, v in suite["variances"].items()},
+        "variance_ratio": ratio, "band": [lo_band, hi_band],
+        "pass": resid_ok and ratio_ok,
     })
-    return 0 if ok else 1
+    return 0 if resid_ok and ratio_ok else 1
 
 
 def _mode_epsilon_study(manifest: ExperimentManifest) -> int:

@@ -26,10 +26,10 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .constants import _golden_max, c0_const, kappa
-from .kernels import EXP_CLAMP, background_field, smoothed_weight
+from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (SimConfig, TrajectoryEnsemble, _conv_weights,
                         _history_sums, _pair_geometry, pair_drifts,
-                        replica_blocks)
+                        replica_blocks, step_drifts)
 
 TEST_FUNCTION_VERSIONS = {
     "gaussian-bump": "gaussian-bump-v1",
@@ -155,6 +155,20 @@ def _fsum_mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def _row_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w @ row for every row along the last axis of `rows`.
+
+    One matmul per row, so each result has the bits of `w @ row` alone;
+    `rows @ w` and einsum sum in another order.
+    """
+    return np.matmul(rows[..., None, :], w)[..., 0]
+
+
+def _stderr(values: np.ndarray) -> float:
+    return (float(values.std(ddof=1) / math.sqrt(len(values)))
+            if len(values) > 1 else 0.0)
+
+
 def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> EstimateReport:
     """Estimates of E1-E4 and the S functionals by replica averaging.
 
@@ -194,14 +208,12 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
 
         # E1: same-time inverse distances, trapezoid in time
-        for r, path in zip(block, pos):
-            d_same = path[:, i_idx, :] - path[:, j_idx, :]
-            dist = np.sqrt(np.einsum("mkc,mkc->mk", d_same, d_same))
-            zero_mask = dist == 0.0
-            divergent += int(zero_mask.sum())
-            with np.errstate(divide="ignore"):
-                integrand = np.where(zero_mask, 0.0, dist ** (-q))
-            per_rep["E1"][r] = _fsum_mean(w_tr @ integrand)
+        d_same = pos[:, :, i_idx] - pos[:, :, j_idx]
+        dist = np.sqrt(np.einsum("bmkc,bmkc->bmk", d_same, d_same))
+        zero_mask = dist == 0.0
+        divergent += int(zero_mask.sum())
+        with np.errstate(divide="ignore"):
+            e1 = np.matmul(w_tr, np.where(zero_mask, 0.0, dist ** (-q)))
 
         e2 = np.zeros((len(block), n, n))
         e3 = np.zeros((len(block), n, n))
@@ -234,6 +246,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
                 (lag + ep.delta + ep.alpha * sq) ** (-ep.gamma), axis=2)
 
         for b, r in enumerate(block):
+            per_rep["E1"][r] = _fsum_mean(e1[b])
             per_rep["E2"][r] = _fsum_mean(e2[b][off])
             per_rep["E3"][r] = _fsum_mean(e3[b][off])
             per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag[b] ** q)
@@ -245,8 +258,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         vals = per_rep[name]
         value = err = math.nan     # no finite replica: nothing to estimate
         if len(vals):
-            value = float(vals.mean())
-            err = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
+            value, err = float(vals.mean()), _stderr(vals)
         estimates[name] = FunctionalEstimate(value, err, len(vals), vals)
     return EstimateReport(
         estimates=estimates,
@@ -293,11 +305,16 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     for block in replica_blocks(len(kept), len(pairs), m_t):
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         for m in range(1, m_t + 1):
-            d = pair_drifts(pos, cfg, m, i_idx, j_idx)
-            d_mag = np.sqrt(np.einsum("rkc,rkc->rk", d, d))
+            # geometry over (B, l, k): X^i_m - X^j_l for l < m, pair k; D on
+            # its rows [l0, m) as in pair_drifts, S on all of them
+            dx, dy, sq = _pair_geometry(pos[:, m, i_idx][:, None],
+                                        pos[:, :m].take(j_idx, axis=2))
+            l0, lags, w = _conv_weights(m, cfg)
+            sx, sy = _history_sums(dx[:, l0:], dy[:, l0:], sq[:, l0:],
+                                   lags, w, cfg)
+            d_x, d_y = -dt * sx, -dt * sy
+            d_mag = np.sqrt(d_x * d_x + d_y * d_y)
             lag = (m - np.arange(m)) * dt
-            diff = pos[:, m, i_idx][:, None] - pos[:, :m][:, :, j_idx]
-            sq = np.einsum("rlkc,rlkc->rlk", diff, diff)
             s_vals = dt * np.sum((lag[:, None] + ep.alpha * sq) ** (-ep.gamma),
                                  axis=1)
             bound = const * s_vals ** expo
@@ -414,7 +431,9 @@ class PairPotential:
 
     def psi(self, x, y):
         d = np.asarray(x, float) - np.asarray(y, float)
-        rr = np.einsum("...c,...c->...", d, d) ** (self.nu / 2.0)
+        # np.power, not **: the ufunc gives the same bits for a single
+        # point as for an array of points; ** on a scalar calls libm pow
+        rr = np.power(np.einsum("...c,...c->...", d, d), self.nu / 2.0)
         return rr / (1.0 + rr)
 
     def grad_x(self, x, y):
@@ -518,8 +537,9 @@ class ResidualReport:
     ci_low: float
     ci_high: float
     passes: bool
-    per_replica: np.ndarray
+    per_replica: np.ndarray  # the kept replicas, in replica order
     level: float
+    excluded: int = 0        # replicas left out for non-finite positions
 
     @property
     def variance(self) -> float:
@@ -537,14 +557,16 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
     return float(lo), float(hi)
 
 
-def _particle_drifts(pos: np.ndarray, cfg: SimConfig, m_lo: int,
-                     m_hi: int) -> np.ndarray:
-    """(1/(N-1)) sum_{j != i} D^{i,j}_m for all i and m in [m_lo, m_hi]."""
-    n = pos.shape[1]
-    i_idx, j_idx = _pair_index(ordered_pairs(n))
-    d = np.stack([pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
-                  for m in range(m_lo, m_hi + 1)])
-    return d.reshape(-1, n, n - 1, 2).sum(axis=2) / (n - 1)
+def _residual_report(values: np.ndarray, ci, level: float,
+                     excluded: int) -> ResidualReport:
+    """Residual statistics, `ci(values, mean, stderr)` giving the interval;
+    with no replica left they are NaN and the check fails."""
+    mean = err = lo = hi = math.nan
+    if len(values):
+        mean, err = float(values.mean()), _stderr(values)
+        lo, hi = ci(values, mean, err)
+    return ResidualReport(mean, err, lo, hi, passes=lo <= 0.0 <= hi,
+                          per_replica=values, level=level, excluded=excluded)
 
 
 def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -559,79 +581,72 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     psi(x, y) built from gamma; its Laplacian integrand is singular at
     coincidence, which Brownian paths avoid almost surely.
 
-    Passes when 0 lies in the bootstrap confidence interval of the mean.
+    The drift is the integrator's own (`step_drifts`). Replicas run in
+    blocks (`replica_blocks`); those non-finite up to the horizon are
+    excluded and counted in `excluded`. Passes when 0 lies in the
+    bootstrap confidence interval of the mean.
     """
     if f_spec not in ("gaussian-bump", "pair-potential"):
         raise ValueError(f"unknown test function spec {f_spec!r}")
     cfg = ensemble.config
     chi, dt = cfg.params.chi, cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
-    w_tr = _trap_weights(m_t, dt)
-    pairs = ordered_pairs(ensemble.n_particles)
     n = ensemble.n_particles
-    res = np.zeros(ensemble.n_replicas)
+    w_tr = _trap_weights(m_t, dt)
+    i_idx, j_idx = _pair_index(ordered_pairs(n))
+    kept = _finite_replicas(ensemble, m_t)
+    gaussian = f_spec == "gaussian-bump"
+    if gaussian:
+        times = np.arange(m_t + 1) * dt
+        # inner trapezoid weights over s in [0, u], one row per u (zero above diagonal)
+        w_inner = np.zeros((m_t + 1, m_t + 1))
+        for m in range(1, m_t + 1):
+            w_inner[m, : m + 1] = _trap_weights(m, dt)
+        lag_mat = times[:, None] - times[None, :]  # u - s, valid on s <= u
+        lag_ut = times[m_t] - times                # t - s
+        # the (u, s) pair grid dominates the interaction drift's geometry
+        blocks = replica_blocks(len(kept), len(i_idx), (m_t + 1) ** 2)
+    else:
+        pot = PairPotential(ep.gamma)
+        blocks = replica_blocks(len(kept), n * n, m_t + 1)
+    res = np.zeros(len(kept))
 
-    times = np.arange(m_t + 1) * dt
-    # inner trapezoid weights over s in [0, u], one row per u (zero above diagonal)
-    w_inner = np.zeros((m_t + 1, m_t + 1))
-    for m in range(1, m_t + 1):
-        w_inner[m, : m + 1] = _trap_weights(m, dt)
-    lag_mat = times[:, None] - times[None, :]  # u - s, valid on s <= u
-
-    for r in range(ensemble.n_replicas):
-        pos = ensemble.positions[r, : m_t + 1]
-        per_pair = []
-        if f_spec == "gaussian-bump":
-            drift = (_particle_drifts(pos, cfg, 0, m_t) if chi != 0.0
-                     else np.zeros((m_t + 1, n, 2)))
-            grad_b = np.zeros((m_t + 1, n, 2))
-            if chi != 0.0 and not cfg.source.is_zero:
-                for m in range(m_t + 1):
-                    _, grad_b[m] = background_field(m * dt + cfg.params.epsilon,
-                                                    pos[m], cfg.source, cfg.params)
-            lag_ut = times[m_t] - times  # t - s
-            for i, j in pairs:
-                xi, xj = pos[:, i, :], pos[:, j, :]
-                lhs = float(w_tr @ GaussianBump.value(lag_ut, xi[m_t][None, :] - xj))
-                t1 = float(w_tr @ GaussianBump.value(0.0, xi - xj))
-                diff = xi[:, None, :] - xj[None, :, :]  # (u, s, 2)
-                t2 = float(w_tr @ np.sum(w_inner * GaussianBump.heat(lag_mat, diff),
-                                         axis=1))
-                t3 = t4 = 0.0
-                if chi != 0.0:
-                    grad_int = np.einsum("us,usc->uc", w_inner,
-                                         GaussianBump.grad(lag_mat, diff))
-                    t3 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, grad_b[:, i]))
-                    t4 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, drift[:, i]))
-                per_pair.append(lhs - t1 - t2 - t3 - t4)
+    for block in blocks:
+        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
+        # (B, K, T, 2) paths of the first and the second particle of each pair
+        paths = np.ascontiguousarray(pos.transpose(0, 2, 1, 3))
+        xi, xj = paths[:, i_idx], paths[:, j_idx]
+        if chi != 0.0:   # (B, K, T, 2) total drift on each pair's first particle
+            drift = step_drifts(pos, range(m_t + 1), cfg)
+            drift = np.ascontiguousarray(drift.transpose(0, 2, 1, 3))[:, i_idx]
+        if gaussian:
+            lhs = _row_dot(GaussianBump.value(lag_ut, xi[:, :, m_t:] - xj), w_tr)
+            t1 = _row_dot(GaussianBump.value(0.0, xi - xj), w_tr)
+            diff = xi[:, :, :, None] - xj[:, :, None]  # (B, K, u, s, 2)
+            t2 = _row_dot(np.sum(w_inner * GaussianBump.heat(lag_mat, diff),
+                                 axis=-1), w_tr)
+            per_pair = lhs - t1 - t2
+            if chi != 0.0:
+                grad_int = np.einsum("us,...usc->...uc", w_inner,
+                                     GaussianBump.grad(lag_mat, diff))
+                per_pair -= chi * _row_dot(
+                    np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
         else:
-            pot = PairPotential(ep.gamma)
-            drift = (_particle_drifts(pos, cfg, 0, m_t) if chi != 0.0
-                     else np.zeros((m_t + 1, n, 2)))
-            for i, j in pairs:
-                xi, xj = pos[:, i, :], pos[:, j, :]
-                j1 = float(pot.psi(xi[m_t], xj[m_t]) - pot.psi(xi[0], xj[0]))
-                lap = pot.lap_x(xi, xj)
-                lap = np.where(np.isfinite(lap), lap, 0.0)
-                j2 = float(w_tr @ lap)
-                j3 = 0.0
-                j4 = 0.0
-                if chi != 0.0:
-                    grads = pot.grad_x(xi, xj)
-                    if not cfg.source.is_zero:
-                        gb = np.stack([background_field(m * dt + cfg.params.epsilon,
-                                                        xi[m], cfg.source,
-                                                        cfg.params)[1]
-                                       for m in range(m_t + 1)])
-                        j3 = float(w_tr @ np.einsum("mc,mc->m", grads, gb))
-                    j4 = float(w_tr @ np.einsum("mc,mc->m", grads, drift[:, i, :]))
-                per_pair.append(j1 - 2.0 * j2 - 2.0 * chi * j3 - 2.0 * chi * j4)
-        res[r] = _fsum_mean(per_pair)
+            j1 = (pot.psi(xi[:, :, m_t], xj[:, :, m_t])
+                  - pot.psi(xi[:, :, 0], xj[:, :, 0]))
+            lap = pot.lap_x(xi, xj)
+            per_pair = j1 - 2.0 * _row_dot(np.where(np.isfinite(lap), lap, 0.0),
+                                           w_tr)
+            if chi != 0.0:
+                per_pair -= 2.0 * chi * _row_dot(
+                    np.einsum("...mc,...mc->...m", pot.grad_x(xi, xj), drift),
+                    w_tr)
+        res[block.start: block.stop] = [_fsum_mean(row) for row in per_pair]
 
-    lo, hi = bootstrap_mean_ci(res, level=level, n_boot=n_boot, seed=boot_seed)
-    err = float(res.std(ddof=1) / math.sqrt(len(res))) if len(res) > 1 else 0.0
-    return ResidualReport(float(res.mean()), err, lo, hi,
-                          passes=lo <= 0.0 <= hi, per_replica=res, level=level)
+    return _residual_report(
+        res, lambda v, mean, err: bootstrap_mean_ci(v, level=level,
+                                                    n_boot=n_boot, seed=boot_seed),
+        level, ensemble.n_replicas - len(kept))
 
 
 def martingale_residual(ensemble: TrajectoryEnsemble,
@@ -643,11 +658,13 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
 
     Replaces the limit law by the empirical path measure and the
     interaction by the pairwise empirical sum with the simulated (smoothed)
-    kernel. phi is a compactly supported C^2 test function;
-    phi_path_spec selects the bounded path functional: ("const",) or
-    ("window", tau, lo, hi) which is the indicator that both coordinates at
-    time tau lie in [lo, hi]. tau <= s keeps the functional adapted; larger
-    tau is a deliberate misuse that breaks the martingale property.
+    kernel, through the integrator's own drift (`step_drifts`). phi is a
+    compactly supported C^2 test function; phi_path_spec selects the
+    bounded path functional: ("const",) or ("window", tau, lo, hi) which
+    is the indicator that both coordinates at time tau lie in [lo, hi].
+    tau <= s keeps the functional adapted; larger tau is a deliberate
+    misuse that breaks the martingale property. Replicas run in blocks;
+    those non-finite up to t are excluded.
     """
     if phi is None:
         phi = CompactBump()
@@ -660,54 +677,39 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     if not 0 < m_s < m_e:
         raise ValueError(f"need grid indices 0 < {m_s} < {m_e}")
 
+    n = ensemble.n_particles
+    kept = _finite_replicas(ensemble, m_e)
     kind = phi_path_spec[0]
     if kind == "const":
-        def path_fn(traj: np.ndarray) -> float:
-            return 1.0
+        path_mask = np.ones((len(kept), n))
     elif kind == "window":
         _, tau, lo_w, hi_w = phi_path_spec
         m_tau = int(round(tau / dt))
         if not 0 <= m_tau <= m_e:
             raise ValueError(f"window time {tau} outside the simulated grid")
-
-        def path_fn(traj: np.ndarray) -> float:
-            pt = traj[m_tau]
-            return float(lo_w <= pt[0] <= hi_w and lo_w <= pt[1] <= hi_w)
+        pt = ensemble.positions[kept, m_tau]
+        path_mask = ((lo_w <= pt) & (pt <= hi_w)).all(axis=-1).astype(float)
     else:
         raise ValueError(f"unknown path functional spec {phi_path_spec!r}")
 
-    n = ensemble.n_particles
-    w_in = np.full(m_e - m_s + 1, dt)
-    w_in[0] = w_in[-1] = 0.5 * dt
-    theta_vals = np.zeros(ensemble.n_replicas)
-    for r in range(ensemble.n_replicas):
-        pos = ensemble.positions[r]
-        window = pos[m_s: m_e + 1]
-        lap = phi.lap(window)                       # (w, N)
-        gen = lap.copy()
+    w_in = _trap_weights(m_e - m_s, dt)
+    theta_vals = np.zeros(len(kept))
+    for block in replica_blocks(len(kept), n * n if chi != 0.0 else n, m_e + 1):
+        pos = ensemble.positions[kept[block.start: block.stop], : m_e + 1]
+        window = pos[:, m_s:]
+        gen = phi.lap(window)                       # (B, w, N)
         if chi != 0.0:
-            grads = phi.grad(window)                # (w, N, 2)
-            drift = _particle_drifts(pos, cfg, m_s, m_e)
-            if not cfg.source.is_zero:
-                for k, m in enumerate(range(m_s, m_e + 1)):
-                    _, gb = background_field(m * dt + cfg.params.epsilon,
-                                             pos[m], cfg.source, cfg.params)
-                    drift[k] += gb
-            gen = gen + chi * np.einsum("wnc,wnc->wn", grads, drift)
-        integral = w_in @ gen                       # (N,)
-        vals = [path_fn(pos[:, i, :])
-                * (float(phi.value(pos[m_e, i]) - phi.value(pos[m_s, i]))
-                   - float(integral[i]))
-                for i in range(n)]
-        theta_vals[r] = _fsum_mean(vals)
+            drift = step_drifts(pos, range(m_s, m_e + 1), cfg)
+            gen = gen + chi * np.einsum("bwnc,bwnc->bwn", phi.grad(window), drift)
+        integral = np.matmul(w_in, gen)             # (B, N)
+        vals = path_mask[block.start: block.stop] * (
+            (phi.value(pos[:, m_e]) - phi.value(pos[:, m_s])) - integral)
+        theta_vals[block.start: block.stop] = [_fsum_mean(row) for row in vals]
 
-    err = (float(theta_vals.std(ddof=1) / math.sqrt(len(theta_vals)))
-           if len(theta_vals) > 1 else 0.0)
     z = float(_norm.ppf(0.5 + level / 2.0))
-    mean = float(theta_vals.mean())
-    lo, hi = mean - z * err, mean + z * err
-    return ResidualReport(mean, err, lo, hi, passes=lo <= 0.0 <= hi,
-                          per_replica=theta_vals, level=level)
+    return _residual_report(theta_vals,
+                            lambda v, mean, err: (mean - z * err, mean + z * err),
+                            level, ensemble.n_replicas - len(kept))
 
 
 def discrete_funineq_ratio(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -724,8 +726,7 @@ def discrete_funineq_ratio(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     dt = cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     pairs = ordered_pairs(ensemble.n_particles)
-    i_idx = np.array([i for i, _ in pairs])
-    j_idx = np.array([j for _, j in pairs])
+    i_idx, j_idx = _pair_index(pairs)
     k_ab = kappa(a, b)
     ratios = np.zeros((ensemble.n_replicas, len(pairs)))
     s_grid = np.arange(1, m_t + 1) * dt

@@ -25,6 +25,7 @@ from .kernels import KernelParams, SourceSpec
 from .simulator import InitSpec, SimConfig, TrajectoryEnsemble
 
 MAGIC = b"KSW1"
+_HEADER = struct.Struct("<4sIIId")   # magic, n_particles, n_steps, n_replicas, dt
 
 
 def write_trajectory_csv(path: str | Path, ensemble: TrajectoryEnsemble) -> None:
@@ -72,20 +73,24 @@ def write_trajectory_bin(path: str | Path, ensemble: TrajectoryEnsemble) -> None
     pos = ensemble.positions
     r_n, rows, n, _ = pos.shape
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<III", n, rows - 1, r_n))
-        fh.write(struct.pack("<d", ensemble.config.dt))
+        fh.write(_HEADER.pack(MAGIC, n, rows - 1, r_n, ensemble.config.dt))
         fh.write(np.ascontiguousarray(pos, dtype="<f8").tobytes())
 
 
 def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, float]:
-    """Positions (R, M+1, N, 2) and dt from a KSW1 file."""
+    """Positions (R, M+1, N, 2) and dt from a KSW1 file.
+
+    A file shorter than the 24-byte header, with another magic or with a
+    payload that does not match the header is a ValueError.
+    """
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: truncated KSW1 header: {len(raw)} of "
+                         f"{_HEADER.size} bytes")
+    magic, n, steps, r_n, dt = _HEADER.unpack_from(raw)
+    if magic != MAGIC:
         raise ValueError(f"{path}: not a KSW1 trajectory file")
-    n, steps, r_n = struct.unpack("<III", raw[4:16])
-    (dt,) = struct.unpack("<d", raw[16:24])
-    body = np.frombuffer(raw[24:], dtype="<f8")
+    body = np.frombuffer(raw[_HEADER.size:], dtype="<f8")
     expected = r_n * (steps + 1) * n * 2
     if body.size != expected:
         raise ValueError(f"{path}: payload has {body.size} doubles, expected {expected}")

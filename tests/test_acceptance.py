@@ -155,36 +155,16 @@ def test_criterion_6_simulator_statistics():
 
 def test_criterion_7_ito_and_martingale_residuals():
     t0 = time.time()
-    params = KernelParams(theta=1.0, chi=0.0)
-    ep = EstimatorParams(gamma=1.62, alpha=0.045)
-
-    # Ito-balance identity residual, Gaussian family, 1e4 Brownian pairs
-    residuals = []
-    batch, total, steps = 500, 10000, 128
-    for done in range(0, total, batch):
-        cfg = SimConfig(params=params, n_particles=2, dt=1.0 / steps,
-                        n_steps=steps, n_replicas=batch, seed=1000 + done,
-                        init=InitSpec("gaussian", sigma=1.0))
-        rep = estimators.ito_balance_check(simulator.run(cfg), ep,
-                                           f_spec="gaussian-bump", n_boot=1)
-        residuals.append(rep.per_replica)
-    values = np.concatenate(residuals)
-    lo, hi = estimators.bootstrap_mean_ci(values, level=0.99, seed=0)
+    # Ito-balance identity residual, Gaussian family, 1e4 Brownian pairs of
+    # 128 steps; variance scaling of the empirical martingale residual at
+    # N = 16 and 64 with 64 steps
+    suite = cli.martingale_suite(replicas=10000, ito_steps=128, mart_steps=64,
+                                 batch=500, seed=0, n_small=16, n_large=64)
+    values = suite["residuals"]
+    lo, hi = suite["residual_ci"]
     assert lo <= 0.0 <= hi
 
-    # variance scaling of the empirical martingale residual
-    variances = {}
-    for n_particles in (16, 64):
-        vals = []
-        for done in range(0, total, batch):
-            cfg = SimConfig(params=params, n_particles=n_particles,
-                            dt=1.0 / 64, n_steps=64, n_replicas=batch,
-                            seed=done, init=InitSpec("gaussian", sigma=1.0))
-            res = estimators.martingale_residual(simulator.run(cfg), None,
-                                                 ("const",), s=0.5, t=1.0)
-            vals.append(res.per_replica)
-        variances[n_particles] = float(np.concatenate(vals).var(ddof=1))
-    ratio = variances[16] / variances[64]
+    ratio = suite["variance_ratio"]
     assert 2.5 <= ratio <= 6.0
     elapsed = time.time() - t0
     assert elapsed < 600.0

@@ -157,6 +157,15 @@ class TestEstimate:
         assert report["excluded"] == 1 and report["replicas"] == [0, 2]
         assert report["estimates"]["E1"]["n_replicas"] == 2
 
+    def test_truncated_ksw1_header_exits_2(self, tmp_path, config_file, capsys):
+        path = tmp_path / "short.ksw1"
+        path.write_bytes(b"KSW1" + bytes(4))
+        rc = cli.main(["estimate", "--config", str(config_file), "--gamma",
+                       "1.62", "--alpha", "0.045", "--trajectory", str(path),
+                       "--out", str(tmp_path / "est")])
+        assert rc == 2
+        assert "truncated KSW1 header: 8 of 24 bytes" in capsys.readouterr().err
+
     def test_csv_trajectory_roundtrip_estimate(self, tmp_path, config_file):
         run_out = tmp_path / "run"
         cli.main(["simulate", "--config", str(config_file), "--out",

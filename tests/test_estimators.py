@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from kspp import estimators as E, simulator as S
 from kspp.constants import c0_const, kappa
-from kspp.kernels import KernelParams, SourceSpec
+from kspp.kernels import KernelParams, SourceSpec, background_field
 
 
 def frozen_pair_ensemble(dt=2.0 ** -10, n_steps=1024, distance=1.0, chi=1.0,
@@ -521,6 +521,203 @@ class TestMartingaleResidual:
             E.martingale_residual(ens, None, ("const",), s=1.0, t=0.5)
         with pytest.raises(ValueError):
             E.martingale_residual(ens, None, ("nope",), s=0.25, t=0.5)
+
+
+def reference_drifts(pos, cfg, m_lo, m_hi):
+    """Interaction mean drift and background gradient on every particle of
+    one replica's path at steps m_lo..m_hi, one pair_drifts call and one
+    background_field call per step."""
+    n = pos.shape[1]
+    pairs = E.ordered_pairs(n)
+    i_idx = np.array([i for i, _ in pairs])
+    j_idx = np.array([j for _, j in pairs])
+    d = np.stack([S.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
+                  for m in range(m_lo, m_hi + 1)])
+    grad_b = np.zeros((m_hi - m_lo + 1, n, 2))
+    if not cfg.source.is_zero:
+        grad_b = np.stack([background_field(m * cfg.dt + cfg.params.epsilon,
+                                            pos[m], cfg.source, cfg.params)[1]
+                           for m in range(m_lo, m_hi + 1)])
+    return d.reshape(-1, n, n - 1, 2).sum(axis=2) / (n - 1), grad_b
+
+
+def reference_ito(ens, ep, f_spec):
+    """Per-replica Ito-balance residuals, one replica and one pair at a
+    time, the background and interaction terms taken separately."""
+    cfg, dt, chi = ens.config, ens.config.dt, ens.config.params.chi
+    m_t, n = ens.n_steps, ens.n_particles
+    w_tr = E._trap_weights(m_t, dt)
+    times = np.arange(m_t + 1) * dt
+    w_inner = np.zeros((m_t + 1, m_t + 1))
+    for m in range(1, m_t + 1):
+        w_inner[m, : m + 1] = E._trap_weights(m, dt)
+    lag_mat = times[:, None] - times[None, :]
+    gb, pot = E.GaussianBump, E.PairPotential(ep.gamma)
+    out = []
+    for r in range(ens.n_replicas):
+        pos = ens.positions[r]
+        drift = np.zeros((m_t + 1, n, 2))
+        grad_b = np.zeros((m_t + 1, n, 2))
+        if chi != 0.0:
+            drift, grad_b = reference_drifts(pos, cfg, 0, m_t)
+        per_pair = []
+        for i, j in E.ordered_pairs(n):
+            xi, xj = pos[:, i], pos[:, j]
+            if f_spec == "gaussian-bump":
+                lhs = float(w_tr @ gb.value(times[m_t] - times, xi[m_t][None] - xj))
+                t1 = float(w_tr @ gb.value(0.0, xi - xj))
+                diff = xi[:, None, :] - xj[None, :, :]
+                t2 = float(w_tr @ np.sum(w_inner * gb.heat(lag_mat, diff), axis=1))
+                grad_int = np.einsum("us,usc->uc", w_inner, gb.grad(lag_mat, diff))
+                t3 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, grad_b[:, i]))
+                t4 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, drift[:, i]))
+                per_pair.append(lhs - t1 - t2 - t3 - t4)
+            else:
+                j1 = float(pot.psi(xi[m_t], xj[m_t]) - pot.psi(xi[0], xj[0]))
+                lap = pot.lap_x(xi, xj)
+                j2 = float(w_tr @ np.where(np.isfinite(lap), lap, 0.0))
+                grads = pot.grad_x(xi, xj)
+                j3 = float(w_tr @ np.einsum("mc,mc->m", grads, grad_b[:, i]))
+                j4 = float(w_tr @ np.einsum("mc,mc->m", grads, drift[:, i]))
+                per_pair.append(j1 - 2.0 * j2 - 2.0 * chi * j3 - 2.0 * chi * j4)
+        out.append(math.fsum(per_pair) / len(per_pair))
+    return np.array(out)
+
+
+def reference_martingale(ens, path_spec, m_s):
+    """Per-replica martingale residuals over [m_s dt, T], one replica at a
+    time."""
+    cfg, dt, chi = ens.config, ens.config.dt, ens.config.params.chi
+    m_e, n = ens.n_steps, ens.n_particles
+    phi = E.CompactBump()
+    w_in = E._trap_weights(m_e - m_s, dt)
+    out = []
+    for r in range(ens.n_replicas):
+        pos = ens.positions[r]
+        window = pos[m_s: m_e + 1]
+        gen = phi.lap(window)
+        if chi != 0.0:
+            drift, grad_b = reference_drifts(pos, cfg, m_s, m_e)
+            gen = gen + chi * np.einsum("wnc,wnc->wn", phi.grad(window),
+                                        drift + grad_b)
+        integral = w_in @ gen
+        vals = []
+        for i in range(n):
+            f = 1.0
+            if path_spec[0] == "window":
+                _, tau, lo, hi = path_spec
+                pt = pos[int(round(tau / dt)), i]
+                f = float(lo <= pt[0] <= hi and lo <= pt[1] <= hi)
+            vals.append(f * (float(phi.value(pos[m_e, i]) - phi.value(pos[m_s, i]))
+                             - float(integral[i])))
+        out.append(math.fsum(vals) / n)
+    return np.array(out)
+
+
+class TestResidualBlocks:
+    """The replica-block residuals equal the per-replica, per-pair loop:
+    bit for bit at chi = 0; with a drift to rtol 1e-12 (atol 1e-14), since
+    the block code takes the background and interaction terms as one total
+    drift, the integrator's own, whose interaction sum runs in another
+    order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), replicas=st.integers(1, 5),
+           steps=st.integers(3, 12), seed=st.integers(0, 2 ** 16),
+           chi=st.sampled_from([0.0, 0.5]), source=st.booleans(),
+           f_spec=st.sampled_from(["gaussian-bump", "pair-potential"]),
+           window=st.booleans(), data=st.data())
+    def test_matches_reference(self, n, replicas, steps, seed, chi, source,
+                               f_spec, window, data):
+        dt = 0.05
+        cfg = S.SimConfig(
+            params=KernelParams(theta=1.0, lam=0.2, chi=chi, epsilon=0.05),
+            source=SourceSpec(components=((1.0, (0.5, 0.0), 1.0),)
+                              if source else ()),
+            n_particles=n, dt=dt, n_steps=steps, n_replicas=replicas,
+            seed=seed, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        m_s = data.draw(st.integers(1, steps - 1))
+        path = ("const",)
+        if window:
+            path = ("window", data.draw(st.integers(0, steps)) * dt, -0.8, 0.8)
+        ito = E.ito_balance_check(ens, EP, f_spec=f_spec, n_boot=20)
+        mart = E.martingale_residual(ens, None, path, s=m_s * dt,
+                                     t=steps * dt)
+        ref_ito, ref_mart = reference_ito(ens, EP, f_spec), \
+            reference_martingale(ens, path, m_s)
+        assert ito.excluded == mart.excluded == 0
+        if chi == 0.0:
+            assert np.array_equal(ito.per_replica, ref_ito)
+            assert np.array_equal(mart.per_replica, ref_mart)
+        else:
+            # atol: a residual is a difference of O(1) terms and may cancel
+            # to near 0, where a few-ulp change in a term is a large
+            # relative one
+            np.testing.assert_allclose(ito.per_replica, ref_ito, rtol=1e-12,
+                                       atol=1e-14)
+            np.testing.assert_allclose(mart.per_replica, ref_mart, rtol=1e-12,
+                                       atol=1e-14)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 5), replicas=st.integers(1, 5),
+           steps=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
+           data=st.data())
+    def test_e1_and_divergent_count_match_reference(self, n, replicas, steps,
+                                                    seed, data):
+        ens = brownian_ensemble(n_particles=n, n_steps=steps,
+                                n_replicas=replicas, seed=seed)
+        # pin particle 1 onto particle 0 from some step on in some replicas
+        for r in range(replicas):
+            m = data.draw(st.integers(0, steps + 1))
+            ens.positions[r, m:, 1] = ens.positions[r, m:, 0]
+        rep = E.paper_moments(ens, EP)
+        pairs = E.ordered_pairs(n)
+        i_idx = np.array([i for i, _ in pairs])
+        j_idx = np.array([j for _, j in pairs])
+        w_tr = E._trap_weights(steps, ens.config.dt)
+        q = 2.0 * (EP.gamma - 1.0)
+        e1, divergent = [], 0
+        for path in ens.positions:
+            d_same = path[:, i_idx, :] - path[:, j_idx, :]
+            dist = np.sqrt(np.einsum("mkc,mkc->mk", d_same, d_same))
+            divergent += int((dist == 0.0).sum())
+            with np.errstate(divide="ignore"):
+                integrand = np.where(dist == 0.0, 0.0, dist ** (-q))
+            e1.append(math.fsum(w_tr @ integrand) / len(pairs))
+        assert rep.divergent_terms == divergent
+        assert np.array_equal(rep.estimates["E1"].per_replica, e1)
+
+    @pytest.mark.parametrize("f_spec", ["gaussian-bump", "pair-potential"])
+    def test_nonfinite_replica_excluded_and_counted(self, f_spec):
+        source = SourceSpec(components=((1.0, (0.5, 0.0), 1.0),))
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=0.9, epsilon=0.05),
+                          source=source, n_particles=3, dt=0.05, n_steps=12,
+                          n_replicas=3, seed=4,
+                          init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        finite = dataclasses.replace(
+            ens, positions=ens.positions[[0, 2]].copy(),
+            config=dataclasses.replace(cfg, n_replicas=2))
+        ens.positions[1, 5:] = np.nan
+
+        def residuals(e):
+            return (E.ito_balance_check(e, EP, f_spec=f_spec, n_boot=50),
+                    E.martingale_residual(e, None, ("window", 0.2, -1.0, 1.0),
+                                          s=0.3, t=0.6))
+
+        for rep, clean in zip(residuals(ens), residuals(finite)):
+            assert rep.excluded == 1 and clean.excluded == 0
+            np.testing.assert_array_equal(rep.per_replica, clean.per_replica)
+            assert ((rep.mean, rep.stderr, rep.ci_low, rep.ci_high, rep.passes)
+                    == (clean.mean, clean.stderr, clean.ci_low, clean.ci_high,
+                        clean.passes))
+
+        # every replica blown: no estimate, and the check fails
+        ens.positions[:, 5:] = np.nan
+        for rep in residuals(ens):
+            assert rep.excluded == 3 and rep.per_replica.size == 0
+            assert math.isnan(rep.mean) and not rep.passes
 
 
 class TestDiscreteFunineqEcho:

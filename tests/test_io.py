@@ -68,6 +68,18 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError):
             io.read_trajectory_bin(path)
 
+    def test_binary_truncated_header_rejected(self, tmp_path):
+        ens = small_ensemble()
+        path = tmp_path / "traj.ksw1"
+        io.write_trajectory_bin(path, ens)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.ksw1"
+        for size in range(24):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(ValueError,
+                               match=f"truncated KSW1 header: {size} of 24"):
+                io.read_trajectory_bin(cut)
+
 
 class TestConfigFormat:
     def test_roundtrip(self):

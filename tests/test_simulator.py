@@ -219,6 +219,38 @@ class TestStepAndRun:
             S.step(ens, m)
         np.testing.assert_array_equal(ens.positions, full.positions)
 
+    @pytest.mark.parametrize("source", [False, True])
+    @pytest.mark.parametrize("cutoff", [None, 0.05])
+    def test_step_drifts_reproduce_euler_steps(self, source, cutoff):
+        # zero noise: each Euler step adds exactly chi * dt * step_drifts
+        params = KernelParams(theta=1.0, lam=0.2, chi=0.8, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=4, n_steps=25,
+                          n_replicas=3, seed=5, noise_mode="zero",
+                          history_cutoff=cutoff,
+                          source=_MIXTURE if source else SourceSpec())
+        x = S.run(cfg).positions
+        drift = S.step_drifts(x, range(cfg.n_steps), cfg)
+        np.testing.assert_array_equal(x[:, 1:],
+                                      x[:, :-1] + params.chi * drift * cfg.dt)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 9), steps=st.integers(1, 30),
+           seed=st.integers(0, 2 ** 16), source=st.booleans(), data=st.data())
+    def test_relabeling_within_tolerance(self, n, steps, seed, source, data):
+        # the contract stated in run's docstring: relabeled inputs give the
+        # relabeled paths to 1e-12, not bit for bit (the j-sum runs in
+        # label order)
+        params = KernelParams(theta=1.0, lam=0.2, chi=1.0, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=n, n_steps=steps,
+                          seed=seed, dt=0.02,
+                          source=_MIXTURE if source else SourceSpec())
+        perm = data.draw(st.permutations(range(n)))
+        init, noise = S.draw_initial(cfg), S.draw_noise(cfg)
+        a = S.run(cfg, initial=init, noise=noise)
+        b = S.run(cfg, initial=init[:, perm], noise=noise[:, :, perm])
+        np.testing.assert_allclose(b.positions, a.positions[:, :, perm],
+                                   rtol=1e-12, atol=1e-12)
+
     def test_step_draws_only_rows_up_to_m(self, monkeypatch):
         cfg = make_config(n_steps=40, n_replicas=2, seed=4)
         drawn = []
