@@ -18,17 +18,16 @@ under particle relabeling bit for bit.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field, asdict, replace
 from typing import Sequence
 
 import numpy as np
 
-from scipy.stats import norm as _norm
-
 from .constants import _golden_max, c0_const, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
-from .simulator import (SimConfig, TrajectoryEnsemble, _conv_weights,
-                        _history_sums, _pair_geometry, pair_drifts,
+from .simulator import (DRIFT_BUDGET_BYTES, SimConfig, TrajectoryEnsemble,
+                        _conv_weights, _history_sums, _pair_geometry, pair_drifts,
                         replica_blocks, step_drifts)
 
 TEST_FUNCTION_VERSIONS = {
@@ -404,10 +403,12 @@ class GaussianBump:
         return np.exp(-np.minimum(u + sq, EXP_CLAMP))
 
     @staticmethod
-    def heat(u, x):
-        """(d/dt + Laplacian) F = (4|x|^2 - 5) F."""
+    def heat(u, x, out=None):
+        """(d/dt + Laplacian) F = (4|x|^2 - 5) F, written into `out` if given."""
         sq = np.einsum("...c,...c->...", x, x)
-        return (4.0 * sq - 5.0) * np.exp(-np.minimum(u + sq, EXP_CLAMP))
+        f = np.minimum(np.add(u, sq, out=out), EXP_CLAMP, out=out)
+        f = np.exp(np.negative(f, out=out), out=out)
+        return np.multiply(4.0 * sq - 5.0, f, out=out)
 
     @staticmethod
     def grad(u, x):
@@ -548,11 +549,21 @@ class ResidualReport:
 
 def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
                       n_boot: int = 2000, seed: int = 0) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval for the mean."""
+    """Percentile bootstrap confidence interval for the mean.
+
+    The (n_boot, R) resample indices and their row means are drawn in row
+    chunks whose indices and gathered values fit DRIFT_BUDGET_BYTES; the
+    chunks consume the generator as one (n_boot, R) draw would.
+    """
     rng = np.random.default_rng(seed)
     values = np.asarray(values, float)
-    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
-    means = values[idx].mean(axis=1)
+    r_n = len(values)
+    rows = max(1, DRIFT_BUDGET_BYTES // (16 * max(r_n, 1)))
+    means = np.empty(n_boot)
+    for lo in range(0, n_boot, rows):
+        hi = min(lo + rows, n_boot)
+        idx = rng.integers(0, r_n, size=(hi - lo, r_n))
+        means[lo:hi] = values[idx].mean(axis=1)
     lo, hi = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
     return float(lo), float(hi)
 
@@ -606,6 +617,12 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         lag_ut = times[m_t] - times                # t - s
         # the (u, s) pair grid dominates the interaction drift's geometry
         blocks = replica_blocks(len(kept), len(i_idx), (m_t + 1) ** 2)
+        # the block grids are allocated once per call: fresh ones in every
+        # block made glibc's malloc trim and refault its heap (about 80 000
+        # page faults at R = 500, M = 128) unless an earlier large free had
+        # raised its mmap threshold
+        grid = (len(blocks[0]) if blocks else 0, len(i_idx), m_t + 1, m_t + 1)
+        diff_buf, heat_buf = np.empty(grid + (2,)), np.empty(grid)
     else:
         pot = PairPotential(ep.gamma)
         blocks = replica_blocks(len(kept), n * n, m_t + 1)
@@ -622,9 +639,12 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         if gaussian:
             lhs = _row_dot(GaussianBump.value(lag_ut, xi[:, :, m_t:] - xj), w_tr)
             t1 = _row_dot(GaussianBump.value(0.0, xi - xj), w_tr)
-            diff = xi[:, :, :, None] - xj[:, :, None]  # (B, K, u, s, 2)
-            t2 = _row_dot(np.sum(w_inner * GaussianBump.heat(lag_mat, diff),
-                                 axis=-1), w_tr)
+            b = len(block)
+            diff = np.subtract(xi[:, :, :, None], xj[:, :, None],
+                               out=diff_buf[:b])  # (B, K, u, s, 2)
+            heat = GaussianBump.heat(lag_mat, diff, out=heat_buf[:b])
+            heat *= w_inner
+            t2 = _row_dot(np.sum(heat, axis=-1), w_tr)
             per_pair = lhs - t1 - t2
             if chi != 0.0:
                 grad_int = np.einsum("us,...usc->...uc", w_inner,
@@ -706,7 +726,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
             (phi.value(pos[:, m_e]) - phi.value(pos[:, m_s])) - integral)
         theta_vals[block.start: block.stop] = [_fsum_mean(row) for row in vals]
 
-    z = float(_norm.ppf(0.5 + level / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     return _residual_report(theta_vals,
                             lambda v, mean, err: (mean - z * err, mean + z * err),
                             level, ensemble.n_replicas - len(kept))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import c0_const
 
@@ -37,16 +36,17 @@ class KernelParams:
     p: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.theta <= 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.chi < 0:
-            raise ValueError(f"chi must be >= 0, got {self.chi}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.p <= 2:
-            raise ValueError(f"p must be > 2, got {self.p}")
+        # `not 0 < x < inf` also rejects NaN
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.chi < math.inf:
+            raise ValueError(f"chi must be finite and >= 0, got {self.chi}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not 2 < self.p < math.inf:
+            raise ValueError(f"p must be finite and > 2, got {self.p}")
 
 
 def _sqnorm(x: np.ndarray) -> np.ndarray:
@@ -158,12 +158,12 @@ class SourceSpec:
 
     def __post_init__(self) -> None:
         for w, center, var in self.components:
-            if w <= 0:
-                raise ValueError(f"component weight must be > 0, got {w}")
-            if var <= 0:
-                raise ValueError(f"component variance must be > 0, got {var}")
-            if len(center) != 2:
-                raise ValueError(f"component center must be a 2-vector, got {center}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"component weight must be finite and > 0, got {w}")
+            if not 0 < var < math.inf:
+                raise ValueError(f"component variance must be finite and > 0, got {var}")
+            if len(center) != 2 or not all(map(math.isfinite, center)):
+                raise ValueError(f"component center must be a finite 2-vector, got {center}")
 
     @property
     def is_zero(self) -> bool:
@@ -221,6 +221,8 @@ def background_field(t, x, source: SourceSpec, params: KernelParams):
 
 def heat_grad_lp_norm(t: float, q: float, params: KernelParams) -> float:
     """||grad g_t||_Lq by radial quadrature (the gradient field is radial)."""
+    from scipy.integrate import quad  # only this oracle needs scipy
+
     if t <= 0 or q < 1:
         raise ValueError("require t > 0 and q >= 1")
     th = params.theta

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .kernels import (EXP_CLAMP, KernelParams, SourceSpec, background_field,
                       smoothed_weight)
@@ -50,10 +49,13 @@ class InitSpec:
         if self.kind not in _VALID_INIT:
             raise ValueError(f"unknown init kind {self.kind!r}, "
                              f"expected one of {_VALID_INIT}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
+        # `not 0 < x < inf` also rejects NaN
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and > 0, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_particles < 2:
             raise ValueError(f"n_particles must be >= 2, got {self.n_particles}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not 0 < self.dt < math.inf:  # also rejects NaN
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.n_replicas < 1:
@@ -85,8 +87,9 @@ class SimConfig:
             raise ValueError("mirrored noise requires exactly 2 particles")
         if self.init.kind == "mirrored_pair" and self.n_particles != 2:
             raise ValueError("mirrored_pair init requires exactly 2 particles")
-        if self.history_cutoff is not None and self.history_cutoff <= 0:
-            raise ValueError("history_cutoff must be positive when set")
+        if self.history_cutoff is not None and not 0 < self.history_cutoff < math.inf:
+            raise ValueError("history_cutoff must be finite and positive when set, "
+                             f"got {self.history_cutoff}")
 
     @property
     def times(self) -> np.ndarray:
@@ -133,55 +136,83 @@ class TrajectoryEnsemble:
         return np.arange(self.positions.shape[1]) * self.config.dt
 
 
-def _stream(seed: int, replica: int, particle: int, purpose: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, replica, particle, purpose)."""
-    if not 0 <= replica < 2 ** 31 or not 0 <= particle < 2 ** 31:
-        raise ValueError("replica/particle index out of the 31-bit key range")
-    key = np.array([np.uint64(seed % 2 ** 64),
-                    np.uint64((purpose << 62) | (replica << 31) | particle)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _streams(seed: int, purpose: int):
+    """Selector of the Philox streams keyed by (seed, replica, particle, purpose).
+
+    `select(replica, particle)` returns one reused Generator rewound to the
+    start of that stream: the key (seed mod 2^64, purpose<<62 | replica<<31
+    | particle), a zero counter and an empty buffer are written into its
+    Philox state. Its draws are those of a fresh
+    Generator(Philox(key=...)), without the SeedSequence that constructing
+    a Philox draws (about 21 us a stream). A stream must be drawn from
+    before the next one is selected.
+    """
+    bit_gen = np.random.Philox()
+    gen = np.random.Generator(bit_gen)
+    key = [seed % 2 ** 64, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+
+    def select(replica: int, particle: int) -> np.random.Generator:
+        if not 0 <= replica < 2 ** 31 or not 0 <= particle < 2 ** 31:
+            raise ValueError("replica/particle index out of the 31-bit key range")
+        key[1] = (purpose << 62) | (replica << 31) | particle
+        bit_gen.state = state
+        return gen
+
+    return select
 
 
 def draw_initial(config: SimConfig) -> np.ndarray:
     """Step-0 positions, shape (n_replicas, n_particles, 2)."""
     r_n, n = config.n_replicas, config.n_particles
-    out = np.empty((r_n, n, 2))
     spec = config.init
     center = np.asarray(spec.center, dtype=float)
+    if spec.kind == "point":
+        return np.broadcast_to(center, (r_n, n, 2)).copy()
+    if spec.kind == "mirrored_pair":
+        return np.broadcast_to(np.stack([center, -center]), (r_n, n, 2)).copy()
+    select = _streams(config.seed, purpose=0)
+    draws = np.empty((r_n, n, 2))
     for r in range(r_n):
         for i in range(n):
-            if spec.kind == "point":
-                out[r, i] = center
-            elif spec.kind == "mirrored_pair":
-                out[r, i] = center if i == 0 else -center
-            else:
-                gen = _stream(config.seed, r, i, purpose=0)
-                if spec.kind == "gaussian":
-                    out[r, i] = center + spec.sigma * gen.standard_normal(2)
-                else:  # uniform_disk
-                    rad = spec.radius * math.sqrt(gen.uniform())
-                    ang = gen.uniform(0.0, 2.0 * math.pi)
-                    out[r, i] = center + rad * np.array([math.cos(ang), math.sin(ang)])
-    return out
+            gen = select(r, i)
+            if spec.kind == "gaussian":
+                gen.standard_normal(out=draws[r, i])
+            else:  # uniform_disk: radius, then angle, from one stream
+                gen.random(out=draws[r, i])
+    if spec.kind == "gaussian":
+        return center + spec.sigma * draws
+    rad = spec.radius * np.sqrt(draws[..., 0])
+    # libm cos/sin, one angle at a time, as each stream has always used
+    turn = np.array([(math.cos(a), math.sin(a))
+                     for a in (2.0 * math.pi * draws[..., 1]).ravel().tolist()]
+                    ).reshape(r_n, n, 2)
+    return center + rad[..., None] * turn
 
 
 def draw_noise(config: SimConfig) -> np.ndarray:
     """Brownian increments (var dt per coordinate), shape (R, n_steps, N, 2)."""
     r_n, m, n = config.n_replicas, config.n_steps, config.n_particles
-    out = np.zeros((r_n, m, n, 2))
     if config.noise_mode == "zero" or m == 0:
-        return out
+        return np.zeros((r_n, m, n, 2))
+    out = np.empty((r_n, m, n, 2))
     root_dt = math.sqrt(config.dt)
+    select = _streams(config.seed, purpose=1)
+    if config.noise_mode == "mirrored":
+        w = np.empty((m, 2))
+        for r in range(r_n):
+            select(r, 0).standard_normal(out=w)
+            np.multiply(w, root_dt, out=out[r, :, 0])
+            np.negative(out[r, :, 0], out=out[r, :, 1])
+        return out
+    buf = np.empty((n, m, 2))
     for r in range(r_n):
-        if config.noise_mode == "mirrored":
-            w = root_dt * _stream(config.seed, r, 0, purpose=1).standard_normal((m, 2))
-            out[r, :, 0] = w
-            out[r, :, 1] = -w
-        else:
-            for i in range(n):
-                gen = _stream(config.seed, r, i, purpose=1)
-                out[r, :, i] = root_dt * gen.standard_normal((m, 2))
+        for i in range(n):
+            select(r, i).standard_normal(out=buf[i])
+        np.multiply(buf.transpose(1, 0, 2), root_dt, out=out[r])
     return out
 
 
@@ -494,6 +525,8 @@ def frozen_drift_oracle(displacement, t: float, params: KernelParams) -> np.ndar
     -R e^(-theta|R|^2 / 4t) / (2 pi |R|^2); otherwise the radial weight is
     integrated by adaptive quadrature to absolute tolerance 1e-8.
     """
+    from scipy.integrate import quad  # only this oracle needs scipy
+
     r = np.asarray(displacement, dtype=float)
     sq = float(r @ r)
     if sq == 0.0:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kspp
 from kspp import cli
 
 BASE_CONFIG = """\
@@ -92,6 +97,16 @@ init_sigma = 0.001
         cfg.write_text("theta = 1.0\nunknown_key = 3\n")
         assert cli.main(["simulate", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", ["dt = nan", "theta = nan", "lambda = nan",
+                                      "init_sigma = nan", "dt = inf",
+                                      "history_cutoff = nan"])
+    def test_nonfinite_config_exit_2(self, tmp_path, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BASE_CONFIG.replace("chi = 1.0", "chi = 0") + line + "\n")
+        assert cli.main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run" / "trajectory.csv").exists()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["simulate", "--config", str(tmp_path / "absent.txt"),
@@ -237,3 +252,13 @@ class TestManifest:
         manifest = cli.ExperimentManifest(mode="dance", out_dir=tmp_path)
         with pytest.raises(ValueError):
             cli.run_experiment(manifest)
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy is only needed by the quadrature oracles, which import it lazily
+    src = str(Path(kspp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, kspp.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -659,6 +661,21 @@ class TestResidualBlocks:
             np.testing.assert_allclose(mart.per_replica, ref_mart, rtol=1e-12,
                                        atol=1e-14)
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    def test_gaussian_blocks_share_grids(self, chi):
+        # blocks of two of five replicas: the last block uses part of the
+        # grids allocated for the first
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=chi, epsilon=0.05),
+                          n_particles=3, dt=0.05, n_steps=8, n_replicas=5,
+                          seed=9, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        whole = E.ito_balance_check(ens, EP, n_boot=20)
+        per_replica = 16 * 6 * 9 ** 2   # 6 pairs, (n_steps + 1)^2 grid
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * per_replica):
+            assert [len(b) for b in S.replica_blocks(5, 6, 81)] == [2, 2, 1]
+            blocked = E.ito_balance_check(ens, EP, n_boot=20)
+        assert np.array_equal(blocked.per_replica, whole.per_replica)
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 5), replicas=st.integers(1, 5),
            steps=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
@@ -730,7 +747,34 @@ class TestDiscreteFunineqEcho:
         assert np.all(ratios > 0)
 
 
+def one_shot_bootstrap(values, level=0.99, n_boot=2000, seed=0):
+    """bootstrap_mean_ci with the whole (n_boot, R) resample drawn at once."""
+    rng = np.random.default_rng(seed)
+    values = np.asarray(values, float)
+    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
+    means = values[idx].mean(axis=1)
+    lo, hi = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    return float(lo), float(hi)
+
+
 class TestBootstrap:
+    @pytest.mark.parametrize("n, n_boot", [(1, 5), (3, 2000), (7, 2000),
+                                           (10_000, 300), (10_007, 61)])
+    def test_equals_one_shot_draw(self, n, n_boot):
+        vals = np.random.default_rng(n).standard_normal(n)
+        assert (E.bootstrap_mean_ci(vals, n_boot=n_boot, seed=n)
+                == one_shot_bootstrap(vals, n_boot=n_boot, seed=n))
+
+    def test_memory_bounded(self):
+        vals = np.random.default_rng(0).standard_normal(10_000)
+        tracemalloc.start()
+        try:
+            E.bootstrap_mean_ci(vals)  # the one-shot draw peaked at 320 MB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * S.DRIFT_BUDGET_BYTES
+
     def test_shifted_sample_excludes_zero(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(1.0, 0.1, 400)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspp import io, simulator as S
 from kspp.kernels import KernelParams, SourceSpec
@@ -123,3 +126,58 @@ class TestConfigFormat:
     def test_bad_source_component(self):
         with pytest.raises(ValueError, match="source component"):
             io.parse_config("theta = 1\nsource = 1,2,3\n")
+
+    @pytest.mark.parametrize("line, field", [
+        ("dt = nan", "dt"), ("dt = inf", "dt"), ("theta = nan", "theta"),
+        ("lambda = nan", "lam"), ("init_sigma = nan", "sigma"),
+        ("init_radius = -inf", "radius"), ("init_center = nan,0", "center"),
+        ("history_cutoff = nan", "history_cutoff"),
+        ("history_cutoff = inf", "history_cutoff"), ("p = inf", "p"),
+        ("source = 1,0,0,nan", "variance")])
+    def test_nonfinite_value(self, line, field):
+        with pytest.raises(ValueError, match=field):
+            io.parse_config(f"theta = 1\nchi = 0\n{line}\n")
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e999",
+                     "-0.0", "0", "1", "2.5", "1_000", " 3 "]))
+_VALUE_TEXT = st.one_of(
+    _NUMBER_TEXT,
+    st.lists(_NUMBER_TEXT, min_size=1, max_size=5).map(",".join),
+    st.lists(st.lists(_NUMBER_TEXT, min_size=4, max_size=4).map(",".join),
+             min_size=1, max_size=3).map("; ".join),
+    st.sampled_from(["point", "gaussian", "uniform_disk", "mirrored_pair",
+                     "standard", "zero", "mirrored", "none", ""]),
+    st.text(max_size=12))
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(io._CONFIG_KEYS), _VALUE_TEXT).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(["", "  ", "# comment", "theta = 2  # trailing comment"]),
+    st.text(max_size=20))
+
+
+def _float_fields(cfg):
+    p, init = cfg.params, cfg.init
+    values = [p.theta, p.lam, p.chi, p.epsilon, p.p, cfg.dt, init.sigma,
+              init.radius, *init.center]
+    if cfg.history_cutoff is not None:
+        values.append(cfg.history_cutoff)
+    for w, center, var in cfg.source.components:
+        values += [w, *center, var]
+    return values
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(theta=st.booleans(), lines=st.lists(_CONFIG_LINE, max_size=6))
+    def test_parse_config_gives_finite_config_or_value_error(self, theta, lines):
+        # a leading valid theta lets most texts with few bad lines parse
+        try:
+            cfg = io.parse_config("\n".join(["theta = 1"] * theta + lines))
+        except ValueError:
+            return
+        assert isinstance(cfg, S.SimConfig)
+        assert all(math.isfinite(v) for v in _float_fields(cfg))

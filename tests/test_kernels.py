@@ -239,6 +239,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             K.KernelParams(theta=1.0, p=2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_kernel_params_nonfinite(self, bad):
+        for field, kw in (("theta", {"theta": bad}), ("lam", {"lam": bad}),
+                          ("chi", {"chi": bad}), ("epsilon", {"epsilon": bad}),
+                          ("p", {"p": bad})):
+            with pytest.raises(ValueError, match=field):
+                K.KernelParams(**{"theta": 1.0, **kw})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_source_spec_nonfinite(self, bad):
+        for comp in ((bad, (0.0, 0.0), 1.0), (1.0, (bad, 0.0), 1.0),
+                     (1.0, (0.0, 0.0), bad)):
+            with pytest.raises(ValueError):
+                K.SourceSpec(components=(comp,))
+
     def test_source_spec(self):
         with pytest.raises(ValueError):
             K.SourceSpec(components=((0.0, (0.0, 0.0), 1.0),))

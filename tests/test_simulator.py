@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from kspp import simulator as S
@@ -64,6 +64,94 @@ class TestInit:
             make_config(init=S.InitSpec("mirrored_pair"), n_particles=4)
         with pytest.raises(ValueError):
             make_config(history_cutoff=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        for field, build in (
+                ("dt", lambda: make_config(dt=bad)),
+                ("history_cutoff", lambda: make_config(history_cutoff=bad)),
+                ("sigma", lambda: S.InitSpec("gaussian", sigma=bad)),
+                ("radius", lambda: S.InitSpec("uniform_disk", radius=bad)),
+                ("center", lambda: S.InitSpec("point", center=(0.0, bad)))):
+            with pytest.raises(ValueError, match=field):
+                build()
+
+
+def reference_draws(cfg):
+    """Initial positions and noise from a fresh Generator(Philox(key)) per
+    (replica, particle, purpose): the stream definition, written out."""
+    def stream(r, i, purpose):
+        key = np.array([cfg.seed % 2 ** 64, (purpose << 62) | (r << 31) | i],
+                       dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    r_n, m, n = cfg.n_replicas, cfg.n_steps, cfg.n_particles
+    spec, center = cfg.init, np.asarray(cfg.init.center, dtype=float)
+    initial = np.empty((r_n, n, 2))
+    noise = np.empty((r_n, m, n, 2))
+    root_dt = math.sqrt(cfg.dt)
+    for r in range(r_n):
+        for i in range(n):
+            gen = stream(r, i, 0)
+            if spec.kind == "gaussian":
+                initial[r, i] = center + spec.sigma * gen.standard_normal(2)
+            else:
+                rad = spec.radius * math.sqrt(gen.uniform())
+                ang = gen.uniform(0.0, 2.0 * math.pi)
+                initial[r, i] = center + rad * np.array([math.cos(ang),
+                                                         math.sin(ang)])
+        if cfg.noise_mode == "mirrored":
+            w = root_dt * stream(r, 0, 1).standard_normal((m, 2))
+            noise[r, :, 0], noise[r, :, 1] = w, -w
+        else:
+            for i in range(n):
+                noise[r, :, i] = root_dt * stream(r, i, 1).standard_normal((m, 2))
+    return initial, noise
+
+
+class TestStreams:
+    """One reused generator draws exactly the per-(replica, particle) streams."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "uniform_disk"]),
+           mirrored=st.booleans(), n=st.integers(2, 5),
+           replicas=st.integers(1, 4), steps=st.integers(0, 12),
+           seed=st.one_of(st.sampled_from([0, -1, -987654321, 2 ** 63,
+                                           2 ** 63 + 5, 2 ** 64 - 1]),
+                          st.integers(-2 ** 70, 2 ** 70)),
+           dt=st.floats(1e-4, 1.0), sigma=st.floats(0.1, 3.0),
+           cx=st.floats(-5.0, 5.0))
+    @example(kind="gaussian", mirrored=False, n=5, replicas=3, steps=7,
+             seed=0, dt=0.01, sigma=1.0, cx=0.5)
+    @example(kind="uniform_disk", mirrored=True, n=2, replicas=3, steps=7,
+             seed=-12345, dt=0.01, sigma=2.0, cx=-1.0)
+    @example(kind="uniform_disk", mirrored=False, n=3, replicas=2, steps=5,
+             seed=2 ** 63 + 5, dt=0.3, sigma=0.5, cx=0.0)
+    @example(kind="gaussian", mirrored=True, n=2, replicas=2, steps=5,
+             seed=2 ** 64 - 1, dt=0.3, sigma=0.5, cx=0.0)
+    def test_equal_to_fresh_generators(self, kind, mirrored, n, replicas,
+                                       steps, seed, dt, sigma, cx):
+        cfg = make_config(n_particles=2 if mirrored else n, n_steps=steps,
+                          n_replicas=replicas, seed=seed, dt=dt,
+                          noise_mode="mirrored" if mirrored else "standard",
+                          init=S.InitSpec(kind, center=(cx, -0.5),
+                                          sigma=sigma, radius=sigma))
+        initial, noise = reference_draws(cfg)
+        assert np.array_equal(S.draw_initial(cfg), initial)
+        assert np.array_equal(S.draw_noise(cfg), noise)
+
+    def test_reselecting_rewinds_the_stream(self):
+        select = S._streams(7, purpose=1)
+        first = select(3, 2).standard_normal(5)
+        select(3, 1).standard_normal(9)
+        assert np.array_equal(select(3, 2).standard_normal(5), first)
+
+    @pytest.mark.parametrize("replica, particle",
+                             [(2 ** 31, 0), (0, 2 ** 31), (-1, 0), (0, -1)])
+    def test_key_range(self, replica, particle):
+        select = S._streams(0, purpose=1)
+        with pytest.raises(ValueError, match="31-bit"):
+            select(replica, particle)
 
 
 class TestHistoryDrift:
