@@ -204,12 +204,13 @@ def _mode_threshold(manifest: ExperimentManifest) -> int:
     return 0
 
 
-def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
-    opts = manifest.options
-    cases = opts.get("cases", 10000)
-    seed = manifest.seed if manifest.seed is not None else 0
+def inequality_suite(cases: int, seed: int) -> dict:
+    """Functional-inequality checks: the random sweep of `cases` step
+    functions (`seed`), the largest |ratio - kappa| of the extremal profile
+    over a 10 x 10 (a, b) grid at three profile scales, and the hinge
+    tightness ratios for eps = 1e-1..1e-4 (a = 1/2, b = 1, t = 1). The
+    caller applies its own checks."""
     sweep = funineq.random_sweep(cases, seed)
-    # extremal-profile optimality on an (a, b) grid, three profile scales
     grid_err = 0.0
     for a in np.linspace(0.1, 2.0, 10):
         for off in np.linspace(0.1, 1.0, 10):
@@ -218,7 +219,16 @@ def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
             for k in (0.1, 1.0, 10.0):
                 _, _, ratio = funineq.extremal_profile(k, float(a), float(b))
                 grid_err = max(grid_err, abs(ratio - k_ref))
-    ratios = funineq.tightness_scan([1e-1, 1e-2, 1e-3, 1e-4], 0.5, 1.0, 1.0)
+    return {"sweep": sweep, "extremal_grid_max_err": grid_err,
+            "tightness_ratios": funineq.tightness_scan(
+                [1e-1, 1e-2, 1e-3, 1e-4], 0.5, 1.0, 1.0)}
+
+
+def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
+    suite = inequality_suite(manifest.options.get("cases", 10000),
+                             manifest.seed if manifest.seed is not None else 0)
+    sweep, grid_err = suite["sweep"], suite["extremal_grid_max_err"]
+    ratios = suite["tightness_ratios"]
     monotone = all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
     ok = (sweep.violations == 0 and grid_err < 1e-9 and monotone)
     print(f"random sweep: cases={sweep.cases} evaluated={sweep.evaluated} "
@@ -228,14 +238,10 @@ def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
     print(f"tightness ratios (eps 1e-1..1e-4): "
           + " ".join(f"{r:.6f}" for r in ratios)
           + (" (increasing)" if monotone else " (NOT increasing)"))
-    payload = {
-        "mode": "verify-inequality", "cases": sweep.cases,
-        "evaluated": sweep.evaluated, "divergent": sweep.divergent,
-        "violations": sweep.violations, "worst_ratio": sweep.worst_ratio,
+    _write_json(manifest.out_dir / "verify_inequality.json", {
+        "mode": "verify-inequality", **dataclasses.asdict(sweep),
         "extremal_grid_max_err": grid_err, "tightness_ratios": ratios,
-        "pass": ok,
-    }
-    _write_json(manifest.out_dir / "verify_inequality.json", payload)
+        "pass": ok})
     return 0 if ok else 1
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+CHI_REL_TOL = 1e-8    # chi_for's bisection stops at this relative width
+SEARCH_MARGIN = 1e-4  # chi_star's gap to the box edges, as a fraction of each range
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
@@ -154,13 +156,13 @@ def admissible(chi: float, sp: StructuralParams) -> bool:
     return _admissibility_gap(chi, structural_constants(sp), sp.gamma) > 0.0
 
 
-def chi_for(sp: StructuralParams, rel_tol: float = 1e-8) -> float:
+def chi_for(sp: StructuralParams) -> float:
     """Largest admissible chi at one (theta, alpha, gamma) point.
 
     The admissibility left side is continuous, strictly increasing, zero at
     chi=0 and unbounded, so the supremum is the unique root of
     chi*C2 + (chi*C3)^(2(gamma-1)) = C1, bracketed by doubling and then
-    bisected to the requested relative tolerance.
+    bisected to the relative tolerance CHI_REL_TOL.
     """
     sc = structural_constants(sp)
     if sc.c1 <= 0:
@@ -171,7 +173,7 @@ def chi_for(sp: StructuralParams, rel_tol: float = 1e-8) -> float:
         hi *= 2.0
         if hi > 1e300:
             raise RuntimeError("failed to bracket the admissibility root")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > CHI_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if _admissibility_gap(mid, sc, sp.gamma) > 0.0:
             lo = mid
@@ -197,15 +199,13 @@ class SearchSettings:
     coarse: int = 60
     refine_rounds: int = 4
     refine_points: int = 15
-    margin: float = 1e-4
 
 
-def _alpha_grid(gamma: float, lo_frac: float, hi_frac: float, n: int,
-                margin: float) -> np.ndarray:
+def _alpha_grid(gamma: float, lo_frac: float, hi_frac: float, n: int) -> np.ndarray:
     """Log-spaced alpha samples strictly inside (0, 1/(4(gamma-1)))."""
     a_max = 1.0 / (4.0 * (gamma - 1.0))
-    lo = max(lo_frac, margin) * a_max
-    hi = min(hi_frac, 1.0 - margin) * a_max
+    lo = max(lo_frac, SEARCH_MARGIN) * a_max
+    hi = min(hi_frac, 1.0 - SEARCH_MARGIN) * a_max
     if hi <= lo:
         hi = lo * (1.0 + 1e-12)
     return np.geomspace(lo, hi, n)
@@ -225,6 +225,7 @@ def chi_star(theta: float, p: float,
     s = search or SearchSettings()
     g_lo, g_hi = 1.5, min(2.0, gamma_upper(p))
     g_span = g_hi - g_lo
+    g_first, g_last = g_lo + SEARCH_MARGIN * g_span, g_hi - SEARCH_MARGIN * g_span
     audit: list[tuple[float, float, float]] = []
     best = (-math.inf, math.inf, math.inf)  # (chi, gamma, alpha) with chi negated ordering
 
@@ -239,24 +240,23 @@ def chi_star(theta: float, p: float,
         if chi > best[0] or (chi == best[0] and (gamma, alpha) < best[1:]):
             best = (chi, gamma, alpha)
 
-    gammas = np.linspace(g_lo + s.margin * g_span, g_hi - s.margin * g_span, s.coarse)
-    for g in gammas:
-        for a in _alpha_grid(float(g), s.margin, 1.0, s.coarse, s.margin):
+    for g in np.linspace(g_first, g_last, s.coarse):
+        for a in _alpha_grid(float(g), SEARCH_MARGIN, 1.0, s.coarse):
             consider(float(g), float(a))
 
     dg = g_span / (s.coarse - 1)
     # adjacent-point ratio of the coarse log-spaced alpha grid
-    da_ratio = ((1.0 - s.margin) / s.margin) ** (1.0 / (s.coarse - 1))
+    da_ratio = ((1.0 - SEARCH_MARGIN) / SEARCH_MARGIN) ** (1.0 / (s.coarse - 1))
     for _ in range(s.refine_rounds):
         chi_b, g_b, a_b = best
-        g_min = max(g_lo + s.margin * g_span, g_b - dg)
-        g_max = min(g_hi - s.margin * g_span, g_b + dg)
+        g_min = max(g_first, g_b - dg)
+        g_max = min(g_last, g_b + dg)
         gammas = np.linspace(g_min, g_max, s.refine_points)
         for g in gammas:
             a_max_g = 1.0 / (4.0 * (float(g) - 1.0))
             lo_frac = a_b / da_ratio / a_max_g
             hi_frac = a_b * da_ratio / a_max_g
-            for a in _alpha_grid(float(g), lo_frac, hi_frac, s.refine_points, s.margin):
+            for a in _alpha_grid(float(g), lo_frac, hi_frac, s.refine_points):
                 consider(float(g), float(a))
         dg = (g_max - g_min) / (s.refine_points - 1)
         da_ratio = da_ratio ** (2.0 / (s.refine_points - 1))

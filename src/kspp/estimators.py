@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import _golden_max, c0_const, kappa
+from .constants import c0_const, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (DRIFT_BUDGET_BYTES, SimConfig, TrajectoryEnsemble,
                         _conv_weights, _history_sums, _pair_geometry, pair_drifts,
@@ -106,15 +106,6 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
 def _pair_index(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([i for i, _ in pairs], dtype=int),
             np.array([j for _, j in pairs], dtype=int))
-
-
-def _drift_series(positions: np.ndarray, cfg: SimConfig, i_idx: np.ndarray,
-                  j_idx: np.ndarray, m_last: int) -> np.ndarray:
-    """Pair drifts D^{i,j}_m for m = 0..m_last, shape (R, m_last+1, K, 2)."""
-    out = np.zeros((positions.shape[0], m_last + 1, len(i_idx), 2))
-    for m in range(1, m_last + 1):
-        out[:, m] = pair_drifts(positions, cfg, m, i_idx, j_idx)
-    return out
 
 
 def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
@@ -374,7 +365,9 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     bound = np.zeros(len(kept))
     for block in replica_blocks(len(kept), n - 1, m_t):
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        d_series = _drift_series(pos, cfg, i_idx, j_idx, m_t)
+        d_series = np.zeros((len(block), m_t + 1, n - 1, 2))  # D_0 = 0
+        for m in range(1, m_t + 1):
+            d_series[:, m] = pair_drifts(pos, cfg, m, i_idx, j_idx)
         mean_d = d_series.mean(axis=2)
         gamma_paths = np.zeros((len(block), m_t + 1, 2))
         gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
@@ -453,34 +446,6 @@ class PairPotential:
                     * (1.0 - 2.0 * rnu / (1.0 + rnu)))
 
 
-def psi_laplacian_lower_bound(gamma: float, eta: float,
-                              r_lo: float = 1e-4, r_hi: float = 1e3,
-                              n_scan: int = 20001) -> float:
-    """Constant L_eta with Lap_x psi >= (nu^2 - eta) r^(nu-2) - L_eta.
-
-    Found by minimizing f_eta(r) = Lap-profile(r) - (nu^2 - eta) r^(nu-2)
-    on a log grid with golden-section polish; f_eta tends to +inf at 0 and
-    to 0 at infinity, so the scan brackets the global minimum.
-    """
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    pot = PairPotential(gamma)
-    nu = pot.nu
-
-    def f_eta(r: np.ndarray) -> np.ndarray:
-        rnu = r ** nu
-        prof = nu ** 2 * r ** (nu - 2.0) / (1.0 + rnu) ** 2 * (1.0 - 2.0 * rnu / (1.0 + rnu))
-        return prof - (nu ** 2 - eta) * r ** (nu - 2.0)
-
-    grid = np.geomspace(r_lo, r_hi, n_scan)
-    vals = f_eta(grid)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, n_scan - 1)]
-    _, neg_min = _golden_max(lambda r: -float(f_eta(np.asarray(r))), lo, hi, xtol=1e-12)
-    return max(0.0, neg_min)
-
-
 class CompactBump:
     """C-infinity bump exp(1 - 1/(1 - |x|^2/R^2)) on |x| < R, zero outside."""
 
@@ -491,35 +456,31 @@ class CompactBump:
             raise ValueError(f"radius must be > 0, got {radius}")
         self.radius = radius
 
-    def _rho(self, x):
+    def _terms(self, x):
+        """x as floats, |x|^2, the mask rho < 1 (rho = |x|^2 / R^2), 1 - rho
+        (1 outside) and the bump itself: what value, grad and lap share."""
         x = np.asarray(x, float)
-        return np.einsum("...c,...c->...", x, x) / self.radius ** 2
-
-    def value(self, x):
-        rho = self._rho(x)
-        inside = rho < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(inside, np.exp(1.0 - 1.0 / np.where(inside, 1.0 - rho, 1.0)), 0.0)
-        return out
-
-    def grad(self, x):
-        x = np.asarray(x, float)
-        rho = self._rho(x)
+        sq = np.einsum("...c,...c->...", x, x)
+        rho = sq / self.radius ** 2
         inside = rho < 1.0
         one_m = np.where(inside, 1.0 - rho, 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            val = np.where(inside, np.exp(1.0 - 1.0 / one_m), 0.0)
+        return x, sq, inside, one_m, val
+
+    def value(self, x):
+        return self._terms(x)[-1]
+
+    def grad(self, x):
+        x, _, inside, one_m, val = self._terms(x)
         gp = -one_m ** -2.0  # d/drho of the exponent 1 - 1/(1 - rho)
-        coef = np.where(inside, self.value(x) * gp * 2.0 / self.radius ** 2, 0.0)
+        coef = np.where(inside, val * gp * 2.0 / self.radius ** 2, 0.0)
         return coef[..., None] * x
 
     def lap(self, x):
-        x = np.asarray(x, float)
-        rho = self._rho(x)
-        inside = rho < 1.0
-        one_m = np.where(inside, 1.0 - rho, 1.0)
+        _, sq, inside, one_m, val = self._terms(x)
         gp = -one_m ** -2.0
         gpp = -2.0 * one_m ** -3.0
-        sq = np.einsum("...c,...c->...", x, x)
-        val = self.value(x)
         r2 = self.radius ** 2
         return np.where(inside,
                         val * ((gp ** 2 + gpp) * 4.0 * sq / r2 ** 2 + 4.0 * gp / r2),
@@ -731,32 +692,3 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
                             lambda v, mean, err: (mean - z * err, mean + z * err),
                             level, ensemble.n_replicas - len(kept))
 
-
-def discrete_funineq_ratio(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
-                           a: float = 0.5, b: float | None = None) -> np.ndarray:
-    """Discrete echo of the functional inequality along stored path pairs.
-
-    For each (replica, ordered pair), forms f(s_l) = alpha |R_(T, T-s_l)|^2
-    on the right-endpoint grid s_l = l dt and returns the ratios
-    sum (s+f)^-(1+a) dt / [kappa(a,b) (sum (s+f)^-(1+b) dt)^(a/b)].
-    """
-    if b is None:
-        b = ep.gamma - 1.0
-    cfg = ensemble.config
-    dt = cfg.dt
-    m_t = _horizon_index(ensemble, ep.horizon)
-    pairs = ordered_pairs(ensemble.n_particles)
-    i_idx, j_idx = _pair_index(pairs)
-    k_ab = kappa(a, b)
-    ratios = np.zeros((ensemble.n_replicas, len(pairs)))
-    s_grid = np.arange(1, m_t + 1) * dt
-    for r in range(ensemble.n_replicas):
-        pos = ensemble.positions[r, : m_t + 1]
-        # R_(T, T - s_l) = X^i_T - X^j_(T - s_l), l = 1..m_t
-        diff = pos[m_t, i_idx][None, :, :] - pos[m_t - np.arange(1, m_t + 1)][:, j_idx, :]
-        f_vals = ep.alpha * np.einsum("lkc,lkc->lk", diff, diff)
-        base = s_grid[:, None] + f_vals
-        lhs = dt * np.sum(base ** (-(1.0 + a)), axis=0)
-        rhs = k_ab * (dt * np.sum(base ** (-(1.0 + b)), axis=0)) ** (a / b)
-        ratios[r] = lhs / rhs
-    return ratios

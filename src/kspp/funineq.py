@@ -19,6 +19,9 @@ import numpy as np
 
 from .constants import kappa
 
+SWEEP_MAX_PIECES = 32   # pieces per random_sweep step function, at most
+SWEEP_REL_TOL = 1e-12   # random_sweep's violation threshold: ratio > 1 + this
+
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -142,20 +145,19 @@ class SweepResult:
     worst_ratio: float
 
 
-def random_sweep(n_cases: int, seed: int, max_pieces: int = 32,
-                 rel_tol: float = 1e-12) -> SweepResult:
+def random_sweep(n_cases: int, seed: int) -> SweepResult:
     """Property sweep: random step functions and exponents, exact integrals.
 
     Values are log-uniform in [1e-4, 1e2], horizons log-uniform in
     [1e-2, 1e2], 0 < a < b <= 3. A case counts as a violation when
-    ratio > 1 + rel_tol.
+    ratio > 1 + SWEEP_REL_TOL.
     """
     rng = np.random.default_rng(seed)
     evaluated = divergent = violations = 0
     worst = 0.0
     for _ in range(n_cases):
         t = 10.0 ** rng.uniform(-2.0, 2.0)
-        n_pieces = int(rng.integers(1, max_pieces + 1))
+        n_pieces = int(rng.integers(1, SWEEP_MAX_PIECES + 1))
         bps = np.sort(rng.uniform(0.0, t, size=n_pieces - 1))
         vals = 10.0 ** rng.uniform(-4.0, 2.0, size=n_pieces)
         b = rng.uniform(0.0, 3.0)
@@ -172,6 +174,6 @@ def random_sweep(n_cases: int, seed: int, max_pieces: int = 32,
             continue
         evaluated += 1
         worst = max(worst, res.ratio)
-        if res.ratio > 1.0 + rel_tol:
+        if res.ratio > 1.0 + SWEEP_REL_TOL:
             violations += 1
     return SweepResult(n_cases, evaluated, divergent, violations, worst)

@@ -24,6 +24,7 @@ import numpy as np
 from .kernels import KernelParams, SourceSpec
 from .simulator import InitSpec, SimConfig, TrajectoryEnsemble
 
+CSV_HEADER = "replica,particle,step,t,x,y"
 MAGIC = b"KSW1"
 _HEADER = struct.Struct("<4sIIId")   # magic, n_particles, n_steps, n_replicas, dt
 
@@ -32,7 +33,7 @@ def write_trajectory_csv(path: str | Path, ensemble: TrajectoryEnsemble) -> None
     pos = ensemble.positions
     dt = ensemble.config.dt
     with open(path, "w") as fh:
-        fh.write("replica,particle,step,t,x,y\n")
+        fh.write(CSV_HEADER + "\n")
         for r in range(pos.shape[0]):
             for i in range(pos.shape[2]):
                 for m in range(pos.shape[1]):
@@ -43,15 +44,26 @@ def write_trajectory_csv(path: str | Path, ensemble: TrajectoryEnsemble) -> None
 def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
     """Positions (R, M+1, N, 2) and dt from a trajectory CSV.
 
-    Every (replica, particle, step) of the grid spanned by the largest
-    indices must appear exactly once; a missing or duplicated row is a
-    ValueError. NaN coordinates (a blown replica's rows) are valid.
+    The header must be CSV_HEADER exactly and at least one row must follow.
+    Every field must hold a number; an empty field is a ValueError. Every
+    (replica, particle, step) of the grid spanned by the largest indices
+    must appear exactly once; a missing or duplicated row is a ValueError.
+    NaN coordinates (a blown replica's rows) are valid.
     """
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    reps = data["replica"].astype(int)
-    parts = data["particle"].astype(int)
-    steps = data["step"].astype(int)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != CSV_HEADER:
+            raise ValueError(f"{path}: header {header!r}, expected {CSV_HEADER!r}")
+        if not fh.readline():
+            raise ValueError(f"{path}: no trajectory rows after the header")
+        fh.seek(0)
+        try:
+            data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:   # an empty or non-numeric field
+            raise ValueError(f"{path}: {exc}") from None
+    if data.shape[1] != 6:
+        raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected 6")
+    reps, parts, steps = data[:, :3].astype(int).T
     shape = (reps.max() + 1, steps.max() + 1, parts.max() + 1)
     counts = np.bincount(np.ravel_multi_index((reps, steps, parts), shape),
                          minlength=math.prod(shape))
@@ -62,10 +74,9 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
                          f"and {duplicated} duplicated rows of the {counts.size} "
                          "(replica, particle, step) rows")
     pos = np.full(shape + (2,), np.nan)
-    pos[reps, steps, parts, 0] = data["x"]
-    pos[reps, steps, parts, 1] = data["y"]
+    pos[reps, steps, parts] = data[:, 4:]
     nonzero = steps > 0
-    dt = float(data["t"][nonzero][0] / steps[nonzero][0]) if nonzero.any() else 0.0
+    dt = float(data[nonzero, 3][0] / steps[nonzero][0]) if nonzero.any() else 0.0
     return pos, dt
 
 

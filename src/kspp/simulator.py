@@ -91,10 +91,6 @@ class SimConfig:
             raise ValueError("history_cutoff must be finite and positive when set, "
                              f"got {self.history_cutoff}")
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
 
 class BlowupError(RuntimeError):
     """A particle position became non-finite during integration."""
@@ -327,18 +323,6 @@ def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
                               positions[:, l0:m].take(j_idx, axis=2))
     return -config.dt * np.stack(_history_sums(*geometry, lags, w, config),
                                  axis=-1)
-
-
-def history_drift(ensemble: TrajectoryEnsemble, replica: int, i: int,
-                  m: int) -> np.ndarray:
-    """Interaction drift on particle i at step m: (1/(N-1)) sum_{j != i} D^{i,j}_m."""
-    if m < 0 or m > ensemble.n_steps:
-        raise ValueError(f"step {m} outside the grid")
-    n = ensemble.n_particles
-    others = [j for j in range(n) if j != i]
-    d = pair_drifts(ensemble.positions[replica: replica + 1],
-                    ensemble.config, m, [i] * len(others), others)
-    return d[0].sum(axis=0) / (n - 1)
 
 
 def _mean_drifts(pos: np.ndarray, m: int, config: SimConfig) -> np.ndarray:

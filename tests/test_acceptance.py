@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from kspp import cli, constants, estimators, funineq, kernels, simulator
+from kspp import cli, constants, estimators, kernels, simulator
 from kspp.estimators import EstimatorParams
 from kspp.kernels import KernelParams
 from kspp.simulator import InitSpec, SimConfig
@@ -52,20 +52,14 @@ def test_criterion_2_constant_spot_checks():
 
 
 def test_criterion_3_functional_inequality_suite():
-    sweep = funineq.random_sweep(10000, seed=7)
+    suite = cli.inequality_suite(10000, seed=7)
+    sweep = suite["sweep"]
     assert sweep.violations == 0
 
-    worst_gap = 0.0
-    for a in np.linspace(0.1, 2.0, 10):
-        for off in np.linspace(0.1, 1.0, 10):
-            b = float(a) + float(off)
-            want = constants.kappa(float(a), b)
-            for k in (0.1, 1.0, 10.0):
-                _, _, ratio = funineq.extremal_profile(k, float(a), b)
-                worst_gap = max(worst_gap, abs(ratio - want))
+    worst_gap = suite["extremal_grid_max_err"]
     assert worst_gap < 1e-9
 
-    ratios = funineq.tightness_scan([1e-1, 1e-2, 1e-3, 1e-4], 0.5, 1.0, 1.0)
+    ratios = suite["tightness_ratios"]
     assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
     assert all(r < 1.0 for r in ratios)
     assert ratios[-1] > 0.99

@@ -194,6 +194,30 @@ class TestEstimate:
         report = json.loads((est / "report.json").read_text())
         assert set(report["estimates"]) == {"E1", "E2", "E3", "E4", "S", "S_bar"}
 
+    @pytest.mark.parametrize("edit, message", [
+        # an empty field once read as NaN, i.e. as a blown replica
+        (lambda lines: [*lines[:5], lines[5].rsplit(",", 1)[0] + ",\n",
+                        *lines[6:]], "could not convert string ''"),
+        (lambda lines: ["replica,particle,step,t,x,z\n", *lines[1:]],
+         "header 'replica,particle,step,t,x,z'"),
+        (lambda lines: lines[:1], "no trajectory rows after the header")],
+        ids=["empty_field", "changed_header", "header_only"])
+    def test_malformed_csv_trajectory_exits_2(self, tmp_path, config_file,
+                                              capsys, edit, message):
+        run_out = tmp_path / "run"
+        cli.main(["simulate", "--config", str(config_file), "--out",
+                  str(run_out), "--format", "csv"])
+        lines = (run_out / "trajectory.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(edit(lines)))
+        capsys.readouterr()
+        rc = cli.main(["estimate", "--config", str(config_file), "--gamma",
+                       "1.62", "--alpha", "0.045", "--trajectory", str(bad),
+                       "--out", str(tmp_path / "est")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
 
 class TestThreshold:
     def test_single_point_table(self, tmp_path):

@@ -158,7 +158,8 @@ class TestHistoryDrift:
     def test_empty_history_is_zero(self):
         cfg = make_config(params=KernelParams(theta=1.0, chi=1.0, epsilon=0.05))
         ens = S.run(cfg)
-        np.testing.assert_array_equal(S.history_drift(ens, 0, 0, 0), [0.0, 0.0])
+        d = S.pair_drifts(ens.positions, cfg, 0, [0, 1], [1, 0])
+        np.testing.assert_array_equal(d, np.zeros((1, 2, 2)))
 
     def test_frozen_pair_matches_oracle(self):
         # positions pinned by chi = 0 and zero noise; criterion tolerance
