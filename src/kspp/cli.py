@@ -32,6 +32,9 @@ MODES = ("simulate", "estimate", "threshold", "verify-inequality",
 
 @dataclass
 class ExperimentManifest:
+    """One experiment; `options` holds every option of the mode's parser,
+    defaults included (see `_build_parser`)."""
+
     mode: str
     out_dir: Path
     config_path: Path | None = None
@@ -76,7 +79,7 @@ def _mode_simulate(manifest: ExperimentManifest) -> int:
     cfg = _load_config(manifest)
     out = manifest.out_dir
     ens = simulator.run(cfg)
-    fmt = manifest.options.get("format", "csv")
+    fmt = manifest.options["format"]
     if fmt in ("csv", "both"):
         io.write_trajectory_csv(out / "trajectory.csv", ens)
     if fmt in ("bin", "both"):
@@ -123,7 +126,7 @@ def _mode_estimate(manifest: ExperimentManifest) -> int:
         blowups = ens.blowups
     ep = estimators.EstimatorParams(
         gamma=opts["gamma"], alpha=opts["alpha"],
-        delta=opts.get("delta", 0.0), horizon=opts.get("horizon"))
+        delta=opts["delta"], horizon=opts.get("horizon"))
     report = estimators.paper_moments(ens, ep)
     _write_json(out / "report.json", report.to_json_dict())
     names = list(report.estimates)
@@ -185,17 +188,13 @@ def remark61_table() -> tuple[str, bool]:
 def _mode_threshold(manifest: ExperimentManifest) -> int:
     opts = manifest.options
     out = manifest.out_dir
-    if opts.get("remark61"):
+    if opts["remark61"]:
         table, ok = remark61_table()
         (out / "remark61.csv").write_text(table)
         print(table, end="")
         return 0 if ok else 1
     theta, p = opts["theta"], opts["p"]
-    settings = constants.SearchSettings(
-        coarse=opts.get("coarse", 60),
-        refine_rounds=opts.get("refine_rounds", 4),
-        refine_points=opts.get("refine_points", 15))
-    res = constants.chi_star(theta, p, settings)
+    res = constants.chi_star(theta, p)
     csv_text = ("theta,p,chi_star,best_gamma,best_alpha\n"
                 f"{theta:.8g},{p:.8g},{res.chi_star:.8g},"
                 f"{res.best_gamma:.8g},{res.best_alpha:.8g}\n")
@@ -225,7 +224,7 @@ def inequality_suite(cases: int, seed: int) -> dict:
 
 
 def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
-    suite = inequality_suite(manifest.options.get("cases", 10000),
+    suite = inequality_suite(manifest.options["cases"],
                              manifest.seed if manifest.seed is not None else 0)
     sweep, grid_err = suite["sweep"], suite["extremal_grid_max_err"]
     ratios = suite["tightness_ratios"]
@@ -248,10 +247,8 @@ def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
 def _mode_verify_kernels(manifest: ExperimentManifest) -> int:
     opts = manifest.options
     seed = manifest.seed if manifest.seed is not None else 0
-    fd_tol = opts.get("fd_tol", 1e-5)
-    norm_tol = opts.get("norm_tol", 1e-6)
-    n_env = opts.get("samples", 100000)
-    n_fd = opts.get("fd_points", 100)
+    fd_tol, norm_tol = opts["fd_tol"], opts["norm_tol"]
+    n_env, n_fd = opts["samples"], opts["fd_points"]
     rng = np.random.default_rng(seed)
 
     # finite differences vs the closed-form gradient
@@ -356,11 +353,11 @@ def martingale_suite(replicas: int, ito_steps: int, mart_steps: int,
 
 def _mode_martingale_test(manifest: ExperimentManifest) -> int:
     opts = manifest.options
-    steps = opts.get("steps", 64)
-    n_small, n_large = opts.get("n_small", 16), opts.get("n_large", 64)
-    lo_band, hi_band = opts.get("var_lo", 2.5), opts.get("var_hi", 6.0)
+    steps = opts["steps"]
+    n_small, n_large = opts["n_small"], opts["n_large"]
+    lo_band, hi_band = opts["var_lo"], opts["var_hi"]
     suite = martingale_suite(
-        opts.get("replicas", 10000), steps, steps, opts.get("batch", 500),
+        opts["replicas"], steps, steps, opts["batch"],
         seed=manifest.seed if manifest.seed is not None else 0,
         n_small=n_small, n_large=n_large)
     mean, (lo, hi) = float(suite["residuals"].mean()), suite["residual_ci"]
@@ -371,7 +368,7 @@ def _mode_martingale_test(manifest: ExperimentManifest) -> int:
     print(f"variance ratio N={n_small} vs N={n_large}: {ratio:.3f} "
           f"(band [{lo_band}, {hi_band}]) -> {'pass' if ratio_ok else 'FAIL'}")
     _write_json(manifest.out_dir / "martingale_test.json", {
-        "mode": "martingale-test", "replicas": opts.get("replicas", 10000),
+        "mode": "martingale-test", "replicas": opts["replicas"],
         "residual_mean": mean, "residual_ci": [lo, hi],
         "variances": {str(k): v for k, v in suite["variances"].items()},
         "variance_ratio": ratio, "band": [lo_band, hi_band],
@@ -383,24 +380,15 @@ def _mode_martingale_test(manifest: ExperimentManifest) -> int:
 def _mode_epsilon_study(manifest: ExperimentManifest) -> int:
     opts = manifest.options
     seed = manifest.seed if manifest.seed is not None else 3
-    eps_list = opts.get("epsilons", [0.1, 0.05, 0.025])
-    n_particles = opts.get("particles", 8)
-    steps = opts.get("steps", 128)
-    horizon = opts.get("horizon", 1.0)
-    chi = opts.get("chi", 0.3)
-    factor = opts.get("factor", 2.0)
-    gamma = opts.get("gamma", 1.52)
-    alpha = opts.get("alpha", 0.045)
-    sigma = opts.get("sigma", 2.0)
-    dt = horizon / steps
+    eps_list, chi, steps = opts["epsilons"], opts["chi"], opts["steps"]
     base = simulator.SimConfig(
         params=kernels.KernelParams(theta=1.0, chi=chi, epsilon=eps_list[0]),
-        n_particles=n_particles, dt=dt, n_steps=steps,
-        n_replicas=opts.get("replicas", 8),
-        seed=seed, init=simulator.InitSpec("gaussian", sigma=sigma))
+        n_particles=opts["particles"], dt=opts["horizon"] / steps,
+        n_steps=steps, n_replicas=opts["replicas"], seed=seed,
+        init=simulator.InitSpec("gaussian", sigma=opts["sigma"]))
     noise = simulator.draw_noise(base)
     initial = simulator.draw_initial(base)
-    ep = estimators.EstimatorParams(gamma=gamma, alpha=alpha)
+    ep = estimators.EstimatorParams(gamma=opts["gamma"], alpha=opts["alpha"])
     rows = []
     for eps in eps_list:
         cfg = dataclasses.replace(
@@ -410,6 +398,7 @@ def _mode_epsilon_study(manifest: ExperimentManifest) -> int:
         rows.append((eps, rep.estimates["E4"].value))
     values = [v for _, v in rows]
     spread = max(values) / min(values)
+    factor = opts["factor"]
     ok = spread < factor
     csv_text = "epsilon,E4\n" + "".join(f"{e:.8g},{v:.8g}\n" for e, v in rows)
     (manifest.out_dir / "epsilon_study.csv").write_text(csv_text)
@@ -475,9 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--p", type=float)
     p_thr.add_argument("--remark61", action="store_true",
                        help="emit the five-scenario reference table")
-    p_thr.add_argument("--coarse", type=int, default=60)
-    p_thr.add_argument("--refine-rounds", type=int, default=4)
-    p_thr.add_argument("--refine-points", type=int, default=15)
 
     p_vi = sub.add_parser("verify-inequality", help="functional inequality suite")
     common(p_vi)

@@ -1,8 +1,8 @@
 """Structural constants and the chemotactic sensitivity threshold.
 
 Everything here is deterministic scalar computation: the envelope constant
-C0, the closed-form constant kappa of the functional inequality, the
-derived constants C1/C2/C3 and the admissibility exponent r_p, the
+C0 and the constant kappa of the functional inequality, both in closed
+form, the derived constants C1/C2/C3 and the admissibility exponent r_p, the
 per-point sensitivity bound chi_{theta,alpha,gamma} (bisection on a
 strictly increasing map) and the optimized threshold chi*_{theta,p}
 (nested grid search over the open (gamma, alpha) box).
@@ -12,69 +12,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 CHI_REL_TOL = 1e-8    # chi_for's bisection stops at this relative width
 SEARCH_MARGIN = 1e-4  # chi_star's gap to the box edges, as a fraction of each range
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    h = b - a
-    if h <= xtol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    n = int(math.ceil(math.log(xtol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(n):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h *= _INV_PHI
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h *= _INV_PHI
-            d = a + _INV_PHI * h
-            yd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+SEARCH_COARSE = 60        # chi_star's coarse grid: gammas, and alphas per gamma
+SEARCH_REFINE_ROUNDS = 4  # shrinking refinement rounds around the incumbent
+SEARCH_REFINE_POINTS = 15  # gammas, and alphas per gamma, in each round
 
 
 def c0_const(beta: float) -> float:
-    """Envelope constant: sup over u >= 0 of sqrt(u) (1 + beta*u)^(3/2) e^(-u).
+    """Envelope constant: sup over u >= 0 of h(u) = sqrt(u) (1 + beta*u)^(3/2) e^(-u).
 
-    The objective vanishes at both ends of [0, inf) and may lose unimodality
-    for large beta, so a 2048-point log-spaced scan brackets the global
-    maximum before golden-section polish. Absolute tolerance ~1e-9.
+    d/du log h = 1/(2u) + 3 beta/(2(1 + beta*u)) - 1 vanishes exactly where
+    2 beta u^2 + (2 - 4 beta) u - 1 = 0. For beta > 0 that quadratic is
+    -1 at u = 0 and opens upward, so it has exactly one positive root; for
+    beta = 0 the root is u = 1/2. h vanishes at u = 0 and as u -> inf, so
+    that root is the unique maximiser u*. With b = 2 - 4 beta and
+    s = sqrt(b^2 + 8 beta), u* = 2/(b + s) for b >= 0 and (s - b)/(4 beta)
+    otherwise: the two forms are equal, and each avoids cancellation on its
+    side.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return _c0_cached(float(beta))
-
-
-@lru_cache(maxsize=8192)
-def _c0_cached(beta: float) -> float:
-
-    def h(u: float) -> float:
-        return math.sqrt(u) * (1.0 + beta * u) ** 1.5 * math.exp(-u)
-
-    grid = np.geomspace(1e-6, 50.0, 2048)
-    vals = np.sqrt(grid) * (1.0 + beta * grid) ** 1.5 * np.exp(-grid)
-    i = int(np.argmax(vals))
-    lo = grid[i - 1] if i > 0 else 0.0
-    hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
-    _, best = _golden_max(h, lo, hi, xtol=1e-10)
-    return max(best, float(vals[i]))
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    b = 2.0 - 4.0 * beta
+    s = math.sqrt(b * b + 8.0 * beta)
+    u = 2.0 / (b + s) if b >= 0.0 else (s - b) / (4.0 * beta)
+    return math.sqrt(u) * (1.0 + beta * u) ** 1.5 * math.exp(-u)
 
 
 def kappa(a: float, b: float) -> float:
@@ -107,10 +73,10 @@ class StructuralParams:
             raise ValueError(
                 f"alpha must lie in (0, {a_max:.6g}) for gamma={self.gamma}, "
                 f"got {self.alpha}")
-        if self.theta <= 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if self.p <= 2:
-            raise ValueError(f"p must be > 2, got {self.p}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
+        if not 2.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and > 2, got {self.p}")
 
     @property
     def r_p(self) -> float:
@@ -126,8 +92,8 @@ class StructuralConstants(NamedTuple):
 
 def gamma_upper(p: float) -> float:
     """Upper end (2p+2)/(p+2) of the admissible gamma interval."""
-    if p <= 2:
-        raise ValueError(f"p must be > 2, got {p}")
+    if not 2.0 < p < math.inf:
+        raise ValueError(f"p must be finite and > 2, got {p}")
     return (2.0 * p + 2.0) / (p + 2.0)
 
 
@@ -192,15 +158,6 @@ class ThresholdResult:
     audit: list[tuple[float, float, float]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class SearchSettings:
-    """Grid sizes for the nested (gamma, alpha) search."""
-
-    coarse: int = 60
-    refine_rounds: int = 4
-    refine_points: int = 15
-
-
 def _alpha_grid(gamma: float, lo_frac: float, hi_frac: float, n: int) -> np.ndarray:
     """Log-spaced alpha samples strictly inside (0, 1/(4(gamma-1)))."""
     a_max = 1.0 / (4.0 * (gamma - 1.0))
@@ -211,8 +168,7 @@ def _alpha_grid(gamma: float, lo_frac: float, hi_frac: float, n: int) -> np.ndar
     return np.geomspace(lo, hi, n)
 
 
-def chi_star(theta: float, p: float,
-             search: SearchSettings | None = None) -> ThresholdResult:
+def chi_star(theta: float, p: float) -> ThresholdResult:
     """Maximize chi_for over the open feasible (gamma, alpha) box.
 
     Deterministic coarse grid (linear in gamma, log in alpha) followed by
@@ -220,9 +176,8 @@ def chi_star(theta: float, p: float,
     lexicographically on (gamma, alpha). Every evaluated point is appended
     to the audit trail.
     """
-    if theta <= 0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    s = search or SearchSettings()
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
     g_lo, g_hi = 1.5, min(2.0, gamma_upper(p))
     g_span = g_hi - g_lo
     g_first, g_last = g_lo + SEARCH_MARGIN * g_span, g_hi - SEARCH_MARGIN * g_span
@@ -240,26 +195,26 @@ def chi_star(theta: float, p: float,
         if chi > best[0] or (chi == best[0] and (gamma, alpha) < best[1:]):
             best = (chi, gamma, alpha)
 
-    for g in np.linspace(g_first, g_last, s.coarse):
-        for a in _alpha_grid(float(g), SEARCH_MARGIN, 1.0, s.coarse):
+    for g in np.linspace(g_first, g_last, SEARCH_COARSE):
+        for a in _alpha_grid(float(g), SEARCH_MARGIN, 1.0, SEARCH_COARSE):
             consider(float(g), float(a))
 
-    dg = g_span / (s.coarse - 1)
+    dg = g_span / (SEARCH_COARSE - 1)
     # adjacent-point ratio of the coarse log-spaced alpha grid
-    da_ratio = ((1.0 - SEARCH_MARGIN) / SEARCH_MARGIN) ** (1.0 / (s.coarse - 1))
-    for _ in range(s.refine_rounds):
+    da_ratio = ((1.0 - SEARCH_MARGIN) / SEARCH_MARGIN) ** (1.0 / (SEARCH_COARSE - 1))
+    for _ in range(SEARCH_REFINE_ROUNDS):
         chi_b, g_b, a_b = best
         g_min = max(g_first, g_b - dg)
         g_max = min(g_last, g_b + dg)
-        gammas = np.linspace(g_min, g_max, s.refine_points)
+        gammas = np.linspace(g_min, g_max, SEARCH_REFINE_POINTS)
         for g in gammas:
             a_max_g = 1.0 / (4.0 * (float(g) - 1.0))
             lo_frac = a_b / da_ratio / a_max_g
             hi_frac = a_b * da_ratio / a_max_g
-            for a in _alpha_grid(float(g), lo_frac, hi_frac, s.refine_points):
+            for a in _alpha_grid(float(g), lo_frac, hi_frac, SEARCH_REFINE_POINTS):
                 consider(float(g), float(a))
-        dg = (g_max - g_min) / (s.refine_points - 1)
-        da_ratio = da_ratio ** (2.0 / (s.refine_points - 1))
+        dg = (g_max - g_min) / (SEARCH_REFINE_POINTS - 1)
+        da_ratio = da_ratio ** (2.0 / (SEARCH_REFINE_POINTS - 1))
 
     chi_b, g_b, a_b = best
     return ThresholdResult(chi_star=chi_b, best_gamma=g_b, best_alpha=a_b, audit=audit)

@@ -57,10 +57,10 @@ class EstimatorParams:
         a_max = 1.0 / (4.0 * (self.gamma - 1.0))
         if not 0.0 < self.alpha < a_max:
             raise ValueError(f"alpha must lie in (0, {a_max:.6g}), got {self.alpha}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
 
 
 @dataclass

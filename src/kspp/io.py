@@ -48,6 +48,9 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
     Every field must hold a number; an empty field is a ValueError. Every
     (replica, particle, step) of the grid spanned by the largest indices
     must appear exactly once; a missing or duplicated row is a ValueError.
+    The index fields must be non-negative integers, and dt is t / step of
+    the first row with step > 0: a row whose t differs from step * dt by
+    more than 1e-12 * max(1, |step * dt|) is a ValueError naming its data row.
     NaN coordinates (a blown replica's rows) are valid.
     """
     with open(path) as fh:
@@ -63,7 +66,14 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
             raise ValueError(f"{path}: {exc}") from None
     if data.shape[1] != 6:
         raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected 6")
-    reps, parts, steps = data[:, :3].astype(int).T
+    index = data[:, :3]
+    bad = ~np.all(np.isfinite(index) & (index >= 0) & (index == np.floor(index)),
+                  axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{path}: data row {k + 1}: index fields {index[k].tolist()} "
+                         "are not all non-negative integers")
+    reps, parts, steps = index.astype(int).T
     shape = (reps.max() + 1, steps.max() + 1, parts.max() + 1)
     counts = np.bincount(np.ravel_multi_index((reps, steps, parts), shape),
                          minlength=math.prod(shape))
@@ -77,6 +87,12 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
     pos[reps, steps, parts] = data[:, 4:]
     nonzero = steps > 0
     dt = float(data[nonzero, 3][0] / steps[nonzero][0]) if nonzero.any() else 0.0
+    grid_t = steps * dt
+    bad = ~(np.abs(data[:, 3] - grid_t) <= 1e-12 * np.maximum(1.0, np.abs(grid_t)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{path}: data row {k + 1}: t = {float(data[k, 3])!r} is not "
+                         f"step * dt = {steps[k]} * {dt!r}")
     return pos, dt
 
 

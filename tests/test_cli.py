@@ -200,8 +200,13 @@ class TestEstimate:
                         *lines[6:]], "could not convert string ''"),
         (lambda lines: ["replica,particle,step,t,x,z\n", *lines[1:]],
          "header 'replica,particle,step,t,x,z'"),
-        (lambda lines: lines[:1], "no trajectory rows after the header")],
-        ids=["empty_field", "changed_header", "header_only"])
+        (lambda lines: lines[:1], "no trajectory rows after the header"),
+        (lambda lines: [*lines[:3], lines[3].replace(",2,", ",1.9,", 1),
+                        *lines[4:]], "data row 3: index fields [0.0, 0.0, 1.9]"),
+        (lambda lines: [*lines[:4], "0,0,3,99,0,0\n", *lines[5:]],
+         "data row 4: t = 99.0 is not step * dt = 3 * 0.01")],
+        ids=["empty_field", "changed_header", "header_only", "fractional_step",
+             "wrong_t"])
     def test_malformed_csv_trajectory_exits_2(self, tmp_path, config_file,
                                               capsys, edit, message):
         run_out = tmp_path / "run"
@@ -223,8 +228,7 @@ class TestThreshold:
     def test_single_point_table(self, tmp_path):
         out = tmp_path / "thr"
         rc = cli.main(["threshold", "--theta", "1.0", "--p", "3.31",
-                       "--out", str(out), "--coarse", "25",
-                       "--refine-rounds", "2", "--refine-points", "9"])
+                       "--out", str(out)])
         assert rc == 0
         lines = (out / "threshold.csv").read_text().strip().splitlines()
         assert lines[0] == "theta,p,chi_star,best_gamma,best_alpha"
@@ -233,6 +237,15 @@ class TestThreshold:
 
     def test_requires_args(self, tmp_path):
         assert cli.main(["threshold", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("theta, p", [
+        ("nan", "3.31"), ("inf", "3.31"), ("-inf", "3.31"),
+        ("1.0", "nan"), ("1.0", "inf"), ("1.0", "-inf")])
+    def test_nonfinite_exits_2(self, tmp_path, theta, p):
+        out = tmp_path / "thr"
+        assert cli.main(["threshold", f"--theta={theta}", f"--p={p}",
+                         "--out", str(out)]) == 2
+        assert not (out / "threshold.csv").exists()
 
 
 class TestVerification:

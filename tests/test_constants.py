@@ -2,16 +2,79 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspp import constants as C
+
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+def _h(u, beta):
+    return np.sqrt(u) * (1.0 + beta * u) ** 1.5 * np.exp(-u)
+
+
+def _golden_max(f, lo, hi, xtol):
+    """Golden-section maximization of a unimodal f on [lo, hi]."""
+    inv_phi, inv_phi2 = (math.sqrt(5.0) - 1.0) / 2.0, (3.0 - math.sqrt(5.0)) / 2.0
+    a, b = lo, hi
+    h = b - a
+    if h <= xtol:
+        return f(0.5 * (a + b))
+    n = int(math.ceil(math.log(xtol / h) / math.log(inv_phi)))
+    c, d = a + inv_phi2 * h, a + inv_phi * h
+    yc, yd = f(c), f(d)
+    for _ in range(n):
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h *= inv_phi
+            c = a + inv_phi2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= inv_phi
+            d = a + inv_phi * h
+            yd = f(d)
+    return f(0.5 * (a + b))
+
+
+def _c0_reference(beta):
+    """C0 as a numerical supremum: a 2048-point log-spaced scan, then a
+    golden-section polish (xtol 1e-10) of the bracketing interval."""
+    def h(u):
+        return math.sqrt(u) * (1.0 + beta * u) ** 1.5 * math.exp(-u)
+
+    grid = np.geomspace(1e-6, 50.0, 2048)
+    vals = _h(grid, beta)
+    i = int(np.argmax(vals))
+    lo = grid[i - 1] if i > 0 else 0.0
+    hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
+    return max(_golden_max(h, lo, hi, 1e-10), float(vals[i]))
+
+
+BETAS = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e))
 
 
 class TestC0:
     def test_beta_zero_closed_form(self):
         # sup of sqrt(u) e^{-u} is attained at u = 1/2
         exact = math.sqrt(0.5) * math.exp(-0.5)
-        assert C.c0_const(0.0) == pytest.approx(exact, abs=1e-9)
+        assert abs(C.c0_const(0.0) - exact) <= math.ulp(exact)
         assert C.c0_const(0.0) == pytest.approx(0.429, abs=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=BETAS)
+    def test_matches_numerical_supremum(self, beta):
+        assert C.c0_const(beta) == pytest.approx(_c0_reference(beta), rel=2e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(beta=BETAS)
+    def test_is_the_supremum(self, beta):
+        # a dense log grid plus a linear one over [1/2, 2], which holds the
+        # maximiser for every beta; each evaluation of h rounds by a few ulps
+        c0 = C.c0_const(beta)
+        u = np.concatenate([np.geomspace(1e-8, 1e3, 20001),
+                            np.linspace(0.5, 2.0, 20001)])
+        assert _h(u, beta).max() <= c0 * (1.0 + 8.0 * np.finfo(float).eps)
 
     def test_reference_point(self):
         assert C.c0_const(0.52) == pytest.approx(0.6895, abs=5e-4)
@@ -23,6 +86,11 @@ class TestC0:
     def test_domain(self):
         with pytest.raises(ValueError):
             C.c0_const(-1e-12)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="beta"):
+            C.c0_const(bad)
 
 
 class TestKappa:
@@ -94,6 +162,13 @@ class TestStructuralConstants:
         with pytest.raises(ValueError):
             C.StructuralParams(gamma=1.6, alpha=0.05, theta=1.0, p=1.5)
 
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_nonfinite(self, bad):
+        for field in ("theta", "p"):
+            with pytest.raises(ValueError, match=field):
+                C.StructuralParams(**{"gamma": 1.6, "alpha": 0.05,
+                                      "theta": 1.0, field: bad})
+
 
 class TestAdmissibility:
     SP = C.StructuralParams(gamma=1.62, alpha=0.045, theta=1.0, p=3.31)
@@ -125,8 +200,7 @@ class TestAdmissibility:
 
 class TestChiStar:
     def test_audit_consistency(self):
-        res = C.chi_star(1.0, 3.31, C.SearchSettings(coarse=20, refine_rounds=2,
-                                                     refine_points=9))
+        res = C.chi_star(1.0, 3.31)
         chis = [chi for _, _, chi in res.audit]
         assert res.chi_star == max(chis)
         assert (res.best_gamma, res.best_alpha, res.chi_star) in [
@@ -137,8 +211,7 @@ class TestChiStar:
             assert 0.0 < a < 1.0 / (4.0 * (g - 1.0))
 
     def test_dominates_fixed_point(self):
-        res = C.chi_star(1.0, 3.31, C.SearchSettings(coarse=20, refine_rounds=2,
-                                                     refine_points=9))
+        res = C.chi_star(1.0, 3.31)
         sp = C.StructuralParams(gamma=1.62, alpha=0.045, theta=1.0, p=3.31)
         assert res.chi_star >= C.chi_for(sp) * (1 - 1e-6)
 
@@ -146,3 +219,12 @@ class TestChiStar:
         assert C.gamma_upper(3.31) == pytest.approx((2 * 3.31 + 2) / (3.31 + 2))
         with pytest.raises(ValueError):
             C.gamma_upper(2.0)
+
+    @pytest.mark.parametrize("bad", NONFINITE)
+    def test_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="p must"):
+            C.gamma_upper(bad)
+        with pytest.raises(ValueError, match="theta"):
+            C.chi_star(bad, 3.31)
+        with pytest.raises(ValueError, match="p must"):
+            C.chi_star(1.0, bad)

@@ -48,6 +48,12 @@ class TestEstimatorParams:
         with pytest.raises(ValueError):
             E.EstimatorParams(gamma=1.6, alpha=0.05, delta=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite(self, bad):
+        for field in ("delta", "horizon"):
+            with pytest.raises(ValueError, match=field):
+                E.EstimatorParams(gamma=1.62, alpha=0.045, **{field: bad})
+
     def test_horizon_must_hit_grid(self):
         ens = brownian_ensemble(n_steps=10, n_replicas=1)
         with pytest.raises(ValueError):

@@ -39,6 +39,26 @@ class TestTrajectoryFiles:
         with pytest.raises(ValueError, match="2 duplicated"):
             io.read_trajectory_csv(tmp_path / "dup.csv")
 
+    @pytest.mark.parametrize("line, column, value, message", [
+        (6, 2, "3.7", r"data row 6: index fields \[0.0, 1.0, 3.7\]"),
+        (2, 2, "-1", r"data row 2: index fields \[0.0, 0.0, -1.0\]"),
+        (3, 0, "nan", r"data row 3: index fields \[nan, 0.0, 2.0\]"),
+        (4, 3, "99", r"data row 4: t = 99.0 is not step \* dt = 3 \* 0.25"),
+        (1, 3, "nan", r"data row 1: t = nan is not step \* dt = 0 \* 0.25")],
+        ids=["fractional_step", "negative_step", "nan_replica", "wrong_t", "nan_t"])
+    def test_csv_index_and_time_checked(self, tmp_path, line, column, value,
+                                        message):
+        ens = small_ensemble()
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, ens)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[line].split(",")
+        fields[column] = value
+        lines[line] = ",".join(fields)
+        (tmp_path / "bad.csv").write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"bad.csv: {message}"):
+            io.read_trajectory_csv(tmp_path / "bad.csv")
+
     def test_binary_roundtrip(self, tmp_path):
         ens = small_ensemble()
         path = tmp_path / "traj.ksw1"
