@@ -316,13 +316,31 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                            excluded=ensemble.n_replicas - len(kept))
 
 
+def _holder_tiles(times: np.ndarray, beta: float):
+    """Tiles of s rows of the (s, t) grid: (s0, s1, mask t - s > 0, and
+    (t - s)^beta on the mask), each tile's geometry (dx, dy, |.|^2 and
+    one temporary) within DRIFT_BUDGET_BYTES (never fewer than one row)."""
+    rows = max(1, DRIFT_BUDGET_BYTES // (32 * len(times)))
+    for s0 in range(0, len(times), rows):
+        s1 = min(s0 + rows, len(times))
+        gaps = times[None, :] - times[s0:s1, None]
+        upper = gaps > 0
+        yield s0, s1, upper, gaps[upper] ** beta
+
+
+def _holder_max(path: np.ndarray, tiles) -> float:
+    """max over the masked (s, t) pairs of |path_t - path_s| / (t - s)^beta,
+    tile by tile; the max does not depend on the tiling."""
+    best = -math.inf
+    for s0, s1, upper, den in tiles:
+        _, _, sq = _pair_geometry(path[None, :], path[s0:s1, None])
+        best = max(best, float(np.max(np.sqrt(sq[upper]) / den)))
+    return best
+
+
 def holder_ratio_max(path: np.ndarray, times: np.ndarray, beta: float) -> float:
     """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta."""
-    diff = path[None, :, :] - path[:, None, :]
-    gaps = times[None, :] - times[:, None]
-    mag = np.sqrt(np.einsum("stc,stc->st", diff, diff))
-    upper = gaps > 0
-    return float(np.max(mag[upper] / gaps[upper] ** beta))
+    return _holder_max(path, _holder_tiles(times, beta))
 
 
 @dataclass
@@ -360,6 +378,9 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
     q = 2.0 * (ep.gamma - 1.0)
     times = ensemble.times[: m_t + 1]
+    # one tile: its (t - s)^beta is raised once for every replica
+    tiles = (list(_holder_tiles(times, beta))
+             if 32 * len(times) ** 2 <= DRIFT_BUDGET_BYTES else None)
     kept = _finite_replicas(ensemble, m_t)
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
@@ -374,7 +395,8 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
         tails = dt * np.sum(d_mag[:, :-1] ** q, axis=1)
         for b, tail in zip(block, tails):
-            z_hat[b] = holder_ratio_max(gamma_paths[b - block.start], times, beta)
+            z_hat[b] = _holder_max(gamma_paths[b - block.start],
+                                   tiles or _holder_tiles(times, beta))
             bound[b] = chi / (n - 1) * math.fsum(1.0 + t for t in tail)
     return HolderStats(beta, z_hat, bound, slack,
                        excluded=ensemble.n_replicas - len(kept))
@@ -391,17 +413,26 @@ class GaussianBump:
     name = TEST_FUNCTION_VERSIONS["gaussian-bump"]
 
     @staticmethod
-    def value(u, x):
-        sq = np.einsum("...c,...c->...", x, x)
-        return np.exp(-np.minimum(u + sq, EXP_CLAMP))
+    def value_sq(u, sq, out=None):
+        """F at squared length `sq` of x, written into `out` if given."""
+        f = np.minimum(np.add(u, sq, out=out), EXP_CLAMP, out=out)
+        return np.exp(np.negative(f, out=out), out=out)
 
     @staticmethod
-    def heat(u, x, out=None):
-        """(d/dt + Laplacian) F = (4|x|^2 - 5) F, written into `out` if given."""
+    def heat_sq(sq, f, out=None):
+        """(d/dt + Laplacian) F = (4|x|^2 - 5) F from sq = |x|^2 and
+        f = value_sq(u, sq), written into `out` if given (`out` may be sq)."""
+        h = np.subtract(np.multiply(sq, 4.0, out=out), 5.0, out=out)
+        return np.multiply(h, f, out=out)
+
+    @staticmethod
+    def value(u, x):
+        return GaussianBump.value_sq(u, np.einsum("...c,...c->...", x, x))
+
+    @staticmethod
+    def heat(u, x):
         sq = np.einsum("...c,...c->...", x, x)
-        f = np.minimum(np.add(u, sq, out=out), EXP_CLAMP, out=out)
-        f = np.exp(np.negative(f, out=out), out=out)
-        return np.multiply(4.0 * sq - 5.0, f, out=out)
+        return GaussianBump.heat_sq(sq, GaussianBump.value_sq(u, sq))
 
     @staticmethod
     def grad(u, x):
@@ -458,14 +489,19 @@ class CompactBump:
 
     def _terms(self, x):
         """x as floats, |x|^2, the mask rho < 1 (rho = |x|^2 / R^2), 1 - rho
-        (1 outside) and the bump itself: what value, grad and lap share."""
+        (1 outside) and the bump itself: what value, grad and lap share.
+        1 - rho and the bump are formed in place, one array each."""
         x = np.asarray(x, float)
         sq = np.einsum("...c,...c->...", x, x)
-        rho = sq / self.radius ** 2
-        inside = rho < 1.0
-        one_m = np.where(inside, 1.0 - rho, 1.0)
+        one_m = np.divide(sq, self.radius ** 2, out=np.empty_like(sq))  # rho
+        inside = one_m < 1.0
+        np.subtract(1.0, one_m, out=one_m)
+        one_m[~inside] = 1.0
         with np.errstate(divide="ignore", over="ignore"):
-            val = np.where(inside, np.exp(1.0 - 1.0 / one_m), 0.0)
+            val = np.divide(1.0, one_m, out=np.empty_like(one_m))
+            np.subtract(1.0, val, out=val)
+            np.exp(val, out=val)
+        val[~inside] = 0.0
         return x, sq, inside, one_m, val
 
     def value(self, x):
@@ -478,13 +514,24 @@ class CompactBump:
         return coef[..., None] * x
 
     def lap(self, x):
+        """val ((gp^2 + gpp) 4|x|^2 / R^4 + 4 gp / R^2) inside, 0 outside,
+        with gp = -(1 - rho)^-2 and gpp = -2 (1 - rho)^-3: each operation
+        in place, in val, 1 - rho (which becomes gpp) and two arrays more."""
         _, sq, inside, one_m, val = self._terms(x)
-        gp = -one_m ** -2.0
-        gpp = -2.0 * one_m ** -3.0
         r2 = self.radius ** 2
-        return np.where(inside,
-                        val * ((gp ** 2 + gpp) * 4.0 * sq / r2 ** 2 + 4.0 * gp / r2),
-                        0.0)
+        gp = np.negative(np.power(one_m, -2.0), out=np.empty_like(one_m))
+        gpp = np.multiply(np.power(one_m, -3.0, out=one_m), -2.0, out=one_m)
+        h = np.multiply(gp, gp, out=np.empty_like(gp))
+        h += gpp
+        h *= 4.0
+        h *= sq
+        h /= r2 ** 2
+        gp *= 4.0
+        gp /= r2
+        h += gp
+        val *= h
+        val[~inside] = 0.0
+        return val
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +561,12 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
 
     The (n_boot, R) resample indices and their row means are drawn in row
     chunks whose indices and gathered values fit DRIFT_BUDGET_BYTES; the
-    chunks consume the generator as one (n_boot, R) draw would.
+    chunks consume the generator as one (n_boot, R) draw would. The two
+    percentiles are np.quantile's default (linear) ones, taken from order
+    statistics: the first np.quantile call imports numpy.ma.
     """
+    if not 0.0 <= level <= 1.0:
+        raise ValueError(f"level must lie in [0, 1], got {level}")
     rng = np.random.default_rng(seed)
     values = np.asarray(values, float)
     r_n = len(values)
@@ -525,8 +576,26 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
         hi = min(lo + rows, n_boot)
         idx = rng.integers(0, r_n, size=(hi - lo, r_n))
         means[lo:hi] = values[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return float(lo), float(hi)
+    # as np.quantile: the virtual index v = (n - 1) q lies between the order
+    # statistics floor(v) and floor(v) + 1, both the last one (index -1)
+    # when v reaches it; numpy's _lerp rule interpolates with weight v minus
+    # the lower index, and a NaN mean makes both ends NaN. numpy's kth set
+    # (with 0 and the last index) also places equal values, 0.0 and -0.0,
+    # as it does
+    last = n_boot - 1
+    virt = [last * q for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
+    nbrs = [(math.floor(v), math.floor(v) + 1) if v < last else (-1, -1)
+            for v in virt]
+    means.partition(sorted({k % n_boot for pair in nbrs for k in pair}
+                           | {0, last}))
+    if math.isnan(means[last]):
+        return math.nan, math.nan
+    ends = []
+    for v, (k, k1) in zip(virt, nbrs):
+        a, b, t = means[k], means[k1], v - k
+        ends.append(float(b - (b - a) * (1.0 - t) if t >= 0.5
+                          else a + (b - a) * t))
+    return ends[0], ends[1]
 
 
 def _residual_report(values: np.ndarray, ci, level: float,
@@ -539,6 +608,21 @@ def _residual_report(values: np.ndarray, ci, level: float,
         lo, hi = ci(values, mean, err)
     return ResidualReport(mean, err, lo, hi, passes=lo <= 0.0 <= hi,
                           per_replica=values, level=level, excluded=excluded)
+
+
+def _inner_tables(m_t: int, dt: float, u0: int, u1: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows u0..u1-1 of the (u, s) grid tables: the lag u - s and the inner
+    trapezoid weights over s in [0, u], zero above the diagonal.
+
+    Above the diagonal the lag is 0, not u - s < 0: F = e^(s - u - |x|^2)
+    overflowed there once t passed about 709, and inf times the zero
+    weight made the residual NaN."""
+    times = np.arange(m_t + 1) * dt
+    w_inner = np.zeros((u1 - u0, m_t + 1))
+    for m in range(max(u0, 1), u1):
+        w_inner[m - u0, : m + 1] = _trap_weights(m, dt)
+    return np.maximum(times[u0:u1, None] - times[None, :], 0.0), w_inner
 
 
 def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -570,20 +654,22 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     gaussian = f_spec == "gaussian-bump"
     if gaussian:
         times = np.arange(m_t + 1) * dt
-        # inner trapezoid weights over s in [0, u], one row per u (zero above diagonal)
-        w_inner = np.zeros((m_t + 1, m_t + 1))
-        for m in range(1, m_t + 1):
-            w_inner[m, : m + 1] = _trap_weights(m, dt)
-        lag_mat = times[:, None] - times[None, :]  # u - s, valid on s <= u
         lag_ut = times[m_t] - times                # t - s
-        # the (u, s) pair grid dominates the interaction drift's geometry
-        blocks = replica_blocks(len(kept), len(i_idx), (m_t + 1) ** 2)
-        # the block grids are allocated once per call: fresh ones in every
+        n_t, n_k = m_t + 1, len(i_idx)
+        # the (u, s) grid in tiles of u rows: whole while one replica's two
+        # grids, 16 * K * T^2 bytes, fit DRIFT_BUDGET_BYTES, else the most
+        # rows that fit (never fewer than one); every u row is summed whole,
+        # so the bits do not depend on the tiling
+        rows = min(n_t, max(1, DRIFT_BUDGET_BYTES // (16 * n_k * n_t)))
+        tiles = [(u0, min(u0 + rows, n_t)) for u0 in range(0, n_t, rows)]
+        tables = _inner_tables(m_t, dt, 0, n_t) if len(tiles) == 1 else None
+        blocks = replica_blocks(len(kept), n_k, rows * n_t)
+        # the two grids are allocated once per call: fresh ones in every
         # block made glibc's malloc trim and refault its heap (about 80 000
         # page faults at R = 500, M = 128) unless an earlier large free had
         # raised its mmap threshold
-        grid = (len(blocks[0]) if blocks else 0, len(i_idx), m_t + 1, m_t + 1)
-        diff_buf, heat_buf = np.empty(grid + (2,)), np.empty(grid)
+        size = (len(blocks[0]) if blocks else 0) * n_k * rows * n_t
+        grid_a, grid_b = np.empty(size), np.empty(size)
     else:
         pot = PairPotential(ep.gamma)
         blocks = replica_blocks(len(kept), n * n, m_t + 1)
@@ -601,15 +687,34 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             lhs = _row_dot(GaussianBump.value(lag_ut, xi[:, :, m_t:] - xj), w_tr)
             t1 = _row_dot(GaussianBump.value(0.0, xi - xj), w_tr)
             b = len(block)
-            diff = np.subtract(xi[:, :, :, None], xj[:, :, None],
-                               out=diff_buf[:b])  # (B, K, u, s, 2)
-            heat = GaussianBump.heat(lag_mat, diff, out=heat_buf[:b])
-            heat *= w_inner
-            t2 = _row_dot(np.sum(heat, axis=-1), w_tr)
-            per_pair = lhs - t1 - t2
+            row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
+            grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
+            for u0, u1 in tiles:
+                lag, w_in = tables or _inner_tables(m_t, dt, u0, u1)
+                shape = (b, n_k, u1 - u0, n_t)
+                sq = grid_a[: b * n_k * (u1 - u0) * n_t].reshape(shape)
+                f = grid_b[: sq.size].reshape(shape)
+                # x_u - y_s by coordinate, |.|^2, then F and the heat
+                # operator in place; F is shared with grad F = -2 x F
+                now, past = xi[:, :, u0:u1, None], xj[:, :, None]
+                np.subtract(now[..., 0], past[..., 0], out=sq)
+                np.subtract(now[..., 1], past[..., 1], out=f)
+                sq *= sq
+                f *= f
+                sq += f
+                GaussianBump.value_sq(lag, sq, out=f)
+                heat = GaussianBump.heat_sq(sq, f, out=sq)
+                heat *= w_in
+                row_sums[:, :, u0:u1] = np.sum(heat, axis=-1)
+                if chi != 0.0:
+                    for c in range(2):
+                        g = np.subtract(now[..., c], past[..., c], out=sq)
+                        g *= -2.0
+                        g *= f
+                        grad_int[:, :, u0:u1, c] = np.einsum(
+                            "us,...us->...u", w_in, g)
+            per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
             if chi != 0.0:
-                grad_int = np.einsum("us,...usc->...uc", w_inner,
-                                     GaussianBump.grad(lag_mat, diff))
                 per_pair -= chi * _row_dot(
                     np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
         else:

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import kspp
 from kspp import estimators as E, simulator as S
 from kspp.constants import c0_const, kappa
-from kspp.kernels import KernelParams, SourceSpec, background_field
+from kspp.kernels import EXP_CLAMP, KernelParams, SourceSpec, background_field
 
 
 def frozen_pair_ensemble(dt=2.0 ** -10, n_steps=1024, distance=1.0, chi=1.0,
@@ -408,6 +413,19 @@ class TestHolderModulus:
         assert np.array_equal(stats.z_hat, z_hat)
         assert np.array_equal(stats.bound, bound)
 
+    def test_row_tiles_match_whole_grid(self):
+        # 21 grid times: 32 * 21 bytes per s row, so 3 rows a tile and 7
+        # tiles; the max over the tiles is the max over the whole grid
+        ens = brownian_ensemble(n_particles=3, n_steps=20, n_replicas=6,
+                                seed=3, chi=0.9)
+        whole = E.holder_modulus(ens, EP)
+        with mock.patch.object(E, "DRIFT_BUDGET_BYTES", 3 * 32 * 21):
+            assert [t[:2] for t in E._holder_tiles(ens.times, 0.3)][-2:] \
+                == [(15, 18), (18, 21)]
+            tiled = E.holder_modulus(ens, EP)
+        assert np.array_equal(tiled.z_hat, whole.z_hat)
+        assert np.array_equal(tiled.bound, whole.bound)
+
 
 class TestTestFunctions:
     def test_pair_potential_gradient_fd(self):
@@ -482,6 +500,53 @@ class TestTestFunctions:
             assert E.GaussianBump.heat(u, x) == pytest.approx(
                 dt_fd + lap_fd, rel=1e-4, abs=1e-7)
 
+    @pytest.mark.parametrize("radius", [3.0, 0.7])
+    def test_compact_bump_matches_expression(self, radius):
+        # the in-place value, grad and lap against the whole-array
+        # expressions, bit for bit, inside, outside and on strided windows
+        bump = E.CompactBump(radius)
+        rng = np.random.default_rng(7)
+        points = rng.uniform(-1.2 * radius, 1.2 * radius, (5, 33, 16, 2))
+        for x in (points, points[:, 1:], points[0, 0, 0]):
+            got = (bump.value(x), bump.grad(x), bump.lap(x))
+            for a, b in zip(got, compact_bump_expressions(radius, x)):
+                assert type(a) is type(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_compact_bump_lap_memory(self):
+        # one martingale_residual block at N = 64 (31 replicas, 33 window
+        # rows): lap holds at most six (B, T, N) arrays; the whole-array
+        # expression held seven
+        ens = brownian_ensemble(n_particles=64, n_steps=64, n_replicas=31)
+        assert [len(b) for b in S.replica_blocks(31, 64, 65)] == [31]
+        window = ens.positions[:, 32:]
+        tracemalloc.start()
+        try:
+            out = E.CompactBump().lap(window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * out.nbytes
+
+
+def compact_bump_expressions(radius, x):
+    """CompactBump's value, grad and lap as whole-array expressions."""
+    x = np.asarray(x, float)
+    sq = np.einsum("...c,...c->...", x, x)
+    rho = sq / radius ** 2
+    inside = rho < 1.0
+    one_m = np.where(inside, 1.0 - rho, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        val = np.where(inside, np.exp(1.0 - 1.0 / one_m), 0.0)
+    gp = -one_m ** -2.0
+    gpp = -2.0 * one_m ** -3.0
+    r2 = radius ** 2
+    grad = np.where(inside, val * gp * 2.0 / r2, 0.0)[..., None] * x
+    lap = np.where(inside,
+                   val * ((gp ** 2 + gpp) * 4.0 * sq / r2 ** 2 + 4.0 * gp / r2),
+                   0.0)
+    return val, grad, lap
+
 
 class TestItoBalance:
     def test_gaussian_chi_zero_residual(self):
@@ -500,6 +565,25 @@ class TestItoBalance:
                           init=S.InitSpec("gaussian", sigma=1.0))
         rep = E.ito_balance_check(S.run(cfg), EP, f_spec="gaussian-bump")
         assert rep.passes
+
+    def test_gaussian_long_horizon_frozen_pair(self):
+        # t = 800: F = e^(s - u - |x|^2) above the diagonal, where the
+        # weights are 0, overflowed and made the residual NaN. At unit
+        # distance F(u, x) = e^(-u - 1) and its heat operator is -F
+        dt, m_t = 10.0, 80
+        ens = frozen_pair_ensemble(dt=dt, n_steps=m_t, chi=0.0)
+        rep = E.ito_balance_check(ens, EP, n_boot=5)
+        w_tr = E._trap_weights(m_t, dt)
+
+        def f(lag):
+            return math.exp(-min(lag + 1.0, EXP_CLAMP))
+
+        lhs = math.fsum(w_tr[s] * f((m_t - s) * dt) for s in range(m_t + 1))
+        t1 = math.fsum(w_tr) * f(0.0)
+        t2 = math.fsum(w_tr[u] * w * -f((u - s) * dt)
+                       for u in range(1, m_t + 1)
+                       for s, w in enumerate(E._trap_weights(u, dt)))
+        assert rep.per_replica[0] == pytest.approx(lhs - t1 - t2, rel=1e-12)
 
     def test_pair_potential_balance_smoke(self):
         params = KernelParams(theta=1.0, chi=0.4, epsilon=0.1)
@@ -703,6 +787,39 @@ class TestResidualBlocks:
             blocked = E.ito_balance_check(ens, EP, n_boot=20)
         assert np.array_equal(blocked.per_replica, whole.per_replica)
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    def test_gaussian_u_tiles_match_whole_grid(self, chi):
+        # a budget of two u rows per replica (16 * 6 pairs * 9 bytes a row):
+        # the (u, s) grid of one replica splits into 5 tiles, the last one
+        # row; every u row is still summed whole
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=chi, epsilon=0.05),
+                          n_particles=3, dt=0.05, n_steps=8, n_replicas=3,
+                          seed=9, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        whole = E.ito_balance_check(ens, EP, n_boot=20)
+        budget = 2 * 16 * 6 * 9
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget), \
+                mock.patch.object(E, "DRIFT_BUDGET_BYTES", budget), \
+                mock.patch.object(E, "_inner_tables",
+                                  wraps=E._inner_tables) as tables:
+            tiled = E.ito_balance_check(ens, EP, n_boot=20)
+        assert sorted({c.args[2:] for c in tables.call_args_list}) == [
+            (0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+        assert np.array_equal(tiled.per_replica, whole.per_replica)
+
+    def test_gaussian_memory_bounded(self):
+        # one N = 2 replica at M = 2000: the whole (u, s) grid would take
+        # 16 * 2 * 2001^2 bytes, 128 MB; its u tiles fit the budget
+        ens = brownian_ensemble(n_steps=2000, n_replicas=1, dt=1.0 / 2000)
+        tracemalloc.start()
+        try:
+            rep = E.ito_balance_check(ens, EP, n_boot=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(rep.per_replica).all()
+        assert peak < 4 * S.DRIFT_BUDGET_BYTES
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 5), replicas=st.integers(1, 5),
            steps=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
@@ -791,6 +908,28 @@ class TestBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 2 * S.DRIFT_BUDGET_BYTES
+
+    @pytest.mark.parametrize("level", [-0.5, 1.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError):
+            E.bootstrap_mean_ci(np.arange(5.0), level=level)
+
+    def test_leaves_out_numpy_ma(self):
+        # np.quantile's first call imports numpy.ma
+        src = str(Path(kspp.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys\n"
+                "from kspp import estimators as E, simulator as S\n"
+                "from kspp.kernels import KernelParams\n"
+                "cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=0.0), "
+                "n_particles=2, dt=0.125, n_steps=8, n_replicas=4, seed=1, "
+                "init=S.InitSpec('gaussian', sigma=1.0))\n"
+                "E.ito_balance_check(S.run(cfg), "
+                "E.EstimatorParams(gamma=1.6, alpha=0.05))\n"
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_shifted_sample_excludes_zero(self):
         rng = np.random.default_rng(0)
