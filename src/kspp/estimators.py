@@ -17,6 +17,7 @@ under particle relabeling bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass, field, asdict, replace
@@ -319,28 +320,33 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
 def _holder_tiles(times: np.ndarray, beta: float):
     """Tiles of s rows of the (s, t) grid: (s0, s1, mask t - s > 0, and
     (t - s)^beta on the mask), each tile's geometry (dx, dy, |.|^2 and
-    one temporary) within DRIFT_BUDGET_BYTES (never fewer than one row)."""
+    one temporary) within DRIFT_BUDGET_BYTES (never fewer than one row).
+    The last row, s = T - 1, has no t > s and is left out."""
+    n_s = len(times) - 1
     rows = max(1, DRIFT_BUDGET_BYTES // (32 * len(times)))
-    for s0 in range(0, len(times), rows):
-        s1 = min(s0 + rows, len(times))
+    for s0 in range(0, n_s, rows):
+        s1 = min(s0 + rows, n_s)
         gaps = times[None, :] - times[s0:s1, None]
         upper = gaps > 0
         yield s0, s1, upper, gaps[upper] ** beta
 
 
-def _holder_max(path: np.ndarray, tiles) -> float:
-    """max over the masked (s, t) pairs of |path_t - path_s| / (t - s)^beta,
-    tile by tile; the max does not depend on the tiling."""
-    best = -math.inf
-    for s0, s1, upper, den in tiles:
-        _, _, sq = _pair_geometry(path[None, :], path[s0:s1, None])
-        best = max(best, float(np.max(np.sqrt(sq[upper]) / den)))
+def _holder_max(paths: np.ndarray, times: np.ndarray,
+                beta: float) -> np.ndarray:
+    """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta for
+    each of the (P, T, 2) `paths`, tile by tile, each tile built once for
+    all of them; the max does not depend on the tiling."""
+    best = np.full(len(paths), -math.inf)
+    for s0, s1, upper, den in _holder_tiles(times, beta):
+        for p, path in enumerate(paths):
+            _, _, sq = _pair_geometry(path[None, :], path[s0:s1, None])
+            best[p] = np.maximum(best[p], np.max(np.sqrt(sq[upper]) / den))
     return best
 
 
 def holder_ratio_max(path: np.ndarray, times: np.ndarray, beta: float) -> float:
     """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta."""
-    return _holder_max(path, _holder_tiles(times, beta))
+    return float(_holder_max(path[None], times, beta)[0])
 
 
 @dataclass
@@ -378,9 +384,6 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
     q = 2.0 * (ep.gamma - 1.0)
     times = ensemble.times[: m_t + 1]
-    # one tile: its (t - s)^beta is raised once for every replica
-    tiles = (list(_holder_tiles(times, beta))
-             if 32 * len(times) ** 2 <= DRIFT_BUDGET_BYTES else None)
     kept = _finite_replicas(ensemble, m_t)
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
@@ -394,9 +397,8 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
         d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
         tails = dt * np.sum(d_mag[:, :-1] ** q, axis=1)
+        z_hat[block.start: block.stop] = _holder_max(gamma_paths, times, beta)
         for b, tail in zip(block, tails):
-            z_hat[b] = _holder_max(gamma_paths[b - block.start],
-                                   tiles or _holder_tiles(times, beta))
             bound[b] = chi / (n - 1) * math.fsum(1.0 + t for t in tail)
     return HolderStats(beta, z_hat, bound, slack,
                        excluded=ensemble.n_replicas - len(kept))
@@ -576,20 +578,16 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
         hi = min(lo + rows, n_boot)
         idx = rng.integers(0, r_n, size=(hi - lo, r_n))
         means[lo:hi] = values[idx].mean(axis=1)
-    # as np.quantile: the virtual index v = (n - 1) q lies between the order
-    # statistics floor(v) and floor(v) + 1, both the last one (index -1)
-    # when v reaches it; numpy's _lerp rule interpolates with weight v minus
-    # the lower index, and a NaN mean makes both ends NaN. numpy's kth set
-    # (with 0 and the last index) also places equal values, 0.0 and -0.0,
-    # as it does
+    # np.quantile's linear rule: the virtual index v = (n - 1) q lies
+    # between the order statistics floor(v) and floor(v) + 1 (both the last
+    # one, index -1, when v reaches it), interpolated as numpy's _lerp does
     last = n_boot - 1
     virt = [last * q for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
     nbrs = [(math.floor(v), math.floor(v) + 1) if v < last else (-1, -1)
             for v in virt]
-    means.partition(sorted({k % n_boot for pair in nbrs for k in pair}
-                           | {0, last}))
-    if math.isnan(means[last]):
+    if np.isnan(means).any():
         return math.nan, math.nan
+    means.partition(sorted({k % n_boot for pair in nbrs for k in pair}))
     ends = []
     for v, (k, k1) in zip(virt, nbrs):
         a, b, t = means[k], means[k1], v - k
@@ -613,16 +611,19 @@ def _residual_report(values: np.ndarray, ci, level: float,
 def _inner_tables(m_t: int, dt: float, u0: int, u1: int
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Rows u0..u1-1 of the (u, s) grid tables: the lag u - s and the inner
-    trapezoid weights over s in [0, u], zero above the diagonal.
+    trapezoid weights over s in [0, u] (`_trap_weights(u, dt)`; row 0 is
+    all 0), zero above the diagonal.
 
     Above the diagonal the lag is 0, not u - s < 0: F = e^(s - u - |x|^2)
     overflowed there once t passed about 709, and inf times the zero
     weight made the residual NaN."""
     times = np.arange(m_t + 1) * dt
-    w_inner = np.zeros((u1 - u0, m_t + 1))
-    for m in range(max(u0, 1), u1):
-        w_inner[m - u0, : m + 1] = _trap_weights(m, dt)
-    return np.maximum(times[u0:u1, None] - times[None, :], 0.0), w_inner
+    u = np.arange(max(u0, 1), u1)
+    w_inner = np.where(np.arange(m_t + 1) < np.arange(u0, u1)[:, None],
+                       dt, 0.0)
+    w_inner[u - u0, 0] = w_inner[u - u0, u] = 0.5 * dt
+    lag = np.subtract(times[u0:u1, None], times[None, :])
+    return np.maximum(lag, 0.0, out=lag), w_inner
 
 
 def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -662,7 +663,10 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         # so the bits do not depend on the tiling
         rows = min(n_t, max(1, DRIFT_BUDGET_BYTES // (16 * n_k * n_t)))
         tiles = [(u0, min(u0 + rows, n_t)) for u0 in range(0, n_t, rows)]
-        tables = _inner_tables(m_t, dt, 0, n_t) if len(tiles) == 1 else None
+        # the lag and weight tables of the last tile used are kept: while
+        # one tile holds the grid they are built once per call
+        tables = functools.lru_cache(maxsize=1)(
+            functools.partial(_inner_tables, m_t, dt))
         blocks = replica_blocks(len(kept), n_k, rows * n_t)
         # the two grids are allocated once per call: fresh ones in every
         # block made glibc's malloc trim and refault its heap (about 80 000
@@ -690,19 +694,15 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
             grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
             for u0, u1 in tiles:
-                lag, w_in = tables or _inner_tables(m_t, dt, u0, u1)
+                lag, w_in = tables(u0, u1)
                 shape = (b, n_k, u1 - u0, n_t)
-                sq = grid_a[: b * n_k * (u1 - u0) * n_t].reshape(shape)
-                f = grid_b[: sq.size].reshape(shape)
-                # x_u - y_s by coordinate, |.|^2, then F and the heat
-                # operator in place; F is shared with grad F = -2 x F
+                grids = tuple(g[: math.prod(shape)].reshape(shape)
+                              for g in (grid_a, grid_b))
+                # |x_u - y_s|^2 in the first grid, then F in the second and
+                # the heat operator in place; F is shared with grad F = -2 x F
                 now, past = xi[:, :, u0:u1, None], xj[:, :, None]
-                np.subtract(now[..., 0], past[..., 0], out=sq)
-                np.subtract(now[..., 1], past[..., 1], out=f)
-                sq *= sq
-                f *= f
-                sq += f
-                GaussianBump.value_sq(lag, sq, out=f)
+                _, _, sq = _pair_geometry(now, past, out=grids)
+                f = GaussianBump.value_sq(lag, sq, out=grids[1])
                 heat = GaussianBump.heat_sq(sq, f, out=sq)
                 heat *= w_in
                 row_sums[:, :, u0:u1] = np.sum(heat, axis=-1)

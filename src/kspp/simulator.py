@@ -263,20 +263,24 @@ def replica_blocks(n_replicas: int, n_pairs: int, n_rows: int) -> list[range]:
             for lo in range(0, n_replicas, size)]
 
 
-def _pair_geometry(now: np.ndarray, past: np.ndarray
+def _pair_geometry(now: np.ndarray, past: np.ndarray, out=None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Displacements now - past by coordinate, dx and dy, and |.|^2.
 
     `now` and `past` broadcast against each other with the coordinate axis
     last; the three results have the broadcast shape without that axis.
+    `out`, if given, is two arrays of that shape, and nothing of it is
+    allocated: dx and dy are formed in them, then |.|^2 in place of dx and
+    dy^2 in place of dy, so only |.|^2 is left to use.
     """
+    dx_out, dy_out = (None, None) if out is None else out
     # overflow on a replica that is blowing up is detected after its
     # Euler update, not here
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = now[..., 0] - past[..., 0]
-        dy = now[..., 1] - past[..., 1]
-        sq = dx * dx
-        sq += dy * dy
+        dx = np.subtract(now[..., 0], past[..., 0], out=dx_out)
+        dy = np.subtract(now[..., 1], past[..., 1], out=dy_out)
+        sq = np.multiply(dx, dx, out=dx_out)
+        sq += np.multiply(dy, dy, out=dy_out)
     return dx, dy, sq
 
 

@@ -413,18 +413,23 @@ class TestHolderModulus:
         assert np.array_equal(stats.z_hat, z_hat)
         assert np.array_equal(stats.bound, bound)
 
-    def test_row_tiles_match_whole_grid(self):
-        # 21 grid times: 32 * 21 bytes per s row, so 3 rows a tile and 7
-        # tiles; the max over the tiles is the max over the whole grid
+    @pytest.mark.parametrize("rows, last", [(3, (18, 20)), (4, (16, 20))])
+    def test_row_tiles_match_whole_grid(self, rows, last):
+        # 21 grid times, 32 * 21 bytes per s row: the s rows 0..19 in tiles
+        # of `rows`; row 20 has no t > s, so no tile holds it alone (with 4
+        # rows a tile it would, and its empty max would raise); the max
+        # over the tiles is the max over the whole grid
         ens = brownian_ensemble(n_particles=3, n_steps=20, n_replicas=6,
                                 seed=3, chi=0.9)
         whole = E.holder_modulus(ens, EP)
-        with mock.patch.object(E, "DRIFT_BUDGET_BYTES", 3 * 32 * 21):
-            assert [t[:2] for t in E._holder_tiles(ens.times, 0.3)][-2:] \
-                == [(15, 18), (18, 21)]
+        with mock.patch.object(E, "DRIFT_BUDGET_BYTES", rows * 32 * 21):
+            assert [t[:2] for t in E._holder_tiles(ens.times, 0.3)][-1] == last
             tiled = E.holder_modulus(ens, EP)
+            path = E.holder_ratio_max(ens.positions[0, :, 0], ens.times, 0.3)
         assert np.array_equal(tiled.z_hat, whole.z_hat)
         assert np.array_equal(tiled.bound, whole.bound)
+        assert path == E.holder_ratio_max(ens.positions[0, :, 0], ens.times,
+                                          0.3)
 
 
 class TestTestFunctions:
@@ -898,6 +903,16 @@ class TestBootstrap:
         vals = np.random.default_rng(n).standard_normal(n)
         assert (E.bootstrap_mean_ci(vals, n_boot=n_boot, seed=n)
                 == one_shot_bootstrap(vals, n_boot=n_boot, seed=n))
+
+    @pytest.mark.parametrize("level", [0.0, 0.5, 0.9, 0.95, 1.0])
+    @pytest.mark.parametrize("n_boot", [1, 2, 61, 2000])
+    def test_levels_equal_np_quantile(self, n_boot, level):
+        # the order-statistic percentiles are np.quantile's, at the ends of
+        # [0, 1] and on both sides of numpy's _lerp switch at weight 1/2
+        vals = np.random.default_rng(n_boot).standard_normal(9)
+        assert (E.bootstrap_mean_ci(vals, level=level, n_boot=n_boot, seed=1)
+                == one_shot_bootstrap(vals, level=level, n_boot=n_boot,
+                                      seed=1))
 
     def test_memory_bounded(self):
         vals = np.random.default_rng(0).standard_normal(10_000)
