@@ -91,6 +91,7 @@ def _mode_simulate(manifest: ExperimentManifest) -> int:
         "rng": ens.rng_provenance,
         "blowups": ens.blowups,
         "drift_seconds": ens.drift_seconds,
+        "counters": ens.counters,
     })
     if ens.blowups:
         print(f"blow-up in replicas {sorted({r for r, _ in ens.blowups})}",

@@ -28,8 +28,8 @@ import numpy as np
 from .constants import c0_const, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (DRIFT_BUDGET_BYTES, SimConfig, TrajectoryEnsemble,
-                        _conv_weights, _history_sums, _pair_geometry, pair_drifts,
-                        replica_blocks, step_drifts)
+                        _conv_weights, _gauss_factor, _history_sums,
+                        _pair_geometry, pair_drifts, replica_blocks, step_drifts)
 
 TEST_FUNCTION_VERSIONS = {
     "gaussian-bump": "gaussian-bump-v1",
@@ -134,14 +134,6 @@ def _trap_weights(m_t: int, dt: float) -> np.ndarray:
     return w
 
 
-def _grad_k_mag(lag: np.ndarray, sq: np.ndarray, config: SimConfig) -> np.ndarray:
-    """|grad K_lag| at squared distance sq (unsmoothed kernel)."""
-    p = config.params
-    arg = np.minimum(p.theta * sq / (4.0 * lag), EXP_CLAMP)
-    return (smoothed_weight(lag, replace(p, epsilon=0.0)) * np.exp(-arg)
-            * np.sqrt(sq))
-
-
 def _fsum_mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
@@ -173,8 +165,8 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
 
     One pass over the steps m: each step builds the pair geometry
     X^i_m - X^j_l on the full (i, l, j) grid once and feeds E2, E3, E4 and,
-    at the horizon, S and S-bar from it; the self pairs i = j are dropped
-    before the pair reductions.
+    at the horizon, S and S-bar from it; E3 and E4 share its Gaussian
+    factor. The self pairs i = j are dropped before the pair reductions.
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -190,12 +182,18 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     w_tr = _trap_weights(m_t, dt)
     q = 2.0 * (ep.gamma - 1.0)
     e3_pow = 2.0 * ep.gamma / 3.0
+    unsmoothed = replace(cfg.params, epsilon=0.0)
     names = ("E1", "E2", "E3", "E4", "S", "S_bar")
     kept = _finite_replicas(ensemble, m_t)
     per_rep = {name: np.zeros(len(kept)) for name in names}
     divergent = 0
+    blocks = replica_blocks(len(kept), n * n, m_t)
+    # five (B, i, l, j) grids, allocated once per call for the largest block
+    # at the horizon and sliced at every step: dx, dy, |d|^2 (then |d|), the
+    # Gaussian factor (then E4's coefficients) and the E2, S and E3 terms
+    work = np.empty((5, (len(blocks[0]) if blocks else 0) * n * m_t * n))
 
-    for block in replica_blocks(len(kept), n * n, m_t):
+    for block in blocks:
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
 
         # E1: same-time inverse distances, trapezoid in time
@@ -205,6 +203,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         divergent += int(zero_mask.sum())
         with np.errstate(divide="ignore"):
             e1 = np.matmul(w_tr, np.where(zero_mask, 0.0, dist ** (-q)))
+        del d_same, dist, zero_mask   # freed before the step grids fill
 
         e2 = np.zeros((len(block), n, n))
         e3 = np.zeros((len(block), n, n))
@@ -215,26 +214,39 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
             for m in range(1, m_t + 1):
                 # geometry over (B, i, l, j): X^i_m - X^j_l for l < m
                 lag = ((m - np.arange(m)) * dt)[:, None]
-                dx, dy, sq = _pair_geometry(pos[:, m, :, None, None],
-                                            pos[:, None, :m])
+                shape = (len(block), n, m, n)
+                dx, dy, sq, g, term = (a[: math.prod(shape)].reshape(shape)
+                                       for a in work)
+                _pair_geometry(pos[:, m, :, None, None], pos[:, None, :m],
+                               out=(dx, dy, sq))
 
                 # E2 / E3: double sums, left-endpoint (u-exclusive) inner rule
-                e2 += w_tr[m] * dt * np.sum((lag + sq) ** (-ep.gamma), axis=2)
+                np.add(lag, sq, out=term)
+                e2 += w_tr[m] * dt * np.sum(
+                    np.power(term, -ep.gamma, out=term), axis=2)
+                if m == m_t:
+                    # S and S-bar at the horizon (right-endpoint sum,
+                    # diagonal excluded), while sq still holds |d|^2
+                    s_sums = []
+                    for shift in (lag, lag + ep.delta):
+                        np.multiply(sq, ep.alpha, out=term)
+                        np.add(shift, term, out=term)
+                        s_sums.append(dt * np.sum(
+                            np.power(term, -ep.gamma, out=term), axis=2))
+                    s_full, sbar_full = s_sums
+                # |grad K_u| (unsmoothed): time factor, Gaussian factor, |d|
+                _gauss_factor(sq, lag[:, 0], cfg, out=g)
+                np.multiply(smoothed_weight(lag, unsmoothed), g, out=term)
+                term *= np.sqrt(sq, out=sq)
                 e3 += w_tr[m] * dt * np.sum(
-                    _grad_k_mag(lag, sq, cfg) ** e3_pow, axis=2)
+                    np.power(term, e3_pow, out=term), axis=2)
 
                 # E4: the simulator's discrete pair drift on rows [l0, m)
-                l0, lags, w = _conv_weights(m, cfg)
+                l0, _, w = _conv_weights(m, cfg)
                 sx, sy = _history_sums(dx[:, :, l0:], dy[:, :, l0:],
-                                       sq[:, :, l0:], lags, w, cfg)
+                                       g[:, :, l0:], w)
                 d_x, d_y = -dt * sx[:, off], -dt * sy[:, off]
                 d_mag[:, m] = np.sqrt(d_x * d_x + d_y * d_y)
-
-            # S and S-bar at the horizon (right-endpoint sum, diagonal
-            # excluded): the last step's geometry, m = m_t
-            s_full = dt * np.sum((lag + ep.alpha * sq) ** (-ep.gamma), axis=2)
-            sbar_full = dt * np.sum(
-                (lag + ep.delta + ep.alpha * sq) ** (-ep.gamma), axis=2)
 
         for b, r in enumerate(block):
             per_rep["E1"][r] = _fsum_mean(e1[b])
@@ -301,8 +313,8 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             dx, dy, sq = _pair_geometry(pos[:, m, i_idx][:, None],
                                         pos[:, :m].take(j_idx, axis=2))
             l0, lags, w = _conv_weights(m, cfg)
-            sx, sy = _history_sums(dx[:, l0:], dy[:, l0:], sq[:, l0:],
-                                   lags, w, cfg)
+            sx, sy = _history_sums(dx[:, l0:], dy[:, l0:],
+                                   _gauss_factor(sq[:, l0:], lags, cfg), w)
             d_x, d_y = -dt * sx, -dt * sy
             d_mag = np.sqrt(d_x * d_x + d_y * d_y)
             lag = (m - np.arange(m)) * dt
@@ -701,7 +713,7 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                 # |x_u - y_s|^2 in the first grid, then F in the second and
                 # the heat operator in place; F is shared with grad F = -2 x F
                 now, past = xi[:, :, u0:u1, None], xj[:, :, None]
-                _, _, sq = _pair_geometry(now, past, out=grids)
+                _, _, sq = _pair_geometry(now, past, out=(*grids, grids[0]))
                 f = GaussianBump.value_sq(lag, sq, out=grids[1])
                 heat = GaussianBump.heat_sq(sq, f, out=sq)
                 heat *= w_in
@@ -780,7 +792,10 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
 
     w_in = _trap_weights(m_e - m_s, dt)
     theta_vals = np.zeros(len(kept))
-    for block in replica_blocks(len(kept), n * n if chi != 0.0 else n, m_e + 1):
+    # a replica holds N x T arrays: its path copy (two), lap's five and, at
+    # chi != 0, the drift workspace (3N)
+    arrays = 7 + (3 * n if chi != 0.0 else 0)
+    for block in replica_blocks(len(kept), n, m_e + 1, arrays):
         pos = ensemble.positions[kept[block.start: block.stop], : m_e + 1]
         window = pos[:, m_s:]
         gen = phi.lap(window)                       # (B, w, N)

@@ -114,6 +114,10 @@ class TrajectoryEnsemble:
     rng_provenance: dict
     blowups: list[tuple[int, int]] = field(default_factory=list)
     drift_seconds: float = 0.0
+    # replica_blocks: the blocks stepped together; drift_workspace_bytes:
+    # the drift kernel's workspace of the largest block (0 without drift)
+    counters: dict[str, int] = field(default_factory=lambda: {
+        "replica_blocks": 0, "drift_workspace_bytes": 0})
 
     @property
     def n_replicas(self) -> int:
@@ -242,21 +246,29 @@ def _conv_weights(m: int, config: SimConfig) -> tuple[int, np.ndarray, np.ndarra
     return l0, lags, smoothed_weight(lags, config.params)
 
 
-# Byte budget of one drift temporary: the float64 pair displacements that one
-# kernel call holds for a block of replicas. Batching saves the per-call
-# overhead that dominates small systems; past a few MiB the temporary leaves
-# the cache and a batched step runs slower per replica than a single one.
+# Byte budget of the float64 pair displacements dx and dy that one kernel call
+# holds for a block of replicas. Batching saves the per-call overhead that
+# dominates small systems; past a few MiB the temporaries leave the cache and
+# a batched step runs slower per replica than a single one. A block's drift
+# workspace (`_drift_workspace`: dx, dy and the coefficients, 1.5 times this
+# budget) is allocated once per block and sliced at every step. Fresh
+# per-step arrays, one history row larger each step, were each served by a
+# new mmap above glibc's threshold and faulted in page by page: a cold
+# 2-replica N = 32, M = 200 run took 271 000 minor page faults, against
+# under 1 400 with the workspace.
 DRIFT_BUDGET_BYTES = 2 * 1024 * 1024
 
 
-def replica_blocks(n_replicas: int, n_pairs: int, n_rows: int) -> list[range]:
+def replica_blocks(n_replicas: int, n_pairs: int, n_rows: int,
+                   arrays: int = 2) -> list[range]:
     """Split replicas into blocks that one kernel call handles together.
 
-    A block holds the most replicas whose displacement temporary over
-    `n_rows` history rows and `n_pairs` pairs, 16 * n_pairs * n_rows bytes
-    per replica, fits DRIFT_BUDGET_BYTES; never fewer than one.
+    A block holds the most replicas whose `arrays` float64 arrays over
+    `n_rows` history rows and `n_pairs` pairs (by default the displacements
+    dx and dy), 8 * arrays * n_pairs * n_rows bytes per replica, fit
+    DRIFT_BUDGET_BYTES; never fewer than one.
     """
-    per_replica = 16 * n_pairs * n_rows
+    per_replica = 8 * arrays * n_pairs * n_rows
     size = (max(1, DRIFT_BUDGET_BYTES // per_replica) if per_replica
             else n_replicas)
     return [range(lo, min(lo + size, n_replicas))
@@ -269,42 +281,55 @@ def _pair_geometry(now: np.ndarray, past: np.ndarray, out=None
 
     `now` and `past` broadcast against each other with the coordinate axis
     last; the three results have the broadcast shape without that axis.
-    `out`, if given, is two arrays of that shape, and nothing of it is
-    allocated: dx and dy are formed in them, then |.|^2 in place of dx and
-    dy^2 in place of dy, so only |.|^2 is left to use.
+    `out`, if given, is three arrays of that shape that take dx, dy and
+    |.|^2, and nothing is allocated: dy^2 is formed in dy's array, added to
+    dx^2 in the third, and dy formed again. When the third array is dx's,
+    only |.|^2 is wanted: it is left there, and dy^2 in dy's array.
     """
-    dx_out, dy_out = (None, None) if out is None else out
+    dx_out, dy_out, sq_out = (None, None, None) if out is None else out
     # overflow on a replica that is blowing up is detected after its
     # Euler update, not here
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = np.subtract(now[..., 0], past[..., 0], out=dx_out)
         dy = np.subtract(now[..., 1], past[..., 1], out=dy_out)
-        sq = np.multiply(dx, dx, out=dx_out)
-        sq += np.multiply(dy, dy, out=dy_out)
+        dy2 = np.multiply(dy, dy, out=dy_out)
+        dx = np.subtract(now[..., 0], past[..., 0], out=dx_out)
+        sq = np.multiply(dx, dx, out=sq_out)
+        sq += dy2
+        if out is not None and sq is not dx:
+            np.subtract(now[..., 1], past[..., 1], out=dy)
     return dx, dy, sq
 
 
-def _history_sums(dx: np.ndarray, dy: np.ndarray, sq: np.ndarray,
-                  lags: np.ndarray, w: np.ndarray,
-                  config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_factor(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
+                  out=None) -> np.ndarray:
+    """e^(-min(theta |d|^2 / 4u, EXP_CLAMP)) for squared lengths `sq`
+    (..., L, K) at the lags u (L,), formed in `out` if given (it may be sq).
+
+    The Gaussian factor of the kernel, written once: the drift contraction
+    weights it by the lag weights, and paper_moments' E3 shares it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.multiply(sq, config.params.theta, out=out)
+        g /= 4.0 * lags[:, None]
+        np.minimum(g, EXP_CLAMP, out=g)
+        np.negative(g, out=g)
+        return np.exp(g, out=g)
+
+
+def _history_sums(dx: np.ndarray, dy: np.ndarray, g: np.ndarray,
+                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sum_l w_l e^(-theta|d_l|^2 / 4u_l) d_l for displacements d = (dx, dy).
 
-    `dx`, `dy` and their squared lengths `sq` are (..., L, K), as
-    `_pair_geometry` gives them; returns the two coordinates of the sums,
-    each (..., K). The one drift contraction: the coefficients are formed
-    in a single buffer and the sum runs over the L history rows, so every
-    caller that lays its displacements out row-major gets the same bits
-    for the same displacements.
+    `dx`, `dy` and their Gaussian factors `g` (`_gauss_factor`) are
+    (..., L, K); returns the two coordinates of the sums, each (..., K).
+    The one drift contraction: g becomes the coefficients in place and the
+    sum runs over the L history rows, so every caller that lays its
+    displacements out row-major gets the same bits for the same
+    displacements.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        c = sq * config.params.theta
-        c /= 4.0 * lags[:, None]
-        np.minimum(c, EXP_CLAMP, out=c)
-        np.negative(c, out=c)
-        np.exp(c, out=c)
-        c *= w[:, None]
-        return (np.einsum("...lk,...lk->...k", c, dx),
-                np.einsum("...lk,...lk->...k", c, dy))
+        g *= w[:, None]
+        return (np.einsum("...lk,...lk->...k", g, dx),
+                np.einsum("...lk,...lk->...k", g, dy))
 
 
 def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
@@ -323,32 +348,52 @@ def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
     l0, lags, w = _conv_weights(m, config)
     # take() keeps the gathered history row-major; the fancy index
     # [:, :, j_idx] would lay the pair axis out first in memory
-    geometry = _pair_geometry(positions[:, m, i_idx][:, None],
-                              positions[:, l0:m].take(j_idx, axis=2))
-    return -config.dt * np.stack(_history_sums(*geometry, lags, w, config),
-                                 axis=-1)
+    dx, dy, sq = _pair_geometry(positions[:, m, i_idx][:, None],
+                                positions[:, l0:m].take(j_idx, axis=2))
+    g = _gauss_factor(sq, lags, config, out=sq)
+    return -config.dt * np.stack(_history_sums(dx, dy, g, w), axis=-1)
 
 
-def _mean_drifts(pos: np.ndarray, m: int, config: SimConfig) -> np.ndarray:
+def _drift_window(m: int, config: SimConfig) -> int:
+    """History rows of the drift at step m."""
+    return m - _history_start(m, config)
+
+
+def _drift_workspace(n_block: int, n_particles: int, rows: int) -> np.ndarray:
+    """The drift kernel's buffers for `n_block` replicas over at most `rows`
+    history rows: dx, dy and |d|^2 (which becomes the coefficients), each
+    (n_block, N, rows, N) float64, as the rows of one (3, size) array. A
+    step over fewer replicas or rows takes views of their leading entries."""
+    return np.empty((3, n_block * n_particles * rows * n_particles))
+
+
+def _mean_drifts(pos: np.ndarray, m: int, config: SimConfig,
+                 work: np.ndarray) -> np.ndarray:
     """(1/(N-1)) sum_{j != i} D^{i,j}_m for a block pos (B, m+1, N, 2), shape (B, N, 2).
 
     Contracts all N*N ordered pairs, the self pairs included, and subtracts
     the self pairs afterwards: the pair grid then needs no gather. The
-    displacements are laid out (B, i, l, j) per coordinate; an (l, i, j)
-    layout gives the same bits but ran about a third slower at N = 32
-    (2-core Xeon, numpy 2.4).
+    displacements are laid out (B, i, l, j) per coordinate, in views of the
+    workspace `work` (`_drift_workspace`, for at least B replicas and this
+    step's rows); an (l, i, j) layout gives the same bits but ran about a
+    third slower at N = 32 (2-core Xeon, numpy 2.4).
     """
     b, _, n, _ = pos.shape
     if m == 0:
         return np.zeros((b, n, 2))
     l0, lags, w = _conv_weights(m, config)
-    geometry = _pair_geometry(pos[:, m, :, None, None], pos[:, None, l0:m])
-    sums = np.stack(_history_sums(*geometry, lags, w, config), axis=-1)  # (B, i, j, 2)
+    shape = (b, n, m - l0, n)
+    size = math.prod(shape)
+    dx, dy, sq = _pair_geometry(pos[:, m, :, None, None], pos[:, None, l0:m],
+                                out=[a[:size].reshape(shape) for a in work])
+    g = _gauss_factor(sq, lags, config, out=sq)
+    sums = np.stack(_history_sums(dx, dy, g, w), axis=-1)  # (B, i, j, 2)
     total = sums.sum(axis=2) - sums[:, np.arange(n), np.arange(n)]
     return -config.dt * total / (n - 1)
 
 
-def step_drifts(pos: np.ndarray, steps: range, config: SimConfig) -> np.ndarray:
+def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Drift of every particle at the consecutive steps m in `steps`.
 
     The drift is the background gradient grad b(t_m + eps, X^i_m) plus the
@@ -356,11 +401,16 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig) -> np.ndarray:
     (B, T, N, 2) with T > max(steps); shape (B, len(steps), N, 2). It is
     exactly what the Euler step scales by chi * dt, so estimators built on
     it see the integrator's own drift. The background is evaluated in one
-    call over all the steps.
+    call over all the steps. `work` is the kernel's workspace
+    (`_drift_workspace`); without it one is sized for the block and the
+    last step, and every step of the call slices it.
     """
-    out = np.empty((pos.shape[0], len(steps), pos.shape[2], 2))
+    b, _, n, _ = pos.shape
+    out = np.empty((b, len(steps), n, 2))
+    if work is None and len(steps):
+        work = _drift_workspace(b, n, _drift_window(steps[-1], config))
     for k, m in enumerate(steps):
-        out[:, k] = _mean_drifts(pos[:, : m + 1], m, config)
+        out[:, k] = _mean_drifts(pos[:, : m + 1], m, config, work)
     if not config.source.is_zero:
         t = np.asarray(steps) * config.dt + config.params.epsilon
         _, grad_b = background_field(t[:, None], pos[:, steps.start: steps.stop],
@@ -370,10 +420,12 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig) -> np.ndarray:
 
 
 def _euler_block(positions: np.ndarray, d_w: np.ndarray, active: np.ndarray,
-                 m: int, config: SimConfig) -> tuple[np.ndarray, np.ndarray, float]:
+                 m: int, config: SimConfig, work: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One Euler step m -> m+1 for the replicas `active` (ascending indices).
 
-    `d_w` holds this step's increments for every replica, shape (R, N, 2).
+    `d_w` holds this step's increments for every replica, shape (R, N, 2);
+    `work` is the drift workspace for the block (`_drift_workspace`).
     Writes row m+1 of each replica that stays finite and returns
     (still active, blown, drift seconds); a blown replica's row stays NaN.
     """
@@ -385,7 +437,7 @@ def _euler_block(positions: np.ndarray, d_w: np.ndarray, active: np.ndarray,
     if p.chi != 0.0:
         t0 = time.perf_counter()
         drift = step_drifts(positions[rows, : m + 1], range(m, m + 1),
-                            config)[:, 0]
+                            config, work)[:, 0]
         drift_time = time.perf_counter() - t0
         # overflow here is the blow-up signal, detected explicitly below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -404,7 +456,7 @@ def _drift_rows(config: SimConfig) -> int:
     """History rows that bound every drift window of a run (0 without drift)."""
     if config.params.chi == 0.0:
         return 0
-    return config.n_steps - _history_start(config.n_steps, config)
+    return _drift_window(config.n_steps, config)
 
 
 def _require_smoothing(config: SimConfig) -> None:
@@ -428,12 +480,18 @@ def step(ensemble: TrajectoryEnsemble, m: int,
     if noise is None:
         noise = draw_noise(replace(config, n_steps=m + 1))[:, m]
     noise = np.asarray(noise, dtype=float)
+    n = config.n_particles
+    blocks = replica_blocks(ensemble.n_replicas, n * n, _drift_rows(config))
+    # one workspace for this step, sized for the largest block
+    rows = _drift_window(m, config) if config.params.chi != 0.0 else 0
+    work = _drift_workspace(len(blocks[0]), n, rows)
+    ensemble.counters.update(replica_blocks=len(blocks), drift_workspace_bytes=max(
+        ensemble.counters["drift_workspace_bytes"], work.nbytes))
     blown = []
-    for block in replica_blocks(ensemble.n_replicas,
-                                config.n_particles ** 2, _drift_rows(config)):
+    for block in blocks:
         _, lost, secs = _euler_block(ensemble.positions, noise,
                                      np.arange(block.start, block.stop), m,
-                                     config)
+                                     config, work)
         ensemble.drift_seconds += secs
         blown.extend(lost)
     if blown:
@@ -468,20 +526,24 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         if noise.shape != want:
             raise ValueError(f"noise has shape {noise.shape}, expected {want}")
 
-    def run_block(block: range) -> tuple[list[tuple[int, int]], float]:
+    n, rows = config.n_particles, _drift_rows(config)
+
+    def run_block(block: range) -> tuple[list[tuple[int, int]], float, int]:
+        # the block's own workspace, sized at its largest step: no step
+        # allocates anything that grows with m, and threads share nothing
+        work = _drift_workspace(len(block), n, rows)
         active = np.arange(block.start, block.stop)
         blowups, secs = [], 0.0
         for m in range(config.n_steps):
             if not len(active):
                 break
             active, lost, drift_time = _euler_block(ens.positions, noise[:, m],
-                                                    active, m, config)
+                                                    active, m, config, work)
             secs += drift_time
             blowups.extend((int(r), m + 1) for r in lost)
-        return blowups, secs
+        return blowups, secs, work.nbytes
 
-    blocks = replica_blocks(config.n_replicas, config.n_particles ** 2,
-                            _drift_rows(config))
+    blocks = replica_blocks(config.n_replicas, n * n, rows)
     workers = _resolve_threads(n_threads)
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -489,10 +551,12 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
             results = list(pool.map(run_block, blocks))
     else:
         results = [run_block(block) for block in blocks]
-    for blowups, secs in results:
+    for blowups, secs, _ in results:
         ens.drift_seconds += secs
         ens.blowups.extend(blowups)
     ens.blowups.sort()
+    ens.counters.update(replica_blocks=len(blocks), drift_workspace_bytes=max(
+        nbytes for _, _, nbytes in results))
     return ens
 
 

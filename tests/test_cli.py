@@ -44,6 +44,9 @@ class TestSimulate:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["version"] == cli.__version__
         assert meta["blowups"] == []
+        # one block of 3 replicas; dx, dy and coefficients over 20 rows
+        assert meta["counters"] == {"replica_blocks": 1,
+                                    "drift_workspace_bytes": 3 * 8 * 3 * 2 * 20 * 2}
 
     def test_byte_identical_reruns(self, tmp_path, config_file):
         outs = []

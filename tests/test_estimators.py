@@ -15,7 +15,8 @@ from scipy.integrate import quad
 import kspp
 from kspp import estimators as E, simulator as S
 from kspp.constants import c0_const, kappa
-from kspp.kernels import EXP_CLAMP, KernelParams, SourceSpec, background_field
+from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, background_field,
+                          smoothed_weight)
 
 
 def frozen_pair_ensemble(dt=2.0 ** -10, n_steps=1024, distance=1.0, chi=1.0,
@@ -42,6 +43,15 @@ def brownian_ensemble(n_particles=2, n_steps=64, n_replicas=8, seed=2,
 
 
 EP = E.EstimatorParams(gamma=1.6, alpha=0.05)
+
+
+def grad_k_mag(lag, sq, cfg):
+    """|grad K_lag| at squared distance sq (unsmoothed kernel), in one
+    expression: the reference for paper_moments' E3 terms."""
+    p = cfg.params
+    arg = np.minimum(p.theta * sq / (4.0 * lag), EXP_CLAMP)
+    return (smoothed_weight(lag, dataclasses.replace(p, epsilon=0.0))
+            * np.exp(-arg) * np.sqrt(sq))
 
 
 class TestEstimatorParams:
@@ -178,7 +188,7 @@ class TestPaperMoments:
                 lag = (m - np.arange(m)) * cfg.dt
                 diff = pos[m, 0][None, :] - pos[:m, 1, :]
                 sq = np.einsum("lc,lc->l", diff, diff)
-                raw += float(np.sum(E._grad_k_mag(lag, sq, cfg) ** power))
+                raw += float(np.sum(grad_k_mag(lag, sq, cfg) ** power))
                 env += float(np.sum(
                     grad_envelope(lag, diff, ep.alpha, params0) ** power))
             assert env >= raw
@@ -232,7 +242,7 @@ def reference_moments(ens, ep):
             e2 += w_tr[m] * dt * np.sum((lag[:, None] + sq) ** (-ep.gamma),
                                         axis=0)
             e3 += w_tr[m] * dt * np.sum(
-                E._grad_k_mag(lag[:, None], sq, cfg) ** e3_pow, axis=0)
+                grad_k_mag(lag[:, None], sq, cfg) ** e3_pow, axis=0)
         out["E2"].append(mean(e2))
         out["E3"].append(mean(e3))
         d = np.zeros((m_t + 1, len(pairs), 2))
@@ -776,6 +786,20 @@ class TestResidualBlocks:
                                        atol=1e-14)
             np.testing.assert_allclose(mart.per_replica, ref_mart, rtol=1e-12,
                                        atol=1e-14)
+
+    def test_martingale_memory_bounded(self):
+        # 40 replicas at N = 64, T = 65: a block is sized by its path copy
+        # and lap's five (B, T, N) arrays; sized by the path copy alone, one
+        # 31-replica block peaked at 4.8 MB
+        ens = brownian_ensemble(n_particles=64, n_steps=64, n_replicas=40)
+        tracemalloc.start()
+        try:
+            rep = E.martingale_residual(ens, None, ("const",), s=0.5, t=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(rep.per_replica).all()
+        assert peak < S.DRIFT_BUDGET_BYTES
 
     @pytest.mark.parametrize("chi", [0.0, 0.5])
     def test_gaussian_blocks_share_grids(self, chi):

@@ -413,6 +413,44 @@ class TestStepAndRun:
         # no drift temporary (chi = 0): every replica in one block
         assert S.replica_blocks(500, 64 * 64, 0) == [range(0, 500)]
 
+    def test_run_memory_is_positions_plus_workspace(self):
+        # N = 32, M = 60: blocks of two replicas, each with one workspace of
+        # three (B, N, M, N) arrays sliced at every step; fresh per-step
+        # arrays held four (B, N, m, N) at once
+        import tracemalloc
+        params = KernelParams(theta=1.0, lam=0.1, chi=1.0, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=32, n_steps=60,
+                          n_replicas=4, seed=3)
+        initial, noise = S.draw_initial(cfg), S.draw_noise(cfg)
+        blocks = S.replica_blocks(4, 32 * 32, 60)
+        assert [len(b) for b in blocks] == [2, 2]
+        block_array = 8 * 2 * 32 * 60 * 32
+        tracemalloc.start()
+        try:
+            ens = S.run(cfg, initial=initial, noise=noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (ens.positions.nbytes + 3 * block_array
+                       + block_array // 2)
+        assert ens.counters == {"replica_blocks": 2,
+                                "drift_workspace_bytes": 3 * block_array}
+        assert not ens.blowups
+
+    def test_counters(self):
+        params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=3, n_steps=5,
+                          n_replicas=2, history_cutoff=0.03)
+        want = {"replica_blocks": 1,
+                "drift_workspace_bytes": 3 * 8 * 2 * 3 * 3 * 3}  # 3 rows
+        assert S.run(cfg).counters == want
+        ens = S.init_ensemble(cfg)
+        for m in range(cfg.n_steps):
+            S.step(ens, m)
+        assert ens.counters == want
+        assert S.run(make_config(n_replicas=2)).counters == {
+            "replica_blocks": 1, "drift_workspace_bytes": 0}
+
     def test_drift_seconds_reported(self):
         params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_steps=20)
