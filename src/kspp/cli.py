@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,6 +71,14 @@ def _load_config(manifest: ExperimentManifest) -> simulator.SimConfig:
     return cfg
 
 
+def _timed(timings: dict[str, float], name: str, fn, *args):
+    """fn(*args), with its wall-clock seconds stored as timings[name]."""
+    start = time.perf_counter()
+    result = fn(*args)
+    timings[name] = time.perf_counter() - start
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Modes
 # ---------------------------------------------------------------------------
@@ -78,12 +87,15 @@ def _load_config(manifest: ExperimentManifest) -> simulator.SimConfig:
 def _mode_simulate(manifest: ExperimentManifest) -> int:
     cfg = _load_config(manifest)
     out = manifest.out_dir
-    ens = simulator.run(cfg)
+    timings: dict[str, float] = {}
+    ens = _timed(timings, "run", simulator.run, cfg)
     fmt = manifest.options["format"]
     if fmt in ("csv", "both"):
-        io.write_trajectory_csv(out / "trajectory.csv", ens)
+        _timed(timings, "write_csv", io.write_trajectory_csv,
+               out / "trajectory.csv", ens)
     if fmt in ("bin", "both"):
-        io.write_trajectory_bin(out / "trajectory.ksw1", ens)
+        _timed(timings, "write_bin", io.write_trajectory_bin,
+               out / "trajectory.ksw1", ens)
     (out / "config_resolved.txt").write_text(io.format_config(cfg))
     _write_json(out / "run_meta.json", {
         "mode": "simulate",
@@ -92,6 +104,7 @@ def _mode_simulate(manifest: ExperimentManifest) -> int:
         "blowups": ens.blowups,
         "drift_seconds": ens.drift_seconds,
         "counters": ens.counters,
+        "timings": timings,
     })
     if ens.blowups:
         print(f"blow-up in replicas {sorted({r for r, _ in ens.blowups})}",
@@ -114,7 +127,9 @@ def _mode_estimate(manifest: ExperimentManifest) -> int:
             positions, dt = io.read_trajectory_bin(path)
         else:
             positions, dt = io.read_trajectory_csv(path)
-        if abs(dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt):
+        # a file of step-0 rows carries no dt; the horizon check rejects it
+        if (positions.shape[1] > 1
+                and abs(dt - cfg.dt) > 1e-12 * max(1.0, cfg.dt)):
             raise ValueError(f"trajectory dt={dt} does not match config dt={cfg.dt}")
         cfg = dataclasses.replace(cfg, n_replicas=positions.shape[0],
                                 n_steps=positions.shape[1] - 1,

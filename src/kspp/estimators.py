@@ -110,9 +110,18 @@ def _pair_index(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarra
 
 
 def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
-    """Indices of the replicas whose positions are finite on rows 0..m_t."""
+    """Indices of the replicas whose positions are finite on rows 0..m_t.
+
+    Tested over replica blocks whose boolean temporary, one byte per
+    coordinate, fits DRIFT_BUDGET_BYTES (never fewer than one replica).
+    """
     rows = ensemble.positions[:, : m_t + 1]
-    return np.flatnonzero(np.isfinite(rows).all(axis=(1, 2, 3)))
+    size = max(1, DRIFT_BUDGET_BYTES // max(1, math.prod(rows.shape[1:])))
+    finite = np.empty(len(rows), dtype=bool)
+    for lo in range(0, len(rows), size):
+        np.isfinite(rows[lo: lo + size]).all(axis=(1, 2, 3),
+                                             out=finite[lo: lo + size])
+    return np.flatnonzero(finite)
 
 
 def _horizon_index(ensemble: TrajectoryEnsemble, horizon: float | None) -> int:

@@ -1,8 +1,8 @@
 """Trajectory files and the flat key-value run configuration format.
 
 Trajectory CSV: header ``replica,particle,step,t,x,y``, one row per
-(replica, particle, step), 17-significant-digit floats so a write/read
-round trip is bit-exact.
+(replica, particle, step) in that order (step fastest), 17-significant-digit
+floats so a write/read round trip is bit-exact.
 
 Compact binary (KSW1): magic bytes ``KSW1``, then little-endian
 u32 n_particles, u32 n_steps, u32 n_replicas, f64 dt, followed by f64
@@ -30,15 +30,24 @@ _HEADER = struct.Struct("<4sIIId")   # magic, n_particles, n_steps, n_replicas, 
 
 
 def write_trajectory_csv(path: str | Path, ensemble: TrajectoryEnsemble) -> None:
+    """Write the ensemble's rows in (replica, particle, step) order.
+
+    One (replica, particle) block is formatted at a time from a template
+    whose step and time fields are formatted once per call; a NUL
+    character stands for the block's "replica,particle," prefix. The
+    coordinates go through Python floats, whose %.17g is that of
+    np.float64 (nan, -0 and inf too).
+    """
     pos = ensemble.positions
+    r_n, rows, n, _ = pos.shape
     dt = ensemble.config.dt
+    block = "".join(f"\0{m},{m * dt:.17g},%.17g,%.17g\n" for m in range(rows))
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in range(pos.shape[0]):
-            for i in range(pos.shape[2]):
-                for m in range(pos.shape[1]):
-                    x, y = pos[r, m, i]
-                    fh.write(f"{r},{i},{m},{m * dt:.17g},{x:.17g},{y:.17g}\n")
+        for r in range(r_n):
+            coords = pos[r].transpose(1, 0, 2).reshape(n, 2 * rows).tolist()
+            for i, xy in enumerate(coords):
+                fh.write(block.replace("\0", f"{r},{i},") % tuple(xy))
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:

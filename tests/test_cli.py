@@ -47,6 +47,9 @@ class TestSimulate:
         # one block of 3 replicas; dx, dy and coefficients over 20 rows
         assert meta["counters"] == {"replica_blocks": 1,
                                     "drift_workspace_bytes": 3 * 8 * 3 * 2 * 20 * 2}
+        assert "drift_seconds" in meta
+        assert sorted(meta["timings"]) == ["run", "write_bin", "write_csv"]
+        assert all(v >= 0.0 for v in meta["timings"].values())
 
     def test_byte_identical_reruns(self, tmp_path, config_file):
         outs = []
@@ -196,6 +199,25 @@ class TestEstimate:
         assert rc == 0
         report = json.loads((est / "report.json").read_text())
         assert set(report["estimates"]) == {"E1", "E2", "E3", "E4", "S", "S_bar"}
+
+    def test_zero_step_trajectory_same_error_in_both_formats(self, tmp_path,
+                                                              capsys):
+        # a step-0 CSV reads back with dt = 0; it must fail on the horizon,
+        # as the same run's KSW1 file does, not on the dt check
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(BASE_CONFIG.replace("n_steps = 20", "n_steps = 0")
+                       .replace("n_replicas = 3", "n_replicas = 2"))
+        run_out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--out",
+                         str(run_out), "--format", "both"]) == 0
+        for name in ("trajectory.csv", "trajectory.ksw1"):
+            capsys.readouterr()
+            rc = cli.main(["estimate", "--config", str(cfg), "--gamma", "1.62",
+                           "--alpha", "0.045", "--trajectory",
+                           str(run_out / name), "--out", str(tmp_path / name)])
+            assert rc == 2
+            assert ("horizon index 0 outside the simulated window"
+                    in capsys.readouterr().err)
 
     @pytest.mark.parametrize("edit, message", [
         # an empty field once read as NaN, i.e. as a blown replica

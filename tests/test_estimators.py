@@ -801,6 +801,31 @@ class TestResidualBlocks:
         assert np.isfinite(rep.per_replica).all()
         assert peak < S.DRIFT_BUDGET_BYTES
 
+    def test_finite_replicas_memory_bounded(self):
+        # the whole (R, T, N, 2) boolean array is 2.5 MB, over the budget;
+        # the blocks' temporaries fit it, plus O(R) bytes of indices
+        r_n, n_steps, n = 300, 64, 64
+        cfg = S.SimConfig(params=KernelParams(theta=1.0), n_particles=n,
+                          dt=1.0 / n_steps, n_steps=n_steps, n_replicas=r_n)
+        pos = np.zeros((r_n, n_steps + 1, n, 2))
+        assert pos.size > S.DRIFT_BUDGET_BYTES   # one boolean byte a value
+        pos[3, 10:] = np.nan
+        pos[161, 64, 5, 1] = np.inf      # past the m_t = 40 horizon
+        pos[250, 30, 0, 0] = -np.inf
+        pos[299, 0, 63, 1] = np.nan
+        ens = S.TrajectoryEnsemble(positions=pos, config=cfg, rng_provenance={})
+        for m_t in (n_steps, 40):
+            tracemalloc.start()
+            try:
+                kept = E._finite_replicas(ens, m_t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            whole = np.isfinite(pos[:, : m_t + 1]).all(axis=(1, 2, 3))
+            np.testing.assert_array_equal(kept, np.flatnonzero(whole))
+            assert peak < S.DRIFT_BUDGET_BYTES + 16 * r_n
+        assert 161 in kept and 250 not in kept
+
     @pytest.mark.parametrize("chi", [0.0, 0.5])
     def test_gaussian_blocks_share_grids(self, chi):
         # blocks of two of five replicas: the last block uses part of the

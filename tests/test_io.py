@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kspp import io, simulator as S
 from kspp.kernels import KernelParams, SourceSpec
@@ -15,7 +15,58 @@ def small_ensemble():
     return S.run(cfg)
 
 
+def reference_write_trajectory_csv(path, ensemble):
+    """One f-string per row: the writer's bytes, spelled out."""
+    pos = ensemble.positions
+    dt = ensemble.config.dt
+    with open(path, "w") as fh:
+        fh.write(io.CSV_HEADER + "\n")
+        for r in range(pos.shape[0]):
+            for i in range(pos.shape[2]):
+                for m in range(pos.shape[1]):
+                    x, y = pos[r, m, i]
+                    fh.write(f"{r},{i},{m},{m * dt:.17g},{x:.17g},{y:.17g}\n")
+
+
+@st.composite
+def trajectory_ensembles(draw):
+    """Gaussian paths with a blown replica's NaN rows, -0.0, +-inf and
+    extreme magnitudes dropped in; R 1-4, N 2-5, 0-12 steps."""
+    r_n, n, n_steps = (draw(st.integers(1, 4)), draw(st.integers(2, 5)),
+                       draw(st.integers(0, 12)))
+    cfg = S.SimConfig(params=KernelParams(theta=1.0), n_particles=n,
+                      dt=draw(st.sampled_from([0.1, 1 / 3, 0.01, 10.0])),
+                      n_steps=n_steps, n_replicas=r_n, seed=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pos = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e5])),
+                     size=(r_n, n_steps + 1, n, 2))
+    if draw(st.booleans()):
+        pos[draw(st.integers(0, r_n - 1)), draw(st.integers(0, n_steps)):] = np.nan
+    for k, value in draw(st.lists(st.tuples(
+            st.integers(0, pos.size - 1),
+            st.sampled_from([-0.0, 0.0, math.inf, -math.inf, 5e-324, -1e308])),
+            max_size=6)):
+        pos.flat[k] = value
+    return S.TrajectoryEnsemble(positions=pos, config=cfg, rng_provenance={})
+
+
 class TestTrajectoryFiles:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ens=trajectory_ensembles())
+    def test_csv_matches_row_writer_and_roundtrips(self, tmp_path, ens):
+        io.write_trajectory_csv(tmp_path / "blocks.csv", ens)
+        reference_write_trajectory_csv(tmp_path / "rows.csv", ens)
+        assert ((tmp_path / "blocks.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+        pos, dt = io.read_trajectory_csv(tmp_path / "blocks.csv")
+        # bit for bit, -0.0 included; NaN has one spelling, "nan"
+        nan = np.isnan(ens.positions)
+        np.testing.assert_array_equal(np.isnan(pos), nan)
+        np.testing.assert_array_equal(pos[~nan].view(np.uint64),
+                                      ens.positions[~nan].view(np.uint64))
+        assert dt == (ens.config.dt if ens.n_steps else 0.0)
+
     def test_csv_roundtrip(self, tmp_path):
         ens = small_ensemble()
         path = tmp_path / "traj.csv"
