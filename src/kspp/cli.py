@@ -341,6 +341,9 @@ def martingale_suite(replicas: int, ito_steps: int, mart_steps: int,
     the martingale-residual variance on [1/2, 1] for N = n_small and
     n_large (`mart_steps` steps, seeds seed + done). The caller applies
     its own bands."""
+    if mart_steps % 2:
+        raise ValueError(f"martingale steps must be even, so that s = 1/2 is "
+                         f"a grid time; got {mart_steps}")
     params = kernels.KernelParams(theta=1.0, chi=0.0, epsilon=0.0)
 
     def ensembles(n_particles: int, steps: int, first_seed: int):

@@ -5,8 +5,8 @@ moment functionals (inverse-distance integral E1, space-time double
 integrals E2/E3, drift-power integral E4, the Markovianization integrals
 S and their offset variant), checks the drift-domination and Hoelder
 modulus inequalities in their exact discrete form, and evaluates the
-Ito-balance identity and the empirical martingale residual for built-in
-test-function families.
+Ito-balance identity (Gaussian bump) and the empirical martingale residual
+(compact bump).
 
 Conventions shared with the simulator: double time sums use the
 u-exclusive left-endpoint rule in the inner (history) variable where the
@@ -27,15 +27,9 @@ import numpy as np
 
 from .constants import c0_const, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
-from .simulator import (DRIFT_BUDGET_BYTES, SimConfig, TrajectoryEnsemble,
+from .simulator import (DRIFT_BUDGET_BYTES, TrajectoryEnsemble,
                         _conv_weights, _gauss_factor, _history_sums,
                         _pair_geometry, pair_drifts, replica_blocks, step_drifts)
-
-TEST_FUNCTION_VERSIONS = {
-    "gaussian-bump": "gaussian-bump-v1",
-    "pair-potential": "pair-potential-v1",
-    "compact-bump": "compact-bump-v1",
-}
 
 
 @dataclass(frozen=True)
@@ -124,14 +118,18 @@ def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
     return np.flatnonzero(finite)
 
 
+def _grid_index(t: float, dt: float, what: str) -> int:
+    """The index m of the grid time m * dt that equals `t` to within 1e-9
+    (relative past 1); ValueError, naming `t` as `what`, if there is none."""
+    m = int(round(t / dt))
+    if abs(m * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"{what} {t} is not on the dt={dt} grid")
+    return m
+
+
 def _horizon_index(ensemble: TrajectoryEnsemble, horizon: float | None) -> int:
-    dt = ensemble.config.dt
-    if horizon is None:
-        m_t = ensemble.n_steps
-    else:
-        m_t = int(round(horizon / dt))
-        if abs(m_t * dt - horizon) > 1e-9 * max(1.0, horizon):
-            raise ValueError(f"horizon {horizon} is not on the dt={dt} grid")
+    m_t = (ensemble.n_steps if horizon is None
+           else _grid_index(horizon, ensemble.config.dt, "horizon"))
     if not 1 <= m_t <= ensemble.n_steps:
         raise ValueError(f"horizon index {m_t} outside the simulated window")
     return m_t
@@ -365,11 +363,6 @@ def _holder_max(paths: np.ndarray, times: np.ndarray,
     return best
 
 
-def holder_ratio_max(path: np.ndarray, times: np.ndarray, beta: float) -> float:
-    """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta."""
-    return float(_holder_max(path[None], times, beta)[0])
-
-
 @dataclass
 class HolderStats:
     beta: float
@@ -426,14 +419,12 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
 
 
 # ---------------------------------------------------------------------------
-# Built-in test-function families (fixed and versioned)
+# Built-in test functions
 # ---------------------------------------------------------------------------
 
 
 class GaussianBump:
     """F(u, x) = exp(-u - |x|^2) with exact time-plus-Laplace and gradient."""
-
-    name = TEST_FUNCTION_VERSIONS["gaussian-bump"]
 
     @staticmethod
     def value_sq(u, sq, out=None):
@@ -462,52 +453,12 @@ class GaussianBump:
         return -2.0 * x * GaussianBump.value(u, x)[..., None]
 
 
-class PairPotential:
-    """psi(x, y) = phi(|x-y|^2) with phi(r) = r^(nu/2) / (1 + r^(nu/2)).
-
-    nu = 4 - 2 gamma in (0, 1). The gradient and Laplacian in x are closed
-    forms; the Laplacian diverges to +inf as x -> y.
-    """
-
-    name = TEST_FUNCTION_VERSIONS["pair-potential"]
-
-    def __init__(self, gamma: float):
-        if not 1.5 < gamma < 2.0:
-            raise ValueError(f"gamma must lie in (3/2, 2), got {gamma}")
-        self.gamma = gamma
-        self.nu = 4.0 - 2.0 * gamma
-
-    def psi(self, x, y):
-        d = np.asarray(x, float) - np.asarray(y, float)
-        # np.power, not **: the ufunc gives the same bits for a single
-        # point as for an array of points; ** on a scalar calls libm pow
-        rr = np.power(np.einsum("...c,...c->...", d, d), self.nu / 2.0)
-        return rr / (1.0 + rr)
-
-    def grad_x(self, x, y):
-        d = np.asarray(x, float) - np.asarray(y, float)
-        dist = np.sqrt(np.einsum("...c,...c->...", d, d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = self.nu * dist ** (self.nu - 2.0) / (1.0 + dist ** self.nu) ** 2
-        return np.where(dist[..., None] == 0.0, 0.0, coef[..., None] * d)
-
-    def lap_x(self, x, y):
-        d = np.asarray(x, float) - np.asarray(y, float)
-        dist = np.sqrt(np.einsum("...c,...c->...", d, d))
-        with np.errstate(divide="ignore"):
-            rnu = dist ** self.nu
-            return (self.nu ** 2 * dist ** (self.nu - 2.0) / (1.0 + rnu) ** 2
-                    * (1.0 - 2.0 * rnu / (1.0 + rnu)))
-
-
 class CompactBump:
     """C-infinity bump exp(1 - 1/(1 - |x|^2/R^2)) on |x| < R, zero outside."""
 
-    name = TEST_FUNCTION_VERSIONS["compact-bump"]
-
     def __init__(self, radius: float = 3.0):
-        if radius <= 0:
-            raise ValueError(f"radius must be > 0, got {radius}")
+        if not 0 < radius < math.inf:  # also rejects NaN
+            raise ValueError(f"radius must be finite and > 0, got {radius}")
         self.radius = radius
 
     def _terms(self, x):
@@ -652,19 +603,17 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                       n_boot: int = 2000, boot_seed: int = 0) -> ResidualReport:
     """Monte Carlo residual of the pathwise Ito-balance identity.
 
-    f_spec "gaussian-bump": four-term identity for the time-lagged pair
-    displacement functional of F(u, x) = e^(-u - |x|^2), trapezoid rules on
-    both time axes (the integrands are smooth on the diagonal).
-    f_spec "pair-potential": the symmetrized same-time identity for
-    psi(x, y) built from gamma; its Laplacian integrand is singular at
-    coincidence, which Brownian paths avoid almost surely.
+    The four-term identity for the time-lagged pair displacement functional
+    of F(u, x) = e^(-u - |x|^2), trapezoid rules on both time axes (the
+    integrands are smooth on the diagonal). f_spec names that test
+    function; "gaussian-bump" is the only one.
 
     The drift is the integrator's own (`step_drifts`). Replicas run in
     blocks (`replica_blocks`); those non-finite up to the horizon are
     excluded and counted in `excluded`. Passes when 0 lies in the
     bootstrap confidence interval of the mean.
     """
-    if f_spec not in ("gaussian-bump", "pair-potential"):
+    if f_spec != "gaussian-bump":
         raise ValueError(f"unknown test function spec {f_spec!r}")
     cfg = ensemble.config
     chi, dt = cfg.params.chi, cfg.dt
@@ -673,31 +622,26 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     w_tr = _trap_weights(m_t, dt)
     i_idx, j_idx = _pair_index(ordered_pairs(n))
     kept = _finite_replicas(ensemble, m_t)
-    gaussian = f_spec == "gaussian-bump"
-    if gaussian:
-        times = np.arange(m_t + 1) * dt
-        lag_ut = times[m_t] - times                # t - s
-        n_t, n_k = m_t + 1, len(i_idx)
-        # the (u, s) grid in tiles of u rows: whole while one replica's two
-        # grids, 16 * K * T^2 bytes, fit DRIFT_BUDGET_BYTES, else the most
-        # rows that fit (never fewer than one); every u row is summed whole,
-        # so the bits do not depend on the tiling
-        rows = min(n_t, max(1, DRIFT_BUDGET_BYTES // (16 * n_k * n_t)))
-        tiles = [(u0, min(u0 + rows, n_t)) for u0 in range(0, n_t, rows)]
-        # the lag and weight tables of the last tile used are kept: while
-        # one tile holds the grid they are built once per call
-        tables = functools.lru_cache(maxsize=1)(
-            functools.partial(_inner_tables, m_t, dt))
-        blocks = replica_blocks(len(kept), n_k, rows * n_t)
-        # the two grids are allocated once per call: fresh ones in every
-        # block made glibc's malloc trim and refault its heap (about 80 000
-        # page faults at R = 500, M = 128) unless an earlier large free had
-        # raised its mmap threshold
-        size = (len(blocks[0]) if blocks else 0) * n_k * rows * n_t
-        grid_a, grid_b = np.empty(size), np.empty(size)
-    else:
-        pot = PairPotential(ep.gamma)
-        blocks = replica_blocks(len(kept), n * n, m_t + 1)
+    times = np.arange(m_t + 1) * dt
+    lag_ut = times[m_t] - times                # t - s
+    n_t, n_k = m_t + 1, len(i_idx)
+    # the (u, s) grid in tiles of u rows: whole while one replica's two
+    # grids, 16 * K * T^2 bytes, fit DRIFT_BUDGET_BYTES, else the most rows
+    # that fit (never fewer than one); every u row is summed whole, so the
+    # bits do not depend on the tiling
+    rows = min(n_t, max(1, DRIFT_BUDGET_BYTES // (16 * n_k * n_t)))
+    tiles = [(u0, min(u0 + rows, n_t)) for u0 in range(0, n_t, rows)]
+    # the lag and weight tables of the last tile used are kept: while one
+    # tile holds the grid they are built once per call
+    tables = functools.lru_cache(maxsize=1)(
+        functools.partial(_inner_tables, m_t, dt))
+    blocks = replica_blocks(len(kept), n_k, rows * n_t)
+    # the two grids are allocated once per call: fresh ones in every block
+    # made glibc's malloc trim and refault its heap (about 80 000 page
+    # faults at R = 500, M = 128) unless an earlier large free had raised
+    # its mmap threshold
+    size = (len(blocks[0]) if blocks else 0) * n_k * rows * n_t
+    grid_a, grid_b = np.empty(size), np.empty(size)
     res = np.zeros(len(kept))
 
     for block in blocks:
@@ -708,46 +652,35 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         if chi != 0.0:   # (B, K, T, 2) total drift on each pair's first particle
             drift = step_drifts(pos, range(m_t + 1), cfg)
             drift = np.ascontiguousarray(drift.transpose(0, 2, 1, 3))[:, i_idx]
-        if gaussian:
-            lhs = _row_dot(GaussianBump.value(lag_ut, xi[:, :, m_t:] - xj), w_tr)
-            t1 = _row_dot(GaussianBump.value(0.0, xi - xj), w_tr)
-            b = len(block)
-            row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
-            grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
-            for u0, u1 in tiles:
-                lag, w_in = tables(u0, u1)
-                shape = (b, n_k, u1 - u0, n_t)
-                grids = tuple(g[: math.prod(shape)].reshape(shape)
-                              for g in (grid_a, grid_b))
-                # |x_u - y_s|^2 in the first grid, then F in the second and
-                # the heat operator in place; F is shared with grad F = -2 x F
-                now, past = xi[:, :, u0:u1, None], xj[:, :, None]
-                _, _, sq = _pair_geometry(now, past, out=(*grids, grids[0]))
-                f = GaussianBump.value_sq(lag, sq, out=grids[1])
-                heat = GaussianBump.heat_sq(sq, f, out=sq)
-                heat *= w_in
-                row_sums[:, :, u0:u1] = np.sum(heat, axis=-1)
-                if chi != 0.0:
-                    for c in range(2):
-                        g = np.subtract(now[..., c], past[..., c], out=sq)
-                        g *= -2.0
-                        g *= f
-                        grad_int[:, :, u0:u1, c] = np.einsum(
-                            "us,...us->...u", w_in, g)
-            per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
+        lhs = _row_dot(GaussianBump.value(lag_ut, xi[:, :, m_t:] - xj), w_tr)
+        t1 = _row_dot(GaussianBump.value(0.0, xi - xj), w_tr)
+        b = len(block)
+        row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
+        grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
+        for u0, u1 in tiles:
+            lag, w_in = tables(u0, u1)
+            shape = (b, n_k, u1 - u0, n_t)
+            grids = tuple(g[: math.prod(shape)].reshape(shape)
+                          for g in (grid_a, grid_b))
+            # |x_u - y_s|^2 in the first grid, then F in the second and the
+            # heat operator in place; F is shared with grad F = -2 x F
+            now, past = xi[:, :, u0:u1, None], xj[:, :, None]
+            _, _, sq = _pair_geometry(now, past, out=(*grids, grids[0]))
+            f = GaussianBump.value_sq(lag, sq, out=grids[1])
+            heat = GaussianBump.heat_sq(sq, f, out=sq)
+            heat *= w_in
+            row_sums[:, :, u0:u1] = np.sum(heat, axis=-1)
             if chi != 0.0:
-                per_pair -= chi * _row_dot(
-                    np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
-        else:
-            j1 = (pot.psi(xi[:, :, m_t], xj[:, :, m_t])
-                  - pot.psi(xi[:, :, 0], xj[:, :, 0]))
-            lap = pot.lap_x(xi, xj)
-            per_pair = j1 - 2.0 * _row_dot(np.where(np.isfinite(lap), lap, 0.0),
-                                           w_tr)
-            if chi != 0.0:
-                per_pair -= 2.0 * chi * _row_dot(
-                    np.einsum("...mc,...mc->...m", pot.grad_x(xi, xj), drift),
-                    w_tr)
+                for c in range(2):
+                    g = np.subtract(now[..., c], past[..., c], out=sq)
+                    g *= -2.0
+                    g *= f
+                    grad_int[:, :, u0:u1, c] = np.einsum(
+                        "us,...us->...u", w_in, g)
+        per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
+        if chi != 0.0:
+            per_pair -= chi * _row_dot(
+                np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
         res[block.start: block.stop] = [_fsum_mean(row) for row in per_pair]
 
     return _residual_report(
@@ -770,8 +703,9 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     bounded path functional: ("const",) or ("window", tau, lo, hi) which
     is the indicator that both coordinates at time tau lie in [lo, hi].
     tau <= s keeps the functional adapted; larger tau is a deliberate
-    misuse that breaks the martingale property. Replicas run in blocks;
-    those non-finite up to t are excluded.
+    misuse that breaks the martingale property. s, t and tau must lie on
+    the dt grid, with tau in [0, t]. Replicas run in blocks; those
+    non-finite up to t are excluded.
     """
     if phi is None:
         phi = CompactBump()
@@ -779,7 +713,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     dt, chi = cfg.dt, cfg.params.chi
     if not 0 < s < t:
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
-    m_s = int(round(s / dt))
+    m_s = _grid_index(s, dt, "s")
     m_e = _horizon_index(ensemble, t)
     if not 0 < m_s < m_e:
         raise ValueError(f"need grid indices 0 < {m_s} < {m_e}")
@@ -791,9 +725,9 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
         path_mask = np.ones((len(kept), n))
     elif kind == "window":
         _, tau, lo_w, hi_w = phi_path_spec
-        m_tau = int(round(tau / dt))
+        m_tau = _grid_index(tau, dt, "window time")
         if not 0 <= m_tau <= m_e:
-            raise ValueError(f"window time {tau} outside the simulated grid")
+            raise ValueError(f"window time {tau} outside [0, t={t}]")
         pt = ensemble.positions[kept, m_tau]
         path_mask = ((lo_w <= pt) & (pt <= hi_w)).all(axis=-1).astype(float)
     else:

@@ -8,8 +8,8 @@ over the full stored history (left-endpoint rule in the history variable;
 the l = m endpoint is excluded and would contribute zero anyway, since the
 smoothed kernel vanishes there). Noise and initial positions come from
 counter-based Philox streams keyed by (seed, replica, particle), so runs
-are bit-reproducible, per-replica prefixes are stable when the replica
-count grows, and streams can be permuted or reused across configurations
+are bit-reproducible, prefixes are stable when the replica count or the
+step count grows, and streams can be permuted or reused across configurations
 (the epsilon-refinement study relies on reusing one noise array).
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,15 +90,6 @@ class SimConfig:
         if self.history_cutoff is not None and not 0 < self.history_cutoff < math.inf:
             raise ValueError("history_cutoff must be finite and positive when set, "
                              f"got {self.history_cutoff}")
-
-
-class BlowupError(RuntimeError):
-    """A particle position became non-finite during integration."""
-
-    def __init__(self, replica: int, step: int):
-        super().__init__(f"non-finite position in replica {replica} at step {step}")
-        self.replica = replica
-        self.step = step
 
 
 @dataclass
@@ -464,50 +455,15 @@ def _require_smoothing(config: SimConfig) -> None:
         raise ValueError("the smoothed system requires epsilon > 0")
 
 
-def step(ensemble: TrajectoryEnsemble, m: int,
-         noise: np.ndarray | None = None) -> TrajectoryEnsemble:
-    """Advance every replica from step m to m+1 (in place).
-
-    `noise` is the (R, N, 2) array of increments for this step; when None
-    it is drawn from the per-(replica, particle) streams, rows 0..m only
-    (the streams are prefix-stable). Raises BlowupError for the first
-    replica whose row m+1 is non-finite, after stepping all of them.
-    """
-    config = ensemble.config
-    if not 0 <= m < config.n_steps:
-        raise ValueError(f"step index {m} outside [0, {config.n_steps})")
-    _require_smoothing(config)
-    if noise is None:
-        noise = draw_noise(replace(config, n_steps=m + 1))[:, m]
-    noise = np.asarray(noise, dtype=float)
-    n = config.n_particles
-    blocks = replica_blocks(ensemble.n_replicas, n * n, _drift_rows(config))
-    # one workspace for this step, sized for the largest block
-    rows = _drift_window(m, config) if config.params.chi != 0.0 else 0
-    work = _drift_workspace(len(blocks[0]), n, rows)
-    ensemble.counters.update(replica_blocks=len(blocks), drift_workspace_bytes=max(
-        ensemble.counters["drift_workspace_bytes"], work.nbytes))
-    blown = []
-    for block in blocks:
-        _, lost, secs = _euler_block(ensemble.positions, noise,
-                                     np.arange(block.start, block.stop), m,
-                                     config, work)
-        ensemble.drift_seconds += secs
-        blown.extend(lost)
-    if blown:
-        raise BlowupError(int(blown[0]), m + 1)
-    return ensemble
-
-
 def run(config: SimConfig, initial: np.ndarray | None = None,
-        noise: np.ndarray | None = None,
-        n_threads: int | None = None) -> TrajectoryEnsemble:
+        noise: np.ndarray | None = None) -> TrajectoryEnsemble:
     """Integrate the full ensemble.
 
     `initial` (R, N, 2) and `noise` (R, n_steps, N, 2) override the stream
     draws when given (used by the permutation, mirror and epsilon-refinement
     studies). Replicas are stepped in blocks (`replica_blocks`), one kernel
-    call per block and step; threads take whole blocks. Blow-ups abort only
+    call per block and step; threads (KSPP_THREADS, default 1) take
+    whole blocks. Blow-ups abort only
     their replica and are recorded rather than raised.
 
     Relabeling: applying one permutation of the particles to `initial` and
@@ -544,7 +500,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         return blowups, secs, work.nbytes
 
     blocks = replica_blocks(config.n_replicas, n * n, rows)
-    workers = _resolve_threads(n_threads)
+    workers = _resolve_threads()
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -560,9 +516,8 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     return ens
 
 
-def _resolve_threads(n_threads: int | None) -> int:
-    if n_threads is not None:
-        return max(1, n_threads)
+def _resolve_threads() -> int:
+    """Worker threads for `run`: KSPP_THREADS, else 1 (also when invalid)."""
     env = os.environ.get("KSPP_THREADS", "")
     try:
         return max(1, int(env))

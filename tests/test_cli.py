@@ -300,6 +300,13 @@ class TestVerification:
         payload = json.loads((tmp_path / "martingale_test.json").read_text())
         assert 2.5 <= payload["variance_ratio"] <= 6.0
 
+    def test_martingale_odd_steps_exit_2(self, tmp_path, capsys):
+        # s = 1/2 is not a grid time at dt = 1/33: rejected before any run
+        rc = cli.main(["martingale-test", "--replicas", "300", "--steps", "33",
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "must be even" in capsys.readouterr().err
+
     def test_epsilon_study_mechanics(self, tmp_path):
         rc = cli.main(["epsilon-study", "--steps", "32", "--replicas", "2",
                        "--factor", "10.0", "--out", str(tmp_path)])

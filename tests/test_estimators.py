@@ -378,7 +378,7 @@ class TestHolderModulus:
         times = np.linspace(0.0, 2.0, 21)
         slope = np.array([0.3, -0.4])
         path = times[:, None] * slope
-        z = E.holder_ratio_max(path, times, beta)
+        z = E._holder_max(path[None], times, beta)[0]
         assert z == pytest.approx(np.linalg.norm(slope) * 2.0 ** (1 - beta),
                                   rel=1e-12)
 
@@ -416,7 +416,7 @@ class TestHolderModulus:
                                      [0] * (n - 1), range(1, n))[0]
             path = np.zeros((steps + 1, 2))
             path[1:] = chi * dt * np.cumsum(d.mean(axis=1)[:-1], axis=0)
-            z_hat.append(E.holder_ratio_max(path, times, stats.beta))
+            z_hat.append(E._holder_max(path[None], times, stats.beta)[0])
             tails = dt * np.sum(np.sqrt(np.einsum("mkc,mkc->mk", d, d))[:-1] ** q,
                                 axis=0)
             bound.append(chi / (n - 1) * math.fsum(1.0 + t for t in tails))
@@ -435,52 +435,14 @@ class TestHolderModulus:
         with mock.patch.object(E, "DRIFT_BUDGET_BYTES", rows * 32 * 21):
             assert [t[:2] for t in E._holder_tiles(ens.times, 0.3)][-1] == last
             tiled = E.holder_modulus(ens, EP)
-            path = E.holder_ratio_max(ens.positions[0, :, 0], ens.times, 0.3)
+            path = E._holder_max(ens.positions[None, 0, :, 0], ens.times, 0.3)
         assert np.array_equal(tiled.z_hat, whole.z_hat)
         assert np.array_equal(tiled.bound, whole.bound)
-        assert path == E.holder_ratio_max(ens.positions[0, :, 0], ens.times,
-                                          0.3)
+        assert path == E._holder_max(ens.positions[None, 0, :, 0], ens.times,
+                                     0.3)
 
 
 class TestTestFunctions:
-    def test_pair_potential_gradient_fd(self):
-        pot = E.PairPotential(1.62)
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(100):
-            x = rng.uniform(-2, 2, 2)
-            y = rng.uniform(-2, 2, 2)
-            if np.linalg.norm(x - y) < 0.05:
-                y = y + 0.1
-            h = 1e-6
-            fd = np.array([
-                (pot.psi(x + [h, 0], y) - pot.psi(x - [h, 0], y)) / (2 * h),
-                (pot.psi(x + [0, h], y) - pot.psi(x - [0, h], y)) / (2 * h)])
-            g = pot.grad_x(x, y)
-            worst = max(worst, np.linalg.norm(fd - g)
-                        / max(np.linalg.norm(g), 1e-12))
-        assert worst < 1e-5
-
-    def test_pair_potential_laplacian_fd(self):
-        # divergence of the (separately FD-verified) closed-form gradient;
-        # a plain 5-point second difference drowns in cancellation noise
-        pot = E.PairPotential(1.62)
-        rng = np.random.default_rng(4)
-        worst = 0.0
-        for _ in range(100):
-            x = rng.uniform(-2, 2, 2)
-            y = rng.uniform(-2, 2, 2)
-            if np.linalg.norm(x - y) < 0.3:
-                y = y + 0.5
-            h = 1e-5
-            lap_fd = ((pot.grad_x(x + [h, 0], y)[0]
-                       - pot.grad_x(x - [h, 0], y)[0]) / (2 * h)
-                      + (pot.grad_x(x + [0, h], y)[1]
-                         - pot.grad_x(x - [0, h], y)[1]) / (2 * h))
-            lap = pot.lap_x(x, y)
-            worst = max(worst, abs(lap_fd - lap) / max(abs(lap), 1e-12))
-        assert worst < 1e-5
-
     def test_compact_bump_support_and_fd(self):
         bump = E.CompactBump(radius=2.0)
         assert bump.value(np.array([2.5, 0.0])) == 0.0
@@ -498,6 +460,14 @@ class TestTestFunctions:
                       + bump.value(x + [0, h2]) + bump.value(x - [0, h2])
                       - 4 * bump.value(x)) / h2 ** 2
             assert bump.lap(x) == pytest.approx(lap_fd, rel=1e-3, abs=1e-6)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_compact_bump_radius_validated(self, radius):
+        # with a NaN radius every residual is 0 and with an infinite one
+        # the bump is the constant 1: the martingale check would pass
+        # vacuously
+        with pytest.raises(ValueError, match="radius"):
+            E.CompactBump(radius)
 
     def test_gaussian_bump_heat_operator(self):
         rng = np.random.default_rng(6)
@@ -600,20 +570,11 @@ class TestItoBalance:
                        for s, w in enumerate(E._trap_weights(u, dt)))
         assert rep.per_replica[0] == pytest.approx(lhs - t1 - t2, rel=1e-12)
 
-    def test_pair_potential_balance_smoke(self):
-        params = KernelParams(theta=1.0, chi=0.4, epsilon=0.1)
-        cfg = S.SimConfig(params=params, n_particles=3, dt=1.0 / 64,
-                          n_steps=64, n_replicas=400, seed=11,
-                          init=S.InitSpec("gaussian", sigma=1.0))
-        ep = E.EstimatorParams(gamma=1.62, alpha=0.045)
-        rep = E.ito_balance_check(S.run(cfg), ep, f_spec="pair-potential")
-        assert np.isfinite(rep.per_replica).all()
-        assert rep.passes
-
     def test_unknown_spec(self):
         ens = brownian_ensemble(n_steps=8, n_replicas=2)
-        with pytest.raises(ValueError):
-            E.ito_balance_check(ens, EP, f_spec="mystery")
+        for f_spec in ("mystery", "pair-potential"):
+            with pytest.raises(ValueError, match="unknown test function"):
+                E.ito_balance_check(ens, EP, f_spec=f_spec)
 
 
 class TestMartingaleResidual:
@@ -650,6 +611,22 @@ class TestMartingaleResidual:
         with pytest.raises(ValueError):
             E.martingale_residual(ens, None, ("nope",), s=0.25, t=0.5)
 
+    def test_off_grid_times_rejected(self):
+        # dt = 1/4: an off-grid s or tau raises, like an off-grid t,
+        # instead of being rounded to a grid time (s = 0.3 to 0.25)
+        ens = brownian_ensemble(n_steps=4, n_replicas=2, dt=0.25)
+        for s, t in ((0.3, 1.0), (0.5, 0.9)):
+            with pytest.raises(ValueError, match="not on the dt=0.25 grid"):
+                E.martingale_residual(ens, None, ("const",), s=s, t=t)
+        for tau in (-0.1, 0.3, -0.25, 1.25):
+            with pytest.raises(ValueError, match="window time"):
+                E.martingale_residual(ens, None, ("window", tau, -1.0, 1.0),
+                                      s=0.5, t=1.0)
+        for tau in (0.0, 1.0):   # the ends of [0, t]
+            rep = E.martingale_residual(ens, None, ("window", tau, -1.0, 1.0),
+                                        s=0.5, t=1.0)
+            assert rep.per_replica.shape == (2,)
+
 
 def reference_drifts(pos, cfg, m_lo, m_hi):
     """Interaction mean drift and background gradient on every particle of
@@ -669,9 +646,10 @@ def reference_drifts(pos, cfg, m_lo, m_hi):
     return d.reshape(-1, n, n - 1, 2).sum(axis=2) / (n - 1), grad_b
 
 
-def reference_ito(ens, ep, f_spec):
-    """Per-replica Ito-balance residuals, one replica and one pair at a
-    time, the background and interaction terms taken separately."""
+def reference_ito(ens):
+    """Per-replica Gaussian-bump Ito-balance residuals, one replica and
+    one pair at a time, the background and interaction terms taken
+    separately."""
     cfg, dt, chi = ens.config, ens.config.dt, ens.config.params.chi
     m_t, n = ens.n_steps, ens.n_particles
     w_tr = E._trap_weights(m_t, dt)
@@ -680,7 +658,7 @@ def reference_ito(ens, ep, f_spec):
     for m in range(1, m_t + 1):
         w_inner[m, : m + 1] = E._trap_weights(m, dt)
     lag_mat = times[:, None] - times[None, :]
-    gb, pot = E.GaussianBump, E.PairPotential(ep.gamma)
+    gb = E.GaussianBump
     out = []
     for r in range(ens.n_replicas):
         pos = ens.positions[r]
@@ -691,23 +669,14 @@ def reference_ito(ens, ep, f_spec):
         per_pair = []
         for i, j in E.ordered_pairs(n):
             xi, xj = pos[:, i], pos[:, j]
-            if f_spec == "gaussian-bump":
-                lhs = float(w_tr @ gb.value(times[m_t] - times, xi[m_t][None] - xj))
-                t1 = float(w_tr @ gb.value(0.0, xi - xj))
-                diff = xi[:, None, :] - xj[None, :, :]
-                t2 = float(w_tr @ np.sum(w_inner * gb.heat(lag_mat, diff), axis=1))
-                grad_int = np.einsum("us,usc->uc", w_inner, gb.grad(lag_mat, diff))
-                t3 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, grad_b[:, i]))
-                t4 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, drift[:, i]))
-                per_pair.append(lhs - t1 - t2 - t3 - t4)
-            else:
-                j1 = float(pot.psi(xi[m_t], xj[m_t]) - pot.psi(xi[0], xj[0]))
-                lap = pot.lap_x(xi, xj)
-                j2 = float(w_tr @ np.where(np.isfinite(lap), lap, 0.0))
-                grads = pot.grad_x(xi, xj)
-                j3 = float(w_tr @ np.einsum("mc,mc->m", grads, grad_b[:, i]))
-                j4 = float(w_tr @ np.einsum("mc,mc->m", grads, drift[:, i]))
-                per_pair.append(j1 - 2.0 * j2 - 2.0 * chi * j3 - 2.0 * chi * j4)
+            lhs = float(w_tr @ gb.value(times[m_t] - times, xi[m_t][None] - xj))
+            t1 = float(w_tr @ gb.value(0.0, xi - xj))
+            diff = xi[:, None, :] - xj[None, :, :]
+            t2 = float(w_tr @ np.sum(w_inner * gb.heat(lag_mat, diff), axis=1))
+            grad_int = np.einsum("us,usc->uc", w_inner, gb.grad(lag_mat, diff))
+            t3 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, grad_b[:, i]))
+            t4 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, drift[:, i]))
+            per_pair.append(lhs - t1 - t2 - t3 - t4)
         out.append(math.fsum(per_pair) / len(per_pair))
     return np.array(out)
 
@@ -753,10 +722,9 @@ class TestResidualBlocks:
     @given(n=st.integers(2, 5), replicas=st.integers(1, 5),
            steps=st.integers(3, 12), seed=st.integers(0, 2 ** 16),
            chi=st.sampled_from([0.0, 0.5]), source=st.booleans(),
-           f_spec=st.sampled_from(["gaussian-bump", "pair-potential"]),
            window=st.booleans(), data=st.data())
     def test_matches_reference(self, n, replicas, steps, seed, chi, source,
-                               f_spec, window, data):
+                               window, data):
         dt = 0.05
         cfg = S.SimConfig(
             params=KernelParams(theta=1.0, lam=0.2, chi=chi, epsilon=0.05),
@@ -769,10 +737,10 @@ class TestResidualBlocks:
         path = ("const",)
         if window:
             path = ("window", data.draw(st.integers(0, steps)) * dt, -0.8, 0.8)
-        ito = E.ito_balance_check(ens, EP, f_spec=f_spec, n_boot=20)
+        ito = E.ito_balance_check(ens, EP, f_spec="gaussian-bump", n_boot=20)
         mart = E.martingale_residual(ens, None, path, s=m_s * dt,
                                      t=steps * dt)
-        ref_ito, ref_mart = reference_ito(ens, EP, f_spec), \
+        ref_ito, ref_mart = reference_ito(ens), \
             reference_martingale(ens, path, m_s)
         assert ito.excluded == mart.excluded == 0
         if chi == 0.0:
@@ -903,7 +871,7 @@ class TestResidualBlocks:
         assert rep.divergent_terms == divergent
         assert np.array_equal(rep.estimates["E1"].per_replica, e1)
 
-    @pytest.mark.parametrize("f_spec", ["gaussian-bump", "pair-potential"])
+    @pytest.mark.parametrize("f_spec", ["gaussian-bump"])
     def test_nonfinite_replica_excluded_and_counted(self, f_spec):
         source = SourceSpec(components=((1.0, (0.5, 0.0), 1.0),))
         cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=0.9, epsilon=0.05),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,25 @@ class TestStepAndRun:
         b = S.run(cfg, initial=init[:, perm], noise=noise[:, :, perm])
         np.testing.assert_array_equal(a.positions[:, :, perm], b.positions)
 
+    @pytest.mark.parametrize("cutoff", [None, 0.05])
+    @pytest.mark.parametrize("n, noise_mode", [(2, "standard"), (2, "mirrored"),
+                                               (32, "standard")])
+    @pytest.mark.parametrize("chi", [0.0, 0.8])
+    def test_step_prefix_stability(self, chi, n, noise_mode, cutoff):
+        # a run over k steps is the first k + 1 rows of a run over K > k:
+        # every stream is prefix-stable and step m reads only rows 0..m
+        params = KernelParams(theta=1.0, lam=0.2, chi=chi, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=n, n_steps=100,
+                          n_replicas=2, seed=31, noise_mode=noise_mode,
+                          history_cutoff=cutoff)
+        short = S.run(dataclasses.replace(cfg, n_steps=30))
+        full = S.run(cfg)
+        np.testing.assert_array_equal(short.positions, full.positions[:, :31])
+        if n == 32 and chi != 0.0 and cutoff is None:
+            # the two runs step their replicas in different blocks
+            assert (short.counters["replica_blocks"],
+                    full.counters["replica_blocks"]) == (1, 2)
+
     def test_mirror_symmetry_exact(self):
         params = KernelParams(theta=1.0, lam=0.3, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_steps=50, n_replicas=3, seed=7,
@@ -292,21 +312,6 @@ class TestStepAndRun:
         np.testing.assert_array_equal(ens.positions[:, 0],
                                       S.draw_initial(cfg))
         assert ens.positions.shape[1] == 1
-
-    def test_step_matches_run(self):
-        params = KernelParams(theta=1.0, chi=0.7, epsilon=0.05)
-        cfg = make_config(params=params, n_steps=3, n_replicas=2, seed=17)
-        noise = S.draw_noise(cfg)
-        full = S.run(cfg, noise=noise)
-        ens = S.init_ensemble(cfg)
-        for m in range(3):
-            S.step(ens, m, noise[:, m])
-        np.testing.assert_array_equal(ens.positions, full.positions)
-        # without noise, step draws the same increments from the streams
-        ens = S.init_ensemble(cfg)
-        for m in range(3):
-            S.step(ens, m)
-        np.testing.assert_array_equal(ens.positions, full.positions)
 
     @pytest.mark.parametrize("source", [False, True])
     @pytest.mark.parametrize("cutoff", [None, 0.05])
@@ -340,29 +345,6 @@ class TestStepAndRun:
         np.testing.assert_allclose(b.positions, a.positions[:, :, perm],
                                    rtol=1e-12, atol=1e-12)
 
-    def test_step_draws_only_rows_up_to_m(self, monkeypatch):
-        cfg = make_config(n_steps=40, n_replicas=2, seed=4)
-        drawn = []
-        real = S.draw_noise
-
-        def spy(config):
-            drawn.append(config.n_steps)
-            return real(config)
-
-        monkeypatch.setattr(S, "draw_noise", spy)
-        ens = S.init_ensemble(cfg)
-        for m in range(3):
-            S.step(ens, m)
-        assert drawn == [1, 2, 3]
-        np.testing.assert_array_equal(ens.positions[:, :4],
-                                      S.run(cfg).positions[:, :4])
-
-    def test_step_index_validation(self):
-        cfg = make_config(n_steps=2)
-        ens = S.init_ensemble(cfg)
-        with pytest.raises(ValueError):
-            S.step(ens, 5)
-
     def test_epsilon_required_with_drift(self):
         params = KernelParams(theta=1.0, chi=1.0, epsilon=0.0)
         cfg = make_config(params=params)
@@ -389,9 +371,14 @@ class TestStepAndRun:
     def test_thread_parallel_matches_serial(self):
         params = KernelParams(theta=1.0, chi=0.9, epsilon=0.05)
         cfg = make_config(params=params, n_steps=10, n_replicas=4, seed=23)
-        a = S.run(cfg, n_threads=1)
-        b = S.run(cfg, n_threads=3)
+        # blocks of one replica, so that the threads have blocks to share
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 16 * 2 * 2 * 10):
+            assert len(S.replica_blocks(4, 2 * 2, 10)) == 4
+            a = S.run(cfg)
+            with mock.patch.dict(os.environ, {"KSPP_THREADS": "3"}):
+                b = S.run(cfg)
         np.testing.assert_array_equal(a.positions, b.positions)
+        assert a.counters == b.counters
 
     def test_thread_env_variable(self, monkeypatch):
         params = KernelParams(theta=1.0, chi=0.9, epsilon=0.05)
@@ -444,10 +431,6 @@ class TestStepAndRun:
         want = {"replica_blocks": 1,
                 "drift_workspace_bytes": 3 * 8 * 2 * 3 * 3 * 3}  # 3 rows
         assert S.run(cfg).counters == want
-        ens = S.init_ensemble(cfg)
-        for m in range(cfg.n_steps):
-            S.step(ens, m)
-        assert ens.counters == want
         assert S.run(make_config(n_replicas=2)).counters == {
             "replica_blocks": 1, "drift_workspace_bytes": 0}
 
@@ -487,12 +470,13 @@ class TestBatchedStepping:
     """run() on R replicas equals R single-replica runs, bit for bit."""
 
     @staticmethod
-    def check(cfg, blow, n_threads=None):
+    def check(cfg, blow, threads="1"):
         initial = S.draw_initial(cfg)
         noise = S.draw_noise(cfg)
         if blow is not None:
             noise[blow[0], blow[1], 0, 0] = np.inf
-        ens = S.run(cfg, initial=initial, noise=noise, n_threads=n_threads)
+        with mock.patch.dict(os.environ, {"KSPP_THREADS": threads}):
+            ens = S.run(cfg, initial=initial, noise=noise)
         single = dataclasses.replace(cfg, n_replicas=1)
         blowups = []
         for r in range(cfg.n_replicas):
@@ -522,7 +506,7 @@ class TestBatchedStepping:
             if cfg.params.chi != 0.0:
                 assert len(S.replica_blocks(cfg.n_replicas, n * n, rows)) > 1
             self.check(cfg, blow)
-            self.check(cfg, blow, n_threads=2)
+            self.check(cfg, blow, threads="2")
 
 
 class TestFrozenDriftOracle:
