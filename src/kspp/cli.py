@@ -4,8 +4,9 @@ Modes: simulate, estimate, threshold, verify-inequality, verify-kernels,
 martingale-test, epsilon-study. Exit codes: 0 success, 1 verification
 failure, 2 configuration/usage error, 3 integration blow-up (partial
 artifacts are still written; `estimate` also returns 3 when it leaves out
-replicas with non-finite positions read from a trajectory file). CSV artifacts are byte-identical for a fixed
-manifest and seed; wall-clock timings go only into run_meta.json.
+replicas with non-finite positions read from a trajectory file). CSV
+artifacts are byte-identical for a fixed config and seed; wall-clock
+timings go only into run_meta.json.
 
 The KSPP_THREADS environment variable sets the thread count of the
 simulator; threads take whole replica blocks. JSON artifacts are strict
@@ -20,27 +21,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, constants, estimators, funineq, io, kernels, simulator
-
-MODES = ("simulate", "estimate", "threshold", "verify-inequality",
-         "verify-kernels", "martingale-test", "epsilon-study")
-
-
-@dataclass
-class ExperimentManifest:
-    """One experiment; `options` holds every option of the mode's parser,
-    defaults included (see `_build_parser`)."""
-
-    mode: str
-    out_dir: Path
-    config_path: Path | None = None
-    seed: int | None = None
-    options: dict = field(default_factory=dict)
 
 
 def _null_nonfinite(value):
@@ -62,12 +47,10 @@ def _write_json(path: Path, payload: dict) -> None:
                                allow_nan=False) + "\n")
 
 
-def _load_config(manifest: ExperimentManifest) -> simulator.SimConfig:
-    if manifest.config_path is None:
-        raise ValueError("this mode requires --config")
-    cfg = io.load_config(manifest.config_path)
-    if manifest.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=manifest.seed)
+def _load_config(args: argparse.Namespace) -> simulator.SimConfig:
+    cfg = io.load_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -84,12 +67,12 @@ def _timed(timings: dict[str, float], name: str, fn, *args):
 # ---------------------------------------------------------------------------
 
 
-def _mode_simulate(manifest: ExperimentManifest) -> int:
-    cfg = _load_config(manifest)
-    out = manifest.out_dir
+def _mode_simulate(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
+    out = args.out
     timings: dict[str, float] = {}
     ens = _timed(timings, "run", simulator.run, cfg)
-    fmt = manifest.options["format"]
+    fmt = args.format
     if fmt in ("csv", "both"):
         _timed(timings, "write_csv", io.write_trajectory_csv,
                out / "trajectory.csv", ens)
@@ -115,14 +98,12 @@ def _mode_simulate(manifest: ExperimentManifest) -> int:
     return 0
 
 
-def _mode_estimate(manifest: ExperimentManifest) -> int:
-    cfg = _load_config(manifest)
-    opts = manifest.options
-    out = manifest.out_dir
-    traj = opts.get("trajectory")
+def _mode_estimate(args: argparse.Namespace) -> int:
+    cfg = _load_config(args)
+    out = args.out
     blowups: list = []
-    if traj:
-        path = Path(traj)
+    if args.trajectory:
+        path = Path(args.trajectory)
         if path.suffix == ".ksw1":
             positions, dt = io.read_trajectory_bin(path)
         else:
@@ -141,8 +122,8 @@ def _mode_estimate(manifest: ExperimentManifest) -> int:
         ens = simulator.run(cfg)
         blowups = ens.blowups
     ep = estimators.EstimatorParams(
-        gamma=opts["gamma"], alpha=opts["alpha"],
-        delta=opts["delta"], horizon=opts.get("horizon"))
+        gamma=args.gamma, alpha=args.alpha,
+        delta=args.delta, horizon=args.horizon)
     report = estimators.paper_moments(ens, ep)
     _write_json(out / "report.json", report.to_json_dict())
     names = list(report.estimates)
@@ -201,15 +182,14 @@ def remark61_table() -> tuple[str, bool]:
     return "\n".join(lines) + "\n", all_ok
 
 
-def _mode_threshold(manifest: ExperimentManifest) -> int:
-    opts = manifest.options
-    out = manifest.out_dir
-    if opts["remark61"]:
+def _mode_threshold(args: argparse.Namespace) -> int:
+    out = args.out
+    if args.remark61:
         table, ok = remark61_table()
         (out / "remark61.csv").write_text(table)
         print(table, end="")
         return 0 if ok else 1
-    theta, p = opts["theta"], opts["p"]
+    theta, p = args.theta, args.p
     res = constants.chi_star(theta, p)
     csv_text = ("theta,p,chi_star,best_gamma,best_alpha\n"
                 f"{theta:.8g},{p:.8g},{res.chi_star:.8g},"
@@ -239,9 +219,8 @@ def inequality_suite(cases: int, seed: int) -> dict:
                 [1e-1, 1e-2, 1e-3, 1e-4], 0.5, 1.0, 1.0)}
 
 
-def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
-    suite = inequality_suite(manifest.options["cases"],
-                             manifest.seed if manifest.seed is not None else 0)
+def _mode_verify_inequality(args: argparse.Namespace) -> int:
+    suite = inequality_suite(args.cases, args.seed)
     sweep, grid_err = suite["sweep"], suite["extremal_grid_max_err"]
     ratios = suite["tightness_ratios"]
     monotone = all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
@@ -253,19 +232,17 @@ def _mode_verify_inequality(manifest: ExperimentManifest) -> int:
     print(f"tightness ratios (eps 1e-1..1e-4): "
           + " ".join(f"{r:.6f}" for r in ratios)
           + (" (increasing)" if monotone else " (NOT increasing)"))
-    _write_json(manifest.out_dir / "verify_inequality.json", {
+    _write_json(args.out / "verify_inequality.json", {
         "mode": "verify-inequality", **dataclasses.asdict(sweep),
         "extremal_grid_max_err": grid_err, "tightness_ratios": ratios,
         "pass": ok})
     return 0 if ok else 1
 
 
-def _mode_verify_kernels(manifest: ExperimentManifest) -> int:
-    opts = manifest.options
-    seed = manifest.seed if manifest.seed is not None else 0
-    fd_tol, norm_tol = opts["fd_tol"], opts["norm_tol"]
-    n_env, n_fd = opts["samples"], opts["fd_points"]
-    rng = np.random.default_rng(seed)
+def _mode_verify_kernels(args: argparse.Namespace) -> int:
+    fd_tol, norm_tol = args.fd_tol, args.norm_tol
+    n_env, n_fd = args.samples, args.fd_points
+    rng = np.random.default_rng(args.seed)
 
     # finite differences vs the closed-form gradient
     worst_fd = 0.0
@@ -324,7 +301,7 @@ def _mode_verify_kernels(manifest: ExperimentManifest) -> int:
           f"{2 * n_groups * per_group} samples")
     print(f"normalization: worst |quadrature - 1| = {worst_norm:.3g} "
           f"(tol {norm_tol:g})")
-    _write_json(manifest.out_dir / "verify_kernels.json", {
+    _write_json(args.out / "verify_kernels.json", {
         "mode": "verify-kernels", "fd_worst": worst_fd,
         "envelope_violations": violations, "norm_worst": worst_norm,
         "pass": ok,
@@ -370,15 +347,11 @@ def martingale_suite(replicas: int, ito_steps: int, mart_steps: int,
             "variance_ratio": variances[n_small] / variances[n_large]}
 
 
-def _mode_martingale_test(manifest: ExperimentManifest) -> int:
-    opts = manifest.options
-    steps = opts["steps"]
-    n_small, n_large = opts["n_small"], opts["n_large"]
-    lo_band, hi_band = opts["var_lo"], opts["var_hi"]
-    suite = martingale_suite(
-        opts["replicas"], steps, steps, opts["batch"],
-        seed=manifest.seed if manifest.seed is not None else 0,
-        n_small=n_small, n_large=n_large)
+def _mode_martingale_test(args: argparse.Namespace) -> int:
+    n_small, n_large = args.n_small, args.n_large
+    lo_band, hi_band = args.var_lo, args.var_hi
+    suite = martingale_suite(args.replicas, args.steps, args.steps, args.batch,
+                             seed=args.seed, n_small=n_small, n_large=n_large)
     mean, (lo, hi) = float(suite["residuals"].mean()), suite["residual_ci"]
     ratio = suite["variance_ratio"]
     resid_ok, ratio_ok = lo <= 0.0 <= hi, lo_band <= ratio <= hi_band
@@ -386,8 +359,8 @@ def _mode_martingale_test(manifest: ExperimentManifest) -> int:
           f"[{lo:.3e}, {hi:.3e}] -> {'pass' if resid_ok else 'FAIL'}")
     print(f"variance ratio N={n_small} vs N={n_large}: {ratio:.3f} "
           f"(band [{lo_band}, {hi_band}]) -> {'pass' if ratio_ok else 'FAIL'}")
-    _write_json(manifest.out_dir / "martingale_test.json", {
-        "mode": "martingale-test", "replicas": opts["replicas"],
+    _write_json(args.out / "martingale_test.json", {
+        "mode": "martingale-test", "replicas": args.replicas,
         "residual_mean": mean, "residual_ci": [lo, hi],
         "variances": {str(k): v for k, v in suite["variances"].items()},
         "variance_ratio": ratio, "band": [lo_band, hi_band],
@@ -396,18 +369,17 @@ def _mode_martingale_test(manifest: ExperimentManifest) -> int:
     return 0 if resid_ok and ratio_ok else 1
 
 
-def _mode_epsilon_study(manifest: ExperimentManifest) -> int:
-    opts = manifest.options
-    seed = manifest.seed if manifest.seed is not None else 3
-    eps_list, chi, steps = opts["epsilons"], opts["chi"], opts["steps"]
+def _mode_epsilon_study(args: argparse.Namespace) -> int:
+    eps_list = [float(v) for v in args.epsilons.split(",")]
+    chi, steps = args.chi, args.steps
     base = simulator.SimConfig(
         params=kernels.KernelParams(theta=1.0, chi=chi, epsilon=eps_list[0]),
-        n_particles=opts["particles"], dt=opts["horizon"] / steps,
-        n_steps=steps, n_replicas=opts["replicas"], seed=seed,
-        init=simulator.InitSpec("gaussian", sigma=opts["sigma"]))
+        n_particles=args.particles, dt=args.horizon / steps,
+        n_steps=steps, n_replicas=args.replicas, seed=args.seed,
+        init=simulator.InitSpec("gaussian", sigma=args.sigma))
     noise = simulator.draw_noise(base)
     initial = simulator.draw_initial(base)
-    ep = estimators.EstimatorParams(gamma=opts["gamma"], alpha=opts["alpha"])
+    ep = estimators.EstimatorParams(gamma=args.gamma, alpha=args.alpha)
     rows = []
     for eps in eps_list:
         cfg = dataclasses.replace(
@@ -417,57 +389,52 @@ def _mode_epsilon_study(manifest: ExperimentManifest) -> int:
         rows.append((eps, rep.estimates["E4"].value))
     values = [v for _, v in rows]
     spread = max(values) / min(values)
-    factor = opts["factor"]
+    factor = args.factor
     ok = spread < factor
     csv_text = "epsilon,E4\n" + "".join(f"{e:.8g},{v:.8g}\n" for e, v in rows)
-    (manifest.out_dir / "epsilon_study.csv").write_text(csv_text)
+    (args.out / "epsilon_study.csv").write_text(csv_text)
     print(csv_text, end="")
     print(f"max/min E4 ratio = {spread:.4f} (limit {factor}) -> "
           f"{'pass' if ok else 'FAIL'}")
-    _write_json(manifest.out_dir / "epsilon_study.json", {
+    _write_json(args.out / "epsilon_study.json", {
         "mode": "epsilon-study", "rows": rows, "spread": spread,
         "factor": factor, "pass": ok,
     })
     return 0 if ok else 1
 
 
-_DISPATCH = {
-    "simulate": _mode_simulate,
-    "estimate": _mode_estimate,
-    "threshold": _mode_threshold,
-    "verify-inequality": _mode_verify_inequality,
-    "verify-kernels": _mode_verify_kernels,
-    "martingale-test": _mode_martingale_test,
-    "epsilon-study": _mode_epsilon_study,
-}
-
-
-def run_experiment(manifest: ExperimentManifest) -> int:
-    """Execute one experiment; returns the process exit status."""
-    if manifest.mode not in _DISPATCH:
-        raise ValueError(f"unknown mode {manifest.mode!r}")
-    manifest.out_dir.mkdir(parents=True, exist_ok=True)
-    return _DISPATCH[manifest.mode](manifest)
+def _count(low: int = 1):
+    """argparse type of an integer option that must be at least `low`: a
+    count that would empty a check, or crash it, is a usage error."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The `kspp` parser; each mode's subparser sets `run` to its mode."""
     parser = argparse.ArgumentParser(
         prog="kspp",
         description="Keller-Segel particle system: simulate, estimate, verify.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+    def mode(name: str, run, about: str, seed: int | None):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run)
+        p.add_argument("--out", type=Path, default=".", help="output directory")
+        p.add_argument("--seed", type=int, default=seed, help="seed override")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="integrate the particle system")
-    common(p_sim)
+    p_sim = mode("simulate", _mode_simulate, "integrate the particle system",
+                 None)
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--format", choices=("csv", "bin", "both"), default="csv")
 
-    p_est = sub.add_parser("estimate", help="moment functionals of a run")
-    common(p_est)
+    p_est = mode("estimate", _mode_estimate, "moment functionals of a run", None)
     p_est.add_argument("--config", required=True)
     p_est.add_argument("--trajectory", default=None,
                        help="existing trajectory file (.csv or .ksw1); "
@@ -477,39 +444,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--delta", type=float, default=0.0)
     p_est.add_argument("--horizon", type=float, default=None)
 
-    p_thr = sub.add_parser("threshold", help="sensitivity threshold table")
-    common(p_thr)
+    p_thr = mode("threshold", _mode_threshold, "sensitivity threshold table",
+                 None)
     p_thr.add_argument("--theta", type=float)
     p_thr.add_argument("--p", type=float)
     p_thr.add_argument("--remark61", action="store_true",
                        help="emit the five-scenario reference table")
 
-    p_vi = sub.add_parser("verify-inequality", help="functional inequality suite")
-    common(p_vi)
-    p_vi.add_argument("--cases", type=int, default=10000)
+    p_vi = mode("verify-inequality", _mode_verify_inequality,
+                "functional inequality suite", 0)
+    p_vi.add_argument("--cases", type=_count(), default=10000)
 
-    p_vk = sub.add_parser("verify-kernels", help="kernel identity suite")
-    common(p_vk)
-    p_vk.add_argument("--samples", type=int, default=100000)
-    p_vk.add_argument("--fd-points", type=int, default=100)
+    p_vk = mode("verify-kernels", _mode_verify_kernels, "kernel identity suite",
+                0)
+    p_vk.add_argument("--samples", type=_count(), default=100000)
+    p_vk.add_argument("--fd-points", type=_count(), default=100)
     p_vk.add_argument("--fd-tol", type=float, default=1e-5)
     p_vk.add_argument("--norm-tol", type=float, default=1e-6)
 
-    p_mt = sub.add_parser("martingale-test", help="empirical martingale checks")
-    common(p_mt)
-    p_mt.add_argument("--replicas", type=int, default=10000)
-    p_mt.add_argument("--steps", type=int, default=64)
+    p_mt = mode("martingale-test", _mode_martingale_test,
+                "empirical martingale checks", 0)
+    p_mt.add_argument("--replicas", type=_count(2), default=10000)
+    p_mt.add_argument("--steps", type=_count(), default=64)
     p_mt.add_argument("--n-small", type=int, default=16)
     p_mt.add_argument("--n-large", type=int, default=64)
     p_mt.add_argument("--var-lo", type=float, default=2.5)
     p_mt.add_argument("--var-hi", type=float, default=6.0)
-    p_mt.add_argument("--batch", type=int, default=500)
+    p_mt.add_argument("--batch", type=_count(), default=500)
 
-    p_es = sub.add_parser("epsilon-study", help="smoothing refinement stability")
-    common(p_es)
+    p_es = mode("epsilon-study", _mode_epsilon_study,
+                "smoothing refinement stability", 3)
     p_es.add_argument("--epsilons", default="0.1,0.05,0.025")
     p_es.add_argument("--particles", type=int, default=8)
-    p_es.add_argument("--steps", type=int, default=128)
+    p_es.add_argument("--steps", type=_count(), default=128)
     p_es.add_argument("--horizon", type=float, default=1.0)
     p_es.add_argument("--chi", type=float, default=0.3)
     p_es.add_argument("--replicas", type=int, default=8)
@@ -521,29 +488,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace) -> ExperimentManifest:
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("mode", "out", "seed", "config") and v is not None}
-    if args.mode == "threshold":
-        if not args.remark61 and (args.theta is None or args.p is None):
-            raise ValueError("threshold needs either --remark61 or --theta and --p")
-    if args.mode == "epsilon-study":
-        options["epsilons"] = [float(v) for v in str(args.epsilons).split(",")]
-    return ExperimentManifest(
-        mode=args.mode,
-        out_dir=Path(args.out),
-        config_path=Path(args.config) if getattr(args, "config", None) else None,
-        seed=args.seed,
-        options=options,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        manifest = _manifest_from_args(args)
-        return run_experiment(manifest)
+        if (args.mode == "threshold" and not args.remark61
+                and (args.theta is None or args.p is None)):
+            raise ValueError("threshold needs either --remark61 or --theta and --p")
+        args.out.mkdir(parents=True, exist_ok=True)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,9 +27,9 @@ import numpy as np
 
 from .constants import c0_const, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
-from .simulator import (DRIFT_BUDGET_BYTES, TrajectoryEnsemble,
-                        _conv_weights, _gauss_factor, _history_sums,
-                        _pair_geometry, pair_drifts, replica_blocks, step_drifts)
+from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_factor,
+                        _history_sums, _pair_geometry, budget_blocks,
+                        pair_drifts, step_drifts)
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,10 @@ def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
     coordinate, fits DRIFT_BUDGET_BYTES (never fewer than one replica).
     """
     rows = ensemble.positions[:, : m_t + 1]
-    size = max(1, DRIFT_BUDGET_BYTES // max(1, math.prod(rows.shape[1:])))
     finite = np.empty(len(rows), dtype=bool)
-    for lo in range(0, len(rows), size):
-        np.isfinite(rows[lo: lo + size]).all(axis=(1, 2, 3),
-                                             out=finite[lo: lo + size])
+    for block in budget_blocks(len(rows), math.prod(rows.shape[1:])):
+        part = slice(block.start, block.stop)
+        np.isfinite(rows[part]).all(axis=(1, 2, 3), out=finite[part])
     return np.flatnonzero(finite)
 
 
@@ -194,7 +193,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     kept = _finite_replicas(ensemble, m_t)
     per_rep = {name: np.zeros(len(kept)) for name in names}
     divergent = 0
-    blocks = replica_blocks(len(kept), n * n, m_t)
+    blocks = budget_blocks(len(kept), 16 * n * n * m_t)
     # five (B, i, l, j) grids, allocated once per call for the largest block
     # at the horizon and sliced at every step: dx, dy, |d|^2 (then |d|), the
     # Gaussian factor (then E4's coefficients) and the E2, S and E3 terms
@@ -312,7 +311,7 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     kept = _finite_replicas(ensemble, m_t)
     violations = 0
     worst = 0.0
-    for block in replica_blocks(len(kept), len(pairs), m_t):
+    for block in budget_blocks(len(kept), 16 * len(pairs) * m_t):
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         for m in range(1, m_t + 1):
             # geometry over (B, l, k): X^i_m - X^j_l for l < m, pair k; D on
@@ -341,10 +340,8 @@ def _holder_tiles(times: np.ndarray, beta: float):
     (t - s)^beta on the mask), each tile's geometry (dx, dy, |.|^2 and
     one temporary) within DRIFT_BUDGET_BYTES (never fewer than one row).
     The last row, s = T - 1, has no t > s and is left out."""
-    n_s = len(times) - 1
-    rows = max(1, DRIFT_BUDGET_BYTES // (32 * len(times)))
-    for s0 in range(0, n_s, rows):
-        s1 = min(s0 + rows, n_s)
+    for tile in budget_blocks(len(times) - 1, 32 * len(times)):
+        s0, s1 = tile.start, tile.stop
         gaps = times[None, :] - times[s0:s1, None]
         upper = gaps > 0
         yield s0, s1, upper, gaps[upper] ** beta
@@ -401,7 +398,7 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     kept = _finite_replicas(ensemble, m_t)
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
-    for block in replica_blocks(len(kept), n - 1, m_t):
+    for block in budget_blocks(len(kept), 16 * (n - 1) * m_t):
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         d_series = np.zeros((len(block), m_t + 1, n - 1, 2))  # D_0 = 0
         for m in range(1, m_t + 1):
@@ -544,10 +541,9 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
     rng = np.random.default_rng(seed)
     values = np.asarray(values, float)
     r_n = len(values)
-    rows = max(1, DRIFT_BUDGET_BYTES // (16 * max(r_n, 1)))
     means = np.empty(n_boot)
-    for lo in range(0, n_boot, rows):
-        hi = min(lo + rows, n_boot)
+    for chunk in budget_blocks(n_boot, 16 * max(r_n, 1)):
+        lo, hi = chunk.start, chunk.stop
         idx = rng.integers(0, r_n, size=(hi - lo, r_n))
         means[lo:hi] = values[idx].mean(axis=1)
     # np.quantile's linear rule: the virtual index v = (n - 1) q lies
@@ -609,7 +605,7 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     function; "gaussian-bump" is the only one.
 
     The drift is the integrator's own (`step_drifts`). Replicas run in
-    blocks (`replica_blocks`); those non-finite up to the horizon are
+    blocks (`budget_blocks`); those non-finite up to the horizon are
     excluded and counted in `excluded`. Passes when 0 lies in the
     bootstrap confidence interval of the mean.
     """
@@ -629,13 +625,13 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     # grids, 16 * K * T^2 bytes, fit DRIFT_BUDGET_BYTES, else the most rows
     # that fit (never fewer than one); every u row is summed whole, so the
     # bits do not depend on the tiling
-    rows = min(n_t, max(1, DRIFT_BUDGET_BYTES // (16 * n_k * n_t)))
-    tiles = [(u0, min(u0 + rows, n_t)) for u0 in range(0, n_t, rows)]
+    tiles = budget_blocks(n_t, 16 * n_k * n_t)
+    rows = len(tiles[0])
     # the lag and weight tables of the last tile used are kept: while one
     # tile holds the grid they are built once per call
     tables = functools.lru_cache(maxsize=1)(
         functools.partial(_inner_tables, m_t, dt))
-    blocks = replica_blocks(len(kept), n_k, rows * n_t)
+    blocks = budget_blocks(len(kept), 16 * n_k * rows * n_t)
     # the two grids are allocated once per call: fresh ones in every block
     # made glibc's malloc trim and refault its heap (about 80 000 page
     # faults at R = 500, M = 128) unless an earlier large free had raised
@@ -657,7 +653,8 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         b = len(block)
         row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
         grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
-        for u0, u1 in tiles:
+        for tile in tiles:
+            u0, u1 = tile.start, tile.stop
             lag, w_in = tables(u0, u1)
             shape = (b, n_k, u1 - u0, n_t)
             grids = tuple(g[: math.prod(shape)].reshape(shape)
@@ -701,7 +698,8 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     kernel, through the integrator's own drift (`step_drifts`). phi is a
     compactly supported C^2 test function; phi_path_spec selects the
     bounded path functional: ("const",) or ("window", tau, lo, hi) which
-    is the indicator that both coordinates at time tau lie in [lo, hi].
+    is the indicator that both coordinates at time tau lie in [lo, hi]:
+    finite bounds, lo <= hi, and some (kept replica, particle) inside.
     tau <= s keeps the functional adapted; larger tau is a deliberate
     misuse that breaks the martingale property. s, t and tau must lie on
     the dt grid, with tau in [0, t]. Replicas run in blocks; those
@@ -725,11 +723,19 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
         path_mask = np.ones((len(kept), n))
     elif kind == "window":
         _, tau, lo_w, hi_w = phi_path_spec
+        if not (math.isfinite(lo_w) and math.isfinite(hi_w) and lo_w <= hi_w):
+            raise ValueError(f"window bounds must be finite with lo <= hi, "
+                             f"got [{lo_w}, {hi_w}]")
         m_tau = _grid_index(tau, dt, "window time")
         if not 0 <= m_tau <= m_e:
             raise ValueError(f"window time {tau} outside [0, t={t}]")
         pt = ensemble.positions[kept, m_tau]
         path_mask = ((lo_w <= pt) & (pt <= hi_w)).all(axis=-1).astype(float)
+        # an empty window gives all-zero residuals, which pass vacuously;
+        # with no replica kept the report already has no estimate
+        if len(kept) and not path_mask.any():
+            raise ValueError(f"window [{lo_w}, {hi_w}] at time {tau} holds "
+                             f"no particle of a kept replica")
     else:
         raise ValueError(f"unknown path functional spec {phi_path_spec!r}")
 
@@ -738,7 +744,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     # a replica holds N x T arrays: its path copy (two), lap's five and, at
     # chi != 0, the drift workspace (3N)
     arrays = 7 + (3 * n if chi != 0.0 else 0)
-    for block in replica_blocks(len(kept), n, m_e + 1, arrays):
+    for block in budget_blocks(len(kept), 8 * arrays * n * (m_e + 1)):
         pos = ensemble.positions[kept[block.start: block.stop], : m_e + 1]
         window = pos[:, m_s:]
         gen = phi.lap(window)                       # (B, w, N)

@@ -250,20 +250,17 @@ def _conv_weights(m: int, config: SimConfig) -> tuple[int, np.ndarray, np.ndarra
 DRIFT_BUDGET_BYTES = 2 * 1024 * 1024
 
 
-def replica_blocks(n_replicas: int, n_pairs: int, n_rows: int,
-                   arrays: int = 2) -> list[range]:
-    """Split replicas into blocks that one kernel call handles together.
+def budget_blocks(n_items: int, item_bytes: int) -> list[range]:
+    """Split n_items into consecutive blocks that are handled together.
 
-    A block holds the most replicas whose `arrays` float64 arrays over
-    `n_rows` history rows and `n_pairs` pairs (by default the displacements
-    dx and dy), 8 * arrays * n_pairs * n_rows bytes per replica, fit
-    DRIFT_BUDGET_BYTES; never fewer than one.
+    A block holds the most items whose `item_bytes` each fit
+    DRIFT_BUDGET_BYTES together; never fewer than one, and all of them when
+    an item takes no bytes. Callers pass replicas (8 * arrays * pairs * rows
+    bytes of float64 temporaries a replica), grid rows or resample rows.
     """
-    per_replica = 8 * arrays * n_pairs * n_rows
-    size = (max(1, DRIFT_BUDGET_BYTES // per_replica) if per_replica
-            else n_replicas)
-    return [range(lo, min(lo + size, n_replicas))
-            for lo in range(0, n_replicas, size)]
+    size = max(1, DRIFT_BUDGET_BYTES // item_bytes if item_bytes else n_items)
+    return [range(lo, min(lo + size, n_items))
+            for lo in range(0, n_items, size)]
 
 
 def _pair_geometry(now: np.ndarray, past: np.ndarray, out=None
@@ -461,7 +458,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
 
     `initial` (R, N, 2) and `noise` (R, n_steps, N, 2) override the stream
     draws when given (used by the permutation, mirror and epsilon-refinement
-    studies). Replicas are stepped in blocks (`replica_blocks`), one kernel
+    studies). Replicas are stepped in blocks (`budget_blocks`), one kernel
     call per block and step; threads (KSPP_THREADS, default 1) take
     whole blocks. Blow-ups abort only
     their replica and are recorded rather than raised.
@@ -499,7 +496,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
             blowups.extend((int(r), m + 1) for r in lost)
         return blowups, secs, work.nbytes
 
-    blocks = replica_blocks(config.n_replicas, n * n, rows)
+    blocks = budget_blocks(config.n_replicas, 16 * n * n * rows)
     workers = _resolve_threads()
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -261,7 +261,10 @@ class TestThreshold:
         assert chi >= 1.39
 
     def test_requires_args(self, tmp_path):
-        assert cli.main(["threshold", "--out", str(tmp_path)]) == 2
+        # rejected before the output directory is made
+        out = tmp_path / "X"
+        assert cli.main(["threshold", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("theta, p", [
         ("nan", "3.31"), ("inf", "3.31"), ("-inf", "3.31"),
@@ -316,18 +319,88 @@ class TestVerification:
         assert len(rows) == 4
 
 
-class TestManifest:
-    def test_run_experiment_rejects_unknown_mode(self, tmp_path):
-        manifest = cli.ExperimentManifest(mode="dance", out_dir=tmp_path)
-        with pytest.raises(ValueError):
-            cli.run_experiment(manifest)
+MODE_NAMES = ("simulate", "estimate", "threshold", "verify-inequality",
+              "verify-kernels", "martingale-test", "epsilon-study")
+
+
+def exit_status(argv):
+    """cli.main's exit status, also when argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParser:
+    def test_unknown_mode_exits_2(self, capsys):
+        assert exit_status(["dance"]) == 2
+        assert "invalid choice: 'dance'" in capsys.readouterr().err
+
+    def test_epsilons_not_numbers_exit_2(self, tmp_path, capsys):
+        assert cli.main(["epsilon-study", "--epsilons", "0.1,x",
+                         "--out", str(tmp_path)]) == 2
+        assert "could not convert string to float: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["martingale-test", "--steps", "0"],
+        ["epsilon-study", "--steps", "0"],
+        ["martingale-test", "--replicas", "1"],
+        ["martingale-test", "--batch", "0"],
+        ["verify-inequality", "--cases", "0"],
+        ["verify-kernels", "--fd-points", "0"],
+        ["verify-kernels", "--samples", "0"]],
+        ids=["martingale_steps", "epsilon_steps", "martingale_replicas",
+             "martingale_batch", "inequality_cases", "kernels_fd_points",
+             "kernels_samples"])
+    def test_count_that_empties_or_crashes_a_check_exits_2(self, tmp_path,
+                                                           capsys, argv):
+        # once a ZeroDivisionError (steps), a NaN variance ratio (one
+        # replica) or a check that passed over nothing (cases, fd points)
+        out = tmp_path / "out"
+        assert exit_status([*argv, "--out", str(out)]) == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_epsilon_study_default_seed_is_3(self, tmp_path):
+        args = ["epsilon-study", "--steps", "16", "--replicas", "2",
+                "--factor", "10.0"]
+        assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main([*args, "--seed", "3", "--out", str(tmp_path / "b")]) == 0
+        assert cli.main([*args, "--seed", "4", "--out", str(tmp_path / "c")]) == 0
+        csv = [(tmp_path / d / "epsilon_study.csv").read_bytes() for d in "abc"]
+        assert csv[0] == csv[1] != csv[2]
+
+    def test_verify_inequality_default_seed_is_0(self, tmp_path):
+        args = ["verify-inequality", "--cases", "200"]
+        assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main([*args, "--seed", "0", "--out", str(tmp_path / "b")]) == 0
+        assert cli.main([*args, "--seed", "1", "--out", str(tmp_path / "c")]) == 0
+        payload = [(tmp_path / d / "verify_inequality.json").read_bytes()
+                   for d in "abc"]
+        assert payload[0] == payload[1] != payload[2]
+
+
+def run_python(*args):
+    """A fresh interpreter, with this checkout's package on its path."""
+    src = str(Path(kspp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_entry_point_help_lists_every_mode():
+    top = run_python("-m", "kspp.cli", "--help")
+    assert top.returncode == 0, top.stderr
+    assert all(mode in top.stdout for mode in MODE_NAMES)
+    for mode in MODE_NAMES:
+        sub = run_python("-m", "kspp.cli", mode, "--help")
+        assert sub.returncode == 0, sub.stderr
+        assert sub.stdout.startswith(f"usage: kspp {mode} ")
 
 
 def test_cli_import_leaves_out_scipy():
     # scipy is only needed by the quadrature oracles, which import it lazily
-    src = str(Path(kspp.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
     code = "import sys, kspp.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -432,7 +432,7 @@ class TestHolderModulus:
         ens = brownian_ensemble(n_particles=3, n_steps=20, n_replicas=6,
                                 seed=3, chi=0.9)
         whole = E.holder_modulus(ens, EP)
-        with mock.patch.object(E, "DRIFT_BUDGET_BYTES", rows * 32 * 21):
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", rows * 32 * 21):
             assert [t[:2] for t in E._holder_tiles(ens.times, 0.3)][-1] == last
             tiled = E.holder_modulus(ens, EP)
             path = E._holder_max(ens.positions[None, 0, :, 0], ens.times, 0.3)
@@ -503,7 +503,7 @@ class TestTestFunctions:
         # rows): lap holds at most six (B, T, N) arrays; the whole-array
         # expression held seven
         ens = brownian_ensemble(n_particles=64, n_steps=64, n_replicas=31)
-        assert [len(b) for b in S.replica_blocks(31, 64, 65)] == [31]
+        assert [len(b) for b in S.budget_blocks(31, 16 * 64 * 65)] == [31]
         window = ens.positions[:, 32:]
         tracemalloc.start()
         try:
@@ -603,6 +603,20 @@ class TestMartingaleResidual:
                                     s=0.5, t=1.0)
         assert abs(rep.mean) > 5 * rep.stderr
         assert not rep.passes
+
+    @pytest.mark.parametrize("lo, hi, match", [
+        (math.nan, 1.0, "window bounds"), (-1.0, math.nan, "window bounds"),
+        (-math.inf, 1.0, "window bounds"), (1.0, -1.0, "window bounds"),
+        (100.0, 101.0, "holds no particle")],
+        ids=["nan_lo", "nan_hi", "infinite_lo", "inverted", "empty"])
+    def test_window_selecting_nothing_rejected(self, lo, hi, match):
+        # each window selects no particle: the residuals would all be 0,
+        # with stderr 0 and a check that passes vacuously
+        ens = brownian_ensemble(n_particles=4, n_steps=4, n_replicas=50,
+                                dt=0.25)
+        with pytest.raises(ValueError, match=match):
+            E.martingale_residual(ens, None, ("window", 0.5, lo, hi),
+                                  s=0.5, t=1.0)
 
     def test_time_validation(self):
         ens = brownian_ensemble(n_steps=16, n_replicas=2)
@@ -736,7 +750,16 @@ class TestResidualBlocks:
         m_s = data.draw(st.integers(1, steps - 1))
         path = ("const",)
         if window:
-            path = ("window", data.draw(st.integers(0, steps)) * dt, -0.8, 0.8)
+            m_tau = data.draw(st.integers(0, steps))
+            path = ("window", m_tau * dt, -0.8, 0.8)
+            pt = ens.positions[:, m_tau]
+            if not ((-0.8 <= pt) & (pt <= 0.8)).all(axis=-1).any():
+                # a window that holds no particle raises instead of giving
+                # all-zero residuals; the rest of the example runs on const
+                with pytest.raises(ValueError, match="holds no particle"):
+                    E.martingale_residual(ens, None, path, s=m_s * dt,
+                                          t=steps * dt)
+                path = ("const",)
         ito = E.ito_balance_check(ens, EP, f_spec="gaussian-bump", n_boot=20)
         mart = E.martingale_residual(ens, None, path, s=m_s * dt,
                                      t=steps * dt)
@@ -805,7 +828,7 @@ class TestResidualBlocks:
         whole = E.ito_balance_check(ens, EP, n_boot=20)
         per_replica = 16 * 6 * 9 ** 2   # 6 pairs, (n_steps + 1)^2 grid
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * per_replica):
-            assert [len(b) for b in S.replica_blocks(5, 6, 81)] == [2, 2, 1]
+            assert [len(b) for b in S.budget_blocks(5, per_replica)] == [2, 2, 1]
             blocked = E.ito_balance_check(ens, EP, n_boot=20)
         assert np.array_equal(blocked.per_replica, whole.per_replica)
 
@@ -821,7 +844,6 @@ class TestResidualBlocks:
         whole = E.ito_balance_check(ens, EP, n_boot=20)
         budget = 2 * 16 * 6 * 9
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget), \
-                mock.patch.object(E, "DRIFT_BUDGET_BYTES", budget), \
                 mock.patch.object(E, "_inner_tables",
                                   wraps=E._inner_tables) as tables:
             tiled = E.ito_balance_check(ens, EP, n_boot=20)

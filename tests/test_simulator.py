@@ -373,7 +373,7 @@ class TestStepAndRun:
         cfg = make_config(params=params, n_steps=10, n_replicas=4, seed=23)
         # blocks of one replica, so that the threads have blocks to share
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 16 * 2 * 2 * 10):
-            assert len(S.replica_blocks(4, 2 * 2, 10)) == 4
+            assert len(S.budget_blocks(4, 16 * 2 * 2 * 10)) == 4
             a = S.run(cfg)
             with mock.patch.dict(os.environ, {"KSPP_THREADS": "3"}):
                 b = S.run(cfg)
@@ -391,14 +391,16 @@ class TestStepAndRun:
 
     def test_replica_blocks_follow_the_budget(self):
         # one replica's drift temporary holds 16 * pairs * rows bytes
-        assert S.replica_blocks(300, 2 * 2, 100) == [range(0, 300)]
-        assert S.replica_blocks(2, 32 * 32, 200) == [range(0, 1), range(1, 2)]
+        assert S.budget_blocks(300, 16 * 2 * 2 * 100) == [range(0, 300)]
+        assert S.budget_blocks(2, 16 * 32 * 32 * 200) == [range(0, 1),
+                                                          range(1, 2)]
         per = 16 * 9 * 10
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * per + per // 2):
-            assert S.replica_blocks(5, 9, 10) == [range(0, 2), range(2, 4),
-                                                  range(4, 5)]
+            assert S.budget_blocks(5, per) == [range(0, 2), range(2, 4),
+                                               range(4, 5)]
         # no drift temporary (chi = 0): every replica in one block
-        assert S.replica_blocks(500, 64 * 64, 0) == [range(0, 500)]
+        assert S.budget_blocks(500, 0) == [range(0, 500)]
+        assert S.budget_blocks(0, 0) == S.budget_blocks(0, per) == []
 
     def test_run_memory_is_positions_plus_workspace(self):
         # N = 32, M = 60: blocks of two replicas, each with one workspace of
@@ -409,7 +411,7 @@ class TestStepAndRun:
         cfg = make_config(params=params, n_particles=32, n_steps=60,
                           n_replicas=4, seed=3)
         initial, noise = S.draw_initial(cfg), S.draw_noise(cfg)
-        blocks = S.replica_blocks(4, 32 * 32, 60)
+        blocks = S.budget_blocks(4, 16 * 32 * 32 * 60)
         assert [len(b) for b in blocks] == [2, 2]
         block_array = 8 * 2 * 32 * 60 * 32
         tracemalloc.start()
@@ -504,7 +506,7 @@ class TestBatchedStepping:
         rows = cfg.n_steps - S._history_start(cfg.n_steps, cfg)
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * 16 * n * n * rows):
             if cfg.params.chi != 0.0:
-                assert len(S.replica_blocks(cfg.n_replicas, n * n, rows)) > 1
+                assert len(S.budget_blocks(cfg.n_replicas, 16 * n * n * rows)) > 1
             self.check(cfg, blow)
             self.check(cfg, blow, threads="2")
 
