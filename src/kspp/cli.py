@@ -262,25 +262,27 @@ def _mode_verify_kernels(args: argparse.Namespace) -> int:
         worst_fd = max(worst_fd, float(np.linalg.norm(fd - grad)
                                        / np.linalg.norm(grad)))
 
-    # envelope domination sweep: random parameter groups, vectorized samples
+    # envelope domination sweep: n_groups random parameter groups for each
+    # epsilon, the n_env vectorized samples split over them as evenly as
+    # possible (the first n_env % (2 n_groups) groups take one more)
     violations = 0
     n_groups = max(1, min(200, n_env // 500))
-    per_group = max(1, n_env // (2 * n_groups))
-    for eps in (0.0, 0.1):
-        for _ in range(n_groups):
-            params = kernels.KernelParams(theta=float(rng.uniform(0.1, 10.0)),
-                                          chi=1.0, epsilon=eps)
-            alpha = float(rng.uniform(0.01, 0.3))
-            ts = rng.uniform(0.0, 5.0, per_group)
-            if eps == 0.0:
-                ts = np.maximum(ts, 1e-9)
-            angs = rng.uniform(0.0, 2.0 * math.pi, per_group)
-            rads = rng.uniform(0.0, 5.0, per_group)
-            xs = rads[:, None] * np.stack([np.cos(angs), np.sin(angs)], axis=-1)
-            h_val = kernels.smoothed_grad(ts, xs, params)
-            mags = np.sqrt(np.einsum("nc,nc->n", h_val, h_val))
-            env = kernels.grad_envelope(ts, xs, alpha, params)
-            violations += int(np.sum(mags > env * (1.0 + 1e-12)))
+    base, extra = divmod(n_env, 2 * n_groups)
+    for k in range(2 * n_groups):
+        eps, size = (0.0, 0.1)[k // n_groups], base + (k < extra)
+        params = kernels.KernelParams(theta=float(rng.uniform(0.1, 10.0)),
+                                      chi=1.0, epsilon=eps)
+        alpha = float(rng.uniform(0.01, 0.3))
+        ts = rng.uniform(0.0, 5.0, size)
+        if eps == 0.0:
+            ts = np.maximum(ts, 1e-9)
+        angs = rng.uniform(0.0, 2.0 * math.pi, size)
+        rads = rng.uniform(0.0, 5.0, size)
+        xs = rads[:, None] * np.stack([np.cos(angs), np.sin(angs)], axis=-1)
+        h_val = kernels.smoothed_grad(ts, xs, params)
+        mags = np.sqrt(np.einsum("nc,nc->n", h_val, h_val))
+        env = kernels.grad_envelope(ts, xs, alpha, params)
+        violations += int(np.sum(mags > env * (1.0 + 1e-12)))
 
     # heat-kernel normalization by tensor quadrature
     nodes, weights = np.polynomial.legendre.leggauss(400)
@@ -298,7 +300,7 @@ def _mode_verify_kernels(args: argparse.Namespace) -> int:
     print(f"gradient finite differences: worst rel err {worst_fd:.3g} "
           f"(tol {fd_tol:g})")
     print(f"envelope sweep: {violations} violations over "
-          f"{2 * n_groups * per_group} samples")
+          f"{n_env} samples")
     print(f"normalization: worst |quadrature - 1| = {worst_norm:.3g} "
           f"(tol {norm_tol:g})")
     _write_json(args.out / "verify_kernels.json", {
@@ -457,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_vk = mode("verify-kernels", _mode_verify_kernels, "kernel identity suite",
                 0)
-    p_vk.add_argument("--samples", type=_count(), default=100000)
+    p_vk.add_argument("--samples", type=_count(2), default=100000)
     p_vk.add_argument("--fd-points", type=_count(), default=100)
     p_vk.add_argument("--fd-tol", type=float, default=1e-5)
     p_vk.add_argument("--norm-tol", type=float, default=1e-6)

@@ -50,6 +50,16 @@ def kappa(a: float, b: float) -> float:
     return (a + 1.0) / a * (b / (b + 1.0)) ** (a / b)
 
 
+def check_gamma_alpha(gamma: float, alpha: float) -> None:
+    """ValueError unless gamma lies in (3/2, 2) and alpha in (0, 1/(4(gamma-1)))."""
+    if not 1.5 < gamma < 2.0:
+        raise ValueError(f"gamma must lie in (3/2, 2), got {gamma}")
+    a_max = 1.0 / (4.0 * (gamma - 1.0))
+    if not 0.0 < alpha < a_max:
+        raise ValueError(f"alpha must lie in (0, {a_max:.6g}) for gamma={gamma}, "
+                         f"got {alpha}")
+
+
 @dataclass(frozen=True)
 class StructuralParams:
     """One admissible (gamma, alpha) point at a given (theta, p).
@@ -66,13 +76,7 @@ class StructuralParams:
     p: float = 4.0
 
     def __post_init__(self) -> None:
-        if not 1.5 < self.gamma < 2.0:
-            raise ValueError(f"gamma must lie in (3/2, 2), got {self.gamma}")
-        a_max = 1.0 / (4.0 * (self.gamma - 1.0))
-        if not 0.0 < self.alpha < a_max:
-            raise ValueError(
-                f"alpha must lie in (0, {a_max:.6g}) for gamma={self.gamma}, "
-                f"got {self.alpha}")
+        check_gamma_alpha(self.gamma, self.alpha)
         if not 0.0 < self.theta < math.inf:
             raise ValueError(f"theta must be finite and > 0, got {self.theta}")
         if not 2.0 < self.p < math.inf:

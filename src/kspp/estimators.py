@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import c0_const, kappa
+from .constants import c0_const, check_gamma_alpha, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_factor,
                         _history_sums, _pair_geometry, budget_blocks,
@@ -47,11 +47,7 @@ class EstimatorParams:
     horizon: float | None = None
 
     def __post_init__(self) -> None:
-        if not 1.5 < self.gamma < 2.0:
-            raise ValueError(f"gamma must lie in (3/2, 2), got {self.gamma}")
-        a_max = 1.0 / (4.0 * (self.gamma - 1.0))
-        if not 0.0 < self.alpha < a_max:
-            raise ValueError(f"alpha must lie in (0, {a_max:.6g}), got {self.alpha}")
+        check_gamma_alpha(self.gamma, self.alpha)
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .kernels import KernelParams, SourceSpec
-from .simulator import InitSpec, SimConfig, TrajectoryEnsemble
+from .simulator import SimConfig, TrajectoryEnsemble
 
 CSV_HEADER = "replica,particle,step,t,x,y"
 MAGIC = b"KSW1"
@@ -154,16 +155,54 @@ def _format_source(source: SourceSpec) -> str:
                      for w, c, v in source.components)
 
 
-_CONFIG_KEYS = ("theta", "lambda", "chi", "epsilon", "p", "n_particles", "dt",
-                "n_steps", "n_replicas", "seed", "init", "init_center",
-                "init_sigma", "init_radius", "history_cutoff", "noise_mode",
-                "source")
+def _g17(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def _parse_pair(text: str) -> tuple[float, float]:
+    pair = tuple(float(v) for v in text.split(","))
+    if len(pair) != 2:
+        raise ValueError("needs two comma-separated numbers")
+    return pair  # type: ignore[return-value]
+
+
+def _parse_optional(text: str) -> float | None:
+    return None if text.lower() in ("", "none") else float(text)
+
+
+# One row per config key, in file order: the part of SimConfig that owns the
+# field ("" for SimConfig itself), the field, and its conversions from and
+# to text. A key left out takes the dataclass default.
+_CONFIG = {
+    "theta": ("params", "theta", float, _g17),
+    "lambda": ("params", "lam", float, _g17),
+    "chi": ("params", "chi", float, _g17),
+    "epsilon": ("params", "epsilon", float, _g17),
+    "p": ("params", "p", float, _g17),
+    "n_particles": ("", "n_particles", int, str),
+    "dt": ("", "dt", float, _g17),
+    "n_steps": ("", "n_steps", int, str),
+    "n_replicas": ("", "n_replicas", int, str),
+    "seed": ("", "seed", int, str),
+    "init": ("init", "kind", str, str),
+    "init_center": ("init", "center", _parse_pair, lambda c: f"{c[0]:.17g},{c[1]:.17g}"),
+    "init_sigma": ("init", "sigma", float, _g17),
+    "init_radius": ("init", "radius", float, _g17),
+    "history_cutoff": ("", "history_cutoff", _parse_optional,
+                       lambda v: "none" if v is None else _g17(v)),
+    "noise_mode": ("", "noise_mode", str, str),
+    "source": ("", "source", _parse_source, _format_source),
+}
+_CONFIG_KEYS = tuple(_CONFIG)
 
 
 def parse_config(text: str) -> SimConfig:
-    """Build a SimConfig from flat key-value text; unknown keys are errors."""
-    void = object()
-    raw: dict[str, str] = {}
+    """Build a SimConfig from flat key-value text; unknown keys are errors.
+
+    A key given twice keeps its last value. A value that does not convert is
+    a ValueError naming its line and key.
+    """
+    raw: dict[str, tuple[int, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -171,73 +210,31 @@ def parse_config(text: str) -> SimConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        raw[key] = value
-
-    def get(key: str, default=void, conv=float):
-        if key not in raw:
-            if default is void:
-                raise ValueError(f"missing required config key {key!r}")
-            return default
-        return conv(raw[key])
-
-    params = KernelParams(
-        theta=get("theta"),
-        lam=get("lambda", 0.0),
-        chi=get("chi", 1.0),
-        epsilon=get("epsilon", 0.0),
-        p=get("p", 4.0),
-    )
-    center = tuple(float(v) for v in get("init_center", "0,0", str).split(","))
-    if len(center) != 2:
-        raise ValueError("init_center needs two comma-separated numbers")
-    init = InitSpec(
-        kind=get("init", "point", str),
-        center=center,  # type: ignore[arg-type]
-        sigma=get("init_sigma", 1.0),
-        radius=get("init_radius", 1.0),
-    )
-    cutoff_raw = raw.get("history_cutoff", "").strip().lower()
-    cutoff = None if cutoff_raw in ("", "none") else float(cutoff_raw)
-    return SimConfig(
-        params=params,
-        source=_parse_source(raw.get("source", "")),
-        n_particles=get("n_particles", 2, int),
-        dt=get("dt", 1e-2),
-        n_steps=get("n_steps", 100, int),
-        n_replicas=get("n_replicas", 1, int),
-        seed=get("seed", 0, int),
-        init=init,
-        history_cutoff=cutoff,
-        noise_mode=get("noise_mode", "standard", str),
-    )
+        raw[key] = (lineno, value)
+    # a dataclass field's default is its class attribute: a KernelParams
+    # field without one is required
+    for key, (owner, name, _, _) in _CONFIG.items():
+        if owner == "params" and key not in raw and not hasattr(KernelParams, name):
+            raise ValueError(f"missing required config key {key!r}")
+    given: dict[str, dict] = {"params": {}, "init": {}, "": {}}
+    for key, (lineno, value) in raw.items():
+        owner, name, parse, _ = _CONFIG[key]
+        try:
+            given[owner][name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: config key {key!r}: {exc}") from None
+    # the class attribute SimConfig.init is the default initial law
+    return SimConfig(params=KernelParams(**given["params"]),
+                     init=replace(SimConfig.init, **given["init"]), **given[""])
 
 
 def format_config(config: SimConfig) -> str:
     """Render a SimConfig back to the flat key-value format."""
-    p = config.params
-    lines = [
-        f"theta = {p.theta:.17g}",
-        f"lambda = {p.lam:.17g}",
-        f"chi = {p.chi:.17g}",
-        f"epsilon = {p.epsilon:.17g}",
-        f"p = {p.p:.17g}",
-        f"n_particles = {config.n_particles}",
-        f"dt = {config.dt:.17g}",
-        f"n_steps = {config.n_steps}",
-        f"n_replicas = {config.n_replicas}",
-        f"seed = {config.seed}",
-        f"init = {config.init.kind}",
-        f"init_center = {config.init.center[0]:.17g},{config.init.center[1]:.17g}",
-        f"init_sigma = {config.init.sigma:.17g}",
-        f"init_radius = {config.init.radius:.17g}",
-        "history_cutoff = " + ("none" if config.history_cutoff is None
-                               else f"{config.history_cutoff:.17g}"),
-        f"noise_mode = {config.noise_mode}",
-        f"source = {_format_source(config.source)}",
-    ]
-    return "\n".join(lines) + "\n"
+    parts = {"params": config.params, "init": config.init, "": config}
+    return "".join(f"{key} = {fmt(getattr(parts[owner], name))}\n"
+                   for key, (owner, name, _, fmt) in _CONFIG.items())
 
 
 def load_config(path: str | Path) -> SimConfig:

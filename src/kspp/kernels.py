@@ -9,7 +9,7 @@ Gaussian tails flush to zero instead of raising overflow warnings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,20 +79,15 @@ def chemo_kernel(t, x, params: KernelParams):
 
 
 def chemo_kernel_grad(t, x, params: KernelParams):
-    """Gradient of the chemo-attractant kernel.
+    """Gradient of the chemo-attractant kernel: smoothed_grad at epsilon = 0.
 
-    Exactly -(theta / 8 pi t^2) e^(-lam t/theta) e^(-theta|x|^2/4t) x; odd
-    in x and undefined at t <= 0 (the smoothed variant owns the t = 0
-    extension).
+    -(theta / 8 pi t^2) e^(-lam t/theta) e^(-theta|x|^2/4t) x; odd in x and
+    undefined at t <= 0 (the smoothed variant owns the t = 0 extension).
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("chemo_kernel_grad requires t > 0")
-    x = np.asarray(x, dtype=float)
-    arg = params.theta * _sqnorm(x) / (4.0 * t)
-    coef = (-params.theta / (8.0 * math.pi * t ** 2)
-            * np.exp(-params.lam * t / params.theta) * _clamped_exp(arg))
-    return coef[..., None] * x
+    return smoothed_grad(t, x, replace(params, epsilon=0.0))
 
 
 def smoothed_grad(t, x, params: KernelParams):

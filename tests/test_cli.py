@@ -290,6 +290,14 @@ class TestVerification:
                        "--fd-points", "20", "--out", str(tmp_path)])
         assert rc == 0
 
+    def test_verify_kernels_evaluates_the_samples_asked_for(self, tmp_path,
+                                                            capsys):
+        # 999 samples over 2 groups: one group takes 500, the other 499
+        rc = cli.main(["verify-kernels", "--samples", "999",
+                       "--fd-points", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "over 999 samples" in capsys.readouterr().out
+
     def test_verify_kernels_failure_exit_1(self, tmp_path):
         rc = cli.main(["verify-kernels", "--samples", "1000",
                        "--fd-points", "10", "--fd-tol", "1e-30",
@@ -348,14 +356,16 @@ class TestParser:
         ["martingale-test", "--batch", "0"],
         ["verify-inequality", "--cases", "0"],
         ["verify-kernels", "--fd-points", "0"],
-        ["verify-kernels", "--samples", "0"]],
+        ["verify-kernels", "--samples", "0"],
+        ["verify-kernels", "--samples", "1"]],
         ids=["martingale_steps", "epsilon_steps", "martingale_replicas",
              "martingale_batch", "inequality_cases", "kernels_fd_points",
-             "kernels_samples"])
+             "kernels_samples", "kernels_one_sample"])
     def test_count_that_empties_or_crashes_a_check_exits_2(self, tmp_path,
                                                            capsys, argv):
         # once a ZeroDivisionError (steps), a NaN variance ratio (one
-        # replica) or a check that passed over nothing (cases, fd points)
+        # replica) or a check that passed over nothing (cases, fd points,
+        # an envelope sweep without one sample for each epsilon)
         out = tmp_path / "out"
         assert exit_status([*argv, "--out", str(out)]) == 2
         assert "must be at least" in capsys.readouterr().err

@@ -165,6 +165,14 @@ class TestConfigFormat:
             init=S.InitSpec("uniform_disk", center=(1.0, -1.0), radius=3.0),
             history_cutoff=0.5, noise_mode="zero")
         assert io.parse_config(io.format_config(cfg)) == cfg
+        # the bytes of config_resolved.txt and of run_meta.json's "config"
+        assert io.format_config(cfg) == (
+            "theta = 2.5\nlambda = 0.29999999999999999\nchi = 0.80000000000000004\n"
+            "epsilon = 0.050000000000000003\np = 3.3999999999999999\n"
+            "n_particles = 5\ndt = 0.001\nn_steps = 250\nn_replicas = 7\n"
+            "seed = 42\ninit = uniform_disk\ninit_center = 1,-1\n"
+            "init_sigma = 1\ninit_radius = 3\nhistory_cutoff = 0.5\n"
+            "noise_mode = zero\nsource = 1,0.5,-0.5,2; 0.25,0,1,0.5\n")
 
     def test_comments_and_defaults(self):
         cfg = io.parse_config("""
@@ -176,6 +184,9 @@ class TestConfigFormat:
         assert cfg.n_particles == 2
         assert cfg.source.is_zero
         assert cfg.history_cutoff is None
+        # every key left out takes its dataclass default
+        assert io.parse_config("theta = 1.0") == S.SimConfig(
+            params=KernelParams(theta=1.0))
 
     def test_source_parsing(self):
         cfg = io.parse_config("theta = 1\nsource = 1,0,0,1; 2,1,-1,0.5\n")
@@ -193,6 +204,10 @@ class TestConfigFormat:
     def test_bad_line(self):
         with pytest.raises(ValueError, match="key = value"):
             io.parse_config("theta 1.0\n")
+
+    def test_bad_value_names_line_and_key(self):
+        with pytest.raises(ValueError, match="line 3.*'dt'"):
+            io.parse_config("theta = 1\nchi = 0\ndt = abc")
 
     def test_bad_source_component(self):
         with pytest.raises(ValueError, match="source component"):
