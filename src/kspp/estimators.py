@@ -28,8 +28,8 @@ import numpy as np
 from .constants import c0_const, check_gamma_alpha, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_factor,
-                        _history_sums, _pair_geometry, budget_blocks,
-                        pair_drifts, step_drifts)
+                        _history_sums, _pair_drifts, _pair_geometry,
+                        _split_history, _views, budget_blocks, step_drifts)
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,10 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     `excluded`; the estimates and `replicas` cover the others.
 
     One pass over the steps m: each step builds the pair geometry
-    X^i_m - X^j_l on the full (i, l, j) grid once and feeds E2, E3, E4 and,
-    at the horizon, S and S-bar from it; E3 and E4 share its Gaussian
-    factor. The self pairs i = j are dropped before the pair reductions.
+    X^i_m - X^j_l on the full (i, j, l) grid once, the history rows l last,
+    and feeds E2, E3, E4 and, at the horizon, S and S-bar from it; E3 and
+    E4 share its Gaussian factor. The self pairs i = j are dropped before
+    the pair reductions.
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -190,13 +191,16 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     per_rep = {name: np.zeros(len(kept)) for name in names}
     divergent = 0
     blocks = budget_blocks(len(kept), 16 * n * n * m_t)
-    # five (B, i, l, j) grids, allocated once per call for the largest block
-    # at the horizon and sliced at every step: dx, dy, |d|^2 (then |d|), the
-    # Gaussian factor (then E4's coefficients) and the E2, S and E3 terms
-    work = np.empty((5, (len(blocks[0]) if blocks else 0) * n * m_t * n))
+    # five (B, i, j, l) grids and the (2, B, N, l) history window they are
+    # formed from (see simulator._mean_drifts), allocated once per call for
+    # the largest block at the horizon and sliced at every step: dx, dy,
+    # |d|^2 (then |d|), the Gaussian factor (then E4's coefficients) and the
+    # E2, S and E3 terms
+    work = np.empty((5 * n + 2) * (len(blocks[0]) if blocks else 0) * n * m_t)
 
     for block in blocks:
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
+        h = _split_history(pos).swapaxes(0, 1)   # (2, B, N, T)
 
         # E1: same-time inverse distances, trapezoid in time
         d_same = pos[:, :, i_idx] - pos[:, :, j_idx]
@@ -214,18 +218,19 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         # terms; they then come out inf or 0
         with np.errstate(over="ignore"):
             for m in range(1, m_t + 1):
-                # geometry over (B, i, l, j): X^i_m - X^j_l for l < m
-                lag = ((m - np.arange(m)) * dt)[:, None]
-                shape = (len(block), n, m, n)
-                dx, dy, sq, g, term = (a[: math.prod(shape)].reshape(shape)
-                                       for a in work)
-                _pair_geometry(pos[:, m, :, None, None], pos[:, None, :m],
+                # geometry over (B, i, j, l): X^i_m - X^j_l for l < m
+                lag = (m - np.arange(m)) * dt
+                shape = (len(block), n, n, m)
+                dx, dy, sq, g, term, past = _views(
+                    work, *[shape] * 5, (2, len(block), n, m))
+                np.copyto(past, h[..., :m])
+                _pair_geometry(h[:, :, :, None, m, None], past[:, :, None],
                                out=(dx, dy, sq))
 
                 # E2 / E3: double sums, left-endpoint (u-exclusive) inner rule
                 np.add(lag, sq, out=term)
                 e2 += w_tr[m] * dt * np.sum(
-                    np.power(term, -ep.gamma, out=term), axis=2)
+                    np.power(term, -ep.gamma, out=term), axis=-1)
                 if m == m_t:
                     # S and S-bar at the horizon (right-endpoint sum,
                     # diagonal excluded), while sq still holds |d|^2
@@ -234,19 +239,19 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
                         np.multiply(sq, ep.alpha, out=term)
                         np.add(shift, term, out=term)
                         s_sums.append(dt * np.sum(
-                            np.power(term, -ep.gamma, out=term), axis=2))
+                            np.power(term, -ep.gamma, out=term), axis=-1))
                     s_full, sbar_full = s_sums
                 # |grad K_u| (unsmoothed): time factor, Gaussian factor, |d|
-                _gauss_factor(sq, lag[:, 0], cfg, out=g)
+                _gauss_factor(sq, lag, cfg, out=g)
                 np.multiply(smoothed_weight(lag, unsmoothed), g, out=term)
                 term *= np.sqrt(sq, out=sq)
                 e3 += w_tr[m] * dt * np.sum(
-                    np.power(term, e3_pow, out=term), axis=2)
+                    np.power(term, e3_pow, out=term), axis=-1)
 
                 # E4: the simulator's discrete pair drift on rows [l0, m)
                 l0, _, w = _conv_weights(m, cfg)
-                sx, sy = _history_sums(dx[:, :, l0:], dy[:, :, l0:],
-                                       g[:, :, l0:], w)
+                sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
+                                       g[..., l0:], w)
                 d_x, d_y = -dt * sx[:, off], -dt * sy[:, off]
                 d_mag[:, m] = np.sqrt(d_x * d_x + d_y * d_y)
 
@@ -280,9 +285,15 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
 class DominationStats:
     checked: int
     violations: int
-    worst_margin: float  # max over checks of |D| / bound (<= 1 means clean)
+    worst_margin: float  # max over checks of |D| / bound; NaN if none ran
     slack: float
     excluded: int = 0    # replicas left out for non-finite positions
+
+    @property
+    def ok(self) -> bool:
+        """No check violated the slackened inequality, and at least one
+        check ran."""
+        return self.violations == 0 and self.checked > 0
 
 
 def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -293,7 +304,8 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     C = sqrt(theta) C0(4 alpha/theta) kappa(1/2, gamma-1) / (4 pi), where D
     and S are the simulator-grid discrete sums. Replicas with non-finite
     positions up to the horizon are excluded and counted in `excluded`;
-    `checked` counts the checks of the others.
+    `checked` counts the checks of the others. With none left, nothing is
+    checked: `worst_margin` is NaN and the stats are not `ok`.
     """
     cfg = ensemble.config
     p = cfg.params
@@ -306,53 +318,69 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     expo = 1.0 / (2.0 * (ep.gamma - 1.0))
     kept = _finite_replicas(ensemble, m_t)
     violations = 0
-    worst = 0.0
+    checked = len(kept) * len(pairs) * m_t
+    worst = 0.0 if checked else math.nan
     for block in budget_blocks(len(kept), 16 * len(pairs) * m_t):
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
+        h = _split_history(pos).swapaxes(0, 1)   # (2, B, N, T)
         for m in range(1, m_t + 1):
-            # geometry over (B, l, k): X^i_m - X^j_l for l < m, pair k; D on
-            # its rows [l0, m) as in pair_drifts, S on all of them
-            dx, dy, sq = _pair_geometry(pos[:, m, i_idx][:, None],
-                                        pos[:, :m].take(j_idx, axis=2))
+            # geometry over (B, k, l): X^i_m - X^j_l for pair k and l < m;
+            # D on its rows [l0, m) as in pair_drifts, S on all of them
+            dx, dy, sq = _pair_geometry(h[:, :, i_idx, m, None],
+                                        h[:, :, j_idx, :m])
             l0, lags, w = _conv_weights(m, cfg)
-            sx, sy = _history_sums(dx[:, l0:], dy[:, l0:],
-                                   _gauss_factor(sq[:, l0:], lags, cfg), w)
+            sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
+                                   _gauss_factor(sq[..., l0:], lags, cfg), w)
             d_x, d_y = -dt * sx, -dt * sy
             d_mag = np.sqrt(d_x * d_x + d_y * d_y)
             lag = (m - np.arange(m)) * dt
-            s_vals = dt * np.sum((lag[:, None] + ep.alpha * sq) ** (-ep.gamma),
-                                 axis=1)
+            s_vals = dt * np.sum((lag + ep.alpha * sq) ** (-ep.gamma), axis=-1)
             bound = const * s_vals ** expo
             ratio = d_mag / (slack * bound)
             violations += int(np.sum(ratio > 1.0))
             worst = max(worst, float(np.max(d_mag / bound)))
-    checked = len(kept) * len(pairs) * m_t
     return DominationStats(checked, violations, worst, slack,
                            excluded=ensemble.n_replicas - len(kept))
 
 
 def _holder_tiles(times: np.ndarray, beta: float):
     """Tiles of s rows of the (s, t) grid: (s0, s1, mask t - s > 0, and
-    (t - s)^beta on the mask), each tile's geometry (dx, dy, |.|^2 and
-    one temporary) within DRIFT_BUDGET_BYTES (never fewer than one row).
-    The last row, s = T - 1, has no t > s and is left out."""
+    (t - s)^beta on the mask, 1 off it), each tile's geometry (dx, dy,
+    |.|^2 and one temporary) within DRIFT_BUDGET_BYTES for one path (never
+    fewer than one row). The last row, s = T - 1, has no t > s and is left
+    out."""
     for tile in budget_blocks(len(times) - 1, 32 * len(times)):
         s0, s1 = tile.start, tile.stop
         gaps = times[None, :] - times[s0:s1, None]
         upper = gaps > 0
-        yield s0, s1, upper, gaps[upper] ** beta
+        yield s0, s1, upper, np.where(upper, gaps, 1.0) ** beta
 
 
 def _holder_max(paths: np.ndarray, times: np.ndarray,
                 beta: float) -> np.ndarray:
     """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta for
-    each of the (P, T, 2) `paths`, tile by tile, each tile built once for
-    all of them; the max does not depend on the tiling."""
+    each of the (P, T, 2) `paths`, tile by tile, each tile built once and
+    taken over blocks of paths whose tile geometries fit DRIFT_BUDGET_BYTES
+    together; the max does not depend on the tiling or the blocks."""
     best = np.full(len(paths), -math.inf)
+    xy = np.moveaxis(paths, -1, 0)   # (2, P, T)
     for s0, s1, upper, den in _holder_tiles(times, beta):
-        for p, path in enumerate(paths):
-            _, _, sq = _pair_geometry(path[None, :], path[s0:s1, None])
-            best[p] = np.maximum(best[p], np.max(np.sqrt(sq[upper]) / den))
+        blocks = budget_blocks(len(paths), 32 * den.size)
+        # the geometry's two arrays (dx, then |.|^2, and dy) for the tile's
+        # largest block, allocated once per tile: fresh ones in every block
+        # were mapped and faulted in anew, which made the blocks slower
+        # than a loop over the paths
+        work = np.empty(2 * len(blocks[0]) * den.size) if blocks else None
+        for block in blocks:
+            part = xy[:, block.start: block.stop]
+            ratio, dy = _views(work, *[(len(block), *den.shape)] * 2)
+            _pair_geometry(part[:, :, None, :], part[:, :, s0:s1, None],
+                           out=(ratio, dy, ratio))
+            np.sqrt(ratio, out=ratio)
+            ratio /= den
+            rows = best[block.start: block.stop]
+            np.maximum(rows, np.max(ratio, axis=(1, 2), where=upper,
+                                    initial=-math.inf), out=rows)
     return best
 
 
@@ -396,9 +424,10 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     bound = np.zeros(len(kept))
     for block in budget_blocks(len(kept), 16 * (n - 1) * m_t):
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
+        hist = _split_history(pos)
         d_series = np.zeros((len(block), m_t + 1, n - 1, 2))  # D_0 = 0
         for m in range(1, m_t + 1):
-            d_series[:, m] = pair_drifts(pos, cfg, m, i_idx, j_idx)
+            d_series[:, m] = _pair_drifts(hist, cfg, m, i_idx, j_idx)
         mean_d = d_series.mean(axis=2)
         gamma_paths = np.zeros((len(block), m_t + 1, 2))
         gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
@@ -658,7 +687,9 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             # |x_u - y_s|^2 in the first grid, then F in the second and the
             # heat operator in place; F is shared with grad F = -2 x F
             now, past = xi[:, :, u0:u1, None], xj[:, :, None]
-            _, _, sq = _pair_geometry(now, past, out=(*grids, grids[0]))
+            _, _, sq = _pair_geometry(np.moveaxis(now, -1, 0),
+                                      np.moveaxis(past, -1, 0),
+                                      out=(*grids, grids[0]))
             f = GaussianBump.value_sq(lag, sq, out=grids[1])
             heat = GaussianBump.heat_sq(sq, f, out=sq)
             heat *= w_in

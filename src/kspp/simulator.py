@@ -241,12 +241,14 @@ def _conv_weights(m: int, config: SimConfig) -> tuple[int, np.ndarray, np.ndarra
 # holds for a block of replicas. Batching saves the per-call overhead that
 # dominates small systems; past a few MiB the temporaries leave the cache and
 # a batched step runs slower per replica than a single one. A block's drift
-# workspace (`_drift_workspace`: dx, dy and the coefficients, 1.5 times this
-# budget) is allocated once per block and sliced at every step. Fresh
-# per-step arrays, one history row larger each step, were each served by a
-# new mmap above glibc's threshold and faulted in page by page: a cold
-# 2-replica N = 32, M = 200 run took 271 000 minor page faults, against
-# under 1 400 with the workspace.
+# workspace (`_drift_workspace`: dx, dy and the coefficients, each laid out
+# (B, i, j, l) with the history rows l last, 1.5 times this budget, and the
+# history window, 1/N of it) is allocated once per block and sliced at
+# every step. Fresh per-step arrays,
+# one history row larger each step, were each served by a new mmap above
+# glibc's threshold and faulted in page by page: a cold 2-replica N = 32,
+# M = 200 run took 271 000 minor page faults, against under 1 400 with the
+# workspace.
 DRIFT_BUDGET_BYTES = 2 * 1024 * 1024
 
 
@@ -263,41 +265,51 @@ def budget_blocks(n_items: int, item_bytes: int) -> list[range]:
             for lo in range(0, n_items, size)]
 
 
-def _pair_geometry(now: np.ndarray, past: np.ndarray, out=None
+def _split_history(pos: np.ndarray) -> np.ndarray:
+    """Positions (B, T, N, 2) split by coordinate, with the history last and
+    contiguous: (B, 2, N, T), the layout every pair-history pass reads."""
+    return np.ascontiguousarray(pos.transpose(0, 3, 2, 1))
+
+
+def _pair_geometry(now, past, out=None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Displacements now - past by coordinate, dx and dy, and |.|^2.
 
-    `now` and `past` broadcast against each other with the coordinate axis
-    last; the three results have the broadcast shape without that axis.
-    `out`, if given, is three arrays of that shape that take dx, dy and
-    |.|^2, and nothing is allocated: dy^2 is formed in dy's array, added to
-    dx^2 in the third, and dy formed again. When the third array is dx's,
-    only |.|^2 is wanted: it is left there, and dy^2 in dy's array.
+    `now` and `past` hold the two coordinates along their first axis
+    (`now[0]` is x, `now[1]` is y; a `_split_history` array passes its
+    `swapaxes(0, 1)` view), and broadcast against each other past it; the
+    three results have the broadcast shape. Pair-history passes put the
+    history rows l last, so that every sum over them runs along one
+    contiguous axis. `out`, if given, is three arrays of that shape that
+    take dx, dy and |.|^2, and nothing is allocated: dy^2 is formed in dy's
+    array, added to dx^2 in the third, and dy formed again. When the third
+    array is dx's, only |.|^2 is wanted: it is left there, and dy^2 in dy's
+    array.
     """
     dx_out, dy_out, sq_out = (None, None, None) if out is None else out
     # overflow on a replica that is blowing up is detected after its
     # Euler update, not here
     with np.errstate(over="ignore", invalid="ignore"):
-        dy = np.subtract(now[..., 1], past[..., 1], out=dy_out)
+        dy = np.subtract(now[1], past[1], out=dy_out)
         dy2 = np.multiply(dy, dy, out=dy_out)
-        dx = np.subtract(now[..., 0], past[..., 0], out=dx_out)
+        dx = np.subtract(now[0], past[0], out=dx_out)
         sq = np.multiply(dx, dx, out=sq_out)
         sq += dy2
         if out is not None and sq is not dx:
-            np.subtract(now[..., 1], past[..., 1], out=dy)
+            np.subtract(now[1], past[1], out=dy)
     return dx, dy, sq
 
 
 def _gauss_factor(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
                   out=None) -> np.ndarray:
     """e^(-min(theta |d|^2 / 4u, EXP_CLAMP)) for squared lengths `sq`
-    (..., L, K) at the lags u (L,), formed in `out` if given (it may be sq).
+    (..., L) at the lags u (L,), formed in `out` if given (it may be sq).
 
     The Gaussian factor of the kernel, written once: the drift contraction
     weights it by the lag weights, and paper_moments' E3 shares it."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.multiply(sq, config.params.theta, out=out)
-        g /= 4.0 * lags[:, None]
+        g /= 4.0 * lags
         np.minimum(g, EXP_CLAMP, out=g)
         np.negative(g, out=g)
         return np.exp(g, out=g)
@@ -308,16 +320,26 @@ def _history_sums(dx: np.ndarray, dy: np.ndarray, g: np.ndarray,
     """sum_l w_l e^(-theta|d_l|^2 / 4u_l) d_l for displacements d = (dx, dy).
 
     `dx`, `dy` and their Gaussian factors `g` (`_gauss_factor`) are
-    (..., L, K); returns the two coordinates of the sums, each (..., K).
-    The one drift contraction: g becomes the coefficients in place and the
-    sum runs over the L history rows, so every caller that lays its
-    displacements out row-major gets the same bits for the same
-    displacements.
+    (..., L), with the L history rows contiguous; returns the two
+    coordinates of the sums, each (...). The one drift contraction: g
+    becomes the coefficients in place and each sum runs along one
+    contiguous row, so its bits depend only on the row's length L, not on
+    how the rows are laid out or gathered.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        g *= w[:, None]
-        return (np.einsum("...lk,...lk->...k", g, dx),
-                np.einsum("...lk,...lk->...k", g, dy))
+        g *= w
+        return (np.einsum("...l,...l->...", g, dx),
+                np.einsum("...l,...l->...", g, dy))
+
+
+def _pair_drifts(hist: np.ndarray, config: SimConfig, m: int,
+                 i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
+    """`pair_drifts` on a split history `hist` (`_split_history`), m >= 1."""
+    l0, lags, w = _conv_weights(m, config)
+    h = hist.swapaxes(0, 1)
+    dx, dy, sq = _pair_geometry(h[:, :, i_idx, m, None], h[:, :, j_idx, l0:m])
+    g = _gauss_factor(sq, lags, config, out=sq)
+    return -config.dt * np.stack(_history_sums(dx, dy, g, w), axis=-1)
 
 
 def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
@@ -333,13 +355,8 @@ def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
     i_idx, j_idx = np.asarray(i_idx, dtype=int), np.asarray(j_idx, dtype=int)
     if m == 0:
         return np.zeros((positions.shape[0], len(i_idx), 2))
-    l0, lags, w = _conv_weights(m, config)
-    # take() keeps the gathered history row-major; the fancy index
-    # [:, :, j_idx] would lay the pair axis out first in memory
-    dx, dy, sq = _pair_geometry(positions[:, m, i_idx][:, None],
-                                positions[:, l0:m].take(j_idx, axis=2))
-    g = _gauss_factor(sq, lags, config, out=sq)
-    return -config.dt * np.stack(_history_sums(dx, dy, g, w), axis=-1)
+    return _pair_drifts(_split_history(positions[:, : m + 1]), config, m,
+                        i_idx, j_idx)
 
 
 def _drift_window(m: int, config: SimConfig) -> int:
@@ -349,31 +366,50 @@ def _drift_window(m: int, config: SimConfig) -> int:
 
 def _drift_workspace(n_block: int, n_particles: int, rows: int) -> np.ndarray:
     """The drift kernel's buffers for `n_block` replicas over at most `rows`
-    history rows: dx, dy and |d|^2 (which becomes the coefficients), each
-    (n_block, N, rows, N) float64, as the rows of one (3, size) array. A
-    step over fewer replicas or rows takes views of their leading entries."""
-    return np.empty((3, n_block * n_particles * rows * n_particles))
+    history rows, in one flat float64 array: dx, dy and |d|^2 (which becomes
+    the coefficients), each (n_block, N, N, rows), then the history window
+    (2, n_block, N, rows). A step over fewer replicas or rows takes views of
+    its leading entries (`_views`)."""
+    return np.empty((3 * n_particles + 2) * n_block * n_particles * rows)
 
 
-def _mean_drifts(pos: np.ndarray, m: int, config: SimConfig,
+def _views(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive views of the leading entries of the flat array `buf`,
+    one of each shape."""
+    out, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(buf[lo: lo + size].reshape(shape))
+        lo += size
+    return out
+
+
+def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
                  work: np.ndarray) -> np.ndarray:
-    """(1/(N-1)) sum_{j != i} D^{i,j}_m for a block pos (B, m+1, N, 2), shape (B, N, 2).
+    """(1/(N-1)) sum_{j != i} D^{i,j}_m for a block's split history `hist`
+    (B, 2, N, T) with T > m (`_split_history`), shape (B, N, 2).
 
     Contracts all N*N ordered pairs, the self pairs included, and subtracts
     the self pairs afterwards: the pair grid then needs no gather. The
-    displacements are laid out (B, i, l, j) per coordinate, in views of the
-    workspace `work` (`_drift_workspace`, for at least B replicas and this
-    step's rows); an (l, i, j) layout gives the same bits but ran about a
-    third slower at N = 32 (2-core Xeon, numpy 2.4).
+    displacements are laid out (B, i, j, l) per coordinate, the history
+    rows l last, in views of the workspace `work` (`_drift_workspace`, for
+    at least B replicas and this step's rows). The window of history rows
+    is first copied into the workspace: contiguous, its (j, l) rows form
+    one loop of each grid operation, where rows strided by the history
+    length form N of them. The copy made the step about a fifth faster at
+    N = 32 and about 2% slower at N = 2 (300 replicas; 2-core Xeon, numpy
+    2.4).
     """
-    b, _, n, _ = pos.shape
+    b, _, n, _ = hist.shape
     if m == 0:
         return np.zeros((b, n, 2))
     l0, lags, w = _conv_weights(m, config)
-    shape = (b, n, m - l0, n)
-    size = math.prod(shape)
-    dx, dy, sq = _pair_geometry(pos[:, m, :, None, None], pos[:, None, l0:m],
-                                out=[a[:size].reshape(shape) for a in work])
+    shape = (b, n, n, m - l0)
+    *grids, past = _views(work, shape, shape, shape, (2, b, n, m - l0))
+    h = hist.swapaxes(0, 1)
+    np.copyto(past, h[..., l0:m])
+    dx, dy, sq = _pair_geometry(h[:, :, :, None, m, None], past[:, :, None],
+                                out=grids)
     g = _gauss_factor(sq, lags, config, out=sq)
     sums = np.stack(_history_sums(dx, dy, g, w), axis=-1)  # (B, i, j, 2)
     total = sums.sum(axis=2) - sums[:, np.arange(n), np.arange(n)]
@@ -381,7 +417,8 @@ def _mean_drifts(pos: np.ndarray, m: int, config: SimConfig,
 
 
 def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
-                work: np.ndarray | None = None) -> np.ndarray:
+                work: np.ndarray | None = None,
+                hist: np.ndarray | None = None) -> np.ndarray:
     """Drift of every particle at the consecutive steps m in `steps`.
 
     The drift is the background gradient grad b(t_m + eps, X^i_m) plus the
@@ -391,14 +428,18 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
     it see the integrator's own drift. The background is evaluated in one
     call over all the steps. `work` is the kernel's workspace
     (`_drift_workspace`); without it one is sized for the block and the
-    last step, and every step of the call slices it.
+    last step, and every step of the call slices it. `hist` is `pos` split
+    by coordinate (`_split_history`), at least up to row max(steps);
+    without it the call splits `pos` once.
     """
     b, _, n, _ = pos.shape
     out = np.empty((b, len(steps), n, 2))
     if work is None and len(steps):
         work = _drift_workspace(b, n, _drift_window(steps[-1], config))
+    if hist is None:
+        hist = _split_history(pos[:, : steps.stop])
     for k, m in enumerate(steps):
-        out[:, k] = _mean_drifts(pos[:, : m + 1], m, config, work)
+        out[:, k] = _mean_drifts(hist, m, config, work)
     if not config.source.is_zero:
         t = np.asarray(steps) * config.dt + config.params.epsilon
         _, grad_b = background_field(t[:, None], pos[:, steps.start: steps.stop],
@@ -407,15 +448,20 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
     return out
 
 
-def _euler_block(positions: np.ndarray, d_w: np.ndarray, active: np.ndarray,
-                 m: int, config: SimConfig, work: np.ndarray
+def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
+                 d_w: np.ndarray, active: np.ndarray, m: int,
+                 config: SimConfig, work: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One Euler step m -> m+1 for the replicas `active` (ascending indices).
+    """One Euler step m -> m+1 for the replicas `active` (ascending indices)
+    of a block.
 
-    `d_w` holds this step's increments for every replica, shape (R, N, 2);
-    `work` is the drift workspace for the block (`_drift_workspace`).
-    Writes row m+1 of each replica that stays finite and returns
-    (still active, blown, drift seconds); a blown replica's row stays NaN.
+    `positions` (B, T, N, 2) is the block's rows of the ensemble and `hist`
+    its split history (`_split_history`, (B, 2, N, T)), None without
+    drift; `d_w` holds this step's increments, shape (B, N, 2); `work` is
+    the drift workspace for the block (`_drift_workspace`). Writes row m+1
+    of each replica that stays finite, in `positions` and `hist`, and
+    returns (still active, blown, drift seconds); a blown replica's row
+    stays NaN.
     """
     lo, hi = int(active[0]), int(active[-1]) + 1
     rows = slice(lo, hi) if hi - lo == len(active) else active
@@ -425,7 +471,7 @@ def _euler_block(positions: np.ndarray, d_w: np.ndarray, active: np.ndarray,
     if p.chi != 0.0:
         t0 = time.perf_counter()
         drift = step_drifts(positions[rows, : m + 1], range(m, m + 1),
-                            config, work)[:, 0]
+                            config, work, hist[rows])[:, 0]
         drift_time = time.perf_counter() - t0
         # overflow here is the blow-up signal, detected explicitly below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -433,10 +479,11 @@ def _euler_block(positions: np.ndarray, d_w: np.ndarray, active: np.ndarray,
     else:
         x_new = x + math.sqrt(2.0) * d_w[rows]
     finite = np.isfinite(x_new).all(axis=(1, 2))
-    if finite.all():
-        positions[rows, m + 1] = x_new
-        return active, active[:0], drift_time
-    positions[active[finite], m + 1] = x_new[finite]
+    if not finite.all():
+        rows, x_new = active[finite], x_new[finite]
+    positions[rows, m + 1] = x_new
+    if hist is not None:
+        hist[rows, :, :, m + 1] = x_new.transpose(0, 2, 1)
     return active[finite], active[~finite], drift_time
 
 
@@ -482,18 +529,25 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     n, rows = config.n_particles, _drift_rows(config)
 
     def run_block(block: range) -> tuple[list[tuple[int, int]], float, int]:
-        # the block's own workspace, sized at its largest step: no step
-        # allocates anything that grows with m, and threads share nothing
+        # the block's own workspace, sized at its largest step, and its own
+        # split history, one row written per step: no step allocates
+        # anything that grows with m, and threads share nothing
         work = _drift_workspace(len(block), n, rows)
-        active = np.arange(block.start, block.stop)
+        positions = ens.positions[block.start: block.stop]
+        hist = None
+        if config.params.chi != 0.0:
+            hist = np.empty((len(block), 2, n, config.n_steps + 1))
+            hist[..., 0] = positions[:, 0].transpose(0, 2, 1)
+        active = np.arange(len(block))
         blowups, secs = [], 0.0
         for m in range(config.n_steps):
             if not len(active):
                 break
-            active, lost, drift_time = _euler_block(ens.positions, noise[:, m],
-                                                    active, m, config, work)
+            active, lost, drift_time = _euler_block(
+                positions, hist, noise[block.start: block.stop, m], active, m,
+                config, work)
             secs += drift_time
-            blowups.extend((int(r), m + 1) for r in lost)
+            blowups.extend((block.start + int(r), m + 1) for r in lost)
         return blowups, secs, work.nbytes
 
     blocks = budget_blocks(config.n_replicas, 16 * n * n * rows)

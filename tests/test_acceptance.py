@@ -178,6 +178,7 @@ def test_criterion_8_drift_domination():
     stats = estimators.drift_domination_check(
         ens, EstimatorParams(gamma=1.62, alpha=0.045), slack=1.05)
     assert stats.violations == 0
+    assert stats.ok
     report("criterion 8 (drift domination)",
            f"{stats.checked} checks, 0 violations, worst |D|/bound "
            f"{stats.worst_margin:.3f} (slack 1.05)")

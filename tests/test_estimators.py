@@ -357,6 +357,24 @@ class TestDriftDomination:
         hold = E.holder_modulus(ens, ep)
         assert hold.excluded == 4 and not hold.ok
 
+    def test_nothing_checked_is_not_ok(self):
+        # every replica blown at step 2: no check runs, so the stats must
+        # not read as clean, and no worst margin exists
+        params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
+        cfg = S.SimConfig(params=params, n_particles=2, dt=0.01, n_steps=10,
+                          n_replicas=3, seed=3,
+                          init=S.InitSpec("gaussian", sigma=1.0))
+        noise = S.draw_noise(cfg)
+        assert E.drift_domination_check(S.run(cfg, noise=noise), EP).ok
+        noise[:, 2] = np.inf
+        ens = S.run(cfg, noise=noise)
+        assert ens.blowups == [(0, 3), (1, 3), (2, 3)]
+        stats = E.drift_domination_check(ens, EP)
+        assert (stats.checked, stats.violations, stats.excluded) == (0, 0, 3)
+        assert math.isnan(stats.worst_margin)
+        assert not stats.ok
+        assert not E.holder_modulus(ens, EP).ok
+
     def test_bound_power_scaling(self):
         # doubling every S term scales the bound by 2^(1/(2(gamma-1)))
         g = 1.6
@@ -440,6 +458,27 @@ class TestHolderModulus:
         assert np.array_equal(tiled.bound, whole.bound)
         assert path == E._holder_max(ens.positions[None, 0, :, 0], ens.times,
                                      0.3)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
+    def test_path_blocks_match_per_path_loop(self, per_block):
+        # 21 grid times: one tile holds all 20 s rows of a path in
+        # 32 * 20 * 21 bytes, and the budget takes `per_block` such paths
+        rng = np.random.default_rng(7)
+        paths = rng.standard_normal((7, 21, 2)).cumsum(axis=1)
+        times = np.arange(21) * 0.05
+        gaps = times[None, :] - times[:, None]
+        upper = gaps > 0
+        want = []
+        for path in paths:   # every grid pair s < t of one path at a time
+            d = path[None, :] - path[:, None]
+            sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+            want.append(np.max(np.sqrt(sq[upper]) / gaps[upper] ** 0.3))
+        tile = 32 * 20 * 21
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", per_block * tile):
+            assert len(list(E._holder_tiles(times, 0.3))) == 1
+            assert len(S.budget_blocks(7, tile)) == -(-7 // per_block)
+            got = E._holder_max(paths, times, 0.3)
+        assert np.array_equal(got, want)
 
 
 class TestTestFunctions:

@@ -404,8 +404,8 @@ class TestStepAndRun:
 
     def test_run_memory_is_positions_plus_workspace(self):
         # N = 32, M = 60: blocks of two replicas, each with one workspace of
-        # three (B, N, M, N) arrays sliced at every step; fresh per-step
-        # arrays held four (B, N, m, N) at once
+        # three (B, N, N, M) arrays and a (2, B, N, M) history window sliced
+        # at every step; fresh per-step arrays held four (B, N, N, m) at once
         import tracemalloc
         params = KernelParams(theta=1.0, lam=0.1, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_particles=32, n_steps=60,
@@ -422,16 +422,16 @@ class TestStepAndRun:
             tracemalloc.stop()
         assert peak < (ens.positions.nbytes + 3 * block_array
                        + block_array // 2)
-        assert ens.counters == {"replica_blocks": 2,
-                                "drift_workspace_bytes": 3 * block_array}
+        assert ens.counters == {"replica_blocks": 2, "drift_workspace_bytes":
+                                3 * block_array + block_array // 16}
         assert not ens.blowups
 
     def test_counters(self):
         params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_particles=3, n_steps=5,
                           n_replicas=2, history_cutoff=0.03)
-        want = {"replica_blocks": 1,
-                "drift_workspace_bytes": 3 * 8 * 2 * 3 * 3 * 3}  # 3 rows
+        want = {"replica_blocks": 1,  # three grids and the window, 3 rows
+                "drift_workspace_bytes": (3 * 8 * 2 * 3 * 3 + 8 * 2 * 2 * 3) * 3}
         assert S.run(cfg).counters == want
         assert S.run(make_config(n_replicas=2)).counters == {
             "replica_blocks": 1, "drift_workspace_bytes": 0}
@@ -509,6 +509,56 @@ class TestBatchedStepping:
                 assert len(S.budget_blocks(cfg.n_replicas, 16 * n * n * rows)) > 1
             self.check(cfg, blow)
             self.check(cfg, blow, threads="2")
+
+
+class TestHistoryLayout:
+    """Every pair-history pass sums the history rows along one contiguous
+    last axis, so the bits of the drift contraction depend only on the
+    number of rows: not on the replica blocks, the threads, the pair
+    gather or the pairs' order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 7), steps=st.integers(1, 16),
+           replicas=st.integers(1, 5), seed=st.integers(0, 2 ** 16),
+           cutoff=st.booleans(), data=st.data())
+    def test_contraction_bits_depend_only_on_history_length(
+            self, n, steps, replicas, seed, cutoff, data):
+        params = KernelParams(theta=1.0, lam=0.2, chi=0.9, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=n, n_steps=steps,
+                          n_replicas=replicas, seed=seed, dt=0.02,
+                          history_cutoff=0.1 if cutoff else None)
+        serial = S.run(cfg)
+        # any split into replica blocks, stepped on two threads
+        size = data.draw(st.integers(1, replicas), label="block size")
+        rows = S._drift_rows(cfg)
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", size * 16 * n * n * rows), \
+                mock.patch.dict(os.environ, {"KSPP_THREADS": "2"}):
+            split = S.run(cfg)
+        assert split.counters["replica_blocks"] == -(-replicas // size)
+        np.testing.assert_array_equal(split.positions, serial.positions)
+
+        # the full (R, i, j, l) grid at step m, contracted at once ...
+        pos = serial.positions
+        m = data.draw(st.integers(1, steps), label="m")
+        l0, lags, w = S._conv_weights(m, cfg)
+        h = S._split_history(pos).swapaxes(0, 1)
+        dx, dy, sq = S._pair_geometry(h[:, :, :, None, m, None],
+                                      h[:, :, None, :, l0:m])
+        g = S._gauss_factor(sq, lags, cfg, out=sq)
+        full = -cfg.dt * np.stack(S._history_sums(dx, dy, g, w), axis=-1)
+        # ... equals each (replica, pair) row contracted alone (g now holds
+        # the coefficients) ...
+        for r, i, j in np.ndindex(full.shape[:3]):
+            row = [np.einsum("l,l->", g[r, i, j].copy(), d[r, i, j].copy())
+                   for d in (dx, dy)]
+            assert np.array_equal(full[r, i, j], -cfg.dt * np.array(row))
+        # ... and pair_drifts on any pair subset, in any order
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   min_size=1, max_size=12), label="pairs")
+        i_idx, j_idx = (list(k) for k in zip(*pairs))
+        np.testing.assert_array_equal(S.pair_drifts(pos, cfg, m, i_idx, j_idx),
+                                      full[:, i_idx, j_idx])
 
 
 class TestFrozenDriftOracle:
