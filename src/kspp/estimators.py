@@ -296,6 +296,12 @@ class DominationStats:
         return self.violations == 0 and self.checked > 0
 
 
+def _check_slack(slack: float) -> None:
+    # a negative or NaN slack would pass every check, and 0 divide by 0
+    if not 0.0 < slack < math.inf:
+        raise ValueError(f"slack must be finite and > 0, got {slack}")
+
+
 def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                            slack: float = 1.05) -> DominationStats:
     """Discrete drift-domination inequality per (replica, ordered pair, step).
@@ -305,8 +311,10 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     and S are the simulator-grid discrete sums. Replicas with non-finite
     positions up to the horizon are excluded and counted in `excluded`;
     `checked` counts the checks of the others. With none left, nothing is
-    checked: `worst_margin` is NaN and the stats are not `ok`.
+    checked: `worst_margin` is NaN and the stats are not `ok`. slack must be
+    finite and > 0.
     """
+    _check_slack(slack)
     cfg = ensemble.config
     p = cfg.params
     dt = cfg.dt
@@ -343,44 +351,30 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                            excluded=ensemble.n_replicas - len(kept))
 
 
-def _holder_tiles(times: np.ndarray, beta: float):
-    """Tiles of s rows of the (s, t) grid: (s0, s1, mask t - s > 0, and
-    (t - s)^beta on the mask, 1 off it), each tile's geometry (dx, dy,
-    |.|^2 and one temporary) within DRIFT_BUDGET_BYTES for one path (never
-    fewer than one row). The last row, s = T - 1, has no t > s and is left
-    out."""
-    for tile in budget_blocks(len(times) - 1, 32 * len(times)):
-        s0, s1 = tile.start, tile.stop
-        gaps = times[None, :] - times[s0:s1, None]
-        upper = gaps > 0
-        yield s0, s1, upper, np.where(upper, gaps, 1.0) ** beta
-
-
 def _holder_max(paths: np.ndarray, times: np.ndarray,
                 beta: float) -> np.ndarray:
     """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta for
-    each of the (P, T, 2) `paths`, tile by tile, each tile built once and
-    taken over blocks of paths whose tile geometries fit DRIFT_BUDGET_BYTES
-    together; the max does not depend on the tiling or the blocks."""
+    each of the (P, T, 2) `paths`, taken along the diagonals t - s = k,
+    one lag k at a time for a block of paths whose two diagonal arrays fit
+    DRIFT_BUDGET_BYTES together; the max does not depend on the order or
+    the blocks."""
+    n_t = len(times)
     best = np.full(len(paths), -math.inf)
     xy = np.moveaxis(paths, -1, 0)   # (2, P, T)
-    for s0, s1, upper, den in _holder_tiles(times, beta):
-        blocks = budget_blocks(len(paths), 32 * den.size)
-        # the geometry's two arrays (dx, then |.|^2, and dy) for the tile's
-        # largest block, allocated once per tile: fresh ones in every block
-        # were mapped and faulted in anew, which made the blocks slower
-        # than a loop over the paths
-        work = np.empty(2 * len(blocks[0]) * den.size) if blocks else None
-        for block in blocks:
-            part = xy[:, block.start: block.stop]
-            ratio, dy = _views(work, *[(len(block), *den.shape)] * 2)
-            _pair_geometry(part[:, :, None, :], part[:, :, s0:s1, None],
+    blocks = budget_blocks(len(paths), 16 * n_t)
+    # the geometry's two arrays (dx, then |.|^2, and dy), allocated once
+    # per call for the largest block and lag 1
+    work = np.empty(2 * (len(blocks[0]) if blocks else 0) * n_t)
+    for block in blocks:
+        part = xy[:, block.start: block.stop]
+        rows = best[block.start: block.stop]
+        for k in range(1, n_t):
+            ratio, dy = _views(work, *[(len(block), n_t - k)] * 2)
+            _pair_geometry(part[..., k:], part[..., :-k],
                            out=(ratio, dy, ratio))
             np.sqrt(ratio, out=ratio)
-            ratio /= den
-            rows = best[block.start: block.stop]
-            np.maximum(rows, np.max(ratio, axis=(1, 2), where=upper,
-                                    initial=-math.inf), out=rows)
+            ratio /= (times[k:] - times[:-k]) ** beta
+            np.maximum(rows, np.max(ratio, axis=1), out=rows)
     return best
 
 
@@ -409,8 +403,10 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     compared against chi/(N-1) * sum_j [1 + sum |D|^(2(gamma-1)) dt], which
     dominates it by the exact discrete Hoelder inequality. Replicas with
     non-finite positions up to the horizon are excluded and counted in
-    `excluded`; z_hat and bound hold the others, in replica order.
+    `excluded`; z_hat and bound hold the others, in replica order. slack
+    must be finite and > 0.
     """
+    _check_slack(slack)
     cfg = ensemble.config
     chi, dt = cfg.params.chi, cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
@@ -559,10 +555,13 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
     chunks whose indices and gathered values fit DRIFT_BUDGET_BYTES; the
     chunks consume the generator as one (n_boot, R) draw would. The two
     percentiles are np.quantile's default (linear) ones, taken from order
-    statistics: the first np.quantile call imports numpy.ma.
+    statistics: the first np.quantile call imports numpy.ma. level lies in
+    [0, 1] and n_boot >= 1.
     """
     if not 0.0 <= level <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {level}")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     rng = np.random.default_rng(seed)
     values = np.asarray(values, float)
     r_n = len(values)
@@ -601,11 +600,23 @@ def _residual_report(values: np.ndarray, ci, level: float,
                           per_replica=values, level=level, excluded=excluded)
 
 
+# Rows of a u tile of the Ito-balance (u, s) grid. A tile holds only the
+# columns s < u1 that its inner trapezoid weights can reach, so thinner tiles
+# skip more of the grid above the diagonal and pay more per-tile overhead.
+# One call at 500 replicas, N = 2, T = 129, chi = 0 took 0.101 s with 4 rows,
+# 0.107 s with 8, 0.114 s with 16 and 0.117 s with 32, against 0.170 s with
+# every row over all T columns (medians of 10 alternating in-process runs,
+# BENCH_15.json; 2-core Xeon VM with AVX-512, numpy 2.4.6). 4 and 8 rows lie
+# within each other's quartiles; 8 builds half as many tiles.
+ITO_TILE_ROWS = 8
+
+
 def _inner_tables(m_t: int, dt: float, u0: int, u1: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows u0..u1-1 of the (u, s) grid tables: the lag u - s and the inner
-    trapezoid weights over s in [0, u] (`_trap_weights(u, dt)`; row 0 is
-    all 0), zero above the diagonal.
+    """Rows u0..u1-1 of the (u, s) grid tables: the lag u - s on the
+    columns s < u1, and the inner trapezoid weights over s in [0, u]
+    (`_trap_weights(u, dt)`; row 0 is all 0) on all m_t + 1 columns, zero
+    above the diagonal.
 
     Above the diagonal the lag is 0, not u - s < 0: F = e^(s - u - |x|^2)
     overflowed there once t passed about 709, and inf times the zero
@@ -615,7 +626,7 @@ def _inner_tables(m_t: int, dt: float, u0: int, u1: int
     w_inner = np.where(np.arange(m_t + 1) < np.arange(u0, u1)[:, None],
                        dt, 0.0)
     w_inner[u - u0, 0] = w_inner[u - u0, u] = 0.5 * dt
-    lag = np.subtract(times[u0:u1, None], times[None, :])
+    lag = np.subtract(times[u0:u1, None], times[None, :u1])
     return np.maximum(lag, 0.0, out=lag), w_inner
 
 
@@ -646,61 +657,75 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     times = np.arange(m_t + 1) * dt
     lag_ut = times[m_t] - times                # t - s
     n_t, n_k = m_t + 1, len(i_idx)
-    # the (u, s) grid in tiles of u rows: whole while one replica's two
-    # grids, 16 * K * T^2 bytes, fit DRIFT_BUDGET_BYTES, else the most rows
-    # that fit (never fewer than one); every u row is summed whole, so the
-    # bits do not depend on the tiling
-    tiles = budget_blocks(n_t, 16 * n_k * n_t)
-    rows = len(tiles[0])
-    # the lag and weight tables of the last tile used are kept: while one
-    # tile holds the grid they are built once per call
-    tables = functools.lru_cache(maxsize=1)(
+    # the (u, s) grid in tiles of u rows u0 <= u < u1: ITO_TILE_ROWS rows, or
+    # the most whose three arrays below fit DRIFT_BUDGET_BYTES for one
+    # replica (never fewer than one). A tile evaluates F and its heat
+    # operator on the columns s < u1 only: w_inner is 0 for s > u
+    rows = min(ITO_TILE_ROWS, len(budget_blocks(n_t, 24 * n_k * n_t)[0]))
+    tiles = [range(u0, min(u0 + rows, n_t)) for u0 in range(0, n_t, rows)]
+    # each tile's lag and weight tables are built once per call while the
+    # tables of all tiles fit DRIFT_BUDGET_BYTES, else once per block
+    tables = functools.lru_cache(
+        maxsize=len(budget_blocks(len(tiles), 16 * rows * n_t)[0]))(
         functools.partial(_inner_tables, m_t, dt))
-    blocks = budget_blocks(len(kept), 16 * n_k * rows * n_t)
-    # the two grids are allocated once per call: fresh ones in every block
-    # made glibc's malloc trim and refault its heap (about 80 000 page
-    # faults at R = 500, M = 128) unless an earlier large free had raised
-    # its mmap threshold
-    size = (len(blocks[0]) if blocks else 0) * n_k * rows * n_t
+    blocks = budget_blocks(len(kept), 24 * n_k * rows * n_t)
+    # two grids, |x_u - y_s|^2 and F, over a tile's (u, s < u1) columns, and
+    # the padded rows: each tile's weighted heat rows, zero past s = u1, so
+    # that every row is summed over all T columns as a whole-grid row is and
+    # its sum keeps those bits (a shorter row is summed in another order).
+    # All three are allocated once per call: fresh ones in every block made
+    # glibc's malloc trim and refault its heap (about 80 000 page faults at
+    # R = 500, M = 128) unless an earlier large free had raised its mmap
+    # threshold
+    b_max = len(blocks[0]) if blocks else 0
+    size = b_max * n_k * rows * n_t
     grid_a, grid_b = np.empty(size), np.empty(size)
+    padded = np.zeros((b_max, n_k, rows, n_t))
+    dirty = 0            # the columns past `dirty` of `padded` are all 0
     res = np.zeros(len(kept))
 
     for block in blocks:
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        # (B, K, T, 2) paths of the first and the second particle of each pair
-        paths = np.ascontiguousarray(pos.transpose(0, 2, 1, 3))
-        xi, xj = paths[:, i_idx], paths[:, j_idx]
+        b = len(block)
+        # (2, B, K, T): the paths of each pair's first and second particle,
+        # split by coordinate
+        h = _split_history(pos).swapaxes(0, 1)
+        xi, xj = h[:, :, i_idx], h[:, :, j_idx]
         if chi != 0.0:   # (B, K, T, 2) total drift on each pair's first particle
             drift = step_drifts(pos, range(m_t + 1), cfg)
             drift = np.ascontiguousarray(drift.transpose(0, 2, 1, 3))[:, i_idx]
-        lhs = _row_dot(GaussianBump.value(lag_ut, xi[:, :, m_t:] - xj), w_tr)
-        t1 = _row_dot(GaussianBump.value(0.0, xi - xj), w_tr)
-        b = len(block)
+        lhs = _row_dot(GaussianBump.value_sq(
+            lag_ut, _pair_geometry(xi[..., m_t:], xj)[2]), w_tr)
+        t1 = _row_dot(GaussianBump.value_sq(0.0, _pair_geometry(xi, xj)[2]),
+                      w_tr)
         row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
         grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
         for tile in tiles:
             u0, u1 = tile.start, tile.stop
             lag, w_in = tables(u0, u1)
-            shape = (b, n_k, u1 - u0, n_t)
-            grids = tuple(g[: math.prod(shape)].reshape(shape)
-                          for g in (grid_a, grid_b))
-            # |x_u - y_s|^2 in the first grid, then F in the second and the
-            # heat operator in place; F is shared with grad F = -2 x F
-            now, past = xi[:, :, u0:u1, None], xj[:, :, None]
-            _, _, sq = _pair_geometry(np.moveaxis(now, -1, 0),
-                                      np.moveaxis(past, -1, 0),
-                                      out=(*grids, grids[0]))
-            f = GaussianBump.value_sq(lag, sq, out=grids[1])
+            shape = (b, n_k, u1 - u0, u1)
+            sq, f = (g[: math.prod(shape)].reshape(shape)
+                     for g in (grid_a, grid_b))
+            if dirty > u1:
+                padded[..., u1:dirty] = 0.0
+            dirty = u1
+            pad = padded[:b, :, : u1 - u0]
+            # |x_u - y_s|^2 in the first grid, F in the second and the
+            # weighted heat operator in the padded rows; F is shared with
+            # grad F = -2 x F, formed in the padded rows after their sums
+            now, past = xi[..., u0:u1, None], xj[..., None, :u1]
+            _pair_geometry(now, past, out=(sq, f, sq))
+            GaussianBump.value_sq(lag, sq, out=f)
             heat = GaussianBump.heat_sq(sq, f, out=sq)
-            heat *= w_in
-            row_sums[:, :, u0:u1] = np.sum(heat, axis=-1)
+            np.multiply(heat, w_in[:, :u1], out=pad[..., :u1])
+            row_sums[:, :, u0:u1] = np.sum(pad, axis=-1)
             if chi != 0.0:
                 for c in range(2):
-                    g = np.subtract(now[..., c], past[..., c], out=sq)
+                    g = np.subtract(now[c], past[c], out=pad[..., :u1])
                     g *= -2.0
                     g *= f
                     grad_int[:, :, u0:u1, c] = np.einsum(
-                        "us,...us->...u", w_in, g)
+                        "us,...us->...u", w_in, pad)
         per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
         if chi != 0.0:
             per_pair -= chi * _row_dot(
@@ -730,8 +755,10 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     tau <= s keeps the functional adapted; larger tau is a deliberate
     misuse that breaks the martingale property. s, t and tau must lie on
     the dt grid, with tau in [0, t]. Replicas run in blocks; those
-    non-finite up to t are excluded.
+    non-finite up to t are excluded. level lies in [0, 1).
     """
+    if not 0.0 <= level < 1.0:   # level 1 has no finite normal quantile
+        raise ValueError(f"level must lie in [0, 1), got {level}")
     if phi is None:
         phi = CompactBump()
     cfg = ensemble.config

@@ -449,42 +449,37 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
 
 
 def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
-                 d_w: np.ndarray, active: np.ndarray, m: int,
-                 config: SimConfig, work: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One Euler step m -> m+1 for the replicas `active` (ascending indices)
-    of a block.
+                 d_w: np.ndarray, m: int, config: SimConfig,
+                 work: np.ndarray) -> tuple[np.ndarray, float]:
+    """One Euler step m -> m+1 for every replica of a block.
 
-    `positions` (B, T, N, 2) is the block's rows of the ensemble and `hist`
-    its split history (`_split_history`, (B, 2, N, T)), None without
-    drift; `d_w` holds this step's increments, shape (B, N, 2); `work` is
-    the drift workspace for the block (`_drift_workspace`). Writes row m+1
-    of each replica that stays finite, in `positions` and `hist`, and
-    returns (still active, blown, drift seconds); a blown replica's row
-    stays NaN.
+    `positions` (B, T, N, 2) holds the block's replicas, all finite up to
+    row m, and `hist` their split history (`_split_history`, (B, 2, N, T)),
+    None without drift; `d_w` holds this step's increments, shape
+    (B, N, 2); `work` is the drift workspace for the block
+    (`_drift_workspace`). Writes row m+1 of each replica that stays finite,
+    in `positions` and `hist`, and returns (the mask of those replicas,
+    drift seconds); a blown replica's row stays as it was.
     """
-    lo, hi = int(active[0]), int(active[-1]) + 1
-    rows = slice(lo, hi) if hi - lo == len(active) else active
     p = config.params
-    x = positions[rows, m]
+    x = positions[:, m]
     drift_time = 0.0
     if p.chi != 0.0:
         t0 = time.perf_counter()
-        drift = step_drifts(positions[rows, : m + 1], range(m, m + 1),
-                            config, work, hist[rows])[:, 0]
+        drift = step_drifts(positions[:, : m + 1], range(m, m + 1), config,
+                            work, hist)[:, 0]
         drift_time = time.perf_counter() - t0
         # overflow here is the blow-up signal, detected explicitly below
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = x + math.sqrt(2.0) * d_w[rows] + p.chi * drift * config.dt
+            x_new = x + math.sqrt(2.0) * d_w + p.chi * drift * config.dt
     else:
-        x_new = x + math.sqrt(2.0) * d_w[rows]
+        x_new = x + math.sqrt(2.0) * d_w
     finite = np.isfinite(x_new).all(axis=(1, 2))
-    if not finite.all():
-        rows, x_new = active[finite], x_new[finite]
-    positions[rows, m + 1] = x_new
+    rows = slice(None) if finite.all() else finite
+    positions[rows, m + 1] = x_new[rows]
     if hist is not None:
-        hist[rows, :, :, m + 1] = x_new.transpose(0, 2, 1)
-    return active[finite], active[~finite], drift_time
+        hist[rows, :, :, m + 1] = x_new[rows].transpose(0, 2, 1)
+    return finite, drift_time
 
 
 def _drift_rows(config: SimConfig) -> int:
@@ -533,21 +528,35 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         # split history, one row written per step: no step allocates
         # anything that grows with m, and threads share nothing
         work = _drift_workspace(len(block), n, rows)
-        positions = ens.positions[block.start: block.stop]
+        block_pos = ens.positions[block.start: block.stop]
         hist = None
         if config.params.chi != 0.0:
             hist = np.empty((len(block), 2, n, config.n_steps + 1))
-            hist[..., 0] = positions[:, 0].transpose(0, 2, 1)
-        active = np.arange(len(block))
+            hist[..., 0] = block_pos[:, 0].transpose(0, 2, 1)
+        # the replicas still stepping (`live`, indices into the block), their
+        # positions, split history and noise: views of the block's until a
+        # replica blows up, then copies compacted once at each blow-up, so
+        # that no step gathers the survivors' histories
+        live = np.arange(len(block))
+        positions, d_w = block_pos, noise[block.start: block.stop]
         blowups, secs = [], 0.0
         for m in range(config.n_steps):
-            if not len(active):
+            if not len(live):
                 break
-            active, lost, drift_time = _euler_block(
-                positions, hist, noise[block.start: block.stop, m], active, m,
-                config, work)
+            finite, drift_time = _euler_block(positions, hist, d_w[:, m], m,
+                                              config, work)
             secs += drift_time
-            blowups.extend((block.start + int(r), m + 1) for r in lost)
+            if not finite.all():
+                blowups.extend((block.start + int(r), m + 1)
+                               for r in live[~finite])
+                if positions is not block_pos:
+                    block_pos[live] = positions
+                live = live[finite]
+                positions, d_w = positions[finite], d_w[finite]
+                if hist is not None:
+                    hist = hist[finite]
+        if positions is not block_pos:
+            block_pos[live] = positions
         return blowups, secs, work.nbytes
 
     blocks = budget_blocks(config.n_replicas, 16 * n * n * rows)

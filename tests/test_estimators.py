@@ -375,6 +375,14 @@ class TestDriftDomination:
         assert not stats.ok
         assert not E.holder_modulus(ens, EP).ok
 
+    @pytest.mark.parametrize("slack", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_slack_rejected(self, slack):
+        # on this run slack = -1 and NaN each gave ok with no violation,
+        # and slack = 0 divided by zero
+        ens = brownian_ensemble(n_steps=8, n_replicas=2, chi=1.0)
+        with pytest.raises(ValueError, match="slack must be finite"):
+            E.drift_domination_check(ens, EP, slack=slack)
+
     def test_bound_power_scaling(self):
         # doubling every S term scales the bound by 2^(1/(2(gamma-1)))
         g = 1.6
@@ -441,17 +449,16 @@ class TestHolderModulus:
         assert np.array_equal(stats.z_hat, z_hat)
         assert np.array_equal(stats.bound, bound)
 
-    @pytest.mark.parametrize("rows, last", [(3, (18, 20)), (4, (16, 20))])
-    def test_row_tiles_match_whole_grid(self, rows, last):
-        # 21 grid times, 32 * 21 bytes per s row: the s rows 0..19 in tiles
-        # of `rows`; row 20 has no t > s, so no tile holds it alone (with 4
-        # rows a tile it would, and its empty max would raise); the max
-        # over the tiles is the max over the whole grid
+    @pytest.mark.parametrize("paths", [1, 4])
+    def test_small_budget_matches_whole_grid(self, paths):
+        # 21 grid times, 16 * 21 bytes a path for the two diagonal arrays: a
+        # budget of `paths` paths splits holder_modulus into one-replica
+        # blocks and _holder_max into blocks of `paths` paths; the maxima and
+        # bounds are those of the whole grid
         ens = brownian_ensemble(n_particles=3, n_steps=20, n_replicas=6,
                                 seed=3, chi=0.9)
         whole = E.holder_modulus(ens, EP)
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", rows * 32 * 21):
-            assert [t[:2] for t in E._holder_tiles(ens.times, 0.3)][-1] == last
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", paths * 16 * 21):
             tiled = E.holder_modulus(ens, EP)
             path = E._holder_max(ens.positions[None, 0, :, 0], ens.times, 0.3)
         assert np.array_equal(tiled.z_hat, whole.z_hat)
@@ -459,10 +466,17 @@ class TestHolderModulus:
         assert path == E._holder_max(ens.positions[None, 0, :, 0], ens.times,
                                      0.3)
 
+    @pytest.mark.parametrize("slack", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_slack_rejected(self, slack):
+        # the slackened bound means nothing outside 0 < slack < inf
+        ens = brownian_ensemble(n_steps=8, n_replicas=2, chi=1.0)
+        with pytest.raises(ValueError, match="slack must be finite"):
+            E.holder_modulus(ens, EP, slack=slack)
+
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
     def test_path_blocks_match_per_path_loop(self, per_block):
-        # 21 grid times: one tile holds all 20 s rows of a path in
-        # 32 * 20 * 21 bytes, and the budget takes `per_block` such paths
+        # 21 grid times: a path's two diagonal arrays take 16 * 21 bytes,
+        # and the budget takes `per_block` such paths
         rng = np.random.default_rng(7)
         paths = rng.standard_normal((7, 21, 2)).cumsum(axis=1)
         times = np.arange(21) * 0.05
@@ -473,10 +487,9 @@ class TestHolderModulus:
             d = path[None, :] - path[:, None]
             sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
             want.append(np.max(np.sqrt(sq[upper]) / gaps[upper] ** 0.3))
-        tile = 32 * 20 * 21
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", per_block * tile):
-            assert len(list(E._holder_tiles(times, 0.3))) == 1
-            assert len(S.budget_blocks(7, tile)) == -(-7 // per_block)
+        per_path = 16 * 21
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", per_block * per_path):
+            assert len(S.budget_blocks(7, per_path)) == -(-7 // per_block)
             got = E._holder_max(paths, times, 0.3)
         assert np.array_equal(got, want)
 
@@ -656,6 +669,15 @@ class TestMartingaleResidual:
         with pytest.raises(ValueError, match=match):
             E.martingale_residual(ens, None, ("window", 0.5, lo, hi),
                                   s=0.5, t=1.0)
+
+    @pytest.mark.parametrize("level", [-0.1, 1.0, 1.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        # 1.5 raised StatisticsError from the normal quantile, and NaN
+        # gave a NaN interval
+        ens = brownian_ensemble(n_steps=16, n_replicas=4)
+        with pytest.raises(ValueError, match="level must lie in"):
+            E.martingale_residual(ens, None, ("const",), s=0.25, t=0.5,
+                                  level=level)
 
     def test_time_validation(self):
         ens = brownian_ensemble(n_steps=16, n_replicas=2)
@@ -873,15 +895,17 @@ class TestResidualBlocks:
 
     @pytest.mark.parametrize("chi", [0.0, 0.5])
     def test_gaussian_u_tiles_match_whole_grid(self, chi):
-        # a budget of two u rows per replica (16 * 6 pairs * 9 bytes a row):
-        # the (u, s) grid of one replica splits into 5 tiles, the last one
-        # row; every u row is still summed whole
+        # a budget of two u rows per replica (24 * 6 pairs * 9 bytes a row:
+        # two grids and the padded rows): the (u, s) grid of one replica
+        # splits into 5 tiles, the last one row; every u row is still summed
+        # over all 9 columns
         cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=chi, epsilon=0.05),
                           n_particles=3, dt=0.05, n_steps=8, n_replicas=3,
                           seed=9, init=S.InitSpec("gaussian", sigma=1.0))
         ens = S.run(cfg)
-        whole = E.ito_balance_check(ens, EP, n_boot=20)
-        budget = 2 * 16 * 6 * 9
+        with mock.patch.object(E, "ITO_TILE_ROWS", 9):
+            whole = E.ito_balance_check(ens, EP, n_boot=20)
+        budget = 2 * 24 * 6 * 9
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget), \
                 mock.patch.object(E, "_inner_tables",
                                   wraps=E._inner_tables) as tables:
@@ -889,6 +913,34 @@ class TestResidualBlocks:
         assert sorted({c.args[2:] for c in tables.call_args_list}) == [
             (0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
         assert np.array_equal(tiled.per_replica, whole.per_replica)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    @pytest.mark.parametrize("n_t", [127, 128, 129, 201])
+    def test_gaussian_long_rows_match_whole_grid(self, n_t, chi, n):
+        # rows of T >= 128 columns reach numpy's 128-element pairwise-sum
+        # block, where a row summed over fewer columns than T would change
+        # its bits: tiles of 1 to 16 rows over blocks of two replicas equal
+        # the whole grid, and at chi = 0 the per-pair reference
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=chi, epsilon=0.05),
+                          n_particles=n, dt=1.0 / 128, n_steps=n_t - 1,
+                          n_replicas=3, seed=n_t, init=S.InitSpec("gaussian",
+                                                                  sigma=1.0))
+        ens = S.run(cfg)
+        row_bytes = 24 * n * (n - 1) * n_t   # two grids and the padded rows
+        with mock.patch.object(E, "ITO_TILE_ROWS", n_t), \
+                mock.patch.object(S, "DRIFT_BUDGET_BYTES", 3 * n_t * row_bytes):
+            whole = E.ito_balance_check(ens, EP, n_boot=20).per_replica
+        for rows in (1, 7, 8, 16):
+            with mock.patch.object(E, "ITO_TILE_ROWS", rows), \
+                    mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                                      2 * rows * row_bytes):
+                assert [len(b) for b in S.budget_blocks(
+                    3, rows * row_bytes)] == [2, 1]
+                tiled = E.ito_balance_check(ens, EP, n_boot=20).per_replica
+            assert np.array_equal(tiled, whole)
+        if chi == 0.0:
+            assert np.array_equal(whole, reference_ito(ens))
 
     def test_gaussian_memory_bounded(self):
         # one N = 2 replica at M = 2000: the whole (u, s) grid would take
@@ -1006,6 +1058,12 @@ class TestBootstrap:
     def test_level_outside_unit_interval_rejected(self, level):
         with pytest.raises(ValueError):
             E.bootstrap_mean_ci(np.arange(5.0), level=level)
+
+    @pytest.mark.parametrize("n_boot", [0, -3])
+    def test_no_resample_rejected(self, n_boot):
+        # 0 divided by zero and -3 raised numpy's negative dimensions error
+        with pytest.raises(ValueError, match="n_boot must be >= 1"):
+            E.bootstrap_mean_ci(np.arange(5.0), n_boot=n_boot)
 
     def test_leaves_out_numpy_ma(self):
         # np.quantile's first call imports numpy.ma

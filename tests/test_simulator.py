@@ -368,6 +368,29 @@ class TestStepAndRun:
             else:
                 assert finite
 
+    @pytest.mark.parametrize("chi", [0.0, 1.0])
+    def test_blowups_at_several_steps_keep_every_row(self, chi):
+        # one block, replicas blown at steps 3, 11 and 31 by an infinite
+        # increment: each keeps its rows before the blow-up, NaN from it on,
+        # and the other replicas' paths are those of the clean run
+        params = KernelParams(theta=1.0, chi=chi, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=3, dt=0.01, n_steps=40,
+                          n_replicas=12, seed=4)
+        noise = S.draw_noise(cfg)
+        clean = S.run(cfg, noise=noise)
+        for r, m in ((2, 2), (5, 10), (11, 30)):
+            noise[r, m, 0, 1] = np.inf
+        ens = S.run(cfg, noise=noise)
+        assert ens.counters["replica_blocks"] == 1
+        assert ens.blowups == [(2, 3), (5, 11), (11, 31)]
+        for r, step in ens.blowups:
+            np.testing.assert_array_equal(ens.positions[r, :step],
+                                          clean.positions[r, :step])
+            assert np.isnan(ens.positions[r, step:]).all()
+        kept = [r for r in range(12) if r not in (2, 5, 11)]
+        np.testing.assert_array_equal(ens.positions[kept],
+                                      clean.positions[kept])
+
     def test_thread_parallel_matches_serial(self):
         params = KernelParams(theta=1.0, chi=0.9, epsilon=0.05)
         cfg = make_config(params=params, n_steps=10, n_replicas=4, seed=23)
