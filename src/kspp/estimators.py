@@ -28,7 +28,7 @@ import numpy as np
 from .constants import c0_const, check_gamma_alpha, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_factor,
-                        _history_sums, _pair_drifts, _pair_geometry,
+                        _history_sums, _others, _pair_drifts, _pair_geometry,
                         _split_history, _views, budget_blocks, step_drifts)
 
 
@@ -166,10 +166,13 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     `excluded`; the estimates and `replicas` cover the others.
 
     One pass over the steps m: each step builds the pair geometry
-    X^i_m - X^j_l on the full (i, j, l) grid once, the history rows l last,
-    and feeds E2, E3, E4 and, at the horizon, S and S-bar from it; E3 and
-    E4 share its Gaussian factor. The self pairs i = j are dropped before
-    the pair reductions.
+    X^i_m - X^j_l once, on the simulator's (i, k, l) grid of the N - 1
+    other particles j = (i + 1 + k) mod N (`simulator._others`), the
+    history rows l last, and feeds E2, E3, E4 and, at the horizon, S and
+    S-bar from it; E3 and E4 share its Gaussian factor. The per-pair sums
+    are reduced by math.fsum, which is exact and so does not depend on the
+    pairs' order; E4's |D| columns are put back in ordered_pairs order
+    before the trapezoid product, which does.
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -181,7 +184,10 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     m_t = _horizon_index(ensemble, ep.horizon)
     pairs = ordered_pairs(n)
     i_idx, j_idx = _pair_index(pairs)
-    off = ~np.eye(n, dtype=bool)   # selects the pairs in ordered_pairs order
+    # column i (N - 1) + k of a step grid's flattened (i, k) axes is the pair
+    # (i, (i + 1 + k) mod N): these columns give ordered_pairs' order, in
+    # which E4's trapezoid product w_tr @ |D|^q keeps its bits
+    in_order = i_idx * (n - 1) + (j_idx - i_idx - 1) % n
     w_tr = _trap_weights(m_t, dt)
     q = 2.0 * (ep.gamma - 1.0)
     e3_pow = 2.0 * ep.gamma / 3.0
@@ -190,13 +196,14 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     kept = _finite_replicas(ensemble, m_t)
     per_rep = {name: np.zeros(len(kept)) for name in names}
     divergent = 0
-    blocks = budget_blocks(len(kept), 16 * n * n * m_t)
-    # five (B, i, j, l) grids and the (2, B, N, l) history window they are
-    # formed from (see simulator._mean_drifts), allocated once per call for
-    # the largest block at the horizon and sliced at every step: dx, dy,
-    # |d|^2 (then |d|), the Gaussian factor (then E4's coefficients) and the
-    # E2, S and E3 terms
-    work = np.empty((5 * n + 2) * (len(blocks[0]) if blocks else 0) * n * m_t)
+    blocks = budget_blocks(len(kept), 16 * len(pairs) * m_t)
+    # five (B, i, k, l) grids and the (2, B, 2N - 1, l) doubled history
+    # window they are formed from (see simulator._mean_drifts), allocated
+    # once per call for the largest block at the horizon and sliced at every
+    # step: dx, dy, |d|^2 (then |d|), the Gaussian factor (then E4's
+    # coefficients) and the E2, S and E3 terms
+    work = np.empty((5 * len(pairs) + 2 * (2 * n - 1))
+                    * (len(blocks[0]) if blocks else 0) * m_t)
 
     for block in blocks:
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
@@ -211,21 +218,21 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
             e1 = np.matmul(w_tr, np.where(zero_mask, 0.0, dist ** (-q)))
         del d_same, dist, zero_mask   # freed before the step grids fill
 
-        e2 = np.zeros((len(block), n, n))
-        e3 = np.zeros((len(block), n, n))
+        e2 = np.zeros((len(block), n, n - 1))
+        e3 = np.zeros((len(block), n, n - 1))
         d_mag = np.zeros((len(block), m_t + 1, len(pairs)))
         # a finite replica close to blowing up may overflow its kernel
         # terms; they then come out inf or 0
         with np.errstate(over="ignore"):
             for m in range(1, m_t + 1):
-                # geometry over (B, i, j, l): X^i_m - X^j_l for l < m
+                # geometry over (B, i, k, l): X^i_m - X^j_l for l < m and
+                # j = (i + 1 + k) mod N
                 lag = (m - np.arange(m)) * dt
-                shape = (len(block), n, n, m)
-                dx, dy, sq, g, term, past = _views(
-                    work, *[shape] * 5, (2, len(block), n, m))
-                np.copyto(past, h[..., :m])
-                _pair_geometry(h[:, :, :, None, m, None], past[:, :, None],
-                               out=(dx, dy, sq))
+                shape = (len(block), n, n - 1, m)
+                dx, dy, sq, g, term, window = _views(
+                    work, *[shape] * 5, (2, len(block), 2 * n - 1, m))
+                _pair_geometry(h[:, :, :, None, m, None],
+                               _others(h, 0, m, window), out=(dx, dy, sq))
 
                 # E2 / E3: double sums, left-endpoint (u-exclusive) inner rule
                 np.add(lag, sq, out=term)
@@ -252,16 +259,17 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
                 l0, _, w = _conv_weights(m, cfg)
                 sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
                                        g[..., l0:], w)
-                d_x, d_y = -dt * sx[:, off], -dt * sy[:, off]
-                d_mag[:, m] = np.sqrt(d_x * d_x + d_y * d_y)
+                d_x, d_y = -dt * sx, -dt * sy
+                d_mag[:, m] = np.sqrt(d_x * d_x + d_y * d_y).reshape(
+                    len(block), -1)[:, in_order]
 
         for b, r in enumerate(block):
             per_rep["E1"][r] = _fsum_mean(e1[b])
-            per_rep["E2"][r] = _fsum_mean(e2[b][off])
-            per_rep["E3"][r] = _fsum_mean(e3[b][off])
+            per_rep["E2"][r] = _fsum_mean(e2[b].ravel())
+            per_rep["E3"][r] = _fsum_mean(e3[b].ravel())
             per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag[b] ** q)
-            per_rep["S"][r] = _fsum_mean(s_full[b][off])
-            per_rep["S_bar"][r] = _fsum_mean(sbar_full[b][off])
+            per_rep["S"][r] = _fsum_mean(s_full[b].ravel())
+            per_rep["S_bar"][r] = _fsum_mean(sbar_full[b].ravel())
 
     estimates = {}
     for name in names:
@@ -442,7 +450,8 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
 
 
 class GaussianBump:
-    """F(u, x) = exp(-u - |x|^2) with exact time-plus-Laplace and gradient."""
+    """F(u, x) = exp(-u - |x|^2) and its exact time-plus-Laplace operator,
+    both from the squared length |x|^2."""
 
     @staticmethod
     def value_sq(u, sq, out=None):
@@ -456,19 +465,6 @@ class GaussianBump:
         f = value_sq(u, sq), written into `out` if given (`out` may be sq)."""
         h = np.subtract(np.multiply(sq, 4.0, out=out), 5.0, out=out)
         return np.multiply(h, f, out=out)
-
-    @staticmethod
-    def value(u, x):
-        return GaussianBump.value_sq(u, np.einsum("...c,...c->...", x, x))
-
-    @staticmethod
-    def heat(u, x):
-        sq = np.einsum("...c,...c->...", x, x)
-        return GaussianBump.heat_sq(sq, GaussianBump.value_sq(u, sq))
-
-    @staticmethod
-    def grad(u, x):
-        return -2.0 * x * GaussianBump.value(u, x)[..., None]
 
 
 class CompactBump:
@@ -547,6 +543,13 @@ class ResidualReport:
         return float(self.per_replica.var(ddof=1))
 
 
+def _check_bootstrap(level: float, n_boot: int) -> None:
+    if not 0.0 <= level <= 1.0:
+        raise ValueError(f"level must lie in [0, 1], got {level}")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+
+
 def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
                       n_boot: int = 2000, seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap confidence interval for the mean.
@@ -558,10 +561,7 @@ def bootstrap_mean_ci(values: np.ndarray, level: float = 0.99,
     statistics: the first np.quantile call imports numpy.ma. level lies in
     [0, 1] and n_boot >= 1.
     """
-    if not 0.0 <= level <= 1.0:
-        raise ValueError(f"level must lie in [0, 1], got {level}")
-    if n_boot < 1:
-        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    _check_bootstrap(level, n_boot)
     rng = np.random.default_rng(seed)
     values = np.asarray(values, float)
     r_n = len(values)
@@ -643,10 +643,12 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     The drift is the integrator's own (`step_drifts`). Replicas run in
     blocks (`budget_blocks`); those non-finite up to the horizon are
     excluded and counted in `excluded`. Passes when 0 lies in the
-    bootstrap confidence interval of the mean.
+    bootstrap confidence interval of the mean; `level` and `n_boot` are
+    checked as `bootstrap_mean_ci` checks them, before any work.
     """
     if f_spec != "gaussian-bump":
         raise ValueError(f"unknown test function spec {f_spec!r}")
+    _check_bootstrap(level, n_boot)
     cfg = ensemble.config
     chi, dt = cfg.params.chi, cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
@@ -796,8 +798,9 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     w_in = _trap_weights(m_e - m_s, dt)
     theta_vals = np.zeros(len(kept))
     # a replica holds N x T arrays: its path copy (two), lap's five and, at
-    # chi != 0, the drift workspace (3N)
-    arrays = 7 + (3 * n if chi != 0.0 else 0)
+    # chi != 0, the drift workspace: three grids over the N - 1 other
+    # particles and the doubled history window, under 4
+    arrays = 7 + (3 * (n - 1) + 4 if chi != 0.0 else 0)
     for block in budget_blocks(len(kept), 8 * arrays * n * (m_e + 1)):
         pos = ensemble.positions[kept[block.start: block.stop], : m_e + 1]
         window = pos[:, m_s:]

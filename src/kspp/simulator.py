@@ -238,13 +238,14 @@ def _conv_weights(m: int, config: SimConfig) -> tuple[int, np.ndarray, np.ndarra
 
 
 # Byte budget of the float64 pair displacements dx and dy that one kernel call
-# holds for a block of replicas. Batching saves the per-call overhead that
-# dominates small systems; past a few MiB the temporaries leave the cache and
-# a batched step runs slower per replica than a single one. A block's drift
-# workspace (`_drift_workspace`: dx, dy and the coefficients, each laid out
-# (B, i, j, l) with the history rows l last, 1.5 times this budget, and the
-# history window, 1/N of it) is allocated once per block and sliced at
-# every step. Fresh per-step arrays,
+# holds for a block of replicas, over the N(N-1) pairs of distinct particles.
+# Batching saves the per-call overhead that dominates small systems; past a
+# few MiB the temporaries leave the cache and a batched step runs slower per
+# replica than a single one. A block's drift workspace (`_drift_workspace`:
+# dx, dy and the coefficients, each laid out (B, i, k, l) over the N - 1
+# other particles k with the history rows l last, 1.5 times this budget, and
+# the doubled history window, (2N - 1)/(N(N - 1)) of it) is allocated once
+# per block and sliced at every step. Fresh per-step arrays,
 # one history row larger each step, were each served by a new mmap above
 # glibc's threshold and faulted in page by page: a cold 2-replica N = 32,
 # M = 200 run took 271 000 minor page faults, against under 1 400 with the
@@ -306,12 +307,15 @@ def _gauss_factor(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
     (..., L) at the lags u (L,), formed in `out` if given (it may be sq).
 
     The Gaussian factor of the kernel, written once: the drift contraction
-    weights it by the lag weights, and paper_moments' E3 shares it."""
+    weights it by the lag weights, and paper_moments' E3 shares it. The
+    sign is folded into the product, -theta |d|^2 / 4u clamped from below
+    at -EXP_CLAMP: the same bits as negating after the clamp for every
+    finite or infinite input, one elementwise pass fewer; only the sign
+    bit of a NaN may differ."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.multiply(sq, config.params.theta, out=out)
+        g = np.multiply(sq, -config.params.theta, out=out)
         g /= 4.0 * lags
-        np.minimum(g, EXP_CLAMP, out=g)
-        np.negative(g, out=g)
+        np.maximum(g, -EXP_CLAMP, out=g)
         return np.exp(g, out=g)
 
 
@@ -367,10 +371,12 @@ def _drift_window(m: int, config: SimConfig) -> int:
 def _drift_workspace(n_block: int, n_particles: int, rows: int) -> np.ndarray:
     """The drift kernel's buffers for `n_block` replicas over at most `rows`
     history rows, in one flat float64 array: dx, dy and |d|^2 (which becomes
-    the coefficients), each (n_block, N, N, rows), then the history window
-    (2, n_block, N, rows). A step over fewer replicas or rows takes views of
-    its leading entries (`_views`)."""
-    return np.empty((3 * n_particles + 2) * n_block * n_particles * rows)
+    the coefficients), each (n_block, N, N - 1, rows) over the pairs of
+    distinct particles, then the doubled history window
+    (2, n_block, 2N - 1, rows) (`_others`). A step over fewer replicas or
+    rows takes views of its leading entries (`_views`)."""
+    n = n_particles
+    return np.empty((3 * n * (n - 1) + 2 * (2 * n - 1)) * n_block * rows)
 
 
 def _views(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -384,36 +390,62 @@ def _views(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
+def _others(h: np.ndarray, l0: int, m: int, window: np.ndarray) -> np.ndarray:
+    """History rows l0 <= l < m of the N - 1 other particles of each one.
+
+    `h` is a split history with the coordinates first, (2, B, N, T) (a
+    `_split_history` array's `swapaxes(0, 1)` view), and `window` a
+    contiguous (2, B, 2N - 1, m - l0) array that takes the rows doubled
+    along the particle axis: particles 0..N-1, then 0..N-2 again. Returns a
+    read-only view (2, B, N, N - 1, m - l0) of it in which [..., i, k, :]
+    is particle (i + 1 + k) mod N: the pairs (i, j != i) in cyclic order
+    from i + 1, without a gather, each particle's rows still contiguous.
+    Both i and k step by the particle stride. `as_strided` rather than
+    `sliding_window_view`, whose argument checks cost about 20 us a call.
+    Both halves are copied from `h`: a copy within `window` is not proven
+    free of overlap, and numpy buffers it first (twice the time).
+    """
+    n = h.shape[2]
+    np.copyto(window[:, :, :n], h[..., l0:m])
+    np.copyto(window[:, :, n:], h[:, :, : n - 1, l0:m])
+    s0, s1, sp, sl = window.strides
+    return np.lib.stride_tricks.as_strided(
+        window[:, :, 1:], shape=(*window.shape[:2], n, n - 1, window.shape[3]),
+        strides=(s0, s1, sp, sp, sl), writeable=False)
+
+
 def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
                  work: np.ndarray) -> np.ndarray:
     """(1/(N-1)) sum_{j != i} D^{i,j}_m for a block's split history `hist`
     (B, 2, N, T) with T > m (`_split_history`), shape (B, N, 2).
 
-    Contracts all N*N ordered pairs, the self pairs included, and subtracts
-    the self pairs afterwards: the pair grid then needs no gather. The
-    displacements are laid out (B, i, j, l) per coordinate, the history
+    Contracts only the N(N-1) pairs of distinct particles: the
+    displacements are laid out (B, i, k, l) per coordinate, k running over
+    the other particles j = (i + 1 + k) mod N (`_others`) and the history
     rows l last, in views of the workspace `work` (`_drift_workspace`, for
-    at least B replicas and this step's rows). The window of history rows
-    is first copied into the workspace: contiguous, its (j, l) rows form
-    one loop of each grid operation, where rows strided by the history
-    length form N of them. The copy made the step about a fifth faster at
-    N = 32 and about 2% slower at N = 2 (300 replicas; 2-core Xeon, numpy
-    2.4).
+    at least B replicas and this step's rows), and the sum over j runs in
+    that cyclic order. The window of history rows is first copied into the
+    workspace, doubled: contiguous, its rows form one loop of each grid
+    operation. Against the full N*N grid with the self pairs subtracted,
+    a step took 0.57-0.65 of the time at N = 2 (300 replicas), 0.78-0.85
+    at N = 4, 0.92 at N = 8, 0.98-1.02 at N = 16 and 0.95 at N = 32
+    (medians of 10 alternating in-process runs, BENCH_16.json; 2-core Xeon
+    VM, numpy 2.4.6); the subtraction also cancelled a pair drift much
+    smaller than the self pair's term to 0.
     """
     b, _, n, _ = hist.shape
     if m == 0:
         return np.zeros((b, n, 2))
     l0, lags, w = _conv_weights(m, config)
-    shape = (b, n, n, m - l0)
-    *grids, past = _views(work, shape, shape, shape, (2, b, n, m - l0))
+    shape = (b, n, n - 1, m - l0)
+    *grids, window = _views(work, shape, shape, shape,
+                            (2, b, 2 * n - 1, m - l0))
     h = hist.swapaxes(0, 1)
-    np.copyto(past, h[..., l0:m])
-    dx, dy, sq = _pair_geometry(h[:, :, :, None, m, None], past[:, :, None],
-                                out=grids)
+    dx, dy, sq = _pair_geometry(h[:, :, :, None, m, None],
+                                _others(h, l0, m, window), out=grids)
     g = _gauss_factor(sq, lags, config, out=sq)
-    sums = np.stack(_history_sums(dx, dy, g, w), axis=-1)  # (B, i, j, 2)
-    total = sums.sum(axis=2) - sums[:, np.arange(n), np.arange(n)]
-    return -config.dt * total / (n - 1)
+    sums = np.stack(_history_sums(dx, dy, g, w), axis=-1)  # (B, i, k, 2)
+    return -config.dt * sums.sum(axis=2) / (n - 1)
 
 
 def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
@@ -508,8 +540,10 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     Relabeling: applying one permutation of the particles to `initial` and
     `noise` permutes the paths to within 1e-12 (relative and absolute),
     not bit for bit, since the sum over the other particles j runs in
-    label order. Over 600 random configurations (N <= 9, <= 30 steps) the
-    worst deviation was 1.1e-16 absolute and 32 were not bit-equal.
+    cyclic order from i + 1 (`_mean_drifts`). Over 600 random
+    configurations (N <= 9, <= 30 steps) the worst deviation was 2.2e-16
+    absolute and 17 were not bit-equal, all at N >= 5. At N <= 3 the sum
+    has at most two terms, and relabeling is exact.
     """
     _require_smoothing(config)
     ens = init_ensemble(config, initial=initial)
@@ -559,7 +593,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
             block_pos[live] = positions
         return blowups, secs, work.nbytes
 
-    blocks = budget_blocks(config.n_replicas, 16 * n * n * rows)
+    blocks = budget_blocks(config.n_replicas, 16 * n * (n - 1) * rows)
     workers = _resolve_threads()
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor

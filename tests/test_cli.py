@@ -44,10 +44,10 @@ class TestSimulate:
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["version"] == cli.__version__
         assert meta["blowups"] == []
-        # one block of 3 replicas; dx, dy and coefficients over 20 rows,
-        # and the (2, B, N, 20) history window
+        # one block of 3 replicas; dx, dy and coefficients over the N(N - 1)
+        # pairs and 20 rows, and the (2, B, 2N - 1, 20) doubled window
         assert meta["counters"] == {"replica_blocks": 1, "drift_workspace_bytes":
-                                    (3 * 2 + 2) * 8 * 3 * 2 * 20}
+                                    (3 * 2 * 1 + 2 * 3) * 8 * 3 * 20}
         assert "drift_seconds" in meta
         assert sorted(meta["timings"]) == ["run", "write_bin", "write_csv"]
         assert all(v >= 0.0 for v in meta["timings"].values())

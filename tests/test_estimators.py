@@ -54,6 +54,23 @@ def grad_k_mag(lag, sq, cfg):
             * np.exp(-arg) * np.sqrt(sq))
 
 
+def gauss_value(u, x):
+    """The Gaussian bump F(u, x) = e^(-u - |x|^2) at points x (..., 2),
+    through `GaussianBump.value_sq`."""
+    return E.GaussianBump.value_sq(u, np.einsum("...c,...c->...", x, x))
+
+
+def gauss_heat(u, x):
+    """(d/dt + Laplacian) F at points x, through `GaussianBump.heat_sq`."""
+    sq = np.einsum("...c,...c->...", x, x)
+    return E.GaussianBump.heat_sq(sq, E.GaussianBump.value_sq(u, sq))
+
+
+def gauss_grad(u, x):
+    """grad_x F = -2 x F at points x (..., 2)."""
+    return -2.0 * x * gauss_value(u, x)[..., None]
+
+
 class TestEstimatorParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -527,14 +544,11 @@ class TestTestFunctions:
             u = rng.uniform(0, 2)
             x = rng.uniform(-2, 2, 2)
             h = 1e-5
-            dt_fd = (E.GaussianBump.value(u + h, x)
-                     - E.GaussianBump.value(u - h, x)) / (2 * h)
-            lap_fd = (E.GaussianBump.value(u, x + [h, 0])
-                      + E.GaussianBump.value(u, x - [h, 0])
-                      + E.GaussianBump.value(u, x + [0, h])
-                      + E.GaussianBump.value(u, x - [0, h])
-                      - 4 * E.GaussianBump.value(u, x)) / h ** 2
-            assert E.GaussianBump.heat(u, x) == pytest.approx(
+            dt_fd = (gauss_value(u + h, x) - gauss_value(u - h, x)) / (2 * h)
+            lap_fd = (gauss_value(u, x + [h, 0]) + gauss_value(u, x - [h, 0])
+                      + gauss_value(u, x + [0, h]) + gauss_value(u, x - [0, h])
+                      - 4 * gauss_value(u, x)) / h ** 2
+            assert gauss_heat(u, x) == pytest.approx(
                 dt_fd + lap_fd, rel=1e-4, abs=1e-7)
 
     @pytest.mark.parametrize("radius", [3.0, 0.7])
@@ -627,6 +641,19 @@ class TestItoBalance:
         for f_spec in ("mystery", "pair-potential"):
             with pytest.raises(ValueError, match="unknown test function"):
                 E.ito_balance_check(ens, EP, f_spec=f_spec)
+
+    @pytest.mark.parametrize("kw, match", [({"n_boot": 0}, "n_boot"),
+                                           ({"n_boot": -3}, "n_boot"),
+                                           ({"level": 2.0}, "level"),
+                                           ({"level": math.nan}, "level")])
+    def test_bootstrap_arguments_checked_before_the_grid(self, kw, match):
+        # a bad level or n_boot is rejected before any pair geometry is
+        # formed, not after the whole (u, s) grid pass
+        ens = brownian_ensemble(n_steps=8, n_replicas=2)
+        with mock.patch.object(E, "_pair_geometry",
+                               side_effect=AssertionError("grid formed")):
+            with pytest.raises(ValueError, match=match):
+                E.ito_balance_check(ens, EP, **kw)
 
 
 class TestMartingaleResidual:
@@ -733,7 +760,6 @@ def reference_ito(ens):
     for m in range(1, m_t + 1):
         w_inner[m, : m + 1] = E._trap_weights(m, dt)
     lag_mat = times[:, None] - times[None, :]
-    gb = E.GaussianBump
     out = []
     for r in range(ens.n_replicas):
         pos = ens.positions[r]
@@ -744,11 +770,11 @@ def reference_ito(ens):
         per_pair = []
         for i, j in E.ordered_pairs(n):
             xi, xj = pos[:, i], pos[:, j]
-            lhs = float(w_tr @ gb.value(times[m_t] - times, xi[m_t][None] - xj))
-            t1 = float(w_tr @ gb.value(0.0, xi - xj))
+            lhs = float(w_tr @ gauss_value(times[m_t] - times, xi[m_t][None] - xj))
+            t1 = float(w_tr @ gauss_value(0.0, xi - xj))
             diff = xi[:, None, :] - xj[None, :, :]
-            t2 = float(w_tr @ np.sum(w_inner * gb.heat(lag_mat, diff), axis=1))
-            grad_int = np.einsum("us,usc->uc", w_inner, gb.grad(lag_mat, diff))
+            t2 = float(w_tr @ np.sum(w_inner * gauss_heat(lag_mat, diff), axis=1))
+            grad_int = np.einsum("us,usc->uc", w_inner, gauss_grad(lag_mat, diff))
             t3 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, grad_b[:, i]))
             t4 = chi * float(w_tr @ np.einsum("uc,uc->u", grad_int, drift[:, i]))
             per_pair.append(lhs - t1 - t2 - t3 - t4)

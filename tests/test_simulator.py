@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 from unittest import mock
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from kspp import simulator as S
-from kspp.kernels import EXP_CLAMP, KernelParams, SourceSpec
+from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec,
+                          background_field)
 
 
 def make_config(**kw):
@@ -224,6 +226,51 @@ class TestHistoryDrift:
                 grad_envelope(lags, diffs, alpha, params)))
             assert np.linalg.norm(d) <= env_sum * (1 + 1e-12)
 
+    @pytest.mark.parametrize("source", [False, True])
+    @pytest.mark.parametrize("cutoff", [None, 0.05])
+    def test_two_particles_drift_is_the_pair_drift(self, source, cutoff):
+        # at N = 2 each particle has one other: the interaction drift is
+        # D^{0,1} and D^{1,0} themselves, bit for bit, with no self pair
+        # added and taken away
+        params = KernelParams(theta=1.0, lam=0.2, chi=1.0, epsilon=0.05)
+        cfg = make_config(params=params, n_steps=25, n_replicas=4, seed=11,
+                          history_cutoff=cutoff,
+                          source=_MIXTURE if source else SourceSpec())
+        x = S.run(cfg).positions
+        steps = range(cfg.n_steps + 1)
+        want = np.stack([S.pair_drifts(x, cfg, m, [0, 1], [1, 0])
+                         for m in steps], axis=1)
+        if source:
+            t = np.asarray(steps) * cfg.dt + params.epsilon
+            want += background_field(t[:, None], x, cfg.source, params)[1]
+        np.testing.assert_array_equal(S.step_drifts(x, steps, cfg), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 9), steps=st.integers(1, 20),
+           replicas=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           cutoff=st.booleans(), data=st.data())
+    def test_mean_drift_matches_label_order_mean(self, n, steps, replicas,
+                                                 seed, cutoff, data):
+        # the kernel sums over j != i in cyclic order from i + 1: the mean
+        # of pair_drifts summed in label order agrees to 1e-15 of the
+        # largest |D^{i,j}| of each (replica, i); 600 random configs of
+        # this shape gave at most 2.8e-16
+        params = KernelParams(theta=1.0, lam=0.2, chi=1.0, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=n, n_steps=steps,
+                          n_replicas=replicas, seed=seed, dt=0.02,
+                          history_cutoff=0.1 if cutoff else None)
+        pos = S.run(cfg).positions
+        m = data.draw(st.integers(1, steps), label="m")
+        work = S._drift_workspace(replicas, n, S._drift_window(m, cfg))
+        got = S._mean_drifts(S._split_history(pos), m, cfg, work)
+        i_idx, j_idx = zip(*[(i, j) for i in range(n) for j in range(n)
+                             if j != i])
+        pair = S.pair_drifts(pos, cfg, m, i_idx, j_idx).reshape(
+            replicas, n, n - 1, 2)
+        want = pair.sum(axis=2) / (n - 1)
+        scale = np.abs(pair).max(axis=(2, 3))[..., None]
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
 
 class TestStepAndRun:
     def test_chi_zero_increments_are_noise(self):
@@ -333,7 +380,7 @@ class TestStepAndRun:
     def test_relabeling_within_tolerance(self, n, steps, seed, source, data):
         # the contract stated in run's docstring: relabeled inputs give the
         # relabeled paths to 1e-12, not bit for bit (the j-sum runs in
-        # label order)
+        # cyclic order from i + 1)
         params = KernelParams(theta=1.0, lam=0.2, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_particles=n, n_steps=steps,
                           seed=seed, dt=0.02,
@@ -344,6 +391,20 @@ class TestStepAndRun:
         b = S.run(cfg, initial=init[:, perm], noise=noise[:, :, perm])
         np.testing.assert_allclose(b.positions, a.positions[:, :, perm],
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_relabeling_exact_up_to_three_particles(self, n):
+        # each particle's sum over the others has at most two terms, and
+        # a + b == b + a: every relabeling permutes the paths bit for bit
+        params = KernelParams(theta=1.0, lam=0.2, chi=1.0, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=n, n_steps=30,
+                          n_replicas=3, seed=17, dt=0.02, source=_MIXTURE)
+        init, noise = S.draw_initial(cfg), S.draw_noise(cfg)
+        a = S.run(cfg, initial=init, noise=noise)
+        for perm in itertools.permutations(range(n)):
+            perm = list(perm)
+            b = S.run(cfg, initial=init[:, perm], noise=noise[:, :, perm])
+            np.testing.assert_array_equal(b.positions, a.positions[:, :, perm])
 
     def test_epsilon_required_with_drift(self):
         params = KernelParams(theta=1.0, chi=1.0, epsilon=0.0)
@@ -395,8 +456,8 @@ class TestStepAndRun:
         params = KernelParams(theta=1.0, chi=0.9, epsilon=0.05)
         cfg = make_config(params=params, n_steps=10, n_replicas=4, seed=23)
         # blocks of one replica, so that the threads have blocks to share
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 16 * 2 * 2 * 10):
-            assert len(S.budget_blocks(4, 16 * 2 * 2 * 10)) == 4
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 16 * 2 * 1 * 10):
+            assert len(S.budget_blocks(4, 16 * 2 * 1 * 10)) == 4
             a = S.run(cfg)
             with mock.patch.dict(os.environ, {"KSPP_THREADS": "3"}):
                 b = S.run(cfg)
@@ -413,9 +474,9 @@ class TestStepAndRun:
         np.testing.assert_array_equal(serial.positions, S.run(cfg).positions)
 
     def test_replica_blocks_follow_the_budget(self):
-        # one replica's drift temporary holds 16 * pairs * rows bytes
-        assert S.budget_blocks(300, 16 * 2 * 2 * 100) == [range(0, 300)]
-        assert S.budget_blocks(2, 16 * 32 * 32 * 200) == [range(0, 1),
+        # one replica's drift temporary holds 16 * N(N - 1) pairs * rows bytes
+        assert S.budget_blocks(300, 16 * 2 * 1 * 100) == [range(0, 300)]
+        assert S.budget_blocks(2, 16 * 32 * 31 * 200) == [range(0, 1),
                                                           range(1, 2)]
         per = 16 * 9 * 10
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * per + per // 2):
@@ -427,16 +488,17 @@ class TestStepAndRun:
 
     def test_run_memory_is_positions_plus_workspace(self):
         # N = 32, M = 60: blocks of two replicas, each with one workspace of
-        # three (B, N, N, M) arrays and a (2, B, N, M) history window sliced
-        # at every step; fresh per-step arrays held four (B, N, N, m) at once
+        # three (B, N, N - 1, M) arrays and a (2, B, 2N - 1, M) doubled
+        # history window sliced at every step; fresh per-step arrays held
+        # four (B, N, N, m) at once
         import tracemalloc
         params = KernelParams(theta=1.0, lam=0.1, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_particles=32, n_steps=60,
                           n_replicas=4, seed=3)
         initial, noise = S.draw_initial(cfg), S.draw_noise(cfg)
-        blocks = S.budget_blocks(4, 16 * 32 * 32 * 60)
+        blocks = S.budget_blocks(4, 16 * 32 * 31 * 60)
         assert [len(b) for b in blocks] == [2, 2]
-        block_array = 8 * 2 * 32 * 60 * 32
+        block_array = 8 * 2 * 32 * 31 * 60
         tracemalloc.start()
         try:
             ens = S.run(cfg, initial=initial, noise=noise)
@@ -446,7 +508,7 @@ class TestStepAndRun:
         assert peak < (ens.positions.nbytes + 3 * block_array
                        + block_array // 2)
         assert ens.counters == {"replica_blocks": 2, "drift_workspace_bytes":
-                                3 * block_array + block_array // 16}
+                                3 * block_array + 8 * 2 * 2 * 63 * 60}
         assert not ens.blowups
 
     def test_counters(self):
@@ -454,7 +516,7 @@ class TestStepAndRun:
         cfg = make_config(params=params, n_particles=3, n_steps=5,
                           n_replicas=2, history_cutoff=0.03)
         want = {"replica_blocks": 1,  # three grids and the window, 3 rows
-                "drift_workspace_bytes": (3 * 8 * 2 * 3 * 3 + 8 * 2 * 2 * 3) * 3}
+                "drift_workspace_bytes": (3 * 8 * 2 * 3 * 2 + 8 * 2 * 2 * 5) * 3}
         assert S.run(cfg).counters == want
         assert S.run(make_config(n_replicas=2)).counters == {
             "replica_blocks": 1, "drift_workspace_bytes": 0}
@@ -527,9 +589,10 @@ class TestBatchedStepping:
         cfg, blow = case
         n = cfg.n_particles
         rows = cfg.n_steps - S._history_start(cfg.n_steps, cfg)
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * 16 * n * n * rows):
+        per_replica = 16 * n * (n - 1) * rows
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * per_replica):
             if cfg.params.chi != 0.0:
-                assert len(S.budget_blocks(cfg.n_replicas, 16 * n * n * rows)) > 1
+                assert len(S.budget_blocks(cfg.n_replicas, per_replica)) > 1
             self.check(cfg, blow)
             self.check(cfg, blow, threads="2")
 
@@ -554,7 +617,8 @@ class TestHistoryLayout:
         # any split into replica blocks, stepped on two threads
         size = data.draw(st.integers(1, replicas), label="block size")
         rows = S._drift_rows(cfg)
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", size * 16 * n * n * rows), \
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                               size * 16 * n * (n - 1) * rows), \
                 mock.patch.dict(os.environ, {"KSPP_THREADS": "2"}):
             split = S.run(cfg)
         assert split.counters["replica_blocks"] == -(-replicas // size)
@@ -575,6 +639,18 @@ class TestHistoryLayout:
             row = [np.einsum("l,l->", g[r, i, j].copy(), d[r, i, j].copy())
                    for d in (dx, dy)]
             assert np.array_equal(full[r, i, j], -cfg.dt * np.array(row))
+        # ... and the kernel's (R, i, k, l) grid over the other particles
+        # j = (i + 1 + k) mod N, formed from the doubled window ...
+        rows = m - l0
+        window = np.empty((2, len(pos), 2 * n - 1, rows))
+        others = S._others(h, l0, m, window)
+        assert not others.flags.writeable
+        cx, cy, csq = S._pair_geometry(h[:, :, :, None, m, None], others)
+        cg = S._gauss_factor(csq, lags, cfg, out=csq)
+        cyclic = -cfg.dt * np.stack(S._history_sums(cx, cy, cg, w), axis=-1)
+        for i, k in np.ndindex(n, n - 1):
+            np.testing.assert_array_equal(cyclic[:, i, k],
+                                          full[:, i, (i + 1 + k) % n])
         # ... and pair_drifts on any pair subset, in any order
         pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
                                              st.integers(0, n - 1)),
