@@ -173,6 +173,17 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     are reduced by math.fsum, which is exact and so does not depend on the
     pairs' order; E4's |D| columns are put back in ordered_pairs order
     before the trapezoid product, which does.
+
+    Memory: replicas run in blocks and each block's grid in i-tiles of
+    target particles, both sized by `budget_blocks` so that a tile's five
+    grids and its share of the doubled history window fit
+    DRIFT_BUDGET_BYTES (one tile whenever a block fits; a single i row
+    above the budget is one tile). Every tile keeps whole history rows, so
+    no sum depends on the tiles. E1 takes a pass of its own before the
+    grids' workspace is allocated, its inverse distances formed in tiles
+    of pairs whose temporaries fit the budget. `notes` records the
+    tile rows (`i_tile_rows`) and the workspace's bytes
+    (`workspace_bytes`).
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -196,31 +207,59 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     kept = _finite_replicas(ensemble, m_t)
     per_rep = {name: np.zeros(len(kept)) for name in names}
     divergent = 0
-    blocks = budget_blocks(len(kept), 16 * len(pairs) * m_t)
-    # five (B, i, k, l) grids and the (2, B, 2N - 1, l) doubled history
-    # window they are formed from (see simulator._mean_drifts), allocated
-    # once per call for the largest block at the horizon and sliced at every
-    # step: dx, dy, |d|^2 (then |d|), the Gaussian factor (then E4's
-    # coefficients) and the E2, S and E3 terms
-    work = np.empty((5 * len(pairs) + 2 * (2 * n - 1))
-                    * (len(blocks[0]) if blocks else 0) * m_t)
+    # the bytes of one target particle i of one replica at the horizon: five
+    # (i, k, l) grid rows and, near enough, its share of the doubled window
+    row_bytes = 8 * (5 * (n - 1) + 4) * m_t
+    blocks = budget_blocks(len(kept), row_bytes * n)
+    b_max = len(blocks[0]) if blocks else 0
+    tiles = budget_blocks(n, row_bytes * b_max)
+
+    # E1: same-time inverse distances, trapezoid in time, in a pass of its
+    # own before the grids' workspace is allocated. They are formed in tiles
+    # of pairs whose d, |d| and mask fit the budget, and the product takes
+    # them whole: over a tile of pairs, BLAS's gemv sums the columns past a
+    # multiple of four in another order. They are laid out as the pair
+    # gather lays out d, pairs outermost: gemv's order of summation also
+    # follows the layout
+    for block in blocks:
+        b = len(block)
+        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
+        inv = np.empty((len(pairs), b, m_t + 1)).transpose(1, 2, 0)
+        for kr in budget_blocks(len(pairs), 48 * b * (m_t + 1)):
+            k = slice(kr.start, kr.stop)
+            d_same = pos[:, :, i_idx[k]] - pos[:, :, j_idx[k]]
+            dist = np.sqrt(np.einsum("bmkc,bmkc->bmk", d_same, d_same))
+            zero_mask = dist == 0.0
+            divergent += int(zero_mask.sum())
+            with np.errstate(divide="ignore"):
+                np.power(dist, -q, out=inv[:, :, k])
+            inv[:, :, k][zero_mask] = 0.0
+            del d_same, dist, zero_mask   # freed before the next tile
+        e1 = np.matmul(w_tr, inv)
+        del inv   # freed before the next block, and before the grids
+        for r, row in zip(block, e1):
+            per_rep["E1"][r] = _fsum_mean(row)
+
+    # the (2, B, 2N - 1, l) doubled history window (see
+    # simulator._mean_drifts), then five (B, i, k, l) grids of one i-tile,
+    # allocated once per call for the largest block and tile at the horizon
+    # and sliced at every step: dx, dy, |d|^2 (then |d|), the Gaussian
+    # factor (then E4's coefficients) and the E2, S and E3 terms
+    work = np.empty((2 * (2 * n - 1) + 5 * len(tiles[0]) * (n - 1))
+                    * b_max * m_t)
 
     for block in blocks:
+        b = len(block)
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         h = _split_history(pos).swapaxes(0, 1)   # (2, B, N, T)
 
-        # E1: same-time inverse distances, trapezoid in time
-        d_same = pos[:, :, i_idx] - pos[:, :, j_idx]
-        dist = np.sqrt(np.einsum("bmkc,bmkc->bmk", d_same, d_same))
-        zero_mask = dist == 0.0
-        divergent += int(zero_mask.sum())
-        with np.errstate(divide="ignore"):
-            e1 = np.matmul(w_tr, np.where(zero_mask, 0.0, dist ** (-q)))
-        del d_same, dist, zero_mask   # freed before the step grids fill
-
-        e2 = np.zeros((len(block), n, n - 1))
-        e3 = np.zeros((len(block), n, n - 1))
-        d_mag = np.zeros((len(block), m_t + 1, len(pairs)))
+        e2 = np.zeros((b, n, n - 1))
+        e3 = np.zeros((b, n, n - 1))
+        s_full = np.empty((b, n, n - 1))
+        sbar_full = np.empty((b, n, n - 1))
+        d_mag = np.zeros((b, m_t + 1, len(pairs)))
+        # one step's E2 and E3 row sums and D by coordinate, from all tiles
+        e2_m, e3_m, sx, sy = np.empty((4, b, n, n - 1))
         # a finite replica close to blowing up may overflow its kernel
         # terms; they then come out inf or 0
         with np.errstate(over="ignore"):
@@ -228,48 +267,58 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
                 # geometry over (B, i, k, l): X^i_m - X^j_l for l < m and
                 # j = (i + 1 + k) mod N
                 lag = (m - np.arange(m)) * dt
-                shape = (len(block), n, n - 1, m)
-                dx, dy, sq, g, term, window = _views(
-                    work, *[shape] * 5, (2, len(block), 2 * n - 1, m))
-                _pair_geometry(h[:, :, :, None, m, None],
-                               _others(h, 0, m, window), out=(dx, dy, sq))
-
-                # E2 / E3: double sums, left-endpoint (u-exclusive) inner rule
-                np.add(lag, sq, out=term)
-                e2 += w_tr[m] * dt * np.sum(
-                    np.power(term, -ep.gamma, out=term), axis=-1)
-                if m == m_t:
-                    # S and S-bar at the horizon (right-endpoint sum,
-                    # diagonal excluded), while sq still holds |d|^2
-                    s_sums = []
-                    for shift in (lag, lag + ep.delta):
-                        np.multiply(sq, ep.alpha, out=term)
-                        np.add(shift, term, out=term)
-                        s_sums.append(dt * np.sum(
-                            np.power(term, -ep.gamma, out=term), axis=-1))
-                    s_full, sbar_full = s_sums
-                # |grad K_u| (unsmoothed): time factor, Gaussian factor, |d|
-                _gauss_factor(sq, lag, cfg, out=g)
-                np.multiply(smoothed_weight(lag, unsmoothed), g, out=term)
-                term *= np.sqrt(sq, out=sq)
-                e3 += w_tr[m] * dt * np.sum(
-                    np.power(term, e3_pow, out=term), axis=-1)
-
-                # E4: the simulator's discrete pair drift on rows [l0, m)
+                time_factor = smoothed_weight(lag, unsmoothed)
                 l0, _, w = _conv_weights(m, cfg)
-                sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
-                                       g[..., l0:], w)
+                window_shape = (2, b, 2 * n - 1, m)
+                window, = _views(work, window_shape)
+                others = _others(h, 0, m, window)
+                for tile in tiles:
+                    i = slice(tile.start, tile.stop)
+                    shape = (b, len(tile), n - 1, m)
+                    _, d, sq, g, term = _views(work, window_shape,
+                                               (2, *shape), *[shape] * 3)
+                    dx, dy, _ = _pair_geometry(h[:, :, i, None, m, None],
+                                               others[:, :, i], out=(d, sq))
+
+                    # E2 / E3: double sums, left-endpoint (u-exclusive)
+                    # inner rule
+                    np.add(lag, sq, out=term)
+                    np.sum(np.power(term, -ep.gamma, out=term), axis=-1,
+                           out=e2_m[:, i])
+                    if m == m_t:
+                        # S and S-bar at the horizon (right-endpoint sum,
+                        # diagonal excluded), while sq still holds |d|^2
+                        for shift, s_out in ((lag, s_full),
+                                             (lag + ep.delta, sbar_full)):
+                            np.multiply(sq, ep.alpha, out=term)
+                            np.add(shift, term, out=term)
+                            s_out[:, i] = dt * np.sum(
+                                np.power(term, -ep.gamma, out=term), axis=-1)
+                    # |grad K_u| (unsmoothed): time factor, Gaussian factor,
+                    # |d|
+                    _gauss_factor(sq, lag, cfg, out=g)
+                    np.multiply(time_factor, g, out=term)
+                    term *= np.sqrt(sq, out=sq)
+                    np.sum(np.power(term, e3_pow, out=term), axis=-1,
+                           out=e3_m[:, i])
+
+                    # E4: the simulator's discrete pair drift on rows
+                    # [l0, m)
+                    sx[:, i], sy[:, i] = _history_sums(
+                        dx[..., l0:], dy[..., l0:], g[..., l0:], w)
+                e2 += w_tr[m] * dt * e2_m
+                e3 += w_tr[m] * dt * e3_m
                 d_x, d_y = -dt * sx, -dt * sy
                 d_mag[:, m] = np.sqrt(d_x * d_x + d_y * d_y).reshape(
-                    len(block), -1)[:, in_order]
+                    b, -1)[:, in_order]
+        np.power(d_mag, q, out=d_mag)   # |D|^q, E4's integrand
 
-        for b, r in enumerate(block):
-            per_rep["E1"][r] = _fsum_mean(e1[b])
-            per_rep["E2"][r] = _fsum_mean(e2[b].ravel())
-            per_rep["E3"][r] = _fsum_mean(e3[b].ravel())
-            per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag[b] ** q)
-            per_rep["S"][r] = _fsum_mean(s_full[b].ravel())
-            per_rep["S_bar"][r] = _fsum_mean(sbar_full[b].ravel())
+        for row, r in enumerate(block):
+            per_rep["E2"][r] = _fsum_mean(e2[row].ravel())
+            per_rep["E3"][r] = _fsum_mean(e3[row].ravel())
+            per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag[row])
+            per_rep["S"][r] = _fsum_mean(s_full[row].ravel())
+            per_rep["S_bar"][r] = _fsum_mean(sbar_full[row].ravel())
 
     estimates = {}
     for name in names:
@@ -285,7 +334,9 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         replicas=kept,
         excluded=ensemble.n_replicas - len(kept),
         notes={"gamma": ep.gamma, "alpha": ep.alpha, "delta": ep.delta,
-               "horizon": m_t * dt, "pairs": len(pairs)},
+               "horizon": m_t * dt, "pairs": len(pairs),
+               "i_tile_rows": len(tiles[0]) if blocks else 0,
+               "workspace_bytes": work.nbytes},
     )
 
 
@@ -336,25 +387,35 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     violations = 0
     checked = len(kept) * len(pairs) * m_t
     worst = 0.0 if checked else math.nan
-    for block in budget_blocks(len(kept), 16 * len(pairs) * m_t):
+    blocks = budget_blocks(len(kept), 16 * len(pairs) * m_t)
+    b_max = len(blocks[0]) if blocks else 0
+    # tiles of the pairs, which are i-major, whose dx and dy fit the budget
+    # for the largest block: one whenever a block fits
+    tiles = budget_blocks(len(pairs), 16 * m_t * b_max)
+    for block in blocks:
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         h = _split_history(pos).swapaxes(0, 1)   # (2, B, N, T)
         for m in range(1, m_t + 1):
-            # geometry over (B, k, l): X^i_m - X^j_l for pair k and l < m;
-            # D on its rows [l0, m) as in pair_drifts, S on all of them
-            dx, dy, sq = _pair_geometry(h[:, :, i_idx, m, None],
-                                        h[:, :, j_idx, :m])
             l0, lags, w = _conv_weights(m, cfg)
-            sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
-                                   _gauss_factor(sq[..., l0:], lags, cfg), w)
-            d_x, d_y = -dt * sx, -dt * sy
-            d_mag = np.sqrt(d_x * d_x + d_y * d_y)
             lag = (m - np.arange(m)) * dt
-            s_vals = dt * np.sum((lag + ep.alpha * sq) ** (-ep.gamma), axis=-1)
-            bound = const * s_vals ** expo
-            ratio = d_mag / (slack * bound)
-            violations += int(np.sum(ratio > 1.0))
-            worst = max(worst, float(np.max(d_mag / bound)))
+            for tile in tiles:
+                k = slice(tile.start, tile.stop)
+                # geometry over (B, k, l): X^i_m - X^j_l for pair k and
+                # l < m; D on its rows [l0, m) as in pair_drifts, S on all
+                # of them
+                dx, dy, sq = _pair_geometry(h[:, :, i_idx[k], m, None],
+                                            h[:, :, j_idx[k], :m])
+                sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
+                                       _gauss_factor(sq[..., l0:], lags, cfg),
+                                       w)
+                d_x, d_y = -dt * sx, -dt * sy
+                d_mag = np.sqrt(d_x * d_x + d_y * d_y)
+                s_vals = dt * np.sum((lag + ep.alpha * sq) ** (-ep.gamma),
+                                     axis=-1)
+                bound = const * s_vals ** expo
+                ratio = d_mag / (slack * bound)
+                violations += int(np.sum(ratio > 1.0))
+                worst = max(worst, float(np.max(d_mag / bound)))
     return DominationStats(checked, violations, worst, slack,
                            excluded=ensemble.n_replicas - len(kept))
 
@@ -363,23 +424,23 @@ def _holder_max(paths: np.ndarray, times: np.ndarray,
                 beta: float) -> np.ndarray:
     """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta for
     each of the (P, T, 2) `paths`, taken along the diagonals t - s = k,
-    one lag k at a time for a block of paths whose two diagonal arrays fit
-    DRIFT_BUDGET_BYTES together; the max does not depend on the order or
+    one lag k at a time for a block of paths whose three diagonal arrays
+    fit DRIFT_BUDGET_BYTES together; the max does not depend on the order or
     the blocks."""
     n_t = len(times)
     best = np.full(len(paths), -math.inf)
     xy = np.moveaxis(paths, -1, 0)   # (2, P, T)
-    blocks = budget_blocks(len(paths), 16 * n_t)
-    # the geometry's two arrays (dx, then |.|^2, and dy), allocated once
+    blocks = budget_blocks(len(paths), 24 * n_t)
+    # the geometry's three arrays (dx and dy, then |.|^2), allocated once
     # per call for the largest block and lag 1
-    work = np.empty(2 * (len(blocks[0]) if blocks else 0) * n_t)
+    work = np.empty(3 * (len(blocks[0]) if blocks else 0) * n_t)
     for block in blocks:
         part = xy[:, block.start: block.stop]
         rows = best[block.start: block.stop]
         for k in range(1, n_t):
-            ratio, dy = _views(work, *[(len(block), n_t - k)] * 2)
-            _pair_geometry(part[..., k:], part[..., :-k],
-                           out=(ratio, dy, ratio))
+            shape = (len(block), n_t - k)
+            d, ratio = _views(work, (2, *shape), shape)
+            _pair_geometry(part[..., k:], part[..., :-k], out=(d, ratio))
             np.sqrt(ratio, out=ratio)
             ratio /= (times[k:] - times[:-k]) ** beta
             np.maximum(rows, np.max(ratio, axis=1), out=rows)
@@ -426,12 +487,20 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     kept = _finite_replicas(ensemble, m_t)
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
-    for block in budget_blocks(len(kept), 16 * (n - 1) * m_t):
+    blocks = budget_blocks(len(kept), 16 * (n - 1) * m_t)
+    b_max = len(blocks[0]) if blocks else 0
+    # tiles of the pairs (0, j) whose dx and dy fit the budget for the
+    # largest block: one whenever a block fits
+    tiles = budget_blocks(n - 1, 16 * m_t * b_max)
+    for block in blocks:
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         hist = _split_history(pos)
         d_series = np.zeros((len(block), m_t + 1, n - 1, 2))  # D_0 = 0
         for m in range(1, m_t + 1):
-            d_series[:, m] = _pair_drifts(hist, cfg, m, i_idx, j_idx)
+            for tile in tiles:
+                k = slice(tile.start, tile.stop)
+                d_series[:, m, k] = _pair_drifts(hist, cfg, m, i_idx[k],
+                                                 j_idx[k])
         mean_d = d_series.mean(axis=2)
         gamma_paths = np.zeros((len(block), m_t + 1, 2))
         gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
@@ -712,11 +781,15 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                 padded[..., u1:dirty] = 0.0
             dirty = u1
             pad = padded[:b, :, : u1 - u0]
-            # |x_u - y_s|^2 in the first grid, F in the second and the
-            # weighted heat operator in the padded rows; F is shared with
-            # grad F = -2 x F, formed in the padded rows after their sums
+            # |x_u - y_s|^2 in the first grid (dy^2 in the second on the
+            # way: `_pair_geometry` would need a third for dx and dy), F in
+            # the second and the weighted heat operator in the padded rows;
+            # F is shared with grad F = -2 x F, formed in the padded rows
+            # after their sums
             now, past = xi[..., u0:u1, None], xj[..., None, :u1]
-            _pair_geometry(now, past, out=(sq, f, sq))
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.square(np.subtract(now[0], past[0], out=sq), out=sq)
+                sq += np.square(np.subtract(now[1], past[1], out=f), out=f)
             GaussianBump.value_sq(lag, sq, out=f)
             heat = GaussianBump.heat_sq(sq, f, out=sq)
             np.multiply(heat, w_in[:, :u1], out=pad[..., :u1])

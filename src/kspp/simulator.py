@@ -106,9 +106,12 @@ class TrajectoryEnsemble:
     blowups: list[tuple[int, int]] = field(default_factory=list)
     drift_seconds: float = 0.0
     # replica_blocks: the blocks stepped together; drift_workspace_bytes:
-    # the drift kernel's workspace of the largest block (0 without drift)
+    # the drift kernel's workspace of the largest block, and
+    # drift_tile_rows: the target particles i of its kernel call's first
+    # i-tile (both 0 without drift)
     counters: dict[str, int] = field(default_factory=lambda: {
-        "replica_blocks": 0, "drift_workspace_bytes": 0})
+        "replica_blocks": 0, "drift_workspace_bytes": 0,
+        "drift_tile_rows": 0})
 
     @property
     def n_replicas(self) -> int:
@@ -184,26 +187,32 @@ def draw_initial(config: SimConfig) -> np.ndarray:
     return center + rad[..., None] * turn
 
 
-def draw_noise(config: SimConfig) -> np.ndarray:
-    """Brownian increments (var dt per coordinate), shape (R, n_steps, N, 2)."""
-    r_n, m, n = config.n_replicas, config.n_steps, config.n_particles
+def draw_noise(config: SimConfig, replicas: range | None = None) -> np.ndarray:
+    """Brownian increments (var dt per coordinate) of the replicas
+    `replicas` (all by default), shape (len(replicas), n_steps, N, 2).
+
+    Each replica's draws come from its own streams, so a range of replicas
+    gets the rows that the whole draw gives them."""
+    m, n = config.n_steps, config.n_particles
+    if replicas is None:
+        replicas = range(config.n_replicas)
     if config.noise_mode == "zero" or m == 0:
-        return np.zeros((r_n, m, n, 2))
-    out = np.empty((r_n, m, n, 2))
+        return np.zeros((len(replicas), m, n, 2))
+    out = np.empty((len(replicas), m, n, 2))
     root_dt = math.sqrt(config.dt)
     select = _streams(config.seed, purpose=1)
     if config.noise_mode == "mirrored":
         w = np.empty((m, 2))
-        for r in range(r_n):
+        for k, r in enumerate(replicas):
             select(r, 0).standard_normal(out=w)
-            np.multiply(w, root_dt, out=out[r, :, 0])
-            np.negative(out[r, :, 0], out=out[r, :, 1])
+            np.multiply(w, root_dt, out=out[k, :, 0])
+            np.negative(out[k, :, 0], out=out[k, :, 1])
         return out
     buf = np.empty((n, m, 2))
-    for r in range(r_n):
+    for k, r in enumerate(replicas):
         for i in range(n):
             select(r, i).standard_normal(out=buf[i])
-        np.multiply(buf.transpose(1, 0, 2), root_dt, out=out[r])
+        np.multiply(buf.transpose(1, 0, 2), root_dt, out=out[k])
     return out
 
 
@@ -238,14 +247,19 @@ def _conv_weights(m: int, config: SimConfig) -> tuple[int, np.ndarray, np.ndarra
 
 
 # Byte budget of the float64 pair displacements dx and dy that one kernel call
-# holds for a block of replicas, over the N(N-1) pairs of distinct particles.
-# Batching saves the per-call overhead that dominates small systems; past a
-# few MiB the temporaries leave the cache and a batched step runs slower per
-# replica than a single one. A block's drift workspace (`_drift_workspace`:
-# dx, dy and the coefficients, each laid out (B, i, k, l) over the N - 1
-# other particles k with the history rows l last, 1.5 times this budget, and
-# the doubled history window, (2N - 1)/(N(N - 1)) of it) is allocated once
-# per block and sliced at every step. Fresh per-step arrays,
+# holds, over the N(N-1) pairs of distinct particles, for a block of replicas
+# and a tile of target particles i. Batching saves the per-call overhead that
+# dominates small systems; past a few MiB the temporaries leave the cache and
+# a batched step runs slower per replica than a single one. Replicas are
+# stepped in blocks (`budget_blocks`), and the target particles of a block in
+# i-tiles (`_drift_workspace`); a block that fits the budget is one tile. Every
+# history row l stays whole in a tile, so the sum over it keeps its bits; a
+# single i row above the budget is one tile, and the bound is then that row.
+# A block's drift workspace (`_drift_workspace`: the doubled history window,
+# (2N - 1)/(N(N - 1)) of the block's dx and dy, then dx, dy and the
+# coefficients of one tile, each laid out (B, i, k, l) over the N - 1 other
+# particles k with the history rows l last, 1.5 times the tile's budget) is
+# allocated once per block and sliced at every step. Fresh per-step arrays,
 # one history row larger each step, were each served by a new mmap above
 # glibc's threshold and faulted in page by page: a cold 2-replica N = 32,
 # M = 200 run took 271 000 minor page faults, against under 1 400 with the
@@ -278,27 +292,21 @@ def _pair_geometry(now, past, out=None
 
     `now` and `past` hold the two coordinates along their first axis
     (`now[0]` is x, `now[1]` is y; a `_split_history` array passes its
-    `swapaxes(0, 1)` view), and broadcast against each other past it; the
-    three results have the broadcast shape. Pair-history passes put the
-    history rows l last, so that every sum over them runs along one
-    contiguous axis. `out`, if given, is three arrays of that shape that
-    take dx, dy and |.|^2, and nothing is allocated: dy^2 is formed in dy's
-    array, added to dx^2 in the third, and dy formed again. When the third
-    array is dx's, only |.|^2 is wanted: it is left there, and dy^2 in dy's
-    array.
+    `swapaxes(0, 1)` view), and broadcast against each other past it; dx,
+    dy and |.|^2 have the broadcast shape past that axis. Pair-history
+    passes put the history rows l last, so that every sum over them runs
+    along one contiguous axis. dx and dy are formed as one (2, ...) array
+    by one subtraction, and |.|^2 by one einsum over its first axis: the
+    bits of dx^2 + dy^2. `out`, if given, is that (2, ...) array and one of
+    the broadcast shape, and nothing is allocated.
     """
-    dx_out, dy_out, sq_out = (None, None, None) if out is None else out
+    d_out, sq_out = (None, None) if out is None else out
     # overflow on a replica that is blowing up is detected after its
     # Euler update, not here
     with np.errstate(over="ignore", invalid="ignore"):
-        dy = np.subtract(now[1], past[1], out=dy_out)
-        dy2 = np.multiply(dy, dy, out=dy_out)
-        dx = np.subtract(now[0], past[0], out=dx_out)
-        sq = np.multiply(dx, dx, out=sq_out)
-        sq += dy2
-        if out is not None and sq is not dx:
-            np.subtract(now[1], past[1], out=dy)
-    return dx, dy, sq
+        d = np.subtract(now, past, out=d_out)
+        sq = np.einsum("c...,c...->...", d, d, out=sq_out)
+    return d[0], d[1], sq
 
 
 def _gauss_factor(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
@@ -368,15 +376,23 @@ def _drift_window(m: int, config: SimConfig) -> int:
     return m - _history_start(m, config)
 
 
-def _drift_workspace(n_block: int, n_particles: int, rows: int) -> np.ndarray:
+def _drift_workspace(n_block: int, n_particles: int, rows: int
+                     ) -> tuple[np.ndarray, list[range]]:
     """The drift kernel's buffers for `n_block` replicas over at most `rows`
-    history rows, in one flat float64 array: dx, dy and |d|^2 (which becomes
-    the coefficients), each (n_block, N, N - 1, rows) over the pairs of
-    distinct particles, then the doubled history window
-    (2, n_block, 2N - 1, rows) (`_others`). A step over fewer replicas or
+    history rows, and the i-tiles they are sized for.
+
+    The tiles split the target particles i into the most rows whose dx
+    and dy fit DRIFT_BUDGET_BYTES for the block (`budget_blocks`): one
+    tile whenever the block fits. The buffers are one flat float64 array:
+    the doubled history window (2, n_block, 2N - 1, rows) (`_others`),
+    then dx, dy and |d|^2 (which becomes the coefficients), each
+    (n_block, t, N - 1, rows) for the t rows of the first tile, over the
+    pairs of distinct particles. A step over fewer replicas, rows or tile
     rows takes views of its leading entries (`_views`)."""
     n = n_particles
-    return np.empty((3 * n * (n - 1) + 2 * (2 * n - 1)) * n_block * rows)
+    tiles = budget_blocks(n, 16 * (n - 1) * rows * n_block)
+    grids = 3 * len(tiles[0]) * (n - 1)
+    return np.empty((2 * (2 * n - 1) + grids) * n_block * rows), tiles
 
 
 def _views(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -415,41 +431,50 @@ def _others(h: np.ndarray, l0: int, m: int, window: np.ndarray) -> np.ndarray:
 
 
 def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
-                 work: np.ndarray) -> np.ndarray:
+                 work: tuple[np.ndarray, list[range]]) -> np.ndarray:
     """(1/(N-1)) sum_{j != i} D^{i,j}_m for a block's split history `hist`
     (B, 2, N, T) with T > m (`_split_history`), shape (B, N, 2).
 
     Contracts only the N(N-1) pairs of distinct particles: the
     displacements are laid out (B, i, k, l) per coordinate, k running over
     the other particles j = (i + 1 + k) mod N (`_others`) and the history
-    rows l last, in views of the workspace `work` (`_drift_workspace`, for
-    at least B replicas and this step's rows), and the sum over j runs in
-    that cyclic order. The window of history rows is first copied into the
-    workspace, doubled: contiguous, its rows form one loop of each grid
-    operation. Against the full N*N grid with the self pairs subtracted,
-    a step took 0.57-0.65 of the time at N = 2 (300 replicas), 0.78-0.85
-    at N = 4, 0.92 at N = 8, 0.98-1.02 at N = 16 and 0.95 at N = 32
-    (medians of 10 alternating in-process runs, BENCH_16.json; 2-core Xeon
-    VM, numpy 2.4.6); the subtraction also cancelled a pair drift much
-    smaller than the self pair's term to 0.
+    rows l last, and the sum over j runs in that cyclic order. `work` is a
+    workspace and its i-tiles (`_drift_workspace`, for at least B replicas
+    and this step's rows): the window of history rows is copied into it
+    once, doubled, and each tile of target particles i forms its grids in
+    views of it. Contiguous, the window's rows form one loop of each grid
+    operation. Every tile holds whole history rows, so the drift does not
+    depend on the tiles bit for bit. Against the full N*N grid with the
+    self pairs subtracted, a step took 0.57-0.65 of the time at N = 2 (300
+    replicas), 0.78-0.85 at N = 4, 0.92 at N = 8, 0.98-1.02 at N = 16 and
+    0.95 at N = 32 (medians of 10 alternating in-process runs,
+    BENCH_16.json; 2-core Xeon VM, numpy 2.4.6); the subtraction also
+    cancelled a pair drift much smaller than the self pair's term to 0.
     """
     b, _, n, _ = hist.shape
     if m == 0:
         return np.zeros((b, n, 2))
+    buf, tiles = work
     l0, lags, w = _conv_weights(m, config)
-    shape = (b, n, n - 1, m - l0)
-    *grids, window = _views(work, shape, shape, shape,
-                            (2, b, 2 * n - 1, m - l0))
+    window_shape = (2, b, 2 * n - 1, m - l0)
+    window, = _views(buf, window_shape)
     h = hist.swapaxes(0, 1)
-    dx, dy, sq = _pair_geometry(h[:, :, :, None, m, None],
-                                _others(h, l0, m, window), out=grids)
-    g = _gauss_factor(sq, lags, config, out=sq)
-    sums = np.stack(_history_sums(dx, dy, g, w), axis=-1)  # (B, i, k, 2)
-    return -config.dt * sums.sum(axis=2) / (n - 1)
+    others = _others(h, l0, m, window)
+    sums = np.empty((b, n, 2))
+    for tile in tiles:
+        i = slice(tile.start, tile.stop)
+        shape = (b, len(tile), n - 1, m - l0)
+        _, d, sq = _views(buf, window_shape, (2, *shape), shape)
+        dx, dy, sq = _pair_geometry(h[:, :, i, None, m, None],
+                                    others[:, :, i], out=(d, sq))
+        g = _gauss_factor(sq, lags, config, out=sq)
+        # (B, i, k, 2), summed over the other particles k
+        sums[:, i] = np.stack(_history_sums(dx, dy, g, w), axis=-1).sum(axis=2)
+    return -config.dt * sums / (n - 1)
 
 
 def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
-                work: np.ndarray | None = None,
+                work: tuple[np.ndarray, list[range]] | None = None,
                 hist: np.ndarray | None = None) -> np.ndarray:
     """Drift of every particle at the consecutive steps m in `steps`.
 
@@ -458,9 +483,9 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
     (B, T, N, 2) with T > max(steps); shape (B, len(steps), N, 2). It is
     exactly what the Euler step scales by chi * dt, so estimators built on
     it see the integrator's own drift. The background is evaluated in one
-    call over all the steps. `work` is the kernel's workspace
-    (`_drift_workspace`); without it one is sized for the block and the
-    last step, and every step of the call slices it. `hist` is `pos` split
+    call over all the steps. `work` is the kernel's workspace and its
+    i-tiles (`_drift_workspace`); without it one is sized for the block and
+    the last step, and every step of the call slices it. `hist` is `pos` split
     by coordinate (`_split_history`), at least up to row max(steps);
     without it the call splits `pos` once.
     """
@@ -482,13 +507,14 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
 
 def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
                  d_w: np.ndarray, m: int, config: SimConfig,
-                 work: np.ndarray) -> tuple[np.ndarray, float]:
+                 work: tuple[np.ndarray, list[range]]
+                 ) -> tuple[np.ndarray, float]:
     """One Euler step m -> m+1 for every replica of a block.
 
     `positions` (B, T, N, 2) holds the block's replicas, all finite up to
     row m, and `hist` their split history (`_split_history`, (B, 2, N, T)),
     None without drift; `d_w` holds this step's increments, shape
-    (B, N, 2); `work` is the drift workspace for the block
+    (B, N, 2); `work` is the drift workspace and its i-tiles for the block
     (`_drift_workspace`). Writes row m+1 of each replica that stays finite,
     in `positions` and `hist`, and returns (the mask of those replicas,
     drift seconds); a blown replica's row stays as it was.
@@ -532,10 +558,11 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
 
     `initial` (R, N, 2) and `noise` (R, n_steps, N, 2) override the stream
     draws when given (used by the permutation, mirror and epsilon-refinement
-    studies). Replicas are stepped in blocks (`budget_blocks`), one kernel
-    call per block and step; threads (KSPP_THREADS, default 1) take
-    whole blocks. Blow-ups abort only
-    their replica and are recorded rather than raised.
+    studies); without `noise`, each block of replicas draws its own. Replicas
+    are stepped in blocks (`budget_blocks`), one kernel call per block,
+    step and i-tile (`_drift_workspace`); threads (KSPP_THREADS, default 1)
+    take whole blocks. Blow-ups abort only their replica and are recorded
+    rather than raised.
 
     Relabeling: applying one permutation of the particles to `initial` and
     `noise` permutes the paths to within 1e-12 (relative and absolute),
@@ -547,9 +574,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     """
     _require_smoothing(config)
     ens = init_ensemble(config, initial=initial)
-    if noise is None:
-        noise = draw_noise(config)
-    else:
+    if noise is not None:
         noise = np.asarray(noise, dtype=float)
         want = (config.n_replicas, config.n_steps, config.n_particles, 2)
         if noise.shape != want:
@@ -557,10 +582,12 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
 
     n, rows = config.n_particles, _drift_rows(config)
 
-    def run_block(block: range) -> tuple[list[tuple[int, int]], float, int]:
-        # the block's own workspace, sized at its largest step, and its own
-        # split history, one row written per step: no step allocates
-        # anything that grows with m, and threads share nothing
+    def run_block(block: range) -> tuple[list[tuple[int, int]], float,
+                                         int, int]:
+        # the block's own workspace, sized at its largest step, its own
+        # split history, one row written per step, and its own noise: no
+        # step allocates anything that grows with m, and threads share
+        # nothing
         work = _drift_workspace(len(block), n, rows)
         block_pos = ens.positions[block.start: block.stop]
         hist = None
@@ -572,7 +599,9 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         # replica blows up, then copies compacted once at each blow-up, so
         # that no step gathers the survivors' histories
         live = np.arange(len(block))
-        positions, d_w = block_pos, noise[block.start: block.stop]
+        positions = block_pos
+        d_w = (draw_noise(config, block) if noise is None
+               else noise[block.start: block.stop])
         blowups, secs = [], 0.0
         for m in range(config.n_steps):
             if not len(live):
@@ -591,9 +620,15 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
                     hist = hist[finite]
         if positions is not block_pos:
             block_pos[live] = positions
-        return blowups, secs, work.nbytes
+        buf, tiles = work
+        return blowups, secs, buf.nbytes, len(tiles[0]) if rows else 0
 
-    blocks = budget_blocks(config.n_replicas, 16 * n * (n - 1) * rows)
+    # a replica's temporaries: the kernel's dx and dy over its pairs or,
+    # without drift, the noise drawn here (none when it is passed in)
+    per_replica = 16 * n * (n - 1) * rows
+    if not rows and noise is None:
+        per_replica = 16 * n * config.n_steps
+    blocks = budget_blocks(config.n_replicas, per_replica)
     workers = _resolve_threads()
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -601,12 +636,15 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
             results = list(pool.map(run_block, blocks))
     else:
         results = [run_block(block) for block in blocks]
-    for blowups, secs, _ in results:
+    for blowups, secs, _, _ in results:
         ens.drift_seconds += secs
         ens.blowups.extend(blowups)
     ens.blowups.sort()
-    ens.counters.update(replica_blocks=len(blocks), drift_workspace_bytes=max(
-        nbytes for _, _, nbytes in results))
+    # the first block is the largest: its workspace and its i-tiles
+    _, _, nbytes, tile_rows = results[0]
+    ens.counters.update(replica_blocks=len(blocks),
+                        drift_workspace_bytes=nbytes,
+                        drift_tile_rows=tile_rows)
     return ens
 
 

@@ -47,7 +47,8 @@ class TestSimulate:
         # one block of 3 replicas; dx, dy and coefficients over the N(N - 1)
         # pairs and 20 rows, and the (2, B, 2N - 1, 20) doubled window
         assert meta["counters"] == {"replica_blocks": 1, "drift_workspace_bytes":
-                                    (3 * 2 * 1 + 2 * 3) * 8 * 3 * 20}
+                                    (3 * 2 * 1 + 2 * 3) * 8 * 3 * 20,
+                                    "drift_tile_rows": 2}
         assert "drift_seconds" in meta
         assert sorted(meta["timings"]) == ["run", "write_bin", "write_csv"]
         assert all(v >= 0.0 for v in meta["timings"].values())

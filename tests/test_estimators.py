@@ -468,14 +468,14 @@ class TestHolderModulus:
 
     @pytest.mark.parametrize("paths", [1, 4])
     def test_small_budget_matches_whole_grid(self, paths):
-        # 21 grid times, 16 * 21 bytes a path for the two diagonal arrays: a
-        # budget of `paths` paths splits holder_modulus into one-replica
-        # blocks and _holder_max into blocks of `paths` paths; the maxima and
-        # bounds are those of the whole grid
+        # 21 grid times, 24 * 21 bytes a path for the three diagonal arrays:
+        # a budget of `paths` paths splits holder_modulus into blocks of one
+        # or three replicas and _holder_max into blocks of `paths` paths; the
+        # maxima and bounds are those of the whole grid
         ens = brownian_ensemble(n_particles=3, n_steps=20, n_replicas=6,
                                 seed=3, chi=0.9)
         whole = E.holder_modulus(ens, EP)
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", paths * 16 * 21):
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", paths * 24 * 21):
             tiled = E.holder_modulus(ens, EP)
             path = E._holder_max(ens.positions[None, 0, :, 0], ens.times, 0.3)
         assert np.array_equal(tiled.z_hat, whole.z_hat)
@@ -492,7 +492,7 @@ class TestHolderModulus:
 
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
     def test_path_blocks_match_per_path_loop(self, per_block):
-        # 21 grid times: a path's two diagonal arrays take 16 * 21 bytes,
+        # 21 grid times: a path's three diagonal arrays take 24 * 21 bytes,
         # and the budget takes `per_block` such paths
         rng = np.random.default_rng(7)
         paths = rng.standard_normal((7, 21, 2)).cumsum(axis=1)
@@ -504,11 +504,124 @@ class TestHolderModulus:
             d = path[None, :] - path[:, None]
             sq = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
             want.append(np.max(np.sqrt(sq[upper]) / gaps[upper] ** 0.3))
-        per_path = 16 * 21
+        per_path = 24 * 21
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", per_block * per_path):
             assert len(S.budget_blocks(7, per_path)) == -(-7 // per_block)
             got = E._holder_max(paths, times, 0.3)
         assert np.array_equal(got, want)
+
+
+class TestTargetTiles:
+    """Pair-history passes in tiles of target particles i, or of the
+    i-major pairs: every tile keeps its history rows whole, so no output
+    depends on the tiles, and each pass's peak memory has a bound in
+    DRIFT_BUDGET_BYTES."""
+
+    @pytest.fixture(scope="class")
+    def ens(self):
+        # N = 5, lambda = 0.2 and a history cutoff of 5 rows
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=0.9,
+                                              epsilon=0.05),
+                          n_particles=5, dt=0.02, n_steps=16, n_replicas=3,
+                          seed=41, init=S.InitSpec("gaussian", sigma=1.0),
+                          history_cutoff=0.1)
+        return S.run(cfg)
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_paper_moments(self, ens, tile):
+        ep = E.EstimatorParams(gamma=1.62, alpha=0.045, delta=0.1)
+        whole = E.paper_moments(ens, ep)
+        assert whole.notes["i_tile_rows"] == 5
+        # one target particle's five grid rows and window share: blocks of
+        # one replica in tiles of `tile` rows, and E1 in tiles of 3 to 18
+        # of the 20 pairs
+        row_bytes = 8 * (5 * 4 + 4) * ens.n_steps
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", tile * row_bytes):
+            assert len(S.budget_blocks(20, 48 * (ens.n_steps + 1))[0]) < 20
+            tiled = E.paper_moments(ens, ep)
+        assert tiled.notes["i_tile_rows"] == tile
+        assert tiled.notes["workspace_bytes"] == 8 * ens.n_steps * (
+            2 * 9 + 5 * tile * 4)
+        assert tiled.divergent_terms == whole.divergent_terms
+        for name, est in whole.estimates.items():
+            assert np.array_equal(tiled.estimates[name].per_replica,
+                                  est.per_replica)
+
+    def test_e1_does_not_depend_on_the_pair_tiles(self):
+        # two pairs: a product over a tile of one pair would sum it in
+        # another order than the product over both
+        ens = brownian_ensemble(n_steps=40, n_replicas=4, seed=8)
+        whole = E.paper_moments(ens, EP)
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 48 * 41):
+            tiled = E.paper_moments(ens, EP)
+        assert np.array_equal(tiled.estimates["E1"].per_replica,
+                              whole.estimates["E1"].per_replica)
+
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_domination(self, ens, tile):
+        whole = E.drift_domination_check(ens, EP)
+        # one replica's dx and dy over `tile` target particles, 4 pairs each
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                               tile * 4 * 16 * ens.n_steps), \
+                mock.patch.object(E, "_pair_geometry",
+                                  wraps=E._pair_geometry) as geometry:
+            tiled = E.drift_domination_check(ens, EP)
+        assert max(c.args[0].shape[2] for c in geometry.call_args_list) == (
+            4 * tile)
+        assert (tiled.checked, tiled.violations, tiled.worst_margin) == (
+            whole.checked, whole.violations, whole.worst_margin)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+    def test_holder(self, ens, chunk):
+        whole = E.holder_modulus(ens, EP)
+        # one replica's dx and dy over `chunk` of the pairs (0, j)
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                               chunk * 16 * ens.n_steps), \
+                mock.patch.object(E, "_pair_drifts",
+                                  wraps=E._pair_drifts) as drifts:
+            tiled = E.holder_modulus(ens, EP)
+        assert max(len(c.args[3]) for c in drifts.call_args_list) == chunk
+        assert np.array_equal(tiled.z_hat, whole.z_hat)
+        assert np.array_equal(tiled.bound, whole.bound)
+
+    def test_peaks_bounded_by_the_budget(self):
+        # one N = 32, M = 140 replica: its dx and dy over all 992 pairs take
+        # 16 * 992 * 140 bytes, 2.2 MB, over the 2 MiB budget. Measured
+        # peaks, in budgets, tiled (and in one tile): run 1.70 (1.80),
+        # paper_moments 1.73 (3.81), domination 2.68 (4.35), Hoelder 0.20
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.1, chi=1.0,
+                                              epsilon=0.05),
+                          n_particles=32, dt=0.01, n_steps=140, n_replicas=1,
+                          seed=3, init=S.InitSpec("gaussian", sigma=1.0))
+        initial, noise = S.draw_initial(cfg), S.draw_noise(cfg)
+        ep = E.EstimatorParams(gamma=1.62, alpha=0.045)
+        budget = S.DRIFT_BUDGET_BYTES
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                out = fn(*args)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ens, p = peak(S.run, cfg, initial, noise)
+        assert ens.counters["drift_tile_rows"] < 32
+        # the workspace: a tile's dx, dy and coefficients, 1.5 budgets, and
+        # the doubled window; the positions and the split history
+        assert p < 2 * budget + 3 * ens.positions.nbytes
+        rep, p = peak(E.paper_moments, ens, ep)
+        assert rep.notes["i_tile_rows"] < 32
+        # a (T, N(N - 1)) series and one budget: E1's inverse distances and
+        # its tile temporaries, then E4's |D| and the grids' workspace
+        series = 8 * 141 * 992
+        assert p < budget + 2 * series
+        _, p = peak(E.drift_domination_check, ens, ep)
+        # a tile's geometry, dx and dy (one budget) and |d|^2, the Gaussian
+        # factor and the S terms, half a budget each
+        assert p < 3 * budget
+        _, p = peak(E.holder_modulus, ens, ep)
+        assert p < budget
 
 
 class TestTestFunctions:

@@ -142,6 +142,8 @@ class TestStreams:
         initial, noise = reference_draws(cfg)
         assert np.array_equal(S.draw_initial(cfg), initial)
         assert np.array_equal(S.draw_noise(cfg), noise)
+        # a range of replicas, as a block of `run` draws it
+        assert np.array_equal(S.draw_noise(cfg, range(1, replicas)), noise[1:])
 
     def test_reselecting_rewinds_the_stream(self):
         select = S._streams(7, purpose=1)
@@ -508,7 +510,8 @@ class TestStepAndRun:
         assert peak < (ens.positions.nbytes + 3 * block_array
                        + block_array // 2)
         assert ens.counters == {"replica_blocks": 2, "drift_workspace_bytes":
-                                3 * block_array + 8 * 2 * 2 * 63 * 60}
+                                3 * block_array + 8 * 2 * 2 * 63 * 60,
+                                "drift_tile_rows": 32}
         assert not ens.blowups
 
     def test_counters(self):
@@ -516,10 +519,12 @@ class TestStepAndRun:
         cfg = make_config(params=params, n_particles=3, n_steps=5,
                           n_replicas=2, history_cutoff=0.03)
         want = {"replica_blocks": 1,  # three grids and the window, 3 rows
-                "drift_workspace_bytes": (3 * 8 * 2 * 3 * 2 + 8 * 2 * 2 * 5) * 3}
+                "drift_workspace_bytes": (3 * 8 * 2 * 3 * 2 + 8 * 2 * 2 * 5) * 3,
+                "drift_tile_rows": 3}
         assert S.run(cfg).counters == want
         assert S.run(make_config(n_replicas=2)).counters == {
-            "replica_blocks": 1, "drift_workspace_bytes": 0}
+            "replica_blocks": 1, "drift_workspace_bytes": 0,
+            "drift_tile_rows": 0}
 
     def test_drift_seconds_reported(self):
         params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
@@ -597,6 +602,75 @@ class TestBatchedStepping:
             self.check(cfg, blow, threads="2")
 
 
+class TestTargetTiles:
+    """The drift kernel in i-tiles of target particles: every tile keeps
+    its history rows whole, so the paths do not depend on the tiles."""
+
+    @pytest.mark.parametrize("cutoff", [None, 0.1])
+    @pytest.mark.parametrize("tile", [1, 2, 3, 5])
+    def test_paths_do_not_depend_on_the_tiles(self, tile, cutoff):
+        n = 5
+        params = KernelParams(theta=1.0, lam=0.2, chi=1.0, epsilon=0.05)
+        cfg = make_config(params=params, n_particles=n, n_steps=24,
+                          n_replicas=3, seed=19, dt=0.02,
+                          history_cutoff=cutoff, source=_MIXTURE)
+        whole = S.run(cfg)
+        assert whole.counters["drift_tile_rows"] == n
+        steps = range(cfg.n_steps + 1)
+        drifts = S.step_drifts(whole.positions, steps, cfg)
+        # one replica's dx and dy over `tile` target particles: blocks of
+        # one replica, each in tiles of `tile` rows
+        rows = S._drift_rows(cfg)
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                               tile * 16 * (n - 1) * rows):
+            tiled = S.run(cfg)
+            assert len(S._drift_workspace(3, n, rows)[1][0]) == max(
+                1, tile // 3)
+            tiled_drifts = S.step_drifts(whole.positions, steps, cfg)
+        assert tiled.counters["replica_blocks"] == 3
+        assert tiled.counters["drift_tile_rows"] == tile
+        assert tiled.counters["drift_workspace_bytes"] == 8 * rows * (
+            2 * (2 * n - 1) + 3 * tile * (n - 1))
+        np.testing.assert_array_equal(tiled.positions, whole.positions)
+        np.testing.assert_array_equal(tiled_drifts, drifts)
+
+    @pytest.mark.parametrize("chi", [0.0, 0.9])
+    def test_noise_drawn_per_block(self, chi):
+        # without `noise`, each block draws its own replicas' streams: the
+        # paths are those of the noise drawn whole, in blocks of two
+        # replicas stepped on two threads
+        n, steps = 3, 12
+        cfg = make_config(params=KernelParams(theta=1.0, chi=chi, epsilon=0.05),
+                          n_particles=n, n_steps=steps, n_replicas=5, seed=29)
+        passed = S.run(cfg, noise=S.draw_noise(cfg))
+        # a replica's dx and dy, or without drift, its noise
+        per_replica = 16 * n * ((n - 1) * steps if chi else steps)
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * per_replica), \
+                mock.patch.dict(os.environ, {"KSPP_THREADS": "2"}):
+            drawn = S.run(cfg)
+        assert drawn.counters["replica_blocks"] == 3
+        np.testing.assert_array_equal(drawn.positions, passed.positions)
+
+    def test_simulate_memory_without_the_noise_array(self):
+        # kspp simulate's path at perfbench's brownian_mart_64 shape (N = 64,
+        # 64 steps, 500 replicas, chi = 0): blocks of replicas whose noise
+        # fits the budget draw their own, so the peak is the positions plus
+        # one block's noise, without the 33 MB (R, M, N, 2) noise array
+        import tracemalloc
+        cfg = make_config(n_particles=64, n_steps=64, n_replicas=500,
+                          dt=1.0 / 64, seed=1)
+        noise_bytes = 8 * 500 * 64 * 64 * 2
+        tracemalloc.start()
+        try:
+            ens = S.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.counters["replica_blocks"] == 16
+        assert peak < ens.positions.nbytes + 2 * S.DRIFT_BUDGET_BYTES
+        assert 2 * S.DRIFT_BUDGET_BYTES < noise_bytes // 4
+
+
 class TestHistoryLayout:
     """Every pair-history pass sums the history rows along one contiguous
     last axis, so the bits of the drift contraction depend only on the
@@ -658,6 +732,32 @@ class TestHistoryLayout:
         i_idx, j_idx = (list(k) for k in zip(*pairs))
         np.testing.assert_array_equal(S.pair_drifts(pos, cfg, m, i_idx, j_idx),
                                       full[:, i_idx, j_idx])
+
+    @pytest.mark.parametrize("into", [False, True])
+    def test_pair_geometry_is_dx2_plus_dy2(self, into):
+        # dx and dy by one subtraction and |d|^2 by one einsum over the
+        # coordinates: the bits of dx * dx + dy * dy, with ±inf, NaN and
+        # signed zeros among the inputs, into given arrays or fresh ones
+        rng = np.random.default_rng(3)
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e200, -1e-200]
+        now = rng.standard_normal((2, 3, 4, 1)) * 10.0 ** rng.integers(
+            -5, 6, (2, 3, 4, 1))
+        past = rng.standard_normal((2, 3, 1, 37))
+        now.flat[rng.choice(now.size, 5, replace=False)] = special[:5]
+        past.flat[rng.choice(past.size, 7, replace=False)] = special
+        out = (np.empty((2, 3, 4, 37)), np.empty((3, 4, 37))) if into else None
+        dx, dy, sq = S._pair_geometry(now, past, out=out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_x, want_y = now[0] - past[0], now[1] - past[1]
+            want = want_x * want_x + want_y * want_y
+        for got, ref in ((dx, want_x), (dy, want_y), (sq, want)):
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            keep = ~np.isnan(ref)
+            assert np.array_equal(got[keep].view(np.int64),
+                                  ref[keep].view(np.int64))
+        assert np.isinf(sq).any() and np.isnan(sq).any()
+        if into:
+            assert dx.base is out[0] and sq is out[1]
 
 
 class TestFrozenDriftOracle:
