@@ -389,15 +389,21 @@ def _mode_epsilon_study(args: argparse.Namespace) -> int:
         ens = simulator.run(cfg, initial=initial, noise=noise)
         rep = estimators.paper_moments(ens, ep)
         rows.append((eps, rep.estimates["E4"].value))
+    # a NaN E4 (every replica blown) must fail wherever it sits: max and
+    # min skip it or not depending on its place in the list
     values = [v for _, v in rows]
-    spread = max(values) / min(values)
+    bad = [e for e, v in rows if not 0.0 < v < math.inf]
+    spread = math.nan if bad else max(values) / min(values)
     factor = args.factor
-    ok = spread < factor
+    ok = not bad and spread < factor
     csv_text = "epsilon,E4\n" + "".join(f"{e:.8g},{v:.8g}\n" for e, v in rows)
     (args.out / "epsilon_study.csv").write_text(csv_text)
     print(csv_text, end="")
-    print(f"max/min E4 ratio = {spread:.4f} (limit {factor}) -> "
-          f"{'pass' if ok else 'FAIL'}")
+    if bad:
+        print(f"E4 not finite and > 0 at epsilon {bad} -> FAIL")
+    else:
+        print(f"max/min E4 ratio = {spread:.4f} (limit {factor}) -> "
+              f"{'pass' if ok else 'FAIL'}")
     _write_json(args.out / "epsilon_study.json", {
         "mode": "epsilon-study", "rows": rows, "spread": spread,
         "factor": factor, "pass": ok,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
+import time
 from dataclasses import dataclass, field, asdict, replace
 from typing import Sequence
 
@@ -27,9 +28,10 @@ import numpy as np
 
 from .constants import c0_const, check_gamma_alpha, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
-from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_factor,
-                        _history_sums, _others, _pair_drifts, _pair_geometry,
-                        _split_history, _views, budget_blocks, step_drifts)
+from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_exponent,
+                        _gauss_factor, _history_sums, _others, _pair_drifts,
+                        _pair_geometry, _split_history, _views, budget_blocks,
+                        step_drifts)
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,17 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     X^i_m - X^j_l once, on the simulator's (i, k, l) grid of the N - 1
     other particles j = (i + 1 + k) mod N (`simulator._others`), the
     history rows l last, and feeds E2, E3, E4 and, at the horizon, S and
-    S-bar from it; E3 and E4 share its Gaussian factor. The per-pair sums
-    are reduced by math.fsum, which is exact and so does not depend on the
-    pairs' order; E4's |D| columns are put back in ordered_pairs order
-    before the trapezoid product, which does.
+    S-bar from it; E3 and E4 share the clamped Gaussian exponent a
+    (`simulator._gauss_exponent`), whose exp is E4's Gaussian factor. E2
+    and E3 form their powers as the exp of a log, cheaper than np.power:
+    E2's terms are e^(-gamma log(u + |d|^2)), E3's are tf_u^p e^x with
+    x = a + ((p - 1) a + p log|d|), so that the large a is rounded once
+    (a term's relative error is then about |x| 2^-53). Both sum each
+    history row by one dot product (`_row_dot`), faster than np.sum along
+    the row and with bits that do not depend on the tiles. The
+    per-pair sums are reduced by math.fsum, which is exact and so does not
+    depend on the pairs' order; E4's |D| columns are put back in
+    ordered_pairs order before the trapezoid product, which does.
 
     Memory: replicas run in blocks and each block's grid in i-tiles of
     target particles, both sized by `budget_blocks` so that a tile's five
@@ -182,8 +191,11 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     no sum depends on the tiles. E1 takes a pass of its own before the
     grids' workspace is allocated, its inverse distances formed in tiles
     of pairs whose temporaries fit the budget. `notes` records the
-    tile rows (`i_tile_rows`) and the workspace's bytes
-    (`workspace_bytes`).
+    tile rows (`i_tile_rows`), the workspace's bytes (`workspace_bytes`),
+    the (i, k, l) grid cells over all steps of the kept replicas
+    (`pair_history_terms`, N(N - 1) m_t (m_t + 1) / 2 a replica) and the
+    seconds of the E1 pass and of the grid pass (`timings`, keys `e1` and
+    `grids`).
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -207,6 +219,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     kept = _finite_replicas(ensemble, m_t)
     per_rep = {name: np.zeros(len(kept)) for name in names}
     divergent = 0
+    tri = m_t * (m_t + 1) // 2   # history rows l < m over the steps m <= m_t
     # the bytes of one target particle i of one replica at the horizon: five
     # (i, k, l) grid rows and, near enough, its share of the doubled window
     row_bytes = 8 * (5 * (n - 1) + 4) * m_t
@@ -221,6 +234,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     # multiple of four in another order. They are laid out as the pair
     # gather lays out d, pairs outermost: gemv's order of summation also
     # follows the layout
+    start = time.perf_counter()
     for block in blocks:
         b = len(block)
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
@@ -239,14 +253,18 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         del inv   # freed before the next block, and before the grids
         for r, row in zip(block, e1):
             per_rep["E1"][r] = _fsum_mean(row)
+    timings = {"e1": time.perf_counter() - start}
 
     # the (2, B, 2N - 1, l) doubled history window (see
     # simulator._mean_drifts), then five (B, i, k, l) grids of one i-tile,
     # allocated once per call for the largest block and tile at the horizon
-    # and sliced at every step: dx, dy, |d|^2 (then |d|), the Gaussian
-    # factor (then E4's coefficients) and the E2, S and E3 terms
+    # and sliced at every step: dx, dy, |d|^2 (then E3's exponents and
+    # terms), the Gaussian exponent (then its factor, then E4's
+    # coefficients) and the E2, S and (p - 1) a terms
+    start = time.perf_counter()
     work = np.empty((2 * (2 * n - 1) + 5 * len(tiles[0]) * (n - 1))
                     * b_max * m_t)
+    ones = np.ones(m_t)   # E2's row weights
 
     for block in blocks:
         b = len(block)
@@ -262,12 +280,12 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         e2_m, e3_m, sx, sy = np.empty((4, b, n, n - 1))
         # a finite replica close to blowing up may overflow its kernel
         # terms; they then come out inf or 0
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             for m in range(1, m_t + 1):
                 # geometry over (B, i, k, l): X^i_m - X^j_l for l < m and
                 # j = (i + 1 + k) mod N
                 lag = (m - np.arange(m)) * dt
-                time_factor = smoothed_weight(lag, unsmoothed)
+                tf_pow = np.power(smoothed_weight(lag, unsmoothed), e3_pow)
                 l0, _, w = _conv_weights(m, cfg)
                 window_shape = (2, b, 2 * n - 1, m)
                 window, = _views(work, window_shape)
@@ -281,10 +299,12 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
                                                others[:, :, i], out=(d, sq))
 
                     # E2 / E3: double sums, left-endpoint (u-exclusive)
-                    # inner rule
+                    # inner rule, one dot product a row. E2's terms are
+                    # e^(-gamma log(u + |d|^2))
                     np.add(lag, sq, out=term)
-                    np.sum(np.power(term, -ep.gamma, out=term), axis=-1,
-                           out=e2_m[:, i])
+                    np.log(term, out=term)
+                    term *= -ep.gamma
+                    e2_m[:, i] = _row_dot(np.exp(term, out=term), ones[:m])
                     if m == m_t:
                         # S and S-bar at the horizon (right-endpoint sum,
                         # diagonal excluded), while sq still holds |d|^2
@@ -294,13 +314,19 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
                             np.add(shift, term, out=term)
                             s_out[:, i] = dt * np.sum(
                                 np.power(term, -ep.gamma, out=term), axis=-1)
-                    # |grad K_u| (unsmoothed): time factor, Gaussian factor,
-                    # |d|
-                    _gauss_factor(sq, lag, cfg, out=g)
-                    np.multiply(time_factor, g, out=term)
-                    term *= np.sqrt(sq, out=sq)
-                    np.sum(np.power(term, e3_pow, out=term), axis=-1,
-                           out=e3_m[:, i])
+                    # E3's terms |grad K_u|^p (unsmoothed) are tf_u^p e^x
+                    # with x = p (a + log|d|), a the clamped Gaussian
+                    # exponent, summed as a + ((p - 1) a + p log|d|) so
+                    # that the large a is rounded once (p - 1 is exact for
+                    # p in (1, 4/3)); |d| = 0 gives log 0 = -inf and a
+                    # term of 0
+                    _gauss_exponent(sq, lag, cfg, out=g)
+                    np.log(sq, out=sq)
+                    sq *= 0.5 * e3_pow
+                    sq += np.multiply(g, e3_pow - 1.0, out=term)
+                    sq += g
+                    e3_m[:, i] = _row_dot(np.exp(sq, out=sq), tf_pow)
+                    np.exp(g, out=g)   # _gauss_factor's bits
 
                     # E4: the simulator's discrete pair drift on rows
                     # [l0, m)
@@ -319,6 +345,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
             per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag[row])
             per_rep["S"][r] = _fsum_mean(s_full[row].ravel())
             per_rep["S_bar"][r] = _fsum_mean(sbar_full[row].ravel())
+    timings["grids"] = time.perf_counter() - start
 
     estimates = {}
     for name in names:
@@ -336,7 +363,9 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         notes={"gamma": ep.gamma, "alpha": ep.alpha, "delta": ep.delta,
                "horizon": m_t * dt, "pairs": len(pairs),
                "i_tile_rows": len(tiles[0]) if blocks else 0,
-               "workspace_bytes": work.nbytes},
+               "workspace_bytes": work.nbytes,
+               "pair_history_terms": len(kept) * len(pairs) * tri,
+               "timings": timings},
     )
 
 

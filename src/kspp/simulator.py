@@ -309,22 +309,31 @@ def _pair_geometry(now, past, out=None
     return d[0], d[1], sq
 
 
+def _gauss_exponent(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
+                    out=None) -> np.ndarray:
+    """max(-theta |d|^2 / 4u, -EXP_CLAMP) for squared lengths `sq` (..., L)
+    at the lags u (L,), formed in `out` if given (it may be sq).
+
+    The exponent of the kernel's Gaussian factor, written once:
+    `_gauss_factor` takes its exp, and paper_moments' E3 takes the exp of
+    p times it plus p log|d|. The sign is folded into the product,
+    -theta |d|^2 / 4u clamped from below at -EXP_CLAMP: the same bits as
+    negating after the clamp for every finite or infinite input, one
+    elementwise pass fewer; only the sign bit of a NaN may differ."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.multiply(sq, -config.params.theta, out=out)
+        a /= 4.0 * lags
+        return np.maximum(a, -EXP_CLAMP, out=a)
+
+
 def _gauss_factor(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
                   out=None) -> np.ndarray:
-    """e^(-min(theta |d|^2 / 4u, EXP_CLAMP)) for squared lengths `sq`
-    (..., L) at the lags u (L,), formed in `out` if given (it may be sq).
-
-    The Gaussian factor of the kernel, written once: the drift contraction
-    weights it by the lag weights, and paper_moments' E3 shares it. The
-    sign is folded into the product, -theta |d|^2 / 4u clamped from below
-    at -EXP_CLAMP: the same bits as negating after the clamp for every
-    finite or infinite input, one elementwise pass fewer; only the sign
-    bit of a NaN may differ."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.multiply(sq, -config.params.theta, out=out)
-        g /= 4.0 * lags
-        np.maximum(g, -EXP_CLAMP, out=g)
-        return np.exp(g, out=g)
+    """e^(-min(theta |d|^2 / 4u, EXP_CLAMP)): the kernel's Gaussian factor,
+    the exp of `_gauss_exponent` (same arguments), which the drift
+    contraction weights by the lag weights."""
+    a = _gauss_exponent(sq, lags, config, out=out)
+    with np.errstate(over="ignore"):
+        return np.exp(a, out=a)
 
 
 def _history_sums(dx: np.ndarray, dy: np.ndarray, g: np.ndarray,

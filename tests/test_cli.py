@@ -140,6 +140,24 @@ class TestEstimate:
         assert (est_inline / "per_replica.csv").read_text() \
             == (est_file / "per_replica.csv").read_text()
 
+    def test_report_notes_timings_strict_json(self, tmp_path, config_file):
+        # the pass timings go into report.json, which stays strict JSON;
+        # per_replica.csv stays byte-identical across runs
+        args = ["estimate", "--config", str(config_file), "--gamma", "1.62",
+                "--alpha", "0.045", "--out"]
+        assert cli.main([*args, str(tmp_path / "a")]) == 0
+        assert cli.main([*args, str(tmp_path / "b")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"invalid JSON constant {constant}")
+
+        notes = json.loads((tmp_path / "a" / "report.json").read_text(),
+                           parse_constant=reject)["notes"]
+        assert set(notes["timings"]) == {"e1", "grids"}
+        assert notes["pair_history_terms"] == 3 * 2 * 20 * 21 // 2
+        assert ((tmp_path / "a" / "per_replica.csv").read_bytes()
+                == (tmp_path / "b" / "per_replica.csv").read_bytes())
+
     def test_blown_run_report_is_strict_json(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("theta = 1.0\nchi = 1e308\nepsilon = 1e-12\n"
@@ -327,6 +345,26 @@ class TestVerification:
         rows = (tmp_path / "epsilon_study.csv").read_text().strip().splitlines()
         assert rows[0] == "epsilon,E4"
         assert len(rows) == 4
+
+    def test_epsilon_study_nan_e4_fails(self, tmp_path, capsys, monkeypatch):
+        # max([1.0, nan, 1.5]) is 1.5: a NaN E4 in the middle of the list
+        # used to drop out of the spread and let the study pass
+        real = cli.estimators.paper_moments
+
+        def nan_at_middle(ens, ep):
+            rep = real(ens, ep)
+            if ens.config.params.epsilon == 0.05:
+                rep.estimates["E4"].value = float("nan")
+            return rep
+
+        monkeypatch.setattr(cli.estimators, "paper_moments", nan_at_middle)
+        rc = cli.main(["epsilon-study", "--steps", "16", "--replicas", "2",
+                       "--epsilons", "0.1,0.05,0.025", "--factor", "10.0",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert "FAIL" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "epsilon_study.json").read_text())
+        assert payload["pass"] is False and payload["spread"] is None
 
 
 MODE_NAMES = ("simulate", "estimate", "threshold", "verify-inequality",

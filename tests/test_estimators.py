@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import kspp
@@ -189,6 +190,8 @@ class TestPaperMoments:
         rep = E.paper_moments(ens, EP)
         assert rep.divergent_terms == 5 * 2  # every grid time, both pairs
         assert rep.estimates["E1"].value == 0.0
+        # |d| = 0: E3's exponent is log 0 = -inf, a term of 0, as |d|^p is
+        assert rep.estimates["E3"].value == 0.0
 
     def test_e3_envelope_monotone(self):
         # replacing |grad K| by its envelope termwise can only increase E3
@@ -303,6 +306,61 @@ class TestSinglePass:
         for name in ("E2", "E3", "S", "S_bar"):
             np.testing.assert_allclose(rep.estimates[name].per_replica,
                                        ref[name], rtol=1e-13, atol=0)
+
+
+class TestExponentForm:
+    """E2 and E3 formed as the exp of a log, against reference_moments'
+    np.power at TestSinglePass' rtol."""
+
+    EP = E.EstimatorParams(gamma=1.62, alpha=0.045)
+
+    @settings(max_examples=25, deadline=None)
+    @given(distance=st.floats(0.01, 7.0))
+    @example(distance=6.2125)   # the worst of 20 001 distances in [0, 7]
+    def test_far_pair(self, distance):
+        # N = 2 and m_t = 1: E3 is one term a pair, whose exponent reaches
+        # about -670 at distance 7, where rounding it costs the most
+        ens = frozen_pair_ensemble(dt=0.02, n_steps=1, distance=distance,
+                                   epsilon=0.05)
+        rep = E.paper_moments(ens, self.EP)
+        ref = reference_moments(ens, self.EP)
+        assert rep.estimates["E3"].value > 0.0
+        for name in ("E2", "E3"):
+            np.testing.assert_allclose(rep.estimates[name].per_replica,
+                                       ref[name], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("lam", [1e4, 1e5])
+    def test_vanishing_time_factor(self, lam):
+        # at dt = 0.02 the unsmoothed time factor is about e^-200 at the
+        # first lag for lambda = 1e4, and underflows to 0 at every lag for
+        # lambda = 1e5: E3 is then 0, with no log(0) warning
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=lam, chi=0.9,
+                                              epsilon=0.05),
+                          n_particles=3, dt=0.02, n_steps=10, n_replicas=2,
+                          seed=5, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = E.paper_moments(ens, self.EP)
+        ref = reference_moments(ens, self.EP)
+        e3 = rep.estimates["E3"].per_replica
+        assert np.all(np.isfinite(e3))
+        assert np.all(e3 == 0.0) == (lam == 1e5)
+        for name in ("E2", "E3"):
+            np.testing.assert_allclose(rep.estimates[name].per_replica,
+                                       ref[name], rtol=1e-13, atol=0)
+
+    def test_notes_count_and_time_the_passes(self):
+        ens = brownian_ensemble(n_particles=3, n_steps=12, n_replicas=3,
+                                chi=0.9)
+        ens.positions[1, 5:] = np.nan   # left out: not counted
+        ep = E.EstimatorParams(gamma=1.62, alpha=0.045,
+                               horizon=10 * ens.config.dt)
+        notes = E.paper_moments(ens, ep).notes
+        # kept replicas x N(N - 1) pairs x m_t (m_t + 1) / 2 history rows
+        assert notes["pair_history_terms"] == 2 * 6 * 10 * 11 // 2
+        assert set(notes["timings"]) == {"e1", "grids"}
+        assert all(0.0 <= t < math.inf for t in notes["timings"].values())
 
 
 class TestDriftDomination:
