@@ -373,6 +373,10 @@ def _mode_martingale_test(args: argparse.Namespace) -> int:
 
 def _mode_epsilon_study(args: argparse.Namespace) -> int:
     eps_list = [float(v) for v in args.epsilons.split(",")]
+    if len(set(eps_list)) < 2:
+        # one epsilon has nothing to compare E4 with: spread 1, a pass
+        raise ValueError(f"--epsilons needs at least two distinct values, "
+                         f"got {args.epsilons!r}")
     chi, steps = args.chi, args.steps
     base = simulator.SimConfig(
         params=kernels.KernelParams(theta=1.0, chi=chi, epsilon=eps_list[0]),

@@ -29,9 +29,8 @@ import numpy as np
 from .constants import c0_const, check_gamma_alpha, kappa
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_exponent,
-                        _gauss_factor, _history_sums, _others, _pair_drifts,
-                        _pair_geometry, _split_history, _views, budget_blocks,
-                        step_drifts)
+                        _gauss_factor, _history_sums, _others, _pair_geometry,
+                        _split_history, _views, budget_blocks, step_drifts)
 
 
 @dataclass(frozen=True)
@@ -430,8 +429,8 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             for tile in tiles:
                 k = slice(tile.start, tile.stop)
                 # geometry over (B, k, l): X^i_m - X^j_l for pair k and
-                # l < m; D on its rows [l0, m) as in pair_drifts, S on all
-                # of them
+                # l < m; D on its rows [l0, m) as in the drift kernel, S on
+                # all of them
                 dx, dy, sq = _pair_geometry(h[:, :, i_idx[k], m, None],
                                             h[:, :, j_idx[k], :m])
                 sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
@@ -509,7 +508,6 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     chi, dt = cfg.params.chi, cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     n = ensemble.n_particles
-    i_idx, j_idx = _pair_index([(0, j) for j in range(1, n)])
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
     q = 2.0 * (ep.gamma - 1.0)
     times = ensemble.times[: m_t + 1]
@@ -523,13 +521,18 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     tiles = budget_blocks(n - 1, 16 * m_t * b_max)
     for block in blocks:
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        hist = _split_history(pos)
+        h = _split_history(pos).swapaxes(0, 1)
         d_series = np.zeros((len(block), m_t + 1, n - 1, 2))  # D_0 = 0
         for m in range(1, m_t + 1):
+            l0, lags, w = _conv_weights(m, cfg)
             for tile in tiles:
-                k = slice(tile.start, tile.stop)
-                d_series[:, m, k] = _pair_drifts(hist, cfg, m, i_idx[k],
-                                                 j_idx[k])
+                # the pairs (0, j) of the tile's j = 1 + k, a particle slice
+                k0, k1 = tile.start, tile.stop
+                dx, dy, sq = _pair_geometry(h[:, :, :1, m, None],
+                                            h[:, :, 1 + k0: 1 + k1, l0:m])
+                g = _gauss_factor(sq, lags, cfg, out=sq)
+                d_series[:, m, k0:k1] = -dt * np.stack(
+                    _history_sums(dx, dy, g, w), axis=-1)
         mean_d = d_series.mean(axis=2)
         gamma_paths = np.zeros((len(block), m_t + 1, 2))
         gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)

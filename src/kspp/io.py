@@ -83,15 +83,22 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
         k = int(np.argmax(bad))
         raise ValueError(f"{path}: data row {k + 1}: index fields {index[k].tolist()} "
                          "are not all non-negative integers")
-    reps, parts, steps = index.astype(int).T
-    shape = (reps.max() + 1, steps.max() + 1, parts.max() + 1)
-    counts = np.bincount(np.ravel_multi_index((reps, steps, parts), shape),
-                         minlength=math.prod(shape))
-    missing = int(np.count_nonzero(counts == 0))
-    duplicated = len(reps) - (counts.size - missing)
+    # the (replica, step, particle) grid, sized in Python ints: no overflow
+    shape = tuple(int(v) + 1 for v in index.max(axis=0)[[0, 2, 1]])
+    size = math.prod(shape)
+    if len(index) < size:
+        # too few rows: counted without sizing anything by the largest
+        # indices, which may be far larger than the file
+        distinct = len(np.unique(index, axis=0))
+    else:
+        reps, parts, steps = index.astype(int).T
+        counts = np.bincount(np.ravel_multi_index((reps, steps, parts), shape),
+                             minlength=size)
+        distinct = int(np.count_nonzero(counts))
+    missing, duplicated = size - distinct, len(index) - distinct
     if missing or duplicated:
         raise ValueError(f"{path}: incomplete trajectory grid: {missing} missing "
-                         f"and {duplicated} duplicated rows of the {counts.size} "
+                         f"and {duplicated} duplicated rows of the {size} "
                          "(replica, particle, step) rows")
     pos = np.full(shape + (2,), np.nan)
     pos[reps, steps, parts] = data[:, 4:]

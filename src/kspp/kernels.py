@@ -164,29 +164,6 @@ class SourceSpec:
     def is_zero(self) -> bool:
         return not self.components
 
-    def density(self, x) -> np.ndarray:
-        """The mixture density itself (used by quadrature oracles)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for w, center, var in self.components:
-            sq = _sqnorm(x - np.asarray(center))
-            out = out + w / (2.0 * math.pi * var) * _clamped_exp(sq / (2.0 * var))
-        return out
-
-    def lp_norm(self, p: float, n_quad: int = 400) -> float:
-        """||c0||_Lp by tensor Gauss-Legendre quadrature over a covering box."""
-        if self.is_zero:
-            return 0.0
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-        half = max(abs(c[0]) + abs(c[1]) + 12.0 * math.sqrt(v)
-                   for _, c, v in self.components)
-        nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-        u = half * nodes
-        w2 = np.outer(weights, weights) * half * half
-        grid = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
-        return float(np.sum(self.density(grid) ** p * w2)) ** (1.0 / p)
-
 
 def background_field(t, x, source: SourceSpec, params: KernelParams):
     """Background concentration and its gradient at (t, x).
@@ -212,21 +189,3 @@ def background_field(t, x, source: SourceSpec, params: KernelParams):
         b = b + decay * dens
         grad = grad + (-(decay * dens / v_t))[..., None] * d
     return b, grad
-
-
-def heat_grad_lp_norm(t: float, q: float, params: KernelParams) -> float:
-    """||grad g_t||_Lq by radial quadrature (the gradient field is radial)."""
-    from scipy.integrate import quad  # only this oracle needs scipy
-
-    if t <= 0 or q < 1:
-        raise ValueError("require t > 0 and q >= 1")
-    th = params.theta
-
-    def profile(r: float) -> float:
-        mag = th / (4.0 * math.pi * t) * (th * r / (2.0 * t)) \
-            * math.exp(-min(th * r * r / (4.0 * t), EXP_CLAMP))
-        return 2.0 * math.pi * r * mag ** q
-
-    upper = 30.0 * math.sqrt(t / th)
-    val, _ = quad(profile, 0.0, upper, limit=200)
-    return val ** (1.0 / q)

@@ -353,33 +353,6 @@ def _history_sums(dx: np.ndarray, dy: np.ndarray, g: np.ndarray,
                 np.einsum("...l,...l->...", g, dy))
 
 
-def _pair_drifts(hist: np.ndarray, config: SimConfig, m: int,
-                 i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-    """`pair_drifts` on a split history `hist` (`_split_history`), m >= 1."""
-    l0, lags, w = _conv_weights(m, config)
-    h = hist.swapaxes(0, 1)
-    dx, dy, sq = _pair_geometry(h[:, :, i_idx, m, None], h[:, :, j_idx, l0:m])
-    g = _gauss_factor(sq, lags, config, out=sq)
-    return -config.dt * np.stack(_history_sums(dx, dy, g, w), axis=-1)
-
-
-def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
-                i_idx, j_idx) -> np.ndarray:
-    """Discrete pair drifts D^{i,j}_m of every replica, shape (R, K, 2).
-
-    `positions` is (R, T, N, 2) with T > m; pair k is (i_idx[k], j_idx[k]).
-    Uses exactly the simulator's convolution rule, so values agree with
-    what the integrator fed into the paths (positions are the single
-    source of truth; D is a pure function of them).
-    """
-    positions = np.asarray(positions, dtype=float)
-    i_idx, j_idx = np.asarray(i_idx, dtype=int), np.asarray(j_idx, dtype=int)
-    if m == 0:
-        return np.zeros((positions.shape[0], len(i_idx), 2))
-    return _pair_drifts(_split_history(positions[:, : m + 1]), config, m,
-                        i_idx, j_idx)
-
-
 def _drift_window(m: int, config: SimConfig) -> int:
     """History rows of the drift at step m."""
     return m - _history_start(m, config)
@@ -664,35 +637,3 @@ def _resolve_threads() -> int:
         return max(1, int(env))
     except ValueError:
         return 1
-
-
-def frozen_drift_oracle(displacement, t: float, params: KernelParams) -> np.ndarray:
-    """Drift integral int_0^t H_u(R) du for a constant displacement R.
-
-    For lam = 0, eps = 0 this is the closed form
-    -R e^(-theta|R|^2 / 4t) / (2 pi |R|^2); otherwise the radial weight is
-    integrated by adaptive quadrature to absolute tolerance 1e-8.
-    """
-    from scipy.integrate import quad  # only this oracle needs scipy
-
-    r = np.asarray(displacement, dtype=float)
-    sq = float(r @ r)
-    if sq == 0.0:
-        raise ValueError("displacement must be nonzero")
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    th, lam, eps = params.theta, params.lam, params.epsilon
-    if lam == 0.0 and eps == 0.0:
-        return -r * math.exp(-th * sq / (4.0 * t)) / (2.0 * math.pi * sq)
-
-    def weight(u: float) -> float:
-        if u == 0.0:
-            return 0.0
-        arg = th * sq / (4.0 * u)
-        if arg > EXP_CLAMP:
-            return 0.0
-        return (th / (8.0 * math.pi * (u + eps) ** 2)
-                * math.exp(-lam * u / th) * math.exp(-arg))
-
-    total, _ = quad(weight, 0.0, t, epsabs=1e-8, limit=300)
-    return -r * total

@@ -1,0 +1,110 @@
+"""Reference implementations that only the tests use.
+
+Explicit-pair drifts, the frozen-pair drift integral, and the Lp norms of
+the heat-kernel gradient and of a Gaussian-mixture source. The package
+runs without them; the quadrature oracles are the only users of scipy.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+
+from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, _clamped_exp,
+                          _sqnorm)
+from kspp.simulator import (SimConfig, _conv_weights, _gauss_factor,
+                            _history_sums, _pair_geometry, _split_history)
+
+
+def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
+                i_idx, j_idx) -> np.ndarray:
+    """Discrete pair drifts D^{i,j}_m of every replica, shape (R, K, 2).
+
+    `positions` is (R, T, N, 2) with T > m; pair k is (i_idx[k], j_idx[k]).
+    Uses exactly the simulator's convolution rule, so values agree with
+    what the integrator fed into the paths (positions are the single
+    source of truth; D is a pure function of them).
+    """
+    positions = np.asarray(positions, dtype=float)
+    i_idx, j_idx = np.asarray(i_idx, dtype=int), np.asarray(j_idx, dtype=int)
+    if m == 0:
+        return np.zeros((positions.shape[0], len(i_idx), 2))
+    l0, lags, w = _conv_weights(m, config)
+    h = _split_history(positions[:, : m + 1]).swapaxes(0, 1)
+    dx, dy, sq = _pair_geometry(h[:, :, i_idx, m, None], h[:, :, j_idx, l0:m])
+    g = _gauss_factor(sq, lags, config, out=sq)
+    return -config.dt * np.stack(_history_sums(dx, dy, g, w), axis=-1)
+
+
+def frozen_drift_oracle(displacement, t: float, params: KernelParams) -> np.ndarray:
+    """Drift integral int_0^t H_u(R) du for a constant displacement R.
+
+    For lam = 0, eps = 0 this is the closed form
+    -R e^(-theta|R|^2 / 4t) / (2 pi |R|^2); otherwise the radial weight is
+    integrated by adaptive quadrature to absolute tolerance 1e-8.
+    """
+    r = np.asarray(displacement, dtype=float)
+    sq = float(r @ r)
+    if sq == 0.0:
+        raise ValueError("displacement must be nonzero")
+    if t <= 0:
+        raise ValueError(f"t must be > 0, got {t}")
+    th, lam, eps = params.theta, params.lam, params.epsilon
+    if lam == 0.0 and eps == 0.0:
+        return -r * math.exp(-th * sq / (4.0 * t)) / (2.0 * math.pi * sq)
+
+    def weight(u: float) -> float:
+        if u == 0.0:
+            return 0.0
+        arg = th * sq / (4.0 * u)
+        if arg > EXP_CLAMP:
+            return 0.0
+        return (th / (8.0 * math.pi * (u + eps) ** 2)
+                * math.exp(-lam * u / th) * math.exp(-arg))
+
+    total, _ = quad(weight, 0.0, t, epsabs=1e-8, limit=300)
+    return -r * total
+
+
+def heat_grad_lp_norm(t: float, q: float, params: KernelParams) -> float:
+    """||grad g_t||_Lq by radial quadrature (the gradient field is radial)."""
+    if t <= 0 or q < 1:
+        raise ValueError("require t > 0 and q >= 1")
+    th = params.theta
+
+    def profile(r: float) -> float:
+        mag = th / (4.0 * math.pi * t) * (th * r / (2.0 * t)) \
+            * math.exp(-min(th * r * r / (4.0 * t), EXP_CLAMP))
+        return 2.0 * math.pi * r * mag ** q
+
+    upper = 30.0 * math.sqrt(t / th)
+    val, _ = quad(profile, 0.0, upper, limit=200)
+    return val ** (1.0 / q)
+
+
+def source_density(source: SourceSpec, x) -> np.ndarray:
+    """The mixture density of `source` itself at x (..., 2)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1])
+    for w, center, var in source.components:
+        sq = _sqnorm(x - np.asarray(center))
+        out = out + w / (2.0 * math.pi * var) * _clamped_exp(sq / (2.0 * var))
+    return out
+
+
+def source_lp_norm(source: SourceSpec, p: float, n_quad: int = 400) -> float:
+    """||c0||_Lp of `source` by tensor Gauss-Legendre quadrature over a
+    covering box."""
+    if source.is_zero:
+        return 0.0
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    half = max(abs(c[0]) + abs(c[1]) + 12.0 * math.sqrt(v)
+               for _, c, v in source.components)
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    u = half * nodes
+    w2 = np.outer(weights, weights) * half * half
+    grid = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
+    return float(np.sum(source_density(source, grid) ** p * w2)) ** (1.0 / p)

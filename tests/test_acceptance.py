@@ -14,6 +14,8 @@ from kspp.estimators import EstimatorParams
 from kspp.kernels import KernelParams
 from kspp.simulator import InitSpec, SimConfig
 
+import oracles
+
 
 def report(name: str, detail: str) -> None:
     print(f"[acceptance] {name}: PASS ({detail})")
@@ -91,15 +93,15 @@ def test_criterion_5_drift_oracle_equivalence():
                     init=InitSpec("point"))
     init = np.array([[[0.0, 0.0], [1.0, 0.0]]])
     ens = simulator.run(cfg, initial=init)
-    d_hat = simulator.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
-    closed = simulator.frozen_drift_oracle(
+    d_hat = oracles.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
+    closed = oracles.frozen_drift_oracle(
         np.array([-1.0, 0.0]), 1.0, KernelParams(theta=1.0, chi=1.0))
     rel = float(np.linalg.norm(d_hat - closed) / np.linalg.norm(closed))
     assert rel < 1e-3
 
-    quad_path = simulator.frozen_drift_oracle(
+    quad_path = oracles.frozen_drift_oracle(
         np.array([1.0, 0.0]), 1.0, KernelParams(theta=1.0, chi=1.0, epsilon=1e-6))
-    closed2 = simulator.frozen_drift_oracle(
+    closed2 = oracles.frozen_drift_oracle(
         np.array([1.0, 0.0]), 1.0, KernelParams(theta=1.0, chi=1.0))
     gap = float(np.linalg.norm(quad_path - closed2))
     assert gap < 1e-4

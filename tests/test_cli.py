@@ -389,6 +389,15 @@ class TestParser:
                          "--out", str(tmp_path)]) == 2
         assert "could not convert string to float: 'x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilons", ["0.05", "0.05,0.05", "0.05,5e-2"])
+    def test_epsilons_fewer_than_two_distinct_exit_2(self, tmp_path, capsys,
+                                                     epsilons):
+        # once spread 1.0 and a pass with nothing compared
+        assert cli.main(["epsilon-study", "--epsilons", epsilons,
+                         "--out", str(tmp_path)]) == 2
+        assert "at least two distinct values" in capsys.readouterr().err
+        assert not (tmp_path / "epsilon_study.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["martingale-test", "--steps", "0"],
         ["epsilon-study", "--steps", "0"],
@@ -449,8 +458,15 @@ def test_entry_point_help_lists_every_mode():
 
 
 def test_cli_import_leaves_out_scipy():
-    # scipy is only needed by the quadrature oracles, which import it lazily
-    code = "import sys, kspp.cli; print('scipy' in sys.modules)"
+    # scipy is a test dependency only: importing the CLI, the package and
+    # every one of its submodules does not import it
+    code = ("import importlib, pkgutil, sys, kspp, kspp.cli\n"
+            "names = [m.name for m in pkgutil.iter_modules(kspp.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('kspp.' + name)\n"
+            "print(len(names), 'scipy' in sys.modules)")
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    count, loaded = out.stdout.split()
+    assert int(count) >= 7
+    assert loaded == "False"

@@ -19,6 +19,8 @@ from kspp.constants import c0_const, kappa
 from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, background_field,
                           smoothed_weight)
 
+import oracles as O
+
 
 def frozen_pair_ensemble(dt=2.0 ** -10, n_steps=1024, distance=1.0, chi=1.0,
                          epsilon=1e-3):
@@ -267,7 +269,7 @@ def reference_moments(ens, ep):
         out["E3"].append(mean(e3))
         d = np.zeros((m_t + 1, len(pairs), 2))
         for m in range(1, m_t + 1):
-            d[m] = S.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
+            d[m] = O.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
         d_mag = np.sqrt(np.einsum("mkc,mkc->mk", d, d))
         out["E4"].append(mean(w_tr @ d_mag ** q))
         lag, sq = gather(pos, m_t)
@@ -370,8 +372,8 @@ class TestDriftDomination:
         eps = 0.05
         ens = frozen_pair_ensemble(dt=1e-4, n_steps=10000, epsilon=eps)
         cfg = ens.config
-        d_hat = S.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
-        d_oracle = S.frozen_drift_oracle(
+        d_hat = O.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
+        d_oracle = O.frozen_drift_oracle(
             np.array([-1.0, 0.0]), 1.0,
             KernelParams(theta=1.0, chi=1.0, epsilon=eps))
         assert (np.linalg.norm(d_hat - d_oracle) / np.linalg.norm(d_oracle)
@@ -513,7 +515,7 @@ class TestHolderModulus:
         for r in range(replicas):
             d = np.zeros((steps + 1, n - 1, 2))
             for m in range(1, steps + 1):
-                d[m] = S.pair_drifts(ens.positions[r: r + 1], cfg, m,
+                d[m] = O.pair_drifts(ens.positions[r: r + 1], cfg, m,
                                      [0] * (n - 1), range(1, n))[0]
             path = np.zeros((steps + 1, 2))
             path[1:] = chi * dt * np.cumsum(d.mean(axis=1)[:-1], axis=0)
@@ -635,10 +637,12 @@ class TestTargetTiles:
         # one replica's dx and dy over `chunk` of the pairs (0, j)
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
                                chunk * 16 * ens.n_steps), \
-                mock.patch.object(E, "_pair_drifts",
-                                  wraps=E._pair_drifts) as drifts:
+                mock.patch.object(E, "_pair_geometry",
+                                  wraps=E._pair_geometry) as geometry:
             tiled = E.holder_modulus(ens, EP)
-        assert max(len(c.args[3]) for c in drifts.call_args_list) == chunk
+        # the 4-d (2, B, j, l) pair calls, not `_holder_max`'s 3-d paths
+        assert max(c.args[1].shape[2] for c in geometry.call_args_list
+                   if c.args[1].ndim == 4) == chunk
         assert np.array_equal(tiled.z_hat, whole.z_hat)
         assert np.array_equal(tiled.bound, whole.bound)
 
@@ -909,7 +913,7 @@ def reference_drifts(pos, cfg, m_lo, m_hi):
     pairs = E.ordered_pairs(n)
     i_idx = np.array([i for i, _ in pairs])
     j_idx = np.array([j for _, j in pairs])
-    d = np.stack([S.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
+    d = np.stack([O.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
                   for m in range(m_lo, m_hi + 1)])
     grad_b = np.zeros((m_hi - m_lo + 1, n, 2))
     if not cfg.source.is_zero:

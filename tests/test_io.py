@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,28 @@ class TestTrajectoryFiles:
         (tmp_path / "dup.csv").write_text("".join(lines + lines[7:9]))
         with pytest.raises(ValueError, match="2 duplicated"):
             io.read_trajectory_csv(tmp_path / "dup.csv")
+
+    @pytest.mark.parametrize("far, size", [
+        ("1000000,0,0", 1000001), ("10000000,10000000,10000000", 10000001 ** 3),
+        ("1e19,0,0", 10 ** 19 + 1)],
+        ids=["replica_1e6", "grid_past_int64", "index_past_int64"])
+    def test_csv_too_few_rows_rejected_before_sizing_the_grid(self, tmp_path,
+                                                              far, size):
+        # two rows spanning a grid of `size` rows: the count check comes
+        # before anything is sized by the largest indices (a 9 MB peak at
+        # 10^6 replicas when the grid was counted first)
+        path = tmp_path / "sparse.csv"
+        path.write_text(f"{io.CSV_HEADER}\n0,0,0,0,1,2\n{far},0,3,4\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="incomplete trajectory grid: "
+                               f"{size - 2} missing and 0 duplicated rows of "
+                               f"the {size} "):
+                io.read_trajectory_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     @pytest.mark.parametrize("line, column, value, message", [
         (6, 2, "3.7", r"data row 6: index fields \[0.0, 1.0, 3.7\]"),

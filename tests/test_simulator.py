@@ -13,6 +13,8 @@ from kspp import simulator as S
 from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec,
                           background_field)
 
+import oracles as O
+
 
 def make_config(**kw):
     params = kw.pop("params", KernelParams(theta=1.0, chi=0.0, epsilon=0.05))
@@ -163,7 +165,7 @@ class TestHistoryDrift:
     def test_empty_history_is_zero(self):
         cfg = make_config(params=KernelParams(theta=1.0, chi=1.0, epsilon=0.05))
         ens = S.run(cfg)
-        d = S.pair_drifts(ens.positions, cfg, 0, [0, 1], [1, 0])
+        d = O.pair_drifts(ens.positions, cfg, 0, [0, 1], [1, 0])
         np.testing.assert_array_equal(d, np.zeros((1, 2, 2)))
 
     def test_frozen_pair_matches_oracle(self):
@@ -173,8 +175,8 @@ class TestHistoryDrift:
                           noise_mode="zero")
         init = np.array([[[0.0, 0.0], [1.0, 0.0]]])
         ens = S.run(cfg, initial=init)
-        d_hat = S.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
-        oracle = S.frozen_drift_oracle(
+        d_hat = O.pair_drifts(ens.positions, cfg, 10000, [0], [1])[0, 0]
+        oracle = O.frozen_drift_oracle(
             np.array([-1.0, 0.0]), 1.0, KernelParams(theta=1.0, chi=1.0))
         rel = np.linalg.norm(d_hat - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-3
@@ -186,8 +188,8 @@ class TestHistoryDrift:
                           n_steps=10)
         ens = S.run(cfg)
         for m in range(11):
-            d12 = S.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0]
-            d21 = S.pair_drifts(ens.positions, cfg, m, [1], [0])[0, 0]
+            d12 = O.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0]
+            d21 = O.pair_drifts(ens.positions, cfg, m, [1], [0])[0, 0]
             np.testing.assert_array_equal(d12, -d21)
 
     def test_history_cutoff_truncates(self):
@@ -197,7 +199,7 @@ class TestHistoryDrift:
         pos = ens.positions[0]
         m = 30
         cut = dataclasses.replace(cfg, history_cutoff=5 * cfg.dt)
-        d_cut = S.pair_drifts(ens.positions, cut, m, [0], [1])[0, 0]
+        d_cut = O.pair_drifts(ens.positions, cut, m, [0], [1])[0, 0]
         # manual sum over the last five history rows
         p = cfg.params
         manual = np.zeros(2)
@@ -210,8 +212,8 @@ class TestHistoryDrift:
         np.testing.assert_allclose(d_cut, manual, rtol=1e-12)
         full = dataclasses.replace(cfg, history_cutoff=10.0)
         np.testing.assert_array_equal(
-            S.pair_drifts(ens.positions, full, m, [0], [1])[0, 0],
-            S.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0])
+            O.pair_drifts(ens.positions, full, m, [0], [1])[0, 0],
+            O.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0])
 
     def test_envelope_dominates_discrete_drift(self):
         from kspp.kernels import grad_envelope
@@ -221,7 +223,7 @@ class TestHistoryDrift:
         pos = ens.positions[0]
         alpha = 0.08
         for m in (1, 10, 40):
-            d = S.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0]
+            d = O.pair_drifts(ens.positions, cfg, m, [0], [1])[0, 0]
             lags = (m - np.arange(m)) * cfg.dt
             diffs = pos[m, 0][None, :] - pos[:m, 1, :]
             env_sum = cfg.dt * float(np.sum(
@@ -240,7 +242,7 @@ class TestHistoryDrift:
                           source=_MIXTURE if source else SourceSpec())
         x = S.run(cfg).positions
         steps = range(cfg.n_steps + 1)
-        want = np.stack([S.pair_drifts(x, cfg, m, [0, 1], [1, 0])
+        want = np.stack([O.pair_drifts(x, cfg, m, [0, 1], [1, 0])
                          for m in steps], axis=1)
         if source:
             t = np.asarray(steps) * cfg.dt + params.epsilon
@@ -267,7 +269,7 @@ class TestHistoryDrift:
         got = S._mean_drifts(S._split_history(pos), m, cfg, work)
         i_idx, j_idx = zip(*[(i, j) for i in range(n) for j in range(n)
                              if j != i])
-        pair = S.pair_drifts(pos, cfg, m, i_idx, j_idx).reshape(
+        pair = O.pair_drifts(pos, cfg, m, i_idx, j_idx).reshape(
             replicas, n, n - 1, 2)
         want = pair.sum(axis=2) / (n - 1)
         scale = np.abs(pair).max(axis=(2, 3))[..., None]
@@ -730,7 +732,7 @@ class TestHistoryLayout:
                                              st.integers(0, n - 1)),
                                    min_size=1, max_size=12), label="pairs")
         i_idx, j_idx = (list(k) for k in zip(*pairs))
-        np.testing.assert_array_equal(S.pair_drifts(pos, cfg, m, i_idx, j_idx),
+        np.testing.assert_array_equal(O.pair_drifts(pos, cfg, m, i_idx, j_idx),
                                       full[:, i_idx, j_idx])
 
     @pytest.mark.parametrize("into", [False, True])
@@ -762,20 +764,20 @@ class TestHistoryLayout:
 
 class TestFrozenDriftOracle:
     def test_closed_form_large_time(self):
-        got = S.frozen_drift_oracle(np.array([1.0, 0.0]), 1e12,
+        got = O.frozen_drift_oracle(np.array([1.0, 0.0]), 1e12,
                                     KernelParams(theta=1.0, chi=1.0))
         np.testing.assert_allclose(got, [-1 / (2 * math.pi), 0.0], rtol=1e-12)
 
     def test_closed_form_unit_time(self):
-        got = S.frozen_drift_oracle(np.array([1.0, 0.0]), 1.0,
+        got = O.frozen_drift_oracle(np.array([1.0, 0.0]), 1.0,
                                     KernelParams(theta=1.0, chi=1.0))
         want = [-math.exp(-0.25) / (2 * math.pi), 0.0]
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_quadrature_closed_form_consistency(self):
         r = np.array([1.0, 0.0])
-        closed = S.frozen_drift_oracle(r, 1.0, KernelParams(theta=1.0, chi=1.0))
-        smoothed = S.frozen_drift_oracle(
+        closed = O.frozen_drift_oracle(r, 1.0, KernelParams(theta=1.0, chi=1.0))
+        smoothed = O.frozen_drift_oracle(
             r, 1.0, KernelParams(theta=1.0, chi=1.0, epsilon=1e-6))
         assert np.linalg.norm(smoothed - closed) < 1e-4
 
@@ -790,14 +792,14 @@ class TestFrozenDriftOracle:
                     * math.exp(-params.theta * sq / (4 * u)))
 
         ref, _ = quad(w, 0, 0.7, limit=300)
-        got = S.frozen_drift_oracle(r, 0.7, params)
+        got = O.frozen_drift_oracle(r, 0.7, params)
         np.testing.assert_allclose(got, -r * ref, rtol=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            S.frozen_drift_oracle(np.zeros(2), 1.0, KernelParams(theta=1.0, chi=1.0))
+            O.frozen_drift_oracle(np.zeros(2), 1.0, KernelParams(theta=1.0, chi=1.0))
         with pytest.raises(ValueError):
-            S.frozen_drift_oracle(np.ones(2), 0.0, KernelParams(theta=1.0, chi=1.0))
+            O.frozen_drift_oracle(np.ones(2), 0.0, KernelParams(theta=1.0, chi=1.0))
 
 
 class TestBackgroundDrift:
