@@ -16,6 +16,7 @@ JSON: non-finite numbers are written as null.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -502,6 +503,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # the directories that --out creates, deepest first: a usage error
+    # removes those still empty, so that it leaves nothing behind
+    made = [d for d in (args.out, *args.out.parents) if not d.exists()]
     try:
         if (args.mode == "threshold" and not args.remark61
                 and (args.theta is None or args.p is None)):
@@ -510,6 +514,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for d in made:
+            with contextlib.suppress(OSError):   # not empty, or not made
+                d.rmdir()
         return 2
 
 

@@ -18,6 +18,7 @@ under particle relabeling bit for bit.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import statistics
 import time
@@ -389,6 +390,101 @@ def _check_slack(slack: float) -> None:
         raise ValueError(f"slack must be finite and > 0, got {slack}")
 
 
+def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
+                     n_pairs: int, series: np.ndarray, all_rows: bool):
+    """The pair drifts D^{i,j}_m of the first `n_pairs` ordered pairs
+    (`ordered_pairs`) of the `kept` replicas at the steps 1 <= m <= m_t.
+
+    A generator: for each replica block, step m and tile of pairs it
+    yields m, the tile's squared distances |X^i_m - X^j_l|^2 (B, K, L)
+    and its D by coordinate, d_x and d_y (B, K). The L rows are l < m
+    with `all_rows`, else only the drift's own rows [l0, m). The squared
+    distances are a view of the pass's workspace, which the caller may
+    overwrite: the next tile forms them anew. The pairs (0, j), the
+    first N - 1, also go into `series` (len(kept), m_t + 1, N - 1, 2) at
+    [block, m]; its row 0 is left as it is.
+
+    D is the drift kernel's: `_pair_geometry`, `_gauss_factor` and
+    `_history_sums` on the rows [l0, m). Replicas run in blocks and the
+    pairs, which are i-major, in contiguous tiles whose dx and dy fit
+    DRIFT_BUDGET_BYTES for the largest block (one whenever a block fits).
+    A tile within the pairs (0, j) reads them as the particle slice
+    1 + k of the split history; any other tile gathers its pairs into the
+    workspace at each step. Every tile keeps whole history rows, so D depends neither on the
+    tiles nor on `all_rows`, bit for bit. The tiles' dx and dy, squared
+    distances and Gaussian factors are views of one workspace, allocated
+    once per call for the largest block and tile at the horizon: fresh
+    per-step arrays, one history row larger at each step, grew the heap
+    (see simulator.DRIFT_BUDGET_BYTES).
+    """
+    cfg = ensemble.config
+    dt = cfg.dt
+    n = ensemble.n_particles
+    i_idx, j_idx = _pair_index(ordered_pairs(n)[:n_pairs])
+    blocks = budget_blocks(len(kept), 16 * n_pairs * m_t)
+    b_max = len(blocks[0]) if blocks else 0
+    tiles = budget_blocks(n_pairs, 16 * m_t * b_max)
+    work = np.empty(4 * b_max * len(tiles[0]) * m_t)
+    for block in blocks:
+        rows = slice(block.start, block.stop)
+        # (2, B, N, T); the gathered positions are freed once split
+        h = _split_history(
+            ensemble.positions[kept[rows], : m_t + 1]).swapaxes(0, 1)
+        for m in range(1, m_t + 1):
+            l0, lags, w = _conv_weights(m, cfg)
+            lo = 0 if all_rows else l0
+            for tile in tiles:
+                k0, k1 = tile.start, tile.stop
+                # geometry over (B, k, l): X^i_m - X^j_l for pair k and the
+                # rows lo <= l < m. Gathered pairs go straight into dx and
+                # dy's views, which then take the difference in place: a
+                # gathered temporary would add a budget to the peak
+                shape = (len(block), k1 - k0, m - lo)
+                d, sq, g = _views(work, (2, *shape), shape,
+                                  (*shape[:2], m - l0))
+                if k1 < n:
+                    now = h[:, :, :1, m, None]
+                    past = h[:, :, 1 + k0: 1 + k1, lo:m]
+                else:
+                    now = h[:, :, i_idx[k0:k1], m, None]
+                    past = np.take(h[..., lo:m], j_idx[k0:k1], axis=2,
+                                   out=d, mode="clip")   # unbuffered
+                dx, dy, _ = _pair_geometry(now, past, out=(d, sq))
+                own = slice(l0 - lo, None)
+                sx, sy = _history_sums(
+                    dx[..., own], dy[..., own],
+                    _gauss_factor(sq[..., own], lags, cfg, out=g), w)
+                d_x, d_y = -dt * sx, -dt * sy
+                if k0 < n - 1:
+                    top = min(k1, n - 1) - k0
+                    series[rows, m, k0: k0 + top] = np.stack(
+                        (d_x[:, :top], d_y[:, :top]), axis=-1)
+                yield m, sq, d_x, d_y
+
+
+def _fingerprint(positions: np.ndarray, m_t: int) -> bytes:
+    """SHA-256 of positions[:, :m_t + 1]: its shape, dtype and bytes, read
+    in replica blocks of at most DRIFT_BUDGET_BYTES (a block is copied only
+    when it is not contiguous, as a horizon short of the last row makes it)."""
+    rows = positions[:, : m_t + 1]
+    digest = hashlib.sha256(repr((rows.shape, rows.dtype.str)).encode())
+    for block in budget_blocks(len(rows), rows[:1].nbytes):
+        digest.update(np.ascontiguousarray(rows[block.start: block.stop]))
+    return digest.digest()
+
+
+# One slot: the pair drift series D^{0,j} of the last drift_domination_check,
+# with its key, as (config, m_t, fingerprint, kept, series). A holder_modulus
+# call whose ensemble's config, horizon index and position fingerprint all
+# match the key takes the series and empties the slot, so that the series,
+# R (M + 1) (N - 1) 16 bytes, lives no longer than the two checks need it.
+# A module slot, not an argument, since callers such as the benchmark call the
+# two checks separately. The tuple is replaced whole, so a concurrent reader
+# sees one key with its own series; a race can only empty the slot early,
+# and the next holder_modulus call then runs its own pass.
+_drift_memo: tuple | None = None
+
+
 def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                            slack: float = 1.05) -> DominationStats:
     """Discrete drift-domination inequality per (replica, ordered pair, step).
@@ -400,50 +496,49 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     `checked` counts the checks of the others. With none left, nothing is
     checked: `worst_margin` is NaN and the stats are not `ok`. slack must be
     finite and > 0.
+
+    D comes from the pair-drift pass over all ordered pairs
+    (`_pair_drift_pass`), S from the squared distances of the same
+    geometry. The pass also writes the pairs (0, j) into a D^{0,j} series,
+    kept in a one-slot memo with the config, the horizon index and a
+    SHA-256 fingerprint of positions[:, :m_t + 1]. A holder_modulus call
+    whose ensemble matches all three takes its D from there. The slot
+    holds one series, R (M + 1) (N - 1) 16 bytes for R kept replicas and
+    the horizon index M, until that Hoelder call takes it or the next
+    domination call replaces it.
     """
+    global _drift_memo
     _check_slack(slack)
+    _drift_memo = None   # one series at a time
     cfg = ensemble.config
     p = cfg.params
     dt = cfg.dt
+    n = ensemble.n_particles
     m_t = _horizon_index(ensemble, ep.horizon)
-    pairs = ordered_pairs(ensemble.n_particles)
-    i_idx, j_idx = _pair_index(pairs)
+    n_pairs = n * (n - 1)
     const = (math.sqrt(p.theta) * c0_const(4.0 * ep.alpha / p.theta)
              * kappa(0.5, ep.gamma - 1.0) / (4.0 * math.pi))
     expo = 1.0 / (2.0 * (ep.gamma - 1.0))
     kept = _finite_replicas(ensemble, m_t)
     violations = 0
-    checked = len(kept) * len(pairs) * m_t
+    checked = len(kept) * n_pairs * m_t
     worst = 0.0 if checked else math.nan
-    blocks = budget_blocks(len(kept), 16 * len(pairs) * m_t)
-    b_max = len(blocks[0]) if blocks else 0
-    # tiles of the pairs, which are i-major, whose dx and dy fit the budget
-    # for the largest block: one whenever a block fits
-    tiles = budget_blocks(len(pairs), 16 * m_t * b_max)
-    for block in blocks:
-        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        h = _split_history(pos).swapaxes(0, 1)   # (2, B, N, T)
-        for m in range(1, m_t + 1):
-            l0, lags, w = _conv_weights(m, cfg)
-            lag = (m - np.arange(m)) * dt
-            for tile in tiles:
-                k = slice(tile.start, tile.stop)
-                # geometry over (B, k, l): X^i_m - X^j_l for pair k and
-                # l < m; D on its rows [l0, m) as in the drift kernel, S on
-                # all of them
-                dx, dy, sq = _pair_geometry(h[:, :, i_idx[k], m, None],
-                                            h[:, :, j_idx[k], :m])
-                sx, sy = _history_sums(dx[..., l0:], dy[..., l0:],
-                                       _gauss_factor(sq[..., l0:], lags, cfg),
-                                       w)
-                d_x, d_y = -dt * sx, -dt * sy
-                d_mag = np.sqrt(d_x * d_x + d_y * d_y)
-                s_vals = dt * np.sum((lag + ep.alpha * sq) ** (-ep.gamma),
-                                     axis=-1)
-                bound = const * s_vals ** expo
-                ratio = d_mag / (slack * bound)
-                violations += int(np.sum(ratio > 1.0))
-                worst = max(worst, float(np.max(d_mag / bound)))
+    series = np.zeros((len(kept), m_t + 1, n - 1, 2))   # D_0 = 0
+    # D on the drift's rows [l0, m), S on all the rows l < m
+    for m, sq, d_x, d_y in _pair_drift_pass(ensemble, m_t, kept, n_pairs,
+                                            series, all_rows=True):
+        lag = (m - np.arange(m)) * dt
+        d_mag = np.sqrt(d_x * d_x + d_y * d_y)
+        # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
+        np.multiply(sq, ep.alpha, out=sq)
+        np.add(lag, sq, out=sq)
+        s_vals = dt * np.sum(np.power(sq, -ep.gamma, out=sq), axis=-1)
+        bound = const * s_vals ** expo
+        ratio = d_mag / (slack * bound)
+        violations += int(np.sum(ratio > 1.0))
+        worst = max(worst, float(np.max(d_mag / bound)))
+    _drift_memo = (cfg, m_t, _fingerprint(ensemble.positions, m_t), kept,
+                   series)
     return DominationStats(checked, violations, worst, slack,
                            excluded=ensemble.n_replicas - len(kept))
 
@@ -502,7 +597,16 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     non-finite positions up to the horizon are excluded and counted in
     `excluded`; z_hat and bound hold the others, in replica order. slack
     must be finite and > 0.
+
+    The series D^{0,j} comes from the memo of the last
+    drift_domination_check when its config, horizon index and SHA-256
+    fingerprint of positions[:, :m_t + 1] all equal this call's; the call
+    then empties the memo. Otherwise it comes from the same pair-drift
+    pass (`_pair_drift_pass`) over the pairs (0, j) alone, without S, and
+    the memo is left as it is. The series is bit-identical either way, so
+    are z_hat and bound.
     """
+    global _drift_memo
     _check_slack(slack)
     cfg = ensemble.config
     chi, dt = cfg.params.chi, cfg.dt
@@ -511,28 +615,21 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
     q = 2.0 * (ep.gamma - 1.0)
     times = ensemble.times[: m_t + 1]
-    kept = _finite_replicas(ensemble, m_t)
+    memo = _drift_memo
+    if (memo is not None and memo[:2] == (cfg, m_t)
+            and memo[2] == _fingerprint(ensemble.positions, m_t)):
+        kept, series = memo[3:]
+        _drift_memo = None
+    else:
+        kept = _finite_replicas(ensemble, m_t)
+        series = np.zeros((len(kept), m_t + 1, n - 1, 2))   # D_0 = 0
+        for _ in _pair_drift_pass(ensemble, m_t, kept, n - 1, series,
+                                  all_rows=False):
+            pass
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
-    blocks = budget_blocks(len(kept), 16 * (n - 1) * m_t)
-    b_max = len(blocks[0]) if blocks else 0
-    # tiles of the pairs (0, j) whose dx and dy fit the budget for the
-    # largest block: one whenever a block fits
-    tiles = budget_blocks(n - 1, 16 * m_t * b_max)
-    for block in blocks:
-        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        h = _split_history(pos).swapaxes(0, 1)
-        d_series = np.zeros((len(block), m_t + 1, n - 1, 2))  # D_0 = 0
-        for m in range(1, m_t + 1):
-            l0, lags, w = _conv_weights(m, cfg)
-            for tile in tiles:
-                # the pairs (0, j) of the tile's j = 1 + k, a particle slice
-                k0, k1 = tile.start, tile.stop
-                dx, dy, sq = _pair_geometry(h[:, :, :1, m, None],
-                                            h[:, :, 1 + k0: 1 + k1, l0:m])
-                g = _gauss_factor(sq, lags, cfg, out=sq)
-                d_series[:, m, k0:k1] = -dt * np.stack(
-                    _history_sums(dx, dy, g, w), axis=-1)
+    for block in budget_blocks(len(kept), 16 * (n - 1) * m_t):
+        d_series = series[block.start: block.stop]
         mean_d = d_series.mean(axis=2)
         gamma_paths = np.zeros((len(block), m_t + 1, 2))
         gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)

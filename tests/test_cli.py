@@ -398,6 +398,27 @@ class TestParser:
         assert "at least two distinct values" in capsys.readouterr().err
         assert not (tmp_path / "epsilon_study.json").exists()
 
+    @pytest.mark.parametrize("epsilons", ["0.05", "0.1,x"])
+    def test_mode_usage_error_removes_the_out_it_made(self, tmp_path, capsys,
+                                                      epsilons):
+        # the mode raises after cli.main made --out (and its parent): both
+        # go again, as after an argparse-level error
+        out = tmp_path / "new" / "out"
+        assert exit_status(["epsilon-study", "--epsilons", epsilons,
+                            "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() and not out.parent.exists()
+        # a directory that was there, or holds a file, stays
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "old.txt").write_text("x")
+        assert exit_status(["epsilon-study", "--epsilons", epsilons,
+                            "--out", str(kept / "out")]) == 2
+        assert kept.is_dir() and not (kept / "out").exists()
+        assert exit_status(["epsilon-study", "--epsilons", epsilons,
+                            "--out", str(kept)]) == 2
+        assert (kept / "old.txt").read_text() == "x"
+
     @pytest.mark.parametrize("argv", [
         ["martingale-test", "--steps", "0"],
         ["epsilon-study", "--steps", "0"],

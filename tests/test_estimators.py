@@ -633,10 +633,13 @@ class TestTargetTiles:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
     def test_holder(self, ens, chunk):
-        whole = E.holder_modulus(ens, EP)
+        # an empty memo: both calls run their own pass over the pairs (0, j)
+        with mock.patch.object(E, "_drift_memo", None):
+            whole = E.holder_modulus(ens, EP)
         # one replica's dx and dy over `chunk` of the pairs (0, j)
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
                                chunk * 16 * ens.n_steps), \
+                mock.patch.object(E, "_drift_memo", None), \
                 mock.patch.object(E, "_pair_geometry",
                                   wraps=E._pair_geometry) as geometry:
             tiled = E.holder_modulus(ens, EP)
@@ -684,6 +687,162 @@ class TestTargetTiles:
         assert p < 3 * budget
         _, p = peak(E.holder_modulus, ens, ep)
         assert p < budget
+
+
+def fresh_holder(ens, ep=EP):
+    """holder_modulus with an empty memo: its own pass over the pairs (0, j)."""
+    with mock.patch.object(E, "_drift_memo", None):
+        return E.holder_modulus(ens, ep)
+
+
+def assert_same_holder(got, want):
+    assert got.excluded == want.excluded
+    assert np.array_equal(got.z_hat.view(np.int64), want.z_hat.view(np.int64))
+    assert np.array_equal(got.bound.view(np.int64), want.bound.view(np.int64))
+
+
+class TestSharedDriftPass:
+    """drift_domination_check and holder_modulus share one pair-drift pass:
+    domination keeps the D^{0,j} series in a memo keyed by the config, the
+    horizon and a fingerprint of the positions, and Hoelder reads it only
+    when all three match, so it never returns a stale result."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        # each test starts with an empty memo and leaves the module's as it was
+        with mock.patch.object(E, "_drift_memo", None):
+            yield
+
+    @pytest.fixture
+    def ens(self):
+        # N = 4, lambda = 0.2 and a history cutoff of 4 rows
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=1.0,
+                                              epsilon=0.05),
+                          n_particles=4, dt=0.02, n_steps=20, n_replicas=4,
+                          seed=3, init=S.InitSpec("gaussian", sigma=1.0),
+                          history_cutoff=0.08)
+        return S.run(cfg)
+
+    def test_one_drift_in_e4_domination_and_holder(self, ens):
+        # the D^{i,j}_m of paper_moments' E4, of the domination check and of
+        # the Hoelder series, each recorded from its `_history_sums` calls
+        # (one tile a step here), are one set of bits
+        n, m_t, dt = ens.n_particles, ens.n_steps, ens.config.dt
+
+        def drifts(fn, *args):
+            sums = []
+
+            def record(*a):
+                sums.append(S._history_sums(*a))
+                return sums[-1]
+
+            with mock.patch.object(E, "_history_sums", record):
+                fn(*args)
+            assert len(sums) == m_t
+            return [-dt * np.stack(c, axis=-1) for c in sums]
+
+        e4 = drifts(E.paper_moments, ens, EP)   # (B, i, k, 2), j = i + 1 + k
+        dom = drifts(E.drift_domination_check, ens, EP)   # (B, pair, 2)
+        series = E._drift_memo[4]
+        hold = drifts(fresh_holder, ens)        # (B, j - 1, 2)
+        pairs = E.ordered_pairs(n)
+        for m in range(1, m_t + 1):
+            for p, (i, j) in enumerate(pairs):
+                d = e4[m - 1][:, i, (j - i - 1) % n]
+                assert np.array_equal(d.view(np.int64),
+                                      dom[m - 1][:, p].view(np.int64))
+                # E4's column |D|
+                assert np.array_equal(
+                    np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]),
+                    np.sqrt(np.einsum("bc,bc->b", dom[m - 1][:, p],
+                                      dom[m - 1][:, p])))
+                if i == 0:
+                    assert np.array_equal(d.view(np.int64),
+                                          hold[m - 1][:, j - 1].view(np.int64))
+                    assert np.array_equal(d.view(np.int64),
+                                          series[:, m, j - 1].view(np.int64))
+        assert not series[:, 0].any()
+
+    def test_holder_after_domination_shares_the_pass(self, ens):
+        E.drift_domination_check(ens, EP)
+        with mock.patch.object(E, "_pair_geometry",
+                               wraps=E._pair_geometry) as geometry:
+            shared = E.holder_modulus(ens, EP)
+        # only `_holder_max`'s 3-d path geometry, no 4-d pair geometry
+        assert geometry.call_count
+        assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
+        assert_same_holder(shared, fresh_holder(ens))
+        # the Hoelder call took the series: the memo holds nothing more
+        assert E._drift_memo is None
+
+    def test_positions_changed_in_place(self, ens):
+        E.drift_domination_check(ens, EP)
+        ens.positions[1, 7:] = np.nan
+        got = E.holder_modulus(ens, EP)
+        assert got.excluded == 1
+        assert_same_holder(got, fresh_holder(ens))
+        # a change of one bit, a -0.0 for a 0.0, also misses
+        ens.positions[2, 3, 1, 0] = 0.0
+        E.drift_domination_check(ens, EP)
+        ens.positions[2, 3, 1, 0] = -0.0
+        with mock.patch.object(E, "_pair_geometry",
+                               wraps=E._pair_geometry) as geometry:
+            E.holder_modulus(ens, EP)
+        assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
+
+    def test_another_horizon(self, ens):
+        E.drift_domination_check(ens, EP)
+        early = dataclasses.replace(EP, horizon=0.2)
+        got = E.holder_modulus(ens, early)
+        assert len(got.z_hat) == ens.n_replicas
+        assert_same_holder(got, fresh_holder(ens, early))
+        # and the other way round: domination to 0.2, Hoelder to the end
+        E.drift_domination_check(ens, early)
+        assert_same_holder(E.holder_modulus(ens, EP), fresh_holder(ens))
+
+    def test_another_ensemble_of_the_same_shape_and_config(self, ens):
+        cfg = ens.config
+        other = S.run(cfg, noise=2.0 * S.draw_noise(cfg))
+        assert other.config == cfg
+        assert other.positions.shape == ens.positions.shape
+        E.drift_domination_check(ens, EP)
+        got = E.holder_modulus(other, EP)
+        assert_same_holder(got, fresh_holder(other))
+        assert not np.array_equal(got.z_hat, fresh_holder(ens).z_hat)
+
+    @pytest.mark.parametrize("change", [{"history_cutoff": None},
+                                        {"params": KernelParams(
+                                            theta=1.0, lam=0.2, chi=1.0,
+                                            epsilon=0.1)}],
+                             ids=["cutoff", "epsilon"])
+    def test_same_positions_under_another_config(self, ens, change):
+        other = dataclasses.replace(
+            ens, config=dataclasses.replace(ens.config, **change))
+        E.drift_domination_check(ens, EP)
+        got = E.holder_modulus(other, EP)
+        assert_same_holder(got, fresh_holder(other))
+        assert not np.array_equal(got.bound, fresh_holder(ens).bound)
+
+    def test_holder_called_first(self, ens):
+        want = fresh_holder(ens)
+        assert_same_holder(E.holder_modulus(ens, EP), want)
+        E.drift_domination_check(ens, EP)
+        assert_same_holder(E.holder_modulus(ens, EP), want)
+
+    @pytest.mark.parametrize("budget", [1, 4 * 16 * 20])
+    def test_patched_budget(self, ens, budget):
+        want = fresh_holder(ens)
+        whole = E.drift_domination_check(ens, EP)
+        # domination in tiles, Hoelder on its series at the default budget
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
+            tiled = E.drift_domination_check(ens, EP)
+        assert ((tiled.checked, tiled.violations, tiled.worst_margin)
+                == (whole.checked, whole.violations, whole.worst_margin))
+        assert_same_holder(E.holder_modulus(ens, EP), want)
+        # and Hoelder in the patched budget on the default one's series
+        E.drift_domination_check(ens, EP)
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
+            assert_same_holder(E.holder_modulus(ens, EP), want)
 
 
 class TestTestFunctions:
