@@ -124,8 +124,9 @@ def write_trajectory_bin(path: str | Path, ensemble: TrajectoryEnsemble) -> None
 def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, float]:
     """Positions (R, M+1, N, 2) and dt from a KSW1 file.
 
-    A file shorter than the 24-byte header, with another magic or with a
-    payload that does not match the header is a ValueError.
+    A file shorter than the 24-byte header, with another magic, with a
+    header dt that is not finite and > 0 or with a payload that does not
+    match the header is a ValueError.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -134,6 +135,8 @@ def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, float]:
     magic, n, steps, r_n, dt = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise ValueError(f"{path}: not a KSW1 trajectory file")
+    if not 0 < dt < math.inf:  # also rejects NaN
+        raise ValueError(f"{path}: KSW1 header dt = {dt!r} is not finite and > 0")
     body = np.frombuffer(raw[_HEADER.size:], dtype="<f8")
     expected = r_n * (steps + 1) * n * 2
     if body.size != expected:

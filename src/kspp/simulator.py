@@ -96,7 +96,7 @@ class SimConfig:
 class TrajectoryEnsemble:
     """Simulated paths: replica x time-grid x particle x 2 positions.
 
-    Rows after a blow-up stay NaN; affected replicas are listed in
+    Rows from a blow-up on are NaN; affected replicas are listed in
     `blowups` as (replica, step) with `step` the first non-finite row.
     """
 
@@ -493,13 +493,15 @@ def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
                  ) -> tuple[np.ndarray, float]:
     """One Euler step m -> m+1 for every replica of a block.
 
-    `positions` (B, T, N, 2) holds the block's replicas, all finite up to
-    row m, and `hist` their split history (`_split_history`, (B, 2, N, T)),
-    None without drift; `d_w` holds this step's increments, shape
-    (B, N, 2); `work` is the drift workspace and its i-tiles for the block
-    (`_drift_workspace`). Writes row m+1 of each replica that stays finite,
-    in `positions` and `hist`, and returns (the mask of those replicas,
-    drift seconds); a blown replica's row stays as it was.
+    `positions` (B, T, N, 2) holds the block's replicas up to row m, and
+    `hist` their split history (`_split_history`, (B, 2, N, T)), None
+    without drift; `d_w` holds this step's increments, shape (B, N, 2);
+    `work` is the drift workspace and its i-tiles for the block
+    (`_drift_workspace`). Writes row m+1 of every replica in `positions`
+    and `hist`, all NaN for a replica with a non-finite coordinate, and
+    returns (the mask of the replicas whose row is finite, drift seconds).
+    A blown replica's NaN rows give NaN rows at every later step, and no
+    other replica reads them.
     """
     p = config.params
     x = positions[:, m]
@@ -515,10 +517,11 @@ def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
     else:
         x_new = x + math.sqrt(2.0) * d_w
     finite = np.isfinite(x_new).all(axis=(1, 2))
-    rows = slice(None) if finite.all() else finite
-    positions[rows, m + 1] = x_new[rows]
+    if not finite.all():
+        x_new[~finite] = np.nan
+    positions[:, m + 1] = x_new
     if hist is not None:
-        hist[rows, :, :, m + 1] = x_new[rows].transpose(0, 2, 1)
+        hist[..., m + 1] = x_new.transpose(0, 2, 1)
     return finite, drift_time
 
 
@@ -543,8 +546,9 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     studies); without `noise`, each block of replicas draws its own. Replicas
     are stepped in blocks (`budget_blocks`), one kernel call per block,
     step and i-tile (`_drift_workspace`); threads (KSPP_THREADS, default 1)
-    take whole blocks. Blow-ups abort only their replica and are recorded
-    rather than raised.
+    take whole blocks. A replica that turns non-finite is recorded at its
+    first non-finite row rather than raised; it steps on with its block as
+    NaN rows, and a block whose replicas have all blown stops.
 
     Relabeling: applying one permutation of the particles to `initial` and
     `noise` permutes the paths to within 1e-12 (relative and absolute),
@@ -571,37 +575,25 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         # step allocates anything that grows with m, and threads share
         # nothing
         work = _drift_workspace(len(block), n, rows)
-        block_pos = ens.positions[block.start: block.stop]
+        positions = ens.positions[block.start: block.stop]
         hist = None
         if config.params.chi != 0.0:
             hist = np.empty((len(block), 2, n, config.n_steps + 1))
-            hist[..., 0] = block_pos[:, 0].transpose(0, 2, 1)
-        # the replicas still stepping (`live`, indices into the block), their
-        # positions, split history and noise: views of the block's until a
-        # replica blows up, then copies compacted once at each blow-up, so
-        # that no step gathers the survivors' histories
-        live = np.arange(len(block))
-        positions = block_pos
+            hist[..., 0] = positions[:, 0].transpose(0, 2, 1)
         d_w = (draw_noise(config, block) if noise is None
                else noise[block.start: block.stop])
+        blown = np.zeros(len(block), dtype=bool)
         blowups, secs = [], 0.0
         for m in range(config.n_steps):
-            if not len(live):
-                break
             finite, drift_time = _euler_block(positions, hist, d_w[:, m], m,
                                               config, work)
             secs += drift_time
             if not finite.all():
                 blowups.extend((block.start + int(r), m + 1)
-                               for r in live[~finite])
-                if positions is not block_pos:
-                    block_pos[live] = positions
-                live = live[finite]
-                positions, d_w = positions[finite], d_w[finite]
-                if hist is not None:
-                    hist = hist[finite]
-        if positions is not block_pos:
-            block_pos[live] = positions
+                               for r in np.flatnonzero(~finite & ~blown))
+                blown |= ~finite
+                if blown.all():
+                    break
         buf, tiles = work
         return blowups, secs, buf.nbytes, len(tiles[0]) if rows else 0
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -206,6 +207,24 @@ class TestEstimate:
                        "--out", str(tmp_path / "est")])
         assert rc == 2
         assert "truncated KSW1 header: 8 of 24 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", [math.nan, -0.01])
+    def test_ksw1_header_dt_not_finite_positive_exits_2(self, tmp_path,
+                                                         config_file, capsys,
+                                                         dt):
+        run_out = tmp_path / "run"
+        cli.main(["simulate", "--config", str(config_file), "--out",
+                  str(run_out), "--format", "bin"])
+        raw = (run_out / "trajectory.ksw1").read_bytes()
+        bad = tmp_path / "bad.ksw1"
+        bad.write_bytes(raw[:16] + np.array(dt, "<f8").tobytes() + raw[24:])
+        capsys.readouterr()
+        rc = cli.main(["estimate", "--config", str(config_file), "--gamma",
+                       "1.62", "--alpha", "0.045", "--trajectory", str(bad),
+                       "--out", str(tmp_path / "est")])
+        assert rc == 2
+        assert (f"KSW1 header dt = {dt!r} is not finite and > 0"
+                in capsys.readouterr().err)
 
     def test_csv_trajectory_roundtrip_estimate(self, tmp_path, config_file):
         run_out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,18 @@ class TestTrajectoryFiles:
             with pytest.raises(ValueError,
                                match=f"truncated KSW1 header: {size} of 24"):
                 io.read_trajectory_bin(cut)
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.01, math.inf])
+    def test_binary_header_dt_must_be_finite_and_positive(self, tmp_path, dt):
+        # the writer always writes a SimConfig dt, which is > 0; the dt
+        # check against a config is False for NaN, so the reader rejects it
+        path = tmp_path / "traj.ksw1"
+        io.write_trajectory_bin(path, small_ensemble())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:16] + np.array(dt, "<f8").tobytes() + raw[24:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"KSW1 header dt = {dt!r} is not finite and > 0")):
+            io.read_trajectory_bin(path)
 
 
 class TestConfigFormat:

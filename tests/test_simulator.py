@@ -516,6 +516,28 @@ class TestStepAndRun:
                                 "drift_tile_rows": 32}
         assert not ens.blowups
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    def test_blown_run_memory_is_the_clean_runs(self, chi):
+        # pair_ensemble's shape with the noise passed in: two replicas blown
+        # by an infinite increment step on as NaN rows with their block, so
+        # the run allocates nothing that a clean run does not
+        import tracemalloc
+        params = KernelParams(theta=1.0, chi=chi, epsilon=0.05)
+        cfg = make_config(params=params, n_steps=100, n_replicas=300, seed=7)
+        initial, clean = S.draw_initial(cfg), S.draw_noise(cfg)
+        blown = clean.copy()
+        blown[17, 2, 0, 0] = blown[230, 40, 1, 1] = np.inf
+        peaks, blowups = [], []
+        for noise in (clean, blown):
+            tracemalloc.start()
+            try:
+                blowups.append(S.run(cfg, initial=initial, noise=noise).blowups)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert blowups == [[], [(17, 3), (230, 41)]]
+        assert peaks[1] <= peaks[0] + 64 * 1024
+
     def test_counters(self):
         params = KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
         cfg = make_config(params=params, n_particles=3, n_steps=5,
@@ -569,8 +591,13 @@ class TestBatchedStepping:
         noise = S.draw_noise(cfg)
         if blow is not None:
             noise[blow[0], blow[1], 0, 0] = np.inf
+        given = initial.copy(), noise.copy()
         with mock.patch.dict(os.environ, {"KSPP_THREADS": threads}):
             ens = S.run(cfg, initial=initial, noise=noise)
+        # run only reads the caller's arrays, blow-ups included
+        for arr, copy in zip((initial, noise), given):
+            np.testing.assert_array_equal(arr.view(np.int64),
+                                          copy.view(np.int64))
         single = dataclasses.replace(cfg, n_replicas=1)
         blowups = []
         for r in range(cfg.n_replicas):
