@@ -18,9 +18,7 @@ under particle relabeling bit for bit.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
-import statistics
 import time
 from dataclasses import dataclass, field, asdict, replace
 from typing import Sequence
@@ -28,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import c0_const, check_gamma_alpha, kappa
+from . import simulator
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_exponent,
                         _gauss_factor, _history_sums, _others, _pair_geometry,
@@ -99,6 +98,13 @@ def ordered_pairs(n: int) -> list[tuple[int, int]]:
 def _pair_index(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return (np.array([i for i, _ in pairs], dtype=int),
             np.array([j for _, j in pairs], dtype=int))
+
+
+def _cyclic_columns(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> np.ndarray:
+    """The column of each pair (i, j) in a flattened (i, k) grid over the
+    N - 1 other particles j = (i + 1 + k) mod N of each i (the layout of
+    `simulator._others` and of the drift memo's sums): i (N - 1) + k."""
+    return i_idx * (n - 1) + (j_idx - i_idx - 1) % n
 
 
 def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
@@ -207,10 +213,9 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     m_t = _horizon_index(ensemble, ep.horizon)
     pairs = ordered_pairs(n)
     i_idx, j_idx = _pair_index(pairs)
-    # column i (N - 1) + k of a step grid's flattened (i, k) axes is the pair
-    # (i, (i + 1 + k) mod N): these columns give ordered_pairs' order, in
-    # which E4's trapezoid product w_tr @ |D|^q keeps its bits
-    in_order = i_idx * (n - 1) + (j_idx - i_idx - 1) % n
+    # a step grid's flattened (i, k) axes in ordered_pairs' order, in which
+    # E4's trapezoid product w_tr @ |D|^q keeps its bits
+    in_order = _cyclic_columns(i_idx, j_idx, n)
     w_tr = _trap_weights(m_t, dt)
     q = 2.0 * (ep.gamma - 1.0)
     e3_pow = 2.0 * ep.gamma / 3.0
@@ -391,7 +396,8 @@ def _check_slack(slack: float) -> None:
 
 
 def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
-                     n_pairs: int, series: np.ndarray, all_rows: bool):
+                     n_pairs: int, series: np.ndarray | None, all_rows: bool,
+                     memo: tuple[np.ndarray, np.ndarray] | None = None):
     """The pair drifts D^{i,j}_m of the first `n_pairs` ordered pairs
     (`ordered_pairs`) of the `kept` replicas at the steps 1 <= m <= m_t.
 
@@ -400,31 +406,39 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
     and its D by coordinate, d_x and d_y (B, K). The L rows are l < m
     with `all_rows`, else only the drift's own rows [l0, m). The squared
     distances are a view of the pass's workspace, which the caller may
-    overwrite: the next tile forms them anew. The pairs (0, j), the
-    first N - 1, also go into `series` (len(kept), m_t + 1, N - 1, 2) at
-    [block, m]; its row 0 is left as it is.
+    overwrite: the next tile forms them anew.
 
-    D is the drift kernel's: `_pair_geometry`, `_gauss_factor` and
-    `_history_sums` on the rows [l0, m). Replicas run in blocks and the
-    pairs, which are i-major, in contiguous tiles whose dx and dy fit
-    DRIFT_BUDGET_BYTES for the largest block (one whenever a block fits).
-    A tile within the pairs (0, j) reads them as the particle slice
-    1 + k of the split history; any other tile gathers its pairs into the
-    workspace at each step. Every tile keeps whole history rows, so D depends neither on the
-    tiles nor on `all_rows`, bit for bit. The tiles' dx and dy, squared
-    distances and Gaussian factors are views of one workspace, allocated
-    once per call for the largest block and tile at the horizon: fresh
-    per-step arrays, one history row larger at each step, grew the heap
-    (see simulator.DRIFT_BUDGET_BYTES).
+    D is -dt times the drift kernel's history sums: `_pair_geometry`,
+    `_gauss_factor` and `_history_sums` on the rows [l0, m). The sums of
+    the pairs (0, j), the first N - 1, also go into `series`
+    (len(kept), m_t + 1, 1, N - 1, 2) at [block, m] unless it is None; its
+    rows 0 are left as they are. With `memo`, the (sums, rows) of a
+    matching drift memo (`_memo_sums`), the sums are read from there and
+    neither the Gaussian factor nor the history sums are formed: only the
+    squared distances, and `series` is not written.
+
+    Replicas run in blocks and the pairs, which are i-major, in contiguous
+    tiles whose dx and dy fit DRIFT_BUDGET_BYTES for the largest block
+    (one whenever a block fits). A tile within the pairs (0, j) reads them
+    as the particle slice 1 + k of the split history; any other tile
+    gathers its pairs into the workspace at each step. Every tile keeps
+    whole history rows, so D depends neither on the tiles nor on
+    `all_rows`, bit for bit. The tiles' dx and dy, squared distances and
+    Gaussian factors are views of one workspace, allocated once per call
+    for the largest block and tile at the horizon: fresh per-step arrays,
+    one history row larger at each step, grew the heap (see
+    simulator.DRIFT_BUDGET_BYTES).
     """
     cfg = ensemble.config
     dt = cfg.dt
     n = ensemble.n_particles
     i_idx, j_idx = _pair_index(ordered_pairs(n)[:n_pairs])
+    columns = _cyclic_columns(i_idx, j_idx, n)   # in a memo step's (i, k)
     blocks = budget_blocks(len(kept), 16 * n_pairs * m_t)
     b_max = len(blocks[0]) if blocks else 0
     tiles = budget_blocks(n_pairs, 16 * m_t * b_max)
-    work = np.empty(4 * b_max * len(tiles[0]) * m_t)
+    # dx and dy, |d|^2 and, without a memo, the Gaussian factor
+    work = np.empty((4 if memo is None else 3) * b_max * len(tiles[0]) * m_t)
     for block in blocks:
         rows = slice(block.start, block.stop)
         # (2, B, N, T); the gathered positions are freed once split
@@ -433,6 +447,10 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
         for m in range(1, m_t + 1):
             l0, lags, w = _conv_weights(m, cfg)
             lo = 0 if all_rows else l0
+            if memo is not None:
+                # the block's sums at this step, (B, targets (N - 1), 2)
+                sums, sum_rows = memo
+                step = sums[sum_rows[rows], m].reshape(len(block), -1, 2)
             for tile in tiles:
                 k0, k1 = tile.start, tile.stop
                 # geometry over (B, k, l): X^i_m - X^j_l for pair k and the
@@ -440,8 +458,7 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
                 # dy's views, which then take the difference in place: a
                 # gathered temporary would add a budget to the peak
                 shape = (len(block), k1 - k0, m - lo)
-                d, sq, g = _views(work, (2, *shape), shape,
-                                  (*shape[:2], m - l0))
+                d, sq = _views(work, (2, *shape), shape)
                 if k1 < n:
                     now = h[:, :, :1, m, None]
                     past = h[:, :, 1 + k0: 1 + k1, lo:m]
@@ -450,39 +467,46 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
                     past = np.take(h[..., lo:m], j_idx[k0:k1], axis=2,
                                    out=d, mode="clip")   # unbuffered
                 dx, dy, _ = _pair_geometry(now, past, out=(d, sq))
-                own = slice(l0 - lo, None)
-                sx, sy = _history_sums(
-                    dx[..., own], dy[..., own],
-                    _gauss_factor(sq[..., own], lags, cfg, out=g), w)
-                d_x, d_y = -dt * sx, -dt * sy
-                if k0 < n - 1:
-                    top = min(k1, n - 1) - k0
-                    series[rows, m, k0: k0 + top] = np.stack(
-                        (d_x[:, :top], d_y[:, :top]), axis=-1)
-                yield m, sq, d_x, d_y
+                if memo is not None:
+                    pair = step[:, columns[k0:k1]]
+                    sx, sy = pair[..., 0], pair[..., 1]
+                else:
+                    own = slice(l0 - lo, None)
+                    g = _views(work, (2, *shape), shape,
+                               (*shape[:2], m - l0))[2]
+                    sx, sy = _history_sums(
+                        dx[..., own], dy[..., own],
+                        _gauss_factor(sq[..., own], lags, cfg, out=g), w)
+                    if series is not None and k0 < n - 1:
+                        top = min(k1, n - 1) - k0
+                        series[rows, m, 0, k0: k0 + top, 0] = sx[:, :top]
+                        series[rows, m, 0, k0: k0 + top, 1] = sy[:, :top]
+                yield m, sq, -dt * sx, -dt * sy
 
 
-def _fingerprint(positions: np.ndarray, m_t: int) -> bytes:
-    """SHA-256 of positions[:, :m_t + 1]: its shape, dtype and bytes, read
-    in replica blocks of at most DRIFT_BUDGET_BYTES (a block is copied only
-    when it is not contiguous, as a horizon short of the last row makes it)."""
-    rows = positions[:, : m_t + 1]
-    digest = hashlib.sha256(repr((rows.shape, rows.dtype.str)).encode())
-    for block in budget_blocks(len(rows), rows[:1].nbytes):
-        digest.update(np.ascontiguousarray(rows[block.start: block.stop]))
-    return digest.digest()
-
-
-# One slot: the pair drift series D^{0,j} of the last drift_domination_check,
-# with its key, as (config, m_t, fingerprint, kept, series). A holder_modulus
-# call whose ensemble's config, horizon index and position fingerprint all
-# match the key takes the series and empties the slot, so that the series,
-# R (M + 1) (N - 1) 16 bytes, lives no longer than the two checks need it.
-# A module slot, not an argument, since callers such as the benchmark call the
-# two checks separately. The tuple is replaced whole, so a concurrent reader
-# sees one key with its own series; a race can only empty the slot early,
-# and the next holder_modulus call then runs its own pass.
-_drift_memo: tuple | None = None
+def _memo_sums(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
+               targets: int, fingerprint: bytes | None = None
+               ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The drift memo's history sums (`simulator._drift_memo`) for the
+    `kept` replicas of `ensemble`, the steps m <= m_t and the target
+    particles i < `targets`, as (sums, rows): sums[rows[r], m, i, k] are
+    those of replica kept[r] and the pair (i, (i + 1 + k) mod N). None
+    unless the slot holds them under the ensemble's config and the
+    SHA-256 fingerprint of its whole positions array (`fingerprint`, formed
+    here unless given)."""
+    memo = simulator._drift_memo
+    if (memo is None or memo.config != ensemble.config
+            or memo.sums.shape[1] <= m_t or memo.sums.shape[2] < targets):
+        return None
+    if memo.replicas is None:
+        rows = kept
+    elif np.array_equal(memo.replicas, kept):
+        rows = np.arange(len(kept))
+    else:
+        return None
+    if fingerprint is None:
+        fingerprint = simulator._fingerprint(ensemble.positions)
+    return (memo.sums, rows) if memo.fingerprint == fingerprint else None
 
 
 def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -497,19 +521,19 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     checked: `worst_margin` is NaN and the stats are not `ok`. slack must be
     finite and > 0.
 
-    D comes from the pair-drift pass over all ordered pairs
-    (`_pair_drift_pass`), S from the squared distances of the same
-    geometry. The pass also writes the pairs (0, j) into a D^{0,j} series,
-    kept in a one-slot memo with the config, the horizon index and a
-    SHA-256 fingerprint of positions[:, :m_t + 1]. A holder_modulus call
-    whose ensemble matches all three takes its D from there. The slot
-    holds one series, R (M + 1) (N - 1) 16 bytes for R kept replicas and
-    the horizon index M, until that Hoelder call takes it or the next
-    domination call replaces it.
+    S comes from the squared distances of the pair-drift pass over all
+    ordered pairs (`_pair_drift_pass`). D comes from the drift memo
+    (`simulator._drift_memo`) when `run` left the sums of this ensemble
+    there: same config, same SHA-256 fingerprint of the whole positions
+    array. The pass then forms only S's geometry, and D = -dt sums has the
+    bits the pass would form. Otherwise the pass forms D too, and writes
+    the pairs (0, j) into a D^{0,j} series that replaces the slot's
+    contents, keyed by the config and the fingerprint, for holder_modulus:
+    R (M + 1) (N - 1) 16 bytes for R kept replicas and the horizon index
+    M, until that Hoelder call takes it or the next `run` or domination
+    miss replaces it.
     """
-    global _drift_memo
     _check_slack(slack)
-    _drift_memo = None   # one series at a time
     cfg = ensemble.config
     p = cfg.params
     dt = cfg.dt
@@ -523,10 +547,15 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     violations = 0
     checked = len(kept) * n_pairs * m_t
     worst = 0.0 if checked else math.nan
-    series = np.zeros((len(kept), m_t + 1, n - 1, 2))   # D_0 = 0
+    fingerprint = simulator._fingerprint(ensemble.positions)
+    memo = _memo_sums(ensemble, m_t, kept, n, fingerprint)
+    series = None
+    if memo is None:
+        simulator._drift_memo = None   # one set of sums at a time
+        series = np.zeros((len(kept), m_t + 1, 1, n - 1, 2))
     # D on the drift's rows [l0, m), S on all the rows l < m
     for m, sq, d_x, d_y in _pair_drift_pass(ensemble, m_t, kept, n_pairs,
-                                            series, all_rows=True):
+                                            series, all_rows=True, memo=memo):
         lag = (m - np.arange(m)) * dt
         d_mag = np.sqrt(d_x * d_x + d_y * d_y)
         # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
@@ -537,8 +566,9 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         ratio = d_mag / (slack * bound)
         violations += int(np.sum(ratio > 1.0))
         worst = max(worst, float(np.max(d_mag / bound)))
-    _drift_memo = (cfg, m_t, _fingerprint(ensemble.positions, m_t), kept,
-                   series)
+    if series is not None:
+        simulator._drift_memo = simulator.DriftMemo(cfg, fingerprint, kept,
+                                                    series)
     return DominationStats(checked, violations, worst, slack,
                            excluded=ensemble.n_replicas - len(kept))
 
@@ -598,15 +628,18 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     `excluded`; z_hat and bound hold the others, in replica order. slack
     must be finite and > 0.
 
-    The series D^{0,j} comes from the memo of the last
-    drift_domination_check when its config, horizon index and SHA-256
-    fingerprint of positions[:, :m_t + 1] all equal this call's; the call
-    then empties the memo. Otherwise it comes from the same pair-drift
-    pass (`_pair_drift_pass`) over the pairs (0, j) alone, without S, and
-    the memo is left as it is. The series is bit-identical either way, so
-    are z_hat and bound.
+    The series D^{0,j} is -dt times the history sums of the drift memo
+    (`simulator._drift_memo`) when it holds them for this ensemble: its
+    config and the SHA-256 fingerprint of its whole positions array equal
+    this call's, and it covers the kept replicas up to the horizon, as
+    `run`'s sums and the series of a drift_domination_check miss on these
+    replicas do. The call then empties the slot. Otherwise the series
+    comes from the same pair-drift pass (`_pair_drift_pass`) over the pairs
+    (0, j) alone, without S, and the slot is left as it is. The series is
+    bit-identical either way, so are z_hat and bound. It is read in replica
+    blocks of at most DRIFT_BUDGET_BYTES, so a hit copies no more of the
+    memo at a time.
     """
-    global _drift_memo
     _check_slack(slack)
     cfg = ensemble.config
     chi, dt = cfg.params.chi, cfg.dt
@@ -615,21 +648,25 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
     q = 2.0 * (ep.gamma - 1.0)
     times = ensemble.times[: m_t + 1]
-    memo = _drift_memo
-    if (memo is not None and memo[:2] == (cfg, m_t)
-            and memo[2] == _fingerprint(ensemble.positions, m_t)):
-        kept, series = memo[3:]
-        _drift_memo = None
+    kept = _finite_replicas(ensemble, m_t)
+    memo = _memo_sums(ensemble, m_t, kept, 1)
+    if memo is not None:
+        sums, rows = memo
+        simulator._drift_memo = None
     else:
-        kept = _finite_replicas(ensemble, m_t)
-        series = np.zeros((len(kept), m_t + 1, n - 1, 2))   # D_0 = 0
-        for _ in _pair_drift_pass(ensemble, m_t, kept, n - 1, series,
+        sums, rows = (np.zeros((len(kept), m_t + 1, 1, n - 1, 2)),
+                      np.arange(len(kept)))
+        for _ in _pair_drift_pass(ensemble, m_t, kept, n - 1, sums,
                                   all_rows=False):
             pass
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
     for block in budget_blocks(len(kept), 16 * (n - 1) * m_t):
-        d_series = series[block.start: block.stop]
+        # (B, m_t + 1, N - 1, 2): D^{0,j} = -dt sums, and D_0 = 0
+        d_series = np.take(sums[:, : m_t + 1, 0], rows[block.start: block.stop],
+                           axis=0, mode="clip")
+        d_series *= -dt
+        d_series[:, 0] = 0.0
         mean_d = d_series.mean(axis=2)
         gamma_paths = np.zeros((len(block), m_t + 1, 2))
         gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
@@ -653,9 +690,13 @@ class GaussianBump:
 
     @staticmethod
     def value_sq(u, sq, out=None):
-        """F at squared length `sq` of x, written into `out` if given."""
-        f = np.minimum(np.add(u, sq, out=out), EXP_CLAMP, out=out)
-        return np.exp(np.negative(f, out=out), out=out)
+        """F at squared length `sq` of x, written into `out` if given.
+
+        e^max(-u - |x|^2, -EXP_CLAMP): three passes over the grid. It has
+        the bits of e^-min(u + |x|^2, EXP_CLAMP), since negation is exact
+        and rounding symmetric; only the sign bit of a NaN may differ."""
+        f = np.subtract(np.negative(u), sq, out=out)
+        return np.exp(np.maximum(f, -EXP_CLAMP, out=out), out=out)
 
     @staticmethod
     def heat_sq(sq, f, out=None):
@@ -1015,6 +1056,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
             (phi.value(pos[:, m_e]) - phi.value(pos[:, m_s])) - integral)
         theta_vals[block.start: block.stop] = [_fsum_mean(row) for row in vals]
 
+    import statistics   # here: it imports fractions and decimal
     z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     return _residual_report(theta_vals,
                             lambda v, mean, err: (mean - z * err, mean + z * err),

@@ -59,9 +59,11 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
     (replica, particle, step) of the grid spanned by the largest indices
     must appear exactly once; a missing or duplicated row is a ValueError.
     The index fields must be non-negative integers, and dt is t / step of
-    the first row with step > 0: a row whose t differs from step * dt by
-    more than 1e-12 * max(1, |step * dt|) is a ValueError naming its data row.
-    NaN coordinates (a blown replica's rows) are valid.
+    the first row with step > 0, which must be finite and > 0 as a KSW1
+    header's dt (a file of step-0 rows alone reads dt = 0): a row whose t
+    differs from step * dt by more than 1e-12 * max(1, |step * dt|) is a
+    ValueError naming its data row. NaN coordinates (a blown replica's
+    rows) are valid.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -103,7 +105,14 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
     pos = np.full(shape + (2,), np.nan)
     pos[reps, steps, parts] = data[:, 4:]
     nonzero = steps > 0
-    dt = float(data[nonzero, 3][0] / steps[nonzero][0]) if nonzero.any() else 0.0
+    dt = 0.0
+    if nonzero.any():
+        k = int(np.argmax(nonzero))
+        dt = float(data[k, 3] / steps[k])
+        if not 0 < dt < math.inf:   # also rejects NaN
+            raise ValueError(f"{path}: data row {k + 1}: t = {float(data[k, 3])!r} "
+                             f"at step {steps[k]} gives dt = {dt!r}, "
+                             "not finite and > 0")
     grid_t = steps * dt
     bad = ~(np.abs(data[:, 3] - grid_t) <= 1e-12 * np.maximum(1.0, np.abs(grid_t)))
     if bad.any():

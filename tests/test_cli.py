@@ -510,3 +510,15 @@ def test_cli_import_leaves_out_scipy():
     count, loaded = out.stdout.split()
     assert int(count) >= 7
     assert loaded == "False"
+
+
+def test_package_import_leaves_out_statistics_and_hashlib():
+    # martingale_residual imports statistics (with fractions and decimal)
+    # and the drift memo's fingerprint hashlib when they run, not at
+    # `import kspp`
+    code = ("import sys, kspp, kspp.cli\n"
+            "print(*(m in sys.modules for m in "
+            "('statistics', 'fractions', 'decimal', 'hashlib')))")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"] * 4

@@ -634,12 +634,12 @@ class TestTargetTiles:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
     def test_holder(self, ens, chunk):
         # an empty memo: both calls run their own pass over the pairs (0, j)
-        with mock.patch.object(E, "_drift_memo", None):
+        with mock.patch.object(S, "_drift_memo", None):
             whole = E.holder_modulus(ens, EP)
         # one replica's dx and dy over `chunk` of the pairs (0, j)
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
                                chunk * 16 * ens.n_steps), \
-                mock.patch.object(E, "_drift_memo", None), \
+                mock.patch.object(S, "_drift_memo", None), \
                 mock.patch.object(E, "_pair_geometry",
                                   wraps=E._pair_geometry) as geometry:
             tiled = E.holder_modulus(ens, EP)
@@ -691,7 +691,7 @@ class TestTargetTiles:
 
 def fresh_holder(ens, ep=EP):
     """holder_modulus with an empty memo: its own pass over the pairs (0, j)."""
-    with mock.patch.object(E, "_drift_memo", None):
+    with mock.patch.object(S, "_drift_memo", None):
         return E.holder_modulus(ens, ep)
 
 
@@ -701,21 +701,24 @@ def assert_same_holder(got, want):
     assert np.array_equal(got.bound.view(np.int64), want.bound.view(np.int64))
 
 
-class TestSharedDriftPass:
-    """drift_domination_check and holder_modulus share one pair-drift pass:
-    domination keeps the D^{0,j} series in a memo keyed by the config, the
-    horizon and a fingerprint of the positions, and Hoelder reads it only
-    when all three match, so it never returns a stale result."""
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, float).view(np.int64),
+                          np.asarray(b, float).view(np.int64))
 
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        # each test starts with an empty memo and leaves the module's as it was
-        with mock.patch.object(E, "_drift_memo", None):
-            yield
+
+class TestSharedDriftPass:
+    """drift_domination_check and holder_modulus read their pair drifts
+    from the drift memo (`simulator._drift_memo`): `run`'s per-pair
+    history sums, or the D^{0,j} series of a domination miss. The memo is
+    keyed by the config and a fingerprint of the whole positions array,
+    and a check reads it only when both match, so it never returns a stale
+    result. Each test's `ens` fixture runs after the suite's memo-emptying
+    fixture, so a test starts with `run`'s sums in the slot."""
 
     @pytest.fixture
     def ens(self):
-        # N = 4, lambda = 0.2 and a history cutoff of 4 rows
+        # N = 4, lambda = 0.2 and a history cutoff of 4 rows; run's sums,
+        # 4 x 21 x 12 x 16 bytes, fit the budget
         cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=1.0,
                                               epsilon=0.05),
                           n_particles=4, dt=0.02, n_steps=20, n_replicas=4,
@@ -724,10 +727,14 @@ class TestSharedDriftPass:
         return S.run(cfg)
 
     def test_one_drift_in_e4_domination_and_holder(self, ens):
-        # the D^{i,j}_m of paper_moments' E4, of the domination check and of
-        # the Hoelder series, each recorded from its `_history_sums` calls
-        # (one tile a step here), are one set of bits
+        # the D^{i,j}_m of paper_moments' E4, of the domination check's and
+        # the Hoelder check's own passes (the miss path), each recorded
+        # from its `_history_sums` calls (one tile a step here), and -dt
+        # times the memo's sums from `run` (the hit path) and from the
+        # domination miss, are one set of bits
         n, m_t, dt = ens.n_particles, ens.n_steps, ens.config.dt
+        assert S._drift_memo.replicas is None
+        run_sums = S._drift_memo.sums       # (R, M + 1, i, k, 2)
 
         def drifts(fn, *args):
             sums = []
@@ -742,29 +749,45 @@ class TestSharedDriftPass:
             return [-dt * np.stack(c, axis=-1) for c in sums]
 
         e4 = drifts(E.paper_moments, ens, EP)   # (B, i, k, 2), j = i + 1 + k
+        S._drift_memo = None                    # the miss path
         dom = drifts(E.drift_domination_check, ens, EP)   # (B, pair, 2)
-        series = E._drift_memo[4]
+        series = S._drift_memo.sums             # (B, m_t + 1, 1, j - 1, 2)
         hold = drifts(fresh_holder, ens)        # (B, j - 1, 2)
         pairs = E.ordered_pairs(n)
         for m in range(1, m_t + 1):
             for p, (i, j) in enumerate(pairs):
                 d = e4[m - 1][:, i, (j - i - 1) % n]
-                assert np.array_equal(d.view(np.int64),
-                                      dom[m - 1][:, p].view(np.int64))
+                assert same_bits(d, dom[m - 1][:, p])
+                assert same_bits(d, -dt * run_sums[:, m, i, (j - i - 1) % n])
                 # E4's column |D|
                 assert np.array_equal(
                     np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]),
                     np.sqrt(np.einsum("bc,bc->b", dom[m - 1][:, p],
                                       dom[m - 1][:, p])))
                 if i == 0:
-                    assert np.array_equal(d.view(np.int64),
-                                          hold[m - 1][:, j - 1].view(np.int64))
-                    assert np.array_equal(d.view(np.int64),
-                                          series[:, m, j - 1].view(np.int64))
-        assert not series[:, 0].any()
+                    assert same_bits(d, hold[m - 1][:, j - 1])
+                    assert same_bits(d, -dt * series[:, m, 0, j - 1])
+        assert not series[:, 0].any() and not run_sums[:, 0].any()
+
+    def test_domination_hit_forms_no_drift(self, ens):
+        # the hit path: run's sums are in the memo, so domination forms
+        # only S's geometry, and its stats have the miss path's bits
+        with mock.patch.object(E, "_history_sums") as sums, \
+                mock.patch.object(E, "_gauss_factor") as gauss:
+            hit = E.drift_domination_check(ens, EP)
+        assert sums.call_count == gauss.call_count == 0
+        assert S._drift_memo.replicas is None   # run's sums stay for Hoelder
+        S._drift_memo = None
+        miss = E.drift_domination_check(ens, EP)
+        assert (hit.checked, hit.violations) == (miss.checked, miss.violations)
+        assert same_bits(hit.worst_margin, miss.worst_margin)
 
     def test_holder_after_domination_shares_the_pass(self, ens):
+        # the miss path: with the memo emptied, domination runs its own
+        # pass and leaves its D^{0,j} series, which Hoelder takes
+        S._drift_memo = None
         E.drift_domination_check(ens, EP)
+        assert S._drift_memo.replicas is not None
         with mock.patch.object(E, "_pair_geometry",
                                wraps=E._pair_geometry) as geometry:
             shared = E.holder_modulus(ens, EP)
@@ -773,7 +796,19 @@ class TestSharedDriftPass:
         assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
         assert_same_holder(shared, fresh_holder(ens))
         # the Hoelder call took the series: the memo holds nothing more
-        assert E._drift_memo is None
+        assert S._drift_memo is None
+
+    def test_holder_after_run_shares_the_kernel(self, ens):
+        # the hit path: domination and then Hoelder read run's sums
+        E.drift_domination_check(ens, EP)
+        assert S._drift_memo.replicas is None
+        with mock.patch.object(E, "_pair_geometry",
+                               wraps=E._pair_geometry) as geometry:
+            shared = E.holder_modulus(ens, EP)
+        assert geometry.call_count
+        assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
+        assert_same_holder(shared, fresh_holder(ens))
+        assert S._drift_memo is None
 
     def test_positions_changed_in_place(self, ens):
         E.drift_domination_check(ens, EP)
@@ -789,6 +824,21 @@ class TestSharedDriftPass:
                                wraps=E._pair_geometry) as geometry:
             E.holder_modulus(ens, EP)
         assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
+
+    def test_one_position_changed_after_run_misses(self, ens):
+        # one coordinate one ulp away from run's: domination forms its own
+        # D, whose bits are those of a call on an empty memo
+        x = ens.positions[3, 12, 2, 1]
+        ens.positions[3, 12, 2, 1] = np.nextafter(x, np.inf)
+        with mock.patch.object(E, "_history_sums",
+                               wraps=E._history_sums) as sums:
+            got = E.drift_domination_check(ens, EP)
+        assert sums.call_count == ens.n_steps
+        assert S._drift_memo.replicas is not None   # the miss's series
+        S._drift_memo = None
+        want = E.drift_domination_check(ens, EP)
+        assert (got.checked, got.violations) == (want.checked, want.violations)
+        assert same_bits(got.worst_margin, want.worst_margin)
 
     def test_another_horizon(self, ens):
         E.drift_domination_check(ens, EP)
@@ -822,6 +872,12 @@ class TestSharedDriftPass:
         got = E.holder_modulus(other, EP)
         assert_same_holder(got, fresh_holder(other))
         assert not np.array_equal(got.bound, fresh_holder(ens).bound)
+        # nor does domination read run's sums under the other config
+        S.run(ens.config)
+        with mock.patch.object(E, "_history_sums",
+                               wraps=E._history_sums) as sums:
+            E.drift_domination_check(other, EP)
+        assert sums.call_count == ens.n_steps
 
     def test_holder_called_first(self, ens):
         want = fresh_holder(ens)
@@ -843,6 +899,119 @@ class TestSharedDriftPass:
         E.drift_domination_check(ens, EP)
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
             assert_same_holder(E.holder_modulus(ens, EP), want)
+
+
+class TestDriftMemo:
+    """`run` leaves its per-pair history sums in the drift memo when they
+    fit DRIFT_BUDGET_BYTES, and a check that reads them gives the bits of
+    one that forms its own drifts."""
+
+    @staticmethod
+    def blown_ensemble(n):
+        # lambda, a history cutoff of 5 rows, a source and replica 2 blown
+        # at row 16: excluded at the full horizon, kept at 0.3 (row 15)
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=1.0,
+                                              epsilon=0.05),
+                          source=SourceSpec(components=(
+                              (0.5, (-1.0, 0.0), 0.5), (0.5, (1.0, 0.5), 1.0))),
+                          n_particles=n, dt=0.02, n_steps=24, n_replicas=6,
+                          seed=5 + n, init=S.InitSpec("gaussian", sigma=1.0),
+                          history_cutoff=0.1)
+        noise = S.draw_noise(cfg)
+        noise[2, 15, 0, 0] = np.inf
+        ens = S.run(cfg, noise=noise)
+        assert ens.blowups == [(2, 16)]
+        return ens
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("horizon", [None, 0.3])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_hit_equals_miss(self, n, horizon, threads, monkeypatch):
+        # sums that fit the budget mean a run of one block, so threads take
+        # no part in a run that keeps them; KSPP_THREADS = 2 pins that
+        monkeypatch.setenv("KSPP_THREADS", threads)
+        ens = self.blown_ensemble(n)
+        ep = dataclasses.replace(EP, horizon=horizon)
+        assert S._drift_memo.replicas is None
+        dom = E.drift_domination_check(ens, ep)
+        hold = E.holder_modulus(ens, ep)
+        assert S._drift_memo is None    # both read run's sums
+        assert dom.excluded == hold.excluded == (horizon is None)
+        miss_dom = E.drift_domination_check(ens, ep)
+        miss_hold = fresh_holder(ens, ep)
+        assert (dom.checked, dom.violations) == (miss_dom.checked,
+                                                 miss_dom.violations)
+        assert same_bits(dom.worst_margin, miss_dom.worst_margin)
+        assert_same_holder(hold, miss_hold)
+        # and Hoelder on the domination miss's series
+        assert_same_holder(E.holder_modulus(ens, ep), miss_hold)
+
+    def test_series_of_other_replicas_misses(self):
+        # a domination miss at the full horizon leaves the series of the
+        # five replicas it kept; Hoelder at 0.3 keeps replica 2 as well,
+        # so it runs its own pass
+        ens = self.blown_ensemble(3)
+        S._drift_memo = None
+        E.drift_domination_check(ens, EP)
+        assert len(S._drift_memo.replicas) == 5
+        early = dataclasses.replace(EP, horizon=0.3)
+        got = E.holder_modulus(ens, early)
+        assert len(got.z_hat) == 6 and S._drift_memo is not None
+        assert_same_holder(got, fresh_holder(ens, early))
+
+    def test_run_over_the_budget_leaves_the_slot_empty(self):
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0, epsilon=0.05),
+                          n_particles=4, dt=0.02, n_steps=20, n_replicas=4,
+                          seed=3, init=S.InitSpec("gaussian", sigma=1.0))
+        sums_bytes = 4 * 21 * 4 * 3 * 16
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", sums_bytes):
+            S.run(cfg)
+            assert S._drift_memo.sums.nbytes == sums_bytes
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", sums_bytes - 1):
+            S.run(cfg)
+        assert S._drift_memo is None
+        # nor does a run without drift keep anything
+        S.run(cfg)
+        assert S._drift_memo is not None
+        S.run(dataclasses.replace(
+            cfg, params=KernelParams(theta=1.0, chi=0.0, epsilon=0.05)))
+        assert S._drift_memo is None
+
+    def test_slot_within_the_budget(self):
+        # pair_ensemble's N = 2 and 100 steps at the most replicas whose
+        # sums fit the budget: what `run` leaves allocated besides the
+        # positions is the slot, within DRIFT_BUDGET_BYTES; one replica
+        # more leaves the slot empty
+        budget = S.DRIFT_BUDGET_BYTES
+        per_replica = 16 * 101 * 2
+        r_n = budget // per_replica
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0, epsilon=0.05),
+                          n_particles=2, dt=0.01, n_steps=100,
+                          n_replicas=r_n, seed=5,
+                          init=S.InitSpec("gaussian", sigma=1.0))
+        initial, noise = S.draw_initial(cfg), S.draw_noise(cfg)
+        tracemalloc.start()
+        try:
+            ens = S.run(cfg, initial=initial, noise=noise)
+            held = tracemalloc.get_traced_memory()[0] - ens.positions.nbytes
+        finally:
+            tracemalloc.stop()
+        assert S._drift_memo.sums.nbytes == r_n * per_replica <= budget
+        assert held <= budget + 64 * 1024
+        # the hit path copies none of the slot: its peak is under the miss
+        # path's, which forms the series and the Gaussian factors
+        peaks = []
+        for memo in (S._drift_memo, None):
+            S._drift_memo = memo
+            tracemalloc.start()
+            try:
+                E.drift_domination_check(ens, EP)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
+        S.run(dataclasses.replace(cfg, n_replicas=r_n + 1))
+        assert S._drift_memo is None
 
 
 class TestTestFunctions:

@@ -178,6 +178,32 @@ class TestTrajectoryFiles:
                                match=f"truncated KSW1 header: {size} of 24"):
                 io.read_trajectory_bin(cut)
 
+    def test_csv_negated_times_rejected(self, tmp_path):
+        # a 3-step file with every t negated read back dt = -0.01; the
+        # inferred dt is held to the KSW1 header's rule
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=0.0,
+                                              epsilon=0.05),
+                          n_particles=2, dt=0.01, n_steps=3, n_replicas=2, seed=5,
+                          init=S.InitSpec("gaussian", sigma=1.0))
+        path = tmp_path / "traj.csv"
+        io.write_trajectory_csv(path, S.run(cfg))
+        lines = path.read_text().splitlines(keepends=True)
+        for k in range(1, len(lines)):
+            fields = lines[k].split(",")
+            fields[3] = repr(-float(fields[3]))
+            lines[k] = ",".join(fields)
+        bad = tmp_path / "negated.csv"
+        bad.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(
+                "negated.csv: data row 2: t = -0.01 at step 1 gives "
+                "dt = -0.01, not finite and > 0")):
+            io.read_trajectory_csv(bad)
+        # a file of step-0 rows alone still reads dt = 0, -0.0 included
+        step0 = tmp_path / "step0.csv"
+        step0.write_text(f"{io.CSV_HEADER}\n0,0,0,-0.0,1,2\n0,1,0,0,3,4\n")
+        pos, dt = io.read_trajectory_csv(step0)
+        assert dt == 0.0 and pos.shape == (1, 1, 2, 2)
+
     @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.01, math.inf])
     def test_binary_header_dt_must_be_finite_and_positive(self, tmp_path, dt):
         # the writer always writes a SimConfig dt, which is > 0; the dt
