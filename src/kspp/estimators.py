@@ -397,7 +397,7 @@ def _check_slack(slack: float) -> None:
 
 def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
                      n_pairs: int, series: np.ndarray | None, all_rows: bool,
-                     memo: tuple[np.ndarray, np.ndarray] | None = None):
+                     memo: np.ndarray | None = None):
     """The pair drifts D^{i,j}_m of the first `n_pairs` ordered pairs
     (`ordered_pairs`) of the `kept` replicas at the steps 1 <= m <= m_t.
 
@@ -412,10 +412,10 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
     `_gauss_factor` and `_history_sums` on the rows [l0, m). The sums of
     the pairs (0, j), the first N - 1, also go into `series`
     (len(kept), m_t + 1, 1, N - 1, 2) at [block, m] unless it is None; its
-    rows 0 are left as they are. With `memo`, the (sums, rows) of a
-    matching drift memo (`_memo_sums`), the sums are read from there and
-    neither the Gaussian factor nor the history sums are formed: only the
-    squared distances, and `series` is not written.
+    rows 0 are left as they are. With `memo`, the sums of a matching drift
+    memo (`_memo_sums`), D is read from there and neither the Gaussian
+    factor nor the history sums are formed: only the squared distances,
+    and `series` is not written.
 
     Replicas run in blocks and the pairs, which are i-major, in contiguous
     tiles whose dx and dy fit DRIFT_BUDGET_BYTES for the largest block
@@ -448,9 +448,8 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
             l0, lags, w = _conv_weights(m, cfg)
             lo = 0 if all_rows else l0
             if memo is not None:
-                # the block's sums at this step, (B, targets (N - 1), 2)
-                sums, sum_rows = memo
-                step = sums[sum_rows[rows], m].reshape(len(block), -1, 2)
+                # the block's sums at this step, (B, N (N - 1), 2)
+                step = memo[kept[rows], m].reshape(len(block), -1, 2)
             for tile in tiles:
                 k0, k1 = tile.start, tile.stop
                 # geometry over (B, k, l): X^i_m - X^j_l for pair k and the
@@ -484,29 +483,19 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
                 yield m, sq, -dt * sx, -dt * sy
 
 
-def _memo_sums(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
-               targets: int, fingerprint: bytes | None = None
-               ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The drift memo's history sums (`simulator._drift_memo`) for the
-    `kept` replicas of `ensemble`, the steps m <= m_t and the target
-    particles i < `targets`, as (sums, rows): sums[rows[r], m, i, k] are
-    those of replica kept[r] and the pair (i, (i + 1 + k) mod N). None
-    unless the slot holds them under the ensemble's config and the
-    SHA-256 fingerprint of its whole positions array (`fingerprint`, formed
-    here unless given)."""
+def _memo_sums(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
+    """The per-pair history sums that `run` left in the drift memo
+    (`simulator._drift_memo`) for `ensemble`, (R, M + 1, N, N - 1, 2):
+    sums[r, m, i, k] are those of replica r and the pair
+    (i, (i + 1 + k) mod N). None unless the slot holds them under the
+    ensemble's config and the SHA-256 fingerprint of its whole positions
+    array."""
     memo = simulator._drift_memo
-    if (memo is None or memo.config != ensemble.config
-            or memo.sums.shape[1] <= m_t or memo.sums.shape[2] < targets):
+    if memo is None or memo.config != ensemble.config:
         return None
-    if memo.replicas is None:
-        rows = kept
-    elif np.array_equal(memo.replicas, kept):
-        rows = np.arange(len(kept))
-    else:
+    if memo.fingerprint != simulator._fingerprint(ensemble.positions):
         return None
-    if fingerprint is None:
-        fingerprint = simulator._fingerprint(ensemble.positions)
-    return (memo.sums, rows) if memo.fingerprint == fingerprint else None
+    return memo.sums
 
 
 def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
@@ -526,12 +515,8 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     (`simulator._drift_memo`) when `run` left the sums of this ensemble
     there: same config, same SHA-256 fingerprint of the whole positions
     array. The pass then forms only S's geometry, and D = -dt sums has the
-    bits the pass would form. Otherwise the pass forms D too, and writes
-    the pairs (0, j) into a D^{0,j} series that replaces the slot's
-    contents, keyed by the config and the fingerprint, for holder_modulus:
-    R (M + 1) (N - 1) 16 bytes for R kept replicas and the horizon index
-    M, until that Hoelder call takes it or the next `run` or domination
-    miss replaces it.
+    bits the pass would form; the slot is left for holder_modulus.
+    Otherwise the pass forms D too, and the slot is left as it is.
     """
     _check_slack(slack)
     cfg = ensemble.config
@@ -547,15 +532,10 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     violations = 0
     checked = len(kept) * n_pairs * m_t
     worst = 0.0 if checked else math.nan
-    fingerprint = simulator._fingerprint(ensemble.positions)
-    memo = _memo_sums(ensemble, m_t, kept, n, fingerprint)
-    series = None
-    if memo is None:
-        simulator._drift_memo = None   # one set of sums at a time
-        series = np.zeros((len(kept), m_t + 1, 1, n - 1, 2))
     # D on the drift's rows [l0, m), S on all the rows l < m
     for m, sq, d_x, d_y in _pair_drift_pass(ensemble, m_t, kept, n_pairs,
-                                            series, all_rows=True, memo=memo):
+                                            None, all_rows=True,
+                                            memo=_memo_sums(ensemble)):
         lag = (m - np.arange(m)) * dt
         d_mag = np.sqrt(d_x * d_x + d_y * d_y)
         # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
@@ -566,9 +546,6 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         ratio = d_mag / (slack * bound)
         violations += int(np.sum(ratio > 1.0))
         worst = max(worst, float(np.max(d_mag / bound)))
-    if series is not None:
-        simulator._drift_memo = simulator.DriftMemo(cfg, fingerprint, kept,
-                                                    series)
     return DominationStats(checked, violations, worst, slack,
                            excluded=ensemble.n_replicas - len(kept))
 
@@ -631,14 +608,12 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     The series D^{0,j} is -dt times the history sums of the drift memo
     (`simulator._drift_memo`) when it holds them for this ensemble: its
     config and the SHA-256 fingerprint of its whole positions array equal
-    this call's, and it covers the kept replicas up to the horizon, as
-    `run`'s sums and the series of a drift_domination_check miss on these
-    replicas do. The call then empties the slot. Otherwise the series
-    comes from the same pair-drift pass (`_pair_drift_pass`) over the pairs
-    (0, j) alone, without S, and the slot is left as it is. The series is
-    bit-identical either way, so are z_hat and bound. It is read in replica
-    blocks of at most DRIFT_BUDGET_BYTES, so a hit copies no more of the
-    memo at a time.
+    this call's, as they do for the ensemble `run` returned. The call then
+    empties the slot. Otherwise the series comes from the same pair-drift
+    pass (`_pair_drift_pass`) over the pairs (0, j) alone, without S, and
+    the slot is left as it is. The series is bit-identical either way, so
+    are z_hat and bound. It is read in replica blocks of at most
+    DRIFT_BUDGET_BYTES, so a hit copies no more of the memo at a time.
     """
     _check_slack(slack)
     cfg = ensemble.config
@@ -649,9 +624,8 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     q = 2.0 * (ep.gamma - 1.0)
     times = ensemble.times[: m_t + 1]
     kept = _finite_replicas(ensemble, m_t)
-    memo = _memo_sums(ensemble, m_t, kept, 1)
-    if memo is not None:
-        sums, rows = memo
+    sums, rows = _memo_sums(ensemble), kept
+    if sums is not None:
         simulator._drift_memo = None
     else:
         sums, rows = (np.zeros((len(kept), m_t + 1, 1, n - 1, 2)),

@@ -565,20 +565,17 @@ class DriftMemo(NamedTuple):
 
     `sums[r, m, i, k]` holds the two coordinates of the history sum
     (`_history_sums`) of the pair (i, (i + 1 + k) mod N) at step m, so that
-    D^{i,j}_m = -dt sums; its rows m = 0 are 0. `replicas` names the
-    replica of each row r: None for every replica in order (`run`), else
-    the replicas an estimator pass kept, which fills only the target
-    particles i < sums.shape[2] and the steps m < sums.shape[1].
+    D^{i,j}_m = -dt sums, for every replica r of a `run`; its rows m = 0
+    are 0.
     """
 
     config: SimConfig
     fingerprint: bytes          # `_fingerprint` of the whole positions array
-    replicas: np.ndarray | None
-    sums: np.ndarray            # (rows, steps + 1, targets, N - 1, 2)
+    sums: np.ndarray            # (R, M + 1, N, N - 1, 2)
 
 
-# The drift memo: one slot, filled by `run` and by a drift_domination_check
-# miss, read by that check and holder_modulus (see `run`). A module slot,
+# The drift memo: one slot, filled by `run`, read by drift_domination_check
+# and holder_modulus (see `run`). A module slot,
 # not an argument, since callers such as the benchmark call `run` and the
 # checks separately. It is replaced whole, so a concurrent reader sees one
 # key with its own sums; a race can only empty it early, and the reader
@@ -620,8 +617,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     (`_fingerprint`). drift_domination_check and holder_modulus read their
     D there only under that key, with the bits their own pass forms, so a
     changed position or config never gives a stale result. The slot lives
-    until holder_modulus takes it or the next `run` or domination miss
-    replaces it.
+    until holder_modulus takes it or the next `run` replaces it.
 
     Relabeling: applying one permutation of the particles to `initial` and
     `noise` permutes the paths to within 1e-12 (relative and absolute),
@@ -706,7 +702,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
                         drift_workspace_bytes=nbytes,
                         drift_tile_rows=tile_rows)
     if sums is not None:
-        _drift_memo = DriftMemo(config, _fingerprint(ens.positions), None, sums)
+        _drift_memo = DriftMemo(config, _fingerprint(ens.positions), sums)
     return ens
 
 

@@ -708,12 +708,13 @@ def same_bits(a, b):
 
 class TestSharedDriftPass:
     """drift_domination_check and holder_modulus read their pair drifts
-    from the drift memo (`simulator._drift_memo`): `run`'s per-pair
-    history sums, or the D^{0,j} series of a domination miss. The memo is
-    keyed by the config and a fingerprint of the whole positions array,
-    and a check reads it only when both match, so it never returns a stale
-    result. Each test's `ens` fixture runs after the suite's memo-emptying
-    fixture, so a test starts with `run`'s sums in the slot."""
+    from the drift memo (`simulator._drift_memo`), `run`'s per-pair history
+    sums, keyed by the config and a fingerprint of the whole positions
+    array; a check reads it only when both match, so it never returns a
+    stale result. Each test's `ens` fixture runs after the suite's
+    memo-emptying fixture, so a test starts with `run`'s sums in the slot
+    (the hit path); with the slot emptied (the miss path) each check runs
+    its own pass. Each test names the path it pins."""
 
     @pytest.fixture
     def ens(self):
@@ -730,10 +731,8 @@ class TestSharedDriftPass:
         # the D^{i,j}_m of paper_moments' E4, of the domination check's and
         # the Hoelder check's own passes (the miss path), each recorded
         # from its `_history_sums` calls (one tile a step here), and -dt
-        # times the memo's sums from `run` (the hit path) and from the
-        # domination miss, are one set of bits
+        # times run's sums in the memo (the hit path) are one set of bits
         n, m_t, dt = ens.n_particles, ens.n_steps, ens.config.dt
-        assert S._drift_memo.replicas is None
         run_sums = S._drift_memo.sums       # (R, M + 1, i, k, 2)
 
         def drifts(fn, *args):
@@ -751,7 +750,7 @@ class TestSharedDriftPass:
         e4 = drifts(E.paper_moments, ens, EP)   # (B, i, k, 2), j = i + 1 + k
         S._drift_memo = None                    # the miss path
         dom = drifts(E.drift_domination_check, ens, EP)   # (B, pair, 2)
-        series = S._drift_memo.sums             # (B, m_t + 1, 1, j - 1, 2)
+        assert S._drift_memo is None            # a miss keeps nothing
         hold = drifts(fresh_holder, ens)        # (B, j - 1, 2)
         pairs = E.ordered_pairs(n)
         for m in range(1, m_t + 1):
@@ -766,28 +765,26 @@ class TestSharedDriftPass:
                                       dom[m - 1][:, p])))
                 if i == 0:
                     assert same_bits(d, hold[m - 1][:, j - 1])
-                    assert same_bits(d, -dt * series[:, m, 0, j - 1])
-        assert not series[:, 0].any() and not run_sums[:, 0].any()
+        assert not run_sums[:, 0].any()
 
     def test_domination_hit_forms_no_drift(self, ens):
         # the hit path: run's sums are in the memo, so domination forms
         # only S's geometry, and its stats have the miss path's bits
+        run_memo = S._drift_memo
         with mock.patch.object(E, "_history_sums") as sums, \
                 mock.patch.object(E, "_gauss_factor") as gauss:
             hit = E.drift_domination_check(ens, EP)
         assert sums.call_count == gauss.call_count == 0
-        assert S._drift_memo.replicas is None   # run's sums stay for Hoelder
+        assert S._drift_memo is run_memo   # run's sums stay for Hoelder
         S._drift_memo = None
         miss = E.drift_domination_check(ens, EP)
         assert (hit.checked, hit.violations) == (miss.checked, miss.violations)
         assert same_bits(hit.worst_margin, miss.worst_margin)
 
     def test_holder_after_domination_shares_the_pass(self, ens):
-        # the miss path: with the memo emptied, domination runs its own
-        # pass and leaves its D^{0,j} series, which Hoelder takes
-        S._drift_memo = None
+        # the hit path: domination and then Hoelder read run's sums, and
+        # the Hoelder call empties the slot
         E.drift_domination_check(ens, EP)
-        assert S._drift_memo.replicas is not None
         with mock.patch.object(E, "_pair_geometry",
                                wraps=E._pair_geometry) as geometry:
             shared = E.holder_modulus(ens, EP)
@@ -795,30 +792,28 @@ class TestSharedDriftPass:
         assert geometry.call_count
         assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
         assert_same_holder(shared, fresh_holder(ens))
-        # the Hoelder call took the series: the memo holds nothing more
         assert S._drift_memo is None
-
-    def test_holder_after_run_shares_the_kernel(self, ens):
-        # the hit path: domination and then Hoelder read run's sums
+        # the miss path: domination keeps nothing, so Hoelder runs its own
+        # pass over the pairs (0, j)
         E.drift_domination_check(ens, EP)
-        assert S._drift_memo.replicas is None
         with mock.patch.object(E, "_pair_geometry",
                                wraps=E._pair_geometry) as geometry:
-            shared = E.holder_modulus(ens, EP)
-        assert geometry.call_count
-        assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
-        assert_same_holder(shared, fresh_holder(ens))
-        assert S._drift_memo is None
+            assert_same_holder(E.holder_modulus(ens, EP), shared)
+        assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
 
     def test_positions_changed_in_place(self, ens):
+        # the hit path made stale: run's sums no longer fit the positions
         E.drift_domination_check(ens, EP)
         ens.positions[1, 7:] = np.nan
         got = E.holder_modulus(ens, EP)
         assert got.excluded == 1
         assert_same_holder(got, fresh_holder(ens))
-        # a change of one bit, a -0.0 for a 0.0, also misses
+        assert S._drift_memo is not None   # the miss left run's sums
+        # a change of one bit, a -0.0 for a 0.0, also misses: the slot is
+        # keyed to the positions with 0.0 there, then that 0.0 turns -0.0
         ens.positions[2, 3, 1, 0] = 0.0
-        E.drift_domination_check(ens, EP)
+        S._drift_memo = S._drift_memo._replace(
+            fingerprint=S._fingerprint(ens.positions))
         ens.positions[2, 3, 1, 0] = -0.0
         with mock.patch.object(E, "_pair_geometry",
                                wraps=E._pair_geometry) as geometry:
@@ -828,35 +823,46 @@ class TestSharedDriftPass:
     def test_one_position_changed_after_run_misses(self, ens):
         # one coordinate one ulp away from run's: domination forms its own
         # D, whose bits are those of a call on an empty memo
+        run_memo = S._drift_memo
         x = ens.positions[3, 12, 2, 1]
         ens.positions[3, 12, 2, 1] = np.nextafter(x, np.inf)
         with mock.patch.object(E, "_history_sums",
                                wraps=E._history_sums) as sums:
             got = E.drift_domination_check(ens, EP)
         assert sums.call_count == ens.n_steps
-        assert S._drift_memo.replicas is not None   # the miss's series
+        assert S._drift_memo is run_memo   # a miss leaves the slot as it is
         S._drift_memo = None
         want = E.drift_domination_check(ens, EP)
         assert (got.checked, got.violations) == (want.checked, want.violations)
         assert same_bits(got.worst_margin, want.worst_margin)
 
     def test_another_horizon(self, ens):
-        E.drift_domination_check(ens, EP)
+        # the hit path (run's sums read to a horizon short of M) and the
+        # miss path
+        run_memo = S._drift_memo
         early = dataclasses.replace(EP, horizon=0.2)
-        got = E.holder_modulus(ens, early)
-        assert len(got.z_hat) == ens.n_replicas
-        assert_same_holder(got, fresh_holder(ens, early))
-        # and the other way round: domination to 0.2, Hoelder to the end
-        E.drift_domination_check(ens, early)
-        assert_same_holder(E.holder_modulus(ens, EP), fresh_holder(ens))
+        for memo in (run_memo, None):
+            S._drift_memo = memo
+            E.drift_domination_check(ens, EP)
+            got = E.holder_modulus(ens, early)
+            assert len(got.z_hat) == ens.n_replicas
+            assert_same_holder(got, fresh_holder(ens, early))
+            # and the other way round: domination to 0.2, Hoelder to the end
+            S._drift_memo = memo
+            E.drift_domination_check(ens, early)
+            assert_same_holder(E.holder_modulus(ens, EP), fresh_holder(ens))
 
     def test_another_ensemble_of_the_same_shape_and_config(self, ens):
+        # the slot holds ens's sums; Hoelder on another ensemble misses
+        ens_memo = S._drift_memo
         cfg = ens.config
         other = S.run(cfg, noise=2.0 * S.draw_noise(cfg))
         assert other.config == cfg
         assert other.positions.shape == ens.positions.shape
+        S._drift_memo = ens_memo
         E.drift_domination_check(ens, EP)
         got = E.holder_modulus(other, EP)
+        assert S._drift_memo is ens_memo
         assert_same_holder(got, fresh_holder(other))
         assert not np.array_equal(got.z_hat, fresh_holder(ens).z_hat)
 
@@ -866,39 +872,47 @@ class TestSharedDriftPass:
                                             epsilon=0.1)}],
                              ids=["cutoff", "epsilon"])
     def test_same_positions_under_another_config(self, ens, change):
+        # the slot holds run's sums under ens's config: neither check
+        # reads them for the same positions under another config
         other = dataclasses.replace(
             ens, config=dataclasses.replace(ens.config, **change))
+        run_memo = S._drift_memo
         E.drift_domination_check(ens, EP)
         got = E.holder_modulus(other, EP)
+        assert S._drift_memo is run_memo
         assert_same_holder(got, fresh_holder(other))
         assert not np.array_equal(got.bound, fresh_holder(ens).bound)
-        # nor does domination read run's sums under the other config
-        S.run(ens.config)
         with mock.patch.object(E, "_history_sums",
                                wraps=E._history_sums) as sums:
             E.drift_domination_check(other, EP)
         assert sums.call_count == ens.n_steps
 
     def test_holder_called_first(self, ens):
+        # Hoelder on run's sums (the hit path) takes them; domination and
+        # Hoelder then miss
         want = fresh_holder(ens)
         assert_same_holder(E.holder_modulus(ens, EP), want)
+        assert S._drift_memo is None
         E.drift_domination_check(ens, EP)
         assert_same_holder(E.holder_modulus(ens, EP), want)
 
     @pytest.mark.parametrize("budget", [1, 4 * 16 * 20])
     def test_patched_budget(self, ens, budget):
+        # both checks in tiles under a patched budget against the default
+        # one's own passes: on the miss path, and on the hit path, whose
+        # sums run formed at the default budget
+        run_memo = S._drift_memo
         want = fresh_holder(ens)
+        S._drift_memo = None
         whole = E.drift_domination_check(ens, EP)
-        # domination in tiles, Hoelder on its series at the default budget
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
-            tiled = E.drift_domination_check(ens, EP)
-        assert ((tiled.checked, tiled.violations, tiled.worst_margin)
-                == (whole.checked, whole.violations, whole.worst_margin))
-        assert_same_holder(E.holder_modulus(ens, EP), want)
-        # and Hoelder in the patched budget on the default one's series
-        E.drift_domination_check(ens, EP)
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
-            assert_same_holder(E.holder_modulus(ens, EP), want)
+        for memo in (None, run_memo):
+            S._drift_memo = memo
+            with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
+                tiled = E.drift_domination_check(ens, EP)
+                assert_same_holder(E.holder_modulus(ens, EP), want)
+            assert ((tiled.checked, tiled.violations, tiled.worst_margin)
+                    == (whole.checked, whole.violations, whole.worst_margin))
+            assert S._drift_memo is None
 
 
 class TestDriftMemo:
@@ -932,7 +946,7 @@ class TestDriftMemo:
         monkeypatch.setenv("KSPP_THREADS", threads)
         ens = self.blown_ensemble(n)
         ep = dataclasses.replace(EP, horizon=horizon)
-        assert S._drift_memo.replicas is None
+        assert S._drift_memo is not None
         dom = E.drift_domination_check(ens, ep)
         hold = E.holder_modulus(ens, ep)
         assert S._drift_memo is None    # both read run's sums
@@ -943,21 +957,6 @@ class TestDriftMemo:
                                                  miss_dom.violations)
         assert same_bits(dom.worst_margin, miss_dom.worst_margin)
         assert_same_holder(hold, miss_hold)
-        # and Hoelder on the domination miss's series
-        assert_same_holder(E.holder_modulus(ens, ep), miss_hold)
-
-    def test_series_of_other_replicas_misses(self):
-        # a domination miss at the full horizon leaves the series of the
-        # five replicas it kept; Hoelder at 0.3 keeps replica 2 as well,
-        # so it runs its own pass
-        ens = self.blown_ensemble(3)
-        S._drift_memo = None
-        E.drift_domination_check(ens, EP)
-        assert len(S._drift_memo.replicas) == 5
-        early = dataclasses.replace(EP, horizon=0.3)
-        got = E.holder_modulus(ens, early)
-        assert len(got.z_hat) == 6 and S._drift_memo is not None
-        assert_same_holder(got, fresh_holder(ens, early))
 
     def test_run_over_the_budget_leaves_the_slot_empty(self):
         cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0, epsilon=0.05),
@@ -999,7 +998,7 @@ class TestDriftMemo:
         assert S._drift_memo.sums.nbytes == r_n * per_replica <= budget
         assert held <= budget + 64 * 1024
         # the hit path copies none of the slot: its peak is under the miss
-        # path's, which forms the series and the Gaussian factors
+        # path's, which forms the Gaussian factors
         peaks = []
         for memo in (S._drift_memo, None):
             S._drift_memo = memo
