@@ -396,26 +396,24 @@ def _check_slack(slack: float) -> None:
 
 
 def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
-                     n_pairs: int, series: np.ndarray | None, all_rows: bool,
+                     n_pairs: int, all_rows: bool,
                      memo: np.ndarray | None = None):
     """The pair drifts D^{i,j}_m of the first `n_pairs` ordered pairs
     (`ordered_pairs`) of the `kept` replicas at the steps 1 <= m <= m_t.
 
     A generator: for each replica block, step m and tile of pairs it
-    yields m, the tile's squared distances |X^i_m - X^j_l|^2 (B, K, L)
-    and its D by coordinate, d_x and d_y (B, K). The L rows are l < m
-    with `all_rows`, else only the drift's own rows [l0, m). The squared
-    distances are a view of the pass's workspace, which the caller may
-    overwrite: the next tile forms them anew.
+    yields m, the tile (a range of pairs), its squared distances
+    |X^i_m - X^j_l|^2 (B, K, L) and its D by coordinate, d_x and d_y
+    (B, K). The L rows are l < m with `all_rows`, else only the drift's
+    own rows [l0, m). The squared distances are a view of the pass's
+    workspace, which the caller may overwrite: the next tile forms them
+    anew.
 
     D is -dt times the drift kernel's history sums: `_pair_geometry`,
-    `_gauss_factor` and `_history_sums` on the rows [l0, m). The sums of
-    the pairs (0, j), the first N - 1, also go into `series`
-    (len(kept), m_t + 1, 1, N - 1, 2) at [block, m] unless it is None; its
-    rows 0 are left as they are. With `memo`, the sums of a matching drift
-    memo (`_memo_sums`), D is read from there and neither the Gaussian
-    factor nor the history sums are formed: only the squared distances,
-    and `series` is not written.
+    `_gauss_factor` and `_history_sums` on the rows [l0, m). With `memo`,
+    the sums of a matching drift memo (`_memo_sums`), D is read from there
+    and neither the Gaussian factor nor the history sums are formed: only
+    the squared distances.
 
     Replicas run in blocks and the pairs, which are i-major, in contiguous
     tiles whose dx and dy fit DRIFT_BUDGET_BYTES for the largest block
@@ -476,21 +474,17 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
                     sx, sy = _history_sums(
                         dx[..., own], dy[..., own],
                         _gauss_factor(sq[..., own], lags, cfg, out=g), w)
-                    if series is not None and k0 < n - 1:
-                        top = min(k1, n - 1) - k0
-                        series[rows, m, 0, k0: k0 + top, 0] = sx[:, :top]
-                        series[rows, m, 0, k0: k0 + top, 1] = sy[:, :top]
-                yield m, sq, -dt * sx, -dt * sy
+                yield m, tile, sq, -dt * sx, -dt * sy
 
 
 def _memo_sums(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
-    """The per-pair history sums that `run` left in the drift memo
-    (`simulator._drift_memo`) for `ensemble`, (R, M + 1, N, N - 1, 2):
-    sums[r, m, i, k] are those of replica r and the pair
-    (i, (i + 1 + k) mod N). None unless the slot holds them under the
-    ensemble's config and the SHA-256 fingerprint of its whole positions
-    array."""
-    memo = simulator._drift_memo
+    """The per-pair history sums that `run` kept in `ensemble.drift_memo`,
+    (R, M + 1, N, N - 1, 2): sums[r, m, i, k] are those of replica r and
+    the pair (i, (i + 1 + k) mod N). None unless the memo holds them under
+    the ensemble's config and the SHA-256 fingerprint of its whole
+    positions array, so that a swapped config or a write to the positions
+    misses."""
+    memo = ensemble.drift_memo
     if memo is None or memo.config != ensemble.config:
         return None
     if memo.fingerprint != simulator._fingerprint(ensemble.positions):
@@ -511,12 +505,10 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     finite and > 0.
 
     S comes from the squared distances of the pair-drift pass over all
-    ordered pairs (`_pair_drift_pass`). D comes from the drift memo
-    (`simulator._drift_memo`) when `run` left the sums of this ensemble
-    there: same config, same SHA-256 fingerprint of the whole positions
-    array. The pass then forms only S's geometry, and D = -dt sums has the
-    bits the pass would form; the slot is left for holder_modulus.
-    Otherwise the pass forms D too, and the slot is left as it is.
+    ordered pairs (`_pair_drift_pass`). D comes from the ensemble's drift
+    memo (`_memo_sums`) when it matches: the pass then forms only S's
+    geometry, and D = -dt sums has the bits the pass would form. Otherwise
+    the pass forms D too.
     """
     _check_slack(slack)
     cfg = ensemble.config
@@ -533,9 +525,9 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     checked = len(kept) * n_pairs * m_t
     worst = 0.0 if checked else math.nan
     # D on the drift's rows [l0, m), S on all the rows l < m
-    for m, sq, d_x, d_y in _pair_drift_pass(ensemble, m_t, kept, n_pairs,
-                                            None, all_rows=True,
-                                            memo=_memo_sums(ensemble)):
+    for m, _, sq, d_x, d_y in _pair_drift_pass(ensemble, m_t, kept, n_pairs,
+                                               all_rows=True,
+                                               memo=_memo_sums(ensemble)):
         lag = (m - np.arange(m)) * dt
         d_mag = np.sqrt(d_x * d_x + d_y * d_y)
         # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
@@ -593,6 +585,37 @@ class HolderStats:
                     and np.all(self.z_hat <= self.slack * self.bound))
 
 
+def _holder_block(ensemble: TrajectoryEnsemble, m_t: int, rows: np.ndarray,
+                  sums: np.ndarray | None, beta: float, gamma: float
+                  ) -> tuple[np.ndarray, list[float]]:
+    """holder_modulus' z_hat and bound for the replicas `rows`, from -dt
+    times the memo's `sums` or, when they are None, from the pair-drift
+    pass over the pairs (0, j). A function of its own, so that a block's
+    arrays, the pass's workspace among them, are freed before the next
+    block's pass allocates."""
+    chi, dt = ensemble.config.params.chi, ensemble.config.dt
+    n = ensemble.n_particles
+    # (B, m_t + 1, N - 1, 2): D^{0,j} = -dt sums, and D_0 = 0
+    if sums is not None:
+        d_series = np.take(sums[:, : m_t + 1, 0], rows, axis=0)
+        d_series *= -dt
+        d_series[:, 0] = 0.0
+    else:
+        d_series = np.zeros((len(rows), m_t + 1, n - 1, 2))
+        for m, tile, _, d_x, d_y in _pair_drift_pass(ensemble, m_t, rows,
+                                                     n - 1, all_rows=False):
+            d_series[:, m, tile.start: tile.stop, 0] = d_x
+            d_series[:, m, tile.start: tile.stop, 1] = d_y
+    mean_d = d_series.mean(axis=2)
+    gamma_paths = np.zeros((len(rows), m_t + 1, 2))
+    gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
+    d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
+    tails = dt * np.sum(d_mag[:, :-1] ** (2.0 * (gamma - 1.0)), axis=1)
+    bound = [chi / (n - 1) * math.fsum(1.0 + t for t in tail)
+             for tail in tails]
+    return _holder_max(gamma_paths, ensemble.times[: m_t + 1], beta), bound
+
+
 def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                    slack: float = 1.05) -> HolderStats:
     """Hoelder modulus of the integrated interaction drift of particle 1.
@@ -605,50 +628,26 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     `excluded`; z_hat and bound hold the others, in replica order. slack
     must be finite and > 0.
 
-    The series D^{0,j} is -dt times the history sums of the drift memo
-    (`simulator._drift_memo`) when it holds them for this ensemble: its
-    config and the SHA-256 fingerprint of its whole positions array equal
-    this call's, as they do for the ensemble `run` returned. The call then
-    empties the slot. Otherwise the series comes from the same pair-drift
-    pass (`_pair_drift_pass`) over the pairs (0, j) alone, without S, and
-    the slot is left as it is. The series is bit-identical either way, so
-    are z_hat and bound. It is read in replica blocks of at most
-    DRIFT_BUDGET_BYTES, so a hit copies no more of the memo at a time.
+    The series D^{0,j} is -dt times the history sums of the ensemble's
+    drift memo (`_memo_sums`) when it matches, else it comes from the
+    pair-drift pass (`_pair_drift_pass`) over the pairs (0, j) alone,
+    without S. The series is bit-identical either way, so are z_hat and
+    bound. It is formed and reduced in replica blocks of at most
+    DRIFT_BUDGET_BYTES, so neither path holds the series of every replica.
     """
     _check_slack(slack)
-    cfg = ensemble.config
-    chi, dt = cfg.params.chi, cfg.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     n = ensemble.n_particles
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
-    q = 2.0 * (ep.gamma - 1.0)
-    times = ensemble.times[: m_t + 1]
     kept = _finite_replicas(ensemble, m_t)
-    sums, rows = _memo_sums(ensemble), kept
-    if sums is not None:
-        simulator._drift_memo = None
-    else:
-        sums, rows = (np.zeros((len(kept), m_t + 1, 1, n - 1, 2)),
-                      np.arange(len(kept)))
-        for _ in _pair_drift_pass(ensemble, m_t, kept, n - 1, sums,
-                                  all_rows=False):
-            pass
+    sums = _memo_sums(ensemble)
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
+    # the pass's replica blocks: one pass call forms one block's series
     for block in budget_blocks(len(kept), 16 * (n - 1) * m_t):
-        # (B, m_t + 1, N - 1, 2): D^{0,j} = -dt sums, and D_0 = 0
-        d_series = np.take(sums[:, : m_t + 1, 0], rows[block.start: block.stop],
-                           axis=0, mode="clip")
-        d_series *= -dt
-        d_series[:, 0] = 0.0
-        mean_d = d_series.mean(axis=2)
-        gamma_paths = np.zeros((len(block), m_t + 1, 2))
-        gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
-        d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
-        tails = dt * np.sum(d_mag[:, :-1] ** q, axis=1)
-        z_hat[block.start: block.stop] = _holder_max(gamma_paths, times, beta)
-        for b, tail in zip(block, tails):
-            bound[b] = chi / (n - 1) * math.fsum(1.0 + t for t in tail)
+        part = slice(block.start, block.stop)
+        z_hat[part], bound[part] = _holder_block(ensemble, m_t, kept[part],
+                                                 sums, beta, ep.gamma)
     return HolderStats(beta, z_hat, bound, slack,
                        excluded=ensemble.n_replicas - len(kept))
 

@@ -93,12 +93,30 @@ class SimConfig:
                              f"got {self.history_cutoff}")
 
 
+class DriftMemo(NamedTuple):
+    """Per-pair drift history sums with the key they were formed under.
+
+    `sums[r, m, i, k]` holds the two coordinates of the history sum
+    (`_history_sums`) of the pair (i, (i + 1 + k) mod N) at step m, so that
+    D^{i,j}_m = -dt sums, for every replica r of a `run`; its rows m = 0
+    are 0. The sums are valid for an ensemble only under this config and
+    this fingerprint of its positions, as the checks that read them test.
+    """
+
+    config: SimConfig
+    fingerprint: bytes          # `_fingerprint` of the whole positions array
+    sums: np.ndarray            # (R, M + 1, N, N - 1, 2)
+
+
 @dataclass
 class TrajectoryEnsemble:
     """Simulated paths: replica x time-grid x particle x 2 positions.
 
     Rows from a blow-up on are NaN; affected replicas are listed in
     `blowups` as (replica, step) with `step` the first non-finite row.
+    `drift_memo` holds the per-pair history sums that `run` formed for these
+    positions, when they fit DRIFT_BUDGET_BYTES, else None; it is no
+    constructor argument, so `dataclasses.replace` returns a copy without it.
     """
 
     positions: np.ndarray
@@ -113,6 +131,8 @@ class TrajectoryEnsemble:
     counters: dict[str, int] = field(default_factory=lambda: {
         "replica_blocks": 0, "drift_workspace_bytes": 0,
         "drift_tile_rows": 0})
+    drift_memo: DriftMemo | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     @property
     def n_replicas(self) -> int:
@@ -438,7 +458,7 @@ def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
     depend on the tiles bit for bit. Each tile's two einsums write the
     per-pair history sums straight into `pair_sums` (B, N, N - 1, 2), laid
     out (B, i, k, coordinate), which may be a view of `run`'s memo
-    (`_drift_memo`); without it the call allocates one. D^{i,j}_m is
+    (`DriftMemo`); without it the call allocates one. D^{i,j}_m is
     -dt times these sums; at m = 0 nothing is formed and `pair_sums` is
     left as it is. Against the full N*N grid with the
     self pairs subtracted, a step took 0.57-0.65 of the time at N = 2 (300
@@ -560,29 +580,6 @@ def _require_smoothing(config: SimConfig) -> None:
         raise ValueError("the smoothed system requires epsilon > 0")
 
 
-class DriftMemo(NamedTuple):
-    """Per-pair drift history sums with the key they were formed under.
-
-    `sums[r, m, i, k]` holds the two coordinates of the history sum
-    (`_history_sums`) of the pair (i, (i + 1 + k) mod N) at step m, so that
-    D^{i,j}_m = -dt sums, for every replica r of a `run`; its rows m = 0
-    are 0.
-    """
-
-    config: SimConfig
-    fingerprint: bytes          # `_fingerprint` of the whole positions array
-    sums: np.ndarray            # (R, M + 1, N, N - 1, 2)
-
-
-# The drift memo: one slot, filled by `run`, read by drift_domination_check
-# and holder_modulus (see `run`). A module slot,
-# not an argument, since callers such as the benchmark call `run` and the
-# checks separately. It is replaced whole, so a concurrent reader sees one
-# key with its own sums; a race can only empty it early, and the reader
-# then runs its own pass.
-_drift_memo: DriftMemo | None = None
-
-
 def _fingerprint(positions: np.ndarray) -> bytes:
     """SHA-256 of `positions`: its shape, dtype and bytes, read in replica
     blocks of at most DRIFT_BUDGET_BYTES (a block is copied only when it is
@@ -607,17 +604,16 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     first non-finite row rather than raised; it steps on with its block as
     NaN rows, and a block whose replicas have all blown stops.
 
-    The drift memo (`_drift_memo`): every call empties the slot. When
-    chi != 0 and the per-pair history sums of all R replicas and the steps
-    0..M, R (M + 1) N (N - 1) 16 bytes, fit DRIFT_BUDGET_BYTES, the kernel
-    writes each step's sums straight into one array, each block forms step
-    M's after its Euler steps (one kernel step more, counted in
-    `drift_seconds`), and the slot then holds them, keyed by the config
-    and a SHA-256 fingerprint of the whole positions array
-    (`_fingerprint`). drift_domination_check and holder_modulus read their
-    D there only under that key, with the bits their own pass forms, so a
-    changed position or config never gives a stale result. The slot lives
-    until holder_modulus takes it or the next `run` replaces it.
+    The drift memo: when chi != 0 and the per-pair history sums of all R
+    replicas and the steps 0..M, R (M + 1) N (N - 1) 16 bytes, fit
+    DRIFT_BUDGET_BYTES, the kernel writes each step's sums straight into
+    one array, each block forms step M's after its Euler steps (one kernel
+    step more, counted in `drift_seconds`), and the returned ensemble's
+    `drift_memo` holds them, keyed by the config and a SHA-256 fingerprint
+    of the whole positions array (`_fingerprint`). drift_domination_check
+    and holder_modulus read their D there only under that key, with the
+    bits their own pass forms, so a changed position or config never gives
+    a stale result.
 
     Relabeling: applying one permutation of the particles to `initial` and
     `noise` permutes the paths to within 1e-12 (relative and absolute),
@@ -627,9 +623,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     absolute and 17 were not bit-equal, all at N >= 5. At N <= 3 the sum
     has at most two terms, and relabeling is exact.
     """
-    global _drift_memo
     _require_smoothing(config)
-    _drift_memo = None   # one set of sums at a time
     ens = init_ensemble(config, initial=initial)
     if noise is not None:
         noise = np.asarray(noise, dtype=float)
@@ -702,7 +696,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
                         drift_workspace_bytes=nbytes,
                         drift_tile_rows=tile_rows)
     if sums is not None:
-        _drift_memo = DriftMemo(config, _fingerprint(ens.positions), sums)
+        ens.drift_memo = DriftMemo(config, _fingerprint(ens.positions), sums)
     return ens
 
 

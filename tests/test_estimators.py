@@ -48,6 +48,39 @@ def brownian_ensemble(n_particles=2, n_steps=64, n_replicas=8, seed=2,
 EP = E.EstimatorParams(gamma=1.6, alpha=0.05)
 
 
+def without_memo(ens):
+    """A copy of `ens` on the same positions without `run`'s drift memo:
+    the checks' miss path, where each forms its own pair drifts."""
+    copy = dataclasses.replace(ens)
+    assert copy.drift_memo is None
+    return copy
+
+
+def on_route(ens, route):
+    """`ens`, whose memo the checks read (the "hit" path), or a copy of it
+    without one (the "miss" path)."""
+    if route == "hit":
+        assert E._memo_sums(ens) is not None
+        return ens
+    return without_memo(ens)
+
+
+def fresh_holder(ens, ep=EP):
+    """holder_modulus on the miss path: its own pass over the pairs (0, j)."""
+    return E.holder_modulus(without_memo(ens), ep)
+
+
+def assert_same_holder(got, want):
+    assert got.excluded == want.excluded
+    assert np.array_equal(got.z_hat.view(np.int64), want.z_hat.view(np.int64))
+    assert np.array_equal(got.bound.view(np.int64), want.bound.view(np.int64))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, float).view(np.int64),
+                          np.asarray(b, float).view(np.int64))
+
+
 def grad_k_mag(lag, sq, cfg):
     """|grad K_lag| at squared distance sq (unsmoothed kernel), in one
     expression: the reference for paper_moments' E3 terms."""
@@ -531,15 +564,18 @@ class TestHolderModulus:
         # 21 grid times, 24 * 21 bytes a path for the three diagonal arrays:
         # a budget of `paths` paths splits holder_modulus into blocks of one
         # or three replicas and _holder_max into blocks of `paths` paths; the
-        # maxima and bounds are those of the whole grid
+        # maxima and bounds are those of the whole grid, on run's sums (the
+        # hit path) and on the call's own pass (the miss path)
         ens = brownian_ensemble(n_particles=3, n_steps=20, n_replicas=6,
                                 seed=3, chi=0.9)
-        whole = E.holder_modulus(ens, EP)
+        whole = fresh_holder(ens)
+        for route in ("hit", "miss"):
+            target = on_route(ens, route)
+            with mock.patch.object(S, "DRIFT_BUDGET_BYTES", paths * 24 * 21):
+                tiled = E.holder_modulus(target, EP)
+            assert_same_holder(tiled, whole)
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", paths * 24 * 21):
-            tiled = E.holder_modulus(ens, EP)
             path = E._holder_max(ens.positions[None, 0, :, 0], ens.times, 0.3)
-        assert np.array_equal(tiled.z_hat, whole.z_hat)
-        assert np.array_equal(tiled.bound, whole.bound)
         assert path == E._holder_max(ens.positions[None, 0, :, 0], ens.times,
                                      0.3)
 
@@ -549,6 +585,35 @@ class TestHolderModulus:
         ens = brownian_ensemble(n_steps=8, n_replicas=2, chi=1.0)
         with pytest.raises(ValueError, match="slack must be finite"):
             E.holder_modulus(ens, EP, slack=slack)
+
+    def test_miss_path_peak_does_not_grow_with_replicas(self):
+        # random walks of N = 2 and M = 24, built without `run` and so
+        # without a memo, under a budget of 4 replicas' pass geometry, 16 x
+        # 24 bytes each: the miss path forms and reduces the D^{0,j} series
+        # one replica block at a time. Its peak above the input then grows
+        # by the outputs and the list of blocks (about 70 bytes a replica
+        # here, 160 allowed), not by the series of every replica, 16 x 25
+        # bytes each
+        def peak(r_n):
+            cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0,
+                                                  epsilon=0.05),
+                              n_particles=2, dt=1.0 / 64, n_steps=24,
+                              n_replicas=r_n)
+            steps = np.random.default_rng(4).standard_normal((r_n, 25, 2, 2))
+            ens = S.TrajectoryEnsemble(positions=0.1 * steps.cumsum(axis=1),
+                                       config=cfg, rng_provenance={})
+            with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 4 * 16 * 24):
+                tracemalloc.start()
+                try:
+                    stats = E.holder_modulus(ens, EP)
+                    got = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert stats.z_hat.size == r_n
+            return got
+
+        small, large = peak(32), peak(256)
+        assert large - small < 160 * (256 - 32)
 
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
     def test_path_blocks_match_per_path_loop(self, per_block):
@@ -619,35 +684,44 @@ class TestTargetTiles:
 
     @pytest.mark.parametrize("tile", [1, 2, 3, 5])
     def test_domination(self, ens, tile):
-        whole = E.drift_domination_check(ens, EP)
-        # one replica's dx and dy over `tile` target particles, 4 pairs each
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
-                               tile * 4 * 16 * ens.n_steps), \
-                mock.patch.object(E, "_pair_geometry",
-                                  wraps=E._pair_geometry) as geometry:
-            tiled = E.drift_domination_check(ens, EP)
-        assert max(c.args[0].shape[2] for c in geometry.call_args_list) == (
-            4 * tile)
-        assert (tiled.checked, tiled.violations, tiled.worst_margin) == (
-            whole.checked, whole.violations, whole.worst_margin)
+        # run's sums, 3 x 17 x 20 x 16 bytes, fit the budget: on the hit
+        # path the check reads them and still tiles S's geometry, on the
+        # miss path it forms D in the same tiles; both against the miss
+        # path at the default budget
+        whole = E.drift_domination_check(without_memo(ens), EP)
+        for route in ("hit", "miss"):
+            target = on_route(ens, route)
+            # one replica's dx and dy over `tile` target particles, 4 pairs
+            # each
+            with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                                   tile * 4 * 16 * ens.n_steps), \
+                    mock.patch.object(E, "_pair_geometry",
+                                      wraps=E._pair_geometry) as geometry:
+                tiled = E.drift_domination_check(target, EP)
+            assert max(c.args[0].shape[2]
+                       for c in geometry.call_args_list) == 4 * tile
+            assert (tiled.checked, tiled.violations, tiled.worst_margin) == (
+                whole.checked, whole.violations, whole.worst_margin)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
     def test_holder(self, ens, chunk):
-        # an empty memo: both calls run their own pass over the pairs (0, j)
-        with mock.patch.object(S, "_drift_memo", None):
-            whole = E.holder_modulus(ens, EP)
-        # one replica's dx and dy over `chunk` of the pairs (0, j)
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
-                               chunk * 16 * ens.n_steps), \
-                mock.patch.object(S, "_drift_memo", None), \
-                mock.patch.object(E, "_pair_geometry",
-                                  wraps=E._pair_geometry) as geometry:
-            tiled = E.holder_modulus(ens, EP)
-        # the 4-d (2, B, j, l) pair calls, not `_holder_max`'s 3-d paths
-        assert max(c.args[1].shape[2] for c in geometry.call_args_list
-                   if c.args[1].ndim == 4) == chunk
-        assert np.array_equal(tiled.z_hat, whole.z_hat)
-        assert np.array_equal(tiled.bound, whole.bound)
+        # the miss path runs its own pass over the pairs (0, j) in tiles of
+        # `chunk` pairs; the hit path reads run's sums in replica blocks
+        # and forms no pair geometry
+        whole = fresh_holder(ens)
+        for route in ("hit", "miss"):
+            target = on_route(ens, route)
+            # one replica's dx and dy over `chunk` of the pairs (0, j)
+            with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                                   chunk * 16 * ens.n_steps), \
+                    mock.patch.object(E, "_pair_geometry",
+                                      wraps=E._pair_geometry) as geometry:
+                tiled = E.holder_modulus(target, EP)
+            # the 4-d (2, B, j, l) pair calls, not `_holder_max`'s 3-d paths
+            assert max((c.args[1].shape[2] for c in geometry.call_args_list
+                        if c.args[1].ndim == 4), default=0) == (
+                chunk if route == "miss" else 0)
+            assert_same_holder(tiled, whole)
 
     def test_peaks_bounded_by_the_budget(self):
         # one N = 32, M = 140 replica: its dx and dy over all 992 pairs take
@@ -672,6 +746,7 @@ class TestTargetTiles:
 
         ens, p = peak(S.run, cfg, initial, noise)
         assert ens.counters["drift_tile_rows"] < 32
+        assert ens.drift_memo is None   # over the budget: the miss paths
         # the workspace: a tile's dx, dy and coefficients, 1.5 budgets, and
         # the doubled window; the positions and the split history
         assert p < 2 * budget + 3 * ens.positions.nbytes
@@ -689,32 +764,15 @@ class TestTargetTiles:
         assert p < budget
 
 
-def fresh_holder(ens, ep=EP):
-    """holder_modulus with an empty memo: its own pass over the pairs (0, j)."""
-    with mock.patch.object(S, "_drift_memo", None):
-        return E.holder_modulus(ens, ep)
-
-
-def assert_same_holder(got, want):
-    assert got.excluded == want.excluded
-    assert np.array_equal(got.z_hat.view(np.int64), want.z_hat.view(np.int64))
-    assert np.array_equal(got.bound.view(np.int64), want.bound.view(np.int64))
-
-
-def same_bits(a, b):
-    return np.array_equal(np.asarray(a, float).view(np.int64),
-                          np.asarray(b, float).view(np.int64))
-
-
 class TestSharedDriftPass:
     """drift_domination_check and holder_modulus read their pair drifts
-    from the drift memo (`simulator._drift_memo`), `run`'s per-pair history
-    sums, keyed by the config and a fingerprint of the whole positions
-    array; a check reads it only when both match, so it never returns a
-    stale result. Each test's `ens` fixture runs after the suite's
-    memo-emptying fixture, so a test starts with `run`'s sums in the slot
-    (the hit path); with the slot emptied (the miss path) each check runs
-    its own pass. Each test names the path it pins."""
+    from the ensemble's drift memo (`TrajectoryEnsemble.drift_memo`),
+    `run`'s per-pair history sums, keyed by the config and a fingerprint of
+    the whole positions array; a check reads it only when both match, so it
+    never returns a stale result. `ens` carries run's sums (the hit path);
+    `without_memo(ens)` is a copy on the same positions without them (the
+    miss path), where each check runs its own pass. Each test names the
+    path it pins."""
 
     @pytest.fixture
     def ens(self):
@@ -733,7 +791,7 @@ class TestSharedDriftPass:
         # from its `_history_sums` calls (one tile a step here), and -dt
         # times run's sums in the memo (the hit path) are one set of bits
         n, m_t, dt = ens.n_particles, ens.n_steps, ens.config.dt
-        run_sums = S._drift_memo.sums       # (R, M + 1, i, k, 2)
+        run_sums = ens.drift_memo.sums      # (R, M + 1, i, k, 2)
 
         def drifts(fn, *args):
             sums = []
@@ -748,9 +806,9 @@ class TestSharedDriftPass:
             return [-dt * np.stack(c, axis=-1) for c in sums]
 
         e4 = drifts(E.paper_moments, ens, EP)   # (B, i, k, 2), j = i + 1 + k
-        S._drift_memo = None                    # the miss path
-        dom = drifts(E.drift_domination_check, ens, EP)   # (B, pair, 2)
-        assert S._drift_memo is None            # a miss keeps nothing
+        miss = without_memo(ens)                # the miss path
+        dom = drifts(E.drift_domination_check, miss, EP)   # (B, pair, 2)
+        assert miss.drift_memo is None          # a miss keeps nothing
         hold = drifts(fresh_holder, ens)        # (B, j - 1, 2)
         pairs = E.ordered_pairs(n)
         for m in range(1, m_t + 1):
@@ -770,35 +828,37 @@ class TestSharedDriftPass:
     def test_domination_hit_forms_no_drift(self, ens):
         # the hit path: run's sums are in the memo, so domination forms
         # only S's geometry, and its stats have the miss path's bits
-        run_memo = S._drift_memo
+        run_memo = ens.drift_memo
         with mock.patch.object(E, "_history_sums") as sums, \
                 mock.patch.object(E, "_gauss_factor") as gauss:
             hit = E.drift_domination_check(ens, EP)
         assert sums.call_count == gauss.call_count == 0
-        assert S._drift_memo is run_memo   # run's sums stay for Hoelder
-        S._drift_memo = None
-        miss = E.drift_domination_check(ens, EP)
+        assert ens.drift_memo is run_memo   # run's sums stay for Hoelder
+        miss = E.drift_domination_check(without_memo(ens), EP)
         assert (hit.checked, hit.violations) == (miss.checked, miss.violations)
         assert same_bits(hit.worst_margin, miss.worst_margin)
 
     def test_holder_after_domination_shares_the_pass(self, ens):
         # the hit path: domination and then Hoelder read run's sums, and
-        # the Hoelder call empties the slot
+        # the memo stays, so a second Hoelder call reads them again
+        run_memo = ens.drift_memo
         E.drift_domination_check(ens, EP)
-        with mock.patch.object(E, "_pair_geometry",
-                               wraps=E._pair_geometry) as geometry:
-            shared = E.holder_modulus(ens, EP)
-        # only `_holder_max`'s 3-d path geometry, no 4-d pair geometry
-        assert geometry.call_count
-        assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
-        assert_same_holder(shared, fresh_holder(ens))
-        assert S._drift_memo is None
+        for _ in range(2):
+            with mock.patch.object(E, "_pair_geometry",
+                                   wraps=E._pair_geometry) as geometry:
+                shared = E.holder_modulus(ens, EP)
+            # only `_holder_max`'s 3-d path geometry, no 4-d pair geometry
+            assert geometry.call_count
+            assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
+            assert_same_holder(shared, fresh_holder(ens))
+            assert ens.drift_memo is run_memo
         # the miss path: domination keeps nothing, so Hoelder runs its own
         # pass over the pairs (0, j)
-        E.drift_domination_check(ens, EP)
+        miss = without_memo(ens)
+        E.drift_domination_check(miss, EP)
         with mock.patch.object(E, "_pair_geometry",
                                wraps=E._pair_geometry) as geometry:
-            assert_same_holder(E.holder_modulus(ens, EP), shared)
+            assert_same_holder(E.holder_modulus(miss, EP), shared)
         assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
 
     def test_positions_changed_in_place(self, ens):
@@ -808,11 +868,11 @@ class TestSharedDriftPass:
         got = E.holder_modulus(ens, EP)
         assert got.excluded == 1
         assert_same_holder(got, fresh_holder(ens))
-        assert S._drift_memo is not None   # the miss left run's sums
-        # a change of one bit, a -0.0 for a 0.0, also misses: the slot is
+        assert ens.drift_memo is not None   # the miss left run's sums
+        # a change of one bit, a -0.0 for a 0.0, also misses: the memo is
         # keyed to the positions with 0.0 there, then that 0.0 turns -0.0
         ens.positions[2, 3, 1, 0] = 0.0
-        S._drift_memo = S._drift_memo._replace(
+        ens.drift_memo = ens.drift_memo._replace(
             fingerprint=S._fingerprint(ens.positions))
         ens.positions[2, 3, 1, 0] = -0.0
         with mock.patch.object(E, "_pair_geometry",
@@ -822,47 +882,51 @@ class TestSharedDriftPass:
 
     def test_one_position_changed_after_run_misses(self, ens):
         # one coordinate one ulp away from run's: domination forms its own
-        # D, whose bits are those of a call on an empty memo
-        run_memo = S._drift_memo
+        # D, whose bits are those of a call without a memo
+        run_memo = ens.drift_memo
         x = ens.positions[3, 12, 2, 1]
         ens.positions[3, 12, 2, 1] = np.nextafter(x, np.inf)
         with mock.patch.object(E, "_history_sums",
                                wraps=E._history_sums) as sums:
             got = E.drift_domination_check(ens, EP)
         assert sums.call_count == ens.n_steps
-        assert S._drift_memo is run_memo   # a miss leaves the slot as it is
-        S._drift_memo = None
-        want = E.drift_domination_check(ens, EP)
+        assert ens.drift_memo is run_memo   # a miss leaves the memo as it is
+        want = E.drift_domination_check(without_memo(ens), EP)
         assert (got.checked, got.violations) == (want.checked, want.violations)
         assert same_bits(got.worst_margin, want.worst_margin)
 
     def test_another_horizon(self, ens):
-        # the hit path (run's sums read to a horizon short of M) and the
+        # run's sums read to a horizon short of M (the hit path), and the
         # miss path
-        run_memo = S._drift_memo
         early = dataclasses.replace(EP, horizon=0.2)
-        for memo in (run_memo, None):
-            S._drift_memo = memo
-            E.drift_domination_check(ens, EP)
-            got = E.holder_modulus(ens, early)
+        for route in ("hit", "miss"):
+            target = on_route(ens, route)
+            E.drift_domination_check(target, EP)
+            got = E.holder_modulus(target, early)
             assert len(got.z_hat) == ens.n_replicas
             assert_same_holder(got, fresh_holder(ens, early))
             # and the other way round: domination to 0.2, Hoelder to the end
-            S._drift_memo = memo
-            E.drift_domination_check(ens, early)
-            assert_same_holder(E.holder_modulus(ens, EP), fresh_holder(ens))
+            E.drift_domination_check(target, early)
+            assert_same_holder(E.holder_modulus(target, EP),
+                               fresh_holder(ens))
 
     def test_another_ensemble_of_the_same_shape_and_config(self, ens):
-        # the slot holds ens's sums; Hoelder on another ensemble misses
-        ens_memo = S._drift_memo
+        # another ensemble given ens's memo: same config and shape, other
+        # positions, so both checks miss, with the bits of a fresh miss
         cfg = ens.config
         other = S.run(cfg, noise=2.0 * S.draw_noise(cfg))
         assert other.config == cfg
         assert other.positions.shape == ens.positions.shape
-        S._drift_memo = ens_memo
-        E.drift_domination_check(ens, EP)
+        other.drift_memo = ens.drift_memo
+        with mock.patch.object(E, "_history_sums",
+                               wraps=E._history_sums) as sums:
+            dom = E.drift_domination_check(other, EP)
+        assert sums.call_count == ens.n_steps
+        want = E.drift_domination_check(without_memo(other), EP)
+        assert (dom.checked, dom.violations) == (want.checked, want.violations)
+        assert same_bits(dom.worst_margin, want.worst_margin)
         got = E.holder_modulus(other, EP)
-        assert S._drift_memo is ens_memo
+        assert other.drift_memo is ens.drift_memo
         assert_same_holder(got, fresh_holder(other))
         assert not np.array_equal(got.z_hat, fresh_holder(ens).z_hat)
 
@@ -872,14 +936,14 @@ class TestSharedDriftPass:
                                             epsilon=0.1)}],
                              ids=["cutoff", "epsilon"])
     def test_same_positions_under_another_config(self, ens, change):
-        # the slot holds run's sums under ens's config: neither check
-        # reads them for the same positions under another config
+        # run's sums under ens's config, handed to the same positions under
+        # another config: neither check reads them
         other = dataclasses.replace(
             ens, config=dataclasses.replace(ens.config, **change))
-        run_memo = S._drift_memo
+        run_memo = other.drift_memo = ens.drift_memo
         E.drift_domination_check(ens, EP)
         got = E.holder_modulus(other, EP)
-        assert S._drift_memo is run_memo
+        assert other.drift_memo is run_memo
         assert_same_holder(got, fresh_holder(other))
         assert not np.array_equal(got.bound, fresh_holder(ens).bound)
         with mock.patch.object(E, "_history_sums",
@@ -887,13 +951,57 @@ class TestSharedDriftPass:
             E.drift_domination_check(other, EP)
         assert sums.call_count == ens.n_steps
 
+    @pytest.mark.parametrize("change", ["config", "positions"])
+    def test_replace_carries_no_memo(self, ens, change):
+        # dataclasses.replace copies every field but the memo, also with
+        # the same config or equal positions: both checks on the copy run
+        # the miss path and give the bits of the hit path on ens
+        new = {"config": ens.config,
+               "positions": ens.positions.copy()}[change]
+        copy = dataclasses.replace(ens, **{change: new})
+        assert copy.drift_memo is None and ens.drift_memo is not None
+        with mock.patch.object(E, "_history_sums",
+                               wraps=E._history_sums) as sums:
+            got = E.drift_domination_check(copy, EP)
+        assert sums.call_count == ens.n_steps
+        want = E.drift_domination_check(ens, EP)
+        assert (got.checked, got.violations) == (want.checked, want.violations)
+        assert same_bits(got.worst_margin, want.worst_margin)
+        with mock.patch.object(E, "_pair_geometry",
+                               wraps=E._pair_geometry) as geometry:
+            got = E.holder_modulus(copy, EP)
+        assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
+        assert_same_holder(got, E.holder_modulus(ens, EP))
+
+    def test_a_later_run_leaves_the_memo_of_ens(self, ens):
+        # run(A), then run(B): both checks on A hit A's own sums, with the
+        # bits of the miss path
+        later = S.run(dataclasses.replace(ens.config, seed=4))
+        assert later.drift_memo is not None
+        with mock.patch.object(E, "_history_sums",
+                               wraps=E._history_sums) as sums:
+            dom = E.drift_domination_check(ens, EP)
+        assert sums.call_count == 0
+        with mock.patch.object(E, "_pair_geometry",
+                               wraps=E._pair_geometry) as geometry:
+            hold = E.holder_modulus(ens, EP)
+        assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
+        want = E.drift_domination_check(without_memo(ens), EP)
+        assert (dom.checked, dom.violations) == (want.checked, want.violations)
+        assert same_bits(dom.worst_margin, want.worst_margin)
+        assert_same_holder(hold, fresh_holder(ens))
+
     def test_holder_called_first(self, ens):
-        # Hoelder on run's sums (the hit path) takes them; domination and
-        # Hoelder then miss
+        # Hoelder on run's sums (the hit path) leaves them: domination and
+        # Hoelder then hit them again
         want = fresh_holder(ens)
+        run_memo = ens.drift_memo
         assert_same_holder(E.holder_modulus(ens, EP), want)
-        assert S._drift_memo is None
-        E.drift_domination_check(ens, EP)
+        assert ens.drift_memo is run_memo
+        with mock.patch.object(E, "_history_sums",
+                               wraps=E._history_sums) as sums:
+            E.drift_domination_check(ens, EP)
+        assert sums.call_count == 0
         assert_same_holder(E.holder_modulus(ens, EP), want)
 
     @pytest.mark.parametrize("budget", [1, 4 * 16 * 20])
@@ -901,24 +1009,21 @@ class TestSharedDriftPass:
         # both checks in tiles under a patched budget against the default
         # one's own passes: on the miss path, and on the hit path, whose
         # sums run formed at the default budget
-        run_memo = S._drift_memo
         want = fresh_holder(ens)
-        S._drift_memo = None
-        whole = E.drift_domination_check(ens, EP)
-        for memo in (None, run_memo):
-            S._drift_memo = memo
+        whole = E.drift_domination_check(without_memo(ens), EP)
+        for route in ("miss", "hit"):
+            target = on_route(ens, route)
             with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
-                tiled = E.drift_domination_check(ens, EP)
-                assert_same_holder(E.holder_modulus(ens, EP), want)
+                tiled = E.drift_domination_check(target, EP)
+                assert_same_holder(E.holder_modulus(target, EP), want)
             assert ((tiled.checked, tiled.violations, tiled.worst_margin)
                     == (whole.checked, whole.violations, whole.worst_margin))
-            assert S._drift_memo is None
 
 
 class TestDriftMemo:
-    """`run` leaves its per-pair history sums in the drift memo when they
-    fit DRIFT_BUDGET_BYTES, and a check that reads them gives the bits of
-    one that forms its own drifts."""
+    """`run` keeps its per-pair history sums on the ensemble it returns
+    when they fit DRIFT_BUDGET_BYTES, and a check that reads them gives the
+    bits of one that forms its own drifts."""
 
     @staticmethod
     def blown_ensemble(n):
@@ -946,41 +1051,44 @@ class TestDriftMemo:
         monkeypatch.setenv("KSPP_THREADS", threads)
         ens = self.blown_ensemble(n)
         ep = dataclasses.replace(EP, horizon=horizon)
-        assert S._drift_memo is not None
-        dom = E.drift_domination_check(ens, ep)
-        hold = E.holder_modulus(ens, ep)
-        assert S._drift_memo is None    # both read run's sums
+        assert ens.drift_memo is not None
+        # both read run's sums: no history sums, no pair geometry
+        with mock.patch.object(E, "_history_sums",
+                               wraps=E._history_sums) as sums:
+            dom = E.drift_domination_check(ens, ep)
+        with mock.patch.object(E, "_pair_geometry",
+                               wraps=E._pair_geometry) as geometry:
+            hold = E.holder_modulus(ens, ep)
+        assert sums.call_count == 0
+        assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
         assert dom.excluded == hold.excluded == (horizon is None)
-        miss_dom = E.drift_domination_check(ens, ep)
+        miss_dom = E.drift_domination_check(without_memo(ens), ep)
         miss_hold = fresh_holder(ens, ep)
         assert (dom.checked, dom.violations) == (miss_dom.checked,
                                                  miss_dom.violations)
         assert same_bits(dom.worst_margin, miss_dom.worst_margin)
         assert_same_holder(hold, miss_hold)
 
-    def test_run_over_the_budget_leaves_the_slot_empty(self):
+    def test_run_over_the_budget_keeps_no_memo(self):
         cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0, epsilon=0.05),
                           n_particles=4, dt=0.02, n_steps=20, n_replicas=4,
                           seed=3, init=S.InitSpec("gaussian", sigma=1.0))
         sums_bytes = 4 * 21 * 4 * 3 * 16
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", sums_bytes):
-            S.run(cfg)
-            assert S._drift_memo.sums.nbytes == sums_bytes
+            assert S.run(cfg).drift_memo.sums.nbytes == sums_bytes
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", sums_bytes - 1):
-            S.run(cfg)
-        assert S._drift_memo is None
+            assert S.run(cfg).drift_memo is None
         # nor does a run without drift keep anything
-        S.run(cfg)
-        assert S._drift_memo is not None
-        S.run(dataclasses.replace(
-            cfg, params=KernelParams(theta=1.0, chi=0.0, epsilon=0.05)))
-        assert S._drift_memo is None
+        assert S.run(cfg).drift_memo is not None
+        assert S.run(dataclasses.replace(
+            cfg, params=KernelParams(theta=1.0, chi=0.0, epsilon=0.05))
+        ).drift_memo is None
 
-    def test_slot_within_the_budget(self):
+    def test_memo_within_the_budget(self):
         # pair_ensemble's N = 2 and 100 steps at the most replicas whose
         # sums fit the budget: what `run` leaves allocated besides the
-        # positions is the slot, within DRIFT_BUDGET_BYTES; one replica
-        # more leaves the slot empty
+        # positions is the memo, within DRIFT_BUDGET_BYTES; one replica
+        # more keeps no memo
         budget = S.DRIFT_BUDGET_BYTES
         per_replica = 16 * 101 * 2
         r_n = budget // per_replica
@@ -995,22 +1103,21 @@ class TestDriftMemo:
             held = tracemalloc.get_traced_memory()[0] - ens.positions.nbytes
         finally:
             tracemalloc.stop()
-        assert S._drift_memo.sums.nbytes == r_n * per_replica <= budget
+        assert ens.drift_memo.sums.nbytes == r_n * per_replica <= budget
         assert held <= budget + 64 * 1024
-        # the hit path copies none of the slot: its peak is under the miss
+        # the hit path copies none of the memo: its peak is under the miss
         # path's, which forms the Gaussian factors
         peaks = []
-        for memo in (S._drift_memo, None):
-            S._drift_memo = memo
+        for target in (ens, without_memo(ens)):
             tracemalloc.start()
             try:
-                E.drift_domination_check(ens, EP)
+                E.drift_domination_check(target, EP)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1]
-        S.run(dataclasses.replace(cfg, n_replicas=r_n + 1))
-        assert S._drift_memo is None
+        assert S.run(dataclasses.replace(cfg, n_replicas=r_n + 1)
+                     ).drift_memo is None
 
 
 class TestTestFunctions:
