@@ -29,8 +29,9 @@ from .constants import c0_const, check_gamma_alpha, kappa
 from . import simulator
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_exponent,
-                        _gauss_factor, _history_sums, _others, _pair_geometry,
-                        _split_history, _views, budget_blocks, step_drifts)
+                        _gauss_factor, _history_sums, _lag_table, _others,
+                        _pair_geometry, _split_history, _views, budget_blocks,
+                        step_drifts)
 
 
 @dataclass(frozen=True)
@@ -270,6 +271,11 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     work = np.empty((2 * (2 * n - 1) + 5 * len(tiles[0]) * (n - 1))
                     * b_max * m_t)
     ones = np.ones(m_t)   # E2's row weights
+    # the lags k dt for k = m_t..1, with the drift's weights (`_lag_table`)
+    # and E3's tf_u^p: step m's rows l < m take the last m entries
+    table = _lag_table(m_t, cfg)
+    lags = table[0]
+    tf_pows = np.power(smoothed_weight(lags, unsmoothed), e3_pow)
 
     for block in blocks:
         b = len(block)
@@ -284,14 +290,15 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         # one step's E2 and E3 row sums and D by coordinate, from all tiles
         e2_m, e3_m, sx, sy = np.empty((4, b, n, n - 1))
         # a finite replica close to blowing up may overflow its kernel
-        # terms; they then come out inf or 0
-        with np.errstate(over="ignore", divide="ignore"):
+        # terms; they then come out inf or 0. One error state for the
+        # block's steps, the simulator's helpers' included (see
+        # simulator._pair_geometry)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for m in range(1, m_t + 1):
                 # geometry over (B, i, k, l): X^i_m - X^j_l for l < m and
                 # j = (i + 1 + k) mod N
-                lag = (m - np.arange(m)) * dt
-                tf_pow = np.power(smoothed_weight(lag, unsmoothed), e3_pow)
-                l0, _, w = _conv_weights(m, cfg)
+                lag, tf_pow = lags[m_t - m:], tf_pows[m_t - m:]
+                l0, _, w = _conv_weights(m, cfg, table)
                 window_shape = (2, b, 2 * n - 1, m)
                 window, = _views(work, window_shape)
                 others = _others(h, 0, m, window)
@@ -395,6 +402,13 @@ def _check_slack(slack: float) -> None:
         raise ValueError(f"slack must be finite and > 0, got {slack}")
 
 
+def _pass_bytes(n: int, n_pairs: int, m_t: int) -> int:
+    """A replica's bytes in a pair-drift pass over `n_pairs` pairs of N = n
+    particles up to the horizon m_t: the dx and dy of its pairs, and its
+    positions on the rows 0..m_t split by coordinate."""
+    return 16 * n_pairs * m_t + 16 * n * (m_t + 1)
+
+
 def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
                      n_pairs: int, all_rows: bool,
                      memo: np.ndarray | None = None):
@@ -403,19 +417,28 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
 
     A generator: for each replica block, step m and tile of pairs it
     yields m, the tile (a range of pairs), its squared distances
-    |X^i_m - X^j_l|^2 (B, K, L) and its D by coordinate, d_x and d_y
-    (B, K). The L rows are l < m with `all_rows`, else only the drift's
-    own rows [l0, m). The squared distances are a view of the pass's
-    workspace, which the caller may overwrite: the next tile forms them
-    anew.
+    |X^i_m - X^j_l|^2 (B, K, L), their lags t_m - t_l (L,) and its D by
+    coordinate, d_x and d_y (B, K). The L rows are l < m with `all_rows`,
+    else only the drift's own rows [l0, m). The squared distances are a
+    view of the pass's workspace, which the caller may overwrite: the next
+    tile forms them anew.
 
     D is -dt times the drift kernel's history sums: `_pair_geometry`,
-    `_gauss_factor` and `_history_sums` on the rows [l0, m). With `memo`,
-    the sums of a matching drift memo (`_memo_sums`), D is read from there
-    and neither the Gaussian factor nor the history sums are formed: only
-    the squared distances.
+    `_gauss_factor` and `_history_sums` on the rows [l0, m), with the
+    lags and weights of one `_lag_table` per call. With `memo`, the sums
+    of a matching drift memo (`_memo_sums`), D is read from there and
+    neither the Gaussian factor nor the history sums are formed: only the
+    squared distances. A generator's code runs in its consumer's error
+    state: a consumer iterates it under np.errstate(over="ignore",
+    invalid="ignore"), as the simulator's helpers expect (see
+    `simulator._pair_geometry`).
 
-    Replicas run in blocks and the pairs, which are i-major, in contiguous
+    Replicas run in blocks whose dx and dy and split positions fit
+    DRIFT_BUDGET_BYTES (`_pass_bytes`). A block's positions are gathered
+    one coordinate at a time straight into the split layout (2, B, N, T):
+    the one temporary, freed before the steps, is one coordinate's rows,
+    where a gathered block and its split copy took four times that. The
+    pairs, which are i-major, run in contiguous
     tiles whose dx and dy fit DRIFT_BUDGET_BYTES for the largest block
     (one whenever a block fits). A tile within the pairs (0, j) reads them
     as the particle slice 1 + k of the split history; any other tile
@@ -432,22 +455,24 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
     n = ensemble.n_particles
     i_idx, j_idx = _pair_index(ordered_pairs(n)[:n_pairs])
     columns = _cyclic_columns(i_idx, j_idx, n)   # in a memo step's (i, k)
-    blocks = budget_blocks(len(kept), 16 * n_pairs * m_t)
+    blocks = budget_blocks(len(kept), _pass_bytes(n, n_pairs, m_t))
     b_max = len(blocks[0]) if blocks else 0
     tiles = budget_blocks(n_pairs, 16 * m_t * b_max)
     # dx and dy, |d|^2 and, without a memo, the Gaussian factor
     work = np.empty((4 if memo is None else 3) * b_max * len(tiles[0]) * m_t)
+    table = _lag_table(m_t, cfg)
     for block in blocks:
-        rows = slice(block.start, block.stop)
-        # (2, B, N, T); the gathered positions are freed once split
-        h = _split_history(
-            ensemble.positions[kept[rows], : m_t + 1]).swapaxes(0, 1)
+        rows = kept[block.start: block.stop]
+        h = np.empty((2, len(block), n, m_t + 1))   # the split history
+        for c in range(2):
+            h[c] = ensemble.positions[rows, : m_t + 1, :, c].transpose(0, 2, 1)
         for m in range(1, m_t + 1):
-            l0, lags, w = _conv_weights(m, cfg)
+            l0, lags, w = _conv_weights(m, cfg, table)
             lo = 0 if all_rows else l0
+            row_lags = table[0][m_t - (m - lo):]   # those of the rows [lo, m)
             if memo is not None:
                 # the block's sums at this step, (B, N (N - 1), 2)
-                step = memo[kept[rows], m].reshape(len(block), -1, 2)
+                step = memo[rows, m].reshape(len(block), -1, 2)
             for tile in tiles:
                 k0, k1 = tile.start, tile.stop
                 # geometry over (B, k, l): X^i_m - X^j_l for pair k and the
@@ -474,7 +499,7 @@ def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
                     sx, sy = _history_sums(
                         dx[..., own], dy[..., own],
                         _gauss_factor(sq[..., own], lags, cfg, out=g), w)
-                yield m, tile, sq, -dt * sx, -dt * sy
+                yield m, tile, sq, row_lags, -dt * sx, -dt * sy
 
 
 def _memo_sums(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
@@ -524,20 +549,21 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     violations = 0
     checked = len(kept) * n_pairs * m_t
     worst = 0.0 if checked else math.nan
-    # D on the drift's rows [l0, m), S on all the rows l < m
-    for m, _, sq, d_x, d_y in _pair_drift_pass(ensemble, m_t, kept, n_pairs,
-                                               all_rows=True,
-                                               memo=_memo_sums(ensemble)):
-        lag = (m - np.arange(m)) * dt
-        d_mag = np.sqrt(d_x * d_x + d_y * d_y)
-        # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
-        np.multiply(sq, ep.alpha, out=sq)
-        np.add(lag, sq, out=sq)
-        s_vals = dt * np.sum(np.power(sq, -ep.gamma, out=sq), axis=-1)
-        bound = const * s_vals ** expo
-        ratio = d_mag / (slack * bound)
-        violations += int(np.sum(ratio > 1.0))
-        worst = max(worst, float(np.max(d_mag / bound)))
+    # D on the drift's rows [l0, m), S on all the rows l < m; the pass
+    # runs in this loop's error state
+    drifts = _pair_drift_pass(ensemble, m_t, kept, n_pairs, all_rows=True,
+                              memo=_memo_sums(ensemble))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, _, sq, lag, d_x, d_y in drifts:
+            d_mag = np.sqrt(d_x * d_x + d_y * d_y)
+            # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
+            np.multiply(sq, ep.alpha, out=sq)
+            np.add(lag, sq, out=sq)
+            s_vals = dt * np.sum(np.power(sq, -ep.gamma, out=sq), axis=-1)
+            bound = const * s_vals ** expo
+            ratio = d_mag / (slack * bound)
+            violations += int(np.sum(ratio > 1.0))
+            worst = max(worst, float(np.max(d_mag / bound)))
     return DominationStats(checked, violations, worst, slack,
                            excluded=ensemble.n_replicas - len(kept))
 
@@ -556,16 +582,18 @@ def _holder_max(paths: np.ndarray, times: np.ndarray,
     # the geometry's three arrays (dx and dy, then |.|^2), allocated once
     # per call for the largest block and lag 1
     work = np.empty(3 * (len(blocks[0]) if blocks else 0) * n_t)
-    for block in blocks:
-        part = xy[:, block.start: block.stop]
-        rows = best[block.start: block.stop]
-        for k in range(1, n_t):
-            shape = (len(block), n_t - k)
-            d, ratio = _views(work, (2, *shape), shape)
-            _pair_geometry(part[..., k:], part[..., :-k], out=(d, ratio))
-            np.sqrt(ratio, out=ratio)
-            ratio /= (times[k:] - times[:-k]) ** beta
-            np.maximum(rows, np.max(ratio, axis=1), out=rows)
+    # one error state for every lag (see simulator._pair_geometry)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            part = xy[:, block.start: block.stop]
+            rows = best[block.start: block.stop]
+            for k in range(1, n_t):
+                shape = (len(block), n_t - k)
+                d, ratio = _views(work, (2, *shape), shape)
+                _pair_geometry(part[..., k:], part[..., :-k], out=(d, ratio))
+                np.sqrt(ratio, out=ratio)
+                ratio /= (times[k:] - times[:-k]) ** beta
+                np.maximum(rows, np.max(ratio, axis=1), out=rows)
     return best
 
 
@@ -602,10 +630,12 @@ def _holder_block(ensemble: TrajectoryEnsemble, m_t: int, rows: np.ndarray,
         d_series[:, 0] = 0.0
     else:
         d_series = np.zeros((len(rows), m_t + 1, n - 1, 2))
-        for m, tile, _, d_x, d_y in _pair_drift_pass(ensemble, m_t, rows,
-                                                     n - 1, all_rows=False):
-            d_series[:, m, tile.start: tile.stop, 0] = d_x
-            d_series[:, m, tile.start: tile.stop, 1] = d_y
+        # the pass runs in this loop's error state
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m, tile, _, _, d_x, d_y in _pair_drift_pass(
+                    ensemble, m_t, rows, n - 1, all_rows=False):
+                d_series[:, m, tile.start: tile.stop, 0] = d_x
+                d_series[:, m, tile.start: tile.stop, 1] = d_y
     mean_d = d_series.mean(axis=2)
     gamma_paths = np.zeros((len(rows), m_t + 1, 2))
     gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
@@ -644,7 +674,7 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     z_hat = np.zeros(len(kept))
     bound = np.zeros(len(kept))
     # the pass's replica blocks: one pass call forms one block's series
-    for block in budget_blocks(len(kept), 16 * (n - 1) * m_t):
+    for block in budget_blocks(len(kept), _pass_bytes(n, n - 1, m_t)):
         part = slice(block.start, block.stop)
         z_hat[part], bound[part] = _holder_block(ensemble, m_t, kept[part],
                                                  sums, beta, ep.gamma)
@@ -898,57 +928,59 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     dirty = 0            # the columns past `dirty` of `padded` are all 0
     res = np.zeros(len(kept))
 
-    for block in blocks:
-        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        b = len(block)
-        # (2, B, K, T): the paths of each pair's first and second particle,
-        # split by coordinate
-        h = _split_history(pos).swapaxes(0, 1)
-        xi, xj = h[:, :, i_idx], h[:, :, j_idx]
-        if chi != 0.0:   # (B, K, T, 2) total drift on each pair's first particle
-            drift = step_drifts(pos, range(m_t + 1), cfg)
-            drift = np.ascontiguousarray(drift.transpose(0, 2, 1, 3))[:, i_idx]
-        lhs = _row_dot(GaussianBump.value_sq(
-            lag_ut, _pair_geometry(xi[..., m_t:], xj)[2]), w_tr)
-        t1 = _row_dot(GaussianBump.value_sq(0.0, _pair_geometry(xi, xj)[2]),
-                      w_tr)
-        row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
-        grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
-        for tile in tiles:
-            u0, u1 = tile.start, tile.stop
-            lag, w_in = tables(u0, u1)
-            shape = (b, n_k, u1 - u0, u1)
-            sq, f = (g[: math.prod(shape)].reshape(shape)
-                     for g in (grid_a, grid_b))
-            if dirty > u1:
-                padded[..., u1:dirty] = 0.0
-            dirty = u1
-            pad = padded[:b, :, : u1 - u0]
-            # |x_u - y_s|^2 in the first grid (dy^2 in the second on the
-            # way: `_pair_geometry` would need a third for dx and dy), F in
-            # the second and the weighted heat operator in the padded rows;
-            # F is shared with grad F = -2 x F, formed in the padded rows
-            # after their sums
-            now, past = xi[..., u0:u1, None], xj[..., None, :u1]
-            with np.errstate(over="ignore", invalid="ignore"):
+    # one error state for every block (see simulator._pair_geometry); the
+    # pair geometry of a replica close to blowing up may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
+            b = len(block)
+            # (2, B, K, T): the paths of each pair's first and second particle,
+            # split by coordinate
+            h = _split_history(pos).swapaxes(0, 1)
+            xi, xj = h[:, :, i_idx], h[:, :, j_idx]
+            if chi != 0.0:   # (B, K, T, 2) total drift on each pair's first particle
+                drift = step_drifts(pos, range(m_t + 1), cfg)
+                drift = np.ascontiguousarray(drift.transpose(0, 2, 1, 3))[:, i_idx]
+            lhs = _row_dot(GaussianBump.value_sq(
+                lag_ut, _pair_geometry(xi[..., m_t:], xj)[2]), w_tr)
+            t1 = _row_dot(GaussianBump.value_sq(0.0, _pair_geometry(xi, xj)[2]),
+                          w_tr)
+            row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
+            grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
+            for tile in tiles:
+                u0, u1 = tile.start, tile.stop
+                lag, w_in = tables(u0, u1)
+                shape = (b, n_k, u1 - u0, u1)
+                sq, f = (g[: math.prod(shape)].reshape(shape)
+                         for g in (grid_a, grid_b))
+                if dirty > u1:
+                    padded[..., u1:dirty] = 0.0
+                dirty = u1
+                pad = padded[:b, :, : u1 - u0]
+                # |x_u - y_s|^2 in the first grid (dy^2 in the second on the
+                # way: `_pair_geometry` would need a third for dx and dy), F in
+                # the second and the weighted heat operator in the padded rows;
+                # F is shared with grad F = -2 x F, formed in the padded rows
+                # after their sums
+                now, past = xi[..., u0:u1, None], xj[..., None, :u1]
                 np.square(np.subtract(now[0], past[0], out=sq), out=sq)
                 sq += np.square(np.subtract(now[1], past[1], out=f), out=f)
-            GaussianBump.value_sq(lag, sq, out=f)
-            heat = GaussianBump.heat_sq(sq, f, out=sq)
-            np.multiply(heat, w_in[:, :u1], out=pad[..., :u1])
-            row_sums[:, :, u0:u1] = np.sum(pad, axis=-1)
+                GaussianBump.value_sq(lag, sq, out=f)
+                heat = GaussianBump.heat_sq(sq, f, out=sq)
+                np.multiply(heat, w_in[:, :u1], out=pad[..., :u1])
+                row_sums[:, :, u0:u1] = np.sum(pad, axis=-1)
+                if chi != 0.0:
+                    for c in range(2):
+                        g = np.subtract(now[c], past[c], out=pad[..., :u1])
+                        g *= -2.0
+                        g *= f
+                        grad_int[:, :, u0:u1, c] = np.einsum(
+                            "us,...us->...u", w_in, pad)
+            per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
             if chi != 0.0:
-                for c in range(2):
-                    g = np.subtract(now[c], past[c], out=pad[..., :u1])
-                    g *= -2.0
-                    g *= f
-                    grad_int[:, :, u0:u1, c] = np.einsum(
-                        "us,...us->...u", w_in, pad)
-        per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
-        if chi != 0.0:
-            per_pair -= chi * _row_dot(
-                np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
-        res[block.start: block.stop] = [_fsum_mean(row) for row in per_pair]
+                per_pair -= chi * _row_dot(
+                    np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
+            res[block.start: block.stop] = [_fsum_mean(row) for row in per_pair]
 
     return _residual_report(
         res, lambda v, mean, err: bootstrap_mean_ci(v, level=level,

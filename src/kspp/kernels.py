@@ -63,7 +63,7 @@ def _clamped_exp(arg: np.ndarray) -> np.ndarray:
 def heat_kernel(t, x, params: KernelParams):
     """Gaussian heat kernel with diffusivity 2/theta: (theta/4 pi t) e^(-theta|x|^2/4t)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):   # also rejects NaN
         raise ValueError("heat_kernel requires t > 0")
     arg = params.theta * _sqnorm(x) / (4.0 * t)
     return params.theta / (4.0 * math.pi * t) * _clamped_exp(arg)
@@ -72,7 +72,7 @@ def heat_kernel(t, x, params: KernelParams):
 def chemo_kernel(t, x, params: KernelParams):
     """Chemo-attractant kernel (1/theta) e^(-lam t/theta) g_t(x)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("chemo_kernel requires t > 0")
     decay = np.exp(-params.lam * t / params.theta)
     return decay / params.theta * heat_kernel(t, x, params)
@@ -85,7 +85,7 @@ def chemo_kernel_grad(t, x, params: KernelParams):
     undefined at t <= 0 (the smoothed variant owns the t = 0 extension).
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("chemo_kernel_grad requires t > 0")
     return smoothed_grad(t, x, replace(params, epsilon=0.0))
 
@@ -98,7 +98,7 @@ def smoothed_grad(t, x, params: KernelParams):
     the Gaussian factor kills every x != 0 and the x factor kills x = 0.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):   # also rejects NaN
         raise ValueError("smoothed_grad requires t >= 0")
     if params.epsilon == 0 and np.any(t == 0):
         raise ValueError("smoothed_grad at t = 0 requires epsilon > 0")
@@ -128,10 +128,10 @@ def grad_envelope(t, x, alpha: float, params: KernelParams):
     valid for every t >= 0 and every alpha > 0; with eps = 0 it also
     dominates the unsmoothed |chemo_kernel_grad|.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:   # also rejects NaN
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError("grad_envelope requires t >= 0")
     c0 = c0_const(4.0 * alpha / params.theta)
     base = t + params.epsilon + alpha * _sqnorm(x)
@@ -165,27 +165,60 @@ class SourceSpec:
         return not self.components
 
 
+def _mixture_terms(t, x, source: SourceSpec, params: KernelParams):
+    """Each component's term of the background concentration and of its
+    gradient at (t, x), in the order of `source.components`: the mixture
+    formula, written once. Yields (b_k, grad b_k) for arrays t and x that
+    the caller has checked; the caller adds them to zeros of the shape of
+    t and x broadcast. A single time is taken as a float, so that the
+    factors of t alone (decay, variance, normalisation) are float
+    operations instead of array ones: the same IEEE operations on the same
+    values, so the same bits."""
+    if t.size == 1:
+        t = t.item()
+    decay = np.exp(-params.lam * t / params.theta)
+    spread = 2.0 * t / params.theta
+    for w, center, var in source.components:
+        v_t = var + spread
+        d = x - np.asarray(center)
+        b_k = decay * (w / (2.0 * math.pi * v_t)
+                       * _clamped_exp(_sqnorm(d) / (2.0 * v_t)))
+        yield b_k, (-(b_k / v_t))[..., None] * d
+
+
 def background_field(t, x, source: SourceSpec, params: KernelParams):
     """Background concentration and its gradient at (t, x).
 
     For a Gaussian-mixture source the heat convolution is again a mixture
     with per-component variance var + 2t/theta, times the death-rate decay;
     the gradient is exact. Returns (b, grad_b) with shapes (...,) and
-    (..., 2); an empty source yields zeros.
+    (..., 2); an empty source yields zeros. Both sums start from zeros and
+    add the components' terms (`_mixture_terms`) one at a time, in order.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("background_field requires t > 0")
     x = np.asarray(x, dtype=float)
     b = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]))
-    grad = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]) + (2,))
-    if source.is_zero:
-        return b, grad
-    decay = np.exp(-params.lam * t / params.theta)
-    for w, center, var in source.components:
-        v_t = var + 2.0 * t / params.theta
-        d = x - np.asarray(center)
-        dens = w / (2.0 * math.pi * v_t) * _clamped_exp(_sqnorm(d) / (2.0 * v_t))
-        b = b + decay * dens
-        grad = grad + (-(decay * dens / v_t))[..., None] * d
+    grad = np.zeros(b.shape + (2,))
+    for b_k, grad_k in _mixture_terms(t, x, source, params):
+        b = b + b_k   # a scalar for scalar t and one point
+        grad += grad_k
     return b, grad
+
+
+def background_grad(t, x, source: SourceSpec, params: KernelParams):
+    """grad_b of `background_field(t, x, source, params)`, without b.
+
+    The same terms (`_mixture_terms`) added to zeros in the same order, so
+    the same bits, the sign of a zero included; the drift of every Euler
+    step calls it. Shape (..., 2).
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise ValueError("background_grad requires t > 0")
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]) + (2,))
+    for _, grad_k in _mixture_terms(t, x, source, params):
+        grad += grad_k
+    return grad

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import (EXP_CLAMP, KernelParams, SourceSpec, background_field,
+from .kernels import (EXP_CLAMP, KernelParams, SourceSpec, background_grad,
                       smoothed_weight)
 
 _VALID_INIT = ("point", "gaussian", "uniform_disk", "mirrored_pair")
@@ -260,11 +260,26 @@ def _history_start(m: int, config: SimConfig) -> int:
     return max(0, m - keep)
 
 
-def _conv_weights(m: int, config: SimConfig) -> tuple[int, np.ndarray, np.ndarray]:
-    """Time lags u = t_m - t_l and kernel weights for history rows l0 <= l < m."""
+def _lag_table(rows: int, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The lags k dt for k = rows, ..., 1 and their kernel weights
+    (`smoothed_weight`), formed once per step loop: every step m with at
+    most `rows` history rows takes its lags and weights from them
+    (`_conv_weights`). Each entry is formed elementwise, so a slice has
+    the bits that the step's own (m - l) dt and its weights have."""
+    lags = np.arange(rows, 0, -1) * config.dt
+    return lags, smoothed_weight(lags, config.params)
+
+
+def _conv_weights(m: int, config: SimConfig,
+                  table: tuple[np.ndarray, np.ndarray]
+                  ) -> tuple[int, np.ndarray, np.ndarray]:
+    """History start l0, time lags u = t_m - t_l and kernel weights for the
+    history rows l0 <= l < m: the last m - l0 entries of a `_lag_table` of
+    at least that many rows."""
     l0 = _history_start(m, config)
-    lags = (m - np.arange(l0, m)) * config.dt
-    return l0, lags, smoothed_weight(lags, config.params)
+    lags, w = table
+    lo = len(lags) - (m - l0)
+    return l0, lags[lo:], w[lo:]
 
 
 # Byte budget of the float64 pair displacements dx and dy that one kernel call
@@ -320,13 +335,17 @@ def _pair_geometry(now, past, out=None
     by one subtraction, and |.|^2 by one einsum over its first axis: the
     bits of dx^2 + dy^2. `out`, if given, is that (2, ...) array and one of
     the broadcast shape, and nothing is allocated.
+
+    Like `_gauss_exponent`, `_gauss_factor` and `_history_sums`, it runs in
+    its caller's error state: every caller sets np.errstate(over="ignore",
+    invalid="ignore") once around its loop, not once per step (`run`'s
+    block loop, `step_drifts`, and the estimators' passes), since the
+    overflow on a replica that is blowing up is detected after its Euler
+    update, not here.
     """
     d_out, sq_out = (None, None) if out is None else out
-    # overflow on a replica that is blowing up is detected after its
-    # Euler update, not here
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.subtract(now, past, out=d_out)
-        sq = np.einsum("c...,c...->...", d, d, out=sq_out)
+    d = np.subtract(now, past, out=d_out)
+    sq = np.einsum("c...,c...->...", d, d, out=sq_out)
     return d[0], d[1], sq
 
 
@@ -340,21 +359,21 @@ def _gauss_exponent(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
     p times it plus p log|d|. The sign is folded into the product,
     -theta |d|^2 / 4u clamped from below at -EXP_CLAMP: the same bits as
     negating after the clamp for every finite or infinite input, one
-    elementwise pass fewer; only the sign bit of a NaN may differ."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.multiply(sq, -config.params.theta, out=out)
-        a /= 4.0 * lags
-        return np.maximum(a, -EXP_CLAMP, out=a)
+    elementwise pass fewer; only the sign bit of a NaN may differ. In the
+    caller's error state (`_pair_geometry`)."""
+    a = np.multiply(sq, -config.params.theta, out=out)
+    a /= 4.0 * lags
+    return np.maximum(a, -EXP_CLAMP, out=a)
 
 
 def _gauss_factor(sq: np.ndarray, lags: np.ndarray, config: SimConfig,
                   out=None) -> np.ndarray:
     """e^(-min(theta |d|^2 / 4u, EXP_CLAMP)): the kernel's Gaussian factor,
     the exp of `_gauss_exponent` (same arguments), which the drift
-    contraction weights by the lag weights."""
+    contraction weights by the lag weights. In the caller's error state
+    (`_pair_geometry`)."""
     a = _gauss_exponent(sq, lags, config, out=out)
-    with np.errstate(over="ignore"):
-        return np.exp(a, out=a)
+    return np.exp(a, out=a)
 
 
 def _history_sums(dx: np.ndarray, dy: np.ndarray, g: np.ndarray,
@@ -368,13 +387,12 @@ def _history_sums(dx: np.ndarray, dy: np.ndarray, g: np.ndarray,
     contraction: g becomes the coefficients in place and each sum runs
     along one contiguous row, so its bits depend only on the row's length
     L, not on how the rows are laid out or gathered, nor on where the
-    sums go.
+    sums go. In the caller's error state (`_pair_geometry`).
     """
     out_x, out_y = (None, None) if out is None else out
-    with np.errstate(over="ignore", invalid="ignore"):
-        g *= w
-        return (np.einsum("...l,...l->...", g, dx, out=out_x),
-                np.einsum("...l,...l->...", g, dy, out=out_y))
+    g *= w
+    return (np.einsum("...l,...l->...", g, dx, out=out_x),
+            np.einsum("...l,...l->...", g, dy, out=out_y))
 
 
 def _drift_window(m: int, config: SimConfig) -> int:
@@ -382,10 +400,19 @@ def _drift_window(m: int, config: SimConfig) -> int:
     return m - _history_start(m, config)
 
 
-def _drift_workspace(n_block: int, n_particles: int, rows: int
-                     ) -> tuple[np.ndarray, list[range]]:
+class DriftWork(NamedTuple):
+    """What every step of a drift loop reuses (`_drift_workspace`)."""
+
+    buf: np.ndarray                       # the kernel's flat float64 buffers
+    tiles: list[range]                    # the i-tiles they are sized for
+    table: tuple[np.ndarray, np.ndarray]  # lags and weights (`_lag_table`)
+
+
+def _drift_workspace(n_block: int, n_particles: int, rows: int,
+                     table: tuple[np.ndarray, np.ndarray]) -> DriftWork:
     """The drift kernel's buffers for `n_block` replicas over at most `rows`
-    history rows, and the i-tiles they are sized for.
+    history rows, the i-tiles they are sized for and the lag `table`
+    (`_lag_table`, of at least `rows` rows).
 
     The tiles split the target particles i into the most rows whose dx
     and dy fit DRIFT_BUDGET_BYTES for the block (`budget_blocks`): one
@@ -398,7 +425,8 @@ def _drift_workspace(n_block: int, n_particles: int, rows: int
     n = n_particles
     tiles = budget_blocks(n, 16 * (n - 1) * rows * n_block)
     grids = 3 * len(tiles[0]) * (n - 1)
-    return np.empty((2 * (2 * n - 1) + grids) * n_block * rows), tiles
+    return DriftWork(np.empty((2 * (2 * n - 1) + grids) * n_block * rows),
+                     tiles, table)
 
 
 def _views(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
@@ -441,7 +469,7 @@ def _others(h: np.ndarray, l0: int, m: int, window: np.ndarray) -> np.ndarray:
 
 
 def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
-                 work: tuple[np.ndarray, list[range]],
+                 work: DriftWork,
                  pair_sums: np.ndarray | None = None) -> np.ndarray:
     """(1/(N-1)) sum_{j != i} D^{i,j}_m for a block's split history `hist`
     (B, 2, N, T) with T > m (`_split_history`), shape (B, N, 2).
@@ -450,10 +478,13 @@ def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
     displacements are laid out (B, i, k, l) per coordinate, k running over
     the other particles j = (i + 1 + k) mod N (`_others`) and the history
     rows l last, and the sum over j runs in that cyclic order. `work` is a
-    workspace and its i-tiles (`_drift_workspace`, for at least B replicas
-    and this step's rows): the window of history rows is copied into it
-    once, doubled, and each tile of target particles i forms its grids in
-    views of it. Contiguous, the window's rows form one loop of each grid
+    workspace, its i-tiles and a lag table (`_drift_workspace`, for at
+    least B replicas and this step's rows): the step's lags and weights
+    are the table's last m - l0 entries (`_conv_weights`), the window of
+    history rows is copied into the workspace once, doubled, and each tile
+    of target particles i forms its grids in views of it. It runs in its
+    caller's error state (`_pair_geometry`). Contiguous, the window's rows
+    form one loop of each grid
     operation. Every tile holds whole history rows, so the drift does not
     depend on the tiles bit for bit. Each tile's two einsums write the
     per-pair history sums straight into `pair_sums` (B, N, N - 1, 2), laid
@@ -470,8 +501,8 @@ def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
     b, _, n, _ = hist.shape
     if m == 0:
         return np.zeros((b, n, 2))
-    buf, tiles = work
-    l0, lags, w = _conv_weights(m, config)
+    buf, tiles, table = work
+    l0, lags, w = _conv_weights(m, config, table)
     window_shape = (2, b, 2 * n - 1, m - l0)
     window, = _views(buf, window_shape)
     h = hist.swapaxes(0, 1)
@@ -492,7 +523,7 @@ def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
 
 
 def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
-                work: tuple[np.ndarray, list[range]] | None = None,
+                work: DriftWork | None = None,
                 hist: np.ndarray | None = None,
                 pair_sums: np.ndarray | None = None) -> np.ndarray:
     """Drift of every particle at the consecutive steps m in `steps`.
@@ -501,50 +532,66 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
     interaction mean (1/(N-1)) sum_{j != i} D^{i,j}_m, for a block `pos`
     (B, T, N, 2) with T > max(steps); shape (B, len(steps), N, 2). It is
     exactly what the Euler step scales by chi * dt, so estimators built on
-    it see the integrator's own drift. The background is evaluated in one
-    call over all the steps. `work` is the kernel's workspace and its
-    i-tiles (`_drift_workspace`); without it one is sized for the block and
-    the last step, and every step of the call slices it. `hist` is `pos` split
-    by coordinate (`_split_history`), at least up to row max(steps);
+    it see the integrator's own drift. The background gradient
+    (`background_grad`) is evaluated in one call over all the steps; one
+    step's drift is `_mean_drifts`' own array, with no copy. `hist` is `pos`
+    split by coordinate (`_split_history`), at least up to row max(steps);
     without it the call splits `pos` once. `pair_sums`, if given,
     (B, T', N, N - 1, 2) with T' > max(steps), takes the per-pair history
     sums of each step m at [:, m] (`_mean_drifts`).
+
+    `work` is a step loop's workspace, i-tiles and lag table
+    (`DriftWork`). A caller that passes it runs the loop, one step per
+    call, and sets the error state around it (`run`'s block loop). Without
+    it the call is a loop of its own: it sizes one for the block and the
+    last step, and sets np.errstate(over="ignore", invalid="ignore")
+    around its steps (see `_pair_geometry`).
     """
     b, _, n, _ = pos.shape
-    out = np.empty((b, len(steps), n, 2))
-    if work is None and len(steps):
-        work = _drift_workspace(b, n, _drift_window(steps[-1], config))
+    if work is None:
+        rows = _drift_window(steps[-1], config) if len(steps) else 0
+        work = _drift_workspace(b, n, rows, _lag_table(rows, config))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return step_drifts(pos, steps, config, work, hist, pair_sums)
     if hist is None:
         hist = _split_history(pos[:, : steps.stop])
-    for k, m in enumerate(steps):
-        out[:, k] = _mean_drifts(hist, m, config, work,
-                                 None if pair_sums is None else pair_sums[:, m])
+
+    def mean_drifts(m: int) -> np.ndarray:
+        return _mean_drifts(hist, m, config, work,
+                            None if pair_sums is None else pair_sums[:, m])
+
+    if len(steps) == 1:
+        out = mean_drifts(steps[0])[:, None]
+    else:
+        out = np.empty((b, len(steps), n, 2))
+        for k, m in enumerate(steps):
+            out[:, k] = mean_drifts(m)
     if not config.source.is_zero:
-        t = np.asarray(steps) * config.dt + config.params.epsilon
-        _, grad_b = background_field(t[:, None], pos[:, steps.start: steps.stop],
-                                     config.source, config.params)
-        out += grad_b
+        t = np.arange(steps.start, steps.stop) * config.dt + config.params.epsilon
+        out += background_grad(t[:, None], pos[:, steps.start: steps.stop],
+                               config.source, config.params)
     return out
 
 
 def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
                  d_w: np.ndarray, m: int, config: SimConfig,
-                 work: tuple[np.ndarray, list[range]],
-                 pair_sums: np.ndarray | None = None
+                 work: DriftWork, pair_sums: np.ndarray | None = None
                  ) -> tuple[np.ndarray, float]:
     """One Euler step m -> m+1 for every replica of a block.
 
     `positions` (B, T, N, 2) holds the block's replicas up to row m, and
     `hist` their split history (`_split_history`, (B, 2, N, T)), None
     without drift; `d_w` holds this step's increments, shape (B, N, 2);
-    `work` is the drift workspace and its i-tiles for the block
+    `work` is the drift workspace, i-tiles and lag table for the block
     (`_drift_workspace`), and `pair_sums` (B, T, N, N - 1, 2), if given,
     takes the step's per-pair history sums at [:, m]. Writes row m+1 of
     every replica in `positions` and `hist`, all NaN for a replica with a
     non-finite coordinate, and returns (the mask of the replicas whose row
-    is finite, drift seconds).
+    is finite, drift seconds: the kernel and the background gradient).
     A blown replica's NaN rows give NaN rows at every later step, and no
-    other replica reads them.
+    other replica reads them. It runs in the error state of `run`'s block
+    loop, which ignores overflow and invalid values: an overflow here is
+    the blow-up signal, detected explicitly below.
     """
     p = config.params
     x = positions[:, m]
@@ -554,9 +601,7 @@ def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
         drift = step_drifts(positions[:, : m + 1], range(m, m + 1), config,
                             work, hist, pair_sums)[:, 0]
         drift_time = time.perf_counter() - t0
-        # overflow here is the blow-up signal, detected explicitly below
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_new = x + math.sqrt(2.0) * d_w + p.chi * drift * config.dt
+        x_new = x + math.sqrt(2.0) * d_w + p.chi * drift * config.dt
     else:
         x_new = x + math.sqrt(2.0) * d_w
     finite = np.isfinite(x_new).all(axis=(1, 2))
@@ -600,7 +645,9 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     studies); without `noise`, each block of replicas draws its own. Replicas
     are stepped in blocks (`budget_blocks`), one kernel call per block,
     step and i-tile (`_drift_workspace`); threads (KSPP_THREADS, default 1)
-    take whole blocks. A replica that turns non-finite is recorded at its
+    take whole blocks. What does not grow with the steps is paid once: one
+    lag table (`_lag_table`) for the run, one workspace and one error
+    state (`_euler_block`) for each block. A replica that turns non-finite is recorded at its
     first non-finite row rather than raised; it steps on with its block as
     NaN rows, and a block whose replicas have all blown stops.
 
@@ -633,6 +680,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
 
     n, rows = config.n_particles, _drift_rows(config)
     r_n, m_n = config.n_replicas, config.n_steps
+    table = _lag_table(rows, config)   # shared, read only, by every block
     sums = None   # the memo's per-pair history sums, when they fit
     if (config.params.chi != 0.0
             and 16 * r_n * (m_n + 1) * n * (n - 1) <= DRIFT_BUDGET_BYTES):
@@ -643,8 +691,8 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         # the block's own workspace, sized at its largest step, its own
         # split history, one row written per step, and its own noise: no
         # step allocates anything that grows with m, and threads share
-        # nothing
-        work = _drift_workspace(len(block), n, rows)
+        # nothing but the lag table
+        work = _drift_workspace(len(block), n, rows, table)
         positions = ens.positions[block.start: block.stop]
         hist = None
         if config.params.chi != 0.0:
@@ -655,23 +703,25 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         block_sums = None if sums is None else sums[block.start: block.stop]
         blown = np.zeros(len(block), dtype=bool)
         blowups, secs = [], 0.0
-        for m in range(config.n_steps):
-            finite, drift_time = _euler_block(positions, hist, d_w[:, m], m,
-                                              config, work, block_sums)
-            secs += drift_time
-            if not finite.all():
-                blowups.extend((block.start + int(r), m + 1)
-                               for r in np.flatnonzero(~finite & ~blown))
-                blown |= ~finite
-                if blown.all():
-                    break
-        if block_sums is not None and not blown.all():
-            # step M's sums, which no Euler step needs, for the memo
-            t0 = time.perf_counter()
-            _mean_drifts(hist, m_n, config, work, block_sums[:, m_n])
-            secs += time.perf_counter() - t0
-        buf, tiles = work
-        return blowups, secs, buf.nbytes, len(tiles[0]) if rows else 0
+        # one error state for all the block's steps (see `_euler_block`)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(config.n_steps):
+                finite, drift_time = _euler_block(positions, hist, d_w[:, m],
+                                                  m, config, work, block_sums)
+                secs += drift_time
+                if not finite.all():
+                    blowups.extend((block.start + int(r), m + 1)
+                                   for r in np.flatnonzero(~finite & ~blown))
+                    blown |= ~finite
+                    if blown.all():
+                        break
+            if block_sums is not None and not blown.all():
+                # step M's sums, which no Euler step needs, for the memo
+                t0 = time.perf_counter()
+                _mean_drifts(hist, m_n, config, work, block_sums[:, m_n])
+                secs += time.perf_counter() - t0
+        return (blowups, secs, work.buf.nbytes,
+                len(work.tiles[0]) if rows else 0)
 
     # a replica's temporaries: the kernel's dx and dy over its pairs or,
     # without drift, the noise drawn here (none when it is passed in)

@@ -13,9 +13,18 @@ import numpy as np
 from scipy.integrate import quad
 
 from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, _clamped_exp,
-                          _sqnorm)
-from kspp.simulator import (SimConfig, _conv_weights, _gauss_factor,
-                            _history_sums, _pair_geometry, _split_history)
+                          _sqnorm, smoothed_weight)
+from kspp.simulator import (SimConfig, _gauss_factor, _history_sums,
+                            _history_start, _pair_geometry, _split_history)
+
+
+def conv_weights(m: int, config: SimConfig):
+    """History start l0, lags (m - l) dt and kernel weights of the history
+    rows l0 <= l < m, formed for step m alone: the reference for the
+    simulator's lag table slices (`_lag_table`, `_conv_weights`)."""
+    l0 = _history_start(m, config)
+    lags = (m - np.arange(l0, m)) * config.dt
+    return l0, lags, smoothed_weight(lags, config.params)
 
 
 def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
@@ -31,11 +40,14 @@ def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,
     i_idx, j_idx = np.asarray(i_idx, dtype=int), np.asarray(j_idx, dtype=int)
     if m == 0:
         return np.zeros((positions.shape[0], len(i_idx), 2))
-    l0, lags, w = _conv_weights(m, config)
+    l0, lags, w = conv_weights(m, config)
     h = _split_history(positions[:, : m + 1]).swapaxes(0, 1)
-    dx, dy, sq = _pair_geometry(h[:, :, i_idx, m, None], h[:, :, j_idx, l0:m])
-    g = _gauss_factor(sq, lags, config, out=sq)
-    return -config.dt * np.stack(_history_sums(dx, dy, g, w), axis=-1)
+    # the simulator's helpers run in their caller's error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy, sq = _pair_geometry(h[:, :, i_idx, m, None],
+                                    h[:, :, j_idx, l0:m])
+        g = _gauss_factor(sq, lags, config, out=sq)
+        return -config.dt * np.stack(_history_sums(dx, dy, g, w), axis=-1)
 
 
 def frozen_drift_oracle(displacement, t: float, params: KernelParams) -> np.ndarray:

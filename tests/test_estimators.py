@@ -588,8 +588,9 @@ class TestHolderModulus:
 
     def test_miss_path_peak_does_not_grow_with_replicas(self):
         # random walks of N = 2 and M = 24, built without `run` and so
-        # without a memo, under a budget of 4 replicas' pass geometry, 16 x
-        # 24 bytes each: the miss path forms and reduces the D^{0,j} series
+        # without a memo, under a budget of 4 replicas' pass bytes (16 x 24
+        # bytes of geometry and 16 x 2 x 25 of split positions each,
+        # `_pass_bytes`): the miss path forms and reduces the D^{0,j} series
         # one replica block at a time. Its peak above the input then grows
         # by the outputs and the list of blocks (about 70 bytes a replica
         # here, 160 allowed), not by the series of every replica, 16 x 25
@@ -602,7 +603,8 @@ class TestHolderModulus:
             steps = np.random.default_rng(4).standard_normal((r_n, 25, 2, 2))
             ens = S.TrajectoryEnsemble(positions=0.1 * steps.cumsum(axis=1),
                                        config=cfg, rng_provenance={})
-            with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 4 * 16 * 24):
+            with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                                   4 * E._pass_bytes(2, 1, 24)):
                 tracemalloc.start()
                 try:
                     stats = E.holder_modulus(ens, EP)
@@ -762,6 +764,33 @@ class TestTargetTiles:
         assert p < 3 * budget
         _, p = peak(E.holder_modulus, ens, ep)
         assert p < budget
+
+    def test_pass_blocks_count_the_positions(self):
+        # N = 2, M = 100 under a budget of 1/16 of the default, and 200
+        # replicas, past one block of each miss path: the shape of R >= 2000
+        # at the default budget. The pair-drift pass's replica blocks (and
+        # Hoelder's, one pass call each) count the block's split positions
+        # with its dx and dy (`_pass_bytes`): sized by the geometry alone,
+        # the positions, gathered and split, took 2 budgets more, and the
+        # Hoelder miss path peaked at 7 budgets (14.1 MiB at the default)
+        budget = S.DRIFT_BUDGET_BYTES // 16
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0,
+                                              epsilon=0.05),
+                          n_particles=2, dt=0.01, n_steps=100, n_replicas=200,
+                          seed=6, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = dataclasses.replace(S.run(cfg))   # no memo: the miss paths
+
+        def peak(fn):
+            with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget):
+                tracemalloc.start()
+                try:
+                    fn(ens, EP)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak(E.holder_modulus) < 3 * budget
+        assert peak(E.drift_domination_check) < 3 * budget
 
 
 class TestSharedDriftPass:

@@ -228,6 +228,95 @@ class TestBackgroundField:
             K.background_field(0.0, [0.0, 0.0], K.SourceSpec(), P1)
 
 
+class TestBackgroundGrad:
+    """background_grad is background_field's gradient without b, bit for bit."""
+
+    COMPONENTS = ((0.7, (0.5, -0.3), 0.8), (0.4, (0.0, 0.0), 1.5),
+                  (1.3, (-1.0, 0.2), 0.05))
+    PARAMS = K.KernelParams(theta=1.5, lam=0.3, chi=1.0, epsilon=0.05)
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                     b.view(np.int64))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_bits_equal_background_field(self, k):
+        source = K.SourceSpec(components=self.COMPONENTS[:k])
+        rng = np.random.default_rng(k)
+        # random points, every center exactly (d = +0), -0 against the
+        # center at the origin (d = -0), and points past the exponent's
+        # clamp of the narrowest component
+        x = np.concatenate([rng.uniform(-3, 3, (20, 2)),
+                            [c for _, c, _ in self.COMPONENTS],
+                            [[-0.0, -0.0], [0.0, -0.0], [-0.0, 5.0]],
+                            [[12.0, -9.0], [-40.0, 3.0], [1e3, 1e3]]])
+        for t in (0.01, 0.7, 25.0, np.array([0.3, 1e-9, 4.0])[:, None]):
+            got = K.background_grad(t, x, source, self.PARAMS)
+            want = K.background_field(t, x, source, self.PARAMS)[1]
+            assert self.same_bits(got, want)
+
+    def test_steps_shaped_time(self):
+        # the (S, 1) times and (B, S, N, 2) positions that step_drifts passes
+        source = K.SourceSpec(components=self.COMPONENTS)
+        x = np.random.default_rng(3).standard_normal((4, 6, 5, 2))
+        t = (np.arange(7, 13) * 0.01 + 0.05)[:, None]
+        got = K.background_grad(t, x, source, self.PARAMS)
+        assert got.shape == (4, 6, 5, 2)
+        assert self.same_bits(
+            got, K.background_field(t, x, source, self.PARAMS)[1])
+
+
+class TestNonFiniteArguments:
+    """A NaN time passes no `t <= 0` or `t < 0` test: each function rejects
+    it instead of returning NaN."""
+
+    SOURCE = K.SourceSpec(components=((1.0, (0.0, 0.0), 1.0),))
+    SMOOTHED = K.KernelParams(theta=1.0, chi=1.0, epsilon=0.05)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
+    def test_heat_kernel(self, t):
+        with pytest.raises(ValueError, match="heat_kernel requires t > 0"):
+            K.heat_kernel(t, [0.3, 0.1], P1)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
+    def test_chemo_kernel(self, t):
+        with pytest.raises(ValueError, match="chemo_kernel requires t > 0"):
+            K.chemo_kernel(t, [0.3, 0.1], P1)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
+    def test_chemo_kernel_grad(self, t):
+        with pytest.raises(ValueError, match="chemo_kernel_grad requires"):
+            K.chemo_kernel_grad(t, [0.3, 0.1], P1)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan]])
+    def test_smoothed_grad(self, t):
+        with pytest.raises(ValueError, match="smoothed_grad requires t >= 0"):
+            K.smoothed_grad(t, [0.3, 0.1], self.SMOOTHED)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.0, math.nan]])
+    def test_grad_envelope(self, t):
+        with pytest.raises(ValueError, match="grad_envelope requires t >= 0"):
+            K.grad_envelope(t, [0.3, 0.1], 0.5, self.SMOOTHED)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    def test_grad_envelope_alpha(self, alpha):
+        # NaN used to reach c0_const and raise there, about beta
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            K.grad_envelope(1.0, [0.3, 0.1], alpha, self.SMOOTHED)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
+    def test_background_field(self, t):
+        with pytest.raises(ValueError, match="background_field requires"):
+            K.background_field(t, [0.3, 0.1], self.SOURCE, P1)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], 0.0])
+    def test_background_grad(self, t):
+        with pytest.raises(ValueError, match="background_grad requires"):
+            K.background_grad(t, [0.3, 0.1], self.SOURCE, P1)
+
+
 class TestValidation:
     def test_kernel_params(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from kspp import simulator as S
+from kspp import kernels as K, simulator as S
 from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec,
                           background_field)
 
@@ -265,8 +265,10 @@ class TestHistoryDrift:
                           history_cutoff=0.1 if cutoff else None)
         pos = S.run(cfg).positions
         m = data.draw(st.integers(1, steps), label="m")
-        work = S._drift_workspace(replicas, n, S._drift_window(m, cfg))
-        got = S._mean_drifts(S._split_history(pos), m, cfg, work)
+        rows = S._drift_window(m, cfg)
+        work = S._drift_workspace(replicas, n, rows, S._lag_table(rows, cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = S._mean_drifts(S._split_history(pos), m, cfg, work)
         i_idx, j_idx = zip(*[(i, j) for i in range(n) for j in range(n)
                              if j != i])
         pair = O.pair_drifts(pos, cfg, m, i_idx, j_idx).reshape(
@@ -653,8 +655,8 @@ class TestTargetTiles:
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
                                tile * 16 * (n - 1) * rows):
             tiled = S.run(cfg)
-            assert len(S._drift_workspace(3, n, rows)[1][0]) == max(
-                1, tile // 3)
+            work = S._drift_workspace(3, n, rows, S._lag_table(rows, cfg))
+            assert len(work.tiles[0]) == max(1, tile // 3)
             tiled_drifts = S.step_drifts(whole.positions, steps, cfg)
         assert tiled.counters["replica_blocks"] == 3
         assert tiled.counters["drift_tile_rows"] == tile
@@ -730,7 +732,7 @@ class TestHistoryLayout:
         # the full (R, i, j, l) grid at step m, contracted at once ...
         pos = serial.positions
         m = data.draw(st.integers(1, steps), label="m")
-        l0, lags, w = S._conv_weights(m, cfg)
+        l0, lags, w = O.conv_weights(m, cfg)
         h = S._split_history(pos).swapaxes(0, 1)
         dx, dy, sq = S._pair_geometry(h[:, :, :, None, m, None],
                                       h[:, :, None, :, l0:m])
@@ -775,8 +777,9 @@ class TestHistoryLayout:
         now.flat[rng.choice(now.size, 5, replace=False)] = special[:5]
         past.flat[rng.choice(past.size, 7, replace=False)] = special
         out = (np.empty((2, 3, 4, 37)), np.empty((3, 4, 37))) if into else None
-        dx, dy, sq = S._pair_geometry(now, past, out=out)
+        # in the error state that every caller of the helper sets
         with np.errstate(over="ignore", invalid="ignore"):
+            dx, dy, sq = S._pair_geometry(now, past, out=out)
             want_x, want_y = now[0] - past[0], now[1] - past[1]
             want = want_x * want_x + want_y * want_y
         for got, ref in ((dx, want_x), (dy, want_y), (sq, want)):
@@ -840,3 +843,53 @@ class TestBackgroundDrift:
         x_end = ens.positions[0, -1, 0]
         assert x_end[0] > 0.1  # moved toward the source at (2, 0)
         assert abs(x_end[1]) < 1e-12
+
+
+class TestStepLoopFixedCosts:
+    """A drift loop pays its lag table, its error state and its workspace
+    once per call, not once per step."""
+
+    @pytest.mark.parametrize("cutoff", [None, 0.37])
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_table_slices_equal_per_step_lags(self, cutoff, lam):
+        # every step m <= M = 2000 of one table against the lags
+        # (m - l) dt and weights formed for that step alone
+        cfg = make_config(params=KernelParams(theta=1.3, lam=lam, chi=1.0,
+                                              epsilon=0.05),
+                          dt=1e-3, n_steps=2000, history_cutoff=cutoff)
+        table = S._lag_table(S._drift_rows(cfg), cfg)
+        for m in range(cfg.n_steps + 1):
+            l0, lags, w = S._conv_weights(m, cfg, table)
+            want_l0, want_lags, want_w = O.conv_weights(m, cfg)
+            assert l0 == want_l0
+            assert np.array_equal(lags.view(np.int64),
+                                  want_lags.view(np.int64))
+            assert np.array_equal(w.view(np.int64), want_w.view(np.int64))
+
+    def test_per_call_costs_do_not_grow_with_steps(self):
+        # a chi != 0 run with a source, at M = 20 and M = 80 in one block:
+        # no background_field call (the Euler step takes the gradient alone,
+        # `background_grad`), and as many smoothed_weight and np.errstate
+        # calls at either length. The simulator's own name for
+        # background_field is wrapped too, should it ever import one
+        counts = {}
+        for m in (20, 80):
+            cfg = make_config(params=KernelParams(theta=1.0, lam=0.1, chi=1.0,
+                                                  epsilon=0.05),
+                              source=_MIXTURE, n_particles=3, n_steps=m,
+                              n_replicas=2, seed=1)
+            with mock.patch.object(K, "background_field",
+                                   wraps=K.background_field) as field, \
+                    mock.patch.object(S, "background_field", create=True,
+                                      wraps=K.background_field) as s_field, \
+                    mock.patch.object(S, "smoothed_weight",
+                                      wraps=S.smoothed_weight) as weight, \
+                    mock.patch.object(np, "errstate",
+                                      wraps=np.errstate) as state:
+                ens = S.run(cfg)
+            assert ens.counters["replica_blocks"] == 1
+            assert ens.drift_memo is not None
+            assert field.call_count == s_field.call_count == 0
+            counts[m] = weight.call_count, state.call_count
+        assert counts[20] == counts[80]
+        assert min(counts[20]) >= 1
