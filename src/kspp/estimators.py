@@ -174,35 +174,38 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     non-finite positions up to the horizon are excluded and counted in
     `excluded`; the estimates and `replicas` cover the others.
 
-    One pass over the steps m: each step builds the pair geometry
-    X^i_m - X^j_l once, on the simulator's (i, k, l) grid of the N - 1
-    other particles j = (i + 1 + k) mod N (`simulator._others`), the
-    history rows l last, and feeds E2, E3, E4 and, at the horizon, S and
-    S-bar from it; E3 and E4 share the clamped Gaussian exponent a
-    (`simulator._gauss_exponent`), whose exp is E4's Gaussian factor. E2
-    and E3 form their powers as the exp of a log, cheaper than np.power:
-    E2's terms are e^(-gamma log(u + |d|^2)), E3's are tf_u^p e^x with
-    x = a + ((p - 1) a + p log|d|), so that the large a is rounded once
-    (a term's relative error is then about |x| 2^-53). Both sum each
-    history row by one dot product (`_row_dot`), faster than np.sum along
-    the row and with bits that do not depend on the tiles. The
-    per-pair sums are reduced by math.fsum, which is exact and so does not
-    depend on the pairs' order; E4's |D| columns are put back in
-    ordered_pairs order before the trapezoid product, which does.
+    One pass over the steps m, step 0 included: each step builds the pair
+    geometry on the simulator's grid of the N - 1 other particles
+    j = (i + 1 + k) mod N of each i (`simulator._others`), twice. E1 takes
+    the same-time distances |X^i_m - X^j_m| from the step's row of the
+    split history, doubled as `_others` doubles a window. The history
+    geometry X^i_m - X^j_l (l < m) on the (i, k, l) grid, the history rows
+    l last, feeds E2, E3, E4 and, at the horizon, S and S-bar; E3 and E4
+    share the clamped Gaussian exponent a (`simulator._gauss_exponent`),
+    whose exp is E4's Gaussian factor. E2 and E3 form their powers as the
+    exp of a log, cheaper than np.power: E2's terms are
+    e^(-gamma log(u + |d|^2)), E3's are tf_u^p e^x with
+    x = a + ((p - 1) a + p log|d|), so that the large a is rounded once (a
+    term's relative error is then about |x| 2^-53). Both sum each history
+    row by one dot product (`_row_dot`), faster than np.sum along the row
+    and with bits that do not depend on the tiles. All four functionals
+    take their trapezoid over the steps per pair, in step order
+    (e += w_m term_m), into (B, N, N - 1) arrays, and the per-pair sums
+    are reduced by math.fsum, which is exact and so does not depend on
+    the pairs' order.
 
     Memory: replicas run in blocks and each block's grid in i-tiles of
     target particles, both sized by `budget_blocks` so that a tile's five
     grids and its share of the doubled history window fit
     DRIFT_BUDGET_BYTES (one tile whenever a block fits; a single i row
     above the budget is one tile). Every tile keeps whole history rows, so
-    no sum depends on the tiles. E1 takes a pass of its own before the
-    grids' workspace is allocated, its inverse distances formed in tiles
-    of pairs whose temporaries fit the budget. `notes` records the
-    tile rows (`i_tile_rows`), the workspace's bytes (`workspace_bytes`),
-    the (i, k, l) grid cells over all steps of the kept replicas
-    (`pair_history_terms`, N(N - 1) m_t (m_t + 1) / 2 a replica) and the
-    seconds of the E1 pass and of the grid pass (`timings`, keys `e1` and
-    `grids`).
+    no sum depends on the tiles. Nothing else grows with the horizon: the
+    per-pair accumulators and E1's same-time geometry are (B, N, N - 1)
+    arrays, which the replica blocks count too. `notes` records the tile rows (`i_tile_rows`), the
+    workspace's bytes (`workspace_bytes`), the (i, k, l) grid cells over
+    all steps of the kept replicas (`pair_history_terms`,
+    N(N - 1) m_t (m_t + 1) / 2 a replica) and the seconds of the pass
+    (`timings`, key `grids`).
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -212,11 +215,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     dt = cfg.dt
     n = ensemble.n_particles
     m_t = _horizon_index(ensemble, ep.horizon)
-    pairs = ordered_pairs(n)
-    i_idx, j_idx = _pair_index(pairs)
-    # a step grid's flattened (i, k) axes in ordered_pairs' order, in which
-    # E4's trapezoid product w_tr @ |D|^q keeps its bits
-    in_order = _cyclic_columns(i_idx, j_idx, n)
+    n_pairs = n * (n - 1)
     w_tr = _trap_weights(m_t, dt)
     q = 2.0 * (ep.gamma - 1.0)
     e3_pow = 2.0 * ep.gamma / 3.0
@@ -227,39 +226,14 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     divergent = 0
     tri = m_t * (m_t + 1) // 2   # history rows l < m over the steps m <= m_t
     # the bytes of one target particle i of one replica at the horizon: five
-    # (i, k, l) grid rows and, near enough, its share of the doubled window
+    # (i, k, l) grid rows and, near enough, its share of the doubled window.
+    # A replica block also counts 16 arrays over its pairs: the per-pair
+    # sums, a step's, E1's geometry and the steps' temporaries, which
+    # outweigh the grids at short horizons
     row_bytes = 8 * (5 * (n - 1) + 4) * m_t
-    blocks = budget_blocks(len(kept), row_bytes * n)
+    blocks = budget_blocks(len(kept), (row_bytes + 128 * (n - 1)) * n)
     b_max = len(blocks[0]) if blocks else 0
     tiles = budget_blocks(n, row_bytes * b_max)
-
-    # E1: same-time inverse distances, trapezoid in time, in a pass of its
-    # own before the grids' workspace is allocated. They are formed in tiles
-    # of pairs whose d, |d| and mask fit the budget, and the product takes
-    # them whole: over a tile of pairs, BLAS's gemv sums the columns past a
-    # multiple of four in another order. They are laid out as the pair
-    # gather lays out d, pairs outermost: gemv's order of summation also
-    # follows the layout
-    start = time.perf_counter()
-    for block in blocks:
-        b = len(block)
-        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        inv = np.empty((len(pairs), b, m_t + 1)).transpose(1, 2, 0)
-        for kr in budget_blocks(len(pairs), 48 * b * (m_t + 1)):
-            k = slice(kr.start, kr.stop)
-            d_same = pos[:, :, i_idx[k]] - pos[:, :, j_idx[k]]
-            dist = np.sqrt(np.einsum("bmkc,bmkc->bmk", d_same, d_same))
-            zero_mask = dist == 0.0
-            divergent += int(zero_mask.sum())
-            with np.errstate(divide="ignore"):
-                np.power(dist, -q, out=inv[:, :, k])
-            inv[:, :, k][zero_mask] = 0.0
-            del d_same, dist, zero_mask   # freed before the next tile
-        e1 = np.matmul(w_tr, inv)
-        del inv   # freed before the next block, and before the grids
-        for r, row in zip(block, e1):
-            per_rep["E1"][r] = _fsum_mean(row)
-    timings = {"e1": time.perf_counter() - start}
 
     # the (2, B, 2N - 1, l) doubled history window (see
     # simulator._mean_drifts), then five (B, i, k, l) grids of one i-tile,
@@ -282,19 +256,35 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
         h = _split_history(pos).swapaxes(0, 1)   # (2, B, N, T)
 
-        e2 = np.zeros((b, n, n - 1))
-        e3 = np.zeros((b, n, n - 1))
-        s_full = np.empty((b, n, n - 1))
-        sbar_full = np.empty((b, n, n - 1))
-        d_mag = np.zeros((b, m_t + 1, len(pairs)))
+        # the per-pair trapezoid sums over the steps, (B, i, k) for the
+        # pairs (i, (i + 1 + k) mod N), and S and S-bar at the horizon
+        e1, e2, e3, e4, s_full, sbar_full = np.zeros((6, b, n, n - 1))
         # one step's E2 and E3 row sums and D by coordinate, from all tiles
         e2_m, e3_m, sx, sy = np.empty((4, b, n, n - 1))
+        # E1's same-time geometry: the step's row doubled, then d and |d|^2
+        # (then |d|, then its terms) over the pairs
+        row = np.empty((2, b, 2 * n - 1, 1))
+        d_now = np.empty((2, b, n, n - 1, 1))
+        dist = np.empty((b, n, n - 1, 1))
         # a finite replica close to blowing up may overflow its kernel
         # terms; they then come out inf or 0. One error state for the
         # block's steps, the simulator's helpers' included (see
         # simulator._pair_geometry)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for m in range(1, m_t + 1):
+            for m in range(m_t + 1):
+                # E1: |X^i_m - X^j_m|^-q, an exact coincidence (|d| = 0)
+                # counted as divergent and taken as 0
+                _pair_geometry(h[:, :, :, None, m, None],
+                               _others(h, m, m + 1, row), out=(d_now, dist))
+                np.sqrt(dist, out=dist)
+                zero = dist == 0.0
+                divergent += int(zero.sum())
+                np.power(dist, -q, out=dist)
+                dist[zero] = 0.0
+                e1 += w_tr[m] * dist[..., 0]
+                if m == 0:
+                    continue   # no history rows, and D_0 = 0
+
                 # geometry over (B, i, k, l): X^i_m - X^j_l for l < m and
                 # j = (i + 1 + k) mod N
                 lag, tf_pow = lags[m_t - m:], tf_pows[m_t - m:]
@@ -346,18 +336,16 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
                         dx[..., l0:], dy[..., l0:], g[..., l0:], w)
                 e2 += w_tr[m] * dt * e2_m
                 e3 += w_tr[m] * dt * e3_m
-                d_x, d_y = -dt * sx, -dt * sy
-                d_mag[:, m] = np.sqrt(d_x * d_x + d_y * d_y).reshape(
-                    b, -1)[:, in_order]
-        np.power(d_mag, q, out=d_mag)   # |D|^q, E4's integrand
+                # E4's terms |D|^q, D = -dt (sx, sy)
+                sx *= -dt
+                sy *= -dt
+                d_mag = np.sqrt(sx * sx + sy * sy)
+                e4 += w_tr[m] * np.power(d_mag, q, out=d_mag)
 
-        for row, r in enumerate(block):
-            per_rep["E2"][r] = _fsum_mean(e2[row].ravel())
-            per_rep["E3"][r] = _fsum_mean(e3[row].ravel())
-            per_rep["E4"][r] = _fsum_mean(w_tr @ d_mag[row])
-            per_rep["S"][r] = _fsum_mean(s_full[row].ravel())
-            per_rep["S_bar"][r] = _fsum_mean(sbar_full[row].ravel())
-    timings["grids"] = time.perf_counter() - start
+        for row_k, r in enumerate(block):
+            for name, sums in zip(names, (e1, e2, e3, e4, s_full, sbar_full)):
+                per_rep[name][r] = _fsum_mean(sums[row_k].ravel())
+    timings = {"grids": time.perf_counter() - start}
 
     estimates = {}
     for name in names:
@@ -373,10 +361,10 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         replicas=kept,
         excluded=ensemble.n_replicas - len(kept),
         notes={"gamma": ep.gamma, "alpha": ep.alpha, "delta": ep.delta,
-               "horizon": m_t * dt, "pairs": len(pairs),
+               "horizon": m_t * dt, "pairs": n_pairs,
                "i_tile_rows": len(tiles[0]) if blocks else 0,
                "workspace_bytes": work.nbytes,
-               "pair_history_terms": len(kept) * len(pairs) * tri,
+               "pair_history_terms": len(kept) * n_pairs * tri,
                "timings": timings},
     )
 
@@ -720,9 +708,13 @@ class CompactBump:
     def _terms(self, x):
         """x as floats, |x|^2, the mask rho < 1 (rho = |x|^2 / R^2), 1 - rho
         (1 outside) and the bump itself: what value, grad and lap share.
-        1 - rho and the bump are formed in place, one array each."""
+        1 - rho and the bump are formed in place, one array each. |x|^2 is
+        x0 x0 + x1 x1, the bits of the trailing-axis einsum and faster; unlike
+        einsum, multiply warns when a square overflows to inf, which is then
+        outside the support like any other large x."""
         x = np.asarray(x, float)
-        sq = np.einsum("...c,...c->...", x, x)
+        with np.errstate(over="ignore"):
+            sq = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
         one_m = np.divide(sq, self.radius ** 2, out=np.empty_like(sq))  # rho
         inside = one_m < 1.0
         np.subtract(1.0, one_m, out=one_m)

@@ -154,7 +154,7 @@ class TestEstimate:
 
         notes = json.loads((tmp_path / "a" / "report.json").read_text(),
                            parse_constant=reject)["notes"]
-        assert set(notes["timings"]) == {"e1", "grids"}
+        assert set(notes["timings"]) == {"grids"}
         assert notes["pair_history_terms"] == 3 * 2 * 20 * 21 // 2
         assert ((tmp_path / "a" / "per_replica.csv").read_bytes()
                 == (tmp_path / "b" / "per_replica.csv").read_bytes())

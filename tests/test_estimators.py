@@ -265,9 +265,21 @@ class TestPaperMoments:
         assert 1.0 <= ratio <= 4.0
 
 
+def step_order(w, terms):
+    """sum_m w[m] terms[m], added in step order m = 0, 1, ...: the order of
+    paper_moments' per-pair trapezoid sums."""
+    acc = np.zeros(terms.shape[1:])
+    for w_m, term in zip(w, terms):
+        acc += w_m * term
+    return acc
+
+
 def reference_moments(ens, ep):
     """Per-replica E1-E4, S and S_bar, one pair gather per functional and
-    step, and E4 from a pair_drifts series."""
+    step, and E4 from a pair_drifts series. E1 and E4 take their trapezoid
+    over the steps in step order, as paper_moments does; "E1_gemv" and
+    "E4_gemv" take it as one product w_tr @ terms, whose order of summation
+    BLAS picks."""
     cfg, dt = ens.config, ens.config.dt
     m_t = int(round(ep.horizon / dt)) if ep.horizon else ens.n_steps
     pairs = E.ordered_pairs(ens.n_particles)
@@ -276,7 +288,8 @@ def reference_moments(ens, ep):
     w_tr = np.full(m_t + 1, dt)
     w_tr[0] = w_tr[-1] = 0.5 * dt
     q, e3_pow = 2.0 * (ep.gamma - 1.0), 2.0 * ep.gamma / 3.0
-    out = {name: [] for name in ("E1", "E2", "E3", "E4", "S", "S_bar")}
+    out = {name: [] for name in ("E1", "E2", "E3", "E4", "S", "S_bar",
+                                 "E1_gemv", "E4_gemv")}
 
     def mean(values):
         return math.fsum(values) / len(values)
@@ -289,7 +302,8 @@ def reference_moments(ens, ep):
         pos = ens.positions[r, : m_t + 1]
         d_same = pos[:, i_idx] - pos[:, j_idx]
         dist = np.sqrt(np.einsum("mkc,mkc->mk", d_same, d_same))
-        out["E1"].append(mean(w_tr @ dist ** (-q)))
+        out["E1"].append(mean(step_order(w_tr, dist ** (-q))))
+        out["E1_gemv"].append(mean(w_tr @ dist ** (-q)))
         e2 = np.zeros(len(pairs))
         e3 = np.zeros(len(pairs))
         for m in range(1, m_t + 1):
@@ -304,7 +318,8 @@ def reference_moments(ens, ep):
         for m in range(1, m_t + 1):
             d[m] = O.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
         d_mag = np.sqrt(np.einsum("mkc,mkc->mk", d, d))
-        out["E4"].append(mean(w_tr @ d_mag ** q))
+        out["E4"].append(mean(step_order(w_tr, d_mag ** q)))
+        out["E4_gemv"].append(mean(w_tr @ d_mag ** q))
         lag, sq = gather(pos, m_t)
         out["S"].append(mean(dt * np.sum(
             (lag[:, None] + ep.alpha * sq) ** (-ep.gamma), axis=0)))
@@ -315,8 +330,9 @@ def reference_moments(ens, ep):
 
 class TestSinglePass:
     """paper_moments' one pass over a shared geometry equals the per-pair,
-    per-functional computation: E1 and E4 bit for bit; E2, E3, S and S_bar
-    to rounding, since numpy picks the order of a sum over the history rows
+    per-functional computation: E1 and E4 bit for bit with their trapezoid
+    in step order, and to rounding as one gemv; E2, E3, S and S_bar to
+    rounding, since numpy picks the order of a sum over the history rows
     by the memory layout of its operand."""
 
     @settings(max_examples=30, deadline=None)
@@ -338,6 +354,8 @@ class TestSinglePass:
         ref = reference_moments(ens, ep)
         for name in ("E1", "E4"):
             assert np.array_equal(rep.estimates[name].per_replica, ref[name])
+            np.testing.assert_allclose(rep.estimates[name].per_replica,
+                                       ref[name + "_gemv"], rtol=1e-13, atol=0)
         for name in ("E2", "E3", "S", "S_bar"):
             np.testing.assert_allclose(rep.estimates[name].per_replica,
                                        ref[name], rtol=1e-13, atol=0)
@@ -394,7 +412,7 @@ class TestExponentForm:
         notes = E.paper_moments(ens, ep).notes
         # kept replicas x N(N - 1) pairs x m_t (m_t + 1) / 2 history rows
         assert notes["pair_history_terms"] == 2 * 6 * 10 * 11 // 2
-        assert set(notes["timings"]) == {"e1", "grids"}
+        assert set(notes["timings"]) == {"grids"}
         assert all(0.0 <= t < math.inf for t in notes["timings"].values())
 
 
@@ -660,11 +678,9 @@ class TestTargetTiles:
         whole = E.paper_moments(ens, ep)
         assert whole.notes["i_tile_rows"] == 5
         # one target particle's five grid rows and window share: blocks of
-        # one replica in tiles of `tile` rows, and E1 in tiles of 3 to 18
-        # of the 20 pairs
+        # one replica in tiles of `tile` rows
         row_bytes = 8 * (5 * 4 + 4) * ens.n_steps
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", tile * row_bytes):
-            assert len(S.budget_blocks(20, 48 * (ens.n_steps + 1))[0]) < 20
             tiled = E.paper_moments(ens, ep)
         assert tiled.notes["i_tile_rows"] == tile
         assert tiled.notes["workspace_bytes"] == 8 * ens.n_steps * (
@@ -673,16 +689,6 @@ class TestTargetTiles:
         for name, est in whole.estimates.items():
             assert np.array_equal(tiled.estimates[name].per_replica,
                                   est.per_replica)
-
-    def test_e1_does_not_depend_on_the_pair_tiles(self):
-        # two pairs: a product over a tile of one pair would sum it in
-        # another order than the product over both
-        ens = brownian_ensemble(n_steps=40, n_replicas=4, seed=8)
-        whole = E.paper_moments(ens, EP)
-        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 48 * 41):
-            tiled = E.paper_moments(ens, EP)
-        assert np.array_equal(tiled.estimates["E1"].per_replica,
-                              whole.estimates["E1"].per_replica)
 
     @pytest.mark.parametrize("tile", [1, 2, 3, 5])
     def test_domination(self, ens, tile):
@@ -729,7 +735,7 @@ class TestTargetTiles:
         # one N = 32, M = 140 replica: its dx and dy over all 992 pairs take
         # 16 * 992 * 140 bytes, 2.2 MB, over the 2 MiB budget. Measured
         # peaks, in budgets, tiled (and in one tile): run 1.70 (1.80),
-        # paper_moments 1.73 (3.81), domination 2.68 (4.35), Hoelder 0.20
+        # paper_moments 1.17 (3.81), domination 2.68 (4.35), Hoelder 0.20
         cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.1, chi=1.0,
                                               epsilon=0.05),
                           n_particles=32, dt=0.01, n_steps=140, n_replicas=1,
@@ -754,16 +760,41 @@ class TestTargetTiles:
         assert p < 2 * budget + 3 * ens.positions.nbytes
         rep, p = peak(E.paper_moments, ens, ep)
         assert rep.notes["i_tile_rows"] < 32
-        # a (T, N(N - 1)) series and one budget: E1's inverse distances and
-        # its tile temporaries, then E4's |D| and the grids' workspace
-        series = 8 * 141 * 992
-        assert p < budget + 2 * series
+        # the grids' workspace (one budget) and (B, N, N - 1) per-pair
+        # arrays: nothing that grows with the horizon
+        assert p < 1.5 * budget
+        # N = 64, M = 120: a (T, N(N - 1)) series of every step and pair
+        # took 3.9 MB, and the peak was 3.34 budgets; now 1.39
+        wide = dataclasses.replace(cfg, n_particles=64, n_steps=120)
+        rep, p = peak(E.paper_moments, S.run(wide), ep)
+        assert rep.notes["i_tile_rows"] < 64
+        assert p < 2 * budget
         _, p = peak(E.drift_domination_check, ens, ep)
         # a tile's geometry, dx and dy (one budget) and |d|^2, the Gaussian
         # factor and the S terms, half a budget each
         assert p < 3 * budget
         _, p = peak(E.holder_modulus, ens, ep)
         assert p < budget
+
+    def test_moments_blocks_count_the_pair_arrays(self):
+        # 400 replicas of N = 32 at a horizon of one step: the grids take
+        # 1.2 KB a target particle, the per-pair arrays (sums, a step's,
+        # E1's geometry, temporaries) 16 rows of 8 (N - 1) bytes. Blocks
+        # sized by the grids alone held 51 replicas, and the peak was 4.5
+        # budgets (5.7 with E1 and E4 summed per pair)
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=0.0,
+                                              epsilon=0.05),
+                          n_particles=32, dt=0.01, n_steps=2, n_replicas=400,
+                          seed=1, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        ep = E.EstimatorParams(gamma=1.62, alpha=0.045, horizon=cfg.dt)
+        tracemalloc.start()
+        try:
+            E.paper_moments(ens, ep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * S.DRIFT_BUDGET_BYTES
 
     def test_pass_blocks_count_the_positions(self):
         # N = 2, M = 100 under a budget of 1/16 of the default, and 200
@@ -1202,6 +1233,28 @@ class TestTestFunctions:
                 assert type(a) is type(b)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    def test_compact_bump_extreme_inputs(self):
+        # |x|^2 as x0 x0 + x1 x1 has the bits of the einsum in the
+        # whole-array expressions on NaN, infinite, signed-zero, subnormal
+        # and overflowing inputs, and a square that overflows warns of
+        # nothing. An infinite |x|^2 makes 0 * inf outside the support
+        # (grad's, lap's) invalid, as it did with einsum
+        bump = E.CompactBump()
+        rng = np.random.default_rng(8)
+        finite = [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 0.3, -2.9, 3.0,
+                  1e150, -1e200, 1.7e308]
+        points = rng.choice(finite, (4, 9, 2))
+        odd = np.array([[math.nan, 0.1], [0.2, math.nan], [math.inf, 0.0],
+                        [-0.3, -math.inf], [math.inf, math.nan]])
+        for x in (points, points[:, 1:], points[0, 0], odd):
+            with np.errstate(invalid="ignore"):
+                got = (bump.value(x), bump.grad(x), bump.lap(x))
+            with np.errstate(all="ignore"):
+                want = compact_bump_expressions(bump.radius, x)
+            for a, b in zip(got, want):
+                assert type(a) is type(b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
     def test_compact_bump_lap_memory(self):
         # one martingale_residual block at N = 64 (31 replicas, 33 window
         # rows): lap holds at most six (B, T, N) arrays; the whole-array
@@ -1637,16 +1690,19 @@ class TestResidualBlocks:
         j_idx = np.array([j for _, j in pairs])
         w_tr = E._trap_weights(steps, ens.config.dt)
         q = 2.0 * (EP.gamma - 1.0)
-        e1, divergent = [], 0
+        e1, e1_gemv, divergent = [], [], 0
         for path in ens.positions:
             d_same = path[:, i_idx, :] - path[:, j_idx, :]
             dist = np.sqrt(np.einsum("mkc,mkc->mk", d_same, d_same))
             divergent += int((dist == 0.0).sum())
             with np.errstate(divide="ignore"):
                 integrand = np.where(dist == 0.0, 0.0, dist ** (-q))
-            e1.append(math.fsum(w_tr @ integrand) / len(pairs))
+            e1.append(math.fsum(step_order(w_tr, integrand)) / len(pairs))
+            e1_gemv.append(math.fsum(w_tr @ integrand) / len(pairs))
         assert rep.divergent_terms == divergent
         assert np.array_equal(rep.estimates["E1"].per_replica, e1)
+        np.testing.assert_allclose(rep.estimates["E1"].per_replica, e1_gemv,
+                                   rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("f_spec", ["gaussian-bump"])
     def test_nonfinite_replica_excluded_and_counted(self, f_spec):
