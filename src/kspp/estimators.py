@@ -711,11 +711,12 @@ class CompactBump:
         1 - rho and the bump are formed in place, one array each. |x|^2 is
         x0 x0 + x1 x1, the bits of the trailing-axis einsum and faster; unlike
         einsum, multiply warns when a square overflows to inf, which is then
-        outside the support like any other large x."""
+        outside the support like any other large x; so does rho's division
+        by a radius below 1."""
         x = np.asarray(x, float)
         with np.errstate(over="ignore"):
             sq = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
-        one_m = np.divide(sq, self.radius ** 2, out=np.empty_like(sq))  # rho
+            one_m = np.divide(sq, self.radius ** 2, out=np.empty_like(sq))  # rho
         inside = one_m < 1.0
         np.subtract(1.0, one_m, out=one_m)
         one_m[~inside] = 1.0
@@ -738,7 +739,9 @@ class CompactBump:
     def lap(self, x):
         """val ((gp^2 + gpp) 4|x|^2 / R^4 + 4 gp / R^2) inside, 0 outside,
         with gp = -(1 - rho)^-2 and gpp = -2 (1 - rho)^-3: each operation
-        in place, in val, 1 - rho (which becomes gpp) and two arrays more."""
+        in place, in val, 1 - rho (which becomes gpp) and two arrays more.
+        |x|^2 and the bracket multiply in only inside the support, where
+        they are finite; val is already 0 outside it."""
         _, sq, inside, one_m, val = self._terms(x)
         r2 = self.radius ** 2
         gp = np.negative(np.power(one_m, -2.0), out=np.empty_like(one_m))
@@ -746,13 +749,12 @@ class CompactBump:
         h = np.multiply(gp, gp, out=np.empty_like(gp))
         h += gpp
         h *= 4.0
-        h *= sq
+        np.multiply(h, sq, out=h, where=inside)
         h /= r2 ** 2
         gp *= 4.0
         gp /= r2
         h += gp
-        val *= h
-        val[~inside] = 0.0
+        np.multiply(val, h, out=val, where=inside)
         return val
 
 

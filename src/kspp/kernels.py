@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -164,26 +165,37 @@ class SourceSpec:
     def is_zero(self) -> bool:
         return not self.components
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights (K,), centers (K, 2) and variances (K,) as arrays."""
+        w, center, var = zip(*self.components) if self.components else ((), (), ())
+        return (np.array(w, dtype=float),
+                np.array(center, dtype=float).reshape(-1, 2),
+                np.array(var, dtype=float))
+
 
 def _mixture_terms(t, x, source: SourceSpec, params: KernelParams):
-    """Each component's term of the background concentration and of its
-    gradient at (t, x), in the order of `source.components`: the mixture
-    formula, written once. Yields (b_k, grad b_k) for arrays t and x that
-    the caller has checked; the caller adds them to zeros of the shape of
-    t and x broadcast. A single time is taken as a float, so that the
-    factors of t alone (decay, variance, normalisation) are float
-    operations instead of array ones: the same IEEE operations on the same
-    values, so the same bits."""
+    """Every component's term of the background concentration and of its
+    gradient at (t, x): the mixture formula, written once, in one pass
+    over a leading component axis. Returns (b_k, grad b_k) of shapes
+    (K, ...) and (K, ..., 2), in the order of `source.components`, for
+    arrays t and x that the caller has checked; the caller adds them to
+    zeros of the shape of t and x broadcast, one component at a time. A
+    single time is taken as a float, so that the factors of t alone
+    (decay, variance, normalisation) are float operations instead of array
+    ones: each term has the IEEE operations, and so the bits, of its
+    component formed alone."""
     if t.size == 1:
         t = t.item()
+    # components first, then the leading axes of t and x broadcast
+    axes = (-1,) + (1,) * max(np.ndim(t), x.ndim - 1)
+    w, center, var = source._arrays
     decay = np.exp(-params.lam * t / params.theta)
-    spread = 2.0 * t / params.theta
-    for w, center, var in source.components:
-        v_t = var + spread
-        d = x - np.asarray(center)
-        b_k = decay * (w / (2.0 * math.pi * v_t)
-                       * _clamped_exp(_sqnorm(d) / (2.0 * v_t)))
-        yield b_k, (-(b_k / v_t))[..., None] * d
+    v_t = var.reshape(axes) + 2.0 * t / params.theta
+    d = x - center.reshape(axes + (2,))
+    b_k = decay * (w.reshape(axes) / (2.0 * math.pi * v_t)
+                   * _clamped_exp(_sqnorm(d) / (2.0 * v_t)))
+    return b_k, (-(b_k / v_t))[..., None] * d
 
 
 def background_field(t, x, source: SourceSpec, params: KernelParams):
@@ -201,7 +213,7 @@ def background_field(t, x, source: SourceSpec, params: KernelParams):
     x = np.asarray(x, dtype=float)
     b = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]))
     grad = np.zeros(b.shape + (2,))
-    for b_k, grad_k in _mixture_terms(t, x, source, params):
+    for b_k, grad_k in zip(*_mixture_terms(t, x, source, params)):
         b = b + b_k   # a scalar for scalar t and one point
         grad += grad_k
     return b, grad
@@ -219,6 +231,6 @@ def background_grad(t, x, source: SourceSpec, params: KernelParams):
         raise ValueError("background_grad requires t > 0")
     x = np.asarray(x, dtype=float)
     grad = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]) + (2,))
-    for _, grad_k in _mixture_terms(t, x, source, params):
+    for grad_k in _mixture_terms(t, x, source, params)[1]:
         grad += grad_k
     return grad

@@ -1,8 +1,10 @@
 """Reference implementations that only the tests use.
 
-Explicit-pair drifts, the frozen-pair drift integral, and the Lp norms of
-the heat-kernel gradient and of a Gaussian-mixture source. The package
-runs without them; the quadrature oracles are the only users of scipy.
+Explicit-pair drifts, the frozen-pair drift integral, the Lp norms of
+the heat-kernel gradient and of a Gaussian-mixture source, the background
+field summed one component at a time, and the scalar chi bisection with
+the threshold search built on it. The package runs without them; the
+quadrature oracles are the only users of scipy.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from kspp import constants as C
 from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, _clamped_exp,
                           _sqnorm, smoothed_weight)
 from kspp.simulator import (SimConfig, _gauss_factor, _history_sums,
@@ -106,6 +109,27 @@ def source_density(source: SourceSpec, x) -> np.ndarray:
     return out
 
 
+def background_reference(t, x, source: SourceSpec, params: KernelParams):
+    """(b, grad b) of `kernels.background_field`, one component at a time:
+    each component's terms formed alone (a float time as a float), then
+    added to zeros in the order of `source.components`."""
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    b = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]))
+    grad = np.zeros(b.shape + (2,))
+    if t.size == 1:
+        t = t.item()
+    decay = np.exp(-params.lam * t / params.theta)
+    spread = 2.0 * t / params.theta
+    for w, center, var in source.components:
+        v_t = var + spread
+        d = x - np.asarray(center)
+        b_k = decay * (w / (2.0 * math.pi * v_t)
+                       * _clamped_exp(_sqnorm(d) / (2.0 * v_t)))
+        b = b + b_k
+        grad += (-(b_k / v_t))[..., None] * d
+    return b, grad
+
+
 def source_lp_norm(source: SourceSpec, p: float, n_quad: int = 400) -> float:
     """||c0||_Lp of `source` by tensor Gauss-Legendre quadrature over a
     covering box."""
@@ -120,3 +144,77 @@ def source_lp_norm(source: SourceSpec, p: float, n_quad: int = 400) -> float:
     w2 = np.outer(weights, weights) * half * half
     grid = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
     return float(np.sum(source_density(source, grid) ** p * w2)) ** (1.0 / p)
+
+
+def bisect_reference(c1: float, c2: float, c3: float, gamma: float) -> float:
+    """The root of chi C2 + (chi C3)^(2(gamma - 1)) = C1 by one scalar
+    bisection: doubling from [0, 1], then halving to the relative width
+    CHI_REL_TOL, with Python's float pow (libm)."""
+    def gap(chi):
+        return c1 - (chi * c2 + (chi * c3) ** (2.0 * (gamma - 1.0)))
+
+    if c1 <= 0:
+        raise ValueError(f"C1 must be > 0, got {c1}")
+    lo, hi = 0.0, 1.0
+    while gap(hi) > 0.0:
+        lo = hi
+        hi *= 2.0
+        if hi > 1e300:
+            raise RuntimeError("failed to bracket the admissibility root")
+    while hi - lo > C.CHI_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def chi_for_reference(sp: C.StructuralParams) -> float:
+    """chi_for at one point, by the scalar bisection."""
+    sc = C.structural_constants(sp)
+    return bisect_reference(sc.c1, sc.c2, sc.c3, sp.gamma)
+
+
+def chi_star_reference(theta: float, p: float) -> C.ThresholdResult:
+    """chi_star point by point: every grid point in turn is validated by
+    StructuralParams (invalid ones skipped), bisected by
+    `chi_for_reference`, audited, and compared with the incumbent."""
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
+    g_lo, g_hi = 1.5, min(2.0, C.gamma_upper(p))
+    g_span = g_hi - g_lo
+    g_first = g_lo + C.SEARCH_MARGIN * g_span
+    g_last = g_hi - C.SEARCH_MARGIN * g_span
+    audit = []
+    best = (-math.inf, math.inf, math.inf)
+
+    def consider(gamma, alpha):
+        nonlocal best
+        try:
+            sp = C.StructuralParams(gamma=gamma, alpha=alpha, theta=theta, p=p)
+        except ValueError:
+            return
+        chi = chi_for_reference(sp)
+        audit.append((gamma, alpha, chi))
+        if chi > best[0] or (chi == best[0] and (gamma, alpha) < best[1:]):
+            best = (chi, gamma, alpha)
+
+    for g in np.linspace(g_first, g_last, C.SEARCH_COARSE):
+        for a in C._alpha_grid(float(g), C.SEARCH_MARGIN, 1.0, C.SEARCH_COARSE):
+            consider(float(g), float(a))
+    dg = g_span / (C.SEARCH_COARSE - 1)
+    da_ratio = ((1.0 - C.SEARCH_MARGIN) / C.SEARCH_MARGIN) ** (
+        1.0 / (C.SEARCH_COARSE - 1))
+    for _ in range(C.SEARCH_REFINE_ROUNDS):
+        _, g_b, a_b = best
+        g_min, g_max = max(g_first, g_b - dg), min(g_last, g_b + dg)
+        for g in np.linspace(g_min, g_max, C.SEARCH_REFINE_POINTS):
+            a_max_g = 1.0 / (4.0 * (float(g) - 1.0))
+            lo_frac, hi_frac = a_b / da_ratio / a_max_g, a_b * da_ratio / a_max_g
+            for a in C._alpha_grid(float(g), lo_frac, hi_frac,
+                                   C.SEARCH_REFINE_POINTS):
+                consider(float(g), float(a))
+        dg = (g_max - g_min) / (C.SEARCH_REFINE_POINTS - 1)
+        da_ratio = da_ratio ** (2.0 / (C.SEARCH_REFINE_POINTS - 1))
+    return C.ThresholdResult(*best, audit=audit)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kspp import constants as C
+import oracles as O
 
 NONFINITE = [math.nan, math.inf, -math.inf]
 
@@ -228,3 +229,122 @@ class TestChiStar:
             C.chi_star(bad, 3.31)
         with pytest.raises(ValueError, match="p must"):
             C.chi_star(1.0, bad)
+
+
+REMARK_ROWS = [(1e-6, 4.0), (0.1, 2.61), (1.0, 3.31), (10.0, 3.51), (1e4, 3.51)]
+
+
+def _bits(res):
+    return (res.chi_star, res.best_gamma, res.best_alpha, res.audit)
+
+
+@st.composite
+def points(draw):
+    """(theta, gamma, alpha): theta log-uniform over [1e-6, 1e4], gamma in
+    (3/2, 2), alpha a log-uniform fraction of its bound 1/(4(gamma - 1))."""
+    theta = 10.0 ** draw(st.floats(-6.0, 4.0))
+    gamma = draw(st.floats(1.5, 2.0, exclude_min=True, exclude_max=True))
+    frac = 10.0 ** draw(st.floats(-9.0, 0.0, exclude_max=True))
+    alpha = frac / (4.0 * (gamma - 1.0))
+    assume(alpha < 1.0 / (4.0 * (gamma - 1.0)))
+    return theta, gamma, alpha
+
+
+class TestLockstepBisection:
+    """`_chi_roots` against the scalar bisection (`oracles.bisect_reference`),
+    bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pt=points())
+    def test_chi_for_matches_reference(self, pt):
+        theta, gamma, alpha = pt
+        sp = C.StructuralParams(gamma=gamma, alpha=alpha, theta=theta)
+        assert C.chi_for(sp) == O.chi_for_reference(sp)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(pts=st.lists(points(), min_size=1, max_size=40))
+    def test_batch_matches_each_point_alone(self, pts):
+        # a point's root does not depend on what else is in the batch
+        rows = [C.structural_constants(C.StructuralParams(
+            gamma=g, alpha=a, theta=th))[:3] + (g,) for th, g, a in pts]
+        got = C._chi_roots(*np.array(rows).T)
+        assert got.tolist() == [O.bisect_reference(*row) for row in rows]
+
+    def test_bracket_doubles(self):
+        # chi > 1 at small theta: the bracket [0, 1] doubles before the
+        # bisection starts
+        sp = C.StructuralParams(gamma=1.52, alpha=1e-3, theta=1e-3)
+        assert C.chi_for(sp) > 1.0
+        assert C.chi_for(sp) == O.chi_for_reference(sp)
+
+    def test_small_theta_fixed_point(self):
+        sp = C.StructuralParams(gamma=1.5 + 1e-3, alpha=0.13e-6,
+                                theta=1e-6, p=4.0)
+        assert C.chi_for(sp) == O.chi_for_reference(sp)
+        assert 3.27 <= C.chi_for(sp) <= 3.30
+
+    @pytest.mark.parametrize("c1", [0.0, -0.5])
+    def test_c1_not_positive(self, c1):
+        for roots in (C._chi_roots, O.bisect_reference):
+            with pytest.raises(ValueError, match="C1 must be > 0"):
+                roots(c1, 1.0, 1.0, 1.7)
+        with pytest.raises(ValueError, match="C1 must be > 0"):
+            C._chi_roots([0.5, c1], [1.0, 1.0], [1.0, 1.0], [1.7, 1.7])
+
+    def test_unbracketed_root(self):
+        # C2 and C3 so small that the gap stays positive past chi = 1e300
+        for roots in (C._chi_roots, O.bisect_reference):
+            with pytest.raises(RuntimeError, match="bracket"):
+                roots(1.0, 1e-310, 1e-310, 1.75)
+
+    def test_admissible_is_the_scalar_sign(self):
+        sp = C.StructuralParams(gamma=1.62, alpha=0.045, theta=1.0, p=3.31)
+        sc = C.structural_constants(sp)
+        root = C.chi_for(sp)
+        for chi in (root, math.nextafter(root, 0), math.nextafter(root, 10),
+                    0.5 * root, 2.0 * root, math.inf, math.nan):
+            want = sc.c1 - (chi * sc.c2 + (chi * sc.c3) ** (2.0 * (sp.gamma - 1.0))) > 0
+            assert C.admissible(chi, sp) == want
+
+
+class TestChiStarReference:
+    """chi_star against the point-by-point search (`oracles.chi_star_reference`):
+    the best point and every audit triple, in order, bit for bit."""
+
+    @pytest.mark.parametrize("theta, p", REMARK_ROWS)
+    def test_remark_rows(self, theta, p):
+        assert _bits(C.chi_star(theta, p)) == _bits(O.chi_star_reference(theta, p))
+
+    @pytest.mark.parametrize("theta, p", REMARK_ROWS[1:])
+    def test_collapsed_alpha_grid(self, theta, p, monkeypatch):
+        # with margin 0.48 the incumbent sits on its alpha bound, and a
+        # refinement round's alpha range for a gamma below it collapses:
+        # _alpha_grid falls back to lo * (1 + 1e-12)
+        collapsed = []
+        grid = C._alpha_grid
+
+        def spy(gamma, lo_frac, hi_frac, n):
+            a = grid(gamma, lo_frac, hi_frac, n)
+            collapsed.append(a[-1] <= a[0] * (1.0 + 2e-12))
+            return a
+
+        monkeypatch.setattr(C, "SEARCH_MARGIN", 0.48)
+        monkeypatch.setattr(C, "_alpha_grid", spy)
+        got = C.chi_star(theta, p)
+        assert any(collapsed)
+        assert _bits(got) == _bits(O.chi_star_reference(theta, p))
+
+    def test_points_outside_the_box_are_skipped(self, monkeypatch):
+        # alphas at and beyond the bound, zero and negative ones are left
+        # out of the audit, as StructuralParams rejects them
+        grid = C._alpha_grid
+
+        def wide(gamma, lo_frac, hi_frac, n):
+            a_max = 1.0 / (4.0 * (gamma - 1.0))
+            return np.concatenate([[-1.0, 0.0], grid(gamma, lo_frac, hi_frac, n),
+                                   [a_max, 2.0 * a_max]])
+
+        monkeypatch.setattr(C, "_alpha_grid", wide)
+        got = C.chi_star(1.0, 3.31)
+        assert len(got.audit) == 4500
+        assert _bits(got) == _bits(O.chi_star_reference(1.0, 3.31))

@@ -1255,6 +1255,25 @@ class TestTestFunctions:
                 assert type(a) is type(b)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    def test_compact_bump_far_replica_warns_nothing(self, chi):
+        # finite points far outside the support, where |x|^2 overflows to
+        # inf (1e200) or lands near the float maximum (1e154): lap is 0
+        # there and warns of nothing, for a radius below 1 too, and so is
+        # a replica that far out in martingale_residual
+        far = np.array([[1e200, -3.0], [1e154, 0.0], [-7e153, 7e153]])
+        ens = brownian_ensemble(n_particles=3, n_steps=16, n_replicas=4,
+                                chi=chi)
+        ens.positions[1] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bump in (E.CompactBump(), E.CompactBump(0.5)):
+                assert np.asarray(bump.lap(far)).tobytes() == bytes(24)
+            rep = E.martingale_residual(ens, None, ("const",), s=0.125, t=0.25)
+        assert rep.excluded == 0
+        assert rep.per_replica[1] == 0.0
+        assert np.isfinite(rep.per_replica).all()
+
     def test_compact_bump_lap_memory(self):
         # one martingale_residual block at N = 64 (31 replicas, 33 window
         # rows): lap holds at most six (B, T, N) arrays; the whole-array

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kspp import kernels as K
 from kspp.constants import c0_const
@@ -266,6 +267,56 @@ class TestBackgroundGrad:
         assert got.shape == (4, 6, 5, 2)
         assert self.same_bits(
             got, K.background_field(t, x, source, self.PARAMS)[1])
+
+
+COORD = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0]))
+COMPONENT = st.tuples(st.floats(0.01, 5.0), st.tuples(COORD, COORD),
+                      st.floats(0.01, 4.0))
+
+
+class TestMixtureTerms:
+    """The one-pass component terms against the per-component sum
+    (`oracles.background_reference`), bit for bit, -0.0 included."""
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                     b.view(np.int64))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(comps=st.lists(COMPONENT, min_size=1, max_size=4),
+           lam=st.sampled_from([0.0, 0.3]),
+           t=st.floats(1e-6, 30.0),
+           pts=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=6))
+    def test_scalar_time(self, comps, lam, t, pts):
+        source = K.SourceSpec(components=tuple(comps))
+        params = K.KernelParams(theta=1.5, lam=lam, epsilon=0.05)
+        # the points, each component's center (d = 0) and a point past
+        # the exponent's clamp
+        x = np.array(pts + [c for _, c, _ in comps] + [(1e3, -1e3)])
+        for xs in (x, x[0]):
+            b, grad = K.background_field(t, xs, source, params)
+            want_b, want_grad = O.background_reference(t, xs, source, params)
+            assert self.same_bits(b, want_b)
+            assert self.same_bits(grad, want_grad)
+            assert self.same_bits(K.background_grad(t, xs, source, params),
+                                  want_grad)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(comps=st.lists(COMPONENT, min_size=1, max_size=4),
+           steps=st.integers(1, 6), n=st.integers(1, 5), seed=st.integers(0, 99))
+    def test_steps_shaped_time(self, comps, steps, n, seed):
+        # step_drifts' (S, 1) times against (B, S, N, 2) positions
+        source = K.SourceSpec(components=tuple(comps))
+        params = K.KernelParams(theta=1.5, lam=0.3, epsilon=0.05)
+        x = 2.0 * np.random.default_rng(seed).standard_normal((2, steps, n, 2))
+        t = (np.arange(3, 3 + steps) * 0.01 + 0.05)[:, None]
+        want_b, want_grad = O.background_reference(t, x, source, params)
+        b, grad = K.background_field(t, x, source, params)
+        assert self.same_bits(b, want_b)
+        assert self.same_bits(grad, want_grad)
+        assert self.same_bits(K.background_grad(t, x, source, params), want_grad)
 
 
 class TestNonFiniteArguments:

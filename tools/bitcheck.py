@@ -1,14 +1,17 @@
-"""Bit-identity check of paper_moments over a fixed matrix of configurations.
+"""Bit-identity check of the simulator, paper_moments and the chi* search.
 
 Usage:
     python tools/bitcheck.py                  # one SHA-256 per output
     python tools/bitcheck.py --against TREE   # compare with another checkout
 
-Each configuration is simulated with `run` and estimated with
-`paper_moments`; its outputs are the per-replica arrays E1, E2, E3, E4, S
-and S_bar and the count `divergent_terms`. The digest of an output is the
-SHA-256 of its values as an int64 array (the bits of the float64s), so two
-trees agree on an output exactly when their digests do.
+Each configuration of a fixed matrix is simulated with `run` and estimated
+with `paper_moments`; its outputs are `run`'s positions, the per-replica
+arrays E1, E2, E3, E4, S and S_bar and the count `divergent_terms`. Each
+(theta, p) of the Remark 6.1 table adds `chi_star`'s threshold, best
+gamma and best alpha and its audit trail, in order; the table's
+small-theta row also adds `chi_for` at its fixed point. The digest of an
+output is the SHA-256 of its values as an int64 array (the bits of the
+float64s), so two trees agree on an output exactly when their digests do.
 
 With --against, the same matrix also runs on TREE's package (TREE/src on
 the path) in a subprocess, and every output that differs is listed with its
@@ -30,14 +33,19 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
-OUTPUTS = ("E1", "E2", "E3", "E4", "S", "S_bar", "divergent_terms")
+MOMENTS = ("E1", "E2", "E3", "E4", "S", "S_bar")
+# the (theta, p) of the Remark 6.1 rows, and the small-theta fixed point
+THRESHOLDS = ((1e-6, 4.0), (0.1, 2.61), (1.0, 3.31), (10.0, 3.51),
+              (1e4, 3.51))
+FIXED_POINT = dict(gamma=1.5 + 1e-3, alpha=0.13e-6, theta=1e-6, p=4.0)
 
 
 def matrix(S, E, kernels):
-    """(name, ensemble, estimator params) for every configuration: N = 2,
-    3, 8 and 32 with lambda > 0; a history cutoff; a source; a replica with
-    NaN rows from a step on, as `run` leaves a blown one; a horizon below
-    M; a pinned pair, which gives divergent terms."""
+    """(name, run's positions, ensemble, estimator params) for every
+    configuration: N = 2, 3, 8 and 32 with lambda > 0; a history cutoff; a
+    source; a replica with NaN rows from a step on, as `run` leaves a blown
+    one; a horizon below M; a pinned pair, which gives divergent terms.
+    The last two edit the positions `run` returned, after a copy."""
     params = kernels.KernelParams(theta=1.0, lam=0.2, chi=0.9, epsilon=0.05)
     ep = E.EstimatorParams(gamma=1.62, alpha=0.045, delta=0.1)
 
@@ -49,40 +57,53 @@ def matrix(S, E, kernels):
     rows = []
     for n, steps, replicas in ((2, 40, 4), (3, 30, 3), (8, 20, 3),
                                (32, 16, 2)):
-        rows.append((f"N{n}", S.run(config(n, steps, replicas, n)), ep))
-    rows.append(("N5-cutoff",
-                 S.run(config(5, 24, 3, 11, history_cutoff=0.1)), ep))
+        ens = S.run(config(n, steps, replicas, n))
+        rows.append((f"N{n}", ens.positions, ens, ep))
+    ens = S.run(config(5, 24, 3, 11, history_cutoff=0.1))
+    rows.append(("N5-cutoff", ens.positions, ens, ep))
     source = kernels.SourceSpec(components=((1.0, (0.5, 0.0), 1.0),
                                             (0.5, (-1.0, 0.5), 0.5)))
-    rows.append(("N8-source",
-                 S.run(config(8, 20, 2, 12, source=source)), ep))
+    ens = S.run(config(8, 20, 2, 12, source=source))
+    rows.append(("N8-source", ens.positions, ens, ep))
     blown = S.run(config(8, 20, 3, 13))
+    ran = blown.positions.copy()
     blown.positions[1, 9:] = math.nan
-    rows.append(("N8-blown", blown, ep))
-    rows.append(("N3-horizon", S.run(config(3, 30, 3, 14)),
+    rows.append(("N8-blown", ran, blown, ep))
+    ens = S.run(config(3, 30, 3, 14))
+    rows.append(("N3-horizon", ens.positions, ens,
                  dataclasses.replace(ep, horizon=17 * 0.02)))
     pinned = S.run(config(3, 20, 3, 15))
+    ran = pinned.positions.copy()
     pinned.positions[0, 6:, 1] = pinned.positions[0, 6:, 0]
     pinned.positions[2, :, 2] = pinned.positions[2, :, 0]
-    rows.append(("N3-pinned", pinned, ep))
+    rows.append(("N3-pinned", ran, pinned, ep))
     return rows
 
 
 def outputs(src: Path) -> dict:
-    """{config name: {output: list of values}} for the
-    package under `src`; ImportError if kspp comes from anywhere else."""
+    """{row name: {output: list of values}} for the package under `src`;
+    ImportError if kspp comes from anywhere else."""
     sys.path.insert(0, str(src))
     import kspp
-    from kspp import estimators as E, kernels, simulator as S
+    from kspp import constants, estimators as E, kernels, simulator as S
     if Path(kspp.__file__).resolve().parent != (src / "kspp").resolve():
         raise ImportError(f"kspp was imported from {kspp.__file__}, "
                           f"not from {src}")
     got = {}
-    for name, ens, ep in matrix(S, E, kernels):
+    for name, positions, ens, ep in matrix(S, E, kernels):
         rep = E.paper_moments(ens, ep)
-        got[name] = {out: [float(v) for v in rep.estimates[out].per_replica]
-                     for out in OUTPUTS[:-1]}
+        got[name] = {"positions": positions.ravel().tolist()}
+        got[name].update({out: rep.estimates[out].per_replica.tolist()
+                          for out in MOMENTS})
         got[name]["divergent_terms"] = [rep.divergent_terms]
+    for theta, p in THRESHOLDS:
+        res = constants.chi_star(theta, p)
+        got[f"chi*({theta:g},{p:g})"] = {
+            "chi_star": [res.chi_star], "best_gamma": [res.best_gamma],
+            "best_alpha": [res.best_alpha],
+            "audit": [v for triple in res.audit for v in triple]}
+    sp = constants.StructuralParams(**FIXED_POINT)
+    got[f"chi*({sp.theta:g},{sp.p:g})"]["chi_for"] = [constants.chi_for(sp)]
     return got
 
 
@@ -119,22 +140,22 @@ def main(argv=None) -> int:
     mine = outputs(HERE / "src")
     if args.against is None:
         for name, row in mine.items():
-            for out in OUTPUTS:
-                print(f"{name:12} {out:16} {digest(row[out], out)}")
+            for out, values in row.items():
+                print(f"{name:16} {out:16} {digest(values, out)}")
         return 0
 
     theirs = json.loads(subprocess.run(
         [sys.executable, __file__, "--dump", str(args.against / "src")],
         check=True, capture_output=True, text=True).stdout)
-    differ = 0
+    differ = total = 0
     for name, row in mine.items():
-        for out in OUTPUTS:
-            a, b = row[out], theirs[name][out]
+        for out, a in row.items():
+            b = theirs[name][out]
+            total += 1
             if digest(a, out) != digest(b, out):
                 differ += 1
-                print(f"{name:12} {out:16} differs, worst relative "
+                print(f"{name:16} {out:16} differs, worst relative "
                       f"deviation {deviation(a, b):.3g}")
-    total = len(mine) * len(OUTPUTS)
     print(f"{differ} of {total} outputs differ")
     return int(differ > 0)
 
