@@ -228,7 +228,9 @@ def chi_star(theta: float, p: float) -> ThresholdResult:
     refinement round are one batch: its admissible points are bisected in
     lockstep (`_chi_roots`), with the bits `chi_for` gives each alone, and
     appended to the audit trail in grid order. Points outside the box,
-    which a refinement round's alpha grid can hold, are skipped.
+    which a refinement round's alpha grid can hold, are skipped. A coarse
+    grid with no point inside the box, as when p is within about 1e-15
+    of 2, is a ValueError naming theta and p.
     """
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta must be finite and > 0, got {theta}")
@@ -261,6 +263,10 @@ def chi_star(theta: float, p: float) -> ThresholdResult:
     gammas = np.linspace(g_first, g_last, SEARCH_COARSE).tolist()
     consider(gammas, [_alpha_grid(g, SEARCH_MARGIN, 1.0, SEARCH_COARSE)
                       for g in gammas])
+    if not audit:
+        # p so close to 2 that the margin puts every gamma at or below 3/2
+        raise ValueError(f"no admissible (gamma, alpha) point on the coarse "
+                         f"grid at theta = {theta!r}, p = {p!r}")
 
     dg = g_span / (SEARCH_COARSE - 1)
     # adjacent-point ratio of the coarse log-spaced alpha grid

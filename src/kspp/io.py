@@ -16,6 +16,7 @@ SimConfig; times are in model (nondimensional) units throughout.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -64,6 +65,13 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
     differs from step * dt by more than 1e-12 * max(1, |step * dt|) is a
     ValueError naming its data row. NaN coordinates (a blown replica's
     rows) are valid.
+
+    Memory: the checks run in place on the parsed table (48 B a row),
+    beside a row mask, one float64 scratch row, the int64 flat
+    (replica, step, particle) index, which scatters the rows in any order,
+    and the grid's int64 row counts. The peak, while the rows are
+    scattered, is about 17 B a row past the table and the result (16 B a
+    row).
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -78,47 +86,65 @@ def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, float]:
             raise ValueError(f"{path}: {exc}") from None
     if data.shape[1] != 6:
         raise ValueError(f"{path}: rows have {data.shape[1]} fields, expected 6")
-    index = data[:, :3]
-    bad = ~np.all(np.isfinite(index) & (index >= 0) & (index == np.floor(index)),
-                  axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"{path}: data row {k + 1}: index fields {index[k].tolist()} "
-                         "are not all non-negative integers")
+    rows = len(data)
+    # a row is good while each index field is finite, >= 0 and its own
+    # floor; each test is written only where the row is still good
+    good = np.ones(rows, bool)
+    scratch = np.empty(rows)
+    for c in range(3):
+        col = data[:, c]
+        np.less(col, math.inf, out=good, where=good)
+        np.greater_equal(col, 0.0, out=good, where=good)
+        np.equal(col, np.floor(col, out=scratch), out=good, where=good)
+    if not good.all():
+        k = int(np.argmin(good))
+        raise ValueError(f"{path}: data row {k + 1}: index fields "
+                         f"{data[k, :3].tolist()} are not all non-negative integers")
     # the (replica, step, particle) grid, sized in Python ints: no overflow
-    shape = tuple(int(v) + 1 for v in index.max(axis=0)[[0, 2, 1]])
+    shape = tuple(int(data[:, c].max()) + 1 for c in (0, 2, 1))
     size = math.prod(shape)
-    if len(index) < size:
+    if rows < size:
         # too few rows: counted without sizing anything by the largest
         # indices, which may be far larger than the file
-        distinct = len(np.unique(index, axis=0))
+        distinct = len(np.unique(data[:, :3], axis=0))
     else:
-        reps, parts, steps = index.astype(int).T
-        counts = np.bincount(np.ravel_multi_index((reps, steps, parts), shape),
-                             minlength=size)
-        distinct = int(np.count_nonzero(counts))
-    missing, duplicated = size - distinct, len(index) - distinct
+        # every index is below size <= rows, so the float sums are exact
+        np.multiply(data[:, 0], shape[1], out=scratch)
+        scratch += data[:, 2]
+        scratch *= shape[2]
+        scratch += data[:, 1]
+        flat = scratch.astype(np.int64)
+        distinct = int(np.count_nonzero(np.bincount(flat, minlength=size)))
+    missing, duplicated = size - distinct, rows - distinct
     if missing or duplicated:
         raise ValueError(f"{path}: incomplete trajectory grid: {missing} missing "
                          f"and {duplicated} duplicated rows of the {size} "
                          "(replica, particle, step) rows")
-    pos = np.full(shape + (2,), np.nan)
-    pos[reps, steps, parts] = data[:, 4:]
-    nonzero = steps > 0
+    pos = np.empty(shape + (2,))   # each of its rows is written once
+    pos.reshape(size, 2)[flat] = data[:, 4:]
+    del flat
+    steps, times = data[:, 2], data[:, 3]
     dt = 0.0
-    if nonzero.any():
-        k = int(np.argmax(nonzero))
-        dt = float(data[k, 3] / steps[k])
+    if steps.any():
+        k = int(np.argmax(steps > 0))
+        dt = float(times[k] / steps[k])
         if not 0 < dt < math.inf:   # also rejects NaN
-            raise ValueError(f"{path}: data row {k + 1}: t = {float(data[k, 3])!r} "
-                             f"at step {steps[k]} gives dt = {dt!r}, "
+            raise ValueError(f"{path}: data row {k + 1}: t = {float(times[k])!r} "
+                             f"at step {int(steps[k])} gives dt = {dt!r}, "
                              "not finite and > 0")
-    grid_t = steps * dt
-    bad = ~(np.abs(data[:, 3] - grid_t) <= 1e-12 * np.maximum(1.0, np.abs(grid_t)))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"{path}: data row {k + 1}: t = {float(data[k, 3])!r} is not "
-                         f"step * dt = {steps[k]} * {dt!r}")
+    # x is in pos now: its column holds |t - step * dt|, and scratch
+    # 1e-12 * max(1, |step * dt|)
+    grid_t = np.multiply(steps, dt, out=scratch)
+    err = np.subtract(times, grid_t, out=data[:, 4])
+    np.abs(err, out=err)
+    np.abs(grid_t, out=scratch)
+    np.maximum(scratch, 1.0, out=scratch)
+    scratch *= 1e-12
+    ok = np.less_equal(err, scratch)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"{path}: data row {k + 1}: t = {float(times[k])!r} is not "
+                         f"step * dt = {int(steps[k])} * {dt!r}")
     return pos, dt
 
 
@@ -134,23 +160,30 @@ def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, float]:
     """Positions (R, M+1, N, 2) and dt from a KSW1 file.
 
     A file shorter than the 24-byte header, with another magic, with a
-    header dt that is not finite and > 0 or with a payload that does not
-    match the header is a ValueError.
+    header dt that is not finite and > 0 or with a payload of other than
+    16 * R * (M+1) * N bytes is a ValueError. The payload is read straight
+    into the returned array, its one copy, after the header has been
+    checked against the file's size.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated KSW1 header: {len(raw)} of "
-                         f"{_HEADER.size} bytes")
-    magic, n, steps, r_n, dt = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: not a KSW1 trajectory file")
-    if not 0 < dt < math.inf:  # also rejects NaN
-        raise ValueError(f"{path}: KSW1 header dt = {dt!r} is not finite and > 0")
-    body = np.frombuffer(raw[_HEADER.size:], dtype="<f8")
-    expected = r_n * (steps + 1) * n * 2
-    if body.size != expected:
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated KSW1 header: {len(head)} of "
+                             f"{_HEADER.size} bytes")
+        magic, n, steps, r_n, dt = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: not a KSW1 trajectory file")
+        if not 0 < dt < math.inf:  # also rejects NaN
+            raise ValueError(f"{path}: KSW1 header dt = {dt!r} is not finite and > 0")
+        expected = r_n * (steps + 1) * n * 2
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != 8 * expected:
+            raise ValueError(f"{path}: payload has {size} bytes, expected "
+                             f"{8 * expected} ({expected} doubles)")
+        body = np.fromfile(fh, dtype="<f8", count=expected)
+    if body.size != expected:   # the file shrank while it was read
         raise ValueError(f"{path}: payload has {body.size} doubles, expected {expected}")
-    return body.reshape(r_n, steps + 1, n, 2).astype(float), dt
+    return body.reshape(r_n, steps + 1, n, 2).astype(float, copy=False), dt
 
 
 def _parse_source(text: str) -> SourceSpec:

@@ -1,13 +1,17 @@
 """tools/bitcheck.py: a tree compared with itself differs nowhere, a tree
-with another chi bisection differs in the chi* outputs alone, and its
-deviations count NaNs and missing values."""
+with another chi bisection differs in the chi* outputs alone, a tree with
+another CSV float format in the CSV outputs alone, and its deviations count
+NaNs and missing values."""
 
+import hashlib
 import importlib.util
 import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bitcheck.py"
@@ -26,7 +30,7 @@ def test_against_itself():
     res = subprocess.run([sys.executable, str(TOOL), "--against", str(ROOT)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines() == ["0 of 93 outputs differ"]
+    assert res.stdout.splitlines() == ["0 of 147 outputs differ"]
 
 
 def test_outputs_cover_runs_and_thresholds():
@@ -35,11 +39,23 @@ def test_outputs_cover_runs_and_thresholds():
     assert len(sims) == 9
     for row in sims:
         assert set(row) == {"positions", "E1", "E2", "E3", "E4", "S",
-                            "S_bar", "divergent_terms"}
+                            "S_bar", "divergent_terms", "csv", "ksw1",
+                            "csv_positions", "csv_dt", "ksw1_positions",
+                            "ksw1_dt"}
+        # each reader returns the positions the files were written from
+        assert row["csv_dt"] == row["ksw1_dt"] == [0.02]
+        assert np.array_equal(row["csv_positions"], row["ksw1_positions"],
+                              equal_nan=True)
     n32 = got["N32"]["positions"]
     assert len(n32) == 2 * 17 * 32 * 2
-    # positions as run returned them, before the NaN rows are written
-    assert all(map(math.isfinite, got["N8-blown"]["positions"]))
+    assert bytes(got["N32"]["csv"]).startswith(b"replica,particle,step,t,x,y\n")
+    assert len(got["N32"]["ksw1"]) == 24 + 8 * len(n32)
+    # positions as run returned them, before the NaN rows are written;
+    # the files hold the NaN rows
+    blown = got["N8-blown"]
+    assert all(map(math.isfinite, blown["positions"]))
+    assert sum(map(math.isnan, blown["csv_positions"])) == 12 * 8 * 2
+    assert b",nan,nan\n" in bytes(blown["csv"])
     chis = {name: row for name, row in got.items() if name.startswith("chi*")}
     assert list(chis) == ["chi*(1e-06,4)", "chi*(0.1,2.61)", "chi*(1,3.31)",
                           "chi*(10,3.51)", "chi*(10000,3.51)"]
@@ -62,11 +78,29 @@ def test_reports_a_changed_bisection(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == f"{len(lines) - 1} of 93 outputs differ"
+    assert lines[-1] == f"{len(lines) - 1} of 147 outputs differ"
     differ = [line.split()[:2] for line in lines[:-1]]
     assert all(name.startswith("chi*") for name, _ in differ)
     assert ["chi*(1e-06,4)", "chi_for"] in differ
     assert sum(out == "audit" for _, out in differ) == 5
+
+
+def test_reports_a_changed_csv_format(tmp_path):
+    # the same tree writing 16 significant digits: the CSV bytes and the
+    # positions read back move on every row, the CSV dt, the KSW1
+    # outputs and everything else do not
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "kspp" / "io.py"
+    text = path.read_text()
+    assert text.count("%.17g,%.17g") == 1
+    path.write_text(text.replace("%.17g,%.17g", "%.16g,%.16g"))
+    res = subprocess.run([sys.executable, str(TOOL), "--against", str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 1, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[-1] == "18 of 147 outputs differ"
+    assert {line.split()[1] for line in lines[:-1]} == {"csv", "csv_positions"}
 
 
 def test_deviation_and_digest():
@@ -80,3 +114,5 @@ def test_deviation_and_digest():
     assert tool.deviation([1.0], [1.0, 2.0]) == math.inf
     # -0.0 == 0.0, but their bits differ
     assert tool.digest([-0.0], "E1") != tool.digest([0.0], "E1")
+    # a file's bytes are hashed as bytes
+    assert tool.digest(list(b"KSW1"), "ksw1") == hashlib.sha256(b"KSW1").hexdigest()

@@ -314,6 +314,13 @@ class TestThreshold:
                          "--out", str(out)]) == 2
         assert not (out / "threshold.csv").exists()
 
+    def test_no_admissible_point_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "thr"
+        assert cli.main(["threshold", "--theta", "1", "--p", "2.000000000000001",
+                         "--out", str(out)]) == 2
+        assert not (out / "threshold.csv").exists()
+        assert "theta = 1.0, p = 2.000000000000001" in capsys.readouterr().err
+
 
 class TestVerification:
     def test_verify_inequality_clean(self, tmp_path):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,23 @@ class TestChiStar:
             C.chi_star(bad, 3.31)
         with pytest.raises(ValueError, match="p must"):
             C.chi_star(1.0, bad)
+
+    def test_no_admissible_point_near_p_2(self):
+        # the margin puts every gamma of the range (3/2, (2p+2)/(p+2)) at or
+        # below 3/2: a ValueError, before any refinement round warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "no admissible (gamma, alpha) point on the coarse grid at "
+                    "theta = 1.0, p = 2.000000000000001")):
+                C.chi_star(1.0, 2.000000000000001)
+
+    def test_p_just_above_2_is_still_searched(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = C.chi_star(1.0, 2 + 4e-16)
+        assert len(got.audit) == 2700
+        assert _bits(got) == _bits(O.chi_star_reference(1.0, 2 + 4e-16))
 
 
 REMARK_ROWS = [(1e-6, 4.0), (0.1, 2.61), (1.0, 3.31), (10.0, 3.51), (1e4, 3.51)]

@@ -217,6 +217,192 @@ class TestTrajectoryFiles:
             io.read_trajectory_bin(path)
 
 
+def pair_shape_ensemble():
+    """pair_ensemble's shape: 300 replicas of 2 particles over 100 steps,
+    60 600 CSV rows."""
+    cfg = S.SimConfig(params=KernelParams(theta=1.0), n_particles=2,
+                      dt=0.01, n_steps=100, n_replicas=300, seed=0)
+    pos = np.random.default_rng(0).normal(size=(300, 101, 2, 2))
+    return S.TrajectoryEnsemble(positions=pos, config=cfg, rng_provenance={})
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    def test_csv_read_holds_table_result_and_24_bytes_a_row(self, tmp_path):
+        # the parsed table is 48 B a row and the result 16; the checks get
+        # 24 B a row more (5.33 MB in all here, where checks on copies of
+        # the index columns peaked at 7.88 MB)
+        ens = pair_shape_ensemble()
+        path = tmp_path / "pair.csv"
+        io.write_trajectory_csv(path, ens)
+        (pos, dt), peak = traced_peak(io.read_trajectory_csv, path)
+        rows = 300 * 2 * 101
+        assert np.array_equal(pos, ens.positions) and dt == 0.01
+        assert peak <= 48 * rows + pos.nbytes + 24 * rows
+
+    def test_ksw1_read_holds_one_copy(self, tmp_path):
+        ens = pair_shape_ensemble()
+        path = tmp_path / "pair.ksw1"
+        io.write_trajectory_bin(path, ens)
+        (pos, dt), peak = traced_peak(io.read_trajectory_bin, path)
+        assert np.array_equal(pos, ens.positions) and dt == 0.01
+        assert pos.dtype == np.float64 and pos.flags.c_contiguous
+        assert peak <= pos.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("cut", [-1, -7, -8, 1, 8, -480],
+                             ids=["minus_1", "minus_7", "minus_8", "plus_1",
+                                  "plus_8", "header_only"])
+    def test_ksw1_payload_length_must_match(self, tmp_path, cut):
+        path = tmp_path / "traj.ksw1"
+        io.write_trajectory_bin(path, small_ensemble())
+        raw = path.read_bytes()
+        size = len(raw) - 24
+        assert size == 16 * 2 * 5 * 3   # 2 replicas, 5 rows, 3 particles
+        path.write_bytes(raw[:len(raw) + cut] if cut < 0 else raw + b"\0" * cut)
+        with pytest.raises(ValueError, match=re.escape(
+                f"traj.ksw1: payload has {size + cut} bytes, expected {size} "
+                "(60 doubles)")):
+            io.read_trajectory_bin(path)
+
+    def test_ksw1_huge_header_rejected_before_allocating(self, tmp_path):
+        # a header that claims 2^32 - 1 replicas of 2^32 - 1 particles
+        path = tmp_path / "huge.ksw1"
+        path.write_bytes(io._HEADER.pack(io.MAGIC, 2 ** 32 - 1, 0, 2 ** 32 - 1,
+                                         0.1) + b"\0" * 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload has 16 bytes"):
+                io.read_trajectory_bin(path)
+            assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+        finally:
+            tracemalloc.stop()
+
+
+def shuffled_rows(tmp_path, ens, seed=3):
+    """`ens` written as a CSV and its data rows shuffled: (path, lines),
+    lines[0] the header and lines[k] data row k."""
+    path = tmp_path / "traj.csv"
+    io.write_trajectory_csv(path, ens)
+    lines = path.read_text().splitlines(keepends=True)
+    body = lines[1:]
+    np.random.default_rng(seed).shuffle(body)
+    lines = lines[:1] + body
+    path.write_text("".join(lines))
+    return path, lines
+
+
+def edit(path, lines, row, column, value):
+    """Write `lines` to `path` with field `column` of data row `row` set
+    to `value`."""
+    lines = list(lines)
+    fields = lines[row].rstrip("\n").split(",")
+    fields[column] = value
+    lines[row] = ",".join(fields) + "\n"
+    path.write_text("".join(lines))
+
+
+class TestShuffledCsv:
+    """Rows in any order: the reader scatters each row to its place through
+    the flat (replica, step, particle) index, and every error names the data
+    row of the file."""
+
+    def test_roundtrip(self, tmp_path):
+        ens = small_ensemble()
+        ens.positions[1, 3:] = np.nan
+        ens.positions[0, 2, 1, 0] = -0.0
+        path, lines = shuffled_rows(tmp_path, ens)
+        index = [tuple(map(int, line.split(",")[:3])) for line in lines[1:]]
+        assert index != sorted(index)    # not in writer order
+        pos, dt = io.read_trajectory_csv(path)
+        assert dt == 0.25
+        np.testing.assert_array_equal(np.isnan(pos), np.isnan(ens.positions))
+        fin = ~np.isnan(pos)
+        np.testing.assert_array_equal(pos[fin].view(np.uint64),
+                                      ens.positions[fin].view(np.uint64))
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ens=trajectory_ensembles(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_order_reads_as_writer_order(self, tmp_path, ens, seed):
+        io.write_trajectory_csv(tmp_path / "ordered.csv", ens)
+        want, _ = io.read_trajectory_csv(tmp_path / "ordered.csv")
+        path, lines = shuffled_rows(tmp_path, ens, seed)
+        pos, dt = io.read_trajectory_csv(path)
+        assert pos.tobytes() == want.tobytes()
+        # dt is t / step of the file's first row past step 0, which in
+        # another order may be another row, and another last bit
+        past_0 = [line.split(",")[2:4] for line in lines[1:]
+                  if line.split(",")[2] != "0"]
+        assert dt == (float(past_0[0][1]) / int(past_0[0][0]) if past_0 else 0.0)
+
+    @pytest.mark.parametrize("column, value, fields", [
+        (2, "2.5", "{r}, {i}, 2.5"), (0, "-1", "-1.0, {i}, {m}"),
+        (1, "inf", "{r}, inf, {m}"), (2, "nan", "{r}, {i}, nan")])
+    def test_index_error_names_the_row(self, tmp_path, column, value, fields):
+        path, lines = shuffled_rows(tmp_path, small_ensemble())
+        # two bad rows: the first in the file is named
+        edit(path, lines, 17, column, value)
+        lines = path.read_text().splitlines(keepends=True)
+        edit(path, lines, 23, column, value)
+        r, i, m = (f"{float(v)!r}" for v in lines[17].split(",")[:3])
+        want = "[" + fields.format(r=r, i=i, m=m) + "]"
+        with pytest.raises(ValueError, match=re.escape(
+                f"traj.csv: data row 17: index fields {want} are not all "
+                "non-negative integers")):
+            io.read_trajectory_csv(path)
+
+    def test_gap_and_duplicate_counts(self, tmp_path):
+        path, lines = shuffled_rows(tmp_path, small_ensemble())
+        # 30 rows: drop data rows 4 and 9, repeat 12 three times
+        body = [line for k, line in enumerate(lines[1:], 1) if k not in (4, 9)]
+        path.write_text("".join(lines[:1] + body + [lines[12]] * 3))
+        with pytest.raises(ValueError, match=re.escape(
+                "incomplete trajectory grid: 2 missing and 3 duplicated rows "
+                "of the 30 (replica, particle, step) rows")):
+            io.read_trajectory_csv(path)
+        # as many rows as the grid, one of them twice
+        path.write_text("".join(lines[:1] + body + [lines[12]] * 2))
+        with pytest.raises(ValueError, match="2 missing and 2 duplicated"):
+            io.read_trajectory_csv(path)
+
+    def test_time_error_names_the_row(self, tmp_path):
+        path, lines = shuffled_rows(tmp_path, small_ensemble())
+        k = next(k for k in range(20, 31) if lines[k].split(",")[2] != "0")
+        step = int(lines[k].split(",")[2])
+        edit(path, lines, k, 3, "1e-3")
+        with pytest.raises(ValueError, match=re.escape(
+                f"traj.csv: data row {k}: t = 0.001 is not step * dt = "
+                f"{step} * 0.25")):
+            io.read_trajectory_csv(path)
+
+    def test_dt_comes_from_the_first_row_past_step_0(self, tmp_path):
+        path, lines = shuffled_rows(tmp_path, small_ensemble())
+        k = next(k for k in range(1, 31) if lines[k].split(",")[2] != "0")
+        step = int(lines[k].split(",")[2])
+        edit(path, lines, k, 3, "-1")
+        with pytest.raises(ValueError, match=re.escape(
+                f"traj.csv: data row {k}: t = -1.0 at step {step} gives "
+                f"dt = {-1 / step!r}, not finite and > 0")):
+            io.read_trajectory_csv(path)
+        # a wrong t there gives another dt: the next row past step 0 is named
+        edit(path, lines, k, 3, repr(2 * 0.25 * step))
+        j = next(j for j in range(k + 1, 31) if lines[j].split(",")[2] != "0")
+        step_j = int(lines[j].split(",")[2])
+        with pytest.raises(ValueError, match=re.escape(
+                f"traj.csv: data row {j}: t = {0.25 * step_j!r} is not "
+                f"step * dt = {step_j} * 0.5")):
+            io.read_trajectory_csv(path)
+
+
 class TestConfigFormat:
     def test_roundtrip(self):
         cfg = S.SimConfig(

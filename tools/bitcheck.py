@@ -6,12 +6,16 @@ Usage:
 
 Each configuration of a fixed matrix is simulated with `run` and estimated
 with `paper_moments`; its outputs are `run`'s positions, the per-replica
-arrays E1, E2, E3, E4, S and S_bar and the count `divergent_terms`. Each
+arrays E1, E2, E3, E4, S and S_bar and the count `divergent_terms`. The
+ensemble that `paper_moments` sees is also written as a trajectory CSV
+and a KSW1 file and read back: the bytes of each file, and the positions
+and dt each reader returns, are outputs too. Each
 (theta, p) of the Remark 6.1 table adds `chi_star`'s threshold, best
 gamma and best alpha and its audit trail, in order; the table's
 small-theta row also adds `chi_for` at its fixed point. The digest of an
 output is the SHA-256 of its values as an int64 array (the bits of the
-float64s), so two trees agree on an output exactly when their digests do.
+float64s), or of a file's bytes, so two trees agree on an output exactly
+when their digests do.
 
 With --against, the same matrix also runs on TREE's package (TREE/src on
 the path) in a subprocess, and every output that differs is listed with its
@@ -28,12 +32,14 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 MOMENTS = ("E1", "E2", "E3", "E4", "S", "S_bar")
+BYTES = ("csv", "ksw1")   # outputs that are a file's bytes
 # the (theta, p) of the Remark 6.1 rows, and the small-theta fixed point
 THRESHOLDS = ((1e-6, 4.0), (0.1, 2.61), (1.0, 3.31), (10.0, 3.51),
               (1e4, 3.51))
@@ -85,7 +91,7 @@ def outputs(src: Path) -> dict:
     ImportError if kspp comes from anywhere else."""
     sys.path.insert(0, str(src))
     import kspp
-    from kspp import constants, estimators as E, kernels, simulator as S
+    from kspp import constants, estimators as E, io, kernels, simulator as S
     if Path(kspp.__file__).resolve().parent != (src / "kspp").resolve():
         raise ImportError(f"kspp was imported from {kspp.__file__}, "
                           f"not from {src}")
@@ -96,6 +102,7 @@ def outputs(src: Path) -> dict:
         got[name].update({out: rep.estimates[out].per_replica.tolist()
                           for out in MOMENTS})
         got[name]["divergent_terms"] = [rep.divergent_terms]
+        got[name].update(trajectory_files(io, ens))
     for theta, p in THRESHOLDS:
         res = constants.chi_star(theta, p)
         got[f"chi*({theta:g},{p:g})"] = {
@@ -107,7 +114,26 @@ def outputs(src: Path) -> dict:
     return got
 
 
+def trajectory_files(io, ens) -> dict:
+    """The bytes of `ens` as a trajectory CSV and as a KSW1 file, and the
+    positions and dt that each reader returns."""
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt, write, read in (
+                ("csv", io.write_trajectory_csv, io.read_trajectory_csv),
+                ("ksw1", io.write_trajectory_bin, io.read_trajectory_bin)):
+            path = Path(tmp) / f"trajectory.{fmt}"
+            write(path, ens)
+            positions, dt = read(path)
+            got[fmt] = list(path.read_bytes())
+            got[f"{fmt}_positions"] = positions.ravel().tolist()
+            got[f"{fmt}_dt"] = [dt]
+    return got
+
+
 def digest(values, name: str) -> str:
+    if name in BYTES:
+        return hashlib.sha256(bytes(values)).hexdigest()
     dtype = np.int64 if name == "divergent_terms" else np.float64
     return hashlib.sha256(np.asarray(values, dtype).view(np.int64)).hexdigest()
 
