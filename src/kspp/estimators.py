@@ -21,17 +21,16 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field, asdict, replace
-from typing import Sequence
 
 import numpy as np
 
 from .constants import c0_const, check_gamma_alpha, kappa
 from . import simulator
 from .kernels import EXP_CLAMP, smoothed_weight
-from .simulator import (TrajectoryEnsemble, _conv_weights, _gauss_exponent,
-                        _gauss_factor, _history_sums, _lag_table, _others,
-                        _pair_geometry, _split_history, _views, budget_blocks,
-                        step_drifts)
+from .simulator import (TrajectoryEnsemble, _conv_weights, _cyclic_pairs,
+                        _gauss_exponent, _gauss_factor, _history_sums,
+                        _lag_table, _others, _pair_geometry, _views,
+                        budget_blocks, step_drifts)
 
 
 @dataclass(frozen=True)
@@ -92,22 +91,6 @@ class EstimateReport:
         }
 
 
-def ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def _pair_index(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([i for i, _ in pairs], dtype=int),
-            np.array([j for _, j in pairs], dtype=int))
-
-
-def _cyclic_columns(i_idx: np.ndarray, j_idx: np.ndarray, n: int) -> np.ndarray:
-    """The column of each pair (i, j) in a flattened (i, k) grid over the
-    N - 1 other particles j = (i + 1 + k) mod N of each i (the layout of
-    `simulator._others` and of the drift memo's sums): i (N - 1) + k."""
-    return i_idx * (n - 1) + (j_idx - i_idx - 1) % n
-
-
 def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
     """Indices of the replicas whose positions are finite on rows 0..m_t.
 
@@ -120,6 +103,51 @@ def _finite_replicas(ensemble: TrajectoryEnsemble, m_t: int) -> np.ndarray:
         part = slice(block.start, block.stop)
         np.isfinite(rows[part]).all(axis=(1, 2, 3), out=finite[part])
     return np.flatnonzero(finite)
+
+
+class _ReplicaBlocks:
+    """The replica pass under every estimator.
+
+    `kept` holds the replicas whose positions are finite on the rows
+    0..m_t (`_finite_replicas`), in replica order, and `excluded` counts
+    the others. `blocks` split `kept` into consecutive slices of the most
+    replicas whose `replica_bytes` each fit DRIFT_BUDGET_BYTES
+    (`budget_blocks`); the first holds the most, `largest`, for which an
+    estimator allocates its workspace once per call. `run(body)` calls
+    body(part) for the slice `part` of each block in turn, under one error
+    state: a finite replica close to blowing up may overflow its kernel
+    terms, which then come out inf, 0 or NaN, as the simulator's helpers
+    expect (see simulator._pair_geometry), and an estimator keeps them. A
+    body gathers its block (`history`) and keeps no reference to it, so
+    that a block's arrays are freed before the next block is gathered.
+    """
+
+    def __init__(self, ensemble: TrajectoryEnsemble, m_t: int,
+                 replica_bytes: int):
+        self.positions, self.m_t = ensemble.positions, m_t
+        self.kept = _finite_replicas(ensemble, m_t)
+        self.excluded = ensemble.n_replicas - len(self.kept)
+        self.blocks = [slice(block.start, block.stop) for block in
+                       budget_blocks(len(self.kept), replica_bytes)]
+        self.largest = self.blocks[0].stop if self.blocks else 0
+
+    def history(self, part: slice) -> np.ndarray:
+        """The positions of the replicas kept[part] on the rows 0..m_t,
+        split by coordinate, (2, B, N, m_t + 1): the layout every pair pass
+        reads (a `_split_history` array's swapaxes(0, 1)). Gathered one
+        coordinate at a time straight into it: the one temporary is one
+        coordinate's rows, where a gathered block and its split copy took
+        four times that."""
+        rows = self.kept[part]
+        h = np.empty((2, len(rows), self.positions.shape[2], self.m_t + 1))
+        for c in range(2):
+            h[c] = self.positions[rows, : self.m_t + 1, :, c].transpose(0, 2, 1)
+        return h
+
+    def run(self, body) -> None:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for part in self.blocks:
+                body(part)
 
 
 def _grid_index(t: float, dt: float, what: str) -> int:
@@ -145,8 +173,13 @@ def _trap_weights(m_t: int, dt: float) -> np.ndarray:
     return w
 
 
-def _fsum_mean(values: Sequence[float]) -> float:
-    return math.fsum(values) / len(values)
+def _replica_means(sums: np.ndarray) -> np.ndarray:
+    """The mean of each row along the last axis of `sums`, summed exactly
+    (math.fsum), so that it depends on neither the order of the row's
+    terms nor the blocks."""
+    rows = sums.reshape(-1, sums.shape[-1])
+    return np.array([math.fsum(row) / len(row) for row in rows]
+                    ).reshape(sums.shape[:-1])
 
 
 def _row_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -158,8 +191,15 @@ def _row_dot(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(rows[..., None, :], w)[..., 0]
 
 
-def _stderr(values: np.ndarray) -> float:
-    return (float(values.std(ddof=1) / math.sqrt(len(values)))
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """The mean of `values` and its standard error, 0 for one value; both
+    NaN for none. An infinite value gives a NaN stderr, without a
+    warning."""
+    if not len(values):
+        return math.nan, math.nan
+    with np.errstate(invalid="ignore"):
+        return float(values.mean()), (
+            float(values.std(ddof=1) / math.sqrt(len(values)))
             if len(values) > 1 else 0.0)
 
 
@@ -194,18 +234,19 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     are reduced by math.fsum, which is exact and so does not depend on
     the pairs' order.
 
-    Memory: replicas run in blocks and each block's grid in i-tiles of
-    target particles, both sized by `budget_blocks` so that a tile's five
+    Memory: replicas run in the blocks of the replica pass
+    (`_ReplicaBlocks`) and each block's grid in i-tiles of target
+    particles, both sized by `budget_blocks` so that a tile's five
     grids and its share of the doubled history window fit
     DRIFT_BUDGET_BYTES (one tile whenever a block fits; a single i row
     above the budget is one tile). Every tile keeps whole history rows, so
     no sum depends on the tiles. Nothing else grows with the horizon: the
     per-pair accumulators and E1's same-time geometry are (B, N, N - 1)
-    arrays, which the replica blocks count too. `notes` records the tile rows (`i_tile_rows`), the
-    workspace's bytes (`workspace_bytes`), the (i, k, l) grid cells over
-    all steps of the kept replicas (`pair_history_terms`,
-    N(N - 1) m_t (m_t + 1) / 2 a replica) and the seconds of the pass
-    (`timings`, key `grids`).
+    arrays, which the replica blocks count too. `notes` records the tile
+    rows (`i_tile_rows`), the workspace's bytes (`workspace_bytes`), the
+    (i, k, l) grid cells over all steps of the kept replicas
+    (`pair_history_terms`, N(N - 1) m_t (m_t + 1) / 2 a replica) and the
+    seconds of the pass (`timings`, key `grids`).
     """
     if ensemble.n_particles < 2:
         raise ValueError("need at least 2 particles")
@@ -221,9 +262,6 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     e3_pow = 2.0 * ep.gamma / 3.0
     unsmoothed = replace(cfg.params, epsilon=0.0)
     names = ("E1", "E2", "E3", "E4", "S", "S_bar")
-    kept = _finite_replicas(ensemble, m_t)
-    per_rep = {name: np.zeros(len(kept)) for name in names}
-    divergent = 0
     tri = m_t * (m_t + 1) // 2   # history rows l < m over the steps m <= m_t
     # the bytes of one target particle i of one replica at the horizon: five
     # (i, k, l) grid rows and, near enough, its share of the doubled window.
@@ -231,9 +269,10 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     # sums, a step's, E1's geometry and the steps' temporaries, which
     # outweigh the grids at short horizons
     row_bytes = 8 * (5 * (n - 1) + 4) * m_t
-    blocks = budget_blocks(len(kept), (row_bytes + 128 * (n - 1)) * n)
-    b_max = len(blocks[0]) if blocks else 0
-    tiles = budget_blocks(n, row_bytes * b_max)
+    plan = _ReplicaBlocks(ensemble, m_t, (row_bytes + 128 * (n - 1)) * n)
+    tiles = budget_blocks(n, row_bytes * plan.largest)
+    per_rep = np.zeros((len(names), len(plan.kept)))
+    divergent = 0
 
     # the (2, B, 2N - 1, l) doubled history window (see
     # simulator._mean_drifts), then five (B, i, k, l) grids of one i-tile,
@@ -243,7 +282,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     # coefficients) and the E2, S and (p - 1) a terms
     start = time.perf_counter()
     work = np.empty((2 * (2 * n - 1) + 5 * len(tiles[0]) * (n - 1))
-                    * b_max * m_t)
+                    * plan.largest * m_t)
     ones = np.ones(m_t)   # E2's row weights
     # the lags k dt for k = m_t..1, with the drift's weights (`_lag_table`)
     # and E3's tf_u^p: step m's rows l < m take the last m entries
@@ -251,14 +290,15 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     lags = table[0]
     tf_pows = np.power(smoothed_weight(lags, unsmoothed), e3_pow)
 
-    for block in blocks:
-        b = len(block)
-        pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-        h = _split_history(pos).swapaxes(0, 1)   # (2, B, N, T)
+    def block(part: slice) -> None:
+        nonlocal divergent
+        h = plan.history(part)
+        b = h.shape[1]
 
         # the per-pair trapezoid sums over the steps, (B, i, k) for the
         # pairs (i, (i + 1 + k) mod N), and S and S-bar at the horizon
-        e1, e2, e3, e4, s_full, sbar_full = np.zeros((6, b, n, n - 1))
+        sums = np.zeros((len(names), b, n, n - 1))
+        e1, e2, e3, e4, s_full, sbar_full = sums
         # one step's E2 and E3 row sums and D by coordinate, from all tiles
         e2_m, e3_m, sx, sy = np.empty((4, b, n, n - 1))
         # E1's same-time geometry: the step's row doubled, then d and |d|^2
@@ -266,105 +306,96 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         row = np.empty((2, b, 2 * n - 1, 1))
         d_now = np.empty((2, b, n, n - 1, 1))
         dist = np.empty((b, n, n - 1, 1))
-        # a finite replica close to blowing up may overflow its kernel
-        # terms; they then come out inf or 0. One error state for the
-        # block's steps, the simulator's helpers' included (see
-        # simulator._pair_geometry)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for m in range(m_t + 1):
-                # E1: |X^i_m - X^j_m|^-q, an exact coincidence (|d| = 0)
-                # counted as divergent and taken as 0
-                _pair_geometry(h[:, :, :, None, m, None],
-                               _others(h, m, m + 1, row), out=(d_now, dist))
-                np.sqrt(dist, out=dist)
-                zero = dist == 0.0
-                divergent += int(zero.sum())
-                np.power(dist, -q, out=dist)
-                dist[zero] = 0.0
-                e1 += w_tr[m] * dist[..., 0]
-                if m == 0:
-                    continue   # no history rows, and D_0 = 0
+        for m in range(m_t + 1):
+            # E1: |X^i_m - X^j_m|^-q, an exact coincidence (|d| = 0)
+            # counted as divergent and taken as 0
+            _pair_geometry(h[:, :, :, None, m, None],
+                           _others(h, m, m + 1, row), out=(d_now, dist))
+            np.sqrt(dist, out=dist)
+            zero = dist == 0.0
+            divergent += int(zero.sum())
+            np.power(dist, -q, out=dist)
+            dist[zero] = 0.0
+            e1 += w_tr[m] * dist[..., 0]
+            if m == 0:
+                continue   # no history rows, and D_0 = 0
 
-                # geometry over (B, i, k, l): X^i_m - X^j_l for l < m and
-                # j = (i + 1 + k) mod N
-                lag, tf_pow = lags[m_t - m:], tf_pows[m_t - m:]
-                l0, _, w = _conv_weights(m, cfg, table)
-                window_shape = (2, b, 2 * n - 1, m)
-                window, = _views(work, window_shape)
-                others = _others(h, 0, m, window)
-                for tile in tiles:
-                    i = slice(tile.start, tile.stop)
-                    shape = (b, len(tile), n - 1, m)
-                    _, d, sq, g, term = _views(work, window_shape,
-                                               (2, *shape), *[shape] * 3)
-                    dx, dy, _ = _pair_geometry(h[:, :, i, None, m, None],
-                                               others[:, :, i], out=(d, sq))
+            # geometry over (B, i, k, l): X^i_m - X^j_l for l < m and
+            # j = (i + 1 + k) mod N
+            lag, tf_pow = lags[m_t - m:], tf_pows[m_t - m:]
+            l0, _, w = _conv_weights(m, cfg, table)
+            window_shape = (2, b, 2 * n - 1, m)
+            window, = _views(work, window_shape)
+            others = _others(h, 0, m, window)
+            for tile in tiles:
+                i = slice(tile.start, tile.stop)
+                shape = (b, len(tile), n - 1, m)
+                _, d, sq, g, term = _views(work, window_shape,
+                                           (2, *shape), *[shape] * 3)
+                dx, dy, _ = _pair_geometry(h[:, :, i, None, m, None],
+                                           others[:, :, i], out=(d, sq))
 
-                    # E2 / E3: double sums, left-endpoint (u-exclusive)
-                    # inner rule, one dot product a row. E2's terms are
-                    # e^(-gamma log(u + |d|^2))
-                    np.add(lag, sq, out=term)
-                    np.log(term, out=term)
-                    term *= -ep.gamma
-                    e2_m[:, i] = _row_dot(np.exp(term, out=term), ones[:m])
-                    if m == m_t:
-                        # S and S-bar at the horizon (right-endpoint sum,
-                        # diagonal excluded), while sq still holds |d|^2
-                        for shift, s_out in ((lag, s_full),
-                                             (lag + ep.delta, sbar_full)):
-                            np.multiply(sq, ep.alpha, out=term)
-                            np.add(shift, term, out=term)
-                            s_out[:, i] = dt * np.sum(
-                                np.power(term, -ep.gamma, out=term), axis=-1)
-                    # E3's terms |grad K_u|^p (unsmoothed) are tf_u^p e^x
-                    # with x = p (a + log|d|), a the clamped Gaussian
-                    # exponent, summed as a + ((p - 1) a + p log|d|) so
-                    # that the large a is rounded once (p - 1 is exact for
-                    # p in (1, 4/3)); |d| = 0 gives log 0 = -inf and a
-                    # term of 0
-                    _gauss_exponent(sq, lag, cfg, out=g)
-                    np.log(sq, out=sq)
-                    sq *= 0.5 * e3_pow
-                    sq += np.multiply(g, e3_pow - 1.0, out=term)
-                    sq += g
-                    e3_m[:, i] = _row_dot(np.exp(sq, out=sq), tf_pow)
-                    np.exp(g, out=g)   # _gauss_factor's bits
+                # E2 / E3: double sums, left-endpoint (u-exclusive)
+                # inner rule, one dot product a row. E2's terms are
+                # e^(-gamma log(u + |d|^2))
+                np.add(lag, sq, out=term)
+                np.log(term, out=term)
+                term *= -ep.gamma
+                e2_m[:, i] = _row_dot(np.exp(term, out=term), ones[:m])
+                if m == m_t:
+                    # S and S-bar at the horizon (right-endpoint sum,
+                    # diagonal excluded), while sq still holds |d|^2
+                    for shift, s_out in ((lag, s_full),
+                                         (lag + ep.delta, sbar_full)):
+                        np.multiply(sq, ep.alpha, out=term)
+                        np.add(shift, term, out=term)
+                        s_out[:, i] = dt * np.sum(
+                            np.power(term, -ep.gamma, out=term), axis=-1)
+                # E3's terms |grad K_u|^p (unsmoothed) are tf_u^p e^x
+                # with x = p (a + log|d|), a the clamped Gaussian
+                # exponent, summed as a + ((p - 1) a + p log|d|) so
+                # that the large a is rounded once (p - 1 is exact for
+                # p in (1, 4/3)); |d| = 0 gives log 0 = -inf and a
+                # term of 0
+                _gauss_exponent(sq, lag, cfg, out=g)
+                np.log(sq, out=sq)
+                sq *= 0.5 * e3_pow
+                sq += np.multiply(g, e3_pow - 1.0, out=term)
+                sq += g
+                e3_m[:, i] = _row_dot(np.exp(sq, out=sq), tf_pow)
+                np.exp(g, out=g)   # _gauss_factor's bits
 
-                    # E4: the simulator's discrete pair drift on rows
-                    # [l0, m)
-                    sx[:, i], sy[:, i] = _history_sums(
-                        dx[..., l0:], dy[..., l0:], g[..., l0:], w)
-                e2 += w_tr[m] * dt * e2_m
-                e3 += w_tr[m] * dt * e3_m
-                # E4's terms |D|^q, D = -dt (sx, sy)
-                sx *= -dt
-                sy *= -dt
-                d_mag = np.sqrt(sx * sx + sy * sy)
-                e4 += w_tr[m] * np.power(d_mag, q, out=d_mag)
+                # E4: the simulator's discrete pair drift on rows
+                # [l0, m)
+                sx[:, i], sy[:, i] = _history_sums(
+                    dx[..., l0:], dy[..., l0:], g[..., l0:], w)
+            e2 += w_tr[m] * dt * e2_m
+            e3 += w_tr[m] * dt * e3_m
+            # E4's terms |D|^q, D = -dt (sx, sy)
+            sx *= -dt
+            sy *= -dt
+            d_mag = np.sqrt(sx * sx + sy * sy)
+            e4 += w_tr[m] * np.power(d_mag, q, out=d_mag)
 
-        for row_k, r in enumerate(block):
-            for name, sums in zip(names, (e1, e2, e3, e4, s_full, sbar_full)):
-                per_rep[name][r] = _fsum_mean(sums[row_k].ravel())
+        per_rep[:, part] = _replica_means(sums.reshape(len(names), b, -1))
+
+    plan.run(block)
     timings = {"grids": time.perf_counter() - start}
 
-    estimates = {}
-    for name in names:
-        vals = per_rep[name]
-        value = err = math.nan     # no finite replica: nothing to estimate
-        if len(vals):
-            value, err = float(vals.mean()), _stderr(vals)
-        estimates[name] = FunctionalEstimate(value, err, len(vals), vals)
+    # no finite replica: nothing to estimate, NaN
+    estimates = {name: FunctionalEstimate(*_mean_stderr(vals), len(vals), vals)
+                 for name, vals in zip(names, per_rep)}
     return EstimateReport(
         estimates=estimates,
         divergent_terms=divergent,
         config_echo=asdict(cfg),
-        replicas=kept,
-        excluded=ensemble.n_replicas - len(kept),
+        replicas=plan.kept,
+        excluded=plan.excluded,
         notes={"gamma": ep.gamma, "alpha": ep.alpha, "delta": ep.delta,
                "horizon": m_t * dt, "pairs": n_pairs,
-               "i_tile_rows": len(tiles[0]) if blocks else 0,
+               "i_tile_rows": len(tiles[0]) if plan.largest else 0,
                "workspace_bytes": work.nbytes,
-               "pair_history_terms": len(kept) * n_pairs * tri,
+               "pair_history_terms": len(plan.kept) * n_pairs * tri,
                "timings": timings},
     )
 
@@ -397,97 +428,77 @@ def _pass_bytes(n: int, n_pairs: int, m_t: int) -> int:
     return 16 * n_pairs * m_t + 16 * n * (m_t + 1)
 
 
-def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, kept: np.ndarray,
-                     n_pairs: int, all_rows: bool,
-                     memo: np.ndarray | None = None):
-    """The pair drifts D^{i,j}_m of the first `n_pairs` ordered pairs
-    (`ordered_pairs`) of the `kept` replicas at the steps 1 <= m <= m_t.
+def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, n_pairs: int,
+                     b_max: int, memo: np.ndarray | None = None):
+    """The pair drifts D^{i,j}_m of the first `n_pairs` ordered pairs in
+    cyclic order (`simulator._cyclic_pairs`) at the steps 1 <= m <= m_t,
+    for replica blocks of at most `b_max` replicas.
 
-    A generator: for each replica block, step m and tile of pairs it
-    yields m, the tile (a range of pairs), its squared distances
-    |X^i_m - X^j_l|^2 (B, K, L), their lags t_m - t_l (L,) and its D by
-    coordinate, d_x and d_y (B, K). The L rows are l < m with `all_rows`,
-    else only the drift's own rows [l0, m). The squared distances are a
-    view of the pass's workspace, which the caller may overwrite: the next
-    tile forms them anew.
+    Returns a generator function of a block's split history h (2, B, N,
+    m_t + 1) (`_ReplicaBlocks.history`) and its replicas' indices: for
+    each step m and tile of pairs it yields m, the tile (a range of
+    pairs), its squared distances |X^i_m - X^j_l|^2 (B, K, m) on the rows
+    l < m, their lags t_m - t_l (m,) and its D by coordinate, d_x and d_y
+    (B, K). The squared distances are a view of the pass's workspace,
+    which the caller may overwrite: the next tile forms them anew.
 
     D is -dt times the drift kernel's history sums: `_pair_geometry`,
-    `_gauss_factor` and `_history_sums` on the rows [l0, m), with the
-    lags and weights of one `_lag_table` per call. With `memo`, the sums
-    of a matching drift memo (`_memo_sums`), D is read from there and
-    neither the Gaussian factor nor the history sums are formed: only the
-    squared distances. A generator's code runs in its consumer's error
-    state: a consumer iterates it under np.errstate(over="ignore",
-    invalid="ignore"), as the simulator's helpers expect (see
-    `simulator._pair_geometry`).
+    `_gauss_factor` and `_history_sums` on the drift's rows [l0, m), with
+    the lags and weights of one `_lag_table` per call. With `memo`, the
+    sums of a matching drift memo (`_memo_sums`), D is read from there, a
+    step's tile as a slice of its pairs, and neither the Gaussian factor
+    nor the history sums are formed: only the squared distances. The
+    simulator's helpers run in the error state of `_ReplicaBlocks.run`.
 
-    Replicas run in blocks whose dx and dy and split positions fit
-    DRIFT_BUDGET_BYTES (`_pass_bytes`). A block's positions are gathered
-    one coordinate at a time straight into the split layout (2, B, N, T):
-    the one temporary, freed before the steps, is one coordinate's rows,
-    where a gathered block and its split copy took four times that. The
-    pairs, which are i-major, run in contiguous
-    tiles whose dx and dy fit DRIFT_BUDGET_BYTES for the largest block
-    (one whenever a block fits). A tile within the pairs (0, j) reads them
-    as the particle slice 1 + k of the split history; any other tile
-    gathers its pairs into the workspace at each step. Every tile keeps
-    whole history rows, so D depends neither on the tiles nor on
-    `all_rows`, bit for bit. The tiles' dx and dy, squared distances and
-    Gaussian factors are views of one workspace, allocated once per call
-    for the largest block and tile at the horizon: fresh per-step arrays,
-    one history row larger at each step, grew the heap (see
-    simulator.DRIFT_BUDGET_BYTES).
+    The pairs run in contiguous tiles whose dx and dy fit
+    DRIFT_BUDGET_BYTES for the largest block (one whenever a block fits),
+    gathered into the workspace at each step. Every tile keeps whole
+    history rows, so D does not depend on the tiles, bit for bit. The
+    tiles' dx and dy, squared distances and Gaussian factors are views of
+    one workspace, allocated once per call for the largest block and tile
+    at the horizon: fresh per-step arrays, one history row larger at each
+    step, grew the heap (see simulator.DRIFT_BUDGET_BYTES).
     """
     cfg = ensemble.config
     dt = cfg.dt
-    n = ensemble.n_particles
-    i_idx, j_idx = _pair_index(ordered_pairs(n)[:n_pairs])
-    columns = _cyclic_columns(i_idx, j_idx, n)   # in a memo step's (i, k)
-    blocks = budget_blocks(len(kept), _pass_bytes(n, n_pairs, m_t))
-    b_max = len(blocks[0]) if blocks else 0
+    i_idx, j_idx = _cyclic_pairs(ensemble.n_particles)
     tiles = budget_blocks(n_pairs, 16 * m_t * b_max)
     # dx and dy, |d|^2 and, without a memo, the Gaussian factor
     work = np.empty((4 if memo is None else 3) * b_max * len(tiles[0]) * m_t)
     table = _lag_table(m_t, cfg)
-    for block in blocks:
-        rows = kept[block.start: block.stop]
-        h = np.empty((2, len(block), n, m_t + 1))   # the split history
-        for c in range(2):
-            h[c] = ensemble.positions[rows, : m_t + 1, :, c].transpose(0, 2, 1)
+
+    def block_drifts(h: np.ndarray, rows: np.ndarray):
+        b = len(rows)
         for m in range(1, m_t + 1):
             l0, lags, w = _conv_weights(m, cfg, table)
-            lo = 0 if all_rows else l0
-            row_lags = table[0][m_t - (m - lo):]   # those of the rows [lo, m)
             if memo is not None:
                 # the block's sums at this step, (B, N (N - 1), 2)
-                step = memo[rows, m].reshape(len(block), -1, 2)
+                step = memo[rows, m].reshape(b, -1, 2)
             for tile in tiles:
-                k0, k1 = tile.start, tile.stop
-                # geometry over (B, k, l): X^i_m - X^j_l for pair k and the
-                # rows lo <= l < m. Gathered pairs go straight into dx and
-                # dy's views, which then take the difference in place: a
-                # gathered temporary would add a budget to the peak
-                shape = (len(block), k1 - k0, m - lo)
+                k = slice(tile.start, tile.stop)
+                # geometry over (B, k, l): X^i_m - X^j_l for pair k and
+                # the rows l < m. The pairs are gathered straight into dx
+                # and dy's views, which then take the difference in place:
+                # a gathered temporary would add a budget to the peak
+                # (np.take still copies the rows l < m, which are not
+                # contiguous, once)
+                shape = (b, len(tile), m)
                 d, sq = _views(work, (2, *shape), shape)
-                if k1 < n:
-                    now = h[:, :, :1, m, None]
-                    past = h[:, :, 1 + k0: 1 + k1, lo:m]
-                else:
-                    now = h[:, :, i_idx[k0:k1], m, None]
-                    past = np.take(h[..., lo:m], j_idx[k0:k1], axis=2,
-                                   out=d, mode="clip")   # unbuffered
-                dx, dy, _ = _pair_geometry(now, past, out=(d, sq))
+                past = np.take(h[..., :m], j_idx[k], axis=2, out=d,
+                               mode="clip")   # unbuffered
+                dx, dy, _ = _pair_geometry(h[:, :, i_idx[k], m, None], past,
+                                           out=(d, sq))
                 if memo is not None:
-                    pair = step[:, columns[k0:k1]]
-                    sx, sy = pair[..., 0], pair[..., 1]
+                    sx, sy = step[:, k, 0], step[:, k, 1]
                 else:
-                    own = slice(l0 - lo, None)
                     g = _views(work, (2, *shape), shape,
                                (*shape[:2], m - l0))[2]
                     sx, sy = _history_sums(
-                        dx[..., own], dy[..., own],
-                        _gauss_factor(sq[..., own], lags, cfg, out=g), w)
-                yield m, tile, sq, row_lags, -dt * sx, -dt * sy
+                        dx[..., l0:], dy[..., l0:],
+                        _gauss_factor(sq[..., l0:], lags, cfg, out=g), w)
+                yield m, tile, sq, table[0][m_t - m:], -dt * sx, -dt * sy
+
+    return block_drifts
 
 
 def _memo_sums(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
@@ -533,27 +544,31 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     const = (math.sqrt(p.theta) * c0_const(4.0 * ep.alpha / p.theta)
              * kappa(0.5, ep.gamma - 1.0) / (4.0 * math.pi))
     expo = 1.0 / (2.0 * (ep.gamma - 1.0))
-    kept = _finite_replicas(ensemble, m_t)
-    violations = 0
-    checked = len(kept) * n_pairs * m_t
-    worst = 0.0 if checked else math.nan
-    # D on the drift's rows [l0, m), S on all the rows l < m; the pass
-    # runs in this loop's error state
-    drifts = _pair_drift_pass(ensemble, m_t, kept, n_pairs, all_rows=True,
+    plan = _ReplicaBlocks(ensemble, m_t, _pass_bytes(n, n_pairs, m_t))
+    drifts = _pair_drift_pass(ensemble, m_t, n_pairs, plan.largest,
                               memo=_memo_sums(ensemble))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, _, sq, lag, d_x, d_y in drifts:
+    violations = 0
+    checked = len(plan.kept) * n_pairs * m_t
+    worst = 0.0 if checked else math.nan
+
+    def block(part: slice) -> None:
+        nonlocal violations, worst
+        for _, _, sq, lag, d_x, d_y in drifts(plan.history(part),
+                                              plan.kept[part]):
             d_mag = np.sqrt(d_x * d_x + d_y * d_y)
             # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
             np.multiply(sq, ep.alpha, out=sq)
             np.add(lag, sq, out=sq)
             s_vals = dt * np.sum(np.power(sq, -ep.gamma, out=sq), axis=-1)
+            # S may underflow to 0: the ratio is then inf, a violation
             bound = const * s_vals ** expo
             ratio = d_mag / (slack * bound)
             violations += int(np.sum(ratio > 1.0))
             worst = max(worst, float(np.max(d_mag / bound)))
+
+    plan.run(block)
     return DominationStats(checked, violations, worst, slack,
-                           excluded=ensemble.n_replicas - len(kept))
+                           excluded=plan.excluded)
 
 
 def _holder_max(paths: np.ndarray, times: np.ndarray,
@@ -601,44 +616,11 @@ class HolderStats:
                     and np.all(self.z_hat <= self.slack * self.bound))
 
 
-def _holder_block(ensemble: TrajectoryEnsemble, m_t: int, rows: np.ndarray,
-                  sums: np.ndarray | None, beta: float, gamma: float
-                  ) -> tuple[np.ndarray, list[float]]:
-    """holder_modulus' z_hat and bound for the replicas `rows`, from -dt
-    times the memo's `sums` or, when they are None, from the pair-drift
-    pass over the pairs (0, j). A function of its own, so that a block's
-    arrays, the pass's workspace among them, are freed before the next
-    block's pass allocates."""
-    chi, dt = ensemble.config.params.chi, ensemble.config.dt
-    n = ensemble.n_particles
-    # (B, m_t + 1, N - 1, 2): D^{0,j} = -dt sums, and D_0 = 0
-    if sums is not None:
-        d_series = np.take(sums[:, : m_t + 1, 0], rows, axis=0)
-        d_series *= -dt
-        d_series[:, 0] = 0.0
-    else:
-        d_series = np.zeros((len(rows), m_t + 1, n - 1, 2))
-        # the pass runs in this loop's error state
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m, tile, _, _, d_x, d_y in _pair_drift_pass(
-                    ensemble, m_t, rows, n - 1, all_rows=False):
-                d_series[:, m, tile.start: tile.stop, 0] = d_x
-                d_series[:, m, tile.start: tile.stop, 1] = d_y
-    mean_d = d_series.mean(axis=2)
-    gamma_paths = np.zeros((len(rows), m_t + 1, 2))
-    gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
-    d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
-    tails = dt * np.sum(d_mag[:, :-1] ** (2.0 * (gamma - 1.0)), axis=1)
-    bound = [chi / (n - 1) * math.fsum(1.0 + t for t in tail)
-             for tail in tails]
-    return _holder_max(gamma_paths, ensemble.times[: m_t + 1], beta), bound
-
-
 def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                    slack: float = 1.05) -> HolderStats:
-    """Hoelder modulus of the integrated interaction drift of particle 1.
+    """Hoelder modulus of the integrated interaction drift of particle 0.
 
-    Gamma_t = chi * int_0^t (1/(N-1)) sum_j D^{1,j}_s ds (left-endpoint in
+    Gamma_t = chi * int_0^t (1/(N-1)) sum_j D^{0,j}_s ds (left-endpoint in
     time), beta = (2 gamma - 3) / (2(gamma - 1)). The empirical modulus is
     compared against chi/(N-1) * sum_j [1 + sum |D|^(2(gamma-1)) dt], which
     dominates it by the exact discrete Hoelder inequality. Replicas with
@@ -648,26 +630,50 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
 
     The series D^{0,j} is -dt times the history sums of the ensemble's
     drift memo (`_memo_sums`) when it matches, else it comes from the
-    pair-drift pass (`_pair_drift_pass`) over the pairs (0, j) alone,
-    without S. The series is bit-identical either way, so are z_hat and
-    bound. It is formed and reduced in replica blocks of at most
-    DRIFT_BUDGET_BYTES, so neither path holds the series of every replica.
+    pair-drift pass (`_pair_drift_pass`) over the first N - 1 pairs, which
+    are (0, j), without S. The series is bit-identical either way, so are
+    z_hat and bound. It is formed and reduced one replica block at a time
+    (`_ReplicaBlocks`, sized by the pass's bytes), so neither path holds
+    the series of every replica.
     """
     _check_slack(slack)
+    chi, dt = ensemble.config.params.chi, ensemble.config.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     n = ensemble.n_particles
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
-    kept = _finite_replicas(ensemble, m_t)
+    plan = _ReplicaBlocks(ensemble, m_t, _pass_bytes(n, n - 1, m_t))
     sums = _memo_sums(ensemble)
-    z_hat = np.zeros(len(kept))
-    bound = np.zeros(len(kept))
-    # the pass's replica blocks: one pass call forms one block's series
-    for block in budget_blocks(len(kept), _pass_bytes(n, n - 1, m_t)):
-        part = slice(block.start, block.stop)
-        z_hat[part], bound[part] = _holder_block(ensemble, m_t, kept[part],
-                                                 sums, beta, ep.gamma)
-    return HolderStats(beta, z_hat, bound, slack,
-                       excluded=ensemble.n_replicas - len(kept))
+    if sums is None:
+        drifts = _pair_drift_pass(ensemble, m_t, n - 1, plan.largest)
+    z_hat = np.zeros(len(plan.kept))
+    bound = np.zeros(len(plan.kept))
+
+    def block(part: slice) -> None:
+        rows = plan.kept[part]
+        # (B, m_t + 1, N - 1, 2): D^{0,j} = -dt sums, and D_0 = 0
+        if sums is not None:
+            d_series = np.take(sums[:, : m_t + 1, 0], rows, axis=0)
+            d_series *= -dt
+            d_series[:, 0] = 0.0
+        else:
+            d_series = np.zeros((len(rows), m_t + 1, n - 1, 2))
+            for m, tile, _, _, d_x, d_y in drifts(plan.history(part), rows):
+                d_series[:, m, tile.start: tile.stop, 0] = d_x
+                d_series[:, m, tile.start: tile.stop, 1] = d_y
+        mean_d = d_series.mean(axis=2)
+        gamma_paths = np.zeros((len(rows), m_t + 1, 2))
+        gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
+        d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
+        tails = dt * np.sum(d_mag[:, :-1] ** (2.0 * (ep.gamma - 1.0)), axis=1)
+        bound[part] = [chi / (n - 1) * math.fsum(1.0 + t for t in tail)
+                       for tail in tails]
+        # freed before `_holder_max` allocates, since the pass's workspace
+        # lives on
+        del d_series, mean_d, d_mag
+        z_hat[part] = _holder_max(gamma_paths, ensemble.times[: m_t + 1], beta)
+
+    plan.run(block)
+    return HolderStats(beta, z_hat, bound, slack, excluded=plan.excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +834,9 @@ def _residual_report(values: np.ndarray, ci, level: float,
                      excluded: int) -> ResidualReport:
     """Residual statistics, `ci(values, mean, stderr)` giving the interval;
     with no replica left they are NaN and the check fails."""
-    mean = err = lo = hi = math.nan
+    mean, err = _mean_stderr(values)
+    lo = hi = math.nan
     if len(values):
-        mean, err = float(values.mean()), _stderr(values)
         lo, hi = ci(values, mean, err)
     return ResidualReport(mean, err, lo, hi, passes=lo <= 0.0 <= hi,
                           per_replica=values, level=level, excluded=excluded)
@@ -877,7 +883,7 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     function; "gaussian-bump" is the only one.
 
     The drift is the integrator's own (`step_drifts`). Replicas run in
-    blocks (`budget_blocks`); those non-finite up to the horizon are
+    blocks (`_ReplicaBlocks`); those non-finite up to the horizon are
     excluded and counted in `excluded`. Passes when 0 lies in the
     bootstrap confidence interval of the mean; `level` and `n_boot` are
     checked as `bootstrap_mean_ci` checks them, before any work.
@@ -890,8 +896,7 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     m_t = _horizon_index(ensemble, ep.horizon)
     n = ensemble.n_particles
     w_tr = _trap_weights(m_t, dt)
-    i_idx, j_idx = _pair_index(ordered_pairs(n))
-    kept = _finite_replicas(ensemble, m_t)
+    i_idx, j_idx = _cyclic_pairs(n)
     times = np.arange(m_t + 1) * dt
     lag_ut = times[m_t] - times                # t - s
     n_t, n_k = m_t + 1, len(i_idx)
@@ -906,7 +911,7 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     tables = functools.lru_cache(
         maxsize=len(budget_blocks(len(tiles), 16 * rows * n_t)[0]))(
         functools.partial(_inner_tables, m_t, dt))
-    blocks = budget_blocks(len(kept), 24 * n_k * rows * n_t)
+    plan = _ReplicaBlocks(ensemble, m_t, 24 * n_k * rows * n_t)
     # two grids, |x_u - y_s|^2 and F, over a tile's (u, s < u1) columns, and
     # the padded rows: each tile's weighted heat rows, zero past s = u1, so
     # that every row is summed over all T columns as a whole-grid row is and
@@ -915,71 +920,70 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     # glibc's malloc trim and refault its heap (about 80 000 page faults at
     # R = 500, M = 128) unless an earlier large free had raised its mmap
     # threshold
-    b_max = len(blocks[0]) if blocks else 0
-    size = b_max * n_k * rows * n_t
+    size = plan.largest * n_k * rows * n_t
     grid_a, grid_b = np.empty(size), np.empty(size)
-    padded = np.zeros((b_max, n_k, rows, n_t))
+    padded = np.zeros((plan.largest, n_k, rows, n_t))
     dirty = 0            # the columns past `dirty` of `padded` are all 0
-    res = np.zeros(len(kept))
+    res = np.zeros(len(plan.kept))
 
-    # one error state for every block (see simulator._pair_geometry); the
-    # pair geometry of a replica close to blowing up may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in blocks:
-            pos = ensemble.positions[kept[block.start: block.stop], : m_t + 1]
-            b = len(block)
-            # (2, B, K, T): the paths of each pair's first and second particle,
-            # split by coordinate
-            h = _split_history(pos).swapaxes(0, 1)
-            xi, xj = h[:, :, i_idx], h[:, :, j_idx]
-            if chi != 0.0:   # (B, K, T, 2) total drift on each pair's first particle
-                drift = step_drifts(pos, range(m_t + 1), cfg)
-                drift = np.ascontiguousarray(drift.transpose(0, 2, 1, 3))[:, i_idx]
-            lhs = _row_dot(GaussianBump.value_sq(
-                lag_ut, _pair_geometry(xi[..., m_t:], xj)[2]), w_tr)
-            t1 = _row_dot(GaussianBump.value_sq(0.0, _pair_geometry(xi, xj)[2]),
-                          w_tr)
-            row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
-            grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
-            for tile in tiles:
-                u0, u1 = tile.start, tile.stop
-                lag, w_in = tables(u0, u1)
-                shape = (b, n_k, u1 - u0, u1)
-                sq, f = (g[: math.prod(shape)].reshape(shape)
-                         for g in (grid_a, grid_b))
-                if dirty > u1:
-                    padded[..., u1:dirty] = 0.0
-                dirty = u1
-                pad = padded[:b, :, : u1 - u0]
-                # |x_u - y_s|^2 in the first grid (dy^2 in the second on the
-                # way: `_pair_geometry` would need a third for dx and dy), F in
-                # the second and the weighted heat operator in the padded rows;
-                # F is shared with grad F = -2 x F, formed in the padded rows
-                # after their sums
-                now, past = xi[..., u0:u1, None], xj[..., None, :u1]
-                np.square(np.subtract(now[0], past[0], out=sq), out=sq)
-                sq += np.square(np.subtract(now[1], past[1], out=f), out=f)
-                GaussianBump.value_sq(lag, sq, out=f)
-                heat = GaussianBump.heat_sq(sq, f, out=sq)
-                np.multiply(heat, w_in[:, :u1], out=pad[..., :u1])
-                row_sums[:, :, u0:u1] = np.sum(pad, axis=-1)
-                if chi != 0.0:
-                    for c in range(2):
-                        g = np.subtract(now[c], past[c], out=pad[..., :u1])
-                        g *= -2.0
-                        g *= f
-                        grad_int[:, :, u0:u1, c] = np.einsum(
-                            "us,...us->...u", w_in, pad)
-            per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
+    def block(part: slice) -> None:
+        nonlocal dirty
+        h = plan.history(part)
+        b = h.shape[1]
+        # (2, B, K, T): the paths of each pair's first and second particle,
+        # split by coordinate
+        xi, xj = h[:, :, i_idx], h[:, :, j_idx]
+        if chi != 0.0:   # (B, K, T, 2) total drift on each pair's first particle
+            drift = step_drifts(h.transpose(1, 3, 2, 0), range(m_t + 1), cfg,
+                                hist=h.swapaxes(0, 1))
+            drift = np.ascontiguousarray(drift.transpose(0, 2, 1, 3))[:, i_idx]
+        lhs = _row_dot(GaussianBump.value_sq(
+            lag_ut, _pair_geometry(xi[..., m_t:], xj)[2]), w_tr)
+        t1 = _row_dot(GaussianBump.value_sq(0.0, _pair_geometry(xi, xj)[2]),
+                      w_tr)
+        row_sums = np.empty((b, n_k, n_t))     # sum_s w_inner * heat F
+        grad_int = np.empty((b, n_k, n_t, 2))  # sum_s w_inner * grad F
+        for tile in tiles:
+            u0, u1 = tile.start, tile.stop
+            lag, w_in = tables(u0, u1)
+            shape = (b, n_k, u1 - u0, u1)
+            sq, f = (g[: math.prod(shape)].reshape(shape)
+                     for g in (grid_a, grid_b))
+            if dirty > u1:
+                padded[..., u1:dirty] = 0.0
+            dirty = u1
+            pad = padded[:b, :, : u1 - u0]
+            # |x_u - y_s|^2 in the first grid (dy^2 in the second on the
+            # way: `_pair_geometry` would need a third for dx and dy), F in
+            # the second and the weighted heat operator in the padded rows;
+            # F is shared with grad F = -2 x F, formed in the padded rows
+            # after their sums
+            now, past = xi[..., u0:u1, None], xj[..., None, :u1]
+            np.square(np.subtract(now[0], past[0], out=sq), out=sq)
+            sq += np.square(np.subtract(now[1], past[1], out=f), out=f)
+            GaussianBump.value_sq(lag, sq, out=f)
+            heat = GaussianBump.heat_sq(sq, f, out=sq)
+            np.multiply(heat, w_in[:, :u1], out=pad[..., :u1])
+            row_sums[:, :, u0:u1] = np.sum(pad, axis=-1)
             if chi != 0.0:
-                per_pair -= chi * _row_dot(
-                    np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
-            res[block.start: block.stop] = [_fsum_mean(row) for row in per_pair]
+                for c in range(2):
+                    g = np.subtract(now[c], past[c], out=pad[..., :u1])
+                    g *= -2.0
+                    g *= f
+                    grad_int[:, :, u0:u1, c] = np.einsum(
+                        "us,...us->...u", w_in, pad)
+        per_pair = lhs - t1 - _row_dot(row_sums, w_tr)
+        if chi != 0.0:
+            per_pair -= chi * _row_dot(
+                np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
+        res[part] = _replica_means(per_pair)
+
+    plan.run(block)
 
     return _residual_report(
         res, lambda v, mean, err: bootstrap_mean_ci(v, level=level,
                                                     n_boot=n_boot, seed=boot_seed),
-        level, ensemble.n_replicas - len(kept))
+        level, plan.excluded)
 
 
 def martingale_residual(ensemble: TrajectoryEnsemble,
@@ -998,8 +1002,9 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     finite bounds, lo <= hi, and some (kept replica, particle) inside.
     tau <= s keeps the functional adapted; larger tau is a deliberate
     misuse that breaks the martingale property. s, t and tau must lie on
-    the dt grid, with tau in [0, t]. Replicas run in blocks; those
-    non-finite up to t are excluded. level lies in [0, 1).
+    the dt grid, with tau in [0, t]. Replicas run in blocks
+    (`_ReplicaBlocks`); those non-finite up to t are excluded. level lies in
+    [0, 1).
     """
     if not 0.0 <= level < 1.0:   # level 1 has no finite normal quantile
         raise ValueError(f"level must lie in [0, 1), got {level}")
@@ -1015,10 +1020,14 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
         raise ValueError(f"need grid indices 0 < {m_s} < {m_e}")
 
     n = ensemble.n_particles
-    kept = _finite_replicas(ensemble, m_e)
+    # a replica holds N x T arrays: its split positions (two), lap's five,
+    # gen in C order and, at chi != 0, the drift workspace (three grids over
+    # the N - 1 other particles and the doubled history window, under 4)
+    arrays = 8 + (3 * (n - 1) + 4 if chi != 0.0 else 0)
+    plan = _ReplicaBlocks(ensemble, m_e, 8 * arrays * n * (m_e + 1))
     kind = phi_path_spec[0]
     if kind == "const":
-        path_mask = np.ones((len(kept), n))
+        path_mask = np.ones((len(plan.kept), n))
     elif kind == "window":
         _, tau, lo_w, hi_w = phi_path_spec
         if not (math.isfinite(lo_w) and math.isfinite(hi_w) and lo_w <= hi_w):
@@ -1027,37 +1036,40 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
         m_tau = _grid_index(tau, dt, "window time")
         if not 0 <= m_tau <= m_e:
             raise ValueError(f"window time {tau} outside [0, t={t}]")
-        pt = ensemble.positions[kept, m_tau]
+        pt = ensemble.positions[plan.kept, m_tau]
         path_mask = ((lo_w <= pt) & (pt <= hi_w)).all(axis=-1).astype(float)
         # an empty window gives all-zero residuals, which pass vacuously;
         # with no replica kept the report already has no estimate
-        if len(kept) and not path_mask.any():
+        if len(plan.kept) and not path_mask.any():
             raise ValueError(f"window [{lo_w}, {hi_w}] at time {tau} holds "
                              f"no particle of a kept replica")
     else:
         raise ValueError(f"unknown path functional spec {phi_path_spec!r}")
 
     w_in = _trap_weights(m_e - m_s, dt)
-    theta_vals = np.zeros(len(kept))
-    # a replica holds N x T arrays: its path copy (two), lap's five and, at
-    # chi != 0, the drift workspace: three grids over the N - 1 other
-    # particles and the doubled history window, under 4
-    arrays = 7 + (3 * (n - 1) + 4 if chi != 0.0 else 0)
-    for block in budget_blocks(len(kept), 8 * arrays * n * (m_e + 1)):
-        pos = ensemble.positions[kept[block.start: block.stop], : m_e + 1]
+    theta_vals = np.zeros(len(plan.kept))
+
+    def block(part: slice) -> None:
+        h = plan.history(part)
+        pos = h.transpose(1, 3, 2, 0)               # (B, T, N, 2), a view
         window = pos[:, m_s:]
         gen = phi.lap(window)                       # (B, w, N)
         if chi != 0.0:
-            drift = step_drifts(pos, range(m_s, m_e + 1), cfg)
+            drift = step_drifts(pos, range(m_s, m_e + 1), cfg,
+                                hist=h.swapaxes(0, 1))
             gen = gen + chi * np.einsum("bwnc,bwnc->bwn", phi.grad(window), drift)
-        integral = np.matmul(w_in, gen)             # (B, N)
-        vals = path_mask[block.start: block.stop] * (
+        # matmul's sums depend on the layout of gen; C order has the bits
+        # of a block gathered as (B, T, N, 2)
+        integral = np.matmul(w_in, np.ascontiguousarray(gen))   # (B, N)
+        vals = path_mask[part] * (
             (phi.value(pos[:, m_e]) - phi.value(pos[:, m_s])) - integral)
-        theta_vals[block.start: block.stop] = [_fsum_mean(row) for row in vals]
+        theta_vals[part] = _replica_means(vals)
+
+    plan.run(block)
 
     import statistics   # here: it imports fractions and decimal
     z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
     return _residual_report(theta_vals,
                             lambda v, mean, err: (mean - z * err, mean + z * err),
-                            level, ensemble.n_replicas - len(kept))
+                            level, plan.excluded)
 

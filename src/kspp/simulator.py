@@ -468,6 +468,14 @@ def _others(h: np.ndarray, l0: int, m: int, window: np.ndarray) -> np.ndarray:
     return view
 
 
+def _cyclic_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second particle of each ordered pair (i, j != i) of N
+    = n particles, in the cyclic order of `_others` and of the drift memo
+    (`DriftMemo`): pair p = i (N - 1) + k is (i, (i + 1 + k) mod N)."""
+    i = np.repeat(np.arange(n), n - 1)
+    return i, (i + 1 + np.tile(np.arange(n - 1), n)) % n
+
+
 def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
                  work: DriftWork,
                  pair_sums: np.ndarray | None = None) -> np.ndarray:

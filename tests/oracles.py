@@ -1,10 +1,11 @@
 """Reference implementations that only the tests use.
 
-Explicit-pair drifts, the frozen-pair drift integral, the Lp norms of
-the heat-kernel gradient and of a Gaussian-mixture source, the background
-field summed one component at a time, and the scalar chi bisection with
-the threshold search built on it. The package runs without them; the
-quadrature oracles are the only users of scipy.
+The i-major pair list, explicit-pair drifts, the frozen-pair drift
+integral, the Lp norms of the heat-kernel gradient and of a
+Gaussian-mixture source, the background field summed one component at a
+time, and the scalar chi bisection with the threshold search built on
+it. The package runs without them; the quadrature oracles are the only
+users of scipy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ def conv_weights(m: int, config: SimConfig):
     l0 = _history_start(m, config)
     lags = (m - np.arange(l0, m)) * config.dt
     return l0, lags, smoothed_weight(lags, config.params)
+
+
+def ordered_pairs(n: int) -> list[tuple[int, int]]:
+    """The ordered pairs (i, j != i) of n particles, i-major: the order of
+    the reference loops, which compare pair by pair."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def pair_drifts(positions: np.ndarray, config: SimConfig, m: int,

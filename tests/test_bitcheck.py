@@ -1,4 +1,5 @@
-"""tools/bitcheck.py: a tree compared with itself differs nowhere, a tree
+"""tools/bitcheck.py: a tree compared with itself differs nowhere, and
+the checks on run's drift memo equal those on their own pass; a tree
 with another chi bisection differs in the chi* outputs alone, a tree with
 another CSV float format in the CSV outputs alone, and its deviations count
 NaNs and missing values."""
@@ -30,18 +31,25 @@ def test_against_itself():
     res = subprocess.run([sys.executable, str(TOOL), "--against", str(ROOT)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines() == ["0 of 147 outputs differ"]
+    assert res.stdout.splitlines() == ["0 of 201 outputs differ"]
 
 
 def test_outputs_cover_runs_and_thresholds():
-    got = load_tool().outputs(ROOT / "src")
+    tool = load_tool()
+    got = tool.outputs(ROOT / "src")
     sims = [row for name, row in got.items() if not name.startswith("chi*")]
     assert len(sims) == 9
     for row in sims:
         assert set(row) == {"positions", "E1", "E2", "E3", "E4", "S",
                             "S_bar", "divergent_terms", "csv", "ksw1",
                             "csv_positions", "csv_dt", "ksw1_positions",
-                            "ksw1_dt"}
+                            "ksw1_dt", "domination", "domination_miss",
+                            "holder", "holder_miss", "ito", "martingale"}
+        # run's drift memo and a pass of the check's own give one set of
+        # bits
+        for check in ("domination", "holder"):
+            assert (tool.digest(row[check], check)
+                    == tool.digest(row[f"{check}_miss"], check))
         # each reader returns the positions the files were written from
         assert row["csv_dt"] == row["ksw1_dt"] == [0.02]
         assert np.array_equal(row["csv_positions"], row["ksw1_positions"],
@@ -56,6 +64,9 @@ def test_outputs_cover_runs_and_thresholds():
     assert all(map(math.isfinite, blown["positions"]))
     assert sum(map(math.isnan, blown["csv_positions"])) == 12 * 8 * 2
     assert b",nan,nan\n" in bytes(blown["csv"])
+    # the checks and residuals leave the blown replica out
+    assert blown["domination"][3] == blown["holder"][-1] == 1
+    assert len(blown["ito"]) == len(blown["martingale"]) == 2
     chis = {name: row for name, row in got.items() if name.startswith("chi*")}
     assert list(chis) == ["chi*(1e-06,4)", "chi*(0.1,2.61)", "chi*(1,3.31)",
                           "chi*(10,3.51)", "chi*(10000,3.51)"]
@@ -78,7 +89,7 @@ def test_reports_a_changed_bisection(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == f"{len(lines) - 1} of 147 outputs differ"
+    assert lines[-1] == f"{len(lines) - 1} of 201 outputs differ"
     differ = [line.split()[:2] for line in lines[:-1]]
     assert all(name.startswith("chi*") for name, _ in differ)
     assert ["chi*(1e-06,4)", "chi_for"] in differ
@@ -99,7 +110,7 @@ def test_reports_a_changed_csv_format(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == "18 of 147 outputs differ"
+    assert lines[-1] == "18 of 201 outputs differ"
     assert {line.split()[1] for line in lines[:-1]} == {"csv", "csv_positions"}
 
 

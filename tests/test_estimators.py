@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import kspp
-from kspp import estimators as E, simulator as S
+from kspp import cli, estimators as E, simulator as S
 from kspp.constants import c0_const, kappa
 from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, background_field,
                           smoothed_weight)
@@ -282,7 +282,7 @@ def reference_moments(ens, ep):
     BLAS picks."""
     cfg, dt = ens.config, ens.config.dt
     m_t = int(round(ep.horizon / dt)) if ep.horizon else ens.n_steps
-    pairs = E.ordered_pairs(ens.n_particles)
+    pairs = O.ordered_pairs(ens.n_particles)
     i_idx = np.array([i for i, _ in pairs])
     j_idx = np.array([j for _, j in pairs])
     w_tr = np.full(m_t + 1, dt)
@@ -658,7 +658,7 @@ class TestHolderModulus:
 
 class TestTargetTiles:
     """Pair-history passes in tiles of target particles i, or of the
-    i-major pairs: every tile keeps its history rows whole, so no output
+    cyclic pairs: every tile keeps its history rows whole, so no output
     depends on the tiles, and each pass's peak memory has a bound in
     DRIFT_BUDGET_BYTES."""
 
@@ -867,20 +867,21 @@ class TestSharedDriftPass:
 
         e4 = drifts(E.paper_moments, ens, EP)   # (B, i, k, 2), j = i + 1 + k
         miss = without_memo(ens)                # the miss path
-        dom = drifts(E.drift_domination_check, miss, EP)   # (B, pair, 2)
+        # (B, pair, 2), the pairs (i, (i + 1 + k) mod N) at i (N - 1) + k
+        dom = drifts(E.drift_domination_check, miss, EP)
         assert miss.drift_memo is None          # a miss keeps nothing
         hold = drifts(fresh_holder, ens)        # (B, j - 1, 2)
-        pairs = E.ordered_pairs(n)
         for m in range(1, m_t + 1):
-            for p, (i, j) in enumerate(pairs):
-                d = e4[m - 1][:, i, (j - i - 1) % n]
-                assert same_bits(d, dom[m - 1][:, p])
-                assert same_bits(d, -dt * run_sums[:, m, i, (j - i - 1) % n])
+            for i, j in O.ordered_pairs(n):
+                k = (j - i - 1) % n
+                d = e4[m - 1][:, i, k]
+                p = dom[m - 1][:, i * (n - 1) + k]
+                assert same_bits(d, p)
+                assert same_bits(d, -dt * run_sums[:, m, i, k])
                 # E4's column |D|
                 assert np.array_equal(
                     np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]),
-                    np.sqrt(np.einsum("bc,bc->b", dom[m - 1][:, p],
-                                      dom[m - 1][:, p])))
+                    np.sqrt(np.einsum("bc,bc->b", p, p)))
                 if i == 0:
                     assert same_bits(d, hold[m - 1][:, j - 1])
         assert not run_sums[:, 0].any()
@@ -1445,7 +1446,7 @@ def reference_drifts(pos, cfg, m_lo, m_hi):
     one replica's path at steps m_lo..m_hi, one pair_drifts call and one
     background_field call per step."""
     n = pos.shape[1]
-    pairs = E.ordered_pairs(n)
+    pairs = O.ordered_pairs(n)
     i_idx = np.array([i for i, _ in pairs])
     j_idx = np.array([j for _, j in pairs])
     d = np.stack([O.pair_drifts(pos[None], cfg, m, i_idx, j_idx)[0]
@@ -1478,7 +1479,7 @@ def reference_ito(ens):
         if chi != 0.0:
             drift, grad_b = reference_drifts(pos, cfg, 0, m_t)
         per_pair = []
-        for i, j in E.ordered_pairs(n):
+        for i, j in O.ordered_pairs(n):
             xi, xj = pos[:, i], pos[:, j]
             lhs = float(w_tr @ gauss_value(times[m_t] - times, xi[m_t][None] - xj))
             t1 = float(w_tr @ gauss_value(0.0, xi - xj))
@@ -1704,7 +1705,7 @@ class TestResidualBlocks:
             m = data.draw(st.integers(0, steps + 1))
             ens.positions[r, m:, 1] = ens.positions[r, m:, 0]
         rep = E.paper_moments(ens, EP)
-        pairs = E.ordered_pairs(n)
+        pairs = O.ordered_pairs(n)
         i_idx = np.array([i for i, _ in pairs])
         j_idx = np.array([j for _, j in pairs])
         w_tr = E._trap_weights(steps, ens.config.dt)
@@ -1753,6 +1754,91 @@ class TestResidualBlocks:
         for rep in residuals(ens):
             assert rep.excluded == 3 and rep.per_replica.size == 0
             assert math.isnan(rep.mean) and not rep.passes
+
+
+def all_estimates(ens):
+    """The five estimators on `ens`, each as a tuple of its outputs: the
+    arrays as their bits, the rest as they are."""
+    def bits(a):
+        return tuple(np.asarray(a, float).ravel().view(np.int64).tolist())
+
+    moments = E.paper_moments(ens, EP)
+    dom = E.drift_domination_check(ens, EP)
+    holder = E.holder_modulus(ens, EP)
+    ito = E.ito_balance_check(ens, EP, n_boot=20)
+    mart = E.martingale_residual(ens, None, ("const",), s=0.25, t=0.5)
+    return {
+        "moments": (*(bits(est.per_replica)
+                      for est in moments.estimates.values()),
+                    moments.divergent_terms, tuple(moments.replicas),
+                    moments.excluded),
+        "domination": (dom.checked, dom.violations, bits(dom.worst_margin),
+                       dom.excluded),
+        "holder": (bits(holder.z_hat), bits(holder.bound), holder.excluded),
+        "ito": (bits(ito.per_replica), bits([ito.ci_low, ito.ci_high]),
+                ito.excluded),
+        "martingale": (bits(mart.per_replica), mart.excluded)}
+
+
+class TestReplicaBlocks:
+    """Every estimator runs on the one replica pass (`_ReplicaBlocks`):
+    the finite replicas in blocks, each gathered by coordinate, under one
+    error state."""
+
+    def test_one_replica_a_block_keeps_the_bits(self):
+        # five replicas, the middle one NaN from step 6 on: at a budget of
+        # one byte every block holds one replica (and every tile one row
+        # or pair), and each estimator has the bits of its default call
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=0.9,
+                                              epsilon=0.05),
+                          source=SourceSpec(components=((1.0, (0.5, 0.0),
+                                                         1.0),)),
+                          n_particles=3, dt=0.05, n_steps=10, n_replicas=5,
+                          seed=17, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        ens.positions[2, 6:] = np.nan
+        whole = all_estimates(ens)
+        gathered = []
+        history = E._ReplicaBlocks.history
+
+        def record(plan, part):
+            gathered.append(plan.kept[part].tolist())
+            return history(plan, part)
+
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 1), \
+                mock.patch.object(E._ReplicaBlocks, "history", record):
+            blocked = all_estimates(ens)
+        assert blocked == whole
+        # all five gather (the checks miss run's memo, which no longer
+        # fits the positions), one kept replica at a time
+        assert gathered == [[0], [1], [3], [4]] * 5
+        assert whole["moments"][-1] == whole["martingale"][-1] == 1
+
+    def test_overflowing_pair_distances_warn_nothing(self):
+        # particle 0 of a finite replica at (1e200, -1e200) from step 5 on:
+        # its pair distances overflow to inf, S underflows to 0 and E3 is
+        # inf. Nothing warns (the suite turns a RuntimeWarning into an
+        # error); the domination ratio |D| / 0 = inf counts as a
+        # violation, and E3's stderr is NaN, which report.json writes as
+        # null
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=0.9,
+                                              epsilon=0.05),
+                          n_particles=3, dt=0.05, n_steps=10, n_replicas=3,
+                          seed=5, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        ens.positions[1, 5:, 0] = (1e200, -1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = all_estimates(ens)
+            moments = E.paper_moments(ens, EP)
+            dom = E.drift_domination_check(ens, EP)
+        assert all(out[-1] == 0 for out in got.values())   # none excluded
+        e3 = moments.estimates["E3"]
+        assert e3.per_replica[1] == e3.value == math.inf
+        assert math.isnan(e3.stderr)
+        report = cli._null_nonfinite(moments.to_json_dict())
+        assert report["estimates"]["E3"]["stderr"] is None
+        assert dom.violations > 0 and dom.worst_margin == math.inf
 
 
 def one_shot_bootstrap(values, level=0.99, n_boot=2000, seed=0):

@@ -9,7 +9,10 @@ with `paper_moments`; its outputs are `run`'s positions, the per-replica
 arrays E1, E2, E3, E4, S and S_bar and the count `divergent_terms`. The
 ensemble that `paper_moments` sees is also written as a trajectory CSV
 and a KSW1 file and read back: the bytes of each file, and the positions
-and dt each reader returns, are outputs too. Each
+and dt each reader returns, are outputs too. So are the drift-domination
+check (checked, violations, worst margin, excluded) and the Hoelder check
+(z_hat, bound, excluded), each on `run`'s drift memo and on a copy
+without it, and the per-replica Ito-balance and martingale residuals. Each
 (theta, p) of the Remark 6.1 table adds `chi_star`'s threshold, best
 gamma and best alpha and its audit trail, in order; the table's
 small-theta row also adds `chi_for` at its fixed point. The digest of an
@@ -103,6 +106,7 @@ def outputs(src: Path) -> dict:
                           for out in MOMENTS})
         got[name]["divergent_terms"] = [rep.divergent_terms]
         got[name].update(trajectory_files(io, ens))
+        got[name].update(checks(E, ens, ep))
     for theta, p in THRESHOLDS:
         res = constants.chi_star(theta, p)
         got[f"chi*({theta:g},{p:g})"] = {
@@ -111,6 +115,27 @@ def outputs(src: Path) -> dict:
             "audit": [v for triple in res.audit for v in triple]}
     sp = constants.StructuralParams(**FIXED_POINT)
     got[f"chi*({sp.theta:g},{sp.p:g})"]["chi_for"] = [constants.chi_for(sp)]
+    return got
+
+
+def checks(E, ens, ep) -> dict:
+    """The drift-domination and Hoelder checks on the ensemble as it is,
+    which reads `run`'s drift memo when the memo matches, and on a copy
+    without the memo, which forms its own drifts; the per-replica
+    Ito-balance residuals (one bootstrap resample) and the per-replica
+    martingale residuals from half the horizon to the horizon."""
+    got = {}
+    for route, target in (("", ens), ("_miss", dataclasses.replace(ens))):
+        dom = E.drift_domination_check(target, ep)
+        got[f"domination{route}"] = [dom.checked, dom.violations,
+                                     dom.worst_margin, dom.excluded]
+        hold = E.holder_modulus(target, ep)
+        got[f"holder{route}"] = [*hold.z_hat, *hold.bound, hold.excluded]
+    got["ito"] = E.ito_balance_check(ens, ep, n_boot=1).per_replica.tolist()
+    dt = ens.config.dt
+    m_t = ens.n_steps if ep.horizon is None else round(ep.horizon / dt)
+    got["martingale"] = E.martingale_residual(
+        ens, None, ("const",), s=m_t // 2 * dt, t=m_t * dt).per_replica.tolist()
     return got
 
 
