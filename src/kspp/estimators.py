@@ -28,9 +28,9 @@ from .constants import c0_const, check_gamma_alpha, kappa
 from . import simulator
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _cyclic_pairs,
-                        _gauss_exponent, _gauss_factor, _history_sums,
-                        _lag_table, _others, _pair_geometry, _views,
-                        budget_blocks, step_drifts)
+                        _cyclic_view, _gauss_exponent, _gauss_factor,
+                        _history_sums, _lag_table, _others, _pair_geometry,
+                        _pair_tiles, _views, budget_blocks, step_drifts)
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,32 @@ class _ReplicaBlocks:
                        budget_blocks(len(self.kept), replica_bytes)]
         self.largest = self.blocks[0].stop if self.blocks else 0
 
-    def history(self, part: slice) -> np.ndarray:
+    def index(self, part: slice) -> slice | np.ndarray:
+        """The replicas kept[part] as an index: a basic slice when they are
+        consecutive, so that indexing by it copies nothing, else the
+        array of them."""
+        rows = self.kept[part]
+        consecutive = len(rows) and rows[-1] - rows[0] == len(rows) - 1
+        return slice(rows[0], rows[-1] + 1) if consecutive else rows
+
+    def history(self, part: slice, doubled: bool = False) -> np.ndarray:
         """The positions of the replicas kept[part] on the rows 0..m_t,
         split by coordinate, (2, B, N, m_t + 1): the layout every pair pass
         reads (a `_split_history` array's swapaxes(0, 1)). Gathered one
         coordinate at a time straight into it: the one temporary is one
-        coordinate's rows, where a gathered block and its split copy took
-        four times that."""
-        rows = self.kept[part]
-        h = np.empty((2, len(rows), self.positions.shape[2], self.m_t + 1))
+        coordinate's rows, and none when the replicas are consecutive
+        (`index`), where a gathered block and its split copy took four
+        times that. `doubled` gathers the particles 0..N-1 and then 0..N-2
+        again, (2, B, 2N - 1, m_t + 1), the checks' source of
+        `simulator._cyclic_view`."""
+        n = self.positions.shape[2]
+        idx = self.index(part)
+        h = np.empty((2, len(self.kept[part]), 2 * n - 1 if doubled else n,
+                      self.m_t + 1))
         for c in range(2):
-            h[c] = self.positions[rows, : self.m_t + 1, :, c].transpose(0, 2, 1)
+            rows = self.positions[idx, : self.m_t + 1, :, c].transpose(0, 2, 1)
+            h[c, :, :n] = rows
+            h[c, :, n:] = rows[:, : h.shape[2] - n]   # none unless doubled
         return h
 
     def run(self, body) -> None:
@@ -216,7 +231,8 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
 
     One pass over the steps m, step 0 included: each step builds the pair
     geometry on the simulator's grid of the N - 1 other particles
-    j = (i + 1 + k) mod N of each i (`simulator._others`), twice. E1 takes
+    j = (i + 1 + k) mod N of each i (`simulator._others`), twice, through
+    the kernel's helper (`simulator._pair_tiles`). E1 takes
     the same-time distances |X^i_m - X^j_m| from the step's row of the
     split history, doubled as `_others` doubles a window. The history
     geometry X^i_m - X^j_l (l < m) on the (i, k, l) grid, the history rows
@@ -302,15 +318,14 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         # one step's E2 and E3 row sums and D by coordinate, from all tiles
         e2_m, e3_m, sx, sy = np.empty((4, b, n, n - 1))
         # E1's same-time geometry: the step's row doubled, then d and |d|^2
-        # (then |d|, then its terms) over the pairs
+        # (then |d|, then its terms) over the pairs, one tile of every i
         row = np.empty((2, b, 2 * n - 1, 1))
-        d_now = np.empty((2, b, n, n - 1, 1))
-        dist = np.empty((b, n, n - 1, 1))
+        same_time = np.empty(3 * b * n * (n - 1))
         for m in range(m_t + 1):
             # E1: |X^i_m - X^j_m|^-q, an exact coincidence (|d| = 0)
             # counted as divergent and taken as 0
-            _pair_geometry(h[:, :, :, None, m, None],
-                           _others(h, m, m + 1, row), out=(d_now, dist))
+            *_, dist = next(_pair_tiles(h[..., m], _others(h, m, m + 1, row),
+                                        same_time, [range(n)]))
             np.sqrt(dist, out=dist)
             zero = dist == 0.0
             divergent += int(zero.sum())
@@ -324,17 +339,10 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
             # j = (i + 1 + k) mod N
             lag, tf_pow = lags[m_t - m:], tf_pows[m_t - m:]
             l0, _, w = _conv_weights(m, cfg, table)
-            window_shape = (2, b, 2 * n - 1, m)
-            window, = _views(work, window_shape)
-            others = _others(h, 0, m, window)
-            for tile in tiles:
-                i = slice(tile.start, tile.stop)
-                shape = (b, len(tile), n - 1, m)
-                _, d, sq, g, term = _views(work, window_shape,
-                                           (2, *shape), *[shape] * 3)
-                dx, dy, _ = _pair_geometry(h[:, :, i, None, m, None],
-                                           others[:, :, i], out=(d, sq))
-
+            window, = _views(work, (2, b, 2 * n - 1, m))
+            for i, dx, dy, sq, g, term in _pair_tiles(
+                    h[..., m], _others(h, 0, m, window), work[window.size:],
+                    tiles, 2):
                 # E2 / E3: double sums, left-endpoint (u-exclusive)
                 # inner rule, one dot product a row. E2's terms are
                 # e^(-gamma log(u + |d|^2))
@@ -421,84 +429,67 @@ def _check_slack(slack: float) -> None:
         raise ValueError(f"slack must be finite and > 0, got {slack}")
 
 
-def _pass_bytes(n: int, n_pairs: int, m_t: int) -> int:
-    """A replica's bytes in a pair-drift pass over `n_pairs` pairs of N = n
-    particles up to the horizon m_t: the dx and dy of its pairs, and its
-    positions on the rows 0..m_t split by coordinate."""
-    return 16 * n_pairs * m_t + 16 * n * (m_t + 1)
+def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
+                memo: np.ndarray | None = None):
+    """The checks' replica pass and their pair drifts D^{i,j}_m of the
+    target particles i < `targets`, each with its N - 1 others j in cyclic
+    order (`simulator._cyclic_view`), at the steps 1 <= m <= m_t.
 
+    Returns the pass (`_ReplicaBlocks`) and a generator function of a
+    block's slice `part`: for each step m and i-tile it yields m, the
+    squared distances |X^i_m - X^j_l|^2 (B, i, k, m) on the rows l < m,
+    their lags t_m - t_l (m,) and D by coordinate, d_x and d_y (B, i, k).
+    The squared distances are a view of the pass's workspace, which the
+    caller may overwrite: the next tile forms them anew.
 
-def _pair_drift_pass(ensemble: TrajectoryEnsemble, m_t: int, n_pairs: int,
-                     b_max: int, memo: np.ndarray | None = None):
-    """The pair drifts D^{i,j}_m of the first `n_pairs` ordered pairs in
-    cyclic order (`simulator._cyclic_pairs`) at the steps 1 <= m <= m_t,
-    for replica blocks of at most `b_max` replicas.
-
-    Returns a generator function of a block's split history h (2, B, N,
-    m_t + 1) (`_ReplicaBlocks.history`) and its replicas' indices: for
-    each step m and tile of pairs it yields m, the tile (a range of
-    pairs), its squared distances |X^i_m - X^j_l|^2 (B, K, m) on the rows
-    l < m, their lags t_m - t_l (m,) and its D by coordinate, d_x and d_y
-    (B, K). The squared distances are a view of the pass's workspace,
-    which the caller may overwrite: the next tile forms them anew.
-
-    D is -dt times the drift kernel's history sums: `_pair_geometry`,
-    `_gauss_factor` and `_history_sums` on the drift's rows [l0, m), with
-    the lags and weights of one `_lag_table` per call. With `memo`, the
+    The geometry is the kernel's (`simulator._pair_tiles`), read in place
+    from the block's doubled history, gathered once per block
+    (`_ReplicaBlocks.history`); the i-tiles are the most target particles
+    whose dx and dy fit DRIFT_BUDGET_BYTES for the largest block, one
+    whenever a block fits. A block counts a replica's dx and dy over its
+    pairs and N rows of its split positions, not the 2N - 1 of the
+    doubled history: counted whole, they split pair_ensemble's 300
+    replicas into two blocks, and the domination check took about 10%
+    longer. D is -dt times the drift kernel's history sums
+    (`_gauss_factor` and `_history_sums` on the drift's rows [l0, m), with
+    the lags and weights of one `_lag_table` per call). With `memo`, the
     sums of a matching drift memo (`_memo_sums`), D is read from there, a
-    step's tile as a slice of its pairs, and neither the Gaussian factor
-    nor the history sums are formed: only the squared distances. The
-    simulator's helpers run in the error state of `_ReplicaBlocks.run`.
-
-    The pairs run in contiguous tiles whose dx and dy fit
-    DRIFT_BUDGET_BYTES for the largest block (one whenever a block fits),
-    gathered into the workspace at each step. Every tile keeps whole
-    history rows, so D does not depend on the tiles, bit for bit. The
-    tiles' dx and dy, squared distances and Gaussian factors are views of
-    one workspace, allocated once per call for the largest block and tile
-    at the horizon: fresh per-step arrays, one history row larger at each
-    step, grew the heap (see simulator.DRIFT_BUDGET_BYTES).
+    tile as memo[rows, m, i], and neither the Gaussian factor nor the
+    history sums are formed. The workspace and the lag table are made once
+    per call, at its first block, and not at all by a call that forms no
+    drift (Hoelder's hit path): fresh per-step arrays, one history row
+    larger at each step, grew the heap (see simulator.DRIFT_BUDGET_BYTES).
+    The simulator's helpers run in the error state of `_ReplicaBlocks.run`.
     """
-    cfg = ensemble.config
-    dt = cfg.dt
-    i_idx, j_idx = _cyclic_pairs(ensemble.n_particles)
-    tiles = budget_blocks(n_pairs, 16 * m_t * b_max)
-    # dx and dy, |d|^2 and, without a memo, the Gaussian factor
-    work = np.empty((4 if memo is None else 3) * b_max * len(tiles[0]) * m_t)
-    table = _lag_table(m_t, cfg)
+    cfg, n = ensemble.config, ensemble.n_particles
+    plan = _ReplicaBlocks(ensemble, m_t, 16 * (targets * (n - 1) * m_t
+                                               + n * (m_t + 1)))
+    tiles = budget_blocks(targets, 16 * (n - 1) * m_t * plan.largest)
+    grids = int(memo is None)   # the Gaussian factor
+    size = (3 + grids) * plan.largest * len(tiles[0]) * (n - 1) * m_t
+    work = table = None
 
-    def block_drifts(h: np.ndarray, rows: np.ndarray):
-        b = len(rows)
+    def drifts(part: slice):
+        nonlocal work, table
+        if work is None:
+            work, table = np.empty(size), _lag_table(m_t, cfg)
+        doubled = plan.history(part, doubled=True)
+        rows = plan.index(part)
         for m in range(1, m_t + 1):
             l0, lags, w = _conv_weights(m, cfg, table)
-            if memo is not None:
-                # the block's sums at this step, (B, N (N - 1), 2)
-                step = memo[rows, m].reshape(b, -1, 2)
-            for tile in tiles:
-                k = slice(tile.start, tile.stop)
-                # geometry over (B, k, l): X^i_m - X^j_l for pair k and
-                # the rows l < m. The pairs are gathered straight into dx
-                # and dy's views, which then take the difference in place:
-                # a gathered temporary would add a budget to the peak
-                # (np.take still copies the rows l < m, which are not
-                # contiguous, once)
-                shape = (b, len(tile), m)
-                d, sq = _views(work, (2, *shape), shape)
-                past = np.take(h[..., :m], j_idx[k], axis=2, out=d,
-                               mode="clip")   # unbuffered
-                dx, dy, _ = _pair_geometry(h[:, :, i_idx[k], m, None], past,
-                                           out=(d, sq))
-                if memo is not None:
-                    sx, sy = step[:, k, 0], step[:, k, 1]
-                else:
-                    g = _views(work, (2, *shape), shape,
-                               (*shape[:2], m - l0))[2]
+            for i, dx, dy, sq, *g in _pair_tiles(
+                    doubled[:, :, :n, m], _cyclic_view(doubled, 0, m), work,
+                    tiles, grids):
+                if memo is None:
                     sx, sy = _history_sums(
                         dx[..., l0:], dy[..., l0:],
-                        _gauss_factor(sq[..., l0:], lags, cfg, out=g), w)
-                yield m, tile, sq, table[0][m_t - m:], -dt * sx, -dt * sy
+                        _gauss_factor(sq[..., l0:], lags, cfg,
+                                      out=g[0][..., l0:]), w)
+                else:   # the tile's (B, i, k, 2) sums, by coordinate
+                    sx, sy = memo[rows, m, i].transpose(3, 0, 1, 2)
+                yield m, sq, table[0][m_t - m:], -cfg.dt * sx, -cfg.dt * sy
 
-    return block_drifts
+    return plan, drifts
 
 
 def _memo_sums(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
@@ -528,11 +519,11 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     checked: `worst_margin` is NaN and the stats are not `ok`. slack must be
     finite and > 0.
 
-    S comes from the squared distances of the pair-drift pass over all
-    ordered pairs (`_pair_drift_pass`). D comes from the ensemble's drift
-    memo (`_memo_sums`) when it matches: the pass then forms only S's
-    geometry, and D = -dt sums has the bits the pass would form. Otherwise
-    the pass forms D too.
+    S comes from the squared distances of the checks' pair-drift pass
+    (`_drift_pass`) over every target particle i, the kernel's i-tiles. D
+    comes from the ensemble's drift memo (`_memo_sums`) when it matches:
+    the pass then forms only S's geometry, and D = -dt sums has the bits
+    the pass would form. Otherwise the pass forms D too.
     """
     _check_slack(slack)
     cfg = ensemble.config
@@ -540,21 +531,17 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     dt = cfg.dt
     n = ensemble.n_particles
     m_t = _horizon_index(ensemble, ep.horizon)
-    n_pairs = n * (n - 1)
     const = (math.sqrt(p.theta) * c0_const(4.0 * ep.alpha / p.theta)
              * kappa(0.5, ep.gamma - 1.0) / (4.0 * math.pi))
     expo = 1.0 / (2.0 * (ep.gamma - 1.0))
-    plan = _ReplicaBlocks(ensemble, m_t, _pass_bytes(n, n_pairs, m_t))
-    drifts = _pair_drift_pass(ensemble, m_t, n_pairs, plan.largest,
-                              memo=_memo_sums(ensemble))
+    plan, drifts = _drift_pass(ensemble, m_t, n, _memo_sums(ensemble))
     violations = 0
-    checked = len(plan.kept) * n_pairs * m_t
+    checked = len(plan.kept) * n * (n - 1) * m_t
     worst = 0.0 if checked else math.nan
 
     def block(part: slice) -> None:
         nonlocal violations, worst
-        for _, _, sq, lag, d_x, d_y in drifts(plan.history(part),
-                                              plan.kept[part]):
+        for _, sq, lag, d_x, d_y in drifts(part):
             d_mag = np.sqrt(d_x * d_x + d_y * d_y)
             # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
             np.multiply(sq, ep.alpha, out=sq)
@@ -629,22 +616,20 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     must be finite and > 0.
 
     The series D^{0,j} is -dt times the history sums of the ensemble's
-    drift memo (`_memo_sums`) when it matches, else it comes from the
-    pair-drift pass (`_pair_drift_pass`) over the first N - 1 pairs, which
-    are (0, j), without S. The series is bit-identical either way, so are
-    z_hat and bound. It is formed and reduced one replica block at a time
-    (`_ReplicaBlocks`, sized by the pass's bytes), so neither path holds
-    the series of every replica.
+    drift memo (`_memo_sums`) when it matches, read for the block's
+    replicas alone, else it comes from the checks' pair-drift pass
+    (`_drift_pass`) on the one i-tile i = 0, without S. The series is
+    bit-identical either way, so are z_hat and bound. It is formed and
+    reduced one replica block at a time (the pass's `_ReplicaBlocks`), so
+    neither path holds the series of every replica.
     """
     _check_slack(slack)
     chi, dt = ensemble.config.params.chi, ensemble.config.dt
     m_t = _horizon_index(ensemble, ep.horizon)
     n = ensemble.n_particles
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
-    plan = _ReplicaBlocks(ensemble, m_t, _pass_bytes(n, n - 1, m_t))
+    plan, drifts = _drift_pass(ensemble, m_t, 1)
     sums = _memo_sums(ensemble)
-    if sums is None:
-        drifts = _pair_drift_pass(ensemble, m_t, n - 1, plan.largest)
     z_hat = np.zeros(len(plan.kept))
     bound = np.zeros(len(plan.kept))
 
@@ -652,24 +637,26 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         rows = plan.kept[part]
         # (B, m_t + 1, N - 1, 2): D^{0,j} = -dt sums, and D_0 = 0
         if sums is not None:
-            d_series = np.take(sums[:, : m_t + 1, 0], rows, axis=0)
-            d_series *= -dt
+            d_series = sums[plan.index(part), : m_t + 1, 0] * -dt
             d_series[:, 0] = 0.0
         else:
             d_series = np.zeros((len(rows), m_t + 1, n - 1, 2))
-            for m, tile, _, _, d_x, d_y in drifts(plan.history(part), rows):
-                d_series[:, m, tile.start: tile.stop, 0] = d_x
-                d_series[:, m, tile.start: tile.stop, 1] = d_y
-        mean_d = d_series.mean(axis=2)
+            for m, _, _, d_x, d_y in drifts(part):   # the one tile i = 0
+                d_series[:, m] = np.stack((d_x[:, 0], d_y[:, 0]), axis=-1)
+        # Gamma and |D|^q are formed in place and each array is freed once
+        # read: the series, Gamma and one array more are the most held at a
+        # time, and only Gamma when `_holder_max` allocates
         gamma_paths = np.zeros((len(rows), m_t + 1, 2))
-        gamma_paths[:, 1:] = chi * dt * np.cumsum(mean_d[:, :-1], axis=1)
-        d_mag = np.sqrt(np.einsum("rmkc,rmkc->rmk", d_series, d_series))
-        tails = dt * np.sum(d_mag[:, :-1] ** (2.0 * (ep.gamma - 1.0)), axis=1)
+        np.cumsum(d_series.mean(axis=2)[:, :-1], axis=1,
+                  out=gamma_paths[:, 1:])
+        gamma_paths[:, 1:] *= chi * dt
+        d_mag = np.einsum("rmkc,rmkc->rmk", d_series, d_series)
+        del d_series
+        np.power(np.sqrt(d_mag, out=d_mag), 2.0 * (ep.gamma - 1.0), out=d_mag)
+        tails = dt * np.sum(d_mag[:, :-1], axis=1)
+        del d_mag
         bound[part] = [chi / (n - 1) * math.fsum(1.0 + t for t in tail)
                        for tail in tails]
-        # freed before `_holder_max` allocates, since the pass's workspace
-        # lives on
-        del d_series, mean_d, d_mag
         z_hat[part] = _holder_max(gamma_paths, ensemble.times[: m_t + 1], beta)
 
     plan.run(block)
@@ -782,6 +769,10 @@ class ResidualReport:
 
     @property
     def variance(self) -> float:
+        """The sample variance of per_replica; NaN, without a warning, for
+        fewer than two values."""
+        if len(self.per_replica) < 2:
+            return math.nan
         return float(self.per_replica.var(ddof=1))
 
 

@@ -288,9 +288,12 @@ def _conv_weights(m: int, config: SimConfig,
 # dominates small systems; past a few MiB the temporaries leave the cache and
 # a batched step runs slower per replica than a single one. Replicas are
 # stepped in blocks (`budget_blocks`), and the target particles of a block in
-# i-tiles (`_drift_workspace`); a block that fits the budget is one tile. Every
-# history row l stays whole in a tile, so the sum over it keeps its bits; a
-# single i row above the budget is one tile, and the bound is then that row.
+# i-tiles (`_drift_workspace`); a block that fits the budget is one tile. The
+# estimators' pair-history passes (paper_moments and both checks) size their
+# blocks and i-tiles by the same budget, and every pass forms its tiles'
+# geometry through `_pair_tiles`. Every history row l stays whole in a tile,
+# so the sum over it keeps its bits; a single i row above the budget is one
+# tile, and the bound is then that row.
 # A block's drift workspace (`_drift_workspace`: the doubled history window,
 # (2N - 1)/(N(N - 1)) of the block's dx and dy, then dx, dy and the
 # coefficients of one tile, each laid out (B, i, k, l) over the N - 1 other
@@ -440,32 +443,71 @@ def _views(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
+def _cyclic_view(doubled: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """History rows lo <= l < hi of the N - 1 other particles of each one.
+
+    `doubled` is a contiguous (2, B, 2N - 1, T) array of split positions
+    doubled along the particle axis: particles 0..N-1, then 0..N-2 again.
+    Returns a read-only view (2, B, N, N - 1, hi - lo) of it in which
+    [..., i, k, :] is particle (i + 1 + k) mod N: the pairs (i, j != i) in
+    cyclic order from i + 1, without a gather, each particle's rows still
+    contiguous. Both i and k step by the particle stride. The view is built
+    by the ndarray constructor over `doubled`'s buffer, about 2 us a call,
+    where `as_strided` took 7 us and `sliding_window_view`, with its
+    argument checks, about 20 us. The one cyclic view of every pair-history
+    pass: `_others` builds it over a copy of a step's window, the checks
+    over a block's whole doubled history (`_ReplicaBlocks.history`).
+    """
+    n = (doubled.shape[2] + 1) // 2
+    s0, s1, sp, sl = doubled.strides
+    view = np.ndarray((*doubled.shape[:2], n, n - 1, hi - lo), doubled.dtype,
+                      doubled, offset=sp + lo * sl,
+                      strides=(s0, s1, sp, sp, sl))
+    view.flags.writeable = False
+    return view
+
+
 def _others(h: np.ndarray, l0: int, m: int, window: np.ndarray) -> np.ndarray:
-    """History rows l0 <= l < m of the N - 1 other particles of each one.
+    """History rows l0 <= l < m of the N - 1 other particles of each one,
+    through a copy: the `_cyclic_view` of `window`.
 
     `h` is a split history with the coordinates first, (2, B, N, T) (a
     `_split_history` array's `swapaxes(0, 1)` view), and `window` a
-    contiguous (2, B, 2N - 1, m - l0) array that takes the rows doubled
-    along the particle axis: particles 0..N-1, then 0..N-2 again. Returns a
-    read-only view (2, B, N, N - 1, m - l0) of it in which [..., i, k, :]
-    is particle (i + 1 + k) mod N: the pairs (i, j != i) in cyclic order
-    from i + 1, without a gather, each particle's rows still contiguous.
-    Both i and k step by the particle stride. The view is built by the
-    ndarray constructor over `window`'s buffer, about 2 us a call, where
-    `as_strided` took 7 us and `sliding_window_view`, with its argument
-    checks, about 20 us. Both halves are copied from `h`: a copy within
-    `window` is not proven free of overlap, and numpy buffers it first
-    (twice the time).
+    contiguous (2, B, 2N - 1, m - l0) array that takes the rows doubled.
+    Both halves are copied from `h`: a copy within `window` is not proven
+    free of overlap, and numpy buffers it first (twice the time). The
+    copy, not a view of a whole doubled history, serves `run` and
+    `paper_moments`: a doubled history read in place, its rows strided by
+    T, made `run` 10-17% slower at the swarm shape.
     """
     n = h.shape[2]
     np.copyto(window[:, :, :n], h[..., l0:m])
     np.copyto(window[:, :, n:], h[:, :, : n - 1, l0:m])
-    s0, s1, sp, sl = window.strides
-    view = np.ndarray((*window.shape[:2], n, n - 1, window.shape[3]),
-                      window.dtype, window, offset=sp,
-                      strides=(s0, s1, sp, sp, sl))
-    view.flags.writeable = False
-    return view
+    return _cyclic_view(window, 0, m - l0)
+
+
+def _pair_tiles(now: np.ndarray, others: np.ndarray, buf: np.ndarray,
+                tiles: list[range], grids: int = 0):
+    """The pair geometry X^i_m - X^j_l of one step, one i-tile at a time.
+
+    `now` (2, B, N) holds the particles at step m and `others` (2, B, N,
+    N - 1, L) the history rows of each one's others (`_cyclic_view`). For
+    each range of target particles i in `tiles` it yields the slice i, dx,
+    dy and |d|^2 (`_pair_geometry`), then `grids` scratch grids, each
+    (B, len(i), N - 1, L) and laid out (B, i, k, l), as consecutive views
+    of the leading entries of the flat workspace `buf` (`_views`); the
+    next tile overwrites them. Every pair-history pass forms its geometry
+    here: the drift kernel (`_mean_drifts`), paper_moments' grid pass and
+    both checks. A tile holds whole history rows, so no sum over them
+    depends on the tiles. In the caller's error state (`_pair_geometry`).
+    """
+    for tile in tiles:
+        i = slice(tile.start, tile.stop)
+        past = others[:, :, i]
+        d, sq, *scratch = _views(buf, past.shape,
+                                 *[past.shape[1:]] * (1 + grids))
+        yield (i, *_pair_geometry(now[:, :, i, None, None], past, out=(d, sq)),
+               *scratch)
 
 
 def _cyclic_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -490,11 +532,11 @@ def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
     least B replicas and this step's rows): the step's lags and weights
     are the table's last m - l0 entries (`_conv_weights`), the window of
     history rows is copied into the workspace once, doubled, and each tile
-    of target particles i forms its grids in views of it. It runs in its
-    caller's error state (`_pair_geometry`). Contiguous, the window's rows
-    form one loop of each grid
-    operation. Every tile holds whole history rows, so the drift does not
-    depend on the tiles bit for bit. Each tile's two einsums write the
+    of target particles i forms its grids in the workspace after it
+    (`_pair_tiles`). It runs in its caller's error state
+    (`_pair_geometry`). Contiguous, the window's rows form one loop of
+    each grid operation. Every tile holds whole history rows, so the drift
+    does not depend on the tiles bit for bit. Each tile's two einsums write the
     per-pair history sums straight into `pair_sums` (B, N, N - 1, 2), laid
     out (B, i, k, coordinate), which may be a view of `run`'s memo
     (`DriftMemo`); without it the call allocates one. D^{i,j}_m is
@@ -511,18 +553,12 @@ def _mean_drifts(hist: np.ndarray, m: int, config: SimConfig,
         return np.zeros((b, n, 2))
     buf, tiles, table = work
     l0, lags, w = _conv_weights(m, config, table)
-    window_shape = (2, b, 2 * n - 1, m - l0)
-    window, = _views(buf, window_shape)
+    window, = _views(buf, (2, b, 2 * n - 1, m - l0))
     h = hist.swapaxes(0, 1)
-    others = _others(h, l0, m, window)
     if pair_sums is None:
         pair_sums = np.empty((b, n, n - 1, 2))
-    for tile in tiles:
-        i = slice(tile.start, tile.stop)
-        shape = (b, len(tile), n - 1, m - l0)
-        _, d, sq = _views(buf, window_shape, (2, *shape), shape)
-        dx, dy, sq = _pair_geometry(h[:, :, i, None, m, None],
-                                    others[:, :, i], out=(d, sq))
+    for i, dx, dy, sq in _pair_tiles(h[..., m], _others(h, l0, m, window),
+                                     buf[window.size:], tiles):
         g = _gauss_factor(sq, lags, config, out=sq)
         _history_sums(dx, dy, g, w,
                       out=(pair_sums[:, i, :, 0], pair_sums[:, i, :, 1]))

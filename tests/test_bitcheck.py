@@ -1,5 +1,6 @@
-"""tools/bitcheck.py: a tree compared with itself differs nowhere, and
-the checks on run's drift memo equal those on their own pass; a tree
+"""tools/bitcheck.py: a tree compared with itself differs nowhere, the
+checks on run's drift memo equal those on their own pass, and the row run
+in tiles equals itself at the default budget; a tree
 with another chi bisection differs in the chi* outputs alone, a tree with
 another CSV float format in the CSV outputs alone, and its deviations count
 NaNs and missing values."""
@@ -31,14 +32,14 @@ def test_against_itself():
     res = subprocess.run([sys.executable, str(TOOL), "--against", str(ROOT)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines() == ["0 of 201 outputs differ"]
+    assert res.stdout.splitlines() == ["0 of 221 outputs differ"]
 
 
 def test_outputs_cover_runs_and_thresholds():
     tool = load_tool()
     got = tool.outputs(ROOT / "src")
     sims = [row for name, row in got.items() if not name.startswith("chi*")]
-    assert len(sims) == 9
+    assert len(sims) == 10
     for row in sims:
         assert set(row) == {"positions", "E1", "E2", "E3", "E4", "S",
                             "S_bar", "divergent_terms", "csv", "ksw1",
@@ -89,7 +90,7 @@ def test_reports_a_changed_bisection(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == f"{len(lines) - 1} of 201 outputs differ"
+    assert lines[-1] == f"{len(lines) - 1} of 221 outputs differ"
     differ = [line.split()[:2] for line in lines[:-1]]
     assert all(name.startswith("chi*") for name, _ in differ)
     assert ["chi*(1e-06,4)", "chi_for"] in differ
@@ -110,7 +111,7 @@ def test_reports_a_changed_csv_format(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == "18 of 201 outputs differ"
+    assert lines[-1] == "20 of 221 outputs differ"
     assert {line.split()[1] for line in lines[:-1]} == {"csv", "csv_positions"}
 
 
@@ -127,3 +128,17 @@ def test_deviation_and_digest():
     assert tool.digest([-0.0], "E1") != tool.digest([0.0], "E1")
     # a file's bytes are hashed as bytes
     assert tool.digest(list(b"KSW1"), "ksw1") == hashlib.sha256(b"KSW1").hexdigest()
+
+
+def test_tiled_row_equals_the_default_budget(monkeypatch):
+    # the row whose estimators run in one-replica blocks and one-row
+    # i-tiles has the bits of the same row at the default budget
+    tool = load_tool()
+
+    def digests():
+        row = tool.outputs(ROOT / "src")["N5-tiled"]
+        return {out: tool.digest(values, out) for out, values in row.items()}
+
+    tiled = digests()
+    monkeypatch.setattr(tool, "BUDGETS", {})
+    assert digests() == tiled

@@ -604,33 +604,52 @@ class TestHolderModulus:
         with pytest.raises(ValueError, match="slack must be finite"):
             E.holder_modulus(ens, EP, slack=slack)
 
+    @staticmethod
+    def holder_peak(ens):
+        """holder_modulus on `ens` and its tracemalloc peak, under a budget
+        of 4 replicas of N = 2 and M = 24 in the checks' pass (16 x 24
+        bytes of geometry and 16 x 2 x 25 of split positions each)."""
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 4736):
+            tracemalloc.start()
+            try:
+                stats = E.holder_modulus(ens, EP)
+                got = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert stats.z_hat.size == ens.n_replicas
+        return got
+
     def test_miss_path_peak_does_not_grow_with_replicas(self):
         # random walks of N = 2 and M = 24, built without `run` and so
-        # without a memo, under a budget of 4 replicas' pass bytes (16 x 24
-        # bytes of geometry and 16 x 2 x 25 of split positions each,
-        # `_pass_bytes`): the miss path forms and reduces the D^{0,j} series
-        # one replica block at a time. Its peak above the input then grows
-        # by the outputs and the list of blocks (about 70 bytes a replica
-        # here, 160 allowed), not by the series of every replica, 16 x 25
-        # bytes each
+        # without a memo: the miss path forms and reduces the D^{0,j}
+        # series one replica block at a time. Its peak above the input
+        # then grows by the outputs, the list of blocks and numpy's caches
+        # of small arrays (about 95 bytes a replica here, 160 allowed), not
+        # by the series of every replica, 16 x 25 bytes each
         def peak(r_n):
             cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0,
                                                   epsilon=0.05),
                               n_particles=2, dt=1.0 / 64, n_steps=24,
                               n_replicas=r_n)
             steps = np.random.default_rng(4).standard_normal((r_n, 25, 2, 2))
-            ens = S.TrajectoryEnsemble(positions=0.1 * steps.cumsum(axis=1),
-                                       config=cfg, rng_provenance={})
-            with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
-                                   4 * E._pass_bytes(2, 1, 24)):
-                tracemalloc.start()
-                try:
-                    stats = E.holder_modulus(ens, EP)
-                    got = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert stats.z_hat.size == r_n
-            return got
+            return self.holder_peak(S.TrajectoryEnsemble(
+                positions=0.1 * steps.cumsum(axis=1), config=cfg,
+                rng_provenance={}))
+
+        small, large = peak(32), peak(256)
+        assert large - small < 160 * (256 - 32)
+
+    def test_hit_path_peak_does_not_grow_with_replicas(self):
+        # the same shape simulated by `run`, which keeps its sums: the hit
+        # path reads each block's series from the memo, and its peak above
+        # the input grows by the outputs and the list of blocks, not by
+        # the (0, j) sums of every replica, 16 x 25 bytes each, which a
+        # gather of the block's rows from them copied whole
+        def peak(r_n):
+            ens = brownian_ensemble(n_steps=24, n_replicas=r_n, seed=4,
+                                    chi=1.0)
+            assert E._memo_sums(ens) is not None
+            return self.holder_peak(ens)
 
         small, large = peak(32), peak(256)
         assert large - small < 160 * (256 - 32)
@@ -656,11 +675,17 @@ class TestHolderModulus:
         assert np.array_equal(got, want)
 
 
+def tile_rows(pair_tiles):
+    """The number of target particles i in each i-tile of the recorded
+    `_pair_tiles` calls."""
+    return [len(tile) for c in pair_tiles.call_args_list for tile in c.args[3]]
+
+
 class TestTargetTiles:
-    """Pair-history passes in tiles of target particles i, or of the
-    cyclic pairs: every tile keeps its history rows whole, so no output
-    depends on the tiles, and each pass's peak memory has a bound in
-    DRIFT_BUDGET_BYTES."""
+    """Pair-history passes in tiles of target particles i
+    (`simulator._pair_tiles`): every tile keeps its history rows whole, so
+    no output depends on the tiles, and each pass's peak memory has a bound
+    in DRIFT_BUDGET_BYTES."""
 
     @pytest.fixture(scope="class")
     def ens(self):
@@ -703,33 +728,60 @@ class TestTargetTiles:
             # each
             with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
                                    tile * 4 * 16 * ens.n_steps), \
-                    mock.patch.object(E, "_pair_geometry",
-                                      wraps=E._pair_geometry) as geometry:
+                    mock.patch.object(E, "_pair_tiles",
+                                      wraps=E._pair_tiles) as pair_tiles:
                 tiled = E.drift_domination_check(target, EP)
-            assert max(c.args[0].shape[2]
-                       for c in geometry.call_args_list) == 4 * tile
+            assert max(tile_rows(pair_tiles)) == tile
             assert (tiled.checked, tiled.violations, tiled.worst_margin) == (
                 whole.checked, whole.violations, whole.worst_margin)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
     def test_holder(self, ens, chunk):
-        # the miss path runs its own pass over the pairs (0, j) in tiles of
-        # `chunk` pairs; the hit path reads run's sums in replica blocks
-        # and forms no pair geometry
+        # the miss path runs its own pass over the pairs (0, j), the one
+        # i-tile i = 0 whatever the budget (a single i row above the
+        # budget is one tile); the hit path reads run's sums in replica
+        # blocks and forms no pair geometry
         whole = fresh_holder(ens)
         for route in ("hit", "miss"):
             target = on_route(ens, route)
             # one replica's dx and dy over `chunk` of the pairs (0, j)
             with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
                                    chunk * 16 * ens.n_steps), \
+                    mock.patch.object(E, "_pair_tiles",
+                                      wraps=E._pair_tiles) as pair_tiles:
+                tiled = E.holder_modulus(target, EP)
+            assert all(c.args[3] == [range(0, 1)]
+                       for c in pair_tiles.call_args_list)
+            assert pair_tiles.call_count == (
+                ens.n_replicas * ens.n_steps if route == "miss" else 0)
+            assert_same_holder(tiled, whole)
+
+    def test_every_pass_forms_its_geometry_in_pair_tiles(self, ens):
+        # run's kernel, paper_moments, domination on both routes and
+        # Hoelder's miss path each form X^i_m - X^j_l through
+        # simulator._pair_tiles, one call a step and replica block (one
+        # block here); no estimator forms a pair geometry of its own, only
+        # `_holder_max` its 3-d path geometry
+        with mock.patch.object(S, "_pair_tiles",
+                               wraps=S._pair_tiles) as kernel:
+            again = S.run(ens.config)
+        # the Euler steps from m = 1 on, then step M's sums for the memo
+        assert kernel.call_count == ens.n_steps
+        np.testing.assert_array_equal(again.positions, ens.positions)
+        m_t = ens.n_steps
+        for fn, target, calls in (
+                # E1 at every step, the history grid from m = 1 on
+                (E.paper_moments, ens, 2 * m_t + 1),
+                (E.drift_domination_check, on_route(ens, "hit"), m_t),
+                (E.drift_domination_check, on_route(ens, "miss"), m_t),
+                (E.holder_modulus, on_route(ens, "miss"), m_t)):
+            with mock.patch.object(E, "_pair_tiles",
+                                   wraps=E._pair_tiles) as pair_tiles, \
                     mock.patch.object(E, "_pair_geometry",
                                       wraps=E._pair_geometry) as geometry:
-                tiled = E.holder_modulus(target, EP)
-            # the 4-d (2, B, j, l) pair calls, not `_holder_max`'s 3-d paths
-            assert max((c.args[1].shape[2] for c in geometry.call_args_list
-                        if c.args[1].ndim == 4), default=0) == (
-                chunk if route == "miss" else 0)
-            assert_same_holder(tiled, whole)
+                fn(target, EP)
+            assert pair_tiles.call_count == calls
+            assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
 
     def test_peaks_bounded_by_the_budget(self):
         # one N = 32, M = 140 replica: its dx and dy over all 992 pairs take
@@ -848,7 +900,7 @@ class TestSharedDriftPass:
     def test_one_drift_in_e4_domination_and_holder(self, ens):
         # the D^{i,j}_m of paper_moments' E4, of the domination check's and
         # the Hoelder check's own passes (the miss path), each recorded
-        # from its `_history_sums` calls (one tile a step here), and -dt
+        # from its `_history_sums` calls (one i-tile a step here), and -dt
         # times run's sums in the memo (the hit path) are one set of bits
         n, m_t, dt = ens.n_particles, ens.n_steps, ens.config.dt
         run_sums = ens.drift_memo.sums      # (R, M + 1, i, k, 2)
@@ -865,17 +917,17 @@ class TestSharedDriftPass:
             assert len(sums) == m_t
             return [-dt * np.stack(c, axis=-1) for c in sums]
 
-        e4 = drifts(E.paper_moments, ens, EP)   # (B, i, k, 2), j = i + 1 + k
+        # each (B, i, k, 2), the pairs (i, (i + 1 + k) mod N)
+        e4 = drifts(E.paper_moments, ens, EP)
         miss = without_memo(ens)                # the miss path
-        # (B, pair, 2), the pairs (i, (i + 1 + k) mod N) at i (N - 1) + k
         dom = drifts(E.drift_domination_check, miss, EP)
         assert miss.drift_memo is None          # a miss keeps nothing
-        hold = drifts(fresh_holder, ens)        # (B, j - 1, 2)
+        hold = drifts(fresh_holder, ens)        # the one i-tile i = 0
         for m in range(1, m_t + 1):
             for i, j in O.ordered_pairs(n):
                 k = (j - i - 1) % n
                 d = e4[m - 1][:, i, k]
-                p = dom[m - 1][:, i * (n - 1) + k]
+                p = dom[m - 1][:, i, k]
                 assert same_bits(d, p)
                 assert same_bits(d, -dt * run_sums[:, m, i, k])
                 # E4's column |D|
@@ -883,7 +935,7 @@ class TestSharedDriftPass:
                     np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]),
                     np.sqrt(np.einsum("bc,bc->b", p, p)))
                 if i == 0:
-                    assert same_bits(d, hold[m - 1][:, j - 1])
+                    assert same_bits(d, hold[m - 1][:, 0, j - 1])
         assert not run_sums[:, 0].any()
 
     def test_domination_hit_forms_no_drift(self, ens):
@@ -906,21 +958,24 @@ class TestSharedDriftPass:
         E.drift_domination_check(ens, EP)
         for _ in range(2):
             with mock.patch.object(E, "_pair_geometry",
-                                   wraps=E._pair_geometry) as geometry:
+                                   wraps=E._pair_geometry) as geometry, \
+                    mock.patch.object(E, "_pair_tiles",
+                                      wraps=E._pair_tiles) as pair_tiles:
                 shared = E.holder_modulus(ens, EP)
-            # only `_holder_max`'s 3-d path geometry, no 4-d pair geometry
+            # only `_holder_max`'s 3-d path geometry, no pair geometry
             assert geometry.call_count
             assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
+            assert not pair_tiles.called
             assert_same_holder(shared, fresh_holder(ens))
             assert ens.drift_memo is run_memo
         # the miss path: domination keeps nothing, so Hoelder runs its own
         # pass over the pairs (0, j)
         miss = without_memo(ens)
         E.drift_domination_check(miss, EP)
-        with mock.patch.object(E, "_pair_geometry",
-                               wraps=E._pair_geometry) as geometry:
+        with mock.patch.object(E, "_pair_tiles",
+                               wraps=E._pair_tiles) as pair_tiles:
             assert_same_holder(E.holder_modulus(miss, EP), shared)
-        assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
+        assert pair_tiles.called
 
     def test_positions_changed_in_place(self, ens):
         # the hit path made stale: run's sums no longer fit the positions
@@ -936,10 +991,10 @@ class TestSharedDriftPass:
         ens.drift_memo = ens.drift_memo._replace(
             fingerprint=S._fingerprint(ens.positions))
         ens.positions[2, 3, 1, 0] = -0.0
-        with mock.patch.object(E, "_pair_geometry",
-                               wraps=E._pair_geometry) as geometry:
+        with mock.patch.object(E, "_pair_tiles",
+                               wraps=E._pair_tiles) as pair_tiles:
             E.holder_modulus(ens, EP)
-        assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
+        assert pair_tiles.called
 
     def test_one_position_changed_after_run_misses(self, ens):
         # one coordinate one ulp away from run's: domination forms its own
@@ -1028,10 +1083,10 @@ class TestSharedDriftPass:
         want = E.drift_domination_check(ens, EP)
         assert (got.checked, got.violations) == (want.checked, want.violations)
         assert same_bits(got.worst_margin, want.worst_margin)
-        with mock.patch.object(E, "_pair_geometry",
-                               wraps=E._pair_geometry) as geometry:
+        with mock.patch.object(E, "_pair_tiles",
+                               wraps=E._pair_tiles) as pair_tiles:
             got = E.holder_modulus(copy, EP)
-        assert any(c.args[1].ndim == 4 for c in geometry.call_args_list)
+        assert pair_tiles.called
         assert_same_holder(got, E.holder_modulus(ens, EP))
 
     def test_a_later_run_leaves_the_memo_of_ens(self, ens):
@@ -1044,9 +1099,12 @@ class TestSharedDriftPass:
             dom = E.drift_domination_check(ens, EP)
         assert sums.call_count == 0
         with mock.patch.object(E, "_pair_geometry",
-                               wraps=E._pair_geometry) as geometry:
+                               wraps=E._pair_geometry) as geometry, \
+                mock.patch.object(E, "_pair_tiles",
+                                  wraps=E._pair_tiles) as pair_tiles:
             hold = E.holder_modulus(ens, EP)
         assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
+        assert not pair_tiles.called
         want = E.drift_domination_check(without_memo(ens), EP)
         assert (dom.checked, dom.violations) == (want.checked, want.violations)
         assert same_bits(dom.worst_margin, want.worst_margin)
@@ -1118,10 +1176,13 @@ class TestDriftMemo:
                                wraps=E._history_sums) as sums:
             dom = E.drift_domination_check(ens, ep)
         with mock.patch.object(E, "_pair_geometry",
-                               wraps=E._pair_geometry) as geometry:
+                               wraps=E._pair_geometry) as geometry, \
+                mock.patch.object(E, "_pair_tiles",
+                                  wraps=E._pair_tiles) as pair_tiles:
             hold = E.holder_modulus(ens, ep)
         assert sums.call_count == 0
         assert all(c.args[1].ndim == 3 for c in geometry.call_args_list)
+        assert not pair_tiles.called
         assert dom.excluded == hold.excluded == (horizon is None)
         miss_dom = E.drift_domination_check(without_memo(ens), ep)
         miss_hold = fresh_holder(ens, ep)
@@ -1393,6 +1454,24 @@ class TestMartingaleResidual:
                                     s=0.5, t=1.0)
         assert abs(rep.mean) > 5 * rep.stderr
         assert not rep.passes
+
+    @pytest.mark.parametrize("blown", [False, True],
+                             ids=["one_replica", "all_nan"])
+    def test_variance_of_fewer_than_two_replicas_is_nan(self, blown):
+        # one kept replica, or none: the variance has no degrees of
+        # freedom, and `var(ddof=1)` warned (an error in this suite)
+        ens = brownian_ensemble(n_particles=2, n_steps=8,
+                                n_replicas=2 if blown else 1, dt=0.125)
+        if blown:
+            ens.positions[:, 3:] = np.nan
+        rep = E.martingale_residual(ens, None, ("const",), s=0.5, t=1.0)
+        assert len(rep.per_replica) == (0 if blown else 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(rep.variance)
+        full = E.martingale_residual(brownian_ensemble(n_steps=8, dt=0.125),
+                                     None, ("const",), s=0.5, t=1.0)
+        assert full.variance == np.var(full.per_replica, ddof=1) > 0
 
     @pytest.mark.parametrize("lo, hi, match", [
         (math.nan, 1.0, "window bounds"), (-1.0, math.nan, "window bounds"),
@@ -1787,8 +1866,8 @@ class TestReplicaBlocks:
 
     def test_one_replica_a_block_keeps_the_bits(self):
         # five replicas, the middle one NaN from step 6 on: at a budget of
-        # one byte every block holds one replica (and every tile one row
-        # or pair), and each estimator has the bits of its default call
+        # one byte every block holds one replica (and every i-tile one
+        # row), and each estimator has the bits of its default call
         cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=0.9,
                                               epsilon=0.05),
                           source=SourceSpec(components=((1.0, (0.5, 0.0),
@@ -1801,9 +1880,9 @@ class TestReplicaBlocks:
         gathered = []
         history = E._ReplicaBlocks.history
 
-        def record(plan, part):
+        def record(plan, part, **kwargs):
             gathered.append(plan.kept[part].tolist())
-            return history(plan, part)
+            return history(plan, part, **kwargs)
 
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 1), \
                 mock.patch.object(E._ReplicaBlocks, "history", record):

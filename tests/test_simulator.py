@@ -756,6 +756,20 @@ class TestHistoryLayout:
         for i, k in np.ndindex(n, n - 1):
             np.testing.assert_array_equal(cyclic[:, i, k],
                                           full[:, i, (i + 1 + k) % n])
+        # ... and the same grid in i-tiles of any size (`_pair_tiles`),
+        # over the whole doubled history read in place (the checks' source)
+        doubled = np.ascontiguousarray(
+            np.concatenate([h, h[:, :, : n - 1]], axis=2))
+        in_place = S._cyclic_view(doubled, l0, m)
+        assert not in_place.flags.writeable
+        np.testing.assert_array_equal(in_place, others)
+        size = data.draw(st.integers(1, n), label="tile rows")
+        tiles = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+        buf = np.empty(3 * len(pos) * size * (n - 1) * rows)
+        for i, tx, ty, tsq in S._pair_tiles(h[..., m], in_place, buf, tiles):
+            tg = S._gauss_factor(tsq, lags, cfg, out=tsq)
+            tiled = -cfg.dt * np.stack(S._history_sums(tx, ty, tg, w), axis=-1)
+            np.testing.assert_array_equal(tiled, cyclic[:, i])
         # ... and pair_drifts on any pair subset, in any order
         pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
                                              st.integers(0, n - 1)),

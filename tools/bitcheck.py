@@ -15,7 +15,10 @@ check (checked, violations, worst margin, excluded) and the Hoelder check
 without it, and the per-replica Ito-balance and martingale residuals. Each
 (theta, p) of the Remark 6.1 table adds `chi_star`'s threshold, best
 gamma and best alpha and its audit trail, in order; the table's
-small-theta row also adds `chi_for` at its fixed point. The digest of an
+small-theta row also adds `chi_for` at its fixed point. One row runs its
+estimators and files under a small DRIFT_BUDGET_BYTES (`BUDGETS`), so
+that every pass runs in one-replica blocks, and paper_moments and the
+domination check in several i-tiles. The digest of an
 output is the SHA-256 of its values as an int64 array (the bits of the
 float64s), or of a file's bytes, so two trees agree on an output exactly
 when their digests do.
@@ -37,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -47,14 +51,19 @@ BYTES = ("csv", "ksw1")   # outputs that are a file's bytes
 THRESHOLDS = ((1e-6, 4.0), (0.1, 2.61), (1.0, 3.31), (10.0, 3.51),
               (1e4, 3.51))
 FIXED_POINT = dict(gamma=1.5 + 1e-3, alpha=0.13e-6, theta=1e-6, p=4.0)
+# rows whose outputs after `run` are formed under this DRIFT_BUDGET_BYTES:
+# one replica a block, and i-tiles of one row in paper_moments and the
+# domination check
+BUDGETS = {"N5-tiled": 3000}
 
 
 def matrix(S, E, kernels):
     """(name, run's positions, ensemble, estimator params) for every
     configuration: N = 2, 3, 8 and 32 with lambda > 0; a history cutoff; a
     source; a replica with NaN rows from a step on, as `run` leaves a blown
-    one; a horizon below M; a pinned pair, which gives divergent terms.
-    The last two edit the positions `run` returned, after a copy."""
+    one; a horizon below M; a pinned pair, which gives divergent terms; a
+    cutoff whose estimators run in tiles (`BUDGETS`). The blown and
+    pinned rows edit the positions `run` returned, after a copy."""
     params = kernels.KernelParams(theta=1.0, lam=0.2, chi=0.9, epsilon=0.05)
     ep = E.EstimatorParams(gamma=1.62, alpha=0.045, delta=0.1)
 
@@ -86,6 +95,8 @@ def matrix(S, E, kernels):
     pinned.positions[0, 6:, 1] = pinned.positions[0, 6:, 0]
     pinned.positions[2, :, 2] = pinned.positions[2, :, 0]
     rows.append(("N3-pinned", ran, pinned, ep))
+    ens = S.run(config(5, 24, 4, 16, history_cutoff=0.1))
+    rows.append(("N5-tiled", ens.positions, ens, ep))
     return rows
 
 
@@ -100,13 +111,15 @@ def outputs(src: Path) -> dict:
                           f"not from {src}")
     got = {}
     for name, positions, ens, ep in matrix(S, E, kernels):
-        rep = E.paper_moments(ens, ep)
-        got[name] = {"positions": positions.ravel().tolist()}
-        got[name].update({out: rep.estimates[out].per_replica.tolist()
-                          for out in MOMENTS})
-        got[name]["divergent_terms"] = [rep.divergent_terms]
-        got[name].update(trajectory_files(io, ens))
-        got[name].update(checks(E, ens, ep))
+        with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                               BUDGETS.get(name, S.DRIFT_BUDGET_BYTES)):
+            rep = E.paper_moments(ens, ep)
+            got[name] = {"positions": positions.ravel().tolist()}
+            got[name].update({out: rep.estimates[out].per_replica.tolist()
+                              for out in MOMENTS})
+            got[name]["divergent_terms"] = [rep.divergent_terms]
+            got[name].update(trajectory_files(io, ens))
+            got[name].update(checks(E, ens, ep))
     for theta, p in THRESHOLDS:
         res = constants.chi_star(theta, p)
         got[f"chi*({theta:g},{p:g})"] = {
