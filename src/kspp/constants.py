@@ -147,15 +147,6 @@ def _gap_positive(chi, c1, c2, c3, expo) -> np.ndarray:
     return out
 
 
-def admissible(chi: float, sp: StructuralParams) -> bool:
-    """Whether chi*C2 + (chi*C3)^(2(gamma-1)) < C1 holds strictly."""
-    if chi <= 0:
-        raise ValueError(f"chi must be > 0, got {chi}")
-    sc = structural_constants(sp)
-    return bool(_gap_positive(*np.atleast_1d(
-        chi, sc.c1, sc.c2, sc.c3, 2.0 * (sp.gamma - 1.0)))[0])
-
-
 def _chi_roots(c1, c2, c3, gamma) -> np.ndarray:
     """Largest admissible chi (see chi_for) at each point of equal-shape
     arrays. Every point is bracketed by doubling from [0, 1] and then

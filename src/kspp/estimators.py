@@ -29,8 +29,9 @@ from . import simulator
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _cyclic_pairs,
                         _cyclic_view, _gauss_exponent, _gauss_factor,
-                        _history_sums, _lag_table, _others, _pair_geometry,
-                        _pair_tiles, _views, budget_blocks, step_drifts)
+                        _history_sums, _i_tiles, _lag_table, _others,
+                        _pair_geometry, _pair_tiles, _views, budget_blocks,
+                        step_drifts)
 
 
 @dataclass(frozen=True)
@@ -139,24 +140,23 @@ class _ReplicaBlocks:
         consecutive = len(rows) and rows[-1] - rows[0] == len(rows) - 1
         return slice(rows[0], rows[-1] + 1) if consecutive else rows
 
-    def history(self, part: slice, doubled: bool = False) -> np.ndarray:
+    def history(self, part: slice, targets: int = 1) -> np.ndarray:
         """The positions of the replicas kept[part] on the rows 0..m_t,
-        split by coordinate, (2, B, N, m_t + 1): the layout every pair pass
-        reads (a `_split_history` array's swapaxes(0, 1)). Gathered one
-        coordinate at a time straight into it: the one temporary is one
-        coordinate's rows, and none when the replicas are consecutive
-        (`index`), where a gathered block and its split copy took four
-        times that. `doubled` gathers the particles 0..N-1 and then 0..N-2
-        again, (2, B, 2N - 1, m_t + 1), the checks' source of
-        `simulator._cyclic_view`."""
+        split by coordinate, (2, B, N + targets - 1, m_t + 1): the layout
+        every pair pass reads (a `_split_history` array's swapaxes(0, 1)),
+        with the particles 0..N-1 and then 0..targets-2 again, the rows
+        that `simulator._cyclic_view` of the target particles i < `targets`
+        reads (the N rows alone by default). Gathered one coordinate at a
+        time straight into it: the one temporary is one coordinate's rows,
+        and none when the replicas are consecutive (`index`), where a
+        gathered block and its split copy took four times that."""
         n = self.positions.shape[2]
         idx = self.index(part)
-        h = np.empty((2, len(self.kept[part]), 2 * n - 1 if doubled else n,
-                      self.m_t + 1))
+        h = np.empty((2, len(self.kept[part]), n + targets - 1, self.m_t + 1))
         for c in range(2):
             rows = self.positions[idx, : self.m_t + 1, :, c].transpose(0, 2, 1)
             h[c, :, :n] = rows
-            h[c, :, n:] = rows[:, : h.shape[2] - n]   # none unless doubled
+            h[c, :, n:] = rows[:, : targets - 1]
         return h
 
     def run(self, body) -> None:
@@ -251,10 +251,11 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     the pairs' order.
 
     Memory: replicas run in the blocks of the replica pass
-    (`_ReplicaBlocks`) and each block's grid in i-tiles of target
-    particles, both sized by `budget_blocks` so that a tile's five
-    grids and its share of the doubled history window fit
-    DRIFT_BUDGET_BYTES (one tile whenever a block fits; a single i row
+    (`_ReplicaBlocks`), sized so that a replica's five grids, its share of
+    the doubled history window and its per-pair arrays fit
+    DRIFT_BUDGET_BYTES, and each block's grid in the i-tiles of the one
+    tile rule (`simulator._i_tiles`): the most target particles whose five
+    grids fit the budget (one tile whenever they all do; a single i row
     above the budget is one tile). Every tile keeps whole history rows, so
     no sum depends on the tiles. Nothing else grows with the horizon: the
     per-pair accumulators and E1's same-time geometry are (B, N, N - 1)
@@ -279,14 +280,14 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     unsmoothed = replace(cfg.params, epsilon=0.0)
     names = ("E1", "E2", "E3", "E4", "S", "S_bar")
     tri = m_t * (m_t + 1) // 2   # history rows l < m over the steps m <= m_t
-    # the bytes of one target particle i of one replica at the horizon: five
-    # (i, k, l) grid rows and, near enough, its share of the doubled window.
-    # A replica block also counts 16 arrays over its pairs: the per-pair
-    # sums, a step's, E1's geometry and the steps' temporaries, which
-    # outweigh the grids at short horizons
+    # a replica block counts, for each target particle i at the horizon,
+    # five (i, k, l) grid rows and, near enough, its share of the doubled
+    # window, and 16 arrays over its pairs: the per-pair sums, a step's,
+    # E1's geometry and the steps' temporaries, which outweigh the grids at
+    # short horizons. The i-tiles count the five grids (`_i_tiles`)
     row_bytes = 8 * (5 * (n - 1) + 4) * m_t
     plan = _ReplicaBlocks(ensemble, m_t, (row_bytes + 128 * (n - 1)) * n)
-    tiles = budget_blocks(n, row_bytes * plan.largest)
+    tiles = _i_tiles(n, n, m_t, plan.largest, 5)
     per_rep = np.zeros((len(names), len(plan.kept)))
     divergent = 0
 
@@ -443,29 +444,33 @@ def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
     caller may overwrite: the next tile forms them anew.
 
     The geometry is the kernel's (`simulator._pair_tiles`), read in place
-    from the block's doubled history, gathered once per block
-    (`_ReplicaBlocks.history`); the i-tiles are the most target particles
-    whose dx and dy fit DRIFT_BUDGET_BYTES for the largest block, one
-    whenever a block fits. A block counts a replica's dx and dy over its
-    pairs and N rows of its split positions, not the 2N - 1 of the
-    doubled history: counted whole, they split pair_ensemble's 300
-    replicas into two blocks, and the domination check took about 10%
-    longer. D is -dt times the drift kernel's history sums
-    (`_gauss_factor` and `_history_sums` on the drift's rows [l0, m), with
-    the lags and weights of one `_lag_table` per call). With `memo`, the
-    sums of a matching drift memo (`_memo_sums`), D is read from there, a
-    tile as memo[rows, m, i], and neither the Gaussian factor nor the
-    history sums are formed. The workspace and the lag table are made once
-    per call, at its first block, and not at all by a call that forms no
-    drift (Hoelder's hit path): fresh per-step arrays, one history row
-    larger at each step, grew the heap (see simulator.DRIFT_BUDGET_BYTES).
-    The simulator's helpers run in the error state of `_ReplicaBlocks.run`.
+    from the block's history, gathered once per block and doubled only as
+    far as the targets read (`_ReplicaBlocks.history`): the 2N - 1
+    particle rows for every target, the N rows alone for i = 0 (Hoelder's
+    miss path). The i-tiles are those of the one tile rule
+    (`simulator._i_tiles`) for the largest block: the most target
+    particles whose dx, dy, |d|^2 and, when D is formed, Gaussian factor
+    fit DRIFT_BUDGET_BYTES, one tile whenever they all do. A block counts
+    a replica's dx and dy over its pairs and N rows of its split
+    positions, not the 2N - 1 of the doubled history: counted whole, they
+    split pair_ensemble's 300 replicas into two blocks, and the
+    domination check took about 10% longer. D is -dt times the drift
+    kernel's history sums (`_gauss_factor` and `_history_sums` on the
+    drift's rows [l0, m), with the lags and weights of one `_lag_table`
+    per call). With `memo`, the sums of a matching drift memo
+    (`_memo_sums`), D is read from there, a tile as memo[rows, m, i], and
+    neither the Gaussian factor nor the history sums are formed. The
+    workspace and the lag table are made once per call, at its first
+    block, and not at all by a call that forms no drift (Hoelder's hit
+    path): fresh per-step arrays, one history row larger at each step,
+    grew the heap (see simulator.DRIFT_BUDGET_BYTES). The simulator's
+    helpers run in the error state of `_ReplicaBlocks.run`.
     """
     cfg, n = ensemble.config, ensemble.n_particles
     plan = _ReplicaBlocks(ensemble, m_t, 16 * (targets * (n - 1) * m_t
                                                + n * (m_t + 1)))
-    tiles = budget_blocks(targets, 16 * (n - 1) * m_t * plan.largest)
     grids = int(memo is None)   # the Gaussian factor
+    tiles = _i_tiles(targets, n, m_t, plan.largest, 3 + grids)
     size = (3 + grids) * plan.largest * len(tiles[0]) * (n - 1) * m_t
     work = table = None
 
@@ -473,12 +478,12 @@ def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
         nonlocal work, table
         if work is None:
             work, table = np.empty(size), _lag_table(m_t, cfg)
-        doubled = plan.history(part, doubled=True)
+        h = plan.history(part, targets=targets)
         rows = plan.index(part)
         for m in range(1, m_t + 1):
             l0, lags, w = _conv_weights(m, cfg, table)
             for i, dx, dy, sq, *g in _pair_tiles(
-                    doubled[:, :, :n, m], _cyclic_view(doubled, 0, m), work,
+                    h[:, :, :n, m], _cyclic_view(h, 0, m, targets), work,
                     tiles, grids):
                 if memo is None:
                     sx, sy = _history_sums(

@@ -198,33 +198,14 @@ def _mixture_terms(t, x, source: SourceSpec, params: KernelParams):
     return b_k, (-(b_k / v_t))[..., None] * d
 
 
-def background_field(t, x, source: SourceSpec, params: KernelParams):
-    """Background concentration and its gradient at (t, x).
+def background_grad(t, x, source: SourceSpec, params: KernelParams):
+    """The gradient grad b of the background concentration at (t, x).
 
     For a Gaussian-mixture source the heat convolution is again a mixture
     with per-component variance var + 2t/theta, times the death-rate decay;
-    the gradient is exact. Returns (b, grad_b) with shapes (...,) and
-    (..., 2); an empty source yields zeros. Both sums start from zeros and
-    add the components' terms (`_mixture_terms`) one at a time, in order.
-    """
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise ValueError("background_field requires t > 0")
-    x = np.asarray(x, dtype=float)
-    b = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]))
-    grad = np.zeros(b.shape + (2,))
-    for b_k, grad_k in zip(*_mixture_terms(t, x, source, params)):
-        b = b + b_k   # a scalar for scalar t and one point
-        grad += grad_k
-    return b, grad
-
-
-def background_grad(t, x, source: SourceSpec, params: KernelParams):
-    """grad_b of `background_field(t, x, source, params)`, without b.
-
-    The same terms (`_mixture_terms`) added to zeros in the same order, so
-    the same bits, the sign of a zero included; the drift of every Euler
-    step calls it. Shape (..., 2).
+    the gradient is exact. The components' terms (`_mixture_terms`) are
+    added to zeros one at a time, in order; the drift of every Euler step
+    calls it. Shape (..., 2); an empty source yields zeros.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0):

@@ -282,27 +282,25 @@ def _conv_weights(m: int, config: SimConfig,
     return l0, lags[lo:], w[lo:]
 
 
-# Byte budget of the float64 pair displacements dx and dy that one kernel call
-# holds, over the N(N-1) pairs of distinct particles, for a block of replicas
-# and a tile of target particles i. Batching saves the per-call overhead that
-# dominates small systems; past a few MiB the temporaries leave the cache and
-# a batched step runs slower per replica than a single one. Replicas are
-# stepped in blocks (`budget_blocks`), and the target particles of a block in
-# i-tiles (`_drift_workspace`); a block that fits the budget is one tile. The
-# estimators' pair-history passes (paper_moments and both checks) size their
-# blocks and i-tiles by the same budget, and every pass forms its tiles'
-# geometry through `_pair_tiles`. Every history row l stays whole in a tile,
-# so the sum over it keeps its bits; a single i row above the budget is one
-# tile, and the bound is then that row.
+# Byte budget of the float64 temporaries that one kernel call holds.
+# Batching saves the per-call overhead that dominates small systems; past a
+# few MiB the temporaries leave the cache and a batched step runs slower per
+# replica than a single one. Replicas are stepped in blocks (`budget_blocks`,
+# on a replica's dx and dy over its N(N-1) pairs), and every pair-history
+# pass, the drift kernel, paper_moments and both checks, splits the target
+# particles i of a block into i-tiles by one rule (`_i_tiles`): the most rows
+# whose (B, i, k, l) grids fit the budget, one tile whenever they all do.
+# Every pass forms its tiles' geometry through `_pair_tiles`. Every history
+# row l stays whole in a tile, so the sum over it keeps its bits; a single i
+# row above the budget is one tile, and the bound is then that row.
 # A block's drift workspace (`_drift_workspace`: the doubled history window,
-# (2N - 1)/(N(N - 1)) of the block's dx and dy, then dx, dy and the
-# coefficients of one tile, each laid out (B, i, k, l) over the N - 1 other
-# particles k with the history rows l last, 1.5 times the tile's budget) is
-# allocated once per block and sliced at every step. Fresh per-step arrays,
-# one history row larger each step, were each served by a new mmap above
-# glibc's threshold and faulted in page by page: a cold 2-replica N = 32,
-# M = 200 run took 271 000 minor page faults, against under 1 400 with the
-# workspace.
+# one per block and so outside the tile rule, (2N - 1)/(N(N - 1)) of the
+# block's dx and dy; then the three grids of one tile, dx, dy and the
+# coefficients, within the budget) is allocated once per block and sliced
+# at every step. Fresh per-step arrays, one history row larger each step,
+# were each served by a new mmap above glibc's threshold and faulted in
+# page by page: a cold 2-replica N = 32, M = 200 run took 271 000 minor
+# page faults, against under 1 400 with the workspace.
 DRIFT_BUDGET_BYTES = 2 * 1024 * 1024
 
 
@@ -317,6 +315,21 @@ def budget_blocks(n_items: int, item_bytes: int) -> list[range]:
     size = max(1, DRIFT_BUDGET_BYTES // item_bytes if item_bytes else n_items)
     return [range(lo, min(lo + size, n_items))
             for lo in range(0, n_items, size)]
+
+
+def _i_tiles(targets: int, n_particles: int, rows: int, n_block: int,
+             grids: int) -> list[range]:
+    """The i-tiles of a pair-history pass: the target particles i <
+    `targets` split into the most rows whose `grids` float64 grids, each
+    (n_block, i, N - 1, rows) over the others k and the history rows l,
+    fit DRIFT_BUDGET_BYTES together (`budget_blocks`).
+
+    The one tile rule of the drift kernel (3 grids, `_drift_workspace`),
+    paper_moments (5) and the checks' pass (3, or 4 when it forms D). A
+    doubled history window is per block, not per tile: smaller tiles do
+    not shrink it, so the rule does not count it."""
+    return budget_blocks(targets,
+                         8 * grids * (n_particles - 1) * rows * n_block)
 
 
 def _split_history(pos: np.ndarray) -> np.ndarray:
@@ -417,16 +430,16 @@ def _drift_workspace(n_block: int, n_particles: int, rows: int,
     history rows, the i-tiles they are sized for and the lag `table`
     (`_lag_table`, of at least `rows` rows).
 
-    The tiles split the target particles i into the most rows whose dx
-    and dy fit DRIFT_BUDGET_BYTES for the block (`budget_blocks`): one
-    tile whenever the block fits. The buffers are one flat float64 array:
-    the doubled history window (2, n_block, 2N - 1, rows) (`_others`),
-    then dx, dy and |d|^2 (which becomes the coefficients), each
-    (n_block, t, N - 1, rows) for the t rows of the first tile, over the
-    pairs of distinct particles. A step over fewer replicas, rows or tile
-    rows takes views of its leading entries (`_views`)."""
+    The tiles are `_i_tiles` of the N target particles over three grids:
+    the most rows whose dx, dy and |d|^2 (which becomes the coefficients)
+    fit DRIFT_BUDGET_BYTES for the block, one tile whenever the block
+    fits. The buffers are one flat float64 array: the doubled history
+    window (2, n_block, 2N - 1, rows) (`_others`), then the three grids,
+    each (n_block, t, N - 1, rows) for the t rows of the first tile, over
+    the pairs of distinct particles. A step over fewer replicas, rows or
+    tile rows takes views of its leading entries (`_views`)."""
     n = n_particles
-    tiles = budget_blocks(n, 16 * (n - 1) * rows * n_block)
+    tiles = _i_tiles(n, n, rows, n_block, 3)
     grids = 3 * len(tiles[0]) * (n - 1)
     return DriftWork(np.empty((2 * (2 * n - 1) + grids) * n_block * rows),
                      tiles, table)
@@ -443,24 +456,30 @@ def _views(buf: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
-def _cyclic_view(doubled: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """History rows lo <= l < hi of the N - 1 other particles of each one.
+def _cyclic_view(doubled: np.ndarray, lo: int, hi: int,
+                 targets: int | None = None) -> np.ndarray:
+    """History rows lo <= l < hi of the N - 1 other particles of each
+    target particle i < t, t = `targets` (all N by default).
 
-    `doubled` is a contiguous (2, B, 2N - 1, T) array of split positions
-    doubled along the particle axis: particles 0..N-1, then 0..N-2 again.
-    Returns a read-only view (2, B, N, N - 1, hi - lo) of it in which
-    [..., i, k, :] is particle (i + 1 + k) mod N: the pairs (i, j != i) in
-    cyclic order from i + 1, without a gather, each particle's rows still
-    contiguous. Both i and k step by the particle stride. The view is built
-    by the ndarray constructor over `doubled`'s buffer, about 2 us a call,
-    where `as_strided` took 7 us and `sliding_window_view`, with its
-    argument checks, about 20 us. The one cyclic view of every pair-history
-    pass: `_others` builds it over a copy of a step's window, the checks
-    over a block's whole doubled history (`_ReplicaBlocks.history`).
+    `doubled` is a contiguous (2, B, N + t - 1, T) array of split positions
+    doubled along the particle axis as far as the t targets read:
+    particles 0..N-1, then 0..t-2 again (2N - 1 rows for every particle, N
+    for i = 0 alone). Returns a read-only view (2, B, t, N - 1, hi - lo)
+    of it in which [..., i, k, :] is particle (i + 1 + k) mod N: the pairs
+    (i, j != i) in cyclic order from i + 1, without a gather, each
+    particle's rows still contiguous. Both i and k step by the particle
+    stride. The view is built by the ndarray constructor over `doubled`'s
+    buffer, about 2 us a call, where `as_strided` took 7 us and
+    `sliding_window_view`, with its argument checks, about 20 us. The one
+    cyclic view of every pair-history pass: `_others` builds it over a
+    copy of a step's window, the checks over a block's whole history,
+    doubled as far as their targets read (`_ReplicaBlocks.history`).
     """
-    n = (doubled.shape[2] + 1) // 2
+    rows = doubled.shape[2]
+    t = (rows + 1) // 2 if targets is None else targets
+    n = rows - t + 1
     s0, s1, sp, sl = doubled.strides
-    view = np.ndarray((*doubled.shape[:2], n, n - 1, hi - lo), doubled.dtype,
+    view = np.ndarray((*doubled.shape[:2], t, n - 1, hi - lo), doubled.dtype,
                       doubled, offset=sp + lo * sl,
                       strides=(s0, s1, sp, sp, sl))
     view.flags.writeable = False

@@ -2,10 +2,11 @@
 
 The i-major pair list, explicit-pair drifts, the frozen-pair drift
 integral, the Lp norms of the heat-kernel gradient and of a
-Gaussian-mixture source, the background field summed one component at a
-time, and the scalar chi bisection with the threshold search built on
-it. The package runs without them; the quadrature oracles are the only
-users of scipy.
+Gaussian-mixture source, the background field with its concentration
+(from the package's mixture terms, and summed one component at a time),
+the strict admissibility test of one chi, and the scalar chi bisection
+with the threshold search built on it. The package runs without them;
+the quadrature oracles are the only users of scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from scipy.integrate import quad
 
 from kspp import constants as C
 from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, _clamped_exp,
-                          _sqnorm, smoothed_weight)
+                          _mixture_terms, _sqnorm, smoothed_weight)
 from kspp.simulator import (SimConfig, _gauss_factor, _history_sums,
                             _history_start, _pair_geometry, _split_history)
 
@@ -116,8 +117,26 @@ def source_density(source: SourceSpec, x) -> np.ndarray:
     return out
 
 
+def background_field(t, x, source: SourceSpec, params: KernelParams):
+    """Background concentration and its gradient at (t, x), (b, grad b)
+    with shapes (...,) and (..., 2); an empty source yields zeros. Both
+    sums start from zeros and add the package's terms
+    (`kernels._mixture_terms`) one at a time, in order, as
+    `kernels.background_grad` adds grad b's: the same bits."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
+        raise ValueError("background_field requires t > 0")
+    x = np.asarray(x, dtype=float)
+    b = np.zeros(np.broadcast_shapes(t.shape, x.shape[:-1]))
+    grad = np.zeros(b.shape + (2,))
+    for b_k, grad_k in zip(*_mixture_terms(t, x, source, params)):
+        b = b + b_k   # a scalar for scalar t and one point
+        grad += grad_k
+    return b, grad
+
+
 def background_reference(t, x, source: SourceSpec, params: KernelParams):
-    """(b, grad b) of `kernels.background_field`, one component at a time:
+    """(b, grad b) of `background_field`, one component at a time:
     each component's terms formed alone (a float time as a float), then
     added to zeros in the order of `source.components`."""
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
@@ -151,6 +170,16 @@ def source_lp_norm(source: SourceSpec, p: float, n_quad: int = 400) -> float:
     w2 = np.outer(weights, weights) * half * half
     grid = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
     return float(np.sum(source_density(source, grid) ** p * w2)) ** (1.0 / p)
+
+
+def admissible(chi: float, sp: C.StructuralParams) -> bool:
+    """Whether chi*C2 + (chi*C3)^(2(gamma-1)) < C1 holds strictly, by the
+    package's sign test (`constants._gap_positive`)."""
+    if chi <= 0:
+        raise ValueError(f"chi must be > 0, got {chi}")
+    sc = C.structural_constants(sp)
+    return bool(C._gap_positive(*np.atleast_1d(
+        chi, sc.c1, sc.c2, sc.c3, 2.0 * (sp.gamma - 1.0)))[0])
 
 
 def bisect_reference(c1: float, c2: float, c3: float, gamma: float) -> float:

@@ -1,6 +1,8 @@
 """tools/bitcheck.py: a tree compared with itself differs nowhere, the
-checks on run's drift memo equal those on their own pass, and the row run
-in tiles equals itself at the default budget; a tree
+checks on run's drift memo equal those on their own pass, the row run
+in tiles equals itself at the default budget, the row run on threads
+equals itself run serially, and the row with noise passed in equals the
+noise drawn, its blown replica aside; a tree
 with another chi bisection differs in the chi* outputs alone, a tree with
 another CSV float format in the CSV outputs alone, and its deviations count
 NaNs and missing values."""
@@ -32,16 +34,18 @@ def test_against_itself():
     res = subprocess.run([sys.executable, str(TOOL), "--against", str(ROOT)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines() == ["0 of 221 outputs differ"]
+    assert res.stdout.splitlines() == ["0 of 309 outputs differ"]
 
 
 def test_outputs_cover_runs_and_thresholds():
     tool = load_tool()
     got = tool.outputs(ROOT / "src")
     sims = [row for name, row in got.items() if not name.startswith("chi*")]
-    assert len(sims) == 10
+    assert len(sims) == 12
     for row in sims:
-        assert set(row) == {"positions", "E1", "E2", "E3", "E4", "S",
+        assert set(row) == {"positions", "blowups", "replica_blocks",
+                            "drift_workspace_bytes", "drift_tile_rows",
+                            "E1", "E2", "E3", "E4", "S",
                             "S_bar", "divergent_terms", "csv", "ksw1",
                             "csv_positions", "csv_dt", "ksw1_positions",
                             "ksw1_dt", "domination", "domination_miss",
@@ -68,6 +72,16 @@ def test_outputs_cover_runs_and_thresholds():
     # the checks and residuals leave the blown replica out
     assert blown["domination"][3] == blown["holder"][-1] == 1
     assert len(blown["ito"]) == len(blown["martingale"]) == 2
+    # run's own blow-up, from an infinite increment passed in: the
+    # estimators leave it out too
+    noise = got["N3-noise"]
+    assert noise["blowups"] == [1, 9] and blown["blowups"] == []
+    assert noise["domination"][3] == noise["holder"][-1] == 1
+    # the counters: one block and one tile of every row at the default
+    # budget, two blocks on the thread row
+    assert got["N32"]["replica_blocks"] == [1]
+    assert got["N32"]["drift_tile_rows"] == [32]
+    assert got["N5-threads"]["replica_blocks"] == [2]
     chis = {name: row for name, row in got.items() if name.startswith("chi*")}
     assert list(chis) == ["chi*(1e-06,4)", "chi*(0.1,2.61)", "chi*(1,3.31)",
                           "chi*(10,3.51)", "chi*(10000,3.51)"]
@@ -90,7 +104,7 @@ def test_reports_a_changed_bisection(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == f"{len(lines) - 1} of 221 outputs differ"
+    assert lines[-1] == f"{len(lines) - 1} of 309 outputs differ"
     differ = [line.split()[:2] for line in lines[:-1]]
     assert all(name.startswith("chi*") for name, _ in differ)
     assert ["chi*(1e-06,4)", "chi_for"] in differ
@@ -111,7 +125,7 @@ def test_reports_a_changed_csv_format(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == "20 of 221 outputs differ"
+    assert lines[-1] == "24 of 309 outputs differ"
     assert {line.split()[1] for line in lines[:-1]} == {"csv", "csv_positions"}
 
 
@@ -142,3 +156,29 @@ def test_tiled_row_equals_the_default_budget(monkeypatch):
     tiled = digests()
     monkeypatch.setattr(tool, "BUDGETS", {})
     assert digests() == tiled
+
+
+def test_thread_and_noise_rows(monkeypatch):
+    # the row stepped in two blocks on two threads has the bits of the same
+    # row stepped serially; the row with its noise passed in has, outside
+    # its blown replica, the paths of the noise drawn by `run` itself
+    tool = load_tool()
+    from kspp import estimators as E, kernels, simulator as S
+
+    def rows():
+        return {name: ens for name, _, ens, _ in tool.matrix(S, E, kernels)}
+
+    threaded = rows()
+    monkeypatch.setattr(tool, "THREADS", "1")
+    serial = rows()["N5-threads"]
+    ens = threaded["N5-threads"]
+    assert np.array_equal(ens.positions.view(np.int64),
+                          serial.positions.view(np.int64))
+    assert ens.counters == serial.counters
+    assert ens.counters["replica_blocks"] == 2
+    passed = threaded["N3-noise"]
+    drawn = S.run(passed.config).positions
+    assert passed.blowups == [(1, 9)]
+    assert np.isnan(passed.positions[1, 9:]).all()
+    np.testing.assert_array_equal(passed.positions[[0, 2]], drawn[[0, 2]])
+    np.testing.assert_array_equal(passed.positions[1, :9], drawn[1, :9])

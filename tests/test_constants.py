@@ -177,16 +177,16 @@ class TestAdmissibility:
     SP = C.StructuralParams(gamma=1.62, alpha=0.045, theta=1.0, p=3.31)
 
     def test_small_chi_admissible(self):
-        assert C.admissible(1e-8, self.SP)
+        assert O.admissible(1e-8, self.SP)
 
     def test_reference_point(self):
-        assert C.admissible(1.39, self.SP)
-        assert not C.admissible(100.0, self.SP)
+        assert O.admissible(1.39, self.SP)
+        assert not O.admissible(100.0, self.SP)
 
     def test_chi_for_is_the_transition(self):
         root = C.chi_for(self.SP)
-        assert C.admissible(root * (1 - 1e-6), self.SP)
-        assert not C.admissible(root * (1 + 1e-6), self.SP)
+        assert O.admissible(root * (1 - 1e-6), self.SP)
+        assert not O.admissible(root * (1 + 1e-6), self.SP)
 
     def test_chi_for_reference_values(self):
         assert C.chi_for(self.SP) >= 1.39
@@ -198,7 +198,7 @@ class TestAdmissibility:
 
     def test_chi_domain(self):
         with pytest.raises(ValueError):
-            C.admissible(0.0, self.SP)
+            O.admissible(0.0, self.SP)
 
 
 class TestChiStar:
@@ -323,7 +323,7 @@ class TestLockstepBisection:
         for chi in (root, math.nextafter(root, 0), math.nextafter(root, 10),
                     0.5 * root, 2.0 * root, math.inf, math.nan):
             want = sc.c1 - (chi * sc.c2 + (chi * sc.c3) ** (2.0 * (sp.gamma - 1.0))) > 0
-            assert C.admissible(chi, sp) == want
+            assert O.admissible(chi, sp) == want
 
 
 class TestChiStarReference:

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 import kspp
 from kspp import cli, estimators as E, simulator as S
 from kspp.constants import c0_const, kappa
-from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec, background_field,
+from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec,
                           smoothed_weight)
 
 import oracles as O
@@ -654,6 +654,36 @@ class TestHolderModulus:
         small, large = peak(32), peak(256)
         assert large - small < 160 * (256 - 32)
 
+    def test_miss_path_reads_the_undoubled_history(self):
+        # pair_ensemble's shape (N = 2, M = 100, 300 replicas, one block)
+        # without the memo: the one i-tile i = 0 reads particles 1..N - 1
+        # of the block's N split rows in place (0.97 MB), where a gather
+        # doubled to 2N - 1 rows (1.45 MB) peaked at 3.06 MB
+        cfg = S.SimConfig(params=KernelParams(theta=1.0, chi=1.0,
+                                              epsilon=0.05),
+                          n_particles=2, dt=0.01, n_steps=100, n_replicas=300,
+                          seed=7, init=S.InitSpec("gaussian", sigma=1.0))
+        ens = S.run(cfg)
+        whole = E.holder_modulus(ens, EP)
+        miss = without_memo(ens)
+        gathered = []
+        history = E._ReplicaBlocks.history
+
+        def record(plan, part, **kwargs):
+            gathered.append(kwargs)
+            return history(plan, part, **kwargs)
+
+        with mock.patch.object(E._ReplicaBlocks, "history", record):
+            tracemalloc.start()
+            try:
+                stats = E.holder_modulus(miss, EP)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert gathered == [{"targets": 1}]
+        assert peak < 3_060_000 - 400_000
+        assert_same_holder(stats, whole)
+
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
     def test_path_blocks_match_per_path_loop(self, per_block):
         # 21 grid times: a path's three diagonal arrays take 24 * 21 bytes,
@@ -702,9 +732,10 @@ class TestTargetTiles:
         ep = E.EstimatorParams(gamma=1.62, alpha=0.045, delta=0.1)
         whole = E.paper_moments(ens, ep)
         assert whole.notes["i_tile_rows"] == 5
-        # one target particle's five grid rows and window share: blocks of
-        # one replica in tiles of `tile` rows
-        row_bytes = 8 * (5 * 4 + 4) * ens.n_steps
+        # one target particle's five grid rows (`_i_tiles`): blocks of one
+        # replica, whose grids, window share and per-pair arrays exceed
+        # the budget, in tiles of `tile` rows
+        row_bytes = 8 * 5 * 4 * ens.n_steps
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES", tile * row_bytes):
             tiled = E.paper_moments(ens, ep)
         assert tiled.notes["i_tile_rows"] == tile
@@ -724,10 +755,12 @@ class TestTargetTiles:
         whole = E.drift_domination_check(without_memo(ens), EP)
         for route in ("hit", "miss"):
             target = on_route(ens, route)
-            # one replica's dx and dy over `tile` target particles, 4 pairs
-            # each
+            # one replica's grids over `tile` target particles, 4 pairs
+            # each: dx, dy and |d|^2, and on the miss path the Gaussian
+            # factor (`_i_tiles`)
+            grids = 3 if route == "hit" else 4
             with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
-                                   tile * 4 * 16 * ens.n_steps), \
+                                   tile * 4 * 8 * grids * ens.n_steps), \
                     mock.patch.object(E, "_pair_tiles",
                                       wraps=E._pair_tiles) as pair_tiles:
                 tiled = E.drift_domination_check(target, EP)
@@ -1532,7 +1565,7 @@ def reference_drifts(pos, cfg, m_lo, m_hi):
                   for m in range(m_lo, m_hi + 1)])
     grad_b = np.zeros((m_hi - m_lo + 1, n, 2))
     if not cfg.source.is_zero:
-        grad_b = np.stack([background_field(m * cfg.dt + cfg.params.epsilon,
+        grad_b = np.stack([O.background_field(m * cfg.dt + cfg.params.epsilon,
                                             pos[m], cfg.source, cfg.params)[1]
                            for m in range(m_lo, m_hi + 1)])
     return d.reshape(-1, n, n - 1, 2).sum(axis=2) / (n - 1), grad_b

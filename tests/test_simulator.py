@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from kspp import kernels as K, simulator as S
-from kspp.kernels import (EXP_CLAMP, KernelParams, SourceSpec,
-                          background_field)
+from kspp.kernels import EXP_CLAMP, KernelParams, SourceSpec
 
 import oracles as O
 
@@ -246,7 +245,7 @@ class TestHistoryDrift:
                          for m in steps], axis=1)
         if source:
             t = np.asarray(steps) * cfg.dt + params.epsilon
-            want += background_field(t[:, None], x, cfg.source, params)[1]
+            want += O.background_field(t[:, None], x, cfg.source, params)[1]
         np.testing.assert_array_equal(S.step_drifts(x, steps, cfg), want)
 
     @settings(max_examples=40, deadline=None)
@@ -494,7 +493,8 @@ class TestStepAndRun:
 
     def test_run_memory_is_positions_plus_workspace(self):
         # N = 32, M = 60: blocks of two replicas, each with one workspace of
-        # three (B, N, N - 1, M) arrays and a (2, B, 2N - 1, M) doubled
+        # three (B, t, N - 1, M) grids over an i-tile of the t rows whose
+        # grids fit the budget (`_i_tiles`) and a (2, B, 2N - 1, M) doubled
         # history window sliced at every step; fresh per-step arrays held
         # four (B, N, N, m) at once
         import tracemalloc
@@ -504,19 +504,45 @@ class TestStepAndRun:
         initial, noise = S.draw_initial(cfg), S.draw_noise(cfg)
         blocks = S.budget_blocks(4, 16 * 32 * 31 * 60)
         assert [len(b) for b in blocks] == [2, 2]
+        tile = S.DRIFT_BUDGET_BYTES // (3 * 8 * 2 * 31 * 60)
+        assert tile == 23
         block_array = 8 * 2 * 32 * 31 * 60
+        tile_array = 8 * 2 * tile * 31 * 60
         tracemalloc.start()
         try:
             ens = S.run(cfg, initial=initial, noise=noise)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (ens.positions.nbytes + 3 * block_array
+        assert peak < (ens.positions.nbytes + 3 * tile_array
                        + block_array // 2)
         assert ens.counters == {"replica_blocks": 2, "drift_workspace_bytes":
-                                3 * block_array + 8 * 2 * 2 * 63 * 60,
-                                "drift_tile_rows": 32}
+                                3 * tile_array + 8 * 2 * 2 * 63 * 60,
+                                "drift_tile_rows": tile}
         assert not ens.blowups
+
+    def test_workspace_at_the_benchmark_shapes(self):
+        # interacting_swarm's run (N = 32, M = 200, blocks of one replica):
+        # i-tiles of 14 rows, whose three grids fit the budget, beside the
+        # doubled window (21 rows and 3 326 400 bytes while the tiles
+        # counted dx and dy alone)
+        params = KernelParams(theta=1.0, lam=0.1, chi=1.0, epsilon=0.05)
+        swarm = make_config(params=params, n_particles=32, n_steps=200)
+        assert S.budget_blocks(2, 16 * 32 * 31 * 200) == [range(0, 1),
+                                                          range(1, 2)]
+        work = S._drift_workspace(1, 32, 200, S._lag_table(200, swarm))
+        window = 8 * 2 * 63 * 200
+        assert len(work.tiles[0]) == 14
+        assert work.buf.nbytes == 2_284_800
+        assert work.buf.nbytes <= S.DRIFT_BUDGET_BYTES + window
+        # pair_ensemble's run (N = 2, M = 100, 300 replicas): one block in
+        # one tile of both target particles
+        pair = make_config(params=KernelParams(theta=1.0, chi=1.0,
+                                               epsilon=0.05),
+                           n_steps=100, n_replicas=300, seed=7)
+        assert S.run(pair).counters == {"replica_blocks": 1,
+                                        "drift_workspace_bytes": 2_880_000,
+                                        "drift_tile_rows": 2}
 
     @pytest.mark.parametrize("chi", [0.0, 0.5])
     def test_blown_run_memory_is_the_clean_runs(self, chi):
@@ -649,11 +675,11 @@ class TestTargetTiles:
         assert whole.counters["drift_tile_rows"] == n
         steps = range(cfg.n_steps + 1)
         drifts = S.step_drifts(whole.positions, steps, cfg)
-        # one replica's dx and dy over `tile` target particles: blocks of
-        # one replica, each in tiles of `tile` rows
+        # one replica's three grids over `tile` target particles: blocks
+        # of one replica, each in tiles of `tile` rows
         rows = S._drift_rows(cfg)
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
-                               tile * 16 * (n - 1) * rows):
+                               tile * 24 * (n - 1) * rows):
             tiled = S.run(cfg)
             work = S._drift_workspace(3, n, rows, S._lag_table(rows, cfg))
             assert len(work.tiles[0]) == max(1, tile // 3)
@@ -763,6 +789,10 @@ class TestHistoryLayout:
         in_place = S._cyclic_view(doubled, l0, m)
         assert not in_place.flags.writeable
         np.testing.assert_array_equal(in_place, others)
+        # ... of which i = 0 alone reads the N rows undoubled (Hoelder's
+        # miss path) ...
+        first = S._cyclic_view(np.ascontiguousarray(h), l0, m, targets=1)
+        np.testing.assert_array_equal(first, others[:, :, :1])
         size = data.draw(st.integers(1, n), label="tile rows")
         tiles = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
         buf = np.empty(3 * len(pos) * size * (n - 1) * rows)
@@ -884,18 +914,19 @@ class TestStepLoopFixedCosts:
         # a chi != 0 run with a source, at M = 20 and M = 80 in one block:
         # no background_field call (the Euler step takes the gradient alone,
         # `background_grad`), and as many smoothed_weight and np.errstate
-        # calls at either length. The simulator's own name for
-        # background_field is wrapped too, should it ever import one
+        # calls at either length. The field is the tests' own
+        # (`oracles.background_field`); the kernels' and the simulator's
+        # names for it are wrapped, should either ever gain one
         counts = {}
         for m in (20, 80):
             cfg = make_config(params=KernelParams(theta=1.0, lam=0.1, chi=1.0,
                                                   epsilon=0.05),
                               source=_MIXTURE, n_particles=3, n_steps=m,
                               n_replicas=2, seed=1)
-            with mock.patch.object(K, "background_field",
-                                   wraps=K.background_field) as field, \
+            with mock.patch.object(K, "background_field", create=True,
+                                   wraps=O.background_field) as field, \
                     mock.patch.object(S, "background_field", create=True,
-                                      wraps=K.background_field) as s_field, \
+                                      wraps=O.background_field) as s_field, \
                     mock.patch.object(S, "smoothed_weight",
                                       wraps=S.smoothed_weight) as weight, \
                     mock.patch.object(np, "errstate",

@@ -5,23 +5,27 @@ Usage:
     python tools/bitcheck.py --against TREE   # compare with another checkout
 
 Each configuration of a fixed matrix is simulated with `run` and estimated
-with `paper_moments`; its outputs are `run`'s positions, the per-replica
-arrays E1, E2, E3, E4, S and S_bar and the count `divergent_terms`. The
-ensemble that `paper_moments` sees is also written as a trajectory CSV
-and a KSW1 file and read back: the bytes of each file, and the positions
-and dt each reader returns, are outputs too. So are the drift-domination
-check (checked, violations, worst margin, excluded) and the Hoelder check
-(z_hat, bound, excluded), each on `run`'s drift memo and on a copy
-without it, and the per-replica Ito-balance and martingale residuals. Each
-(theta, p) of the Remark 6.1 table adds `chi_star`'s threshold, best
-gamma and best alpha and its audit trail, in order; the table's
-small-theta row also adds `chi_for` at its fixed point. One row runs its
-estimators and files under a small DRIFT_BUDGET_BYTES (`BUDGETS`), so
-that every pass runs in one-replica blocks, and paper_moments and the
-domination check in several i-tiles. The digest of an
+with `paper_moments`; its outputs are `run`'s positions, blow-ups and
+counters (`replica_blocks`, `drift_workspace_bytes`, `drift_tile_rows`),
+the per-replica arrays E1, E2, E3, E4, S and S_bar and the count
+`divergent_terms`. The ensemble that `paper_moments` sees is also
+written as a trajectory CSV and a KSW1 file and read back: the bytes of
+each file, and the positions and dt each reader returns, are outputs
+too. So are the drift-domination check (checked, violations, worst
+margin, excluded) and the Hoelder check (z_hat, bound, excluded), each
+on `run`'s drift memo and on a copy without it, and the per-replica
+Ito-balance and martingale residuals. Each (theta, p) of the Remark 6.1
+table adds `chi_star`'s threshold, best gamma and best alpha and its
+audit trail, in order; the table's small-theta row also adds `chi_for`
+at its fixed point. One row runs its estimators and files under a small
+DRIFT_BUDGET_BYTES (`BUDGETS`), so that every pass runs in one-replica
+blocks, and paper_moments and the domination check in several i-tiles.
+One row is simulated in two replica blocks on KSPP_THREADS = `THREADS`
+worker threads, and one with its noise drawn and passed in, one
+increment infinite, so that `run` records a blow-up. The digest of an
 output is the SHA-256 of its values as an int64 array (the bits of the
-float64s), or of a file's bytes, so two trees agree on an output exactly
-when their digests do.
+float64s, or the integers themselves), or of a file's bytes, so two
+trees agree on an output exactly when their digests do.
 
 With --against, the same matrix also runs on TREE's package (TREE/src on
 the path) in a subprocess, and every output that differs is listed with its
@@ -36,6 +40,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -47,6 +52,9 @@ import numpy as np
 HERE = Path(__file__).resolve().parents[1]
 MOMENTS = ("E1", "E2", "E3", "E4", "S", "S_bar")
 BYTES = ("csv", "ksw1")   # outputs that are a file's bytes
+COUNTERS = ("replica_blocks", "drift_workspace_bytes", "drift_tile_rows")
+# outputs that are integers
+INTEGERS = ("divergent_terms", "blowups", *COUNTERS)
 # the (theta, p) of the Remark 6.1 rows, and the small-theta fixed point
 THRESHOLDS = ((1e-6, 4.0), (0.1, 2.61), (1.0, 3.31), (10.0, 3.51),
               (1e4, 3.51))
@@ -55,6 +63,8 @@ FIXED_POINT = dict(gamma=1.5 + 1e-3, alpha=0.13e-6, theta=1e-6, p=4.0)
 # one replica a block, and i-tiles of one row in paper_moments and the
 # domination check
 BUDGETS = {"N5-tiled": 3000}
+# the worker threads of the row whose `run` steps two replica blocks
+THREADS = "2"
 
 
 def matrix(S, E, kernels):
@@ -62,8 +72,10 @@ def matrix(S, E, kernels):
     configuration: N = 2, 3, 8 and 32 with lambda > 0; a history cutoff; a
     source; a replica with NaN rows from a step on, as `run` leaves a blown
     one; a horizon below M; a pinned pair, which gives divergent terms; a
-    cutoff whose estimators run in tiles (`BUDGETS`). The blown and
-    pinned rows edit the positions `run` returned, after a copy."""
+    cutoff whose estimators run in tiles (`BUDGETS`); two replica blocks
+    stepped on `THREADS` threads; noise passed in, with one infinite
+    increment. The blown and pinned rows edit the positions `run`
+    returned, after a copy."""
     params = kernels.KernelParams(theta=1.0, lam=0.2, chi=0.9, epsilon=0.05)
     ep = E.EstimatorParams(gamma=1.62, alpha=0.045, delta=0.1)
 
@@ -97,6 +109,17 @@ def matrix(S, E, kernels):
     rows.append(("N3-pinned", ran, pinned, ep))
     ens = S.run(config(5, 24, 4, 16, history_cutoff=0.1))
     rows.append(("N5-tiled", ens.positions, ens, ep))
+    # a budget of two replicas' dx and dy (and no drift memo, which needs
+    # more): two blocks of two, one a thread
+    with mock.patch.object(S, "DRIFT_BUDGET_BYTES", 2 * 16 * 5 * 4 * 24), \
+            mock.patch.dict(os.environ, {"KSPP_THREADS": THREADS}):
+        ens = S.run(config(5, 24, 4, 18))
+    rows.append(("N5-threads", ens.positions, ens, ep))
+    cfg = config(3, 20, 3, 17)
+    noise = S.draw_noise(cfg)
+    noise[1, 8, 2, 0] = math.inf   # replica 1 blows up at row 9
+    ens = S.run(cfg, noise=noise)
+    rows.append(("N3-noise", ens.positions, ens, ep))
     return rows
 
 
@@ -114,7 +137,9 @@ def outputs(src: Path) -> dict:
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
                                BUDGETS.get(name, S.DRIFT_BUDGET_BYTES)):
             rep = E.paper_moments(ens, ep)
-            got[name] = {"positions": positions.ravel().tolist()}
+            got[name] = {"positions": positions.ravel().tolist(),
+                         "blowups": [v for pair in ens.blowups for v in pair]}
+            got[name].update({out: [ens.counters[out]] for out in COUNTERS})
             got[name].update({out: rep.estimates[out].per_replica.tolist()
                               for out in MOMENTS})
             got[name]["divergent_terms"] = [rep.divergent_terms]
@@ -172,7 +197,7 @@ def trajectory_files(io, ens) -> dict:
 def digest(values, name: str) -> str:
     if name in BYTES:
         return hashlib.sha256(bytes(values)).hexdigest()
-    dtype = np.int64 if name == "divergent_terms" else np.float64
+    dtype = np.int64 if name in INTEGERS else np.float64
     return hashlib.sha256(np.asarray(values, dtype).view(np.int64)).hexdigest()
 
 
