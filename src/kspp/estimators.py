@@ -29,9 +29,9 @@ from . import simulator
 from .kernels import EXP_CLAMP, smoothed_weight
 from .simulator import (TrajectoryEnsemble, _conv_weights, _cyclic_pairs,
                         _cyclic_view, _gauss_exponent, _gauss_factor,
-                        _history_sums, _i_tiles, _lag_table, _others,
-                        _pair_geometry, _pair_tiles, _views, budget_blocks,
-                        step_drifts)
+                        _history_sums, _i_tiles, _lag_table, _map_blocks,
+                        _others, _pair_geometry, _pair_tiles, _views,
+                        budget_blocks, step_drifts)
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,18 @@ class _ReplicaBlocks:
     the others. `blocks` split `kept` into consecutive slices of the most
     replicas whose `replica_bytes` each fit DRIFT_BUDGET_BYTES
     (`budget_blocks`); the first holds the most, `largest`, for which an
-    estimator allocates its workspace once per call. `run(body)` calls
-    body(part) for the slice `part` of each block in turn, under one error
-    state: a finite replica close to blowing up may overflow its kernel
-    terms, which then come out inf, 0 or NaN, as the simulator's helpers
-    expect (see simulator._pair_geometry), and an estimator keeps them. A
-    body gathers its block (`history`) and keeps no reference to it, so
-    that a block's arrays are freed before the next block is gathered.
+    estimator sizes its workspace. `run(body, workspace)` returns
+    [body(part, work) for the slice `part` of each block], in block order,
+    through `run`'s replica-block driver (`simulator._map_blocks`):
+    threads (KSPP_THREADS, default 1) take whole blocks, each worker makes
+    one `workspace()` and sets one error state. A finite replica close to
+    blowing up may overflow its kernel terms, which then come out inf, 0
+    or NaN, as the simulator's helpers expect (see
+    simulator._pair_geometry), and an estimator keeps them. A body writes
+    only its block's slices of the call's arrays and returns its counts
+    and maxima, which the estimator reduces in block order. It gathers its
+    block (`history`) and keeps no reference to it, so that a block's
+    arrays are freed before the worker's next block is gathered.
     """
 
     def __init__(self, ensemble: TrajectoryEnsemble, m_t: int,
@@ -159,26 +164,28 @@ class _ReplicaBlocks:
             h[c, :, n:] = rows[:, : targets - 1]
         return h
 
-    def run(self, body) -> None:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for part in self.blocks:
-                body(part)
+    def run(self, body, workspace=lambda: None) -> list:
+        return _map_blocks(body, self.blocks, workspace)
 
 
 def _grid_index(t: float, dt: float, what: str) -> int:
     """The index m of the grid time m * dt that equals `t` to within 1e-9
-    (relative past 1); ValueError, naming `t` as `what`, if there is none."""
+    (relative past 1); ValueError, naming `t` as `what`, if there is none,
+    as for an infinite or NaN `t`."""
+    if not math.isfinite(t):
+        raise ValueError(f"{what} {t} is not finite")
     m = int(round(t / dt))
     if abs(m * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"{what} {t} is not on the dt={dt} grid")
     return m
 
 
-def _horizon_index(ensemble: TrajectoryEnsemble, horizon: float | None) -> int:
+def _horizon_index(ensemble: TrajectoryEnsemble, horizon: float | None,
+                   what: str = "horizon") -> int:
     m_t = (ensemble.n_steps if horizon is None
-           else _grid_index(horizon, ensemble.config.dt, "horizon"))
+           else _grid_index(horizon, ensemble.config.dt, what))
     if not 1 <= m_t <= ensemble.n_steps:
-        raise ValueError(f"horizon index {m_t} outside the simulated window")
+        raise ValueError(f"{what} index {m_t} outside the simulated window")
     return m_t
 
 
@@ -289,17 +296,16 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     plan = _ReplicaBlocks(ensemble, m_t, (row_bytes + 128 * (n - 1)) * n)
     tiles = _i_tiles(n, n, m_t, plan.largest, 5)
     per_rep = np.zeros((len(names), len(plan.kept)))
-    divergent = 0
 
     # the (2, B, 2N - 1, l) doubled history window (see
     # simulator._mean_drifts), then five (B, i, k, l) grids of one i-tile,
-    # allocated once per call for the largest block and tile at the horizon
-    # and sliced at every step: dx, dy, |d|^2 (then E3's exponents and
-    # terms), the Gaussian exponent (then its factor, then E4's
+    # allocated once per worker for the largest block and tile at the
+    # horizon and sliced at every step: dx, dy, |d|^2 (then E3's exponents
+    # and terms), the Gaussian exponent (then its factor, then E4's
     # coefficients) and the E2, S and (p - 1) a terms
     start = time.perf_counter()
-    work = np.empty((2 * (2 * n - 1) + 5 * len(tiles[0]) * (n - 1))
-                    * plan.largest * m_t)
+    size = ((2 * (2 * n - 1) + 5 * len(tiles[0]) * (n - 1))
+            * plan.largest * m_t)
     ones = np.ones(m_t)   # E2's row weights
     # the lags k dt for k = m_t..1, with the drift's weights (`_lag_table`)
     # and E3's tf_u^p: step m's rows l < m take the last m entries
@@ -307,10 +313,10 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
     lags = table[0]
     tf_pows = np.power(smoothed_weight(lags, unsmoothed), e3_pow)
 
-    def block(part: slice) -> None:
-        nonlocal divergent
+    def block(part: slice, work: np.ndarray) -> int:
         h = plan.history(part)
         b = h.shape[1]
+        divergent = 0
 
         # the per-pair trapezoid sums over the steps, (B, i, k) for the
         # pairs (i, (i + 1 + k) mod N), and S and S-bar at the horizon
@@ -387,8 +393,9 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
             e4 += w_tr[m] * np.power(d_mag, q, out=d_mag)
 
         per_rep[:, part] = _replica_means(sums.reshape(len(names), b, -1))
+        return divergent
 
-    plan.run(block)
+    divergent = sum(plan.run(block, lambda: np.empty(size)))
     timings = {"grids": time.perf_counter() - start}
 
     # no finite replica: nothing to estimate, NaN
@@ -403,7 +410,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         notes={"gamma": ep.gamma, "alpha": ep.alpha, "delta": ep.delta,
                "horizon": m_t * dt, "pairs": n_pairs,
                "i_tile_rows": len(tiles[0]) if plan.largest else 0,
-               "workspace_bytes": work.nbytes,
+               "workspace_bytes": 8 * size,
                "pair_history_terms": len(plan.kept) * n_pairs * tri,
                "timings": timings},
     )
@@ -436,12 +443,14 @@ def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
     target particles i < `targets`, each with its N - 1 others j in cyclic
     order (`simulator._cyclic_view`), at the steps 1 <= m <= m_t.
 
-    Returns the pass (`_ReplicaBlocks`) and a generator function of a
-    block's slice `part`: for each step m and i-tile it yields m, the
-    squared distances |X^i_m - X^j_l|^2 (B, i, k, m) on the rows l < m,
-    their lags t_m - t_l (m,) and D by coordinate, d_x and d_y (B, i, k).
-    The squared distances are a view of the pass's workspace, which the
-    caller may overwrite: the next tile forms them anew.
+    Returns the pass (`_ReplicaBlocks`), a generator function of a block's
+    slice `part` and a worker's workspace `work`, and the function that
+    makes that workspace (its buffer and a `_lag_table`). For each step m
+    and i-tile the generator yields m, the squared distances
+    |X^i_m - X^j_l|^2 (B, i, k, m) on the rows l < m, their lags
+    t_m - t_l (m,) and D by coordinate, d_x and d_y (B, i, k). The squared
+    distances are a view of the workspace, which the caller may
+    overwrite: the next tile forms them anew.
 
     The geometry is the kernel's (`simulator._pair_tiles`), read in place
     from the block's history, gathered once per block and doubled only as
@@ -460,11 +469,11 @@ def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
     per call). With `memo`, the sums of a matching drift memo
     (`_memo_sums`), D is read from there, a tile as memo[rows, m, i], and
     neither the Gaussian factor nor the history sums are formed. The
-    workspace and the lag table are made once per call, at its first
-    block, and not at all by a call that forms no drift (Hoelder's hit
-    path): fresh per-step arrays, one history row larger at each step,
-    grew the heap (see simulator.DRIFT_BUDGET_BYTES). The simulator's
-    helpers run in the error state of `_ReplicaBlocks.run`.
+    workspace is made once per worker of `_ReplicaBlocks.run`, and not at
+    all by a call that forms no drift (Hoelder's hit path): fresh
+    per-step arrays, one history row larger at each step, grew the heap
+    (see simulator.DRIFT_BUDGET_BYTES). The simulator's helpers run in the
+    error state of `_ReplicaBlocks.run`.
     """
     cfg, n = ensemble.config, ensemble.n_particles
     plan = _ReplicaBlocks(ensemble, m_t, 16 * (targets * (n - 1) * m_t
@@ -472,18 +481,15 @@ def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
     grids = int(memo is None)   # the Gaussian factor
     tiles = _i_tiles(targets, n, m_t, plan.largest, 3 + grids)
     size = (3 + grids) * plan.largest * len(tiles[0]) * (n - 1) * m_t
-    work = table = None
 
-    def drifts(part: slice):
-        nonlocal work, table
-        if work is None:
-            work, table = np.empty(size), _lag_table(m_t, cfg)
+    def drifts(part: slice, work):
+        buf, table = work
         h = plan.history(part, targets=targets)
         rows = plan.index(part)
         for m in range(1, m_t + 1):
             l0, lags, w = _conv_weights(m, cfg, table)
             for i, dx, dy, sq, *g in _pair_tiles(
-                    h[:, :, :n, m], _cyclic_view(h, 0, m, targets), work,
+                    h[:, :, :n, m], _cyclic_view(h, 0, m, targets), buf,
                     tiles, grids):
                 if memo is None:
                     sx, sy = _history_sums(
@@ -494,7 +500,7 @@ def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
                     sx, sy = memo[rows, m, i].transpose(3, 0, 1, 2)
                 yield m, sq, table[0][m_t - m:], -cfg.dt * sx, -cfg.dt * sy
 
-    return plan, drifts
+    return plan, drifts, lambda: (np.empty(size), _lag_table(m_t, cfg))
 
 
 def _memo_sums(ensemble: TrajectoryEnsemble) -> np.ndarray | None:
@@ -539,14 +545,13 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     const = (math.sqrt(p.theta) * c0_const(4.0 * ep.alpha / p.theta)
              * kappa(0.5, ep.gamma - 1.0) / (4.0 * math.pi))
     expo = 1.0 / (2.0 * (ep.gamma - 1.0))
-    plan, drifts = _drift_pass(ensemble, m_t, n, _memo_sums(ensemble))
-    violations = 0
+    plan, drifts, workspace = _drift_pass(ensemble, m_t, n,
+                                          _memo_sums(ensemble))
     checked = len(plan.kept) * n * (n - 1) * m_t
-    worst = 0.0 if checked else math.nan
 
-    def block(part: slice) -> None:
-        nonlocal violations, worst
-        for _, sq, lag, d_x, d_y in drifts(part):
+    def block(part: slice, work) -> tuple[int, float]:
+        violations, worst = 0, 0.0
+        for _, sq, lag, d_x, d_y in drifts(part, work):
             d_mag = np.sqrt(d_x * d_x + d_y * d_y)
             # S's terms (lag + alpha |d|^2)^-gamma, formed in place of |d|^2
             np.multiply(sq, ep.alpha, out=sq)
@@ -557,10 +562,15 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             ratio = d_mag / (slack * bound)
             violations += int(np.sum(ratio > 1.0))
             worst = max(worst, float(np.max(d_mag / bound)))
+        return violations, worst
 
-    plan.run(block)
-    return DominationStats(checked, violations, worst, slack,
-                           excluded=plan.excluded)
+    # a NaN ratio never replaces a running max from 0, so the blocks'
+    # maxima reduce to the max of one run over all tiles; NaN without a
+    # check (no block)
+    counts = plan.run(block, workspace)
+    return DominationStats(checked, sum(v for v, _ in counts),
+                           max((w for _, w in counts), default=math.nan),
+                           slack, excluded=plan.excluded)
 
 
 def _holder_max(paths: np.ndarray, times: np.ndarray,
@@ -633,12 +643,12 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     m_t = _horizon_index(ensemble, ep.horizon)
     n = ensemble.n_particles
     beta = (2.0 * ep.gamma - 3.0) / (2.0 * (ep.gamma - 1.0))
-    plan, drifts = _drift_pass(ensemble, m_t, 1)
+    plan, drifts, workspace = _drift_pass(ensemble, m_t, 1)
     sums = _memo_sums(ensemble)
     z_hat = np.zeros(len(plan.kept))
     bound = np.zeros(len(plan.kept))
 
-    def block(part: slice) -> None:
+    def block(part: slice, work) -> None:
         rows = plan.kept[part]
         # (B, m_t + 1, N - 1, 2): D^{0,j} = -dt sums, and D_0 = 0
         if sums is not None:
@@ -646,7 +656,7 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             d_series[:, 0] = 0.0
         else:
             d_series = np.zeros((len(rows), m_t + 1, n - 1, 2))
-            for m, _, _, d_x, d_y in drifts(part):   # the one tile i = 0
+            for m, _, _, d_x, d_y in drifts(part, work):   # the tile i = 0
                 d_series[:, m] = np.stack((d_x[:, 0], d_y[:, 0]), axis=-1)
         # Gamma and |D|^q are formed in place and each array is freed once
         # read: the series, Gamma and one array more are the most held at a
@@ -664,7 +674,7 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                        for tail in tails]
         z_hat[part] = _holder_max(gamma_paths, ensemble.times[: m_t + 1], beta)
 
-    plan.run(block)
+    plan.run(block, workspace if sums is None else lambda: None)
     return HolderStats(beta, z_hat, bound, slack, excluded=plan.excluded)
 
 
@@ -912,20 +922,20 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     # the padded rows: each tile's weighted heat rows, zero past s = u1, so
     # that every row is summed over all T columns as a whole-grid row is and
     # its sum keeps those bits (a shorter row is summed in another order).
-    # All three are allocated once per call: fresh ones in every block made
-    # glibc's malloc trim and refault its heap (about 80 000 page faults at
-    # R = 500, M = 128) unless an earlier large free had raised its mmap
-    # threshold
+    # All three are allocated once per worker: fresh ones in every block
+    # made glibc's malloc trim and refault its heap (about 80 000 page
+    # faults at R = 500, M = 128) unless an earlier large free had raised
+    # its mmap threshold
     size = plan.largest * n_k * rows * n_t
-    grid_a, grid_b = np.empty(size), np.empty(size)
-    padded = np.zeros((plan.largest, n_k, rows, n_t))
-    dirty = 0            # the columns past `dirty` of `padded` are all 0
     res = np.zeros(len(plan.kept))
 
-    def block(part: slice) -> None:
-        nonlocal dirty
+    def block(part: slice, work) -> None:
+        grid_a, grid_b, padded = work
         h = plan.history(part)
         b = h.shape[1]
+        # no tile writes the padded rows past its own columns s < u1, and
+        # u1 grows from tile to tile: past the first tile's, they are 0
+        padded[:b, ..., tiles[0].stop:] = 0.0
         # (2, B, K, T): the paths of each pair's first and second particle,
         # split by coordinate
         xi, xj = h[:, :, i_idx], h[:, :, j_idx]
@@ -945,9 +955,6 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             shape = (b, n_k, u1 - u0, u1)
             sq, f = (g[: math.prod(shape)].reshape(shape)
                      for g in (grid_a, grid_b))
-            if dirty > u1:
-                padded[..., u1:dirty] = 0.0
-            dirty = u1
             pad = padded[:b, :, : u1 - u0]
             # |x_u - y_s|^2 in the first grid (dy^2 in the second on the
             # way: `_pair_geometry` would need a third for dx and dy), F in
@@ -974,8 +981,8 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                 np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
         res[part] = _replica_means(per_pair)
 
-    plan.run(block)
-
+    plan.run(block, lambda: (np.empty(size), np.empty(size),
+                             np.empty((plan.largest, n_k, rows, n_t))))
     return _residual_report(
         res, lambda v, mean, err: bootstrap_mean_ci(v, level=level,
                                                     n_boot=n_boot, seed=boot_seed),
@@ -1011,7 +1018,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     if not 0 < s < t:
         raise ValueError(f"need 0 < s < t, got s={s}, t={t}")
     m_s = _grid_index(s, dt, "s")
-    m_e = _horizon_index(ensemble, t)
+    m_e = _horizon_index(ensemble, t, "t")
     if not 0 < m_s < m_e:
         raise ValueError(f"need grid indices 0 < {m_s} < {m_e}")
 
@@ -1045,7 +1052,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
     w_in = _trap_weights(m_e - m_s, dt)
     theta_vals = np.zeros(len(plan.kept))
 
-    def block(part: slice) -> None:
+    def block(part: slice, _) -> None:
         h = plan.history(part)
         pos = h.transpose(1, 3, 2, 0)               # (B, T, N, 2), a view
         window = pos[:, m_s:]

@@ -353,11 +353,11 @@ def _pair_geometry(now, past, out=None
     the broadcast shape, and nothing is allocated.
 
     Like `_gauss_exponent`, `_gauss_factor` and `_history_sums`, it runs in
-    its caller's error state: every caller sets np.errstate(over="ignore",
-    invalid="ignore") once around its loop, not once per step (`run`'s
-    block loop, `step_drifts`, and the estimators' passes), since the
-    overflow on a replica that is blowing up is detected after its Euler
-    update, not here.
+    its caller's error state: every caller ignores overflow and invalid
+    values once around its loop, not once per step (the replica-block
+    driver `_map_blocks` of `run` and the estimators, and `step_drifts`),
+    since the overflow on a replica that is blowing up is detected after
+    its Euler update, not here.
     """
     d_out, sq_out = (None, None) if out is None else out
     d = np.subtract(now, past, out=d_out)
@@ -605,7 +605,7 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
 
     `work` is a step loop's workspace, i-tiles and lag table
     (`DriftWork`). A caller that passes it runs the loop, one step per
-    call, and sets the error state around it (`run`'s block loop). Without
+    call, in the error state of `run`'s block driver (`_map_blocks`). Without
     it the call is a loop of its own: it sizes one for the block and the
     last step, and sets np.errstate(over="ignore", invalid="ignore")
     around its steps (see `_pair_geometry`).
@@ -653,8 +653,8 @@ def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
     is finite, drift seconds: the kernel and the background gradient).
     A blown replica's NaN rows give NaN rows at every later step, and no
     other replica reads them. It runs in the error state of `run`'s block
-    loop, which ignores overflow and invalid values: an overflow here is
-    the blow-up signal, detected explicitly below.
+    driver (`_map_blocks`), which ignores overflow and invalid values: an
+    overflow here is the blow-up signal, detected explicitly below.
     """
     p = config.params
     x = positions[:, m]
@@ -707,12 +707,14 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     draws when given (used by the permutation, mirror and epsilon-refinement
     studies); without `noise`, each block of replicas draws its own. Replicas
     are stepped in blocks (`budget_blocks`), one kernel call per block,
-    step and i-tile (`_drift_workspace`); threads (KSPP_THREADS, default 1)
+    step and i-tile (`_drift_workspace`), by the replica-block driver of
+    every estimator too (`_map_blocks`): threads (KSPP_THREADS, default 1)
     take whole blocks. What does not grow with the steps is paid once: one
-    lag table (`_lag_table`) for the run, one workspace and one error
-    state (`_euler_block`) for each block. A replica that turns non-finite is recorded at its
-    first non-finite row rather than raised; it steps on with its block as
-    NaN rows, and a block whose replicas have all blown stops.
+    lag table (`_lag_table`) for the run, and one workspace, sized for the
+    largest block, and one error state for each worker. A replica that
+    turns non-finite is recorded at its first non-finite row rather than
+    raised; it steps on with its block as NaN rows, and a block whose
+    replicas have all blown stops.
 
     The drift memo: when chi != 0 and the per-pair history sums of all R
     replicas and the steps 0..M, R (M + 1) N (N - 1) 16 bytes, fit
@@ -749,13 +751,11 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
             and 16 * r_n * (m_n + 1) * n * (n - 1) <= DRIFT_BUDGET_BYTES):
         sums = np.zeros((r_n, m_n + 1, n, n - 1, 2))
 
-    def run_block(block: range) -> tuple[list[tuple[int, int]], float,
-                                         int, int]:
-        # the block's own workspace, sized at its largest step, its own
-        # split history, one row written per step, and its own noise: no
-        # step allocates anything that grows with m, and threads share
-        # nothing but the lag table
-        work = _drift_workspace(len(block), n, rows, table)
+    def run_block(block: range, work: DriftWork
+                  ) -> tuple[list[tuple[int, int]], float, int, int]:
+        # the block's own split history, one row written per step, and its
+        # own noise: no step allocates anything that grows with m, and
+        # threads share nothing but the lag table
         positions = ens.positions[block.start: block.stop]
         hist = None
         if config.params.chi != 0.0:
@@ -766,23 +766,21 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         block_sums = None if sums is None else sums[block.start: block.stop]
         blown = np.zeros(len(block), dtype=bool)
         blowups, secs = [], 0.0
-        # one error state for all the block's steps (see `_euler_block`)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(config.n_steps):
-                finite, drift_time = _euler_block(positions, hist, d_w[:, m],
-                                                  m, config, work, block_sums)
-                secs += drift_time
-                if not finite.all():
-                    blowups.extend((block.start + int(r), m + 1)
-                                   for r in np.flatnonzero(~finite & ~blown))
-                    blown |= ~finite
-                    if blown.all():
-                        break
-            if block_sums is not None and not blown.all():
-                # step M's sums, which no Euler step needs, for the memo
-                t0 = time.perf_counter()
-                _mean_drifts(hist, m_n, config, work, block_sums[:, m_n])
-                secs += time.perf_counter() - t0
+        for m in range(config.n_steps):
+            finite, drift_time = _euler_block(positions, hist, d_w[:, m],
+                                              m, config, work, block_sums)
+            secs += drift_time
+            if not finite.all():
+                blowups.extend((block.start + int(r), m + 1)
+                               for r in np.flatnonzero(~finite & ~blown))
+                blown |= ~finite
+                if blown.all():
+                    break
+        if block_sums is not None and not blown.all():
+            # step M's sums, which no Euler step needs, for the memo
+            t0 = time.perf_counter()
+            _mean_drifts(hist, m_n, config, work, block_sums[:, m_n])
+            secs += time.perf_counter() - t0
         return (blowups, secs, work.buf.nbytes,
                 len(work.tiles[0]) if rows else 0)
 
@@ -792,29 +790,56 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     if not rows and noise is None:
         per_replica = 16 * n * config.n_steps
     blocks = budget_blocks(config.n_replicas, per_replica)
-    workers = _resolve_threads()
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(block) for block in blocks]
-    for blowups, secs, _, _ in results:
-        ens.drift_seconds += secs
-        ens.blowups.extend(blowups)
-    ens.blowups.sort()
-    # the first block is the largest: its workspace and its i-tiles
-    _, _, nbytes, tile_rows = results[0]
+    # one workspace a worker, for the first block, the largest
+    results = _map_blocks(run_block, blocks, lambda: _drift_workspace(
+        len(blocks[0]), n, rows, table))
+    ens.drift_seconds = sum(secs for _, secs, _, _ in results)
+    ens.blowups = sorted(b for blowups, *_ in results for b in blowups)
     ens.counters.update(replica_blocks=len(blocks),
-                        drift_workspace_bytes=nbytes,
-                        drift_tile_rows=tile_rows)
+                        drift_workspace_bytes=results[0][2],
+                        drift_tile_rows=results[0][3])
     if sums is not None:
         ens.drift_memo = DriftMemo(config, _fingerprint(ens.positions), sums)
     return ens
 
 
+def _map_blocks(body, blocks: list, workspace=lambda: None) -> list:
+    """[body(block, work) for block in blocks], in block order: the one
+    replica-block driver of `run` and of every estimator
+    (estimators._ReplicaBlocks).
+
+    It runs on the `_resolve_threads()` workers, never more than there are
+    blocks, each taking a run of consecutive blocks; one worker runs them
+    in the calling thread. Each worker makes one `workspace()` for all its
+    blocks, which its bodies may overwrite, and runs them under one error
+    state of its own (numpy keeps it per thread): overflow, division by
+    zero and invalid values ignored. Overflow is the blow-up signal of
+    `run` (`_euler_block`) and gives the inf, 0 or NaN kernel terms that
+    the estimators keep (`_pair_geometry`); nothing in the stepping path
+    divides by zero (lags > 0, N - 1 >= 1, mixture variances > 0). A body
+    writes only its block's slices of shared arrays and returns its counts
+    and maxima, which the caller reduces in block order, so the results do
+    not depend on the workers.
+    """
+    workers = max(1, min(_resolve_threads(), len(blocks)))
+
+    def run_group(k: int) -> list:   # worker k's run of blocks
+        work = workspace()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return [body(block, work) for block in
+                    blocks[k * len(blocks) // workers:
+                           (k + 1) * len(blocks) // workers]]
+
+    if workers == 1:
+        return run_group(0)
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(run_group, range(workers)), [])
+
+
 def _resolve_threads() -> int:
-    """Worker threads for `run`: KSPP_THREADS, else 1 (also when invalid)."""
+    """Worker threads of a replica pass (`_map_blocks`): KSPP_THREADS,
+    else 1 (also when invalid)."""
     env = os.environ.get("KSPP_THREADS", "")
     try:
         return max(1, int(env))

@@ -1,11 +1,11 @@
 """tools/bitcheck.py: a tree compared with itself differs nowhere, the
 checks on run's drift memo equal those on their own pass, the row run
-in tiles equals itself at the default budget, the row run on threads
-equals itself run serially, and the row with noise passed in equals the
-noise drawn, its blown replica aside; a tree
-with another chi bisection differs in the chi* outputs alone, a tree with
-another CSV float format in the CSV outputs alone, and its deviations count
-NaNs and missing values."""
+in tiles equals itself at the default budget, the row stepped and
+estimated on threads equals itself run serially in every output, and the
+row with noise passed in equals the noise drawn, its blown replica aside;
+a tree with another chi bisection differs in the chi* outputs and the
+Remark 6.1 table alone, a tree with another CSV float format in the CSV
+outputs alone, and its deviations count NaNs and missing values."""
 
 import hashlib
 import importlib.util
@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -34,22 +35,24 @@ def test_against_itself():
     res = subprocess.run([sys.executable, str(TOOL), "--against", str(ROOT)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines() == ["0 of 309 outputs differ"]
+    assert res.stdout.splitlines() == ["0 of 359 outputs differ"]
 
 
 def test_outputs_cover_runs_and_thresholds():
     tool = load_tool()
     got = tool.outputs(ROOT / "src")
-    sims = [row for name, row in got.items() if not name.startswith("chi*")]
-    assert len(sims) == 12
-    for row in sims:
+    sims = {name: row for name, row in got.items()
+            if not name.startswith("chi*") and name != "remark61"}
+    assert len(sims) == 14
+    for name, row in sims.items():
         assert set(row) == {"positions", "blowups", "replica_blocks",
                             "drift_workspace_bytes", "drift_tile_rows",
                             "E1", "E2", "E3", "E4", "S",
                             "S_bar", "divergent_terms", "csv", "ksw1",
                             "csv_positions", "csv_dt", "ksw1_positions",
                             "ksw1_dt", "domination", "domination_miss",
-                            "holder", "holder_miss", "ito", "martingale"}
+                            "holder", "holder_miss", "ito", "martingale",
+                            *["step_drifts"] * (name == "N8-source")}
         # run's drift memo and a pass of the check's own give one set of
         # bits
         for check in ("domination", "holder"):
@@ -59,6 +62,11 @@ def test_outputs_cover_runs_and_thresholds():
         assert row["csv_dt"] == row["ksw1_dt"] == [0.02]
         assert np.array_equal(row["csv_positions"], row["ksw1_positions"],
                               equal_nan=True)
+    # the source row's drifts at every step 0..20 of its 2 replicas
+    assert len(got["N8-source"]["step_drifts"]) == 2 * 21 * 8 * 2
+    # a mirrored pair under mirrored noise stays mirrored, bit for bit
+    mirrored = np.array(got["N2-mirrored"]["positions"]).reshape(4, 41, 2, 2)
+    np.testing.assert_array_equal(mirrored[:, :, 1], -mirrored[:, :, 0])
     n32 = got["N32"]["positions"]
     assert len(n32) == 2 * 17 * 32 * 2
     assert bytes(got["N32"]["csv"]).startswith(b"replica,particle,step,t,x,y\n")
@@ -82,6 +90,10 @@ def test_outputs_cover_runs_and_thresholds():
     assert got["N32"]["replica_blocks"] == [1]
     assert got["N32"]["drift_tile_rows"] == [32]
     assert got["N5-threads"]["replica_blocks"] == [2]
+    assert got["N5"]["replica_blocks"] == [1]
+    table = bytes(got["remark61"]["remark61.csv"]).decode()
+    assert table.startswith("scenario,theta,p,gamma,alpha,computed,")
+    assert len(table.splitlines()) == 6
     chis = {name: row for name, row in got.items() if name.startswith("chi*")}
     assert list(chis) == ["chi*(1e-06,4)", "chi*(0.1,2.61)", "chi*(1,3.31)",
                           "chi*(10,3.51)", "chi*(10000,3.51)"]
@@ -93,7 +105,7 @@ def test_outputs_cover_runs_and_thresholds():
 
 def test_reports_a_changed_bisection(tmp_path):
     # the same tree with a coarser bisection tolerance: every chi* output
-    # moves, no simulation output does
+    # and the Remark 6.1 table move, no simulation output does
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "src" / "kspp" / "constants.py"
@@ -104,9 +116,10 @@ def test_reports_a_changed_bisection(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == f"{len(lines) - 1} of 309 outputs differ"
+    assert lines[-1] == f"{len(lines) - 1} of 359 outputs differ"
     differ = [line.split()[:2] for line in lines[:-1]]
-    assert all(name.startswith("chi*") for name, _ in differ)
+    assert all(name.startswith("chi*") for name, _ in differ[:-1])
+    assert differ[-1] == ["remark61", "remark61.csv"]
     assert ["chi*(1e-06,4)", "chi_for"] in differ
     assert sum(out == "audit" for _, out in differ) == 5
 
@@ -125,7 +138,7 @@ def test_reports_a_changed_csv_format(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == "24 of 309 outputs differ"
+    assert lines[-1] == "28 of 359 outputs differ"
     assert {line.split()[1] for line in lines[:-1]} == {"csv", "csv_positions"}
 
 
@@ -159,24 +172,28 @@ def test_tiled_row_equals_the_default_budget(monkeypatch):
 
 
 def test_thread_and_noise_rows(monkeypatch):
-    # the row stepped in two blocks on two threads has the bits of the same
-    # row stepped serially; the row with its noise passed in has, outside
-    # its blown replica, the paths of the noise drawn by `run` itself
+    # every output of the row stepped in two blocks and estimated in at
+    # least two on two threads has the bits of the same row run serially:
+    # `run` and the seven estimator calls each ask for two workers. The row
+    # with its noise passed in has, outside its blown replica, the paths of
+    # the noise drawn by `run` itself
+    from concurrent.futures import ThreadPoolExecutor
     tool = load_tool()
     from kspp import estimators as E, kernels, simulator as S
 
-    def rows():
-        return {name: ens for name, _, ens, _ in tool.matrix(S, E, kernels)}
+    def digests():
+        row = tool.outputs(ROOT / "src")["N5-threads"]
+        assert row["replica_blocks"] == [2]
+        return {out: tool.digest(values, out) for out, values in row.items()}
 
-    threaded = rows()
+    with mock.patch("concurrent.futures.ThreadPoolExecutor",
+                    wraps=ThreadPoolExecutor) as pool:
+        threaded = digests()
+    assert [c.kwargs["max_workers"] for c in pool.call_args_list] == [2] * 8
     monkeypatch.setattr(tool, "THREADS", "1")
-    serial = rows()["N5-threads"]
-    ens = threaded["N5-threads"]
-    assert np.array_equal(ens.positions.view(np.int64),
-                          serial.positions.view(np.int64))
-    assert ens.counters == serial.counters
-    assert ens.counters["replica_blocks"] == 2
-    passed = threaded["N3-noise"]
+    assert digests() == threaded
+    passed = {name: ens for name, _, ens, _
+              in tool.matrix(S, E, kernels)}["N3-noise"]
     drawn = S.run(passed.config).positions
     assert passed.blowups == [(1, 9)]
     assert np.isnan(passed.positions[1, 9:]).all()

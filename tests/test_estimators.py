@@ -1543,7 +1543,14 @@ class TestMartingaleResidual:
         for s, t in ((0.3, 1.0), (0.5, 0.9)):
             with pytest.raises(ValueError, match="not on the dt=0.25 grid"):
                 E.martingale_residual(ens, None, ("const",), s=s, t=t)
-        for tau in (-0.1, 0.3, -0.25, 1.25):
+        # a time that is not finite is named, as a ValueError (an infinite
+        # t or tau raised OverflowError, a NaN tau an unnamed ValueError)
+        for s, t, named in ((math.inf, 1.0, "s=inf"), (math.nan, 1.0, "s=nan"),
+                            (0.5, math.inf, "t inf is not finite"),
+                            (0.5, math.nan, "t=nan")):
+            with pytest.raises(ValueError, match=named):
+                E.martingale_residual(ens, None, ("const",), s=s, t=t)
+        for tau in (-0.1, 0.3, -0.25, 1.25, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="window time"):
                 E.martingale_residual(ens, None, ("window", tau, -1.0, 1.0),
                                       s=0.5, t=1.0)
@@ -1894,13 +1901,16 @@ def all_estimates(ens):
 
 class TestReplicaBlocks:
     """Every estimator runs on the one replica pass (`_ReplicaBlocks`):
-    the finite replicas in blocks, each gathered by coordinate, under one
-    error state."""
+    the finite replicas in blocks, each gathered by coordinate, on
+    KSPP_THREADS workers with one error state each."""
 
-    def test_one_replica_a_block_keeps_the_bits(self):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_replica_a_block_keeps_the_bits(self, threads, monkeypatch):
         # five replicas, the middle one NaN from step 6 on: at a budget of
         # one byte every block holds one replica (and every i-tile one
-        # row), and each estimator has the bits of its default call
+        # row), and each estimator has the bits of its default call, whose
+        # one block runs serially. On two threads each takes two blocks,
+        # gathered in either thread's order
         cfg = S.SimConfig(params=KernelParams(theta=1.0, lam=0.2, chi=0.9,
                                               epsilon=0.05),
                           source=SourceSpec(components=((1.0, (0.5, 0.0),
@@ -1910,6 +1920,7 @@ class TestReplicaBlocks:
         ens = S.run(cfg)
         ens.positions[2, 6:] = np.nan
         whole = all_estimates(ens)
+        monkeypatch.setenv("KSPP_THREADS", threads)
         gathered = []
         history = E._ReplicaBlocks.history
 
@@ -1923,7 +1934,9 @@ class TestReplicaBlocks:
         assert blocked == whole
         # all five gather (the checks miss run's memo, which no longer
         # fits the positions), one kept replica at a time
-        assert gathered == [[0], [1], [3], [4]] * 5
+        if threads == "1":
+            assert gathered == [[0], [1], [3], [4]] * 5
+        assert sorted(gathered) == sorted([[0], [1], [3], [4]] * 5)
         assert whole["moments"][-1] == whole["martingale"][-1] == 1
 
     def test_overflowing_pair_distances_warn_nothing(self):

@@ -14,15 +14,19 @@ each file, and the positions and dt each reader returns, are outputs
 too. So are the drift-domination check (checked, violations, worst
 margin, excluded) and the Hoelder check (z_hat, bound, excluded), each
 on `run`'s drift memo and on a copy without it, and the per-replica
-Ito-balance and martingale residuals. Each (theta, p) of the Remark 6.1
+Ito-balance and martingale residuals. The row with a source also adds
+`step_drifts` over all its steps. Each (theta, p) of the Remark 6.1
 table adds `chi_star`'s threshold, best gamma and best alpha and its
 audit trail, in order; the table's small-theta row also adds `chi_for`
-at its fixed point. One row runs its estimators and files under a small
-DRIFT_BUDGET_BYTES (`BUDGETS`), so that every pass runs in one-replica
-blocks, and paper_moments and the domination check in several i-tiles.
-One row is simulated in two replica blocks on KSPP_THREADS = `THREADS`
-worker threads, and one with its noise drawn and passed in, one
-increment infinite, so that `run` records a blow-up. The digest of an
+at its fixed point, and the bytes of the table that `kspp threshold
+--remark61` writes (`cli.remark61_table`) are one output more. Two rows
+run their estimators and files under a small DRIFT_BUDGET_BYTES
+(`BUDGETS`): one so that every pass runs in one-replica blocks, and
+paper_moments and the domination check in several i-tiles; the other is
+simulated in two replica blocks, and every estimator runs in at least
+two, on KSPP_THREADS = `THREADS` worker threads. One row has its noise
+drawn and passed in, one increment infinite, so that `run` records a
+blow-up. The digest of an
 output is the SHA-256 of its values as an int64 array (the bits of the
 float64s, or the integers themselves), or of a file's bytes, so two
 trees agree on an output exactly when their digests do.
@@ -51,7 +55,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 MOMENTS = ("E1", "E2", "E3", "E4", "S", "S_bar")
-BYTES = ("csv", "ksw1")   # outputs that are a file's bytes
+BYTES = ("csv", "ksw1", "remark61.csv")   # outputs that are a file's bytes
 COUNTERS = ("replica_blocks", "drift_workspace_bytes", "drift_tile_rows")
 # outputs that are integers
 INTEGERS = ("divergent_terms", "blowups", *COUNTERS)
@@ -59,11 +63,13 @@ INTEGERS = ("divergent_terms", "blowups", *COUNTERS)
 THRESHOLDS = ((1e-6, 4.0), (0.1, 2.61), (1.0, 3.31), (10.0, 3.51),
               (1e4, 3.51))
 FIXED_POINT = dict(gamma=1.5 + 1e-3, alpha=0.13e-6, theta=1e-6, p=4.0)
-# rows whose outputs after `run` are formed under this DRIFT_BUDGET_BYTES:
-# one replica a block, and i-tiles of one row in paper_moments and the
-# domination check
-BUDGETS = {"N5-tiled": 3000}
-# the worker threads of the row whose `run` steps two replica blocks
+# rows whose outputs after `run` are formed under this DRIFT_BUDGET_BYTES.
+# N5-tiled: one replica a block, and i-tiles of one row in paper_moments and
+# the domination check. N5-threads: one replica's drift dx and dy, so that
+# every estimator runs in at least two blocks (Hoelder's pass takes two
+# replicas a block, the others one)
+BUDGETS = {"N5-tiled": 3000, "N5-threads": 16 * 5 * 4 * 24}
+# the worker threads of the N5-threads row, its `run` and its estimators
 THREADS = "2"
 
 
@@ -73,16 +79,18 @@ def matrix(S, E, kernels):
     source; a replica with NaN rows from a step on, as `run` leaves a blown
     one; a horizon below M; a pinned pair, which gives divergent terms; a
     cutoff whose estimators run in tiles (`BUDGETS`); two replica blocks
-    stepped on `THREADS` threads; noise passed in, with one infinite
-    increment. The blown and pinned rows edit the positions `run`
+    stepped and estimated on `THREADS` threads; noise passed in, with one
+    infinite increment; a mirrored pair with mirrored noise; N = 5 without
+    a cutoff. The blown and pinned rows edit the positions `run`
     returned, after a copy."""
     params = kernels.KernelParams(theta=1.0, lam=0.2, chi=0.9, epsilon=0.05)
     ep = E.EstimatorParams(gamma=1.62, alpha=0.045, delta=0.1)
 
-    def config(n, steps, replicas, seed, **kw):
+    def config(n, steps, replicas, seed,
+               init=S.InitSpec("gaussian", sigma=1.0), **kw):
         return S.SimConfig(params=params, n_particles=n, dt=0.02,
                            n_steps=steps, n_replicas=replicas, seed=seed,
-                           init=S.InitSpec("gaussian", sigma=1.0), **kw)
+                           init=init, **kw)
 
     rows = []
     for n, steps, replicas in ((2, 40, 4), (3, 30, 3), (8, 20, 3),
@@ -120,6 +128,12 @@ def matrix(S, E, kernels):
     noise[1, 8, 2, 0] = math.inf   # replica 1 blows up at row 9
     ens = S.run(cfg, noise=noise)
     rows.append(("N3-noise", ens.positions, ens, ep))
+    ens = S.run(config(2, 40, 4, 19, S.InitSpec("mirrored_pair",
+                                                center=(0.3, 0.1)),
+                       noise_mode="mirrored"))
+    rows.append(("N2-mirrored", ens.positions, ens, ep))
+    ens = S.run(config(5, 24, 3, 20))
+    rows.append(("N5", ens.positions, ens, ep))
     return rows
 
 
@@ -128,14 +142,19 @@ def outputs(src: Path) -> dict:
     ImportError if kspp comes from anywhere else."""
     sys.path.insert(0, str(src))
     import kspp
-    from kspp import constants, estimators as E, io, kernels, simulator as S
+    from kspp import (cli, constants, estimators as E, io, kernels,
+                      simulator as S)
     if Path(kspp.__file__).resolve().parent != (src / "kspp").resolve():
         raise ImportError(f"kspp was imported from {kspp.__file__}, "
                           f"not from {src}")
     got = {}
     for name, positions, ens, ep in matrix(S, E, kernels):
+        # the N5-threads row's estimators on `THREADS` threads, the others
+        # on one
+        threads = THREADS if name == "N5-threads" else "1"
         with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
-                               BUDGETS.get(name, S.DRIFT_BUDGET_BYTES)):
+                               BUDGETS.get(name, S.DRIFT_BUDGET_BYTES)), \
+                mock.patch.dict(os.environ, {"KSPP_THREADS": threads}):
             rep = E.paper_moments(ens, ep)
             got[name] = {"positions": positions.ravel().tolist(),
                          "blowups": [v for pair in ens.blowups for v in pair]}
@@ -145,6 +164,10 @@ def outputs(src: Path) -> dict:
             got[name]["divergent_terms"] = [rep.divergent_terms]
             got[name].update(trajectory_files(io, ens))
             got[name].update(checks(E, ens, ep))
+            if name == "N8-source":
+                got[name]["step_drifts"] = S.step_drifts(
+                    ens.positions, range(ens.n_steps + 1),
+                    ens.config).ravel().tolist()
     for theta, p in THRESHOLDS:
         res = constants.chi_star(theta, p)
         got[f"chi*({theta:g},{p:g})"] = {
@@ -153,6 +176,7 @@ def outputs(src: Path) -> dict:
             "audit": [v for triple in res.audit for v in triple]}
     sp = constants.StructuralParams(**FIXED_POINT)
     got[f"chi*({sp.theta:g},{sp.p:g})"]["chi_for"] = [constants.chi_for(sp)]
+    got["remark61"] = {"remark61.csv": list(cli.remark61_table()[0].encode())}
     return got
 
 
