@@ -8,9 +8,10 @@ replicas with non-finite positions read from a trajectory file). CSV
 artifacts are byte-identical for a fixed config and seed; wall-clock
 timings go only into run_meta.json.
 
-The KSPP_THREADS environment variable sets the thread count of the
-simulator; threads take whole replica blocks. JSON artifacts are strict
-JSON: non-finite numbers are written as null.
+The KSPP_THREADS environment variable sets the worker threads of every
+replica pass, the simulator's and every estimator's; threads take whole
+replica blocks, and no result depends on their count. JSON artifacts are
+strict JSON: non-finite numbers are written as null.
 """
 
 from __future__ import annotations

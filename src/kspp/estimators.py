@@ -933,9 +933,6 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         grid_a, grid_b, padded = work
         h = plan.history(part)
         b = h.shape[1]
-        # no tile writes the padded rows past its own columns s < u1, and
-        # u1 grows from tile to tile: past the first tile's, they are 0
-        padded[:b, ..., tiles[0].stop:] = 0.0
         # (2, B, K, T): the paths of each pair's first and second particle,
         # split by coordinate
         xi, xj = h[:, :, i_idx], h[:, :, j_idx]
@@ -980,9 +977,12 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
             per_pair -= chi * _row_dot(
                 np.einsum("...uc,...uc->...u", grad_int, drift), w_tr)
         res[part] = _replica_means(per_pair)
+        # the padded rows past the first tile's columns back to 0, as the
+        # next block's tiles read them: a tile writes only its s < u1
+        padded[:b, ..., tiles[0].stop:] = 0.0
 
     plan.run(block, lambda: (np.empty(size), np.empty(size),
-                             np.empty((plan.largest, n_k, rows, n_t))))
+                             np.zeros((plan.largest, n_k, rows, n_t))))
     return _residual_report(
         res, lambda v, mean, err: bootstrap_mean_ci(v, level=level,
                                                     n_boot=n_boot, seed=boot_seed),

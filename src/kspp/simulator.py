@@ -803,7 +803,7 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     return ens
 
 
-def _map_blocks(body, blocks: list, workspace=lambda: None) -> list:
+def _map_blocks(body, blocks: list, workspace) -> list:
     """[body(block, work) for block in blocks], in block order: the one
     replica-block driver of `run` and of every estimator
     (estimators._ReplicaBlocks).

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -462,26 +463,34 @@ class TestStepAndRun:
         # to share: every KSPP_THREADS value gives the serial run's bits.
         # The pool gets the threads asked for but never more than there
         # are blocks (8 threads over 2 blocks: 2); a value that does not
-        # parse or is below 1 means one worker, and no pool
+        # parse or is below 1 means one worker, and no pool. Threads switch
+        # every microsecond, so that a lost write to the shared positions
+        # would show
         from concurrent.futures import ThreadPoolExecutor
         params = KernelParams(theta=1.0, chi=0.9, epsilon=0.05)
         cfg = make_config(params=params, n_steps=10, n_replicas=4, seed=23)
         per_replica = 16 * 2 * 1 * 10
-        for threads, size, workers in (("3", 1, [3]), ("2", 1, [2]),
-                                       ("not-a-number", 1, []), ("0", 1, []),
-                                       ("8", 2, [2])):
-            with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
-                                   size * per_replica):
-                assert len(S.budget_blocks(4, per_replica)) == 4 // size
-                serial = S.run(cfg)
-                with mock.patch.dict(os.environ, {"KSPP_THREADS": threads}), \
-                        mock.patch("concurrent.futures.ThreadPoolExecutor",
-                                   wraps=ThreadPoolExecutor) as pool:
-                    ens = S.run(cfg)
-            np.testing.assert_array_equal(ens.positions, serial.positions)
-            assert ens.counters == serial.counters
-            assert [c.kwargs["max_workers"]
-                    for c in pool.call_args_list] == workers
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads, size, workers in (("3", 1, [3]), ("2", 1, [2]),
+                                           ("not-a-number", 1, []),
+                                           ("0", 1, []), ("8", 2, [2])):
+                with mock.patch.object(S, "DRIFT_BUDGET_BYTES",
+                                       size * per_replica):
+                    assert len(S.budget_blocks(4, per_replica)) == 4 // size
+                    serial = S.run(cfg)
+                    with mock.patch.dict(os.environ,
+                                         {"KSPP_THREADS": threads}), \
+                            mock.patch("concurrent.futures.ThreadPoolExecutor",
+                                       wraps=ThreadPoolExecutor) as pool:
+                        ens = S.run(cfg)
+                np.testing.assert_array_equal(ens.positions, serial.positions)
+                assert ens.counters == serial.counters
+                assert [c.kwargs["max_workers"]
+                        for c in pool.call_args_list] == workers
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_replica_blocks_follow_the_budget(self):
         # one replica's drift temporary holds 16 * N(N - 1) pairs * rows bytes
