@@ -492,6 +492,22 @@ class TestStepAndRun:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_thread_env_variable(self, monkeypatch):
+        # one block: whatever KSPP_THREADS says, there is no block to share,
+        # so run starts no pool and gives the serial run's bits
+        from concurrent.futures import ThreadPoolExecutor
+        params = KernelParams(theta=1.0, chi=0.9, epsilon=0.05)
+        cfg = make_config(params=params, n_steps=10, n_replicas=4, seed=23)
+        serial = S.run(cfg)
+        assert serial.counters["replica_blocks"] == 1
+        for threads in ("2", "not-a-number"):
+            monkeypatch.setenv("KSPP_THREADS", threads)
+            with mock.patch("concurrent.futures.ThreadPoolExecutor",
+                            wraps=ThreadPoolExecutor) as pool:
+                ens = S.run(cfg)
+            np.testing.assert_array_equal(serial.positions, ens.positions)
+            assert pool.call_args_list == []
+
     def test_replica_blocks_follow_the_budget(self):
         # one replica's drift temporary holds 16 * N(N - 1) pairs * rows bytes
         assert S.budget_blocks(300, 16 * 2 * 1 * 100) == [range(0, 300)]
