@@ -114,11 +114,12 @@ class _ReplicaBlocks:
     the others. `blocks` split `kept` into consecutive slices of the most
     replicas whose `replica_bytes` each fit DRIFT_BUDGET_BYTES
     (`budget_blocks`); the first holds the most, `largest`, for which an
-    estimator sizes its workspace. `run(body, workspace)` returns
-    [body(part, work) for the slice `part` of each block], in block order,
-    through `run`'s replica-block driver (`simulator._map_blocks`):
-    threads (KSPP_THREADS, default 1) take whole blocks, each worker makes
-    one `workspace()` and sets one error state. A finite replica close to
+    estimator sizes its workspace. An estimator maps a body over the
+    slices `part` of the blocks with `run`'s replica-block driver,
+    `simulator._map_blocks(body, plan.blocks, workspace)`, which returns
+    [body(part, work) for each block] in block order: threads
+    (KSPP_THREADS, default 1) take whole blocks, each worker makes one
+    `workspace()` and sets one error state. A finite replica close to
     blowing up may overflow its kernel terms, which then come out inf, 0
     or NaN, as the simulator's helpers expect (see
     simulator._pair_geometry), and an estimator keeps them. A body writes
@@ -163,9 +164,6 @@ class _ReplicaBlocks:
             h[c, :, :n] = rows
             h[c, :, n:] = rows[:, : targets - 1]
         return h
-
-    def run(self, body, workspace=lambda: None) -> list:
-        return _map_blocks(body, self.blocks, workspace)
 
 
 def _grid_index(t: float, dt: float, what: str) -> int:
@@ -395,7 +393,7 @@ def paper_moments(ensemble: TrajectoryEnsemble, ep: EstimatorParams) -> Estimate
         per_rep[:, part] = _replica_means(sums.reshape(len(names), b, -1))
         return divergent
 
-    divergent = sum(plan.run(block, lambda: np.empty(size)))
+    divergent = sum(_map_blocks(block, plan.blocks, lambda: np.empty(size)))
     timings = {"grids": time.perf_counter() - start}
 
     # no finite replica: nothing to estimate, NaN
@@ -469,11 +467,11 @@ def _drift_pass(ensemble: TrajectoryEnsemble, m_t: int, targets: int,
     per call). With `memo`, the sums of a matching drift memo
     (`_memo_sums`), D is read from there, a tile as memo[rows, m, i], and
     neither the Gaussian factor nor the history sums are formed. The
-    workspace is made once per worker of `_ReplicaBlocks.run`, and not at
-    all by a call that forms no drift (Hoelder's hit path): fresh
-    per-step arrays, one history row larger at each step, grew the heap
-    (see simulator.DRIFT_BUDGET_BYTES). The simulator's helpers run in the
-    error state of `_ReplicaBlocks.run`.
+    workspace is made once per worker of the driver
+    (`simulator._map_blocks`), and not at all by a call that forms no
+    drift (Hoelder's hit path): fresh per-step arrays, one history row
+    larger at each step, grew the heap (see simulator.DRIFT_BUDGET_BYTES).
+    The simulator's helpers run in the driver's error state.
     """
     cfg, n = ensemble.config, ensemble.n_particles
     plan = _ReplicaBlocks(ensemble, m_t, 16 * (targets * (n - 1) * m_t
@@ -567,7 +565,7 @@ def drift_domination_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
     # a NaN ratio never replaces a running max from 0, so the blocks'
     # maxima reduce to the max of one run over all tiles; NaN without a
     # check (no block)
-    counts = plan.run(block, workspace)
+    counts = _map_blocks(block, plan.blocks, workspace)
     return DominationStats(checked, sum(v for v, _ in counts),
                            max((w for _, w in counts), default=math.nan),
                            slack, excluded=plan.excluded)
@@ -577,28 +575,26 @@ def _holder_max(paths: np.ndarray, times: np.ndarray,
                 beta: float) -> np.ndarray:
     """max over grid pairs s < t of |path_t - path_s| / (t - s)^beta for
     each of the (P, T, 2) `paths`, taken along the diagonals t - s = k,
-    one lag k at a time for a block of paths whose three diagonal arrays
-    fit DRIFT_BUDGET_BYTES together; the max does not depend on the order or
-    the blocks."""
+    one lag k at a time; the max does not depend on the order.
+
+    Its one caller is holder_modulus' block body, in the driver's error
+    state (see simulator._pair_geometry), and its 24 T bytes a path are
+    fewer than the 16 ((N - 1) (T - 1) + N T) bytes a replica that sized
+    the block (`_drift_pass`), so the block's paths fit
+    DRIFT_BUDGET_BYTES together, or are a single path."""
     n_t = len(times)
     best = np.full(len(paths), -math.inf)
     xy = np.moveaxis(paths, -1, 0)   # (2, P, T)
-    blocks = budget_blocks(len(paths), 24 * n_t)
     # the geometry's three arrays (dx and dy, then |.|^2), allocated once
-    # per call for the largest block and lag 1
-    work = np.empty(3 * (len(blocks[0]) if blocks else 0) * n_t)
-    # one error state for every lag (see simulator._pair_geometry)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block in blocks:
-            part = xy[:, block.start: block.stop]
-            rows = best[block.start: block.stop]
-            for k in range(1, n_t):
-                shape = (len(block), n_t - k)
-                d, ratio = _views(work, (2, *shape), shape)
-                _pair_geometry(part[..., k:], part[..., :-k], out=(d, ratio))
-                np.sqrt(ratio, out=ratio)
-                ratio /= (times[k:] - times[:-k]) ** beta
-                np.maximum(rows, np.max(ratio, axis=1), out=rows)
+    # per call for lag 1
+    work = np.empty(3 * len(paths) * n_t)
+    for k in range(1, n_t):
+        shape = (len(paths), n_t - k)
+        d, ratio = _views(work, (2, *shape), shape)
+        _pair_geometry(xy[..., k:], xy[..., :-k], out=(d, ratio))
+        np.sqrt(ratio, out=ratio)
+        ratio /= (times[k:] - times[:-k]) ** beta
+        np.maximum(best, np.max(ratio, axis=1), out=best)
     return best
 
 
@@ -674,7 +670,7 @@ def holder_modulus(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
                        for tail in tails]
         z_hat[part] = _holder_max(gamma_paths, ensemble.times[: m_t + 1], beta)
 
-    plan.run(block, workspace if sums is None else lambda: None)
+    _map_blocks(block, plan.blocks, workspace if sums is None else lambda: None)
     return HolderStats(beta, z_hat, bound, slack, excluded=plan.excluded)
 
 
@@ -981,8 +977,8 @@ def ito_balance_check(ensemble: TrajectoryEnsemble, ep: EstimatorParams,
         # next block's tiles read them: a tile writes only its s < u1
         padded[:b, ..., tiles[0].stop:] = 0.0
 
-    plan.run(block, lambda: (np.empty(size), np.empty(size),
-                             np.zeros((plan.largest, n_k, rows, n_t))))
+    _map_blocks(block, plan.blocks, lambda: (
+        np.empty(size), np.empty(size), np.zeros((plan.largest, n_k, rows, n_t))))
     return _residual_report(
         res, lambda v, mean, err: bootstrap_mean_ci(v, level=level,
                                                     n_boot=n_boot, seed=boot_seed),
@@ -1068,7 +1064,7 @@ def martingale_residual(ensemble: TrajectoryEnsemble,
             (phi.value(pos[:, m_e]) - phi.value(pos[:, m_s])) - integral)
         theta_vals[part] = _replica_means(vals)
 
-    plan.run(block)
+    _map_blocks(block, plan.blocks, lambda: None)
 
     import statistics   # here: it imports fractions and decimal
     z = statistics.NormalDist().inv_cdf(0.5 + level / 2.0)

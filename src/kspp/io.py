@@ -153,7 +153,8 @@ def write_trajectory_bin(path: str | Path, ensemble: TrajectoryEnsemble) -> None
     r_n, rows, n, _ = pos.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, n, rows - 1, r_n, ensemble.config.dt))
-        fh.write(np.ascontiguousarray(pos, dtype="<f8").tobytes())
+        # the array's own buffer: tobytes() would copy the whole payload
+        fh.write(np.ascontiguousarray(pos, dtype="<f8").data)
 
 
 def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, float]:

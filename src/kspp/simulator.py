@@ -237,22 +237,6 @@ def draw_noise(config: SimConfig, replicas: range | None = None) -> np.ndarray:
     return out
 
 
-def init_ensemble(config: SimConfig, initial: np.ndarray | None = None) -> TrajectoryEnsemble:
-    """Ensemble holding only the step-0 state."""
-    positions = np.full((config.n_replicas, config.n_steps + 1,
-                         config.n_particles, 2), np.nan)
-    if initial is None:
-        initial = draw_initial(config)
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (config.n_replicas, config.n_particles, 2):
-        raise ValueError(f"initial has shape {initial.shape}, expected "
-                         f"{(config.n_replicas, config.n_particles, 2)}")
-    positions[:, 0] = initial
-    return TrajectoryEnsemble(positions=positions, config=config,
-                              rng_provenance={"seed": config.seed,
-                                              "scheme": RNG_SCHEME})
-
-
 def _history_start(m: int, config: SimConfig) -> int:
     if config.history_cutoff is None:
         return 0
@@ -409,11 +393,6 @@ def _history_sums(dx: np.ndarray, dy: np.ndarray, g: np.ndarray,
     g *= w
     return (np.einsum("...l,...l->...", g, dx, out=out_x),
             np.einsum("...l,...l->...", g, dy, out=out_y))
-
-
-def _drift_window(m: int, config: SimConfig) -> int:
-    """History rows of the drift at step m."""
-    return m - _history_start(m, config)
 
 
 class DriftWork(NamedTuple):
@@ -612,7 +591,8 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
     """
     b, _, n, _ = pos.shape
     if work is None:
-        rows = _drift_window(steps[-1], config) if len(steps) else 0
+        last = steps[-1] if len(steps) else 0
+        rows = last - _history_start(last, config)
         work = _drift_workspace(b, n, rows, _lag_table(rows, config))
         with np.errstate(over="ignore", invalid="ignore"):
             return step_drifts(pos, steps, config, work, hist, pair_sums)
@@ -636,56 +616,11 @@ def step_drifts(pos: np.ndarray, steps: range, config: SimConfig,
     return out
 
 
-def _euler_block(positions: np.ndarray, hist: np.ndarray | None,
-                 d_w: np.ndarray, m: int, config: SimConfig,
-                 work: DriftWork, pair_sums: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, float]:
-    """One Euler step m -> m+1 for every replica of a block.
-
-    `positions` (B, T, N, 2) holds the block's replicas up to row m, and
-    `hist` their split history (`_split_history`, (B, 2, N, T)), None
-    without drift; `d_w` holds this step's increments, shape (B, N, 2);
-    `work` is the drift workspace, i-tiles and lag table for the block
-    (`_drift_workspace`), and `pair_sums` (B, T, N, N - 1, 2), if given,
-    takes the step's per-pair history sums at [:, m]. Writes row m+1 of
-    every replica in `positions` and `hist`, all NaN for a replica with a
-    non-finite coordinate, and returns (the mask of the replicas whose row
-    is finite, drift seconds: the kernel and the background gradient).
-    A blown replica's NaN rows give NaN rows at every later step, and no
-    other replica reads them. It runs in the error state of `run`'s block
-    driver (`_map_blocks`), which ignores overflow and invalid values: an
-    overflow here is the blow-up signal, detected explicitly below.
-    """
-    p = config.params
-    x = positions[:, m]
-    drift_time = 0.0
-    if p.chi != 0.0:
-        t0 = time.perf_counter()
-        drift = step_drifts(positions[:, : m + 1], range(m, m + 1), config,
-                            work, hist, pair_sums)[:, 0]
-        drift_time = time.perf_counter() - t0
-        x_new = x + math.sqrt(2.0) * d_w + p.chi * drift * config.dt
-    else:
-        x_new = x + math.sqrt(2.0) * d_w
-    finite = np.isfinite(x_new).all(axis=(1, 2))
-    if not finite.all():
-        x_new[~finite] = np.nan
-    positions[:, m + 1] = x_new
-    if hist is not None:
-        hist[..., m + 1] = x_new.transpose(0, 2, 1)
-    return finite, drift_time
-
-
 def _drift_rows(config: SimConfig) -> int:
     """History rows that bound every drift window of a run (0 without drift)."""
     if config.params.chi == 0.0:
         return 0
-    return _drift_window(config.n_steps, config)
-
-
-def _require_smoothing(config: SimConfig) -> None:
-    if config.params.chi != 0.0 and config.params.epsilon <= 0:
-        raise ValueError("the smoothed system requires epsilon > 0")
+    return config.n_steps - _history_start(config.n_steps, config)
 
 
 def _fingerprint(positions: np.ndarray) -> bytes:
@@ -709,12 +644,13 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     are stepped in blocks (`budget_blocks`), one kernel call per block,
     step and i-tile (`_drift_workspace`), by the replica-block driver of
     every estimator too (`_map_blocks`): threads (KSPP_THREADS, default 1)
-    take whole blocks. What does not grow with the steps is paid once: one
-    lag table (`_lag_table`) for the run, and one workspace, sized for the
-    largest block, and one error state for each worker. A replica that
-    turns non-finite is recorded at its first non-finite row rather than
-    raised; it steps on with its block as NaN rows, and a block whose
-    replicas have all blown stops.
+    take whole blocks. Each step of a block is the Euler update
+    x + sqrt(2) dW + chi drift dt, the drift from `step_drifts`. What does
+    not grow with the steps is paid once: one lag table (`_lag_table`) for
+    the run, and one workspace, sized for the largest block, and one error
+    state for each worker. A replica that turns non-finite is recorded at
+    its first non-finite row rather than raised; it steps on with its
+    block as NaN rows, and a block whose replicas have all blown stops.
 
     The drift memo: when chi != 0 and the per-pair history sums of all R
     replicas and the steps 0..M, R (M + 1) N (N - 1) 16 bytes, fit
@@ -735,19 +671,31 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     absolute and 17 were not bit-equal, all at N >= 5. At N <= 3 the sum
     has at most two terms, and relabeling is exact.
     """
-    _require_smoothing(config)
-    ens = init_ensemble(config, initial=initial)
+    p = config.params
+    if p.chi != 0.0 and p.epsilon <= 0:
+        raise ValueError("the smoothed system requires epsilon > 0")
+    n, rows = config.n_particles, _drift_rows(config)
+    r_n, m_n = config.n_replicas, config.n_steps
+    if initial is None:
+        initial = draw_initial(config)
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (r_n, n, 2):
+        raise ValueError(f"initial has shape {initial.shape}, expected "
+                         f"{(r_n, n, 2)}")
+    ens = TrajectoryEnsemble(positions=np.full((r_n, m_n + 1, n, 2), np.nan),
+                             config=config,
+                             rng_provenance={"seed": config.seed,
+                                             "scheme": RNG_SCHEME})
+    ens.positions[:, 0] = initial
     if noise is not None:
         noise = np.asarray(noise, dtype=float)
-        want = (config.n_replicas, config.n_steps, config.n_particles, 2)
+        want = (r_n, m_n, n, 2)
         if noise.shape != want:
             raise ValueError(f"noise has shape {noise.shape}, expected {want}")
 
-    n, rows = config.n_particles, _drift_rows(config)
-    r_n, m_n = config.n_replicas, config.n_steps
     table = _lag_table(rows, config)   # shared, read only, by every block
     sums = None   # the memo's per-pair history sums, when they fit
-    if (config.params.chi != 0.0
+    if (p.chi != 0.0
             and 16 * r_n * (m_n + 1) * n * (n - 1) <= DRIFT_BUDGET_BYTES):
         sums = np.zeros((r_n, m_n + 1, n, n - 1, 2))
 
@@ -758,24 +706,39 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
         # threads share nothing but the lag table
         positions = ens.positions[block.start: block.stop]
         hist = None
-        if config.params.chi != 0.0:
-            hist = np.empty((len(block), 2, n, config.n_steps + 1))
+        if p.chi != 0.0:
+            hist = np.empty((len(block), 2, n, m_n + 1))
             hist[..., 0] = positions[:, 0].transpose(0, 2, 1)
         d_w = (draw_noise(config, block) if noise is None
                else noise[block.start: block.stop])
         block_sums = None if sums is None else sums[block.start: block.stop]
         blown = np.zeros(len(block), dtype=bool)
         blowups, secs = [], 0.0
-        for m in range(config.n_steps):
-            finite, drift_time = _euler_block(positions, hist, d_w[:, m],
-                                              m, config, work, block_sums)
-            secs += drift_time
+        for m in range(m_n):
+            # the Euler step m -> m + 1; the drift (kernel and background
+            # gradient) is timed into `drift_seconds`
+            x_new = positions[:, m] + math.sqrt(2.0) * d_w[:, m]
+            if hist is not None:
+                t0 = time.perf_counter()
+                drift = step_drifts(positions[:, : m + 1], range(m, m + 1),
+                                    config, work, hist, block_sums)[:, 0]
+                secs += time.perf_counter() - t0
+                x_new += p.chi * drift * config.dt
+            # an overflow here, which the driver's error state lets through,
+            # is the blow-up signal: a replica with a non-finite coordinate
+            # gets an all-NaN row, whose NaN rows give NaN rows at every
+            # later step and reach no other replica
+            finite = np.isfinite(x_new).all(axis=(1, 2))
             if not finite.all():
+                x_new[~finite] = np.nan
                 blowups.extend((block.start + int(r), m + 1)
                                for r in np.flatnonzero(~finite & ~blown))
                 blown |= ~finite
                 if blown.all():
-                    break
+                    break   # its rows from m + 1 on are NaN already
+            positions[:, m + 1] = x_new
+            if hist is not None:
+                hist[..., m + 1] = x_new.transpose(0, 2, 1)
         if block_sums is not None and not blown.all():
             # step M's sums, which no Euler step needs, for the memo
             t0 = time.perf_counter()
@@ -788,8 +751,8 @@ def run(config: SimConfig, initial: np.ndarray | None = None,
     # without drift, the noise drawn here (none when it is passed in)
     per_replica = 16 * n * (n - 1) * rows
     if not rows and noise is None:
-        per_replica = 16 * n * config.n_steps
-    blocks = budget_blocks(config.n_replicas, per_replica)
+        per_replica = 16 * n * m_n
+    blocks = budget_blocks(r_n, per_replica)
     # one workspace a worker, for the first block, the largest
     results = _map_blocks(run_block, blocks, lambda: _drift_workspace(
         len(blocks[0]), n, rows, table))
@@ -814,7 +777,7 @@ def _map_blocks(body, blocks: list, workspace) -> list:
     blocks, which its bodies may overwrite, and runs them under one error
     state of its own (numpy keeps it per thread): overflow, division by
     zero and invalid values ignored. Overflow is the blow-up signal of
-    `run` (`_euler_block`) and gives the inf, 0 or NaN kernel terms that
+    `run`'s Euler step and gives the inf, 0 or NaN kernel terms that
     the estimators keep (`_pair_geometry`); nothing in the stepping path
     divides by zero (lags > 0, N - 1 >= 1, mixture variances > 0). A body
     writes only its block's slices of shared arrays and returns its counts

@@ -5,15 +5,18 @@ estimated on threads equals itself run serially in every output, and the
 row with noise passed in equals the noise drawn, its blown replica aside;
 a tree with another chi bisection differs in the chi* outputs and the
 Remark 6.1 table alone, a tree with another CSV float format in the CSV
-outputs alone, and its deviations count NaNs and missing values."""
+outputs alone, and its deviations count NaNs and missing values; an
+output that a tree lacks is skipped and named."""
 
 import hashlib
 import importlib.util
+import json
 import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -35,7 +38,7 @@ def test_against_itself():
     res = subprocess.run([sys.executable, str(TOOL), "--against", str(ROOT)],
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stdout + res.stderr
-    assert res.stdout.splitlines() == ["0 of 359 outputs differ"]
+    assert res.stdout.splitlines() == ["0 of 359 outputs differ, 0 skipped"]
 
 
 def test_outputs_cover_runs_and_thresholds():
@@ -116,7 +119,7 @@ def test_reports_a_changed_bisection(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == f"{len(lines) - 1} of 359 outputs differ"
+    assert lines[-1] == f"{len(lines) - 1} of 359 outputs differ, 0 skipped"
     differ = [line.split()[:2] for line in lines[:-1]]
     assert all(name.startswith("chi*") for name, _ in differ[:-1])
     assert differ[-1] == ["remark61", "remark61.csv"]
@@ -138,7 +141,7 @@ def test_reports_a_changed_csv_format(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 1, res.stdout + res.stderr
     lines = res.stdout.splitlines()
-    assert lines[-1] == "28 of 359 outputs differ"
+    assert lines[-1] == "28 of 359 outputs differ, 0 skipped"
     assert {line.split()[1] for line in lines[:-1]} == {"csv", "csv_positions"}
 
 
@@ -199,3 +202,55 @@ def test_thread_and_noise_rows(monkeypatch):
     assert np.isnan(passed.positions[1, 9:]).all()
     np.testing.assert_array_equal(passed.positions[[0, 2]], drawn[[0, 2]])
     np.testing.assert_array_equal(passed.positions[1, :9], drawn[1, :9])
+
+
+def test_skips_and_names_an_output_a_tree_lacks(monkeypatch, capsys):
+    # a tree whose `run` has no drift_tile_rows counter (an older one) dumps
+    # it as null; fed in as TREE's dump, with one other output changed,
+    # the counter is named and skipped, counted neither equal nor
+    # differing, and every other output is compared
+    tool = load_tool()
+    matrix = tool.matrix
+
+    def first_row(older):
+        def rows(S, E, kernels):
+            name, positions, ens, ep = matrix(S, E, kernels)[0]
+            if older:
+                del ens.counters["drift_tile_rows"]
+            return [(name, positions, ens, ep)]
+        return rows
+
+    monkeypatch.setattr(tool, "THRESHOLDS", ((1e-6, 4.0),))
+    monkeypatch.setattr(tool, "matrix", first_row(False))
+    mine = tool.outputs(ROOT / "src")
+    monkeypatch.setattr(tool, "matrix", first_row(True))
+    theirs = tool.outputs(ROOT / "src")
+    assert mine["N2"]["drift_tile_rows"] == [2]
+    assert theirs["N2"]["drift_tile_rows"] is None
+    assert theirs["N2"].keys() == mine["N2"].keys()
+    assert len(theirs) == len(mine) == 3   # N2, one chi* row, remark61
+    compared = sum(map(len, mine.values())) - 1
+    theirs["N2"]["E1"] = [2 * v for v in theirs["N2"]["E1"]]
+    monkeypatch.setattr(tool, "outputs", lambda src: mine)
+    monkeypatch.setattr(tool, "subprocess", SimpleNamespace(
+        run=lambda *args, **kw: SimpleNamespace(stdout=json.dumps(theirs))))
+    capsys.readouterr()
+    assert tool.main(["--against", "TREE"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{'N2':16} {'drift_tile_rows':16} skipped, missing from TREE",
+        f"{'N2':16} {'E1':16} differs, worst relative deviation 0.5",
+        f"1 of {compared} outputs differ, 1 skipped"]
+    # this tree lacking an output, a row or an output both lack, and an
+    # output of one tree's alone
+    for ours, other, lacks in (({"a": None}, {"a": [1.0]}, "this tree"),
+                               ({}, {"a": [1.0]}, "this tree"),
+                               ({"a": None}, {"a": None}, "both trees"),
+                               ({"a": [1.0]}, {}, "TREE")):
+        assert tool.compare({"row": {"b": [0.0], **ours}},
+                            {"row": {"b": [0.0], **other}}) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{'row':16} {'a':16} skipped, missing from {lacks}",
+            "0 of 1 outputs differ, 1 skipped"]
+    assert tool.compare({"row": {"b": [0.0]}}, {}) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "0 of 0 outputs differ, 1 skipped")

@@ -579,11 +579,12 @@ class TestHolderModulus:
 
     @pytest.mark.parametrize("paths", [1, 4])
     def test_small_budget_matches_whole_grid(self, paths):
-        # 21 grid times, 24 * 21 bytes a path for the three diagonal arrays:
-        # a budget of `paths` paths splits holder_modulus into blocks of one
-        # or three replicas and _holder_max into blocks of `paths` paths; the
-        # maxima and bounds are those of the whole grid, on run's sums (the
-        # hit path) and on the call's own pass (the miss path)
+        # 21 grid times, 24 * 21 bytes a path for `_holder_max`'s three
+        # diagonal arrays: a budget of `paths` paths is below two replicas'
+        # 16 (2 * 20 + 3 * 21) bytes each in the checks' pass, so
+        # holder_modulus runs in one-replica blocks; the maxima and bounds are those of
+        # the whole grid, on run's sums (the hit path) and on the call's own
+        # pass (the miss path). `_holder_max` reads no budget
         ens = brownian_ensemble(n_particles=3, n_steps=20, n_replicas=6,
                                 seed=3, chi=0.9)
         whole = fresh_holder(ens)
@@ -687,7 +688,10 @@ class TestHolderModulus:
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
     def test_path_blocks_match_per_path_loop(self, per_block):
         # 21 grid times: a path's three diagonal arrays take 24 * 21 bytes,
-        # and the budget takes `per_block` such paths
+        # and the budget takes `per_block` such paths. `_holder_max` takes
+        # all 7 paths at once whatever the budget (holder_modulus' blocks
+        # fit it, `test_holder_max_gets_paths_that_fit_the_budget`), and
+        # each path's max is that of its own loop
         rng = np.random.default_rng(7)
         paths = rng.standard_normal((7, 21, 2)).cumsum(axis=1)
         times = np.arange(21) * 0.05
@@ -703,6 +707,42 @@ class TestHolderModulus:
             assert len(S.budget_blocks(7, per_path)) == -(-7 // per_block)
             got = E._holder_max(paths, times, 0.3)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_holder_max_gets_paths_that_fit_the_budget(self, n):
+        # the checks' pass sizes holder_modulus' blocks at
+        # 16 ((N - 1) M + N (M + 1)) >= 48 M + 32 bytes a replica, more
+        # than `_holder_max`'s 24 (M + 1) bytes a path: on the memo and the
+        # miss route and at every budget down to one replica a block, each
+        # call gets a single path or paths that fit DRIFT_BUDGET_BYTES
+        # together
+        holder_max = E._holder_max
+        for m_n in (1, 6, 24):
+            ens = brownian_ensemble(n_particles=n, n_steps=m_n, n_replicas=5,
+                                    seed=n, chi=0.9)
+            replica = 16 * ((n - 1) * m_n + n * (m_n + 1))
+            for budget in (replica - 1, replica, 2 * replica + 1,
+                           4 * replica, S.DRIFT_BUDGET_BYTES):
+                for route in ("hit", "miss"):
+                    calls = []
+
+                    def record(paths, times, beta):
+                        calls.append(paths.shape)
+                        return holder_max(paths, times, beta)
+
+                    with mock.patch.object(S, "DRIFT_BUDGET_BYTES", budget), \
+                            mock.patch.object(E, "_holder_max", record):
+                        stats = E.holder_modulus(on_route(ens, route), EP)
+                    assert sum(p for p, _, _ in calls) == stats.z_hat.size == 5
+                    for p, t, _ in calls:
+                        assert t == m_n + 1
+                        assert p == 1 or p * 24 * t <= budget
+                    # one replica a block at the smallest budget, all of
+                    # them in one at the default
+                    if budget < replica:
+                        assert len(calls) == 5
+                    if budget == S.DRIFT_BUDGET_BYTES:
+                        assert len(calls) == 1
 
 
 def tile_rows(pair_tiles):

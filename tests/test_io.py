@@ -287,6 +287,37 @@ class TestReaderMemory:
             tracemalloc.stop()
 
 
+class TestWriterMemory:
+    def test_ksw1_write_copies_no_payload(self, tmp_path):
+        # the positions' own buffer is written: a copy of the 969 600 B
+        # payload through tobytes() peaked at 974 509 B
+        ens = pair_shape_ensemble()
+        path = tmp_path / "pair.ksw1"
+        _, peak = traced_peak(io.write_trajectory_bin, path, ens)
+        assert peak < ens.positions.nbytes / 10
+        assert path.read_bytes() == (
+            io._HEADER.pack(io.MAGIC, 2, 100, 300, 0.01)
+            + ens.positions.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("layout", ["strided", "big_endian"])
+    def test_ksw1_write_of_other_layouts(self, tmp_path, layout):
+        # a strided or big-endian array is written in the same bytes as
+        # its contiguous little-endian copy
+        ens = pair_shape_ensemble()
+        pos = ens.positions[:, ::2]
+        if layout == "big_endian":
+            pos = ens.positions.astype(">f8")
+        ens = S.TrajectoryEnsemble(positions=pos, config=ens.config,
+                                   rng_provenance={})
+        io.write_trajectory_bin(tmp_path / "a.ksw1", ens)
+        ens.positions = np.ascontiguousarray(pos, dtype="<f8")
+        io.write_trajectory_bin(tmp_path / "b.ksw1", ens)
+        assert ((tmp_path / "a.ksw1").read_bytes()
+                == (tmp_path / "b.ksw1").read_bytes())
+        assert io.read_trajectory_bin(tmp_path / "a.ksw1")[0].tolist() == (
+            pos.tolist())
+
+
 def shuffled_rows(tmp_path, ens, seed=3):
     """`ens` written as a CSV and its data rows shuffled: (path, lines),
     lines[0] the header and lines[k] data row k."""

@@ -26,9 +26,11 @@ def make_config(**kw):
 
 class TestInit:
     def test_point_mass(self):
+        # a run of no steps holds the step-0 state alone
         cfg = make_config(init=S.InitSpec("point", center=(0.0, 0.0)),
-                          n_replicas=3)
-        ens = S.init_ensemble(cfg)
+                          n_replicas=3, n_steps=0)
+        ens = S.run(cfg)
+        assert ens.positions.shape == (3, 1, 2, 2)
         np.testing.assert_array_equal(ens.positions[:, 0], 0.0)
 
     def test_gaussian_law_of_large_numbers(self):
@@ -265,7 +267,7 @@ class TestHistoryDrift:
                           history_cutoff=0.1 if cutoff else None)
         pos = S.run(cfg).positions
         m = data.draw(st.integers(1, steps), label="m")
-        rows = S._drift_window(m, cfg)
+        rows = m - S._history_start(m, cfg)
         work = S._drift_workspace(replicas, n, rows, S._lag_table(rows, cfg))
         with np.errstate(over="ignore", invalid="ignore"):
             got = S._mean_drifts(S._split_history(pos), m, cfg, work)

@@ -33,8 +33,12 @@ trees agree on an output exactly when their digests do.
 
 With --against, the same matrix also runs on TREE's package (TREE/src on
 the path) in a subprocess, and every output that differs is listed with its
-worst relative deviation |a - b| / |b|, b from TREE. The exit status is 0
-when nothing differs, 1 otherwise.
+worst relative deviation |a - b| / |b|, b from TREE. An output that one
+tree lacks (an older tree may have no counter of that name, or no
+`cli.remark61_table`; a dump holds it as null) is skipped and named: it
+counts as neither equal nor differing, and the last line gives the number
+skipped beside the number that differ. The exit status is 0 when nothing
+differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -158,7 +162,9 @@ def outputs(src: Path) -> dict:
             rep = E.paper_moments(ens, ep)
             got[name] = {"positions": positions.ravel().tolist(),
                          "blowups": [v for pair in ens.blowups for v in pair]}
-            got[name].update({out: [ens.counters[out]] for out in COUNTERS})
+            got[name].update({out: [ens.counters[out]]
+                              if out in ens.counters else None
+                              for out in COUNTERS})
             got[name].update({out: rep.estimates[out].per_replica.tolist()
                               for out in MOMENTS})
             got[name]["divergent_terms"] = [rep.divergent_terms]
@@ -176,7 +182,8 @@ def outputs(src: Path) -> dict:
             "audit": [v for triple in res.audit for v in triple]}
     sp = constants.StructuralParams(**FIXED_POINT)
     got[f"chi*({sp.theta:g},{sp.p:g})"]["chi_for"] = [constants.chi_for(sp)]
-    got["remark61"] = {"remark61.csv": list(cli.remark61_table()[0].encode())}
+    got["remark61"] = {"remark61.csv": list(cli.remark61_table()[0].encode())
+                       if hasattr(cli, "remark61_table") else None}
     return got
 
 
@@ -254,22 +261,37 @@ def main(argv=None) -> int:
     if args.against is None:
         for name, row in mine.items():
             for out, values in row.items():
-                print(f"{name:16} {out:16} {digest(values, out)}")
+                print(f"{name:16} {out:16} "
+                      f"{'missing' if values is None else digest(values, out)}")
         return 0
 
     theirs = json.loads(subprocess.run(
         [sys.executable, __file__, "--dump", str(args.against / "src")],
         check=True, capture_output=True, text=True).stdout)
-    differ = total = 0
-    for name, row in mine.items():
-        for out, a in row.items():
-            b = theirs[name][out]
+    return compare(mine, theirs)
+
+
+def compare(mine: dict, theirs: dict) -> int:
+    """Print each output of either tree's dump that differs or that a tree
+    lacks (skipped: absent or null), then the counts; 1 if any output
+    differs, else 0."""
+    differ = total = skipped = 0
+    for name in {**mine, **theirs}:
+        ours, other = mine.get(name, {}), theirs.get(name, {})
+        for out in {**ours, **other}:
+            a, b = ours.get(out), other.get(out)
+            if a is None or b is None:
+                skipped += 1
+                lacks = ("both trees" if a is None and b is None
+                         else "this tree" if a is None else "TREE")
+                print(f"{name:16} {out:16} skipped, missing from {lacks}")
+                continue
             total += 1
             if digest(a, out) != digest(b, out):
                 differ += 1
                 print(f"{name:16} {out:16} differs, worst relative "
                       f"deviation {deviation(a, b):.3g}")
-    print(f"{differ} of {total} outputs differ")
+    print(f"{differ} of {total} outputs differ, {skipped} skipped")
     return int(differ > 0)
 
 
